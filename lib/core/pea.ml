@@ -110,7 +110,7 @@ let used_from ctx ~start ~barrier : (int, unit) Hashtbl.t =
   | None ->
       let used = Hashtbl.create 64 in
       let mark id = Hashtbl.replace used id () in
-      let mark_fs fs = List.iter mark (Frame_state.node_ids fs) in
+      let mark_fs fs = Frame_state.iter_nodes mark fs in
       let visited = Hashtbl.create 16 in
       let rec walk b =
         if b <> barrier && not (Hashtbl.mem visited b) then begin

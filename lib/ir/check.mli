@@ -16,7 +16,10 @@
       deoptimization can rematerialize it;
     - OSR-entry graphs ([g_osr_entry = Some _]) carry a complete
       live-local transfer map: one [Param] per interpreter local slot,
-      no slot transferred twice, entry bci inside the method. *)
+      no slot transferred twice, entry bci inside the method.
+
+    A passing check allocates only per-graph tables ({!Defs}); the text
+    of a diagnostic is built only when a rule fails. *)
 
 type error = string
 

@@ -12,7 +12,8 @@ val compute : Graph.t -> t
     block and for unreachable blocks. *)
 val idom : t -> Graph.block_id -> Graph.block_id option
 
-(** [dominates t a b] — does block [a] dominate block [b]? (Reflexive.) *)
+(** [dominates t a b] — does block [a] dominate block [b]? (Reflexive;
+    O(1), from dominator-tree numbering.) *)
 val dominates : t -> Graph.block_id -> Graph.block_id -> bool
 
 (** [children t n_blocks] are the dominator-tree children lists, indexed by

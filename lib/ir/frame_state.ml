@@ -69,18 +69,108 @@ let rec map_values f (fs : t) =
         fs.fs_virtuals;
   }
 
+let rec iter_value_descs f = function
+  | [] -> ()
+  | (_, vd) :: rest ->
+      Array.iter f vd.vd_fields;
+      iter_value_descs f rest
+
 let rec iter_values f (fs : t) =
   Array.iter f fs.fs_locals;
   List.iter f fs.fs_stack;
   List.iter f fs.fs_locks;
-  List.iter (fun (_, vd) -> Array.iter f vd.vd_fields) fs.fs_virtuals;
-  Option.iter (iter_values f) fs.fs_outer
+  iter_value_descs f fs.fs_virtuals;
+  match fs.fs_outer with None -> () | Some o -> iter_values f o
 
-(* All node ids mentioned anywhere in the state. *)
-let node_ids fs =
-  let acc = ref [] in
-  iter_values (function F_node n -> acc := n :: !acc | F_virtual _ | F_const _ -> ()) fs;
-  !acc
+(* [iter_nodes f fs] and [iter_virtuals f fs]: [iter_values] restricted
+   to one kind of value, without allocating. The checkers and dead-code
+   elimination walk every state of a graph after every pass. *)
+let rec iter_node_list f = function
+  | [] -> ()
+  | F_node n :: rest ->
+      f n;
+      iter_node_list f rest
+  | (F_virtual _ | F_const _) :: rest -> iter_node_list f rest
+
+let iter_node_array f a =
+  for i = 0 to Array.length a - 1 do
+    match Array.unsafe_get a i with F_node n -> f n | F_virtual _ | F_const _ -> ()
+  done
+
+let rec iter_node_descs f = function
+  | [] -> ()
+  | (_, vd) :: rest ->
+      iter_node_array f vd.vd_fields;
+      iter_node_descs f rest
+
+let rec iter_nodes f (fs : t) =
+  iter_node_array f fs.fs_locals;
+  iter_node_list f fs.fs_stack;
+  iter_node_list f fs.fs_locks;
+  iter_node_descs f fs.fs_virtuals;
+  match fs.fs_outer with None -> () | Some o -> iter_nodes f o
+
+let rec iter_virtual_list f = function
+  | [] -> ()
+  | F_virtual v :: rest ->
+      f v;
+      iter_virtual_list f rest
+  | (F_node _ | F_const _) :: rest -> iter_virtual_list f rest
+
+let iter_virtual_array f a =
+  for i = 0 to Array.length a - 1 do
+    match Array.unsafe_get a i with F_virtual v -> f v | F_node _ | F_const _ -> ()
+  done
+
+let rec iter_virtual_descs f = function
+  | [] -> ()
+  | (_, vd) :: rest ->
+      iter_virtual_array f vd.vd_fields;
+      iter_virtual_descs f rest
+
+let rec iter_virtuals f (fs : t) =
+  iter_virtual_array f fs.fs_locals;
+  iter_virtual_list f fs.fs_stack;
+  iter_virtual_list f fs.fs_locks;
+  iter_virtual_descs f fs.fs_virtuals;
+  match fs.fs_outer with None -> () | Some o -> iter_virtuals f o
+
+(* [exists_node p fs]: does [p] hold for some node id in the state? *)
+let rec exists_node_list p = function
+  | [] -> false
+  | F_node n :: rest -> p n || exists_node_list p rest
+  | (F_virtual _ | F_const _) :: rest -> exists_node_list p rest
+
+let exists_node_array p a =
+  let rec go i =
+    i < Array.length a
+    && ((match Array.unsafe_get a i with F_node n -> p n | F_virtual _ | F_const _ -> false)
+       || go (i + 1))
+  in
+  go 0
+
+let rec exists_node_virtuals p = function
+  | [] -> false
+  | (_, vd) :: rest -> exists_node_array p vd.vd_fields || exists_node_virtuals p rest
+
+let rec exists_node p (fs : t) =
+  exists_node_array p fs.fs_locals
+  || exists_node_list p fs.fs_stack
+  || exists_node_list p fs.fs_locks
+  || exists_node_virtuals p fs.fs_virtuals
+  || match fs.fs_outer with None -> false | Some o -> exists_node p o
+
+(* [iter_descs f fs] calls [f id vd] on every descriptor of the chain,
+   innermost frame first. *)
+let rec iter_desc_list f = function
+  | [] -> ()
+  | (id, vd) :: rest ->
+      f id vd;
+      iter_desc_list f rest
+
+let rec iter_descs f (fs : t) =
+  iter_desc_list f fs.fs_virtuals;
+  match fs.fs_outer with None -> () | Some o -> iter_descs f o
 
 let rec depth fs = match fs.fs_outer with None -> 1 | Some o -> 1 + depth o
 

@@ -57,8 +57,21 @@ val map_values : (fs_value -> fs_value) -> t -> t
 
 val iter_values : (fs_value -> unit) -> t -> unit
 
-(** [node_ids fs] — every node id mentioned anywhere in the state. *)
-val node_ids : t -> node_id list
+(** [iter_nodes f fs] calls [f] on every [F_node] id in the state
+    (outer frames and descriptor fields included), in {!iter_values}
+    order, without allocating. *)
+val iter_nodes : (node_id -> unit) -> t -> unit
+
+(** [exists_node p fs] — does [p] hold for some [F_node] id in the
+    state? Allocation-free, stops at the first hit. *)
+val exists_node : (node_id -> bool) -> t -> bool
+
+(** [iter_virtuals f fs] is {!iter_nodes} for [F_virtual] references. *)
+val iter_virtuals : (virt_id -> unit) -> t -> unit
+
+(** [iter_descs f fs] calls [f id desc] on every virtual-object
+    descriptor of the chain, innermost frame first, in list order. *)
+val iter_descs : (virt_id -> virtual_desc -> unit) -> t -> unit
 
 (** [depth fs] is the number of frames in the chain. *)
 val depth : t -> int

@@ -163,6 +163,16 @@ let successors (term : terminator) =
   | If { tru; fls; _ } -> [ tru; fls ]
   | Return _ | Deopt _ | Trap _ | Unreachable -> []
 
+(* [iter_successors f term] is [List.iter f (successors term)] without
+   building the list. *)
+let iter_successors f (term : terminator) =
+  match term with
+  | Goto b -> f b
+  | If { tru; fls; _ } ->
+      f tru;
+      f fls
+  | Return _ | Deopt _ | Trap _ | Unreachable -> ()
+
 let iter_blocks f g = Pea_support.Dyn_array.iter f g.blocks
 
 (* [instr_list b] materializes the instruction sequence of [b]. *)
@@ -184,25 +194,29 @@ let recompute_preds g =
 (* Reverse postorder over reachable blocks. Loop headers appear before
    their bodies (the DFS visits forward edges first because back edges
    return to an already-visited block). *)
-let reverse_postorder g : block_id list =
-  let visited = Array.make (n_blocks g) false in
-  let order = ref [] in
+let rpo_array g =
+  let n = n_blocks g in
+  let visited = Array.make n false and post = Array.make n 0 and count = ref 0 in
   let rec dfs id =
     if not visited.(id) then begin
       visited.(id) <- true;
-      List.iter dfs (successors (block g id).term);
-      order := id :: !order
+      iter_successors dfs (block g id).term;
+      post.(!count) <- id;
+      incr count
     end
   in
   dfs entry_id;
-  !order
+  let k = !count in
+  Array.init k (fun i -> post.(k - 1 - i))
+
+let reverse_postorder g : block_id list = Array.to_list (rpo_array g)
 
 let reachable g =
   let visited = Array.make (n_blocks g) false in
   let rec dfs id =
     if not visited.(id) then begin
       visited.(id) <- true;
-      List.iter dfs (successors (block g id).term)
+      iter_successors dfs (block g id).term
     end
   in
   dfs entry_id;
@@ -211,6 +225,17 @@ let reachable g =
 (* ------------------------------------------------------------------ *)
 (* Value substitution                                                  *)
 (* ------------------------------------------------------------------ *)
+
+(* The value a phi merges when all its inputs other than itself are one
+   value, or -1. *)
+let trivial_value (phi : Node.t) (p : Node.phi) =
+  let v = ref (-1) and trivial = ref true in
+  Array.iter
+    (fun x ->
+      if x <> phi.Node.id then
+        if !v < 0 then v := x else if x <> !v then trivial := false)
+    p.Node.inputs;
+  if !trivial then !v else -1
 
 (* Phis whose inputs are all equal (ignoring self-references) are replaced
    by that input, iterating to a fixpoint. Shared by the graph builder and
@@ -222,14 +247,9 @@ let rec simplify_trivial_phis g =
       List.iter
         (fun (phi : Node.t) ->
           match phi.Node.op with
-          | Node.Phi p -> (
-              let others =
-                Array.to_list p.Node.inputs |> List.filter (fun x -> x <> phi.Node.id)
-              in
-              match others with
-              | v :: rest when List.for_all (fun x -> x = v) rest ->
-                  Hashtbl.replace subst phi.Node.id v
-              | _ -> ())
+          | Node.Phi p ->
+              let v = trivial_value phi p in
+              if v >= 0 then Hashtbl.replace subst phi.Node.id v
           | _ -> ())
         b.phis)
     g;
@@ -245,26 +265,40 @@ let rec simplify_trivial_phis g =
   end
 
 (* Rewrite every operand reference (including phi inputs, terminators and
-   frame states) through [f]. *)
+   frame states) through [f]. Only what [f] actually moves is rebuilt:
+   passes substitute a handful of values in a graph of hundreds, and
+   inlining substitutes once per spliced call. *)
 and substitute_uses g (f : Node.node_id -> Node.node_id) =
+  let moved id = f id <> id in
   let subst_fs fs =
-    Frame_state.map_values
-      (function Frame_state.F_node n -> Frame_state.F_node (f n) | fv -> fv)
-      fs
+    if Frame_state.exists_node moved fs then
+      Frame_state.map_values
+        (function Frame_state.F_node n -> Frame_state.F_node (f n) | fv -> fv)
+        fs
+    else fs
   in
   let fix_node (n : Node.t) =
-    n.op <- Node.map_operands f n.op;
-    n.fs <- Option.map subst_fs n.fs
+    if Node.exists_operand moved n.op then n.op <- Node.map_operands f n.op;
+    match n.fs with
+    | Some fs ->
+        let fs' = subst_fs fs in
+        if fs' != fs then n.fs <- Some fs'
+    | None -> ()
   in
   iter_blocks
     (fun b ->
       List.iter fix_node b.phis;
       Pea_support.Dyn_array.iter fix_node b.instrs;
-      b.term <-
-        (match b.term with
-        | Goto _ | Return None | Trap _ | Unreachable -> b.term
-        | If r -> If { r with cond = f r.cond }
-        | Return (Some v) -> Return (Some (f v))
-        | Deopt d -> Deopt { d with d_state = subst_fs d.d_state });
-      b.entry_fs <- Option.map subst_fs b.entry_fs)
+      (match b.term with
+      | Goto _ | Return None | Trap _ | Unreachable -> ()
+      | If r -> if moved r.cond then b.term <- If { r with cond = f r.cond }
+      | Return (Some v) -> if moved v then b.term <- Return (Some (f v))
+      | Deopt d ->
+          let s = subst_fs d.d_state in
+          if s != d.d_state then b.term <- Deopt { d with d_state = s });
+      match b.entry_fs with
+      | Some fs ->
+          let fs' = subst_fs fs in
+          if fs' != fs then b.entry_fs <- Some fs'
+      | None -> ())
     g

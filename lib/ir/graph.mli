@@ -133,6 +133,10 @@ val delete_node : t -> Node.node_id -> unit
 
 val successors : terminator -> block_id list
 
+(** [iter_successors f term] calls [f] on each successor, in
+    {!successors} order, without allocating. *)
+val iter_successors : (block_id -> unit) -> terminator -> unit
+
 val iter_blocks : (block -> unit) -> t -> unit
 
 (** [instr_list b] materializes the instruction sequence of [b]. *)
@@ -147,6 +151,9 @@ val recompute_preds : t -> unit
 (** [reverse_postorder g] lists reachable blocks; loop headers appear
     before their bodies. *)
 val reverse_postorder : t -> block_id list
+
+(** [rpo_array g] is {!reverse_postorder} as an array. *)
+val rpo_array : t -> block_id array
 
 (** [reachable g] flags blocks reachable from the entry. *)
 val reachable : t -> bool array

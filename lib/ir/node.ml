@@ -162,6 +162,21 @@ let iter_operands f (op : op) =
   | Stack_alloc_array (_, _, args) | Invoke (_, _, args) ->
       Array.iter f args
 
+let exists_operand p (op : op) =
+  match op with
+  | Const _ | Param _ | New _ | Load_static _ -> false
+  | Phi { inputs = args } | Alloc (_, args) | Alloc_array (_, args) | Stack_alloc (_, _, args)
+  | Stack_alloc_array (_, _, args) | Invoke (_, _, args) ->
+      Array.exists p args
+  | Arith (_, a, b) | Cmp (_, a, b) | RefCmp (_, a, b) | Array_load (a, b)
+  | Store_field (a, _, b) ->
+      p a || p b
+  | Neg a | Not a | New_array (_, a) | Load_field (a, _) | Store_static (_, a)
+  | Array_length a | Monitor_enter a | Monitor_exit a | Instance_of (a, _)
+  | Has_class (a, _) | Check_cast (a, _) | Null_check a | Print a ->
+      p a
+  | Array_store (a, b, c) -> p a || p b || p c
+
 let map_operands f (op : op) : op =
   match op with
   | Const _ | Param _ | New _ | Load_static _ -> op

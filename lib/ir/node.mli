@@ -111,6 +111,9 @@ val produces_value : op -> bool
 
 val iter_operands : (node_id -> unit) -> op -> unit
 
+(** [exists_operand p op] — does [p] hold for some operand of [op]? *)
+val exists_operand : (node_id -> bool) -> op -> bool
+
 val map_operands : (node_id -> node_id) -> op -> op
 
 (** {1 Printing} *)

@@ -26,115 +26,140 @@ let string_of_token = function
   | PUNCT s -> s
   | EOF -> "<eof>"
 
-type cursor = {
-  src : string;
-  mutable pos : int;
-  mutable line : int;
-  mutable bol : int; (* index of beginning of current line *)
-}
+(* The lexer reads the source string in place: no per-character
+   options, no per-token formatting, and punctuation and keyword tokens
+   come from static tables, so a token costs its record, its position and
+   (for identifiers and literals) its text. *)
 
-let current_pos c : Ast.pos = { line = c.line; col = c.pos - c.bol + 1 }
+(* Must list exactly [keywords]; a test checks the two agree. *)
+let is_keyword = function
+  | "class" | "extends" | "static" | "synchronized" | "int" | "boolean" | "void" | "if" | "else"
+  | "while" | "for" | "return" | "new" | "null" | "true" | "false" | "this" | "instanceof"
+  | "print" | "throw" | "try" | "catch" ->
+      true
+  | _ -> false
 
-let peek_char c = if c.pos < String.length c.src then Some c.src.[c.pos] else None
+(* Two-character punctuation. *)
+let multi_punct a b =
+  match (a, b) with
+  | '=', '=' -> Some "=="
+  | '!', '=' -> Some "!="
+  | '<', '=' -> Some "<="
+  | '>', '=' -> Some ">="
+  | '&', '&' -> Some "&&"
+  | '|', '|' -> Some "||"
+  | '+', '=' -> Some "+="
+  | '-', '=' -> Some "-="
+  | '*', '=' -> Some "*="
+  | '/', '=' -> Some "/="
+  | '%', '=' -> Some "%="
+  | '+', '+' -> Some "++"
+  | '-', '-' -> Some "--"
+  | _ -> None
 
-let peek_char2 c =
-  if c.pos + 1 < String.length c.src then Some c.src.[c.pos + 1] else None
-
-let advance c =
-  (match peek_char c with
-  | Some '\n' ->
-      c.line <- c.line + 1;
-      c.bol <- c.pos + 1
-  | Some _ | None -> ());
-  c.pos <- c.pos + 1
+let single_punct = function
+  | '+' -> Some "+"
+  | '-' -> Some "-"
+  | '*' -> Some "*"
+  | '/' -> Some "/"
+  | '%' -> Some "%"
+  | '<' -> Some "<"
+  | '>' -> Some ">"
+  | '=' -> Some "="
+  | '!' -> Some "!"
+  | '(' -> Some "("
+  | ')' -> Some ")"
+  | '{' -> Some "{"
+  | '}' -> Some "}"
+  | '[' -> Some "["
+  | ']' -> Some "]"
+  | ';' -> Some ";"
+  | ',' -> Some ","
+  | '.' -> Some "."
+  | _ -> None
 
 let is_digit ch = ch >= '0' && ch <= '9'
 
-let is_ident_start ch =
-  (ch >= 'a' && ch <= 'z') || (ch >= 'A' && ch <= 'Z') || ch = '_'
+let is_ident_start ch = (ch >= 'a' && ch <= 'z') || (ch >= 'A' && ch <= 'Z') || ch = '_'
 
 let is_ident_char ch = is_ident_start ch || is_digit ch
 
-let rec skip_trivia c =
-  match peek_char c with
-  | Some (' ' | '\t' | '\r' | '\n') ->
-      advance c;
-      skip_trivia c
-  | Some '/' -> (
-      match peek_char2 c with
-      | Some '/' ->
-          while peek_char c <> None && peek_char c <> Some '\n' do advance c done;
-          skip_trivia c
-      | Some '*' ->
-          let start = current_pos c in
-          advance c;
-          advance c;
-          let rec loop () =
-            match peek_char c, peek_char2 c with
-            | Some '*', Some '/' ->
-                advance c;
-                advance c
-            | Some _, _ ->
-                advance c;
-                loop ()
-            | None, _ -> raise (Lex_error ("unterminated block comment", start))
-          in
-          loop ();
-          skip_trivia c
-      | Some _ | None -> ())
-  | Some _ | None -> ()
-
-(* Multi-character punctuation, longest first. *)
-let multi_punct =
-  [ "=="; "!="; "<="; ">="; "&&"; "||"; "+="; "-="; "*="; "/="; "%="; "++"; "--" ]
-
-let single_punct = "+-*/%<>=!(){}[];,."
-
-let lex_token c : loc_token option =
-  skip_trivia c;
-  let tpos = current_pos c in
-  match peek_char c with
-  | None -> None
-  | Some ch when is_digit ch ->
-      let start = c.pos in
-      while (match peek_char c with Some d -> is_digit d | None -> false) do
-        advance c
-      done;
-      let text = String.sub c.src start (c.pos - start) in
-      (match int_of_string_opt text with
-      | Some n -> Some { tok = INT_LIT n; tpos }
-      | None -> raise (Lex_error ("integer literal out of range: " ^ text, tpos)))
-  | Some ch when is_ident_start ch ->
-      let start = c.pos in
-      while (match peek_char c with Some d -> is_ident_char d | None -> false) do
-        advance c
-      done;
-      let text = String.sub c.src start (c.pos - start) in
-      if List.mem text keywords then Some { tok = KW text; tpos }
-      else Some { tok = IDENT text; tpos }
-  | Some ch ->
-      let two =
-        match peek_char2 c with
-        | Some ch2 -> Some (Printf.sprintf "%c%c" ch ch2)
-        | None -> None
-      in
-      (match two with
-      | Some p when List.mem p multi_punct ->
-          advance c;
-          advance c;
-          Some { tok = PUNCT p; tpos }
-      | Some _ | None ->
-          if String.contains single_punct ch then begin
-            advance c;
-            Some { tok = PUNCT (String.make 1 ch); tpos }
-          end
-          else raise (Lex_error (Printf.sprintf "unexpected character %C" ch, tpos)))
-
 let tokenize src =
-  let c = { src; pos = 0; line = 1; bol = 0 } in
+  let len = String.length src in
+  let pos = ref 0 and line = ref 1 and bol = ref 0 in
+  let here () : Ast.pos = { line = !line; col = !pos - !bol + 1 } in
+  let newline_at i =
+    incr line;
+    bol := i + 1
+  in
+  (* whitespace and comments; a lone '/' is left for punctuation *)
+  let rec skip_trivia () =
+    if !pos < len then
+      match String.unsafe_get src !pos with
+      | ' ' | '\t' | '\r' ->
+          incr pos;
+          skip_trivia ()
+      | '\n' ->
+          newline_at !pos;
+          incr pos;
+          skip_trivia ()
+      | '/' when !pos + 1 < len && String.unsafe_get src (!pos + 1) = '/' ->
+          while !pos < len && String.unsafe_get src !pos <> '\n' do
+            incr pos
+          done;
+          skip_trivia ()
+      | '/' when !pos + 1 < len && String.unsafe_get src (!pos + 1) = '*' ->
+          let start = here () in
+          pos := !pos + 2;
+          let rec close () =
+            if !pos >= len then raise (Lex_error ("unterminated block comment", start))
+            else if String.unsafe_get src !pos = '*' && !pos + 1 < len
+                    && String.unsafe_get src (!pos + 1) = '/'
+            then pos := !pos + 2
+            else begin
+              if String.unsafe_get src !pos = '\n' then newline_at !pos;
+              incr pos;
+              close ()
+            end
+          in
+          close ();
+          skip_trivia ()
+      | _ -> ()
+  in
+  let rec span p = if !pos < len && p (String.unsafe_get src !pos) then (incr pos; span p) in
   let rec loop acc =
-    match lex_token c with
-    | Some t -> loop (t :: acc)
-    | None -> List.rev ({ tok = EOF; tpos = current_pos c } :: acc)
+    skip_trivia ();
+    if !pos >= len then List.rev ({ tok = EOF; tpos = here () } :: acc)
+    else
+      let tpos = here () in
+      let start = !pos in
+      let ch = String.unsafe_get src start in
+      let tok =
+        if is_digit ch then begin
+          span is_digit;
+          let text = String.sub src start (!pos - start) in
+          match int_of_string_opt text with
+          | Some n -> INT_LIT n
+          | None -> raise (Lex_error ("integer literal out of range: " ^ text, tpos))
+        end
+        else if is_ident_start ch then begin
+          span is_ident_char;
+          let text = String.sub src start (!pos - start) in
+          if is_keyword text then KW text else IDENT text
+        end
+        else
+          let next = if start + 1 < len then String.unsafe_get src (start + 1) else ' ' in
+          match multi_punct ch next with
+          | Some p ->
+              pos := start + 2;
+              PUNCT p
+          | None -> (
+              match single_punct ch with
+              | Some p ->
+                  incr pos;
+                  PUNCT p
+              | None -> raise (Lex_error (Printf.sprintf "unexpected character %C" ch, tpos)))
+      in
+      loop ({ tok; tpos } :: acc)
   in
   loop []

@@ -63,11 +63,7 @@ let prune_unreachable_edges (g : Graph.t) =
   Graph.iter_blocks
     (fun b ->
       if reachable.(b.Graph.b_id) then begin
-        let doomed =
-          List.filteri (fun _ p -> not reachable.(p)) b.Graph.preds
-          |> List.length
-        in
-        if doomed > 0 then begin
+        if List.exists (fun p -> not reachable.(p)) b.Graph.preds then begin
           (* remove back-to-front so indices stay valid *)
           let indexed = List.mapi (fun i p -> (i, p)) b.Graph.preds in
           List.rev indexed
@@ -78,12 +74,13 @@ let prune_unreachable_edges (g : Graph.t) =
 
 (* Dead-code elimination: pure instructions (and phis) whose values are
    never used — by other instructions, terminators, or frame states — are
-   deleted. *)
+   deleted. Every pass ends with it, so liveness is a byte per node id
+   and blocks without dead nodes are left untouched. *)
 let eliminate_dead_code (g : Graph.t) =
   let reachable = Graph.reachable g in
-  let used = Hashtbl.create 64 in
-  let mark id = Hashtbl.replace used id () in
-  let mark_fs fs = List.iter mark (Frame_state.node_ids fs) in
+  let used = Bytes.make (Graph.n_nodes g) '\000' in
+  let is_used id = id >= 0 && id < Bytes.length used && Bytes.unsafe_get used id <> '\000' in
+  let mark id = if id >= 0 && id < Bytes.length used then Bytes.unsafe_set used id '\001' in
   (* roots: non-pure instructions, terminators, frame states *)
   Graph.iter_blocks
     (fun b ->
@@ -94,33 +91,30 @@ let eliminate_dead_code (g : Graph.t) =
               mark n.Node.id;
               Node.iter_operands mark n.Node.op
             end;
-            Option.iter mark_fs n.Node.fs)
+            match n.Node.fs with Some fs -> Frame_state.iter_nodes mark fs | None -> ())
           b.Graph.instrs;
         (match b.Graph.term with
         | Graph.If { cond; _ } -> mark cond
         | Graph.Return (Some v) -> mark v
-        | Graph.Deopt { d_state = fs; _ } -> mark_fs fs
+        | Graph.Deopt { d_state = fs; _ } -> Frame_state.iter_nodes mark fs
         | Graph.Goto _ | Graph.Return None | Graph.Trap _ | Graph.Unreachable -> ());
-        Option.iter mark_fs b.Graph.entry_fs
+        match b.Graph.entry_fs with Some fs -> Frame_state.iter_nodes mark fs | None -> ()
       end)
     g;
   (* transitively mark operands of used pure nodes *)
   let changed = ref true in
+  let mark_new o =
+    if o >= 0 && o < Bytes.length used && not (is_used o) then begin
+      mark o;
+      changed := true
+    end
+  in
+  let visit (n : Node.t) = if is_used n.Node.id then Node.iter_operands mark_new n.Node.op in
   while !changed do
     changed := false;
     Graph.iter_blocks
       (fun b ->
         if reachable.(b.Graph.b_id) then begin
-          let visit (n : Node.t) =
-            if Hashtbl.mem used n.Node.id then
-              Node.iter_operands
-                (fun o ->
-                  if not (Hashtbl.mem used o) then begin
-                    mark o;
-                    changed := true
-                  end)
-                n.Node.op
-          in
           List.iter visit b.Graph.phis;
           Pea_support.Dyn_array.iter visit b.Graph.instrs
         end)
@@ -128,18 +122,21 @@ let eliminate_dead_code (g : Graph.t) =
   done;
   List.iter (fun (p : Node.t) -> mark p.Node.id) g.Graph.params;
   (* sweep *)
+  let dead (n : Node.t) = Node.is_pure n.Node.op && not (is_used n.Node.id) in
+  let keep (n : Node.t) =
+    let k = not (dead n) in
+    if not k then Graph.delete_node g n.Node.id;
+    k
+  in
   Graph.iter_blocks
     (fun b ->
       if reachable.(b.Graph.b_id) then begin
-        let keep (n : Node.t) =
-          let k = (not (Node.is_pure n.Node.op)) || Hashtbl.mem used n.Node.id in
-          if not k then Graph.delete_node g n.Node.id;
-          k
-        in
-        b.Graph.phis <- List.filter keep b.Graph.phis;
-        let kept = List.filter keep (Graph.instr_list b) in
-        Pea_support.Dyn_array.clear b.Graph.instrs;
-        List.iter (fun n -> ignore (Pea_support.Dyn_array.push b.Graph.instrs n)) kept
+        if List.exists dead b.Graph.phis then b.Graph.phis <- List.filter keep b.Graph.phis;
+        if Pea_support.Dyn_array.exists dead b.Graph.instrs then begin
+          let kept = List.filter keep (Graph.instr_list b) in
+          Pea_support.Dyn_array.clear b.Graph.instrs;
+          List.iter (fun n -> ignore (Pea_support.Dyn_array.push b.Graph.instrs n)) kept
+        end
       end)
     g
 

@@ -7,29 +7,51 @@ open Pea_ir
 open Pea_bytecode
 module Summary = Pea_analysis.Summary
 
-(* Keys must avoid structural equality over runtime-class records (they are
-   cyclic); everything is rendered into a flat string over ids. *)
-let key_of_op resolve (op : Node.op) : string option =
-  let v id = string_of_int (resolve id) in
+(* A value-number key is the operation's tag followed by its resolved
+   operand ids (and class or method ids), as a small int array: equal
+   keys mean the same operation on the same values. Keys never mention
+   runtime-class records, which are cyclic, only their ids. Tags: 0-3
+   constants, 10 + [arith_tag] commutative Add/Mul, 15/16 reference
+   ==/!=, 20 + [arith_tag] other arithmetic, 30 neg, 31 not,
+   40 + [cmp_tag] comparisons, 50 instanceof, 51 hasclass, 52 array
+   length, 60-62 invokes by kind. *)
+type key = int array
+
+let arith_tag = function
+  | Node.Add -> 0
+  | Node.Sub -> 1
+  | Node.Mul -> 2
+  | Node.Div -> 3
+  | Node.Rem -> 4
+
+let cmp_tag = function
+  | Classfile.Clt -> 0
+  | Classfile.Cle -> 1
+  | Classfile.Cgt -> 2
+  | Classfile.Cge -> 3
+  | Classfile.Ceq -> 4
+  | Classfile.Cne -> 5
+
+let key_of_op resolve (op : Node.op) : key option =
   let commutative2 tag a b =
     let a = resolve a and b = resolve b in
-    let lo = min a b and hi = max a b in
-    Some (Printf.sprintf "%s:%d:%d" tag lo hi)
+    Some [| tag; min a b; max a b |]
   in
   match op with
-  | Node.Const c -> Some ("const:" ^ Node.string_of_const c)
-  | Node.Arith (Node.Add, a, b) -> commutative2 "add" a b
-  | Node.Arith (Node.Mul, a, b) -> commutative2 "mul" a b
-  | Node.Arith (k, a, b) -> Some (Printf.sprintf "arith%s:%s:%s" (Node.string_of_arith k) (v a) (v b))
-  | Node.Neg a -> Some ("neg:" ^ v a)
-  | Node.Not a -> Some ("not:" ^ v a)
-  | Node.Cmp (c, a, b) -> Some (Printf.sprintf "cmp%s:%s:%s" (Classfile.string_of_cmp c) (v a) (v b))
-  | Node.RefCmp (c, a, b) ->
-      let tag = match c with Classfile.AEq -> "acmpeq" | Classfile.ANe -> "acmpne" in
-      commutative2 tag a b
-  | Node.Instance_of (a, cls) -> Some (Printf.sprintf "instanceof:%s:%d" (v a) cls.cls_id)
-  | Node.Has_class (a, cls) -> Some (Printf.sprintf "hasclass:%s:%d" (v a) cls.cls_id)
-  | Node.Array_length a -> Some ("arraylength:" ^ v a)
+  | Node.Const (Node.Cint n) -> Some [| 0; n |]
+  | Node.Const (Node.Cbool b) -> Some [| 1; Bool.to_int b |]
+  | Node.Const Node.Cnull -> Some [| 2 |]
+  | Node.Const Node.Cundef -> Some [| 3 |]
+  | Node.Arith (((Node.Add | Node.Mul) as k), a, b) -> commutative2 (10 + arith_tag k) a b
+  | Node.Arith (k, a, b) -> Some [| 20 + arith_tag k; resolve a; resolve b |]
+  | Node.Neg a -> Some [| 30; resolve a |]
+  | Node.Not a -> Some [| 31; resolve a |]
+  | Node.Cmp (c, a, b) -> Some [| 40 + cmp_tag c; resolve a; resolve b |]
+  | Node.RefCmp (Classfile.AEq, a, b) -> commutative2 15 a b
+  | Node.RefCmp (Classfile.ANe, a, b) -> commutative2 16 a b
+  | Node.Instance_of (a, cls) -> Some [| 50; resolve a; cls.cls_id |]
+  | Node.Has_class (a, cls) -> Some [| 51; resolve a; cls.cls_id |]
+  | Node.Array_length a -> Some [| 52; resolve a |]
   | Node.Param _ | Node.Phi _ | Node.New _ | Node.Alloc _ | Node.Alloc_array _ | Node.New_array _
   | Node.Stack_alloc _ | Node.Stack_alloc_array _
   | Node.Load_field _ | Node.Store_field _ | Node.Load_static _ | Node.Store_static _
@@ -42,28 +64,31 @@ let key_of_op resolve (op : Node.op) : string option =
    no observable effects, so a dominated duplicate can be value-numbered
    like a pure node. The duplicate must then be removed physically:
    [Cfg_utils.cleanup] only drops [is_pure] nodes. *)
-let key_of_invoke resolve summaries (op : Node.op) : string option =
+let key_of_invoke resolve summaries (op : Node.op) : key option =
   match (op, summaries) with
   | Node.Invoke (k, m, args), Some t ->
       let cs = Summary.call_summary t k m in
-      if Summary.mergeable_call cs m then
-        let tag =
-          match k with Node.Virtual -> "v" | Node.Static -> "s" | Node.Special -> "c"
-        in
-        Some
-          (Printf.sprintf "invoke%s:%d:%s" tag m.mth_id
-             (String.concat ":"
-                (List.map (fun a -> string_of_int (resolve a)) (Array.to_list args))))
+      if Summary.mergeable_call cs m then begin
+        let kind = match k with Node.Virtual -> 60 | Node.Static -> 61 | Node.Special -> 62 in
+        let key = Array.make (Array.length args + 2) kind in
+        key.(1) <- m.mth_id;
+        Array.iteri (fun i a -> key.(i + 2) <- resolve a) args;
+        Some key
+      end
       else None
   | _ -> None
 
 let run ?summaries (g : Graph.t) =
   let doms = Dominators.compute g in
   let kids = Dominators.children doms (Graph.n_blocks g) in
-  let table : (string, Node.node_id) Hashtbl.t = Hashtbl.create 64 in
-  let subst : (Node.node_id, Node.node_id) Hashtbl.t = Hashtbl.create 16 in
+  let table : (key, Node.node_id) Hashtbl.t = Hashtbl.create 64 in
+  (* replacement of each numbered-away node, by node id; -1 = none *)
+  let subst = Array.make (Graph.n_nodes g) (-1) in
   let rec resolve id =
-    match Hashtbl.find_opt subst id with Some v when v <> id -> resolve v | _ -> id
+    if id < 0 || id >= Array.length subst then id
+    else
+      let v = Array.unsafe_get subst id in
+      if v >= 0 && v <> id then resolve v else id
   in
   let changed = ref false in
   let removed_invokes : (Node.node_id, unit) Hashtbl.t = Hashtbl.create 4 in
@@ -72,7 +97,7 @@ let run ?summaries (g : Graph.t) =
     let added = ref [] in
     Pea_support.Dyn_array.iter
       (fun (n : Node.t) ->
-        if not (Hashtbl.mem subst n.Node.id) then
+        if subst.(n.Node.id) < 0 then
           let key =
             match key_of_op resolve n.Node.op with
             | Some _ as k -> k
@@ -82,7 +107,7 @@ let run ?summaries (g : Graph.t) =
           | Some key -> (
               match Hashtbl.find_opt table key with
               | Some existing ->
-                  Hashtbl.replace subst n.Node.id existing;
+                  subst.(n.Node.id) <- existing;
                   (match n.Node.op with
                   | Node.Invoke _ -> Hashtbl.replace removed_invokes n.Node.id ()
                   | _ -> ());

@@ -54,9 +54,9 @@ let copy t = { data = Array.copy t.data; len = t.len }
 
 let clear t = t.len <- 0
 
-let exists p t =
-  let rec loop i = i < t.len && (p t.data.(i) || loop (i + 1)) in
-  loop 0
+let rec exists_from p t i = i < t.len && (p t.data.(i) || exists_from p t (i + 1))
+
+let exists p t = exists_from p t 0
 
 let truncate t n =
   if n < 0 || n > t.len then invalid_arg "Dyn_array.truncate";

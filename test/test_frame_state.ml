@@ -37,10 +37,23 @@ let sample_fs () : Frame_state.t =
 let test_depth () =
   Alcotest.(check int) "two frames" 2 (Frame_state.depth (sample_fs ()))
 
+let collect iter fs =
+  let acc = ref [] in
+  iter (fun x -> acc := x :: !acc) fs;
+  List.rev !acc
+
+let node_ids = collect Frame_state.iter_nodes
+
 let test_node_ids () =
-  let ids = List.sort_uniq compare (Frame_state.node_ids (sample_fs ())) in
-  (* nodes 1, 2 and 3 appear (3 via the descriptor), in both frames *)
-  Alcotest.(check (list int)) "ids" [ 1; 2; 3 ] ids
+  (* nodes 1, 2 and 3 appear (3 via the descriptor) in the inner frame,
+     1 and 2 in the outer one, in iter_values order *)
+  Alcotest.(check (list int)) "ids" [ 1; 2; 3; 1; 2 ] (node_ids (sample_fs ()));
+  Alcotest.(check (list int)) "virtual references" [ 0; 0; 0; 0; 0 ]
+    (collect Frame_state.iter_virtuals (sample_fs ()));
+  Alcotest.(check (list int)) "descriptors" [ 0 ]
+    (collect (fun f -> Frame_state.iter_descs (fun id _ -> f id)) (sample_fs ()));
+  Alcotest.(check bool) "exists" true (Frame_state.exists_node (( = ) 3) (sample_fs ()));
+  Alcotest.(check bool) "not exists" false (Frame_state.exists_node (( = ) 4) (sample_fs ()))
 
 let test_map_values () =
   let fs = sample_fs () in
@@ -49,7 +62,7 @@ let test_map_values () =
       (function Frame_state.F_node n -> Frame_state.F_node (n + 100) | v -> v)
       fs
   in
-  let ids = List.sort_uniq compare (Frame_state.node_ids shifted) in
+  let ids = List.sort_uniq compare (node_ids shifted) in
   Alcotest.(check (list int)) "shifted ids" [ 101; 102; 103 ] ids;
   (* virtual references and constants are untouched *)
   (match shifted.Frame_state.fs_locals.(1) with

@@ -63,6 +63,70 @@ let test_lexer_unterminated_comment () =
   | exception Lexer.Lex_error _ -> ()
   | _ -> Alcotest.fail "expected lex error"
 
+(* Every reserved word, and only those, lexes as a keyword. *)
+let test_lexer_keywords () =
+  List.iter
+    (fun k ->
+      (match Lexer.tokenize k with
+      | [ { Lexer.tok = Lexer.KW k'; _ }; _ ] -> Alcotest.(check string) "keyword" k k'
+      | _ -> Alcotest.failf "%S did not lex as one keyword" k);
+      List.iter
+        (fun near ->
+          match Lexer.tokenize near with
+          | [ { Lexer.tok = Lexer.IDENT s; _ }; _ ] -> Alcotest.(check string) "identifier" near s
+          | _ -> Alcotest.failf "%S did not lex as one identifier" near)
+        [ k ^ "_"; "_" ^ k; k ^ "1"; String.capitalize_ascii k ])
+    Lexer.keywords
+
+let all_punct =
+  [ "=="; "!="; "<="; ">="; "&&"; "||"; "+="; "-="; "*="; "/="; "%="; "++"; "--"; "+"; "-"; "*";
+    "/"; "%"; "<"; ">"; "="; "!"; "("; ")"; "{"; "}"; "["; "]"; ";"; ","; "." ]
+
+let test_lexer_punctuation () =
+  List.iter
+    (fun p ->
+      match Lexer.tokenize (" " ^ p ^ " ") with
+      | [ { Lexer.tok = Lexer.PUNCT p'; tpos }; _ ] ->
+          Alcotest.(check string) "punctuation" p p';
+          Alcotest.(check int) "column" 2 tpos.Ast.col
+      | _ -> Alcotest.failf "%S did not lex as one punctuation token" p)
+    all_punct;
+  (* longest match first, no backtracking: "<==" is "<=" then "=" *)
+  Alcotest.(check (list string)) "maximal munch" [ "<="; "="; "++"; "="; "<eof>" ]
+    (token_strings "<==++=")
+
+let test_lexer_errors_and_positions () =
+  (match Lexer.tokenize "a\n  /* open\n" with
+  | exception Lexer.Lex_error (msg, pos) ->
+      Alcotest.(check string) "message" "unterminated block comment" msg;
+      Alcotest.(check (pair int int)) "at the comment start" (2, 3) (pos.Ast.line, pos.Ast.col)
+  | _ -> Alcotest.fail "expected lex error");
+  (match Lexer.tokenize "x\n y = 99999999999999999999999;" with
+  | exception Lexer.Lex_error (msg, pos) ->
+      Alcotest.(check string) "message" "integer literal out of range: 99999999999999999999999" msg;
+      Alcotest.(check (pair int int)) "at the literal" (2, 6) (pos.Ast.line, pos.Ast.col)
+  | _ -> Alcotest.fail "expected lex error");
+  match Lexer.tokenize "/* a\n b */ // c\n\t@" with
+  | exception Lexer.Lex_error (msg, pos) ->
+      Alcotest.(check string) "message" "unexpected character '@'" msg;
+      Alcotest.(check (pair int int)) "after comments" (3, 2) (pos.Ast.line, pos.Ast.col)
+  | _ -> Alcotest.fail "expected lex error"
+
+(* Random token sequences, joined by random whitespace and comments,
+   lex back to themselves; a separator is always present where two
+   tokens would otherwise run together. *)
+let prop_lexer_roundtrip =
+  let open QCheck2 in
+  let word = Gen.oneofl ([ "x"; "abc"; "_t1"; "Main" ] @ Lexer.keywords) in
+  let number = Gen.map string_of_int (Gen.int_bound 100000) in
+  let token = Gen.oneof [ word; number; Gen.oneofl all_punct ] in
+  let sep = Gen.oneofl [ " "; "\n"; "\t "; " /* c */ "; " // c\n"; "\r\n  " ] in
+  Test.make ~name:"tokens round-trip through the lexer" ~count:300
+    Gen.(list_size (int_bound 40) (pair token sep))
+    (fun toks ->
+      let src = String.concat "" (List.map (fun (t, s) -> t ^ s) toks) in
+      token_strings src = List.map fst toks @ [ "<eof>" ])
+
 (* ------------------------------------------------------------------ *)
 (* Parser                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -335,6 +399,10 @@ let () =
           Alcotest.test_case "positions" `Quick test_lexer_positions;
           Alcotest.test_case "bad char" `Quick test_lexer_bad_char;
           Alcotest.test_case "unterminated comment" `Quick test_lexer_unterminated_comment;
+          Alcotest.test_case "keywords" `Quick test_lexer_keywords;
+          Alcotest.test_case "punctuation" `Quick test_lexer_punctuation;
+          Alcotest.test_case "error positions" `Quick test_lexer_errors_and_positions;
+          QCheck_alcotest.to_alcotest prop_lexer_roundtrip;
         ] );
       ( "parser",
         [

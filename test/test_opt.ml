@@ -166,6 +166,45 @@ let test_gvn_respects_dominance () =
   Alcotest.(check int) "two multiplications remain" 2
     (count_ops gf (function Node.Arith (Node.Mul, _, _) -> true | _ -> false))
 
+(* Every numbered operation kind on the same two values, printed so each
+   stays live: GVN may merge only the commutative duplicates and the
+   repeated constant, never two different operations. *)
+let test_gvn_keys_distinguish_ops () =
+  let program =
+    Link.compile_source
+      "class Main { static int f(int a, int b) { return a; } static int main() { return Main.f(1, 2); } }"
+  in
+  let m = Link.find_method program "Main" "f" in
+  let g = Graph.create m in
+  let b = Graph.new_block g in
+  let a = (Graph.add_param g 0).Node.id and c = (Graph.add_param g 1).Node.id in
+  let cls = m.Classfile.mth_class in
+  let ops =
+    [
+      Node.Arith (Node.Add, a, c); Node.Arith (Node.Add, c, a); Node.Arith (Node.Mul, a, c);
+      Node.Arith (Node.Mul, c, a); Node.Arith (Node.Sub, a, c); Node.Arith (Node.Sub, c, a);
+      Node.Arith (Node.Div, a, c); Node.Arith (Node.Rem, a, c); Node.Cmp (Classfile.Clt, a, c);
+      Node.Cmp (Classfile.Cle, a, c); Node.Cmp (Classfile.Clt, c, a);
+      Node.RefCmp (Classfile.AEq, a, c); Node.RefCmp (Classfile.AEq, c, a);
+      Node.RefCmp (Classfile.ANe, a, c); Node.Neg a; Node.Not a; Node.Array_length a;
+      Node.Instance_of (a, cls); Node.Has_class (a, cls); Node.Const (Node.Cint 1);
+      Node.Const (Node.Cbool true); Node.Const (Node.Cint 1); Node.Const Node.Cnull;
+      Node.Const Node.Cundef; Node.Const (Node.Cint 0); Node.Const (Node.Cbool false);
+    ]
+  in
+  let values = List.map (fun op -> (Graph.append g b op).Node.id) ops in
+  List.iter (fun v -> ignore (Graph.append g b (Node.Print v))) values;
+  b.Graph.term <- Graph.Return None;
+  Alcotest.(check bool) "something merged" true (Pea_opt.Gvn.run g);
+  let printed =
+    List.filter_map
+      (fun (n : Node.t) -> match n.Node.op with Node.Print v -> Some v | _ -> None)
+      (Graph.instr_list b)
+  in
+  (* a+c = c+a, a*c = c*a, (a == c) = (c == a), and the two [1]s *)
+  Alcotest.(check int) "distinct values" (List.length ops - 4)
+    (List.length (List.sort_uniq compare printed))
+
 (* ------------------------------------------------------------------ *)
 (* Inlining                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -509,6 +548,7 @@ let () =
         [
           Alcotest.test_case "dedup" `Quick test_gvn_dedup;
           Alcotest.test_case "respects dominance" `Quick test_gvn_respects_dominance;
+          Alcotest.test_case "keys distinguish operations" `Quick test_gvn_keys_distinguish_ops;
         ] );
       ( "inline",
         [
