@@ -1,46 +1,51 @@
 #!/bin/sh
 # Run the tier-1 test suites under every VM configuration the matrix
 # covers: optimization level (none / ea / pea) crossed with
-# interprocedural escape summaries (on / off) crossed with the execution
-# tier (closure / direct) crossed with on-stack replacement (on / off)
-# crossed with the compile mode (sync / replay); a separate sweep
-# toggles speculative guarded inlining (on / off) across the
-# configurations it interacts with. The suites read the forced
+# interprocedural escape summaries (on / off) crossed with on-stack
+# replacement (on / off) crossed with the compile mode (sync / replay);
+# a separate sweep toggles speculative guarded inlining (on / off)
+# across the optimization levels. The suites read the forced
 # configuration from MJVM_TEST_OPT / MJVM_TEST_SUMMARIES /
-# MJVM_TEST_EXEC_TIER / MJVM_TEST_OSR / MJVM_TEST_COMPILE_MODE /
-# MJVM_TEST_INLINING (see
-# test/test_env.ml); a differential or monotonicity failure in any cell
-# is a real bug in that configuration. Two extra cells re-run the
-# default configuration with the stack-allocation tier forced off
-# (MJVM_TEST_STACKALLOC=off), alone and under the correctness tooling. Three final cells re-run the
-# default configuration with a global tracer installed
+# MJVM_TEST_OSR / MJVM_TEST_COMPILE_MODE / MJVM_TEST_INLINING (see
+# test/test_env.ml, which rejects any MJVM_TEST_* name or value it does
+# not list); a differential or monotonicity failure in any cell is a
+# real bug in that configuration. Two extra cells re-run the default
+# configuration with the stack-allocation tier forced off
+# (MJVM_TEST_STACKALLOC=off), alone and under the correctness tooling.
+# One cell turns the speculation-safety verifier off. Three more re-run
+# the default configuration with a global tracer installed
 # (MJVM_TEST_TRACE=1) and with the global sampling + heap profilers
 # installed (MJVM_TEST_PROFILE=1) to check that instrumentation never
 # changes behaviour, and with real compiler domains
 # (MJVM_TEST_COMPILE_MODE=async) to check the threaded pipeline end to
-# end. Async is kept out of
-# the main product: its deterministic counters are pinned bit-for-bit to
-# replay's by test_async.ml, so replay stands in for it cheaply. Two
-# serving cells re-run the suites with the multi-tenant harness in
-# forced-replay mode and with real worker domains (MJVM_TEST_SERVE,
-# see test/test_serving.ml) — the real-domain cell is the serving
-# analogue of the async cell.
+# end. Async is kept out of the main product: its deterministic counters
+# are pinned bit-for-bit to replay's by test_async.ml, so replay stands
+# in for it cheaply. Two serving cells re-run the suites with the
+# multi-tenant harness in forced-replay mode and with real worker
+# domains (MJVM_TEST_SERVE, see test/test_serving.ml) — the real-domain
+# cell is the serving analogue of the async cell.
+#
+# Cells: 24 (opt x summaries x osr x compile-mode) + 6 (inlining x opt)
+# + 12 (correctness tooling: opt x osr x compile-mode) + 8 single cells
+# = 50.
 #
 # Failures do not stop the sweep: every failing cell prints its
 # environment line (the exact rerun command) first, then the output
 # tail, and the remaining cells still run, so one broken cell cannot
-# mask another. The exit code covers every cell — including the final
-# ones — and is non-zero iff any cell failed.
+# mask another. Every cell prints its wall time in seconds, and the
+# sweep ends with one "N cells, F failed, T s" line. The exit code
+# covers every cell — including the final ones — and is non-zero iff
+# any cell failed.
 #
 # MJVM_TEST_QCHECK_COUNT scales the property-based suites up from their
 # fast local defaults: every matrix cell runs 500+ random programs per
 # differential property.
 #
-# A second sweep re-runs the opt x tier x osr x compile-mode matrix with
-# the correctness tooling forced on (MJVM_TEST_CHECK_LEVEL=every-phase,
-# MJVM_TEST_ORACLE=on): the speculation-safety verifier audits the deopt
-# metadata after every optimization phase and the oracle bisimulates
-# every deoptimization against a shadow interpreter replay.
+# The correctness-tooling sweep re-runs the opt x osr x compile-mode
+# matrix with the tooling forced on (MJVM_TEST_CHECK_LEVEL=every-phase,
+# MJVM_TEST_ORACLE=on): the speculation-safety verifier audits the
+# deopt metadata after every optimization phase and the oracle
+# bisimulates every deoptimization against a shadow interpreter replay.
 #
 # Usage: bench/run_matrix.sh   (from the repository root)
 
@@ -52,7 +57,9 @@ export MJVM_TEST_QCHECK_COUNT
 log=$(mktemp)
 trap 'rm -f "$log"' EXIT
 
+cells=0
 failed_cells=0
+sweep_start=$(date +%s)
 
 # run_cell LABEL [VAR=value ...] — one matrix cell. Output is captured;
 # on failure the env line is printed first (so the rerun command is the
@@ -61,12 +68,14 @@ failed_cells=0
 run_cell() {
   _label=$1
   shift
+  cells=$((cells + 1))
   echo "=== $_label ==="
+  _start=$(date +%s)
   if env "$@" dune runtest --force >"$log" 2>&1; then
-    echo "    ok"
+    echo "    ok ($(($(date +%s) - _start)) s)"
   else
     echo ""
-    echo "FAILED CELL: $* dune runtest --force"
+    echo "FAILED CELL ($(($(date +%s) - _start)) s): $* dune runtest --force"
     echo "last 40 lines of output:"
     tail -n 40 "$log" | sed 's/^/    | /'
     failed_cells=$((failed_cells + 1))
@@ -75,51 +84,42 @@ run_cell() {
 
 for opt in none ea pea; do
   for summaries in on off; do
-    for tier in closure direct; do
-      for osr in on off; do
-        for mode in sync replay; do
-          run_cell "opt=$opt summaries=$summaries exec-tier=$tier osr=$osr compile-mode=$mode" \
-            "MJVM_TEST_OPT=$opt" "MJVM_TEST_SUMMARIES=$summaries" \
-            "MJVM_TEST_EXEC_TIER=$tier" "MJVM_TEST_OSR=$osr" \
-            "MJVM_TEST_COMPILE_MODE=$mode"
-        done
+    for osr in on off; do
+      for mode in sync replay; do
+        run_cell "opt=$opt summaries=$summaries osr=$osr compile-mode=$mode" \
+          "MJVM_TEST_OPT=$opt" "MJVM_TEST_SUMMARIES=$summaries" \
+          "MJVM_TEST_OSR=$osr" "MJVM_TEST_COMPILE_MODE=$mode"
       done
     done
   done
 done
 
 # Speculative-inlining sweep: guarded inlining toggled against the
-# optimization levels and execution tiers it interacts with (summaries
-# on, the default). With inlining off every virtual call falls back to
-# CHA-safe inlining or summaries; results and differential properties
-# must not move either way. The inlining=off half doubles as the
-# regression cell for the pre-inlining pipeline.
+# optimization levels it interacts with (summaries on, the default).
+# With inlining off every virtual call falls back to CHA-safe inlining
+# or summaries; results and differential properties must not move
+# either way. The inlining=off half doubles as the regression cell for
+# the pre-inlining pipeline.
 for inlining in on off; do
   for opt in none ea pea; do
-    for tier in closure direct; do
-      run_cell "inlining=$inlining opt=$opt exec-tier=$tier" \
-        "MJVM_TEST_INLINING=$inlining" "MJVM_TEST_OPT=$opt" \
-        "MJVM_TEST_EXEC_TIER=$tier"
-    done
+    run_cell "inlining=$inlining opt=$opt" \
+      "MJVM_TEST_INLINING=$inlining" "MJVM_TEST_OPT=$opt"
   done
 done
 
 # Correctness-tooling sweep: the speculation-safety verifier after every
 # optimization phase plus the bisimulation deopt oracle, across the
-# opt x tier x osr x compile-mode matrix (summaries stay on — the
-# verifier cares about the shape of deopt metadata, which summaries only
-# make more speculative). A SPEC violation or a replay divergence in any
+# opt x osr x compile-mode matrix (summaries stay on — the verifier
+# cares about the shape of deopt metadata, which summaries only make
+# more speculative). A SPEC violation or a replay divergence in any
 # cell is a compiler bug caught by the tooling rather than by a wrong
 # answer downstream.
 for opt in none ea pea; do
-  for tier in closure direct; do
-    for osr in on off; do
-      for mode in sync replay; do
-        run_cell "verify: opt=$opt exec-tier=$tier osr=$osr compile-mode=$mode check-level=every-phase oracle=on" \
-          "MJVM_TEST_OPT=$opt" "MJVM_TEST_EXEC_TIER=$tier" \
-          "MJVM_TEST_OSR=$osr" "MJVM_TEST_COMPILE_MODE=$mode" \
-          "MJVM_TEST_CHECK_LEVEL=every-phase" "MJVM_TEST_ORACLE=on"
-      done
+  for osr in on off; do
+    for mode in sync replay; do
+      run_cell "verify: opt=$opt osr=$osr compile-mode=$mode check-level=every-phase oracle=on" \
+        "MJVM_TEST_OPT=$opt" "MJVM_TEST_OSR=$osr" "MJVM_TEST_COMPILE_MODE=$mode" \
+        "MJVM_TEST_CHECK_LEVEL=every-phase" "MJVM_TEST_ORACLE=on"
     done
   done
 done
@@ -152,9 +152,9 @@ run_cell "serve=replay (multi-tenant harness, deterministic schedule)" \
 run_cell "serve=real (multi-tenant harness, real worker domains)" \
   "MJVM_TEST_SERVE=real"
 
+echo ""
+echo "$cells cells, $failed_cells failed, $(($(date +%s) - sweep_start)) s"
 if [ "$failed_cells" -gt 0 ]; then
-  echo ""
-  echo "$failed_cells matrix cell(s) failed"
   exit 1
 fi
 exit 0

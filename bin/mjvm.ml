@@ -31,17 +31,6 @@ let opt_conv =
   in
   Arg.conv (parse, print)
 
-let tier_conv =
-  let parse = function
-    | "direct" -> Ok Jit.Direct
-    | "closure" -> Ok Jit.Closure
-    | s -> Error (`Msg (Printf.sprintf "unknown execution tier %S (direct|closure)" s))
-  in
-  let print ppf t =
-    Format.pp_print_string ppf (match t with Jit.Direct -> "direct" | Jit.Closure -> "closure")
-  in
-  Arg.conv (parse, print)
-
 let mode_conv =
   let parse = function
     | "sync" -> Ok Jit.Sync
@@ -62,16 +51,6 @@ let opt_arg =
     & opt opt_conv Jit.O_pea
     & info [ "opt" ] ~docv:"LEVEL"
         ~doc:"Escape analysis: none, ea (whole-method) or pea (partial)")
-
-let tier_arg =
-  Arg.(
-    value
-    & opt tier_conv Jit.Closure
-    & info [ "exec-tier" ] ~docv:"TIER"
-        ~doc:
-          "How compiled code runs: closure (pre-bound OCaml closures with inline caches and \
-           pooled register files; the default) or direct (the reference IR walker). Model-cycle \
-           statistics are identical across tiers")
 
 let threshold_arg =
   Arg.(
@@ -236,8 +215,8 @@ let setup_logs verbose =
     Logs.Src.set_level Vm.log_src (Some Logs.Debug)
   end
 
-let config opt threshold no_inline no_inlining no_prune no_summaries no_stackalloc exec_tier
-    osr_threshold no_osr compile_mode compile_queue_cap compile_domains check_level oracle =
+let config opt threshold no_inline no_inlining no_prune no_summaries no_stackalloc osr_threshold
+    no_osr compile_mode compile_queue_cap compile_domains check_level oracle =
   {
     Jit.default_config with
     Jit.opt;
@@ -247,7 +226,6 @@ let config opt threshold no_inline no_inlining no_prune no_summaries no_stackall
     prune = not no_prune;
     summaries = not no_summaries;
     stackalloc = not no_stackalloc;
-    exec_tier;
     osr = not no_osr;
     osr_threshold;
     compile_mode;
@@ -279,7 +257,7 @@ let compile_file_or_exit ?require_main file =
 
 let run_cmd =
   let action file opt threshold iterations stats no_inline no_inlining no_prune no_summaries
-      no_stackalloc exec_tier osr_threshold no_osr compile_mode compile_queue_cap compile_domains
+      no_stackalloc osr_threshold no_osr compile_mode compile_queue_cap compile_domains
       check_level oracle verbose trace trace_format flight_dump =
     setup_logs verbose;
     let program = compile_file_or_exit file in
@@ -287,8 +265,8 @@ let run_cmd =
        Vm.create
          ~config:
            (config opt threshold no_inline no_inlining no_prune no_summaries no_stackalloc
-              exec_tier osr_threshold no_osr compile_mode compile_queue_cap compile_domains
-              check_level oracle)
+              osr_threshold no_osr compile_mode compile_queue_cap compile_domains check_level
+              oracle)
          program
      in
      let tracer =
@@ -406,7 +384,7 @@ let run_cmd =
     Term.(
       const action $ file_arg $ opt_arg $ threshold_arg $ iterations_arg $ stats_arg
       $ no_inline_arg $ no_inlining_arg $ no_prune_arg $ no_summaries_arg $ no_stackalloc_arg
-      $ tier_arg $ osr_threshold_arg
+      $ osr_threshold_arg
       $ no_osr_arg $ mode_arg $ queue_cap_arg $ domains_arg $ check_level_arg $ oracle_arg
       $ verbose_arg $ trace_arg $ trace_format_arg $ flight_dump_arg)
   in
@@ -734,8 +712,8 @@ let collapsed_arg =
         ~doc:"Print only the collapsed call stacks (flamegraph-tool input), nothing else")
 
 let report_cmd =
-  let action file flight opt threshold iterations exec_tier compile_mode interval top json
-      collapsed verbose =
+  let action file flight opt threshold iterations compile_mode interval top json collapsed
+      verbose =
     setup_logs verbose;
     match (flight, file) with
     | Some dump, _ -> (
@@ -773,8 +751,7 @@ let report_cmd =
         let vm =
           Vm.create
             ~config:
-              { Jit.default_config with Jit.opt; compile_threshold = threshold; exec_tier;
-                compile_mode }
+              { Jit.default_config with Jit.opt; compile_threshold = threshold; compile_mode }
             program
         in
         (match Vm.run_main_iterations vm iterations with
@@ -796,7 +773,7 @@ let report_cmd =
   let term =
     Term.(
       const action $ report_file_arg $ flight_read_arg $ opt_arg $ threshold_arg
-      $ iterations_arg $ tier_arg $ mode_arg $ interval_arg $ top_arg $ json_arg
+      $ iterations_arg $ mode_arg $ interval_arg $ top_arg $ json_arg
       $ collapsed_arg $ verbose_arg)
   in
   Cmd.v
@@ -804,8 +781,8 @@ let report_cmd =
        ~doc:
          "Profile a program on the deterministic cycle clock and report top methods by self \
           cycles, tier residency, allocation hot lists cross-referenced with PEA decisions, \
-          and flamegraph-compatible collapsed stacks. Reports are byte-identical across runs, \
-          execution tiers and the async/replay compile modes. With --flight, summarize a \
+          and flamegraph-compatible collapsed stacks. Reports are byte-identical across runs \
+          and across the async/replay compile modes. With --flight, summarize a \
           flight-recorder dump instead")
     term
 

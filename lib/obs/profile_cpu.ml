@@ -4,11 +4,9 @@
    the same program produce different profiles. This one samples on the
    cost-model cycle counter instead: a sample is taken at the first
    safepoint at or after every [interval]-cycle grid point. Safepoints
-   are the interpreter dispatch loop, direct-tier block entry and
-   closure-tier block transfer — program points both compiled tiers hit
-   at bit-identical cycle values — so the sample stream, and therefore
-   the whole profile, is a pure function of the executed program: byte
-   identical across runs, across the direct/closure execution tiers and
+   are the interpreter dispatch loop and compiled-code block entry, so
+   the sample stream, and therefore the whole profile, is a pure
+   function of the executed program: byte identical across runs and
    across the async/replay compile modes.
 
    Attribution is (method, tier, bci bucket) at the sample's leaf plus
@@ -26,7 +24,7 @@
 
 type tier =
   | T_interp
-  | T_jit (* normal-entry compiled code, either execution tier *)
+  | T_jit (* normal-entry compiled code *)
   | T_osr (* compiled code entered at a loop header *)
 
 let tier_string = function T_interp -> "interp" | T_jit -> "jit" | T_osr -> "osr"

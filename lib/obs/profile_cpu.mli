@@ -4,14 +4,14 @@
     block entry) at every [interval]-cycle grid point of an injected
     clock, and attributed to the shadow call stack the VM maintains plus
     the leaf's bci bucket. Because the clock is the deterministic
-    cost-model cycle counter, profiles are byte-identical across runs,
-    execution tiers and the async/replay compile modes. The profiler
+    cost-model cycle counter, profiles are byte-identical across runs
+    and across the async/replay compile modes. The profiler
     never writes any {!Stats} counter: profiling cannot perturb the
     deterministic state it measures. *)
 
 type tier =
   | T_interp  (** interpreted frames *)
-  | T_jit  (** normal-entry compiled code (direct or closure tier) *)
+  | T_jit  (** normal-entry compiled code *)
   | T_osr  (** compiled code entered at a loop header *)
 
 val tier_string : tier -> string

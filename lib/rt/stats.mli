@@ -58,8 +58,7 @@ val closure_compiled_methods : metric
 
 val ic_hits : metric
 (** Closure-tier inline-cache fast-path dispatches (wall-clock-only
-    accounting: inline caches charge no cost-model cycles, so the
-    deterministic Table-1 numbers stay identical across tiers). *)
+    accounting: inline caches charge no cost-model cycles). *)
 
 val ic_misses : metric
 

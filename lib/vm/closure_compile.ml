@@ -1,24 +1,24 @@
 (* The closure execution tier: a one-time translation of an optimized IR
-   graph into a tree of OCaml closures.
+   graph into a tree of OCaml closures. It is the only way compiled code
+   runs; the interpreter is the semantic reference it is checked against
+   (the differential properties, the deopt oracle and the fuzz farm).
 
-   The direct tier ({!Ir_exec}) is itself an interpreter — every invocation
-   re-matches on every [Node.op], linearly searches predecessor lists to
-   route phis and rebuilds argument lists per call. This tier performs the
-   classic next step from the JIT literature (it is the move Graal makes
-   when it hands IR to a backend): all of that work happens once, at
-   closure-compile time.
+   Everything that does not depend on the values flowing through one
+   invocation is resolved once, at translation time:
 
      - Every instruction becomes a pre-bound [regs -> unit] closure with
        its operands, field offsets, class pointers and cost charges
-       resolved at compile time; the per-op [Node.op] match disappears.
+       resolved at compile time; no per-op [Node.op] match at run time.
      - Every block fuses its instruction closures into one chain, followed
        by a terminator closure; control transfers are (tail) calls through
        a per-graph closure table, so loops run in constant stack space.
-     - Phi routing is precomputed per [(pred, block)] edge into parallel
-       assignment index arrays — no per-entry predecessor search, no list
-       allocation. The scratch buffer of the parallel move is shared
-       across invocations, which is safe because the move performs no
-       calls (no reentrancy) and the VM is single-threaded.
+     - Phi routing comes from the graph's {!Ir_exec.prepared} tables: each
+       [(pred, block)] edge becomes a parallel assignment over index
+       arrays, with no predecessor search and no list allocation. The
+       scratch buffer of the move belongs to this translation, never to
+       the shared tables; reusing it across invocations is safe because
+       the move performs no calls (no reentrancy) and a VM never runs on
+       two domains at once.
      - Virtual [Invoke] sites get a monomorphic inline cache seeded from
        the interpreter's receiver profile: the fast path is one class-id
        check against a pre-resolved target; a miss falls back to
@@ -26,11 +26,12 @@
      - Register files are pooled per compiled method across invocations
        instead of [Array.make] per call (see the lifetime rules below).
 
-   Cost accounting is bit-for-bit identical to the direct tier: each
-   closure charges exactly the cycles and [compiled_ops] the direct tier
-   charges for the same operation, in the same order relative to traps.
+   Cost accounting: every instruction closure charges [Cost.compiled_op]
+   plus its operation-specific cost and one [compiled_ops], before the
+   operation body, so an operation that traps is still charged; an [If]
+   charges one [Cost.compiled_op]; edge moves and jumps charge nothing.
    Inline caches and register pooling are wall-clock optimizations only
-   and add no model cycles.
+   and add no model cycles. test/test_closure.ml pins the totals.
 
    Register-file lifetime rules: a register file is acquired from the pool
    on entry and released on normal return and on an MJ exception unwinding
@@ -73,7 +74,8 @@ let const_value = Ir_exec.const_value
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let compile (env : Interp.env) (g : Graph.t) : code =
+let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
+  let g = p.Ir_exec.p_graph in
   let meth = Classfile.qualified_name g.Graph.g_method in
   let stats = env.Interp.stats in
   let heap = env.Interp.heap in
@@ -87,7 +89,7 @@ let compile (env : Interp.env) (g : Graph.t) : code =
   in
   (* counter bumps shared by every instruction closure; [cy] is the full
      pre-resolved charge (base + operation-specific), applied before the
-     operation body exactly like the direct tier charges before trapping *)
+     operation body so a trapping operation is still charged *)
   let bump cy =
     Stats.incr stats Stats.compiled_ops;
     Stats.add stats Stats.cycles cy
@@ -95,7 +97,7 @@ let compile (env : Interp.env) (g : Graph.t) : code =
   let base = Cost.compiled_op in
   (* bytecode-site attribution, pre-resolved like every other operand so
      the profiler checks below cost one bool load when profiling is off *)
-  let sites, block_bcis = Ir_exec.site_tables g in
+  let sites = p.Ir_exec.p_sites and block_bcis = p.Ir_exec.p_bcis in
   let build_args arg_ids regs =
     Array.fold_right (fun id acc -> regs.(id) :: acc) arg_ids []
   in
@@ -429,40 +431,25 @@ let compile (env : Interp.env) (g : Graph.t) : code =
           on_print regs.(a)
   in
   (* the (pred -> succ) control-transfer closure: the phi parallel move for
-     that edge, resolved to index arrays at compile time, then the jump *)
+     that edge, read from the prepared routing tables, then the jump *)
   let compile_edge ~pred ~succ : Value.value array -> Value.value option =
-    let sb = Graph.block g succ in
-    match sb.Graph.phis with
-    | [] -> fun regs -> bodies.(succ) regs
-    | phis -> (
-        let rec find i = function
-          | [] -> None
-          | p :: _ when p = pred -> Some i
-          | _ :: rest -> find (i + 1) rest
-        in
-        match find 0 sb.Graph.preds with
-        | None -> fun _ -> trap "phi resolution: B%d is not a predecessor of B%d" pred succ
-        | Some idx ->
-            let dsts = Array.of_list (List.map (fun (p : Node.t) -> p.Node.id) phis) in
-            let srcs =
-              Array.of_list
-                (List.map
-                   (fun (p : Node.t) ->
-                     match p.Node.op with
-                     | Node.Phi ph -> ph.Node.inputs.(idx)
-                     | _ -> assert false)
-                   phis)
-            in
-            (* shared scratch is safe: the move makes no calls *)
-            let tmp = Array.make (Array.length dsts) Vnull in
-            fun regs ->
-              for i = 0 to Array.length srcs - 1 do
-                tmp.(i) <- regs.(srcs.(i))
-              done;
-              for i = 0 to Array.length dsts - 1 do
-                regs.(dsts.(i)) <- tmp.(i)
-              done;
-              bodies.(succ) regs)
+    match p.Ir_exec.p_phis.(succ) with
+    | None -> fun regs -> bodies.(succ) regs
+    | Some pb ->
+        let idx = pb.Ir_exec.pb_route.(pred) in
+        if idx < 0 then fun _ -> trap "phi resolution: B%d is not a predecessor of B%d" pred succ
+        else
+          let dsts = pb.Ir_exec.pb_dsts and srcs = pb.Ir_exec.pb_srcs.(idx) in
+          (* per-translation scratch: the move makes no calls *)
+          let tmp = Array.make (Array.length dsts) Vnull in
+          fun regs ->
+            for i = 0 to Array.length srcs - 1 do
+              tmp.(i) <- regs.(srcs.(i))
+            done;
+            for i = 0 to Array.length dsts - 1 do
+              regs.(dsts.(i)) <- tmp.(i)
+            done;
+            bodies.(succ) regs
   in
   let compile_term (b : Graph.block) : Value.value array -> Value.value option =
     match b.Graph.term with
@@ -497,9 +484,8 @@ let compile (env : Interp.env) (g : Graph.t) : code =
                       f regs))
             None b.Graph.instrs
         in
-        (* profiler safepoint on block entry: edge phi moves charge no
-           cycles, so this poll reads the same clock value as the direct
-           tier's block-entry poll — both tiers sample identically *)
+        (* profiler safepoint on block entry, after the edge's phi move
+           (which charges no cycles) *)
         let sample_bci = block_bcis.(b.Graph.b_id) in
         let inner =
           match fused with

@@ -1,29 +1,30 @@
 (** The closure execution tier: one-time translation of an optimized IR
-    graph into a tree of OCaml closures.
+    graph into a tree of OCaml closures, and the only executor of
+    compiled code.
 
-    Compared to the direct tier ({!Ir_exec}) this removes the per-operation
-    [Node.op] dispatch, predecessor search for phi routing and per-call
-    register-file allocation: every instruction becomes a pre-bound
-    closure, every block a fused closure chain, every [(pred, block)] edge
-    a precomputed parallel phi move, every virtual call site a monomorphic
-    inline cache, and register files are pooled across invocations.
+    Every instruction becomes a pre-bound closure, every block a fused
+    closure chain, every [(pred, block)] edge a parallel phi move over the
+    graph's {!Ir_exec.prepared} routing tables, every virtual call site a
+    monomorphic inline cache, and register files are pooled across
+    invocations.
 
-    Cost accounting ({!Stats.cycles}, {!Stats.compiled_ops}) is
-    bit-for-bit identical to the direct tier — inline caches and register
-    pooling are wall-clock optimizations only and charge no model cycles,
-    so Table-1 numbers do not depend on the execution tier. *)
+    Cost accounting ({!Stats.cycles}, {!Stats.compiled_ops}) charges each
+    instruction [Cost.compiled_op] plus its operation-specific cost, and
+    each [If] one [Cost.compiled_op]; inline caches and register pooling
+    are wall-clock optimizations only and charge no model cycles. *)
 
-open Pea_ir
 open Pea_rt
 
 type code
 
-(** [compile env g] translates [g] into closure form. [env] is captured:
-    heap, globals, statics, the invoke/print hooks, and the interpreter's
-    receiver profile (used to seed the inline caches). The result is valid
-    as long as [g]'s compiled code is; the VM discards it on
-    deoptimization. *)
-val compile : Interp.env -> Graph.t -> code
+(** [compile env p] translates the prepared graph [p] into closure form.
+    [env] is captured: heap, globals, statics, the invoke/print hooks, and
+    the interpreter's receiver profile (used to seed the inline caches).
+    [p] is only read, so one prepared graph can back the translations of
+    many VMs. The result is valid as long as the graph's compiled code
+    is; the VM discards it on deoptimization. Terminators are read here,
+    at translation time. *)
+val compile : Interp.env -> Ir_exec.prepared -> code
 
 (** [run ?deopt code args] executes one invocation, using a pooled
     register file. The file is returned to the pool on normal return and

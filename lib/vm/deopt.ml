@@ -16,12 +16,6 @@ open Value
 module Event = Pea_obs.Event
 module Trace = Pea_obs.Trace
 
-let const_value (c : Frame_state.const) =
-  match c with
-  | Frame_state.Cint n -> Vint n
-  | Frame_state.Cbool b -> Vbool b
-  | Frame_state.Cnull | Frame_state.Cundef -> Vnull
-
 (* Collect every virtual-object descriptor reachable from the frame-state
    chain (innermost state holds them all in this implementation, but be
    robust and walk the chain). *)
@@ -84,7 +78,7 @@ let handle ?(reason = "speculation-failed") ?(oracle : Oracle.t option) (env : I
   let resolve (fv : Frame_state.fs_value) : Value.value =
     match fv with
     | Frame_state.F_node n -> lookup n
-    | Frame_state.F_const c -> const_value c
+    | Frame_state.F_const c -> Ir_exec.const_value c
     | Frame_state.F_virtual id -> (
         match Hashtbl.find_opt objects id with
         | Some v -> v

@@ -1,13 +1,10 @@
-(** The reference "compiled code" tier: a direct executor for optimized IR
-    graphs.
+(** Per-graph execution tables for compiled code.
 
-    Each IR operation costs roughly one cycle in the cost model (plus
-    operation-specific costs), compared to the interpreter's per-bytecode
-    dispatch overhead — this is what makes removed allocations, loads and
-    monitor operations visible in the iterations/minute metric. The
-    {!Closure_compile} tier executes the same graphs faster in wall-clock
-    terms; this executor is the semantic reference the closure tier is
-    differentially tested against. *)
+    {!Jit.compile} prepares every graph it emits; {!Closure_compile}
+    translates the prepared record into closures. A [prepared] record is
+    read-only after {!prepare} returns, so one record may back the
+    translations of many VMs (the serving layer's shared code cache hands
+    it to every tenant's domain). *)
 
 open Pea_ir
 open Pea_rt
@@ -22,30 +19,31 @@ exception Deoptimize of Graph.deopt * (Node.node_id -> Value.value)
     ([Cundef] becomes [null]). *)
 val const_value : Node.const -> Value.value
 
-(** A graph plus phi-routing tables resolved once per compilation: for
-    every [(predecessor, block)] edge the positional predecessor index and
-    the per-phi input ids are precomputed, so block entry does no linear
-    predecessor search. *)
-type prepared
+(** Phi routing of one block that has phis. *)
+type phi_block = {
+  pb_dsts : int array;  (** phi node ids, in phi order *)
+  pb_srcs : int array array;
+      (** per predecessor index (position in the block's [preds]), one
+          input id per phi *)
+  pb_route : int array;
+      (** predecessor block id -> predecessor index; [-1] when the block
+          is not a predecessor, the first index on a duplicated edge *)
+}
 
-(** [prepare g] resolves the routing tables for [g]. Call once per
-    compiled graph; the result is valid as long as [g] is not mutated. *)
+type prepared = {
+  p_graph : Graph.t;
+  p_phis : phi_block option array;  (** per block id; [None] without phis *)
+  p_sites : (int * int) array;
+      (** per node id, the nearest enclosing [(method id, bci)]: the
+          node's own frame state (innermost frame), else the last state
+          seen earlier in its block, else the block entry state;
+          [(-1, -1)] where the graph carries no frame states *)
+  p_bcis : int array;
+      (** per block id, a representative entry bci for safepoint samples;
+          [-1] without an entry state *)
+}
+
+(** [prepare g] resolves the tables for [g]. The result is valid as long
+    as [g]'s control-flow edges, phis and node frame states stay as they
+    are. *)
 val prepare : Graph.t -> prepared
-
-(** [site_tables g] computes bytecode-site attribution tables shared by
-    both execution tiers and the profilers: per node id the nearest
-    enclosing [(method id, bci)] — from the node's own frame state
-    (innermost frame) or the last state seen earlier in its block — and
-    per block id a representative entry bci for safepoint samples.
-    [(-1, -1)] / [-1] where the graph carries no frame states. *)
-val site_tables : Graph.t -> (int * int) array * int array
-
-(** [run_prepared env p args] executes the prepared graph from its entry
-    block.
-    @raise Deoptimize at [Deopt] terminators.
-    @raise Interp.Trap on runtime faults. *)
-val run_prepared : Interp.env -> prepared -> Value.value list -> Value.value option
-
-(** [run env g args] is [run_prepared env (prepare g) args] — one-shot
-    execution for tests and tools. *)
-val run : Interp.env -> Graph.t -> Value.value list -> Value.value option

@@ -23,10 +23,6 @@ type opt_level =
 
 let opt_string = function O_none -> "none" | O_ea -> "ea" | O_pea -> "pea"
 
-type exec_tier =
-  | Direct (* reference tier: Ir_exec walks the graph per invocation *)
-  | Closure (* Closure_compile: pre-bound closures, inline caches *)
-
 (* When and where the pipeline runs relative to the mutator. All three
    modes install code at the same modeled deadline (enqueue cycles +
    Cost.compile_latency), so async and replay agree bit-for-bit on every
@@ -62,7 +58,6 @@ type config = {
          frame's stack region (reclaimed at frame pop) instead of the heap *)
   compile_threshold : int; (* interpreter invocations before JIT *)
   max_callee_size : int;
-  exec_tier : exec_tier; (* how compiled graphs are executed *)
   osr : bool; (* on-stack replacement of hot interpreted loops *)
   osr_threshold : int; (* back edges to one loop header before OSR *)
   deopt_storm_limit : int;
@@ -89,7 +84,6 @@ let default_config =
     stackalloc = true;
     compile_threshold = 10;
     max_callee_size = 150;
-    exec_tier = Closure;
     osr = true;
     osr_threshold = 100;
     deopt_storm_limit = 5;
@@ -101,12 +95,12 @@ let default_config =
 type compiled = {
   graph : Graph.t;
   pea_stats : Pea_core.Pea.pass_stats option;
-  prepared : Ir_exec.prepared; (* phi routing tables for the direct tier *)
+  prepared : Ir_exec.prepared; (* the tables the closure tier translates *)
   spec_inlines : int; (* guarded splices in this graph *)
   spec_blacklist_skips : int; (* speculation sites vetoed by the blacklist *)
   mutable closure : Closure_compile.code option;
-      (* built lazily by the VM on first execution under the closure tier
-         (compilation needs the runtime env, which the JIT does not hold) *)
+      (* built lazily by the VM (translation needs the runtime env, which
+         the JIT does not hold) *)
 }
 
 let verify config g = if config.verify then Check.check_exn g

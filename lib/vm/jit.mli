@@ -21,12 +21,6 @@ type opt_level =
   | O_ea
   | O_pea
 
-(** How compiled graphs are executed. Both tiers charge identical model
-    cycles; the closure tier is a wall-clock optimization. *)
-type exec_tier =
-  | Direct (* reference tier: {!Ir_exec} walks the graph per invocation *)
-  | Closure (* {!Closure_compile}: pre-bound closures, inline caches *)
-
 (** When and where the pipeline runs relative to the mutator. All three
     modes install code at the same modeled deadline (enqueue cycles +
     {!Pea_rt.Cost.compile_latency}): [Async] and [Replay] agree
@@ -73,7 +67,6 @@ type config = {
          at frame pop instead of heap allocations *)
   compile_threshold : int; (* interpreter invocations before JIT *)
   max_callee_size : int; (* inlining budget per callee, in bytecodes *)
-  exec_tier : exec_tier;
   osr : bool; (* on-stack replacement of hot interpreted loops *)
   osr_threshold : int; (* back edges to one loop header before OSR *)
   deopt_storm_limit : int;
@@ -86,7 +79,7 @@ type config = {
   compile_domains : int; (* compiler domains running concurrently (Async) *)
 }
 
-(** PEA on, everything enabled, threshold 10, closure tier, OSR after 100
+(** PEA on, everything enabled, threshold 10, OSR after 100
     back edges, interpreter-pinning after 5 invalidations, synchronous
     compilation (queue cap 8 and 2 compiler domains once switched to
     [Async]/[Replay]). *)
@@ -95,11 +88,12 @@ val default_config : config
 type compiled = {
   graph : Graph.t;
   pea_stats : Pea_core.Pea.pass_stats option; (* [None] under [O_none] *)
-  prepared : Ir_exec.prepared; (* phi routing tables for the direct tier *)
+  prepared : Ir_exec.prepared; (* the tables {!Closure_compile} translates *)
   spec_inlines : int; (* guarded splices in this graph *)
   spec_blacklist_skips : int; (* speculation sites vetoed by the blacklist *)
   mutable closure : Closure_compile.code option;
-      (* built lazily by the VM on first execution under the closure tier *)
+      (* built lazily by the VM: at first execution under [Sync], at
+         install under the background modes *)
 }
 
 (** [compile ?summaries ?blacklist config program profile m] runs the

@@ -292,7 +292,7 @@ and install_outcome vm q (task : Compile_queue.task) outcome =
                { meth; osr_bci; epoch = task.Compile_queue.t_epoch; latency });
         (* the background pipeline delivers ready-to-run code: build the
            closure translation at install instead of on first execution *)
-        if vm.config.Jit.exec_tier = Jit.Closure then ignore (ensure_closure vm m code)
+        ignore (ensure_closure vm m code)
       end
 
 (* Per-site deopt policy: blacklist the exact site that fired (innermost
@@ -410,9 +410,9 @@ and exec_compiled vm m ~reason code args =
       | None -> Some (Oracle.snapshot_call ~program:vm.program vm.env m args)
   in
   (* profiler shadow frame for this compiled activation; on deopt the
-     frame is truncated BEFORE the interpreter frames run, so the
-     reconstructed frames appear at this activation's depth in both
-     tiers (direct unwinds out, closure handles in-frame) *)
+     frame is truncated BEFORE the interpreter frames run (the closure
+     tier handles the deopt in-frame), so the reconstructed frames appear
+     at this activation's depth *)
   let profiled = Pcpu.enabled () in
   let pdepth =
     if profiled then begin
@@ -430,16 +430,10 @@ and exec_compiled vm m ~reason code args =
     handle_deopt vm m ~reason ?oracle d lookup
   in
   let exec () =
-    match vm.config.Jit.exec_tier with
-    | Jit.Direct -> (
-        match Ir_exec.run_prepared vm.env code.Jit.prepared args with
-        | result -> result
-        | exception Ir_exec.Deoptimize (d, lookup) -> handle d lookup)
-    | Jit.Closure ->
-        let cc = ensure_closure vm m code in
-        (* the in-tier handler releases the register file back to the pool
-           once deopt completes (the lookup closure is dead by then) *)
-        Closure_compile.run ~deopt:handle cc args
+    let cc = ensure_closure vm m code in
+    (* the in-tier handler releases the register file back to the pool
+       once deopt completes (the lookup closure is dead by then) *)
+    Closure_compile.run ~deopt:handle cc args
   in
   (* the compiled activation owns a stack region: frame-bounded
      materializations land there and are reclaimed in O(1) when the
@@ -464,9 +458,8 @@ and ensure_closure vm m (code : Jit.compiled) =
   match code.Jit.closure with
   | Some cc -> cc
   | None ->
-      (* lazy under Sync: only built when the closure tier actually runs
-         the method, so the direct tier pays no translation cost. The
-         background modes instead call this at install time. *)
+      (* lazy under Sync: built on the method's first compiled
+         execution. The background modes call this at install time. *)
       if Trace.enabled () then
         Trace.record
           (Event.Tier_promote
@@ -475,7 +468,7 @@ and ensure_closure vm m (code : Jit.compiled) =
                tier = "closure";
                invocations = Profile.invocations vm.env.Interp.profile m;
              });
-      let cc = Closure_compile.compile vm.env code.Jit.graph in
+      let cc = Closure_compile.compile vm.env code.Jit.prepared in
       code.Jit.closure <- Some cc;
       Stats.incr vm.env.Interp.stats Stats.closure_compiled_methods;
       cc

@@ -27,10 +27,10 @@ let default_warmup = 2
 
 let default_measure = 3
 
-let measure_program ?(warmup = default_warmup) ?(measure = default_measure)
-    ?(exec_tier = Jit.default_config.Jit.exec_tier) src opt : measurement =
+let measure_program ?(warmup = default_warmup) ?(measure = default_measure) src opt :
+    measurement =
   let program = Link.compile_source src in
-  let config = { Jit.default_config with Jit.opt; compile_threshold = 2; exec_tier } in
+  let config = { Jit.default_config with Jit.opt; compile_threshold = 2 } in
   let vm = Vm.create ~config program in
   let w = Vm.run_main_iterations vm warmup in
   let before = w.Vm.stats in

@@ -24,14 +24,10 @@ val default_warmup : int
 val default_measure : int
 
 (** [measure_program src opt] compiles, warms and measures one workload
-    program under optimization level [opt]. [exec_tier] selects how
-    compiled graphs execute (default: the VM default); the deterministic
-    metrics reported here are identical across tiers — the tier only
-    affects wall-clock time. *)
+    program under optimization level [opt]. *)
 val measure_program :
   ?warmup:int ->
   ?measure:int ->
-  ?exec_tier:Pea_vm.Jit.exec_tier ->
   string ->
   Pea_vm.Jit.opt_level ->
   measurement

@@ -446,7 +446,7 @@ let ic_dispatch =
 
 (* Compiled arithmetic, allocation, virtual dispatch, field traffic and
    a pruned branch that deopts with a virtual object in the frame state:
-   the cross-tier cost-model-parity scenario (no main). *)
+   the cost-model golden scenario of test_closure.ml (no main). *)
 let tier_parity =
   "class I { int val; }\n\
    class A { int v; int get() { return v; } }\n\

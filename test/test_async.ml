@@ -12,9 +12,9 @@
      Async — no lost installs, no double-installs (the epoch check),
      results identical to Sync, counters identical to Replay.
    - Differential properties over the shared corpus through
-     [Test_support.run_all_configs]: every opt × tier × OSR ×
-     compile-mode cell agrees with the interpreter, and Async agrees
-     with Replay on every deterministic counter.
+     [Test_support.run_all_configs]: every opt × OSR × compile-mode cell
+     agrees with the interpreter, and Async agrees with Replay on every
+     deterministic counter.
 
    Configs are built explicitly where the test compares compile modes
    against each other; [Test_env.apply] would collapse the axis. *)
@@ -342,35 +342,18 @@ let test_stale_discard_on_racing_deopt () =
 (* Differential properties over the shared matrix                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Every cell of opt × tier × OSR × {sync, replay} equals the
-   interpreter on results and prints, and at a fixed (opt, osr, mode)
-   the two execution tiers agree on every deterministic counter. *)
+(* Every cell of opt × OSR × {sync, replay} equals the interpreter on
+   results and prints. *)
 let prop_matrix_differential =
   let iters = 6 in
-  QCheck2.Test.make ~name:"all compile-mode cells = interpreter; tiers agree on counters"
+  QCheck2.Test.make ~name:"all compile-mode cells = interpreter"
     ~count:(Test_env.qcheck_count 25)
     ~print:(fun (name, _) -> name)
     (QCheck2.Gen.oneofl Programs.corpus)
     (fun (_, src) ->
       let reference = Test_support.interp_reference ~iterations:iters src in
       let cells = Test_support.run_all_configs ~iterations:iters src in
-      List.for_all (fun (_, r) -> Test_support.outcome r = reference) cells
-      && List.for_all
-           (fun ((c, r) : Test_support.cell * Vm.result) ->
-             match
-               List.find_opt
-                 (fun ((c', _) : Test_support.cell * Vm.result) ->
-                   c'.Test_support.c_opt = c.Test_support.c_opt
-                   && c'.Test_support.c_osr = c.Test_support.c_osr
-                   && c'.Test_support.c_mode = c.Test_support.c_mode
-                   && c'.Test_support.c_tier <> c.Test_support.c_tier)
-                 cells
-             with
-             | None -> false
-             | Some (_, r') ->
-                 Test_support.deterministic_counters r.Vm.stats
-                 = Test_support.deterministic_counters r'.Vm.stats)
-           cells)
+      List.for_all (fun (_, r) -> Test_support.outcome r = reference) cells)
 
 (* Async is replay plus wall-clock overlap: identical outcome and an
    identical counter snapshot, domains or not. *)
@@ -379,25 +362,23 @@ let prop_async_equals_replay =
   let module G = QCheck2.Gen in
   let gen =
     G.map3
-      (fun (name, src) opt (tier, osr) -> (name, src, opt, tier, osr))
+      (fun (name, src) opt osr -> (name, src, opt, osr))
       (G.oneofl Programs.corpus)
       (G.oneofl [ Jit.O_none; Jit.O_ea; Jit.O_pea ])
-      (G.pair (G.oneofl [ Jit.Direct; Jit.Closure ]) G.bool)
+      G.bool
   in
   QCheck2.Test.make ~name:"async = replay on results and every counter"
     ~count:(Test_env.qcheck_count 12)
-    ~print:(fun (name, _, opt, tier, osr) ->
-      Printf.sprintf "%s opt=%s tier=%s osr=%b" name (Test_support.opt_name opt)
-        (Test_support.tier_name tier) osr)
+    ~print:(fun (name, _, opt, osr) ->
+      Printf.sprintf "%s opt=%s osr=%b" name (Test_support.opt_name opt) osr)
     gen
-    (fun (_, src, opt, tier, osr) ->
+    (fun (_, src, opt, osr) ->
       let run mode =
         let program = Link.compile_source src in
         let config =
           {
             Jit.default_config with
             Jit.opt;
-            exec_tier = tier;
             osr;
             compile_threshold = 4;
             osr_threshold = 3;

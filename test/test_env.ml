@@ -2,9 +2,8 @@
    can be re-run under a forced VM configuration (see bench/run_matrix.sh):
 
    - MJVM_TEST_OPT = none | ea | pea   forces the optimization level;
-   - MJVM_TEST_SUMMARIES = 0|off|false disables interprocedural summaries
-     (any other value enables them);
-   - MJVM_TEST_EXEC_TIER = direct | closure forces the execution tier;
+   - MJVM_TEST_SUMMARIES = on | off forces interprocedural summaries on
+     or off;
    - MJVM_TEST_OSR = on | off forces on-stack replacement on or off;
    - MJVM_TEST_COMPILE_MODE = sync | async | replay forces when the
      compile pipeline runs relative to the mutator (background
@@ -19,13 +18,14 @@
    - MJVM_TEST_INLINING = on | off forces speculative guarded inlining
      (profile-driven dominant-receiver inlining behind exact-class
      guards) on or off;
-   - MJVM_TEST_QCHECK_COUNT = N scales the qcheck case counts (the matrix
-     run uses 500+; the default local counts keep the suite fast);
-   - MJVM_TEST_TRACE = 1|on|true installs a global tracer for the whole
+   - MJVM_TEST_QCHECK_COUNT = N (a positive integer) scales the qcheck
+     case counts (the matrix run uses 500+; the default local counts keep
+     the suite fast);
+   - MJVM_TEST_TRACE = on installs a global tracer for the whole
      suite, so every cell also exercises the instrumentation paths (the
      trace itself is discarded — the point is that results and counters
      must not move);
-   - MJVM_TEST_PROFILE = 1|on|true installs the global sampling and heap
+   - MJVM_TEST_PROFILE = on installs the global sampling and heap
      profilers for the whole suite, same discipline as MJVM_TEST_TRACE:
      the profiles are discarded, the point is that profiling must not
      move any result or deterministic counter;
@@ -38,9 +38,61 @@
      through [apply] — the serving harness owns its tenants' compile
      mode and OSR settings by design.
 
-   Unset variables leave the test's own configuration untouched. *)
+   Wherever on | off is listed, 1 | true and 0 | false are accepted too.
+   Unset variables leave the test's own configuration untouched. Any other
+   MJVM_TEST_* name or value stops the suite at start-up with a message
+   naming the variable: a typo must not silently run the default
+   configuration. *)
 
 open Pea_vm
+
+let flag = function "on" | "1" | "true" | "off" | "0" | "false" -> true | _ -> false
+
+let one_of values v = List.mem v values
+
+(* Every MJVM_TEST_* variable the suites read, with its accepted values. *)
+let variables =
+  [
+    ("MJVM_TEST_OPT", one_of [ "none"; "ea"; "pea" ]);
+    ("MJVM_TEST_SUMMARIES", flag);
+    ("MJVM_TEST_OSR", flag);
+    ("MJVM_TEST_COMPILE_MODE", one_of [ "sync"; "async"; "replay" ]);
+    ("MJVM_TEST_CHECK_LEVEL", fun v -> Pea_analysis.Spec_check.level_of_string v <> None);
+    ("MJVM_TEST_ORACLE", flag);
+    ("MJVM_TEST_STACKALLOC", flag);
+    ("MJVM_TEST_INLINING", flag);
+    ( "MJVM_TEST_QCHECK_COUNT",
+      fun v -> match int_of_string_opt v with Some n -> n > 0 | None -> false );
+    ("MJVM_TEST_TRACE", flag);
+    ("MJVM_TEST_PROFILE", flag);
+    ("MJVM_TEST_SERVE", one_of [ "replay"; "real" ]);
+  ]
+
+(* [invalid env] is one message per MJVM_TEST_* binding of [env] (a list
+   of (name, value) pairs) whose name or value [variables] does not
+   list; other names are ignored. *)
+let invalid env =
+  List.filter_map
+    (fun (name, value) ->
+      if not (String.starts_with ~prefix:"MJVM_TEST_" name) then None
+      else
+        match List.assoc_opt name variables with
+        | None -> Some (Printf.sprintf "%s: unknown test variable" name)
+        | Some ok when ok value -> None
+        | Some _ -> Some (Printf.sprintf "%s: unknown value %S" name value))
+    env
+
+let () =
+  let binding kv =
+    match String.index_opt kv '=' with
+    | Some i -> (String.sub kv 0 i, String.sub kv (i + 1) (String.length kv - i - 1))
+    | None -> (kv, "")
+  in
+  match invalid (List.map binding (Array.to_list (Unix.environment ()))) with
+  | [] -> ()
+  | errors ->
+      List.iter (fun e -> prerr_endline ("test environment: " ^ e)) errors;
+      exit 2
 
 let () =
   match Sys.getenv_opt "MJVM_TEST_TRACE" with
@@ -81,12 +133,6 @@ let apply (cfg : Jit.config) =
     | Some ("0" | "off" | "false") -> { cfg with Jit.summaries = false }
     | Some _ -> { cfg with Jit.summaries = true }
     | None -> cfg
-  in
-  let cfg =
-    match Sys.getenv_opt "MJVM_TEST_EXEC_TIER" with
-    | Some "direct" -> { cfg with Jit.exec_tier = Jit.Direct }
-    | Some "closure" -> { cfg with Jit.exec_tier = Jit.Closure }
-    | Some _ | None -> cfg
   in
   let cfg =
     match Sys.getenv_opt "MJVM_TEST_OSR" with

@@ -23,9 +23,9 @@ let as_int = function
       Alcotest.failf "expected an int result, got %s"
         (match other with None -> "void" | Some v -> Value.string_of_value v)
 
-(* The env axes still vary tier / OSR / compile mode / check level /
-   oracle; opt and the inlining bit are pinned because the assertions
-   below are about the guarded-inlining pipeline itself. *)
+(* The env axes still vary OSR / compile mode / check level / oracle;
+   opt and the inlining bit are pinned because the assertions below are
+   about the guarded-inlining pipeline itself. *)
 let config () =
   {
     (Test_env.apply { Jit.default_config with Jit.compile_threshold = 25 }) with

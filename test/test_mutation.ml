@@ -8,9 +8,10 @@
    compiled graph verifies cleanly — the harness doubly serves as the
    false-positive gate.
 
-   Graphs are mutated either after offline compilation through the VM
-   ([Vm.compiled_graph]; Direct tier reads terminators live from the
-   installed graph, so runtime cases use it) or hand-built where a
+   Graphs are mutated after offline compilation (static cases read
+   [Vm.compiled_graph]; runtime cases compile with [Jit.compile] and hand
+   the mutated graph to the VM through [Test_support.install_offline],
+   before the closure tier translates it) or hand-built where a
    corruption needs a shape the compiler would never emit. *)
 
 open Pea_bytecode
@@ -73,11 +74,13 @@ let setup ?(config = Test_env.apply { Jit.default_config with Jit.compile_thresh
   let program = Link.compile_source ~require_main:false src in
   (program, Vm.create ~config program)
 
-(* Warm [C.f] until compiled and hand its installed graph over. *)
+(* Warm [C.f] until compiled and hand its installed graph over (under the
+   background compile modes the queued compile is installed here). *)
 let compiled_graph_of ?config src warm_args =
   let program, vm = setup ?config src in
   let f = Link.find_method program "C" "f" in
   Vm.warm_up vm f warm_args 40;
+  Vm.quiesce vm;
   match Vm.compiled_graph vm f with
   | Some g -> (program, vm, f, g)
   | None -> Alcotest.fail "method did not compile"
@@ -308,25 +311,28 @@ let test_resume_not_after_invoke () =
 (* oracle at the next deopt                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Direct tier (the installed graph is consulted on every run; the
-   closure tier captures terminators at translation time), oracle on. *)
+(* Oracle on, whatever the environment forces; the graph is compiled
+   offline and mutated before the VM installs and translates it. Each
+   case first runs the same call on the unmutated graph: it must deopt
+   once and return normally, so the divergence below comes from the
+   mutation, not from the scenario. *)
 let dynamic_config () =
-  Test_env.apply
-    {
-      Jit.default_config with
-      Jit.compile_threshold = 25;
-      Jit.oracle = true;
-      Jit.exec_tier = Jit.Direct;
-    }
+  { (Test_env.apply { Jit.default_config with Jit.compile_threshold = 25 }) with Jit.oracle = true }
 
 let expect_divergence ?(src = remat_src) ?(config = dynamic_config ()) ~needle mutate =
-  let program, vm = setup ~config src in
-  let f = Link.find_method program "C" "f" in
-  Vm.warm_up vm f [ vint 7; vbool false ] 40;
-  let g =
-    match Vm.compiled_graph vm f with Some g -> g | None -> Alcotest.fail "not compiled"
+  let run mutate =
+    let program, vm = setup ~config src in
+    let f = Link.find_method program "C" "f" in
+    let g =
+      Test_support.install_offline ~mutate ~config vm program f ~warm:([ vint 7; vbool false ], 40)
+    in
+    (vm, f, g)
   in
-  mutate g;
+  let vm, f, _ = run ignore in
+  Alcotest.(check int) "control: result" 124 (as_int (Vm.invoke vm f [ vint 123; vbool true ]));
+  Alcotest.(check int) "control: the compiled call deopted" 1
+    (Stats.get (Vm.stats vm) Stats.deopts);
+  let vm, f, g = run mutate in
   (* the corruption must be invisible to the static verifier — that is
      what makes it the oracle's job *)
   Alcotest.(check (list string)) "statically clean" [] (rules (Spec_check.check g));

@@ -27,6 +27,11 @@ let reachable_blocks g =
   let r = Graph.reachable g in
   Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 r
 
+(* Execute a graph the way the VM runs compiled code: through the closure
+   tier. *)
+let run_graph env g args =
+  Pea_vm.Closure_compile.run (Pea_vm.Closure_compile.compile env (Pea_vm.Ir_exec.prepare g)) args
+
 (* Run a graph and compare its result with the interpreter, as a semantic
    backstop for every pass test. *)
 let result_matches program g =
@@ -53,12 +58,12 @@ let result_matches program g =
         hooks = None;
       }
   in
-  let r = Pea_vm.Ir_exec.run (Lazy.force env) g [] in
+  let r = run_graph (Lazy.force env) g [] in
   match r, reference.Run.return_value with
   | Some (Pea_rt.Value.Vint a), Some (Pea_rt.Value.Vint b) -> a = b
   | _ -> false
 
-(* Execute a transformed graph directly with explicit arguments. *)
+(* Execute a transformed graph with explicit arguments. *)
 let exec_graph_int program g args =
   let stats = Pea_rt.Stats.create () in
   let heap = Pea_rt.Heap.create stats in
@@ -77,7 +82,7 @@ let exec_graph_int program g args =
         hooks = None;
       }
   in
-  match Pea_vm.Ir_exec.run (Lazy.force env) g args with
+  match run_graph (Lazy.force env) g args with
   | Some (Pea_rt.Value.Vint n) -> n
   | _ -> Alcotest.fail "expected an int result"
 

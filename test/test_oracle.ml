@@ -26,13 +26,20 @@ let as_int = function
       Alcotest.failf "expected an int result, got %s"
         (match other with None -> "void" | Some v -> Value.string_of_value v)
 
+(* The oracle is what this suite exercises: it stays on whatever the
+   environment forces. *)
 let config () =
-  Test_env.apply
-    { Jit.default_config with Jit.compile_threshold = 25; Jit.oracle = true }
+  { (Test_env.apply { Jit.default_config with Jit.compile_threshold = 25 }) with Jit.oracle = true }
 
 let setup ?(config = config ()) src =
   let program = Link.compile_source ~require_main:false src in
   (program, Vm.create ~config program)
+
+(* Warm [f] past the compile threshold; under the background compile
+   modes the queued compile is installed here, as it is under Sync. *)
+let warm_up vm f args =
+  Vm.warm_up vm f args 40;
+  Vm.quiesce vm
 
 let deopts vm = Stats.get (Vm.stats vm) Stats.deopts
 
@@ -55,7 +62,7 @@ let test_oracle_object_remat () =
   in
   let program, vm = setup src in
   let f = Link.find_method program "C" "f" in
-  Vm.warm_up vm f [ vint 7; vbool false ] 40;
+  warm_up vm f [ vint 7; vbool false ];
   Alcotest.(check bool) "compiled" true (Vm.compiled_graph vm f <> None);
   let before = deopts vm in
   (* the cold branch: deopt fires, the oracle replays and must agree *)
@@ -83,7 +90,7 @@ let test_oracle_virtual_array () =
   in
   let program, vm = setup src in
   let f = Link.find_method program "C" "f" in
-  Vm.warm_up vm f [ vint 4; vbool false ] 40;
+  warm_up vm f [ vint 4; vbool false ];
   let before = deopts vm in
   Alcotest.(check int) "cold result under oracle" 110
     (as_int (Vm.invoke vm f [ vint 10; vbool true ]));
@@ -118,7 +125,7 @@ let test_oracle_lock_elided () =
   in
   let program, vm = setup src in
   let f = Link.find_method program "C" "f" in
-  Vm.warm_up vm f [ vint 5; vbool false ] 40;
+  warm_up vm f [ vint 5; vbool false ];
   let before = deopts vm in
   (* deopt inside the synchronized region: the rematerialized box must be
      locked, and the shadow's box is locked at the same depth *)
@@ -149,15 +156,16 @@ let test_oracle_osr_deopt () =
     \  }\n\
      }"
   in
+  (* only OSR can compile this, so OSR stays on whatever the
+     environment forces *)
   let config =
-    Test_env.apply
-      {
-        Jit.default_config with
-        Jit.compile_threshold = 1000000;
-        (* only OSR can compile this *)
-        Jit.osr_threshold = 50;
-        Jit.oracle = true;
-      }
+    {
+      (Test_env.apply
+         { Jit.default_config with Jit.compile_threshold = 1000000; Jit.osr_threshold = 50 })
+      with
+      Jit.oracle = true;
+      osr = true;
+    }
   in
   let program, vm = setup ~config src in
   let f = Link.find_method program "C" "f" in
@@ -171,8 +179,11 @@ let test_oracle_osr_deopt () =
 (* The oracle does catch lies: corrupt a rematerialized value           *)
 (* ------------------------------------------------------------------ *)
 
-(* Direct tier so the installed graph is consulted on every run
-   ([Closure_compile] captures terminators at translation time). *)
+(* The graph is compiled offline and handed to the VM through
+   [Test_support.install_offline], so the corruption is in place before
+   the closure tier translates it. An uncorrupted control run of the same
+   call deopts once and returns normally: the divergence comes from the
+   corruption, not from the scenario. *)
 let test_oracle_catches_corruption () =
   let src =
     "class I { int val; }\n\
@@ -186,35 +197,40 @@ let test_oracle_catches_corruption () =
     \  }\n\
      }"
   in
-  let config = { (config ()) with Jit.exec_tier = Jit.Direct } in
-  let program, vm = setup ~config src in
-  let f = Link.find_method program "C" "f" in
-  Vm.warm_up vm f [ vint 7; vbool false ] 40;
-  let g =
-    match Vm.compiled_graph vm f with
-    | Some g -> g
-    | None -> Alcotest.fail "not compiled"
-  in
   (* corrupt every deopt state: claim local 0 is the constant 999 *)
   let corrupted = ref 0 in
-  Pea_ir.Graph.iter_blocks
-    (fun b ->
-      match b.Pea_ir.Graph.term with
-      | Pea_ir.Graph.Deopt d ->
-          let fs = d.Pea_ir.Graph.d_state in
-          let locals = Array.copy fs.Pea_ir.Frame_state.fs_locals in
-          if Array.length locals > 0 then begin
-            locals.(0) <- Pea_ir.Frame_state.F_const (Pea_ir.Frame_state.Cint 999);
-            incr corrupted;
-            b.Pea_ir.Graph.term <-
-              Pea_ir.Graph.Deopt
-                { d with Pea_ir.Graph.d_state = { fs with Pea_ir.Frame_state.fs_locals = locals } }
-          end
-      | _ -> ())
-    g;
-  Alcotest.(check bool) "something corrupted" true (!corrupted > 0);
-  match Vm.invoke vm f [ vint 123; vbool true ] with
+  let corrupt g =
+    Pea_ir.Graph.iter_blocks
+      (fun b ->
+        match b.Pea_ir.Graph.term with
+        | Pea_ir.Graph.Deopt d ->
+            let fs = d.Pea_ir.Graph.d_state in
+            let locals = Array.copy fs.Pea_ir.Frame_state.fs_locals in
+            if Array.length locals > 0 then begin
+              locals.(0) <- Pea_ir.Frame_state.F_const (Pea_ir.Frame_state.Cint 999);
+              incr corrupted;
+              b.Pea_ir.Graph.term <-
+                Pea_ir.Graph.Deopt
+                  { d with Pea_ir.Graph.d_state = { fs with Pea_ir.Frame_state.fs_locals = locals } }
+            end
+        | _ -> ())
+      g
+  in
+  let run mutate =
+    let config = config () in
+    let program, vm = setup ~config src in
+    let f = Link.find_method program "C" "f" in
+    ignore
+      (Test_support.install_offline ~mutate ~config vm program f
+         ~warm:([ vint 7; vbool false ], 40));
+    (vm, Vm.invoke vm f [ vint 123; vbool true ])
+  in
+  let vm, r = run ignore in
+  Alcotest.(check int) "control: result" 124 (as_int r);
+  Alcotest.(check int) "control: the compiled call deopted" 1 (deopts vm);
+  match run corrupt with
   | exception Oracle.Divergence dv ->
+      Alcotest.(check bool) "something corrupted" true (!corrupted > 0);
       let msg = Oracle.string_of_divergence dv in
       Alcotest.(check bool) "divergence names the local" true
         (Test_support.contains msg "local 0")

@@ -261,13 +261,11 @@ let test_compiled_invocations_profiled () =
 
 let string_of_result = function None -> "void" | Some v -> Value.string_of_value v
 
-(* OSR on/off × {none,ea,pea} × {direct,closure}: every cell returns and
-   prints exactly what the interpreter does; the two execution tiers
-   agree bit-for-bit on the deterministic counters at fixed OSR; and at
-   O_none (no scalar replacement anywhere) OSR cannot change the heap
-   counters at all. Under EA/PEA an earlier tier-up legitimately
-   removes allocations, so on-vs-off heap parity is only required at
-   O_none. *)
+(* OSR on/off × {none,ea,pea}: every cell returns and prints exactly
+   what the interpreter does; and at O_none (no scalar replacement
+   anywhere) OSR cannot change the heap counters at all. Under EA/PEA
+   an earlier tier-up legitimately removes allocations, so on-vs-off
+   heap parity is only required at O_none. *)
 let prop_osr_differential =
   let iters = 8 in
   let module G = QCheck2.Gen in
@@ -277,13 +275,12 @@ let prop_osr_differential =
       (G.oneofl Programs.corpus)
       (G.oneofl [ Jit.O_none; Jit.O_ea; Jit.O_pea ])
   in
-  let run src opt tier ~osr =
+  let run src opt ~osr =
     let program = Pea_bytecode.Link.compile_source src in
     let config =
       {
         Jit.default_config with
         Jit.opt;
-        exec_tier = tier;
         compile_threshold = 4;
         osr;
         osr_threshold = 3;
@@ -305,25 +302,13 @@ let prop_osr_differential =
           List.concat (List.init iters (fun _ -> List.map Value.string_of_value ri.Run.printed))
         )
       in
-      let od, sd_on = run src opt Jit.Direct ~osr:true in
-      let oc, sc_on = run src opt Jit.Closure ~osr:true in
-      let od', sd_off = run src opt Jit.Direct ~osr:false in
-      let oc', sc_off = run src opt Jit.Closure ~osr:false in
-      let tier_parity (a : Stats.snapshot) (b : Stats.snapshot) =
-        a.Stats.s_cycles = b.Stats.s_cycles
-        && a.Stats.s_allocations = b.Stats.s_allocations
-        && a.Stats.s_allocated_bytes = b.Stats.s_allocated_bytes
-        && a.Stats.s_monitor_ops = b.Stats.s_monitor_ops
-        && a.Stats.s_deopts = b.Stats.s_deopts
-        && a.Stats.s_osr_entries = b.Stats.s_osr_entries
-        && a.Stats.s_osr_compiles = b.Stats.s_osr_compiles
-      in
-      od = reference && oc = reference && od' = reference && oc' = reference
-      && tier_parity sd_on sc_on && tier_parity sd_off sc_off
+      let o_on, s_on = run src opt ~osr:true in
+      let o_off, s_off = run src opt ~osr:false in
+      o_on = reference && o_off = reference
       && (opt <> Jit.O_none
-         || sd_on.Stats.s_allocations = sd_off.Stats.s_allocations
-            && sd_on.Stats.s_allocated_bytes = sd_off.Stats.s_allocated_bytes
-            && sd_on.Stats.s_monitor_ops = sd_off.Stats.s_monitor_ops))
+         || s_on.Stats.s_allocations = s_off.Stats.s_allocations
+            && s_on.Stats.s_allocated_bytes = s_off.Stats.s_allocated_bytes
+            && s_on.Stats.s_monitor_ops = s_off.Stats.s_monitor_ops))
 
 let () =
   Alcotest.run "osr"

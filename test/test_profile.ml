@@ -3,9 +3,8 @@
    flight recorder, and the [mjvm report] aggregation.
 
    The determinism cases deliberately bypass [Test_env.apply]: they
-   compare execution tiers and compile modes against each other, and
-   forcing one from the environment would collapse the comparison (same
-   reasoning as prop_tier_differential). The parity property at the end
+   compare compile modes against each other, and forcing one from the
+   environment would collapse the comparison. The parity property at the end
    is the axis-friendly half: whatever the configuration, profiling on
    vs off must not move any result or deterministic counter. *)
 
@@ -34,7 +33,7 @@ let with_profilers ?(interval = 256) f =
 
 (* Run [src] under fresh profilers and hand back (vm result, report). *)
 let run_profiled ?interval ?(iterations = 8) ?(threshold = 4) ?(opt = Jit.O_pea)
-    ?(tier = Jit.Closure) ?(mode = Jit.Sync) ?(osr = true) src =
+    ?(mode = Jit.Sync) ?(osr = true) src =
   with_profilers ?interval (fun cpu heap ->
       let program = Link.compile_source src in
       let config =
@@ -42,7 +41,6 @@ let run_profiled ?interval ?(iterations = 8) ?(threshold = 4) ?(opt = Jit.O_pea)
           Jit.default_config with
           Jit.opt;
           compile_threshold = threshold;
-          exec_tier = tier;
           compile_mode = mode;
           osr;
         }
@@ -67,16 +65,9 @@ let test_identical_across_runs () =
   let _, a = run_profiled Programs.cache_loop in
   let _, b = run_profiled Programs.cache_loop in
   Alcotest.(check bool) "some samples" true (a.Report.rp_total > 0);
-  Alcotest.(check (triple string string string)) "byte-identical" (renderings a) (renderings b)
-
-(* Direct and closure tiers sample at the same cycle clock values, so
-   they produce the same profile, not just the same counters. *)
-let test_identical_across_tiers () =
-  let _, d = run_profiled ~tier:Jit.Direct Programs.cache_loop in
-  let _, c = run_profiled ~tier:Jit.Closure Programs.cache_loop in
   Alcotest.(check bool) "compiled samples exist" true
-    (List.exists (fun (t, w) -> t <> "interp" && w > 0) d.Report.rp_tiers);
-  Alcotest.(check (triple string string string)) "tier-identical" (renderings d) (renderings c)
+    (List.exists (fun (t, w) -> t <> "interp" && w > 0) a.Report.rp_tiers);
+  Alcotest.(check (triple string string string)) "byte-identical" (renderings a) (renderings b)
 
 (* Replay is async's deterministic twin: identical profiles, per the
    same clock argument that makes their counters bit-equal. *)
@@ -108,6 +99,31 @@ let test_collapsed_golden () =
   in
   Alcotest.(check string) "golden collapsed stacks"
     "Main.main[interp];@0 5\nMain.main[interp];@8 9\nMain.main[interp];@16 1\n"
+    (Report.collapsed rp)
+
+(* A literal golden with compiled code in it: [cache_loop] tiers up
+   through both the invocation-count JIT and OSR, so the tier split and
+   the collapsed stacks pin where compiled code's cycles land. Recorded
+   while a second compiled-code executor still existed, after both were
+   checked to produce this profile byte for byte. *)
+let test_compiled_golden () =
+  let _, rp = run_profiled Programs.cache_loop in
+  Alcotest.(check (list (pair string int))) "tier split"
+    [ ("interp", 89); ("jit", 763); ("osr", 234) ]
+    rp.Report.rp_tiers;
+  Alcotest.(check string) "golden collapsed stacks"
+    "Main.main[interp];@0 7\n\
+     Main.main[interp];@8 37\n\
+     Main.main[interp];@16 33\n\
+     Main.main[jit] 741\n\
+     Main.main[interp];Cache.getValue[interp];@0 3\n\
+     Main.main[interp];Cache.getValue[interp];@16 1\n\
+     Main.main[interp];Cache.getValue[jit] 22\n\
+     Main.main[interp];Main.main[interp];@16 2\n\
+     Main.main[interp];Main.main[osr] 234\n\
+     Main.main[interp];Cache.getValue[interp];Key.<init>[interp];@0 2\n\
+     Main.main[interp];Cache.getValue[interp];Key.sameAs[interp];@0 2\n\
+     Main.main[interp];Cache.getValue[interp];Key.sameAs[interp];@16 2\n"
     (Report.collapsed rp)
 
 (* ------------------------------------------------------------------ *)
@@ -276,11 +292,11 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "byte-identical across runs" `Quick test_identical_across_runs;
-          Alcotest.test_case "byte-identical across tiers" `Quick test_identical_across_tiers;
           Alcotest.test_case "replay = async" `Quick test_identical_replay_async;
           Alcotest.test_case "sync = replay without compiles" `Quick
             test_sync_replay_interp_only;
           Alcotest.test_case "collapsed-stack golden" `Quick test_collapsed_golden;
+          Alcotest.test_case "compiled collapsed-stack golden" `Quick test_compiled_golden;
         ] );
       ( "attribution",
         [

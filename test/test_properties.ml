@@ -314,41 +314,26 @@ let prop_differential =
           ret_c = ret_i && prints_c = expected_prints)
         [ Jit.O_none; Jit.O_ea; Jit.O_pea ])
 
-(* Tier differential: interpreter, direct tier and closure tier agree on
-   the last return value and the full print sequence at every opt level —
+(* Deopt differential: compiled code agrees with the interpreter on the
+   last return value and the full print sequence at every opt level —
    through JIT compilation, speculative pruning and a forced deopt with a
-   virtual object in the frame state (see [gen_program_deopt]) — and the
-   two compiled tiers agree bit-for-bit on the deterministic counters.
-   Deliberately not routed through [Test_env.apply]: forcing a tier from
-   the environment would collapse the comparison. *)
-let prop_tier_differential =
+   virtual object in the frame state (see [gen_program_deopt]).
+   Deliberately not routed through [Test_env.apply]: the property walks
+   the opt levels itself. *)
+let prop_deopt_differential =
   let iters = 25 in
-  let run src opt tier ~threshold =
+  let run src opt ~threshold =
     let program = Pea_bytecode.Link.compile_source src in
-    let config =
-      { Jit.default_config with Jit.opt; compile_threshold = threshold; exec_tier = tier }
-    in
-    let vm = Vm.create ~config program in
-    let r = Vm.run_main_iterations vm iters in
-    (outcome_vm r, r.Vm.stats)
+    let config = { Jit.default_config with Jit.opt; compile_threshold = threshold } in
+    outcome_vm (Vm.run_main_iterations (Vm.create ~config program) iters)
   in
-  QCheck2.Test.make ~name:"closure tier = direct tier = interpreter, with forced deopts"
+  QCheck2.Test.make ~name:"compiled code = interpreter, with forced deopts"
     ~count:(Test_env.qcheck_count 60) ~print:(fun s -> s) gen_program_deopt
     (fun src ->
       (* reference: interpreter only (threshold never reached) *)
-      let reference, _ = run src Jit.O_pea Jit.Direct ~threshold:max_int in
+      let reference = run src Jit.O_pea ~threshold:max_int in
       List.for_all
-        (fun opt ->
-          let out_d, sd = run src opt Jit.Direct ~threshold:22 in
-          let out_c, sc = run src opt Jit.Closure ~threshold:22 in
-          out_d = reference && out_c = reference
-          && sd.Stats.s_cycles = sc.Stats.s_cycles
-          && sd.Stats.s_compiled_ops = sc.Stats.s_compiled_ops
-          && sd.Stats.s_interpreted_instrs = sc.Stats.s_interpreted_instrs
-          && sd.Stats.s_allocations = sc.Stats.s_allocations
-          && sd.Stats.s_allocated_bytes = sc.Stats.s_allocated_bytes
-          && sd.Stats.s_monitor_ops = sc.Stats.s_monitor_ops
-          && sd.Stats.s_deopts = sc.Stats.s_deopts)
+        (fun opt -> run src opt ~threshold:22 = reference)
         [ Jit.O_none; Jit.O_ea; Jit.O_pea ])
 
 let prop_alloc_monotone =
@@ -400,8 +385,8 @@ let prop_ir_checker_after_pea =
 
 (* Correctness tooling under fuzz: the every-phase verifier and the deopt
    oracle are forced on (overriding any matrix axis — the point is that
-   they stay silent), while tier / compile-mode / OSR axes still come from
-   the environment, so `bench/run_matrix.sh` sweeps this property across
+   they stay silent), while the opt / compile-mode / OSR axes still come
+   from the environment, so `bench/run_matrix.sh` sweeps this property across
    the whole cell matrix. Any SPEC violation aborts compilation with
    [Failure]; any replay divergence raises [Oracle.Divergence]; either
    fails the property. The forced deopt in [gen_program_deopt] guarantees
@@ -433,7 +418,7 @@ let prop_verified_execution =
    compile queue must be observationally indistinguishable from K
    isolated runs — every tenant's per-request results equal those of an
    interpreter-only VM over just that tenant's app and request stream.
-   The opt × tier cell is drawn per case (the serving harness itself
+   The opt level is drawn per case (the serving harness itself
    forces Sync + no OSR on tenant VMs, so those axes don't apply);
    env-driven axes (summaries, stackalloc, inlining, ...) still reach
    the shared compiles through [Test_env.apply]. *)
@@ -470,26 +455,18 @@ let prop_serving_matches_isolated =
     and* rounds = G.int_range 3 6
     and* requests_per_round = G.int_range 6 12
     and* seed = G.int_range 0 99999
-    and* opt = G.oneofl [ Jit.O_none; Jit.O_ea; Jit.O_pea ]
-    and* tier = G.oneofl [ Jit.Direct; Jit.Closure ] in
-    G.return (tenants, rounds, requests_per_round, seed, opt, tier)
+    and* opt = G.oneofl [ Jit.O_none; Jit.O_ea; Jit.O_pea ] in
+    G.return (tenants, rounds, requests_per_round, seed, opt)
   in
-  let print (tenants, rounds, rpr, seed, opt, tier) =
-    Printf.sprintf "tenants=%d rounds=%d rpr=%d seed=%d opt=%s tier=%s" tenants rounds rpr seed
+  let print (tenants, rounds, rpr, seed, opt) =
+    Printf.sprintf "tenants=%d rounds=%d rpr=%d seed=%d opt=%s" tenants rounds rpr seed
       (match opt with Jit.O_none -> "none" | Jit.O_ea -> "ea" | Jit.O_pea -> "pea")
-      (match tier with Jit.Direct -> "direct" | Jit.Closure -> "closure")
   in
   QCheck2.Test.make ~name:"shared-cache serving = isolated per-tenant runs"
     ~count:(Test_env.qcheck_count 40) ~print gen
-    (fun (tenants, rounds, requests_per_round, seed, opt, tier) ->
+    (fun (tenants, rounds, requests_per_round, seed, opt) ->
       let script = Sessions.mixed_script ~tenants ~rounds ~requests_per_round ~seed () in
-      let sv_jit =
-        {
-          (Test_env.apply Jit.default_config) with
-          Jit.opt;
-          exec_tier = tier;
-          compile_threshold = 4;
-        }
+      let sv_jit = { (Test_env.apply Jit.default_config) with Jit.opt; compile_threshold = 4 }
       in
       let r = Server.run ~config:{ Server.default_config with Server.sv_jit } script in
       List.map (fun tr -> tr.Server.tr_results) r.Server.r_tenants = isolated_results script)
@@ -500,7 +477,7 @@ let () =
       ( "differential",
         [
           QCheck_alcotest.to_alcotest prop_differential;
-          QCheck_alcotest.to_alcotest prop_tier_differential;
+          QCheck_alcotest.to_alcotest prop_deopt_differential;
           QCheck_alcotest.to_alcotest prop_alloc_monotone;
           QCheck_alcotest.to_alcotest prop_ir_checker_after_pea;
           QCheck_alcotest.to_alcotest prop_verified_execution;

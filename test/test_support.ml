@@ -6,8 +6,8 @@
    test_support_lib.ml.
 
    The centerpiece is [run_all_configs]: one place that enumerates the
-   opt × exec-tier × OSR × compile-mode matrix, so differential tests
-   stop re-rolling it by hand and automatically pick up new axes. *)
+   opt × OSR × compile-mode matrix, so differential tests stop
+   re-rolling it by hand and automatically pick up new axes. *)
 
 open Pea_rt
 open Pea_vm
@@ -34,21 +34,18 @@ let with_tracer ?capacity f =
 
 let opt_name = function Jit.O_none -> "none" | Jit.O_ea -> "ea" | Jit.O_pea -> "pea"
 
-let tier_name = function Jit.Direct -> "direct" | Jit.Closure -> "closure"
-
 (* ------------------------------------------------------------------ *)
 (* The configuration matrix                                            *)
 (* ------------------------------------------------------------------ *)
 
 type cell = {
   c_opt : Jit.opt_level;
-  c_tier : Jit.exec_tier;
   c_osr : bool;
   c_mode : Jit.compile_mode;
 }
 
 let cell_name c =
-  Printf.sprintf "%s/%s/osr-%s/%s" (opt_name c.c_opt) (tier_name c.c_tier)
+  Printf.sprintf "%s/osr-%s/%s" (opt_name c.c_opt)
     (if c.c_osr then "on" else "off")
     (Jit.mode_string c.c_mode)
 
@@ -62,21 +59,12 @@ let all_cells ?(modes = default_modes) () =
   List.concat_map
     (fun c_opt ->
       List.concat_map
-        (fun c_tier ->
-          List.concat_map
-            (fun c_osr -> List.map (fun c_mode -> { c_opt; c_tier; c_osr; c_mode }) modes)
-            [ false; true ])
-        [ Jit.Direct; Jit.Closure ])
+        (fun c_osr -> List.map (fun c_mode -> { c_opt; c_osr; c_mode }) modes)
+        [ false; true ])
     [ Jit.O_none; Jit.O_ea; Jit.O_pea ]
 
 let config_of_cell ?(base = Jit.default_config) c =
-  {
-    base with
-    Jit.opt = c.c_opt;
-    exec_tier = c.c_tier;
-    osr = c.c_osr;
-    compile_mode = c.c_mode;
-  }
+  { base with Jit.opt = c.c_opt; osr = c.c_osr; compile_mode = c.c_mode }
 
 (* [run_all_configs src] runs [main] [iterations] times under every cell
    of the matrix and returns [(cell, result)] pairs, draining the
@@ -106,7 +94,7 @@ let interp_reference ~iterations src =
     List.concat (List.init iterations (fun _ -> List.map Value.string_of_value r.Run.printed))
   )
 
-(* The counters every cell must agree on with its mode/tier siblings
+(* The counters every cell must agree on with its mode siblings
    (wall-clock-independent model state). *)
 let deterministic_counters (s : Stats.snapshot) =
   [
@@ -126,3 +114,25 @@ let deterministic_counters (s : Stats.snapshot) =
     ("compile_drops", s.Stats.s_compile_drops);
     ("compile_failures", s.Stats.s_compile_failures);
   ]
+
+(* ------------------------------------------------------------------ *)
+(* Offline compilation                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* [install_offline ?mutate ~config vm program m ~warm:(args, n)] makes
+   [vm] run code for [m] that the test compiled itself. [m] first runs
+   [n] times in the interpreter (the VM's own compiler is kept out
+   through an empty [Vm.code_source]); then [Jit.compile] builds [m] from
+   the VM's profile, [mutate] edits the graph, and the code source hands
+   the result to the VM, which installs it at the next invocation of [m]
+   and translates it then. Runtime-mutation tests corrupt deopt metadata
+   this way before the closure tier reads it. Returns the graph. *)
+let install_offline ?(mutate = ignore) ~config vm program (m : Pea_bytecode.Classfile.rt_method)
+    ~warm:(args, n) =
+  Vm.set_code_source vm { Vm.cs_lookup = (fun _ -> None); cs_request = ignore };
+  Vm.warm_up vm m args n;
+  let code = Jit.compile config program (Vm.profile vm) m in
+  mutate code.Jit.graph;
+  Vm.set_code_source vm
+    { Vm.cs_lookup = (fun m' -> if m' == m then Some code else None); cs_request = ignore };
+  code.Jit.graph

@@ -1,4 +1,5 @@
-(* Unit and property tests for the support library. *)
+(* Unit and property tests for the support library, and for the test
+   suites' own environment check ([Test_env.invalid]). *)
 
 open Pea_support
 
@@ -117,6 +118,34 @@ let test_dot () =
      in
      contains 0)
 
+(* Listed names with listed values pass and other variables are ignored;
+   an unknown name (a typo or a retired variable) and a typo in a value
+   are each reported, by name. *)
+let test_env_check () =
+  Alcotest.(check (list string)) "known bindings pass" []
+    (Test_env.invalid
+       [
+         ("MJVM_TEST_OPT", "pea");
+         ("MJVM_TEST_OSR", "off");
+         ("MJVM_TEST_CHECK_LEVEL", "every-phase");
+         ("MJVM_TEST_QCHECK_COUNT", "500");
+         ("MJVM_TEST_SERVE", "real");
+         ("PATH", "/usr/bin");
+       ]);
+  List.iter
+    (fun (name, value) ->
+      match Test_env.invalid [ ("MJVM_TEST_OPT", "ea"); (name, value) ] with
+      | [ msg ] ->
+          Alcotest.(check bool) (name ^ " named") true (String.starts_with ~prefix:name msg)
+      | msgs -> Alcotest.failf "%s=%s: %d messages" name value (List.length msgs))
+    [
+      ("MJVM_TEST_OSR", "yes");
+      ("MJVM_TEST_CHECK_LEVEL", "every");
+      ("MJVM_TEST_QCHECK_COUNT", "0");
+      ("MJVM_TEST_TIER", "closure");
+      ("MJVM_TEST_OPTS", "pea");
+    ]
+
 let () =
   Alcotest.run "support"
     [
@@ -137,4 +166,5 @@ let () =
         ] );
       ("fresh", [ Alcotest.test_case "sequence" `Quick test_fresh ]);
       ("dot", [ Alcotest.test_case "render" `Quick test_dot ]);
+      ("test-env", [ Alcotest.test_case "unknown names and values" `Quick test_env_check ]);
     ]
