@@ -42,7 +42,7 @@ type op =
   | Arith of arith * node_id * node_id
   | Neg of node_id
   | Not of node_id
-  | Cmp of Classfile.cmp * node_id * node_id (* integer comparison producing bool *)
+  | Cmp of Classfile.cmp * node_id * node_id (* int comparison, or [==]/[!=] on two bools *)
   | RefCmp of Classfile.acmp * node_id * node_id
   | New of Classfile.rt_class (* allocation with default field values *)
   | Alloc of Classfile.rt_class * node_id array

@@ -8,14 +8,21 @@
 
    The first [create] seals the schema: declaring a metric against a
    sealed schema is a programming error and raises, so an instance can
-   never be out of sync with its schema. *)
+   never be out of sync with its schema. A handle is the metric's slot
+   in its kind's storage; counters and histograms get distinct abstract
+   types, so the kind of every access is checked at compile time. *)
 
 type kind = Counter | Histogram
 
-type metric = { m_id : int; m_kind : kind; m_name : string; m_label : string }
+(* one declaration; [m_id] indexes the storage of its kind *)
+type decl = { m_id : int; m_kind : kind; m_name : string; m_label : string }
+
+type counter = int
+
+type histogram = int
 
 type schema = {
-  mutable defs_rev : metric list;
+  mutable defs_rev : decl list;
   mutable n_counters : int;
   mutable n_hists : int;
   mutable sealed : bool;
@@ -53,7 +60,7 @@ let declare schema kind ?label name =
   in
   let m = { m_id = id; m_kind = kind; m_name = name; m_label = Option.value label ~default:name } in
   schema.defs_rev <- m :: schema.defs_rev;
-  m
+  id
 
 let counter schema ?label name = declare schema Counter ?label name
 
@@ -81,29 +88,18 @@ let reset t =
       h.hc_max <- 0)
     t.hists
 
-let check_kind m expected =
-  if m.m_kind <> expected then
-    invalid_arg
-      (Printf.sprintf "Metrics: %S is a %s" m.m_name
-         (match m.m_kind with Counter -> "counter" | Histogram -> "histogram"))
+let get t c = t.counters.(c)
 
-let get t m =
-  check_kind m Counter;
-  t.counters.(m.m_id)
+let set t c v = t.counters.(c) <- v
 
-let set t m v =
-  check_kind m Counter;
-  t.counters.(m.m_id) <- v
+let add t c v = t.counters.(c) <- t.counters.(c) + v
 
-let add t m v =
-  check_kind m Counter;
-  t.counters.(m.m_id) <- t.counters.(m.m_id) + v
+let incr t c = add t c 1
 
-let incr t m = add t m 1
+let cell t c = (t.counters, c)
 
-let observe t m v =
-  check_kind m Histogram;
-  let h = t.hists.(m.m_id) in
+let observe t id v =
+  let h = t.hists.(id) in
   if h.hc_count = 0 then begin
     h.hc_min <- v;
     h.hc_max <- v
@@ -115,9 +111,8 @@ let observe t m v =
   h.hc_count <- h.hc_count + 1;
   h.hc_sum <- h.hc_sum + v
 
-let hist t m =
-  check_kind m Histogram;
-  let h = t.hists.(m.m_id) in
+let hist t id =
+  let h = t.hists.(id) in
   { h_count = h.hc_count; h_sum = h.hc_sum; h_min = h.hc_min; h_max = h.hc_max }
 
 type value = V_counter of int | V_histogram of hview
@@ -128,7 +123,7 @@ let dump t =
       ( m.m_name,
         match m.m_kind with
         | Counter -> V_counter t.counters.(m.m_id)
-        | Histogram -> V_histogram (hist t m) ))
+        | Histogram -> V_histogram (hist t m.m_id) ))
     (defs t.t_schema)
 
 let to_json t =
@@ -139,7 +134,7 @@ let to_json t =
   let hist_fields =
     List.map
       (fun m ->
-        let h = hist t m in
+        let h = hist t m.m_id in
         ( m.m_name,
           Json.obj
             [
@@ -160,7 +155,7 @@ let pp ppf t =
       match m.m_kind with
       | Counter -> Fmt.pf ppf "%s=%d" m.m_label t.counters.(m.m_id)
       | Histogram ->
-          let h = hist t m in
+          let h = hist t m.m_id in
           Fmt.pf ppf "%s(n=%d sum=%d min=%d max=%d)" m.m_label h.h_count h.h_sum h.h_min h.h_max)
     (defs t.t_schema)
 

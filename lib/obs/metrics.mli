@@ -6,20 +6,24 @@
     metric is one line at the declaration site — reset, dump, [to_json]
     and [pp] follow for free. The first [create] seals the schema, so a
     late declaration (which an existing instance could not store) raises
-    [Invalid_argument]. *)
+    [Invalid_argument]. Counters and histograms have distinct handle
+    types, so passing one where the other is expected is a type error. *)
 
-type metric
-(** Handle to a declared counter or histogram. *)
+type counter
+(** Handle to a declared counter. *)
+
+type histogram
+(** Handle to a declared histogram. *)
 
 type schema
 
 val make_schema : unit -> schema
 
-val counter : schema -> ?label:string -> string -> metric
+val counter : schema -> ?label:string -> string -> counter
 (** [counter schema name] declares a counter. [label] (default [name])
     is the short key used by [pp]/[pp_counters]. *)
 
-val histogram : schema -> ?label:string -> string -> metric
+val histogram : schema -> ?label:string -> string -> histogram
 (** [histogram schema name] declares a histogram tracking count, sum,
     min and max of observed values. *)
 
@@ -31,23 +35,27 @@ val create : schema -> t
 
 val reset : t -> unit
 
-val get : t -> metric -> int
-(** Counter value. Raises [Invalid_argument] on a histogram handle (and
-    symmetrically for the other accessors). *)
+val get : t -> counter -> int
 
-val set : t -> metric -> int -> unit
+val set : t -> counter -> int -> unit
 
-val add : t -> metric -> int -> unit
+val add : t -> counter -> int -> unit
 
-val incr : t -> metric -> unit
+val incr : t -> counter -> unit
 
-val observe : t -> metric -> int -> unit
+val cell : t -> counter -> int array * int
+(** [cell t c] is the storage of counter [c] in [t]: an array and the
+    index of [c]'s slot in it. The array is [t]'s own, so writes through
+    it are writes to the counter. For hot paths that resolve a counter
+    once and then bump it without a call; {!reset} keeps the array. *)
+
+val observe : t -> histogram -> int -> unit
 (** Record one histogram observation. *)
 
 type hview = { h_count : int; h_sum : int; h_min : int; h_max : int }
 (** Histogram summary; [h_min]/[h_max] are 0 while [h_count] is 0. *)
 
-val hist : t -> metric -> hview
+val hist : t -> histogram -> hview
 
 type value = V_counter of int | V_histogram of hview
 

@@ -46,6 +46,12 @@ val clear : t -> unit
 val enabled : unit -> bool
 (** One bool-ref load; every instrumentation site guards on this. *)
 
+val is_on : bool ref
+(** The flag [enabled] reads, for the one site where a call is too dear:
+    compiled-code block entry. A dev build compiles modules that have an
+    [.mli] with [-opaque], so [enabled] is never inlined across modules.
+    Read only; [install] and [uninstall] are its only writers. *)
+
 val install : t -> unit
 
 val uninstall : unit -> unit

@@ -59,9 +59,12 @@ let compile_per_bytecode = 150
 
 let compile_latency ~bytecodes = compile_base + (compile_per_bytecode * bytecodes)
 
-(* The closure execution tier's inline caches and pooled register files
-   are wall-clock optimizations only and add no model cycles: compiled
-   code is charged per IR operation from the constants above, so the
-   deterministic Table-1 numbers do not depend on how compiled graphs are
-   executed. *)
+(* How the closure execution tier runs a graph is a wall-clock matter
+   only and adds no model cycles: its inline caches, pooled register
+   files, threaded instruction chains, per-operator int/bool fast paths,
+   shared booleans and counter cells resolved at translation change what
+   an operation costs the host, never what it is charged. Compiled code
+   is charged per IR operation, before the operation runs, from the
+   constants above, so the deterministic Table-1 numbers do not depend on
+   how compiled graphs are executed. *)
 

@@ -170,6 +170,9 @@ let exec env (m : rt_method) ~locals ~stack ~bci : Value.value option =
         | [] -> trap "stack underflow at bnot")
     | Icmp c -> (
         match stack with
+        (* [==] and [!=] also compare two booleans, by value *)
+        | Vbool b :: Vbool a :: rest when c = Ceq || c = Cne ->
+            step (bci + 1) (Vbool (if c = Ceq then a = b else a <> b) :: rest)
         | b :: a :: rest ->
             let a = as_int a and b = as_int b in
             let result =

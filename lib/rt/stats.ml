@@ -11,7 +11,9 @@ module Metrics = Pea_obs.Metrics
 
 type t = Metrics.t
 
-type metric = Metrics.metric
+type counter = Metrics.counter
+
+type histogram = Metrics.histogram
 
 let schema = Metrics.make_schema ()
 
@@ -131,6 +133,8 @@ let set = Metrics.set
 let add = Metrics.add
 
 let incr = Metrics.incr
+
+let cell = Metrics.cell
 
 let observe = Metrics.observe
 

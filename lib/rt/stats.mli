@@ -3,135 +3,138 @@
     deterministic cycle count that stands in for wall-clock time.
 
     Backed by a {!Pea_obs.Metrics} registry: each counter below is a
-    metric handle into a shared schema, mutated with [incr]/[add]/[set]
-    and read with [get]. Adding a counter is one declaration line in the
-    implementation; [snapshot]/[diff]/[pp] stay as thin shims so callers
-    and the [--stats] output are unchanged. *)
+    counter handle into a shared schema, mutated with [incr]/[add]/[set]
+    and read with [get]; each histogram is fed with [observe]. Adding a
+    metric is one declaration line in the implementation;
+    [snapshot]/[diff]/[pp] stay as thin shims so callers and the
+    [--stats] output are unchanged. *)
 
 module Metrics = Pea_obs.Metrics
 
 type t = Metrics.t
 
-type metric = Metrics.metric
+type counter = Metrics.counter
+
+type histogram = Metrics.histogram
 
 val schema : Metrics.schema
 
-val allocations : metric
+val allocations : counter
 
-val allocated_bytes : metric
+val allocated_bytes : counter
 
-val monitor_ops : metric
+val monitor_ops : counter
 (** Monitor enter/exit operations actually performed. *)
 
-val stack_allocs : metric
+val stack_allocs : counter
 (** Stack (uncharged) allocations: scratch objects emitted when an
     interprocedural summary lets PEA pass a virtual object to a
     non-inlined callee, plus frame-bounded materializations placed in a
     frame's stack region. *)
 
-val stack_reclaimed : metric
+val stack_reclaimed : counter
 (** Stack-region objects reclaimed in O(1) at frame pop
     (return/throw/deopt). *)
 
-val stack_promotions : metric
+val stack_promotions : counter
 (** Stack-region objects promoted to the heap during deoptimization
     rematerialization — each promotion charges a real allocation. *)
 
-val cycles : metric
+val cycles : counter
 (** Cost-model cycles, see {!Cost}. *)
 
-val deopts : metric
+val deopts : counter
 
-val rematerialized : metric
+val rematerialized : counter
 (** Virtual objects re-allocated during deopt. *)
 
-val interpreted_instrs : metric
+val interpreted_instrs : counter
 
-val compiled_ops : metric
+val compiled_ops : counter
 
-val invocations : metric
+val invocations : counter
 
-val compiled_methods : metric
+val compiled_methods : counter
 
-val closure_compiled_methods : metric
+val closure_compiled_methods : counter
 (** Methods translated to the closure execution tier. *)
 
-val ic_hits : metric
+val ic_hits : counter
 (** Closure-tier inline-cache fast-path dispatches (wall-clock-only
     accounting: inline caches charge no cost-model cycles). *)
 
-val ic_misses : metric
+val ic_misses : counter
 
-val osr_compiles : metric
+val osr_compiles : counter
 (** OSR graphs compiled — one per hot loop header that tiered up. *)
 
-val osr_entries : metric
+val osr_entries : counter
 (** Interpreter frames that transferred into OSR-compiled code at a loop
     back edge. *)
 
-val site_blacklists : metric
+val site_blacklists : counter
 (** Deopt sites excluded from further speculation by the per-site
     recompilation policy. *)
 
-val speculative_inlines : metric
+val speculative_inlines : counter
 (** Virtual call sites spliced behind a receiver-class guard, summed over
     installed compilations. *)
 
-val guard_deopts : metric
+val guard_deopts : counter
 (** Receiver-class guards that missed at runtime (subset of [deopts]). *)
 
-val inline_blacklist_skips : metric
+val inline_blacklist_skips : counter
 (** Speculation sites the inliner declined because the deopt blacklist
     already holds their (method, bci) key. *)
 
-val compile_enqueues : metric
+val compile_enqueues : counter
 (** Compile requests accepted by the background queue (async/replay). *)
 
-val compile_dedup_hits : metric
+val compile_dedup_hits : counter
 (** Requests coalesced into an already-queued [(method, osr)] task. *)
 
-val compile_drops : metric
+val compile_drops : counter
 (** Requests refused by a full queue (drop-and-reprofile backpressure). *)
 
-val compile_installs : metric
+val compile_installs : counter
 (** Finished background compilations installed at a safepoint. *)
 
-val compile_stale_discards : metric
+val compile_stale_discards : counter
 (** Finished compilations discarded because the method's epoch moved
     (a deopt invalidated its speculation basis while it compiled). *)
 
-val compile_failures : metric
+val compile_failures : counter
 (** Compiler-domain failures; the method stays interpreted for good. *)
 
-val compile_stall_cycles : metric
+val compile_stall_cycles : counter
 (** Mutator cycles stalled in synchronous compilation. Async and replay
     modes never charge it; [cycles + compile_stall_cycles] is a mode's
     time-to-steady-state. *)
 
-val serve_requests : metric
+val serve_requests : counter
 (** Requests completed across all tenants of a serving-harness run. *)
 
-val cache_shared_hits : metric
+val cache_shared_hits : counter
 (** Compiled graphs adopted from the shared cross-tenant code cache. *)
 
-val cache_epoch_rejects : metric
+val cache_epoch_rejects : counter
 (** Shared-cache installs refused because a deopt moved the
     (app, method) epoch while the compile was in flight. *)
 
-val tenant_quarantines : metric
+val tenant_quarantines : counter
 (** Tenants demoted to interpreter-only serving (deopt storm or a
     failing compile). *)
 
-val remat_per_deopt : metric
+val remat_per_deopt : histogram
 (** Histogram: rematerialized objects per deopt event. *)
 
-val compiled_graph_nodes : metric
+val compiled_graph_nodes : histogram
 (** Histogram: optimized-graph size at the end of each compilation. *)
 
-val compile_queue_depth : metric
+val compile_queue_depth : histogram
 (** Histogram: queue depth observed after each background enqueue. *)
 
-val compile_latency : metric
+val compile_latency : histogram
 (** Histogram: modeled cycles between a task's enqueue and its install. *)
 
 (** [create ()] is a zeroed statistics instance. *)
@@ -140,15 +143,20 @@ val create : unit -> t
 (** [reset t] zeroes every metric in place. *)
 val reset : t -> unit
 
-val get : t -> metric -> int
+val get : t -> counter -> int
 
-val set : t -> metric -> int -> unit
+val set : t -> counter -> int -> unit
 
-val add : t -> metric -> int -> unit
+val add : t -> counter -> int -> unit
 
-val incr : t -> metric -> unit
+val incr : t -> counter -> unit
 
-val observe : t -> metric -> int -> unit
+val cell : t -> counter -> int array * int
+(** The counter's storage cell, see {!Pea_obs.Metrics.cell}: the
+    closure tier resolves [compiled_ops] and [cycles] once per
+    translation and bumps them without a call. *)
+
+val observe : t -> histogram -> int -> unit
 (** Record one histogram observation. *)
 
 val dump : t -> (string * Metrics.value) list

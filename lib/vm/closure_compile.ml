@@ -4,19 +4,32 @@
    (the differential properties, the deopt oracle and the fuzz farm).
 
    Everything that does not depend on the values flowing through one
-   invocation is resolved once, at translation time:
+   invocation is resolved once, at translation time, and the fast path of
+   an operation makes no call it does not need:
 
-     - Every instruction becomes a pre-bound [regs -> unit] closure with
-       its operands, field offsets, class pointers and cost charges
-       resolved at compile time; no per-op [Node.op] match at run time.
-     - Every block fuses its instruction closures into one chain, followed
-       by a terminator closure; control transfers are (tail) calls through
-       a per-graph closure table, so loops run in constant stack space.
+     - Every instruction becomes a pre-bound closure with its operands,
+       field offsets, class pointers and cost charges resolved at compile
+       time; no per-op [Node.op] match at run time. Each closure ends by
+       tail-calling the closure of the next instruction, so a block is one
+       threaded chain ending in its terminator; control transfers are tail
+       calls through a per-graph closure table, so loops run in constant
+       stack space.
+     - [Arith], [Cmp] and [Not] get one closure per operator, whose fast
+       path matches the [Vint]/[Vbool] operands directly; any other operand
+       falls back to the [as_int]/[as_bool] trap. A comparison returns one
+       of two shared booleans ([vtrue], [vfalse]) instead of allocating,
+       and an [If] matches its condition directly.
+     - The [compiled_ops] and [cycles] counters are resolved to their
+       storage cells ({!Stats.cell}) once per translation and bumped in
+       place. The dev profile compiles every module that has an [.mli]
+       with [-opaque], so a [Stats] call here would never be inlined: it
+       would be two unknown calls per operation.
      - Phi routing comes from the graph's {!Ir_exec.prepared} tables: each
        [(pred, block)] edge becomes a parallel assignment over index
-       arrays, with no predecessor search and no list allocation. The
-       scratch buffer of the move belongs to this translation, never to
-       the shared tables; reusing it across invocations is safe because
+       arrays, with no predecessor search and no list allocation. Edges
+       with one or two phis move their values directly; longer moves go
+       through a scratch buffer that belongs to this translation, never to
+       the shared tables. Reusing it across invocations is safe because
        the move performs no calls (no reentrancy) and a VM never runs on
        two domains at once.
      - Virtual [Invoke] sites get a monomorphic inline cache seeded from
@@ -53,11 +66,17 @@ open Pea_rt
 open Value
 module Event = Pea_obs.Event
 module Trace = Pea_obs.Trace
+module Profile_cpu = Pea_obs.Profile_cpu
+module Profile_heap = Pea_obs.Profile_heap
+
+(* compiled code from one instruction (or terminator) of a block to the
+   end of the invocation *)
+type chain = Value.value array -> Value.value option
 
 type code = {
   nregs : int;
   param_ids : int array; (* Param node ids, in parameter order *)
-  entry : Value.value array -> Value.value option;
+  entry : chain;
   mutable pool : Value.value array list; (* free register files *)
   method_name : string; (* for trap messages *)
 }
@@ -69,6 +88,17 @@ let as_int = function Vint n -> n | v -> trap "expected int, found %s" (string_o
 let as_bool = function Vbool b -> b | v -> trap "expected boolean, found %s" (string_of_value v)
 
 let const_value = Ir_exec.const_value
+
+(* the two booleans compiled code produces *)
+let vtrue = Vbool true
+
+let vfalse = Vbool false
+
+(* The trap of an int operation whose operands are not both ints. The
+   message names the right operand if it is not an int, else the left:
+   the generic path converted the right operand first. *)
+let int_operands va vb =
+  trap "expected int, found %s" (string_of_value (match vb with Vint _ -> va | _ -> vb))
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
@@ -84,129 +114,251 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
   let on_invoke = env.Interp.on_invoke in
   let on_print = env.Interp.on_print in
   (* the closure table control transfers jump through; filled below *)
-  let bodies : (Value.value array -> Value.value option) array =
+  let bodies : chain array =
     Array.make (Graph.n_blocks g) (fun _ -> trap "closure tier: jump into an uncompiled block")
   in
-  (* counter bumps shared by every instruction closure; [cy] is the full
-     pre-resolved charge (base + operation-specific), applied before the
-     operation body so a trapping operation is still charged *)
-  let bump cy =
-    Stats.incr stats Stats.compiled_ops;
-    Stats.add stats Stats.cycles cy
+  (* the counter bump every instruction closure starts with: [cy] is the
+     full pre-resolved charge (base + operation-specific), applied before
+     the operation body so a trapping operation is still charged *)
+  let ops_cell, ops = Stats.cell stats Stats.compiled_ops in
+  let cycles_cell, cycles = Stats.cell stats Stats.cycles in
+  let[@inline] bump cy =
+    ops_cell.(ops) <- ops_cell.(ops) + 1;
+    cycles_cell.(cycles) <- cycles_cell.(cycles) + cy
   in
   let base = Cost.compiled_op in
   (* bytecode-site attribution, pre-resolved like every other operand so
      the profiler checks below cost one bool load when profiling is off *)
   let sites = p.Ir_exec.p_sites and block_bcis = p.Ir_exec.p_bcis in
   let build_args arg_ids regs =
-    Array.fold_right (fun id acc -> regs.(id) :: acc) arg_ids []
+    let rec go i acc = if i < 0 then acc else go (i - 1) (regs.(arg_ids.(i)) :: acc) in
+    go (Array.length arg_ids - 1) []
   in
-  let compile_instr (n : Node.t) : Value.value array -> unit =
+  (* monomorphic inline caches, one per virtual call site: (class id,
+     pre-resolved target), seeded from the receiver classes the
+     interpreter observed at the site (the invoke's frame state records
+     the state *after* the call, so the site itself is at [fs_bci - 1]) *)
+  let ics = Array.make (Graph.n_nodes g) None in
+  let seed_ic (n : Node.t) (callee : Classfile.rt_method) =
+    let seed =
+      match n.Node.fs with
+      | None -> None
+      | Some fs -> (
+          match
+            Profile.hot_receiver profile fs.Frame_state.fs_method ~bci:(fs.Frame_state.fs_bci - 1)
+          with
+          | None -> None
+          | Some cls -> (
+              match Classfile.resolve_method cls callee.Classfile.mth_name with
+              | Some target -> Some (cls, target)
+              | None -> None))
+    in
+    (match seed with
+    | Some (cls, _) when Trace.enabled () ->
+        Trace.record
+          (Event.Ic_transition
+             {
+               meth;
+               callee = callee.Classfile.mth_name;
+               cls = cls.Classfile.cls_name;
+               kind = Event.Ic_seed;
+             })
+    | _ -> ());
+    ics.(n.Node.id) <- Some (ref (Option.map (fun (cls, tgt) -> (cls.Classfile.cls_id, tgt)) seed))
+  in
+  let compile_instr (n : Node.t) (next : chain) : chain =
     let dst = n.Node.id in
     match n.Node.op with
     | Node.Const c ->
         let value = const_value c in
         fun regs ->
           bump base;
-          regs.(dst) <- value
-    | Node.Param _ -> fun _ -> bump base (* bound at entry *)
-    | Node.Phi _ -> assert false
-    | Node.Arith (k, a, b) ->
-        let f =
-          match k with
-          | Node.Add -> fun x y -> x + y
-          | Node.Sub -> fun x y -> x - y
-          | Node.Mul -> fun x y -> x * y
-          | Node.Div -> fun x y -> if y = 0 then trap "division by zero" else x / y
-          | Node.Rem -> fun x y -> if y = 0 then trap "division by zero" else x mod y
-        in
+          regs.(dst) <- value;
+          next regs
+    | Node.Param _ ->
+        (* bound at entry *)
         fun regs ->
           bump base;
-          regs.(dst) <- Vint (f (as_int regs.(a)) (as_int regs.(b)))
+          next regs
+    | Node.Phi _ -> assert false
+    | Node.Arith (k, a, b) -> (
+        match k with
+        | Node.Add ->
+            fun regs ->
+              bump base;
+              (match (regs.(a), regs.(b)) with
+              | Vint x, Vint y -> regs.(dst) <- Vint (x + y)
+              | va, vb -> int_operands va vb);
+              next regs
+        | Node.Sub ->
+            fun regs ->
+              bump base;
+              (match (regs.(a), regs.(b)) with
+              | Vint x, Vint y -> regs.(dst) <- Vint (x - y)
+              | va, vb -> int_operands va vb);
+              next regs
+        | Node.Mul ->
+            fun regs ->
+              bump base;
+              (match (regs.(a), regs.(b)) with
+              | Vint x, Vint y -> regs.(dst) <- Vint (x * y)
+              | va, vb -> int_operands va vb);
+              next regs
+        | Node.Div ->
+            fun regs ->
+              bump base;
+              (match (regs.(a), regs.(b)) with
+              | Vint _, Vint 0 -> trap "division by zero"
+              | Vint x, Vint y -> regs.(dst) <- Vint (x / y)
+              | va, vb -> int_operands va vb);
+              next regs
+        | Node.Rem ->
+            fun regs ->
+              bump base;
+              (match (regs.(a), regs.(b)) with
+              | Vint _, Vint 0 -> trap "division by zero"
+              | Vint x, Vint y -> regs.(dst) <- Vint (x mod y)
+              | va, vb -> int_operands va vb);
+              next regs)
     | Node.Neg a ->
         fun regs ->
           bump base;
-          regs.(dst) <- Vint (-as_int regs.(a))
+          (regs.(dst) <- (match regs.(a) with Vint x -> Vint (-x) | v -> Vint (-as_int v)));
+          next regs
     | Node.Not a ->
         fun regs ->
           bump base;
-          regs.(dst) <- Vbool (not (as_bool regs.(a)))
-    | Node.Cmp (c, a, b) ->
-        let f =
-          match c with
-          | Classfile.Clt -> fun x y -> x < y
-          | Classfile.Cle -> fun x y -> x <= y
-          | Classfile.Cgt -> fun x y -> x > y
-          | Classfile.Cge -> fun x y -> x >= y
-          | Classfile.Ceq -> fun x y -> x = y
-          | Classfile.Cne -> fun x y -> x <> y
-        in
-        fun regs ->
-          bump base;
-          regs.(dst) <- Vbool (f (as_int regs.(a)) (as_int regs.(b)))
+          (regs.(dst) <-
+             (match regs.(a) with
+             | Vbool true -> vfalse
+             | Vbool false -> vtrue
+             | v -> Vbool (not (as_bool v))));
+          next regs
+    | Node.Cmp (c, a, b) -> (
+        match c with
+        | Classfile.Clt ->
+            fun regs ->
+              bump base;
+              (regs.(dst) <-
+                 (match (regs.(a), regs.(b)) with
+                 | Vint x, Vint y -> if x < y then vtrue else vfalse
+                 | va, vb -> int_operands va vb));
+              next regs
+        | Classfile.Cle ->
+            fun regs ->
+              bump base;
+              (regs.(dst) <-
+                 (match (regs.(a), regs.(b)) with
+                 | Vint x, Vint y -> if x <= y then vtrue else vfalse
+                 | va, vb -> int_operands va vb));
+              next regs
+        | Classfile.Cgt ->
+            fun regs ->
+              bump base;
+              (regs.(dst) <-
+                 (match (regs.(a), regs.(b)) with
+                 | Vint x, Vint y -> if x > y then vtrue else vfalse
+                 | va, vb -> int_operands va vb));
+              next regs
+        | Classfile.Cge ->
+            fun regs ->
+              bump base;
+              (regs.(dst) <-
+                 (match (regs.(a), regs.(b)) with
+                 | Vint x, Vint y -> if x >= y then vtrue else vfalse
+                 | va, vb -> int_operands va vb));
+              next regs
+        (* [==] and [!=] also compare two booleans, by value *)
+        | Classfile.Ceq ->
+            fun regs ->
+              bump base;
+              (regs.(dst) <-
+                 (match (regs.(a), regs.(b)) with
+                 | Vint x, Vint y -> if x = y then vtrue else vfalse
+                 | Vbool x, Vbool y -> if x = y then vtrue else vfalse
+                 | va, vb -> int_operands va vb));
+              next regs
+        | Classfile.Cne ->
+            fun regs ->
+              bump base;
+              (regs.(dst) <-
+                 (match (regs.(a), regs.(b)) with
+                 | Vint x, Vint y -> if x <> y then vtrue else vfalse
+                 | Vbool x, Vbool y -> if x <> y then vtrue else vfalse
+                 | va, vb -> int_operands va vb));
+              next regs)
     | Node.RefCmp (c, a, b) -> (
         match c with
         | Classfile.AEq ->
             fun regs ->
               bump base;
-              regs.(dst) <- Vbool (equal_value regs.(a) regs.(b))
+              (regs.(dst) <- (if equal_value regs.(a) regs.(b) then vtrue else vfalse));
+              next regs
         | Classfile.ANe ->
             fun regs ->
               bump base;
-              regs.(dst) <- Vbool (not (equal_value regs.(a) regs.(b))))
+              (regs.(dst) <- (if equal_value regs.(a) regs.(b) then vfalse else vtrue));
+              next regs)
     | Node.New cls ->
         let mid, bci = sites.(dst) in
         let cls_name = cls.Classfile.cls_name in
         let bytes = Value.object_bytes cls in
         fun regs ->
           bump base;
-          if Pea_obs.Profile_heap.enabled () then
-            Pea_obs.Profile_heap.record ~mid ~bci ~cls:cls_name
-              ~kind:Pea_obs.Profile_heap.K_alloc ~bytes;
-          regs.(dst) <- Vobj (Heap.alloc_object heap cls)
+          if Profile_heap.enabled () then
+            Profile_heap.record ~mid ~bci ~cls:cls_name ~kind:Profile_heap.K_alloc ~bytes;
+          regs.(dst) <- Vobj (Heap.alloc_object heap cls);
+          next regs
     | Node.Alloc (cls, field_values) ->
         let mid, bci = sites.(dst) in
         let cls_name = cls.Classfile.cls_name in
         let bytes = Value.object_bytes cls in
         fun regs ->
           bump base;
-          if Pea_obs.Profile_heap.enabled () then
-            Pea_obs.Profile_heap.record ~mid ~bci ~cls:cls_name
-              ~kind:Pea_obs.Profile_heap.K_alloc ~bytes;
+          if Profile_heap.enabled () then
+            Profile_heap.record ~mid ~bci ~cls:cls_name ~kind:Profile_heap.K_alloc ~bytes;
           let o = Heap.alloc_object heap cls in
-          Array.iteri (fun i fv -> o.o_fields.(i) <- regs.(fv)) field_values;
-          regs.(dst) <- Vobj o
+          for i = 0 to Array.length field_values - 1 do
+            o.o_fields.(i) <- regs.(field_values.(i))
+          done;
+          regs.(dst) <- Vobj o;
+          next regs
     | Node.Alloc_array (elem, elem_values) ->
         let len = Array.length elem_values in
         let mid, bci = sites.(dst) in
         let arr_name = Pea_mjava.Ast.string_of_ty elem ^ "[]" in
         let bytes = Value.array_bytes elem len in
-        fun regs -> (
+        fun regs ->
           bump base;
-          match Heap.alloc_array heap elem len with
+          (match Heap.alloc_array heap elem len with
           | arr ->
-              if Pea_obs.Profile_heap.enabled () then
-                Pea_obs.Profile_heap.record ~mid ~bci ~cls:arr_name
-                  ~kind:Pea_obs.Profile_heap.K_alloc ~bytes;
-              Array.iteri (fun i fv -> arr.a_elems.(i) <- regs.(fv)) elem_values;
+              if Profile_heap.enabled () then
+                Profile_heap.record ~mid ~bci ~cls:arr_name ~kind:Profile_heap.K_alloc ~bytes;
+              for i = 0 to len - 1 do
+                arr.a_elems.(i) <- regs.(elem_values.(i))
+              done;
               regs.(dst) <- Varr arr
-          | exception Heap.Negative_array_size k -> trap "negative array size %d" k)
+          | exception Heap.Negative_array_size k -> trap "negative array size %d" k);
+          next regs
     | Node.Stack_alloc (k, cls, field_values) ->
         let mid, bci = sites.(dst) in
         let cls_name = cls.Classfile.cls_name in
         let bytes = Value.object_bytes cls in
         let kind, alloc =
           match k with
-          | Node.Sk_scratch -> (Pea_obs.Profile_heap.K_scratch, Heap.alloc_object_scratch)
-          | Node.Sk_frame -> (Pea_obs.Profile_heap.K_stack, Heap.alloc_object_stack)
+          | Node.Sk_scratch -> (Profile_heap.K_scratch, Heap.alloc_object_scratch)
+          | Node.Sk_frame -> (Profile_heap.K_stack, Heap.alloc_object_stack)
         in
         fun regs ->
           bump base;
-          if Pea_obs.Profile_heap.enabled () then
-            Pea_obs.Profile_heap.record ~mid ~bci ~cls:cls_name ~kind ~bytes;
+          if Profile_heap.enabled () then
+            Profile_heap.record ~mid ~bci ~cls:cls_name ~kind ~bytes;
           let o = alloc heap cls in
-          Array.iteri (fun i fv -> o.o_fields.(i) <- regs.(fv)) field_values;
-          regs.(dst) <- Vobj o
+          for i = 0 to Array.length field_values - 1 do
+            o.o_fields.(i) <- regs.(field_values.(i))
+          done;
+          regs.(dst) <- Vobj o;
+          next regs
     | Node.Stack_alloc_array (k, elem, elem_values) ->
         let len = Array.length elem_values in
         let mid, bci = sites.(dst) in
@@ -214,110 +366,122 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
         let bytes = Value.array_bytes elem len in
         let kind, alloc =
           match k with
-          | Node.Sk_scratch -> (Pea_obs.Profile_heap.K_scratch, Heap.alloc_array_scratch)
-          | Node.Sk_frame -> (Pea_obs.Profile_heap.K_stack, Heap.alloc_array_stack)
+          | Node.Sk_scratch -> (Profile_heap.K_scratch, Heap.alloc_array_scratch)
+          | Node.Sk_frame -> (Profile_heap.K_stack, Heap.alloc_array_stack)
         in
         fun regs ->
           bump base;
-          if Pea_obs.Profile_heap.enabled () then
-            Pea_obs.Profile_heap.record ~mid ~bci ~cls:arr_name ~kind ~bytes;
+          if Profile_heap.enabled () then
+            Profile_heap.record ~mid ~bci ~cls:arr_name ~kind ~bytes;
           let arr = alloc heap elem len in
-          Array.iteri (fun i fv -> arr.a_elems.(i) <- regs.(fv)) elem_values;
-          regs.(dst) <- Varr arr
+          for i = 0 to len - 1 do
+            arr.a_elems.(i) <- regs.(elem_values.(i))
+          done;
+          regs.(dst) <- Varr arr;
+          next regs
     | Node.New_array (elem, len) ->
         let mid, bci = sites.(dst) in
         let arr_name = Pea_mjava.Ast.string_of_ty elem ^ "[]" in
-        fun regs -> (
+        fun regs ->
           bump base;
-          match Heap.alloc_array heap elem (as_int regs.(len)) with
+          (match Heap.alloc_array heap elem (as_int regs.(len)) with
           | arr ->
-              if Pea_obs.Profile_heap.enabled () then
-                Pea_obs.Profile_heap.record ~mid ~bci ~cls:arr_name
-                  ~kind:Pea_obs.Profile_heap.K_alloc
+              if Profile_heap.enabled () then
+                Profile_heap.record ~mid ~bci ~cls:arr_name ~kind:Profile_heap.K_alloc
                   ~bytes:(Value.array_bytes elem (Array.length arr.a_elems));
               regs.(dst) <- Varr arr
-          | exception Heap.Negative_array_size k -> trap "negative array size %d" k)
+          | exception Heap.Negative_array_size k -> trap "negative array size %d" k);
+          next regs
     | Node.Load_field (o, f) ->
         let off = f.Classfile.fld_offset in
         let name = f.Classfile.fld_name in
         let cy = base + Cost.field_access in
-        fun regs -> (
+        fun regs ->
           bump cy;
-          match regs.(o) with
+          (match regs.(o) with
           | Vobj obj -> regs.(dst) <- obj.o_fields.(off)
           | Vnull -> trap "null dereference reading %s" name
-          | _ -> trap "field load on a non-object")
+          | _ -> trap "field load on a non-object");
+          next regs
     | Node.Store_field (o, f, x) ->
         let off = f.Classfile.fld_offset in
         let name = f.Classfile.fld_name in
         let cy = base + Cost.field_access in
-        fun regs -> (
+        fun regs ->
           bump cy;
-          match regs.(o) with
+          (match regs.(o) with
           | Vobj obj -> obj.o_fields.(off) <- regs.(x)
           | Vnull -> trap "null dereference writing %s" name
-          | _ -> trap "field store on a non-object")
+          | _ -> trap "field store on a non-object");
+          next regs
     | Node.Load_static sf ->
         let idx = sf.Classfile.sf_index in
         let cy = base + Cost.static_access in
         fun regs ->
           bump cy;
-          regs.(dst) <- globals.(idx)
+          regs.(dst) <- globals.(idx);
+          next regs
     | Node.Store_static (sf, x) ->
         let idx = sf.Classfile.sf_index in
         let cy = base + Cost.static_access in
         fun regs ->
           bump cy;
-          globals.(idx) <- regs.(x)
+          globals.(idx) <- regs.(x);
+          next regs
     | Node.Array_load (a, i) ->
         let cy = base + Cost.array_access in
-        fun regs -> (
+        fun regs ->
           bump cy;
-          match regs.(a) with
+          (match regs.(a) with
           | Varr arr ->
               let idx = as_int regs.(i) in
               if idx < 0 || idx >= Array.length arr.a_elems then
                 trap "array index %d out of bounds" idx;
               regs.(dst) <- arr.a_elems.(idx)
           | Vnull -> trap "null dereference at array load"
-          | _ -> trap "array load on a non-array")
+          | _ -> trap "array load on a non-array");
+          next regs
     | Node.Array_store (a, i, x) ->
         let cy = base + Cost.array_access in
-        fun regs -> (
+        fun regs ->
           bump cy;
-          match regs.(a) with
+          (match regs.(a) with
           | Varr arr ->
               let idx = as_int regs.(i) in
               if idx < 0 || idx >= Array.length arr.a_elems then
                 trap "array index %d out of bounds" idx;
               arr.a_elems.(idx) <- regs.(x)
           | Vnull -> trap "null dereference at array store"
-          | _ -> trap "array store on a non-array")
+          | _ -> trap "array store on a non-array");
+          next regs
     | Node.Array_length a ->
-        fun regs -> (
+        fun regs ->
           bump base;
-          match regs.(a) with
+          (match regs.(a) with
           | Varr arr -> regs.(dst) <- Vint (Array.length arr.a_elems)
           | Vnull -> trap "null dereference at arraylength"
-          | _ -> trap "arraylength on a non-array")
+          | _ -> trap "arraylength on a non-array");
+          next regs
     | Node.Monitor_enter a ->
-        fun regs -> (
+        fun regs ->
           bump base;
-          match regs.(a) with
+          (match regs.(a) with
           | Vnull -> trap "monitorenter on null"
           | x -> (
               match Heap.monitor_enter heap x with
               | () -> ()
-              | exception Heap.Unbalanced_monitor msg -> trap "%s" msg))
+              | exception Heap.Unbalanced_monitor msg -> trap "%s" msg));
+          next regs
     | Node.Monitor_exit a ->
-        fun regs -> (
+        fun regs ->
           bump base;
-          match regs.(a) with
+          (match regs.(a) with
           | Vnull -> trap "monitorexit on null"
           | x -> (
               match Heap.monitor_exit heap x with
               | () -> ()
-              | exception Heap.Unbalanced_monitor msg -> trap "%s" msg))
+              | exception Heap.Unbalanced_monitor msg -> trap "%s" msg));
+          next regs
     | Node.Invoke (kind, callee, arg_ids) -> (
         let cy = base + Cost.invoke in
         match kind with
@@ -328,46 +492,17 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
               (match args with
               | Vnull :: _ -> trap "null receiver in constructor call"
               | _ -> ());
-              ignore (on_invoke callee args)
+              ignore (on_invoke callee args);
+              next regs
         | Node.Static ->
-            fun regs -> (
+            fun regs ->
               bump cy;
-              match on_invoke callee (build_args arg_ids regs) with
+              (match on_invoke callee (build_args arg_ids regs) with
               | Some r -> regs.(dst) <- r
-              | None -> ())
+              | None -> ());
+              next regs
         | Node.Virtual ->
-            (* monomorphic inline cache: (class id, pre-resolved target),
-               seeded from the receiver classes the interpreter observed at
-               this call site (the invoke's frame state records the state
-               *after* the call, so the site itself is at [fs_bci - 1]) *)
-            let seed =
-              match n.Node.fs with
-              | None -> None
-              | Some fs -> (
-                  match
-                    Profile.hot_receiver profile fs.Frame_state.fs_method
-                      ~bci:(fs.Frame_state.fs_bci - 1)
-                  with
-                  | None -> None
-                  | Some cls -> (
-                      match Classfile.resolve_method cls callee.Classfile.mth_name with
-                      | Some target -> Some (cls, target)
-                      | None -> None))
-            in
-            (match seed with
-            | Some (cls, _) when Trace.enabled () ->
-                Trace.record
-                  (Event.Ic_transition
-                     {
-                       meth;
-                       callee = callee.Classfile.mth_name;
-                       cls = cls.Classfile.cls_name;
-                       kind = Event.Ic_seed;
-                     })
-            | _ -> ());
-            let ic =
-              ref (Option.map (fun (cls, tgt) -> (cls.Classfile.cls_id, tgt)) seed)
-            in
+            let ic = Option.get ics.(dst) in
             fun regs ->
               bump cy;
               let args = build_args arg_ids regs in
@@ -397,61 +532,80 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
               in
               (match on_invoke target args with
               | Some r -> regs.(dst) <- r
-              | None -> ()))
+              | None -> ());
+              next regs)
     | Node.Instance_of (a, cls) ->
         fun regs ->
           bump base;
-          regs.(dst) <- Vbool (Interp.value_instanceof regs.(a) cls)
+          (regs.(dst) <- (if Interp.value_instanceof regs.(a) cls then vtrue else vfalse));
+          next regs
     | Node.Has_class (a, cls) ->
         (* exact-class guard: no subclass walk, false for null and arrays *)
         let cid = cls.Classfile.cls_id in
         fun regs ->
           bump base;
-          regs.(dst) <-
-            Vbool
-              (match regs.(a) with
-              | Vobj o -> o.o_cls.Classfile.cls_id = cid
-              | _ -> false)
+          (regs.(dst) <-
+             (match regs.(a) with
+             | Vobj o when o.o_cls.Classfile.cls_id = cid -> vtrue
+             | _ -> vfalse));
+          next regs
     | Node.Check_cast (a, cls) ->
         let cls_name = cls.Classfile.cls_name in
-        fun regs -> (
+        fun regs ->
           bump base;
-          match regs.(a) with
+          (match regs.(a) with
           | Vnull -> regs.(dst) <- Vnull
           | x ->
               if Interp.value_instanceof x cls then regs.(dst) <- x
-              else trap "cannot cast %s to %s" (string_of_value x) cls_name)
+              else trap "cannot cast %s to %s" (string_of_value x) cls_name);
+          next regs
     | Node.Null_check a ->
         fun regs ->
           bump base;
-          (match regs.(a) with Vnull -> trap "null dereference" | _ -> ())
+          (match regs.(a) with Vnull -> trap "null dereference" | _ -> ());
+          next regs
     | Node.Print a ->
         fun regs ->
           bump base;
-          on_print regs.(a)
+          on_print regs.(a);
+          next regs
   in
   (* the (pred -> succ) control-transfer closure: the phi parallel move for
      that edge, read from the prepared routing tables, then the jump *)
-  let compile_edge ~pred ~succ : Value.value array -> Value.value option =
+  let compile_edge ~pred ~succ : chain =
     match p.Ir_exec.p_phis.(succ) with
     | None -> fun regs -> bodies.(succ) regs
-    | Some pb ->
+    | Some pb -> (
         let idx = pb.Ir_exec.pb_route.(pred) in
         if idx < 0 then fun _ -> trap "phi resolution: B%d is not a predecessor of B%d" pred succ
         else
           let dsts = pb.Ir_exec.pb_dsts and srcs = pb.Ir_exec.pb_srcs.(idx) in
-          (* per-translation scratch: the move makes no calls *)
-          let tmp = Array.make (Array.length dsts) Vnull in
-          fun regs ->
-            for i = 0 to Array.length srcs - 1 do
-              tmp.(i) <- regs.(srcs.(i))
-            done;
-            for i = 0 to Array.length dsts - 1 do
-              regs.(dsts.(i)) <- tmp.(i)
-            done;
-            bodies.(succ) regs
+          match (dsts, srcs) with
+          | [| d |], [| s |] ->
+              fun regs ->
+                regs.(d) <- regs.(s);
+                bodies.(succ) regs
+          | [| d0; d1 |], [| s0; s1 |] ->
+              (* both sources are read before either phi is written: the
+                 pair may be a swap *)
+              fun regs ->
+                let v0 = regs.(s0) and v1 = regs.(s1) in
+                regs.(d0) <- v0;
+                regs.(d1) <- v1;
+                bodies.(succ) regs
+          | _ ->
+              (* per-translation scratch: the move makes no calls *)
+              let tmp = Array.make (Array.length dsts) Vnull in
+              fun regs ->
+                for i = 0 to Array.length srcs - 1 do
+                  tmp.(i) <- regs.(srcs.(i))
+                done;
+                for i = 0 to Array.length dsts - 1 do
+                  regs.(dsts.(i)) <- tmp.(i)
+                done;
+                bodies.(succ) regs)
   in
-  let compile_term (b : Graph.block) : Value.value array -> Value.value option =
+  let compile_term (b : Graph.block) : chain =
     match b.Graph.term with
     | Graph.Return None -> fun _ -> None
     | Graph.Return (Some x) -> fun regs -> Some regs.(x)
@@ -462,43 +616,35 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
     | Graph.If { cond; tru; fls; _ } ->
         let et = compile_edge ~pred:b.Graph.b_id ~succ:tru in
         let ef = compile_edge ~pred:b.Graph.b_id ~succ:fls in
-        fun regs ->
-          Stats.add stats Stats.cycles Cost.compiled_op;
-          if as_bool regs.(cond) then et regs else ef regs
+        fun regs -> (
+          cycles_cell.(cycles) <- cycles_cell.(cycles) + base;
+          match regs.(cond) with
+          | Vbool true -> et regs
+          | Vbool false -> ef regs
+          | v -> if as_bool v then et regs else ef regs)
   in
   let reachable = Graph.reachable g in
   Graph.iter_blocks
     (fun b ->
       if reachable.(b.Graph.b_id) then begin
-        let term = compile_term b in
-        let fused =
-          Pea_support.Dyn_array.fold_left
-            (fun acc n ->
-              let f = compile_instr n in
-              match acc with
-              | None -> Some f
-              | Some chain ->
-                  Some
-                    (fun regs ->
-                      chain regs;
-                      f regs))
-            None b.Graph.instrs
-        in
+        let instrs = Pea_support.Dyn_array.to_list b.Graph.instrs in
+        (* the chain is linked from its terminator backwards; the inline
+           caches are seeded first, in instruction order, which is the
+           order the trace sees their seed events in *)
+        List.iter
+          (fun (n : Node.t) ->
+            match n.Node.op with
+            | Node.Invoke (Node.Virtual, callee, _) -> seed_ic n callee
+            | _ -> ())
+          instrs;
+        let chain = List.fold_right compile_instr instrs (compile_term b) in
         (* profiler safepoint on block entry, after the edge's phi move
            (which charges no cycles) *)
         let sample_bci = block_bcis.(b.Graph.b_id) in
-        let inner =
-          match fused with
-          | None -> term
-          | Some body ->
-              fun regs ->
-                body regs;
-                term regs
-        in
         bodies.(b.Graph.b_id) <-
           (fun regs ->
-            if Pea_obs.Profile_cpu.enabled () then Pea_obs.Profile_cpu.poll sample_bci;
-            inner regs)
+            if !Profile_cpu.is_on then Profile_cpu.poll sample_bci;
+            chain regs)
       end)
     g;
   {

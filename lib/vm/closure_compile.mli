@@ -2,16 +2,18 @@
     graph into a tree of OCaml closures, and the only executor of
     compiled code.
 
-    Every instruction becomes a pre-bound closure, every block a fused
-    closure chain, every [(pred, block)] edge a parallel phi move over the
-    graph's {!Ir_exec.prepared} routing tables, every virtual call site a
+    Every instruction becomes a pre-bound closure that tail-calls the
+    next, so every block is one threaded chain; every [(pred, block)]
+    edge becomes a parallel phi move over the graph's
+    {!Ir_exec.prepared} routing tables, every virtual call site a
     monomorphic inline cache, and register files are pooled across
     invocations.
 
-    Cost accounting ({!Stats.cycles}, {!Stats.compiled_ops}) charges each
+    Cost accounting ({!Stats.cycles}, {!Stats.compiled_ops}, bumped
+    through counter cells resolved at translation) charges each
     instruction [Cost.compiled_op] plus its operation-specific cost, and
-    each [If] one [Cost.compiled_op]; inline caches and register pooling
-    are wall-clock optimizations only and charge no model cycles. *)
+    each [If] one [Cost.compiled_op]; how the closures are built is a
+    wall-clock matter only and charges no model cycles. *)
 
 open Pea_rt
 

@@ -296,6 +296,85 @@ let test_row_goldens () =
         [ rr.H.rr_without; rr.H.rr_with_ea; rr.H.rr_with_pea ])
     row_goldens
 
+(* What a compiled operation that traps in the middle of its block
+   charges: itself and the operations before it, each before its body
+   runs, and nothing after it. Each method is compiled at threshold 2,
+   then called with arguments that make one operation trap. The deltas
+   are literals recorded from the closure tier before it was threaded,
+   which charged identically. *)
+let trap_src =
+  "class N { int v; }\n\
+   class C {\n\
+  \  static N mk() { N n = new N(); n.v = 4; return n; }\n\
+  \  static int div(int x, int y) { int a = x + 1; int b = a * 2; int c = b / y; return c + a; }\n\
+  \  static int field(N n, int k) { int a = k + 1; int b = n.v; return a + b; }\n\
+  \  static int[] g;\n\
+  \  static int index(int i) { int[] a = new int[3]; C.g = a; a[i] = i + 1; return a[0] + i; }\n\
+  \  static int size(int n) { int[] a = new int[n - 1]; return a.length + n; }\n\
+   }"
+
+let test_trap_charges () =
+  let config = { Jit.default_config with Jit.compile_threshold = 2 } in
+  let program, vm = setup ~config trap_src in
+  let n = Option.get (Vm.invoke vm (Link.find_method program "C" "mk") []) in
+  List.iter
+    (fun (name, warm, bad, message, (cycles, ops, allocs)) ->
+      let m = Link.find_method program "C" name in
+      Vm.warm_up vm m warm 3;
+      Alcotest.(check bool) (name ^ " compiled") true (Vm.compiled_graph vm m <> None);
+      let before = Stats.snapshot (Vm.stats vm) in
+      (match Vm.invoke vm m bad with
+      | _ -> Alcotest.failf "%s: expected a trap" name
+      | exception Interp.Trap msg -> Alcotest.(check string) (name ^ " message") message msg);
+      let d = Stats.diff (Stats.snapshot (Vm.stats vm)) before in
+      Alcotest.(check int) (name ^ " interpreted") 0 d.Stats.s_interpreted_instrs;
+      Alcotest.(check int) (name ^ " cycles") cycles d.Stats.s_cycles;
+      Alcotest.(check int) (name ^ " compiled ops") ops d.Stats.s_compiled_ops;
+      Alcotest.(check int) (name ^ " allocations") allocs d.Stats.s_allocations)
+    [
+      ("div", [ vint 5; vint 1 ], [ vint 5; vint 0 ], "division by zero", (5, 5, 0));
+      ("field", [ n; vint 1 ], [ Value.Vnull; vint 1 ], "null dereference reading v", (6, 3, 0));
+      ("index", [ vint 1 ], [ vint 3 ], "array index 3 out of bounds", (62, 6, 1));
+      ("size", [ vint 4 ], [ vint 0 ], "negative array size -1", (3, 3, 0));
+    ]
+
+(* Compiled comparisons allocate nothing: a comparison yields one of two
+   shared booleans, and an [If] tests it where it is. On this loop of
+   [<], [!=], [!], [&&] and branches, the words left are the boxed ints
+   of the two counters, about 0.3 per compiled operation; a fresh
+   boolean per comparison brings it to about 1.5. *)
+let test_comparison_allocation () =
+  let src =
+    "class C {\n\
+    \  static int f(int n, int m) {\n\
+    \    int i = 0; int hits = 0;\n\
+    \    while (i < n) {\n\
+    \      boolean p = i < m;\n\
+    \      boolean q = i != m;\n\
+    \      boolean r = !p && q;\n\
+    \      if (r && i >= m && !(i == m)) { hits = hits + 1; }\n\
+    \      i = i + 1;\n\
+    \    }\n\
+    \    return hits;\n\
+    \  }\n\
+     }"
+  in
+  let config = { Jit.default_config with Jit.compile_threshold = 2 } in
+  let program, vm = setup ~config src in
+  let f = Link.find_method program "C" "f" in
+  Vm.warm_up vm f [ vint 10; vint 5 ] 3;
+  let ops0 = Stats.get (Vm.stats vm) Stats.compiled_ops in
+  let words0 = Gc.minor_words () in
+  let r = Vm.invoke vm f [ vint 20000; vint 10000 ] in
+  let words = Gc.minor_words () -. words0 in
+  let ops = Stats.get (Vm.stats vm) Stats.compiled_ops - ops0 in
+  Alcotest.(check int) "result" 9999 (as_int r);
+  Alcotest.(check bool) "ran compiled" true (ops > 100_000);
+  let per_op = words /. float_of_int ops in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per compiled operation, at most 0.5" per_op)
+    true (per_op <= 0.5)
+
 let () =
   Alcotest.run "closure"
     [
@@ -316,5 +395,8 @@ let () =
         [
           Alcotest.test_case "tier_parity scenario counters" `Quick test_scenario_golden;
           Alcotest.test_case "invoke-heavy Table-1 rows" `Quick test_row_goldens;
+          Alcotest.test_case "operations trapping mid-block" `Quick test_trap_charges;
         ] );
+      ( "cost",
+        [ Alcotest.test_case "comparisons allocate nothing" `Quick test_comparison_allocation ] );
     ]

@@ -94,7 +94,13 @@ let gen_bool_expr env d =
     G.return (Printf.sprintf "(%s.next %s %s)" p op q)
   in
   let null_check = G.oneofl [ "(Main.g1 == null)"; "(Main.g1 != null)" ] in
-  G.oneof [ cmp; refcmp; field_refcmp; null_check ]
+  (* [==]/[!=] on two booleans compares them by value *)
+  let boolcmp =
+    let* l = cmp and* r = cmp in
+    let* op = G.oneofl [ "=="; "!=" ] in
+    G.return (Printf.sprintf "(%s %s %s)" l op r)
+  in
+  G.oneof [ cmp; refcmp; field_refcmp; null_check; boolcmp ]
 
 let rec gen_stmt env lvl : string G.t =
   let simple =

@@ -124,6 +124,51 @@ let test_lock_elision () =
     Alcotest.failf "expected PEA to elide monitors (%d vs %d)" pea.Vm.stats.Stats.s_monitor_ops
       none.Vm.stats.Stats.s_monitor_ops
 
+(* [==] and [!=] on two booleans compare them by value, as in Java, in
+   the interpreter, in compiled code and in a loop entered through OSR.
+   Fixed configs: each one is the tier it names. *)
+let bool_equality_src =
+  "class Main {\n\
+  \  static int count(int n) {\n\
+  \    int hits = 0; int i = 0;\n\
+  \    while (i < n) {\n\
+  \      boolean even = i % 2 == 0;\n\
+  \      boolean small = i < 5;\n\
+  \      if (even == small) { hits = hits + 1; }\n\
+  \      if ((i < 3) != (i % 3 == 0)) { hits = hits + 100; }\n\
+  \      i = i + 1;\n\
+  \    }\n\
+  \    return hits;\n\
+  \  }\n\
+  \  static int main() {\n\
+  \    boolean a = true; boolean b = 1 < 2;\n\
+  \    int r = Main.count(10);\n\
+  \    if (a == b) { r = r + 10000; }\n\
+  \    return r;\n\
+  \  }\n\
+   }"
+
+let test_bool_equality () =
+  let program = Pea_bytecode.Link.compile_source bool_equality_src in
+  let never = { Jit.default_config with Jit.compile_threshold = max_int; osr = false } in
+  List.iter
+    (fun (name, config, iterations, reached) ->
+      let r = Vm.run_main_iterations (Vm.create ~config program) iterations in
+      (* 6 loop iterations with [even == small], 5 with [(i < 3) != (i % 3 == 0)] *)
+      Alcotest.(check string) (name ^ " result") "10506" (string_of_result r.Vm.return_value);
+      Alcotest.(check bool) (name ^ " tier reached") true (reached r.Vm.stats))
+    [
+      ("interpreter", never, 1, fun s -> s.Stats.s_compiled_ops = 0);
+      ( "compiled",
+        { Jit.default_config with Jit.compile_threshold = 2; osr = false },
+        4,
+        fun s -> s.Stats.s_compiled_ops > 0 );
+      ( "osr",
+        { never with Jit.osr = true; osr_threshold = 3 },
+        1,
+        fun s -> s.Stats.s_osr_entries > 0 );
+    ]
+
 let () =
   Alcotest.run "vm"
     [
@@ -135,4 +180,5 @@ let () =
             test_scalar_replacement_wins;
           Alcotest.test_case "lock elision removes monitor ops" `Quick test_lock_elision;
         ] );
+      ("booleans", [ Alcotest.test_case "== and != compare booleans" `Quick test_bool_equality ]);
     ]
