@@ -796,25 +796,18 @@ let obs_section () =
 
 (* The profiler's three contracts on the megamorphic inlining workload:
    installing the sampling + heap profilers moves no deterministic
-   counter; the aggregated report is byte-identical across runs and
-   across the replay/async compile modes; and the wall-clock overhead of
-   profiling stays within the budget (the cycle-clock grid makes each
-   safepoint a load + compare, so the slowdown should be small even at
-   the default interval). *)
+   counter; the aggregated report is byte-identical across runs; and the
+   wall-clock overhead of profiling stays within the budget (the
+   cycle-clock grid makes each safepoint a load + compare, so the
+   slowdown should be small even at the default interval). *)
 let profile_section () =
   header "Profiling: sampling + heap profiler overhead and determinism gate";
   let module Pcpu = Pea_obs.Profile_cpu in
   let module Pheap = Pea_obs.Profile_heap in
   let src = inlining_workload () in
-  let run ?(mode = Pea_vm.Jit.default_config.Pea_vm.Jit.compile_mode)
-      ?(collect_report = true) profiled =
+  let run ?(collect_report = true) profiled =
     let config =
-      {
-        Pea_vm.Jit.default_config with
-        Pea_vm.Jit.compile_threshold = 2;
-        opt = Pea_vm.Jit.O_pea;
-        compile_mode = mode;
-      }
+      { Pea_vm.Jit.default_config with Pea_vm.Jit.compile_threshold = 2; opt = Pea_vm.Jit.O_pea }
     in
     let body cpu heap =
       let program = Pea_bytecode.Link.compile_source src in
@@ -847,11 +840,8 @@ let profile_section () =
   let off_stats, _ = run false in
   let on_stats, report1 = run true in
   let _, report2 = run true in
-  let _, report_replay = run ~mode:Pea_vm.Jit.Replay true in
-  let _, report_async = run ~mode:Pea_vm.Jit.Async true in
   let counters_identical = off_stats = on_stats in
   let deterministic = report1 = report2 && Option.is_some report1 in
-  let replay_async = report_replay = report_async && Option.is_some report_replay in
   (* the timed half excludes report aggregation (the gate is about the
      always-on cost of sampling, not the one-shot readout), and takes the
      fastest of several interleaved batches per configuration: each rep
@@ -859,11 +849,11 @@ let profile_section () =
      enough scheduler noise to swamp a 10% budget. *)
   let batches = 5 and reps = 10 in
   let batch profiled =
-    let t0 = Sys.time () in
+    let t0 = Unix.gettimeofday () in
     for _ = 1 to reps do
       ignore (run ~collect_report:false profiled)
     done;
-    Sys.time () -. t0
+    Unix.gettimeofday () -. t0
   in
   ignore (batch false) (* warm the allocator before timing *);
   ignore (batch true);
@@ -877,18 +867,17 @@ let profile_section () =
   Printf.printf "wall clock, best of %d batches x %d runs: off %.4fs, on %.4fs (%.3fx)\n" batches
     reps t_off t_on overhead;
   Printf.printf
-    "gate: counters identical with profiling on: %s; report identical across runs: %s; replay \
-     == async report: %s; overhead <= 1.10x: %s\n"
+    "gate: counters identical with profiling on: %s; report identical across runs: %s; \
+     overhead <= 1.10x: %s\n"
     (if counters_identical then "PASS" else "FAIL")
     (if deterministic then "PASS" else "FAIL")
-    (if replay_async then "PASS" else "FAIL")
     (if overhead <= 1.10 then "PASS" else "FAIL");
   let oc = open_out "BENCH_profile.json" in
   Printf.fprintf oc
     "{\"workload\": \"megamorphic-inlining\", \"reps\": %d, \"wall_s_off\": %.6f, \"wall_s_on\": \
      %.6f, \"overhead\": %.4f, \"overhead_ok\": %b, \"counters_identical\": %b, \
-     \"report_deterministic\": %b, \"replay_async_identical\": %b}\n"
-    reps t_off t_on overhead (overhead <= 1.10) counters_identical deterministic replay_async;
+     \"report_deterministic\": %b}\n"
+    reps t_off t_on overhead (overhead <= 1.10) counters_identical deterministic;
   close_out oc;
   Printf.printf "wrote BENCH_profile.json\n"
 
@@ -1002,19 +991,18 @@ let osr_section () =
 (* Background compilation                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Time-to-steady-state under the three compile modes. In sync mode the
+(* Time-to-steady-state under the two compile modes. In sync mode the
    mutator stalls for the full modeled latency of every compilation it
-   triggers (charged to compile_stall_cycles); under async the same
-   compilations run on background domains and the stall disappears,
-   while replay re-enacts async's queue discipline single-threaded.
-   Rows are ranked by how much the sync mutator actually stalls — the
-   measured stall is exactly the amount of compilation the row demands —
-   and the gate checks that on the two most compile-heavy rows async
-   reaches steady state (cycles + compile_stall_cycles) strictly sooner
-   than sync with identical results, and that replay matches async
-   counter-for-counter. *)
+   triggers (charged to compile_stall_cycles); under replay the same
+   compilations are queued and installed at their deadline, so the
+   method keeps interpreting instead of stalling. Rows are ranked by how
+   much the sync mutator actually stalls — the measured stall is exactly
+   the amount of compilation the row demands — and the gate checks that
+   on the two most compile-heavy rows replay reaches steady state
+   (cycles + compile_stall_cycles) strictly sooner than sync with
+   identical results. *)
 let parallel_jit_section () =
-  header "Background compilation: time-to-steady-state, sync vs async vs replay";
+  header "Background compilation: time-to-steady-state, sync vs replay";
   let outcome (r : Pea_vm.Vm.result) =
     ( (match r.Pea_vm.Vm.return_value with
       | None -> "void"
@@ -1045,49 +1033,43 @@ let parallel_jit_section () =
          (Spec.dacapo @ Spec.scala_dacapo @ Spec.specjbb))
   in
   let rows = List.filteri (fun i _ -> i < 4) ranked in
-  Printf.printf "%-14s | %12s %12s %12s %8s | %s\n" "row" "sync stall" "sync tts" "async tts"
-    "speedup" "results / replay twin";
+  Printf.printf "%-14s | %12s %12s %12s %8s | %s\n" "row" "sync stall" "sync tts" "replay tts"
+    "speedup" "results";
   let measured =
     List.map
       (fun ((row : Spec.row), sync_s, sync_o) ->
         let src = Codegen.source_for_row row in
-        let async_s, async_o = measure src Pea_vm.Jit.Async in
         let replay_s, replay_o = measure src Pea_vm.Jit.Replay in
-        let identical = sync_o = async_o && async_o = replay_o in
-        let twin = async_s = replay_s in
-        let speedup = float_of_int (tts sync_s) /. float_of_int (tts async_s) in
-        Printf.printf "%-14s | %12d %12d %12d %7.3fx | %s / %s\n%!" row.Spec.name
-          sync_s.Pea_rt.Stats.s_compile_stall_cycles (tts sync_s) (tts async_s) speedup
-          (if identical then "identical" else "MISMATCH")
-          (if twin then "identical" else "MISMATCH");
-        (row, sync_s, async_s, speedup, identical, twin))
+        let identical = sync_o = replay_o in
+        let speedup = float_of_int (tts sync_s) /. float_of_int (tts replay_s) in
+        Printf.printf "%-14s | %12d %12d %12d %7.3fx | %s\n%!" row.Spec.name
+          sync_s.Pea_rt.Stats.s_compile_stall_cycles (tts sync_s) (tts replay_s) speedup
+          (if identical then "identical" else "MISMATCH");
+        (row, sync_s, replay_s, speedup, identical))
       rows
   in
   let oc = open_out "BENCH_parallel_jit.json" in
   output_string oc "[\n";
   List.iteri
-    (fun i ((row : Spec.row), sync_s, async_s, speedup, identical, twin) ->
+    (fun i ((row : Spec.row), sync_s, replay_s, speedup, identical) ->
       Printf.fprintf oc
         "  {\"row\": %S, \"sync_stall_cycles\": %d, \"sync_time_to_steady\": %d, \
-         \"async_time_to_steady\": %d, \"speedup\": %.3f, \"results_identical\": %b, \
-         \"async_equals_replay\": %b}%s\n"
-        row.Spec.name sync_s.Pea_rt.Stats.s_compile_stall_cycles (tts sync_s) (tts async_s)
-        speedup identical twin
+         \"replay_time_to_steady\": %d, \"speedup\": %.3f, \"results_identical\": %b}%s\n"
+        row.Spec.name sync_s.Pea_rt.Stats.s_compile_stall_cycles (tts sync_s) (tts replay_s)
+        speedup identical
         (if i = List.length measured - 1 then "" else ","))
     measured;
   output_string oc "]\n";
   close_out oc;
   Printf.printf "wrote BENCH_parallel_jit.json\n";
   let top2 = List.filteri (fun i _ -> i < 2) measured in
-  let faster = List.for_all (fun (_, s, a, _, _, _) -> tts a < tts s) top2 in
-  let identical = List.for_all (fun (_, _, _, _, p, _) -> p) measured in
-  let twin = List.for_all (fun (_, _, _, _, _, t) -> t) measured in
+  let faster = List.for_all (fun (_, s, r, _, _) -> tts r < tts s) top2 in
+  let identical = List.for_all (fun (_, _, _, _, p) -> p) measured in
   Printf.printf
-    "gate: async beats sync to steady state on the two most compile-heavy rows: %s; results \
-     identical across modes: %s; replay == async on every counter: %s\n"
+    "gate: replay beats sync to steady state on the two most compile-heavy rows: %s; results \
+     identical across modes: %s\n"
     (if faster then "PASS" else "FAIL")
     (if identical then "PASS" else "FAIL")
-    (if twin then "PASS" else "FAIL")
 
 (* ------------------------------------------------------------------ *)
 (* Speculation-safety verifier                                         *)
@@ -1101,7 +1083,8 @@ let parallel_jit_section () =
    Two: the whole workload corpus verifies clean — zero false positives
    from SPEC01..SPEC10 on real compiled graphs. The compile-time cost of
    Every_phase is measured by re-running the full pipeline offline over
-   every compilable method and lands in BENCH_verify.json. *)
+   every compilable method, wall clock, best of interleaved batches, and
+   lands in BENCH_verify.json. *)
 let verify_section () =
   header "Speculation safety: counter-drift gate, false-positive gate, verifier overhead";
   let rows = List.filteri (fun i _ -> i < 3) Spec.dacapo in
@@ -1118,8 +1101,13 @@ let verify_section () =
     (Pea_vm.Vm.run_main_iterations vm 3).Pea_vm.Vm.stats
   in
   (* offline pipeline re-runs over every compilable method: isolates the
-     verifier's compile-time cost from mutator time *)
-  let offline src level =
+     verifier's compile-time cost from mutator time. [compile level]
+     compiles each method once; the timed batches repeat it [reps] times,
+     and each level keeps its fastest of [batches] interleaved batches,
+     as the profile section does, so scheduler noise cannot swamp the
+     ratio. *)
+  let batches = 5 and reps = 10 in
+  let offline src =
     let program = Pea_bytecode.Link.compile_source src in
     let printed = ref [] in
     let env = Pea_rt.Run.make_env program ~printed in
@@ -1131,18 +1119,27 @@ let verify_section () =
         (fun m -> not (Pea_bytecode.Classfile.uses_exceptions m))
         (Array.to_list program.Pea_bytecode.Link.methods)
     in
-    let config = { Pea_vm.Jit.default_config with Pea_vm.Jit.check_level = level } in
-    let reps = 10 in
-    let t0 = Sys.time () in
-    let compiled = ref [] in
-    for rep = 1 to reps do
-      List.iter
-        (fun m ->
-          let c = Pea_vm.Jit.compile config program profile m in
-          if rep = 1 then compiled := c :: !compiled)
-        methods
+    fun level ->
+      let config = { Pea_vm.Jit.default_config with Pea_vm.Jit.check_level = level } in
+      List.map (fun m -> Pea_vm.Jit.compile config program profile m) methods
+  in
+  let batch compile level =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to reps do
+      ignore (compile level)
     done;
-    (Sys.time () -. t0, !compiled)
+    Unix.gettimeofday () -. t0
+  in
+  let best_of compile =
+    let none = Pea_analysis.Spec_check.No_check and every = Pea_analysis.Spec_check.Every_phase in
+    ignore (batch compile none) (* warm the allocator before timing *);
+    ignore (batch compile every);
+    let t_none = ref infinity and t_every = ref infinity in
+    for _ = 1 to batches do
+      t_none := Float.min !t_none (batch compile none);
+      t_every := Float.min !t_every (batch compile every)
+    done;
+    (!t_none, !t_every)
   in
   Printf.printf "%-14s | %5s | %10s %10s %8s | %s\n" "row" "specs" "none s" "every s" "overhead"
     "counter drift (none/end/every/oracle)";
@@ -1156,8 +1153,9 @@ let verify_section () =
           && base = counters src Pea_analysis.Spec_check.Every_phase false
           && base = counters src Pea_analysis.Spec_check.Phase_end true
         in
-        let t_none, graphs = offline src Pea_analysis.Spec_check.No_check in
-        let t_every, _ = offline src Pea_analysis.Spec_check.Every_phase in
+        let compile = offline src in
+        let graphs = compile Pea_analysis.Spec_check.No_check in
+        let t_none, t_every = best_of compile in
         let violations =
           List.fold_left
             (fun acc (c : Pea_vm.Jit.compiled) ->

@@ -12,22 +12,17 @@
 # real bug in that configuration. Two extra cells re-run the default
 # configuration with the stack-allocation tier forced off
 # (MJVM_TEST_STACKALLOC=off), alone and under the correctness tooling.
-# One cell turns the speculation-safety verifier off. Three more re-run
+# One cell turns the speculation-safety verifier off. Two more re-run
 # the default configuration with a global tracer installed
 # (MJVM_TEST_TRACE=1) and with the global sampling + heap profilers
 # installed (MJVM_TEST_PROFILE=1) to check that instrumentation never
-# changes behaviour, and with real compiler domains
-# (MJVM_TEST_COMPILE_MODE=async) to check the threaded pipeline end to
-# end. Async is kept out of the main product: its deterministic counters
-# are pinned bit-for-bit to replay's by test_async.ml, so replay stands
-# in for it cheaply. Two serving cells re-run the suites with the
+# changes behaviour. Two serving cells re-run the suites with the
 # multi-tenant harness in forced-replay mode and with real worker
-# domains (MJVM_TEST_SERVE, see test/test_serving.ml) — the real-domain
-# cell is the serving analogue of the async cell.
+# domains (MJVM_TEST_SERVE, see test/test_serving.ml).
 #
 # Cells: 24 (opt x summaries x osr x compile-mode) + 6 (inlining x opt)
-# + 12 (correctness tooling: opt x osr x compile-mode) + 8 single cells
-# = 50.
+# + 12 (correctness tooling: opt x osr x compile-mode) + 7 single cells
+# = 49.
 #
 # Failures do not stop the sweep: every failing cell prints its
 # environment line (the exact rerun command) first, then the output
@@ -140,8 +135,6 @@ run_cell "check-level=none (verifier fully off: production-shaped config)" \
 run_cell "trace=on (default configuration, global tracer installed)" "MJVM_TEST_TRACE=1"
 run_cell "profile=on (default configuration, global sampling + heap profilers installed)" \
   "MJVM_TEST_PROFILE=1"
-run_cell "compile-mode=async (default configuration, real compiler domains)" \
-  "MJVM_TEST_COMPILE_MODE=async"
 
 # Serving cells: the multi-tenant harness in forced-replay mode (the
 # same single-threaded schedule CI pins), and with real worker domains

@@ -34,9 +34,8 @@ let opt_conv =
 let mode_conv =
   let parse = function
     | "sync" -> Ok Jit.Sync
-    | "async" -> Ok Jit.Async
     | "replay" -> Ok Jit.Replay
-    | s -> Error (`Msg (Printf.sprintf "unknown compile mode %S (sync|async|replay)" s))
+    | s -> Error (`Msg (Printf.sprintf "unknown compile mode %S (sync|replay)" s))
   in
   let print ppf m = Format.pp_print_string ppf (Jit.mode_string m) in
   Arg.conv (parse, print)
@@ -114,11 +113,10 @@ let mode_arg =
     & opt mode_conv Jit.Sync
     & info [ "compile-mode" ] ~docv:"MODE"
         ~doc:
-          "When the JIT pipeline runs: sync (inline at the threshold, stalling the mutator), \
-           async (bounded queue + background compiler domains, code installed at a modeled \
-           deadline), or replay (async's queue discipline single-threaded on the VM clock — \
-           every queue decision is deterministic). Model-cycle statistics are identical \
-           between async and replay")
+          "When the JIT pipeline runs: sync (inline at the threshold, stalling the mutator) or \
+           replay (bounded queue; the method keeps interpreting and its code is compiled and \
+           installed at a modeled deadline on the VM clock — every queue decision is \
+           deterministic)")
 
 let queue_cap_arg =
   Arg.(
@@ -128,13 +126,6 @@ let queue_cap_arg =
         ~doc:
           "Background compile queue bound; requests beyond it are dropped and the method is \
            reprofiled")
-
-let domains_arg =
-  Arg.(
-    value
-    & opt int Jit.default_config.Jit.compile_domains
-    & info [ "compile-domains" ] ~docv:"N"
-        ~doc:"Compiler domains running concurrently under --compile-mode async")
 
 let check_level_conv =
   let parse s =
@@ -216,7 +207,7 @@ let setup_logs verbose =
   end
 
 let config opt threshold no_inline no_inlining no_prune no_summaries no_stackalloc osr_threshold
-    no_osr compile_mode compile_queue_cap compile_domains check_level oracle =
+    no_osr compile_mode compile_queue_cap check_level oracle =
   {
     Jit.default_config with
     Jit.opt;
@@ -230,7 +221,6 @@ let config opt threshold no_inline no_inlining no_prune no_summaries no_stackall
     osr_threshold;
     compile_mode;
     compile_queue_cap;
-    compile_domains;
     check_level;
     oracle;
   }
@@ -257,16 +247,15 @@ let compile_file_or_exit ?require_main file =
 
 let run_cmd =
   let action file opt threshold iterations stats no_inline no_inlining no_prune no_summaries
-      no_stackalloc osr_threshold no_osr compile_mode compile_queue_cap compile_domains
-      check_level oracle verbose trace trace_format flight_dump =
+      no_stackalloc osr_threshold no_osr compile_mode compile_queue_cap check_level oracle
+      verbose trace trace_format flight_dump =
     setup_logs verbose;
     let program = compile_file_or_exit file in
     (let vm =
        Vm.create
          ~config:
            (config opt threshold no_inline no_inlining no_prune no_summaries no_stackalloc
-              osr_threshold no_osr compile_mode compile_queue_cap compile_domains check_level
-              oracle)
+              osr_threshold no_osr compile_mode compile_queue_cap check_level oracle)
          program
      in
      let tracer =
@@ -325,59 +314,23 @@ let run_cmd =
             | Some v -> Printf.printf "=> %s\n" (Pea_rt.Value.string_of_value v)
             | None -> ());
             if stats then begin
-              Printf.printf
-                "allocations: %d\n\
-                 allocated bytes: %d\n\
-                 monitor ops: %d\n\
-                 stack/scratch (uncharged) objects: %d\n\
-                 stack objects reclaimed at frame pop: %d\n\
-                 stack objects promoted at deopt: %d\n\
-                 cycles: %d\n\
-                 deopts: %d\n\
-                 rematerialized: %d\n\
-                 compiled methods: %d\n\
-                 closure-compiled methods: %d\n\
-                 inline-cache hits: %d\n\
-                 inline-cache misses: %d\n\
-                 osr compiles: %d\n\
-                 osr entries: %d\n\
-                 site blacklists: %d\n\
-                 speculative inlines: %d\n\
-                 guard deopts: %d\n\
-                 inline blacklist skips: %d\n\
-                 compile stall cycles: %d\n\
-                 compile enqueues: %d\n\
-                 compile installs: %d\n\
-                 compile stale discards: %d\n\
-                 compile drops: %d\n\
-                 compile failures: %d\n"
-                r.Vm.stats.Pea_rt.Stats.s_allocations r.Vm.stats.Pea_rt.Stats.s_allocated_bytes
-                r.Vm.stats.Pea_rt.Stats.s_monitor_ops r.Vm.stats.Pea_rt.Stats.s_stack_allocs
-                r.Vm.stats.Pea_rt.Stats.s_stack_reclaimed
-                r.Vm.stats.Pea_rt.Stats.s_stack_promotions
-                r.Vm.stats.Pea_rt.Stats.s_cycles r.Vm.stats.Pea_rt.Stats.s_deopts
-                r.Vm.stats.Pea_rt.Stats.s_rematerialized r.Vm.stats.Pea_rt.Stats.s_compiled_methods
-                r.Vm.stats.Pea_rt.Stats.s_closure_compiled_methods r.Vm.stats.Pea_rt.Stats.s_ic_hits
-                r.Vm.stats.Pea_rt.Stats.s_ic_misses r.Vm.stats.Pea_rt.Stats.s_osr_compiles
-                r.Vm.stats.Pea_rt.Stats.s_osr_entries r.Vm.stats.Pea_rt.Stats.s_site_blacklists
-                r.Vm.stats.Pea_rt.Stats.s_speculative_inlines
-                r.Vm.stats.Pea_rt.Stats.s_guard_deopts
-                r.Vm.stats.Pea_rt.Stats.s_inline_blacklist_skips
-                r.Vm.stats.Pea_rt.Stats.s_compile_stall_cycles
-                r.Vm.stats.Pea_rt.Stats.s_compile_enqueues
-                r.Vm.stats.Pea_rt.Stats.s_compile_installs
-                r.Vm.stats.Pea_rt.Stats.s_compile_stale_discards
-                r.Vm.stats.Pea_rt.Stats.s_compile_drops r.Vm.stats.Pea_rt.Stats.s_compile_failures;
-              (match Vm.class_breakdown vm with
+              (* every registered metric, one per line, declaration order *)
+              List.iter
+                (fun (name, v) ->
+                  match v with
+                  | Pea_rt.Stats.Metrics.V_counter n -> Printf.printf "%s: %d\n" name n
+                  | Pea_rt.Stats.Metrics.V_histogram h ->
+                      Printf.printf "%s: n=%d sum=%d min=%d max=%d\n" name h.h_count h.h_sum
+                        h.h_min h.h_max)
+                (Pea_rt.Stats.dump (Vm.stats vm));
+              match Vm.class_breakdown vm with
               | [] -> ()
               | breakdown ->
                   Printf.printf "allocation breakdown:\n";
                   List.iter
                     (fun (name, count, bytes) ->
                       Printf.printf "  %-16s %8d allocs %10d bytes\n" name count bytes)
-                    breakdown);
-              (* full metrics registry, histograms included *)
-              Format.printf "registry: %a@." Pea_rt.Stats.Metrics.pp (Vm.stats vm)
+                    breakdown
             end)
   in
   let term =
@@ -385,7 +338,7 @@ let run_cmd =
       const action $ file_arg $ opt_arg $ threshold_arg $ iterations_arg $ stats_arg
       $ no_inline_arg $ no_inlining_arg $ no_prune_arg $ no_summaries_arg $ no_stackalloc_arg
       $ osr_threshold_arg
-      $ no_osr_arg $ mode_arg $ queue_cap_arg $ domains_arg $ check_level_arg $ oracle_arg
+      $ no_osr_arg $ mode_arg $ queue_cap_arg $ check_level_arg $ oracle_arg
       $ verbose_arg $ trace_arg $ trace_format_arg $ flight_dump_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run a MiniJava program on the tiered VM") term
@@ -781,9 +734,8 @@ let report_cmd =
        ~doc:
          "Profile a program on the deterministic cycle clock and report top methods by self \
           cycles, tier residency, allocation hot lists cross-referenced with PEA decisions, \
-          and flamegraph-compatible collapsed stacks. Reports are byte-identical across runs \
-          and across the async/replay compile modes. With --flight, summarize a \
-          flight-recorder dump instead")
+          and flamegraph-compatible collapsed stacks. Reports are byte-identical across runs. \
+          With --flight, summarize a flight-recorder dump instead")
     term
 
 (* ------------------------------------------------------------------ *)
@@ -938,11 +890,11 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Serve a deterministic multi-tenant session: N worker domains run MJ request handlers \
-          over per-tenant VMs backed by a shared, epoch-validated code cache and one background \
-          compile queue. Replay mode (--workers 0) reproduces the whole multi-domain schedule \
-          single-threaded with bit-identical counters. A deopt-storming or compile-failing \
-          tenant is quarantined to the interpreter without touching other tenants' cache \
-          entries")
+          over per-tenant VMs backed by a shared, epoch-validated code cache and one shared \
+          compile queue drained at round barriers. Replay mode (--workers 0) reproduces the \
+          whole multi-domain schedule single-threaded with bit-identical counters. A \
+          deopt-storming or compile-failing tenant is quarantined to the interpreter without \
+          touching other tenants' cache entries")
     term
 
 (* ------------------------------------------------------------------ *)

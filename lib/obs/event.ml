@@ -73,7 +73,7 @@ type t =
          interpreter at the pre-call state *)
   | Ic_transition of { meth : string; callee : string; cls : string; kind : ic_kind }
   | Tier_promote of { meth : string; tier : string; invocations : int }
-  (* Background-compilation queue discipline (async/replay compile modes).
+  (* Background-compilation queue discipline (replay compile mode).
      [osr_bci] distinguishes a normal-entry task (None) from an OSR task
      for one loop header; [epoch] is the method's invalidation epoch the
      task was keyed to at enqueue. *)

@@ -6,8 +6,7 @@
    safepoint at or after every [interval]-cycle grid point. Safepoints
    are the interpreter dispatch loop and compiled-code block entry, so
    the sample stream, and therefore the whole profile, is a pure
-   function of the executed program: byte identical across runs and
-   across the async/replay compile modes.
+   function of the executed program: byte identical across runs.
 
    Attribution is (method, tier, bci bucket) at the sample's leaf plus
    the full call stack above it. The stack is a shadow stack maintained

@@ -4,8 +4,8 @@
     block entry) at every [interval]-cycle grid point of an injected
     clock, and attributed to the shadow call stack the VM maintains plus
     the leaf's bci bucket. Because the clock is the deterministic
-    cost-model cycle counter, profiles are byte-identical across runs
-    and across the async/replay compile modes. The profiler
+    cost-model cycle counter, profiles are byte-identical across runs.
+    The profiler
     never writes any {!Stats} counter: profiling cannot perturb the
     deterministic state it measures. *)
 

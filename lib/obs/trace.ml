@@ -45,9 +45,10 @@ let create ?(capacity = default_capacity) () =
 
 let set_clock t f = t.clock <- f
 
-(* The ring is mutated by the mutator domain; background compiler domains
-   run with emission suppressed (see [suppress]) but the lock keeps a
-   stray cross-domain emission memory-safe rather than corrupting. *)
+(* The ring is mutated by the mutator domain; the serving layer's worker
+   domains run with emission suppressed (see [suppress]) but the lock
+   keeps a stray cross-domain emission memory-safe rather than
+   corrupting. *)
 let emit_mutex = Mutex.create ()
 
 let emit t ev =
@@ -93,13 +94,12 @@ let uninstall () =
 
 let installed () = !current
 
-(* Per-domain suppression: a background compiler domain would stamp its
-   events with racy, wall-clock-ordered sequence numbers and a clock read
-   off another domain's counter, destroying trace determinism. Workers run
-   the whole compile under [suppress]; the mutator-side queue events
-   (enqueue/install/stale/...) still record normally, so async traces stay
-   deterministic — they just omit the compile-internal spans that replay
-   mode (which compiles on the mutator at the deadline) retains. *)
+(* Per-domain suppression: a worker domain would stamp its events with
+   racy, wall-clock-ordered sequence numbers and a clock read off another
+   domain's counter, destroying trace determinism. The serving layer's
+   threaded mode runs each worker's share of a round under [suppress];
+   the coordinator's barrier events still record normally, so threaded
+   traces stay deterministic. *)
 let suppressed_key = Domain.DLS.new_key (fun () -> false)
 
 let suppress f =

@@ -48,9 +48,9 @@ val record : Event.t -> unit
 
 val suppress : (unit -> 'a) -> 'a
 (** [suppress f] runs [f] with event recording disabled on the calling
-    domain. Background compiler domains wrap each compile in it: their
-    events would otherwise interleave nondeterministically with the
-    mutator's, destroying trace reproducibility. *)
+    domain. The serving layer's worker domains run each round under it:
+    their events would otherwise interleave nondeterministically with the
+    coordinator's, destroying trace reproducibility. *)
 
 val span : meth:string -> string -> (unit -> 'a) -> 'a
 (** [span ~meth phase f] wraps [f] in [Phase_start]/[Phase_end] events

@@ -49,10 +49,10 @@ let deopt = 500
    constants make compilation cost on the order of thousands of cycles —
    enough that a synchronous stall at the threshold is visible against a
    hot loop, and that a background compile finishes within a few hundred
-   interpreted iterations. Both the sync stall charge and the async/replay
-   install deadline use this same function, so the only difference between
-   the modes is *where* the latency lands: on the mutator's critical path,
-   or overlapped with interpretation. *)
+   interpreted iterations. Both Sync's stall charge and Replay's install
+   deadline use this same function, so the only difference between the
+   modes is *where* the latency lands: on the mutator's critical path, or
+   overlapped with interpretation. *)
 let compile_base = 2000
 
 let compile_per_bytecode = 150

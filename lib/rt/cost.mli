@@ -51,6 +51,6 @@ val compile_per_bytecode : int
 (** [compile_latency ~bytecodes] — modeled cycles to run the JIT pipeline
     on a method of the given bytecode length. Synchronous compilation
     charges it to {!Pea_rt.Stats.compile_stall_cycles} on the mutator;
-    the async/replay queue uses it as the install deadline, so the
+    the replay compile queue uses it as the install deadline, so the
     latency overlaps with continued interpretation instead. *)
 val compile_latency : bytecodes:int -> int

@@ -49,9 +49,9 @@ let create (program : Link.program) : t =
 
 let for_method (t : t) (m : Classfile.rt_method) = t.(m.mth_id)
 
-(* Deep snapshot for background compilation: compiler domains must never
-   read the live tables while the interpreter mutates them, so the VM
-   hands each compile task a copy taken at enqueue time on the mutator. *)
+(* Deep snapshot for queued compilation: a task compiles at its deadline
+   from the profile as it was at enqueue, not from the live tables the
+   interpreter kept mutating in between. *)
 let copy (t : t) : t =
   Array.map
     (fun p ->

@@ -68,9 +68,9 @@ val hot_receiver : t -> Classfile.rt_method -> bci:int -> Classfile.rt_class opt
 val invocations : t -> Classfile.rt_method -> int
 
 (** [copy t] is a deep snapshot: mutating [t] afterwards never changes the
-    copy (and vice versa). Background compiler domains work from such a
-    snapshot taken at enqueue time so they never race the interpreter's
-    profile writes. *)
+    copy (and vice versa). A queued compile works from such a snapshot
+    taken at enqueue time, so the profile writes the interpreter makes
+    before the deadline never reach it. *)
 val copy : t -> t
 
 (** [reset_invocations t m] zeroes [m]'s invocation counter

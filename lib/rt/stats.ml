@@ -73,7 +73,7 @@ let guard_deopts = Metrics.counter schema "guard_deopts"
 (* speculation sites the inliner skipped because of the deopt blacklist *)
 let inline_blacklist_skips = Metrics.counter schema "inline_blacklist_skips"
 
-(* background-compilation queue (async/replay compile modes) *)
+(* background-compilation queue (replay compile mode, serving layer) *)
 let compile_enqueues = Metrics.counter schema "compile_enqueues"
 
 let compile_dedup_hits = Metrics.counter schema "compile_dedup_hits"
@@ -86,11 +86,11 @@ let compile_installs = Metrics.counter schema "compile_installs"
 (* finished compilations discarded by the install-time epoch check *)
 let compile_stale_discards = Metrics.counter schema "compile_stale_discards"
 
-(* compiler-domain failures; the method is pinned compile-failed *)
+(* queued compiles that raised; the method is pinned compile-failed *)
 let compile_failures = Metrics.counter schema "compile_failures"
 
-(* mutator cycles stalled waiting for synchronous compilation; async and
-   replay modes never charge it — that is exactly the win they exist for *)
+(* mutator cycles stalled waiting for synchronous compilation; replay
+   mode never charges it — that is exactly the win it exists for *)
 let compile_stall_cycles = Metrics.counter schema "compile_stall_cycles"
 
 (* multi-tenant serving harness (lib/serve): requests completed across

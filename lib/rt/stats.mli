@@ -88,7 +88,7 @@ val inline_blacklist_skips : counter
     already holds their (method, bci) key. *)
 
 val compile_enqueues : counter
-(** Compile requests accepted by the background queue (async/replay). *)
+(** Compile requests accepted by the replay compile queue. *)
 
 val compile_dedup_hits : counter
 (** Requests coalesced into an already-queued [(method, osr)] task. *)
@@ -104,11 +104,11 @@ val compile_stale_discards : counter
     (a deopt invalidated its speculation basis while it compiled). *)
 
 val compile_failures : counter
-(** Compiler-domain failures; the method stays interpreted for good. *)
+(** Queued compiles that raised; the method stays interpreted for good. *)
 
 val compile_stall_cycles : counter
-(** Mutator cycles stalled in synchronous compilation. Async and replay
-    modes never charge it; [cycles + compile_stall_cycles] is a mode's
+(** Mutator cycles stalled in synchronous compilation. Replay mode never
+    charges it; [cycles + compile_stall_cycles] is a mode's
     time-to-steady-state. *)
 
 val serve_requests : counter

@@ -1,7 +1,7 @@
 (* Multi-tenant request server on OCaml 5 domains.
 
    N worker domains serve MJ request handlers over per-tenant VM
-   instances, backed by the sharded {!Shared_cache} and one background
+   instances, backed by the sharded {!Shared_cache} and one
    {!Pea_vm.Compile_queue} serving every tenant. The design invariant —
    the one "Correctness of Speculative Optimizations with Dynamic
    Deoptimization" frames — is that one tenant's deopt/invalidation storm
@@ -19,7 +19,7 @@
         shared (app, method) epoch and drop the cache entry, and the
         tenant's fired deopt sites merge into the app's shared blacklist;
      2. install — compile tasks whose deadline (in rounds) arrived are
-        resolved; a task whose enqueue-time epoch no longer matches is
+        compiled; a task whose enqueue-time epoch no longer matches is
         rejected ([cache_epoch_rejects]) and requeued against fresh
         snapshots, never installed;
      3. quarantine — a tenant that storm-pinned a method (or whose
@@ -31,7 +31,7 @@
 
    Replay mode runs the same schedule single-threaded; threaded mode runs
    each round's tenants on [Domain]s (statically assigned: tenant id mod
-   workers) with the compiler pipeline on real domains too. Both modes
+   workers). Both modes compile at the barrier, on the coordinator, and
    make exactly the same model decisions, so every deterministic counter
    is bit-for-bit identical — threaded mode's only divergence is
    wall-clock, which is the point of the scaling benchmark. *)
@@ -214,10 +214,7 @@ let create ?(config = default_config) (script : script) : t =
       apps;
       tenants;
       cache;
-      queue =
-        Compile_queue.create
-          ~threaded:(match config.sv_mode with Threaded _ -> true | Replay -> false)
-          ~cap:config.sv_queue_cap ~max_domains:config.sv_jit.Jit.compile_domains;
+      queue = Compile_queue.create ~cap:config.sv_queue_cap;
       meta = Hashtbl.create 16;
       failed = Hashtbl.create 8;
       stats = Stats.create ();

@@ -1,4 +1,5 @@
-(* Bounded background-compilation queue (the Async/Replay compile modes).
+(* Bounded deadline queue behind the Replay compile mode and the serving
+   layer's shared compile queue.
 
    Tasks are keyed by (mth_id, osr_bci option) and deduplicated: the
    stream of "this is hot" requests the interpreter produces between the
@@ -6,24 +7,12 @@
    bounded; the VM turns a refused request into drop-and-reprofile
    backpressure (resetting the hotness counter that fired it).
 
-   Determinism contract: a task's install point is its *deadline* —
-   enqueue cycles + Cost.compile_latency — on the injected VM clock, in
-   both modes. Replay compiles on the mutator when the deadline is
-   reached; Async starts the real compile immediately on a compiler
-   domain and the mutator joins it at the deadline. Either way every
-   queue decision (enqueue, dedup, drop, install, stale-discard) happens
-   at the same deterministic cycle, so Async and Replay agree bit-for-bit
-   on all model counters, and Async's only divergence is wall-clock: the
-   compile overlapped with interpretation instead of stalling it.
-
-   Thread-safety: the compile thunk closes over snapshots owned by the
-   task (profile copy, blacklist copy) — a compiler domain never touches
-   live VM state. Domain.spawn/Domain.join are the only synchronization;
-   spawn publishes the snapshots to the worker, join publishes the
-   compiled code back to the mutator. Workers run under Trace.suppress so
-   their events cannot interleave with the mutator's. *)
-
-module Trace = Pea_obs.Trace
+   Determinism contract: a task resolves at its *deadline* — enqueue time
+   + latency on the caller's clock (VM cycles, or serving rounds). The
+   queue compiles a due task on the caller, from the snapshots the task
+   took at enqueue (profile copy, blacklist copy), so every queue
+   decision (enqueue, dedup, drop, install, stale-discard) happens at
+   the same deterministic point on every run. *)
 
 type key = int * int option * bool
 (* (mth_id, osr loop-header bci option, speculative-inlining bit). The
@@ -37,47 +26,38 @@ type outcome =
 type task = {
   t_key : key;
   t_epoch : int; (* the method's invalidation epoch at enqueue *)
-  t_enqueued_at : int; (* VM cycles at enqueue *)
-  t_deadline : int; (* t_enqueued_at + Cost.compile_latency *)
-  t_compile : unit -> Jit.compiled; (* closed over snapshots, domain-safe *)
+  t_enqueued_at : int; (* caller clock at enqueue *)
+  t_deadline : int; (* t_enqueued_at + the modeled compile latency *)
+  t_compile : unit -> Jit.compiled; (* closed over enqueue-time snapshots *)
 }
 
 (* Test-only fault injection: raised exceptions surface as [Failed] and
    must leave the VM interpreting the method, never crashed or wedged. *)
 let test_hook : (key -> unit) ref = ref (fun _ -> ())
 
-type runner =
-  | Not_started (* replay; or async waiting for a free compiler domain *)
-  | Running of outcome Domain.t
-
-type entry = {
-  en_task : task;
-  mutable en_runner : runner;
-}
-
 type t = {
   cap : int;
-  max_domains : int;
-  threaded : bool; (* Async: spawn compiler domains; Replay: inline *)
-  mutable inflight : entry list; (* enqueue order, oldest first; |..| <= cap *)
-  mutable running : int; (* spawned, not yet joined *)
+  mutable inflight : task list; (* enqueue order, oldest first; |..| <= cap *)
 }
 
-let create ~threaded ~cap ~max_domains =
+let create ~cap =
   if cap <= 0 then invalid_arg "Compile_queue.create: cap must be positive";
-  if threaded && max_domains <= 0 then
-    invalid_arg "Compile_queue.create: max_domains must be positive";
-  { cap; max_domains; threaded; inflight = []; running = 0 }
+  { cap; inflight = [] }
 
 let depth q = List.length q.inflight
 
 let is_full q = depth q >= q.cap
 
-let mem q key = List.exists (fun e -> e.en_task.t_key = key) q.inflight
+let mem q key = List.exists (fun t -> t.t_key = key) q.inflight
 
 let has_inflight q = q.inflight <> []
 
-let run_task task =
+let enqueue q task =
+  if mem q task.t_key then invalid_arg "Compile_queue.enqueue: duplicate key";
+  if is_full q then invalid_arg "Compile_queue.enqueue: full";
+  q.inflight <- q.inflight @ [ task ]
+
+let run task =
   match
     !test_hook task.t_key;
     task.t_compile ()
@@ -85,49 +65,12 @@ let run_task task =
   | code -> Done code
   | exception e -> Failed (Printexc.to_string e)
 
-(* Start queued tasks on compiler domains while slots are free, oldest
-   first. Spawn timing only affects wall clock, never the model. *)
-let fill_domains q =
-  if q.threaded then
-    List.iter
-      (fun e ->
-        match e.en_runner with
-        | Running _ -> ()
-        | Not_started ->
-            if q.running < q.max_domains then begin
-              let task = e.en_task in
-              e.en_runner <- Running (Domain.spawn (fun () -> Trace.suppress (fun () -> run_task task)));
-              q.running <- q.running + 1
-            end)
-      q.inflight
-
-let enqueue q task =
-  if mem q task.t_key then invalid_arg "Compile_queue.enqueue: duplicate key";
-  if is_full q then invalid_arg "Compile_queue.enqueue: full";
-  q.inflight <- q.inflight @ [ { en_task = task; en_runner = Not_started } ];
-  fill_domains q
-
-(* Wait for one entry's outcome. Replay compiles here, on the mutator, at
-   the deterministic deadline — so compile-internal trace spans appear in
-   replay traces at the deadline cycle. A deadline can also arrive before
-   an async task ever got a domain slot (cap > domains); compiling inline
-   then is equivalent: the model already charged the full latency. *)
-let finish q e =
-  match e.en_runner with
-  | Running d ->
-      let outcome = Domain.join d in
-      q.running <- q.running - 1;
-      outcome
-  | Not_started -> if q.threaded then Trace.suppress (fun () -> run_task e.en_task) else run_task e.en_task
-
-(* [due q ~now] removes and resolves every task whose deadline has been
-   reached, in enqueue order. *)
+(* Due tasks compile here, on the caller, so compile-internal trace spans
+   appear at the deadline. *)
 let due q ~now =
   if q.inflight = [] then []
   else begin
-    let ready, rest = List.partition (fun e -> e.en_task.t_deadline <= now) q.inflight in
+    let ready, rest = List.partition (fun t -> t.t_deadline <= now) q.inflight in
     q.inflight <- rest;
-    let results = List.map (fun e -> (e.en_task, finish q e)) ready in
-    fill_domains q;
-    results
+    List.map (fun t -> (t, run t)) ready
   end

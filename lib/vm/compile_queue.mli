@@ -1,19 +1,14 @@
-(** Bounded background-compilation queue backing the [Async] and [Replay]
-    compile modes (see {!Jit.compile_mode}).
+(** Bounded deadline queue behind the [Replay] compile mode (see
+    {!Jit.compile_mode}) and the serving layer's shared compile queue.
 
     Tasks are keyed by [(mth_id, osr_bci option)] and never duplicated in
     flight; the queue is bounded (the VM turns refusals into
     drop-and-reprofile backpressure). A task resolves at its {e deadline}
-    — enqueue cycles + {!Pea_rt.Cost.compile_latency} — on the injected
-    VM clock in both modes: Replay compiles on the mutator when the
-    deadline is polled, Async compiles eagerly on OCaml 5 compiler
-    domains and joins at the deadline. Every queue decision therefore
-    lands at the same deterministic cycle in both modes; Async's gain is
-    pure wall-clock overlap.
-
-    Compile thunks must close only over task-owned snapshots (profile
-    copy, blacklist copy): a compiler domain never reads live VM state.
-    Workers run under {!Pea_obs.Trace.suppress}. *)
+    on the caller's clock — for the VM, enqueue cycles +
+    {!Pea_rt.Cost.compile_latency}. {!due} compiles each due task on the
+    caller, from the snapshots the task took at enqueue (profile copy,
+    blacklist copy), so every queue decision lands at the same
+    deterministic point on every run. *)
 
 type key = int * int option * bool
 (** [(mth_id, osr loop-header bci option, speculative-inlining bit)]. The
@@ -28,21 +23,19 @@ type outcome =
 type task = {
   t_key : key;
   t_epoch : int; (* the method's invalidation epoch at enqueue *)
-  t_enqueued_at : int; (* VM cycles at enqueue *)
-  t_deadline : int; (* t_enqueued_at + Cost.compile_latency *)
+  t_enqueued_at : int; (* caller clock at enqueue *)
+  t_deadline : int; (* t_enqueued_at + the modeled compile latency *)
   t_compile : unit -> Jit.compiled;
 }
 
 val test_hook : (key -> unit) ref
-(** Test-only fault injection, called (on the compiling domain) before
-    each compile; a raised exception surfaces as {!Failed}. Default is a
-    no-op. *)
+(** Test-only fault injection, called before each compile; a raised
+    exception surfaces as {!Failed}. Default is a no-op. *)
 
 type t
 
-(** [create ~threaded ~cap ~max_domains] — [threaded] selects Async
-    (compiler domains) over Replay (inline at the deadline). *)
-val create : threaded:bool -> cap:int -> max_domains:int -> t
+(** [create ~cap] — an empty queue holding at most [cap] tasks. *)
+val create : cap:int -> t
 
 val depth : t -> int
 
@@ -54,13 +47,12 @@ val mem : t -> key -> bool
 val has_inflight : t -> bool
 
 val enqueue : t -> task -> unit
-(** Queue a task (Async: starts compiling as soon as a domain is free).
+(** Queue a task.
     @raise Invalid_argument on a duplicate key or a full queue — callers
     must check {!mem} and {!is_full} first and apply their own dedup /
     backpressure policy. *)
 
 val due : t -> now:int -> (task * outcome) list
-(** [due q ~now] removes and resolves every task whose deadline has been
-    reached, in enqueue order — blocking on the compiler domain (Async)
-    or compiling inline (Replay) as needed. Pass [now:max_int] to drain
-    the queue completely. *)
+(** [due q ~now] removes every task whose deadline has been reached and
+    compiles it, in enqueue order. Pass [now:max_int] to drain the queue
+    completely. *)

@@ -23,19 +23,16 @@ type opt_level =
 
 let opt_string = function O_none -> "none" | O_ea -> "ea" | O_pea -> "pea"
 
-(* When and where the pipeline runs relative to the mutator. All three
-   modes install code at the same modeled deadline (enqueue cycles +
-   Cost.compile_latency), so async and replay agree bit-for-bit on every
-   deterministic counter; async additionally overlaps the real compile
-   with interpretation on compiler domains (a wall-clock win), while
-   replay runs the identical queue discipline single-threaded so its
-   decisions can be goldened. *)
+(* When the pipeline runs relative to the mutator. Both modes charge the
+   same modeled latency (Cost.compile_latency): Sync stalls the mutator
+   for it at the threshold, Replay queues the compile and installs the
+   code at the deadline (enqueue cycles + latency) on the VM clock, so
+   its queue decisions are deterministic and can be goldened. *)
 type compile_mode =
   | Sync (* compile inline at the threshold, stalling the mutator *)
-  | Async (* bounded queue + compiler domains, install at the deadline *)
-  | Replay (* async's queue discipline, single-threaded, deterministic *)
+  | Replay (* bounded queue, compiled and installed at the deadline *)
 
-let mode_string = function Sync -> "sync" | Async -> "async" | Replay -> "replay"
+let mode_string = function Sync -> "sync" | Replay -> "replay"
 
 type config = {
   opt : opt_level;
@@ -65,7 +62,6 @@ type config = {
          compiling it and pins it to the interpreter *)
   compile_mode : compile_mode;
   compile_queue_cap : int; (* queued tasks beyond which requests are dropped *)
-  compile_domains : int; (* compiler domains running concurrently (Async) *)
 }
 
 let default_config =
@@ -89,7 +85,6 @@ let default_config =
     deopt_storm_limit = 5;
     compile_mode = Sync;
     compile_queue_cap = 8;
-    compile_domains = 2;
   }
 
 type compiled = {

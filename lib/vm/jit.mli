@@ -21,17 +21,15 @@ type opt_level =
   | O_ea
   | O_pea
 
-(** When and where the pipeline runs relative to the mutator. All three
-    modes install code at the same modeled deadline (enqueue cycles +
-    {!Pea_rt.Cost.compile_latency}): [Async] and [Replay] agree
-    bit-for-bit on every deterministic counter, and [Async] additionally
-    overlaps the real compilation with interpretation on OCaml 5 compiler
-    domains. [Sync] compiles inline at the threshold — today's behaviour,
-    charging the latency to the mutator as
-    {!Pea_rt.Stats.compile_stall_cycles}. *)
+(** When the pipeline runs relative to the mutator. Both modes charge the
+    same modeled latency ({!Pea_rt.Cost.compile_latency}). [Sync]
+    compiles inline at the threshold and charges the latency to the
+    mutator as {!Pea_rt.Stats.compile_stall_cycles}. [Replay] queues the
+    compile ({!Compile_queue}) and keeps interpreting; the code is
+    compiled and installed at the deadline (enqueue cycles + latency) on
+    the VM clock, so every queue decision is deterministic. *)
 type compile_mode =
   | Sync
-  | Async
   | Replay
 
 val mode_string : compile_mode -> string
@@ -76,13 +74,11 @@ type config = {
   compile_queue_cap : int;
       (* queued background tasks beyond which new requests are dropped
          with their hotness counter reset (drop-and-reprofile) *)
-  compile_domains : int; (* compiler domains running concurrently (Async) *)
 }
 
 (** PEA on, everything enabled, threshold 10, OSR after 100
     back edges, interpreter-pinning after 5 invalidations, synchronous
-    compilation (queue cap 8 and 2 compiler domains once switched to
-    [Async]/[Replay]). *)
+    compilation (queue cap 8 once switched to [Replay]). *)
 val default_config : config
 
 type compiled = {
@@ -93,7 +89,7 @@ type compiled = {
   spec_blacklist_skips : int; (* speculation sites vetoed by the blacklist *)
   mutable closure : Closure_compile.code option;
       (* built lazily by the VM: at first execution under [Sync], at
-         install under the background modes *)
+         install under [Replay] *)
 }
 
 (** [compile ?summaries ?blacklist config program profile m] runs the

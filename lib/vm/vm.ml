@@ -51,14 +51,14 @@ type t = {
   mutable summary_table : Pea_analysis.Summary.t option;
       (* whole-program escape summaries; computed lazily at the first
          compilation when [config.summaries] is set *)
-  queue : Compile_queue.t option; (* background compile queue; None in Sync *)
+  queue : Compile_queue.t option; (* Replay's compile queue; None in Sync *)
   epochs : int array;
       (* per-method invalidation epoch, bumped whenever a deopt
-         invalidates the method's code: a background compile whose
+         invalidates the method's code: a queued compile whose
          enqueue-time epoch no longer matches at install is working from
          a stale blacklist and is discarded and requeued instead *)
   compile_failed : (Compile_queue.key, unit) Hashtbl.t;
-      (* background tasks whose compile raised: the method (or OSR entry)
+      (* queued tasks whose compile raised: the method (or OSR entry)
          stays interpreted for good; never retried *)
   mutable code_source : code_source option;
   mutable interp_only : bool;
@@ -95,20 +95,31 @@ let site_blacklisted vm site = Hashtbl.mem vm.site_blacklist site
 let has_monitors (m : Classfile.rt_method) =
   Array.exists (function Classfile.Monitorenter -> true | _ -> false) m.Classfile.mth_code
 
-(* Counter bumps shared by every install path (normal entry and OSR, sync
-   and background). Compile-time quantities land on the runtime counters
-   only when the code is actually installed, so async/replay stay
-   deterministic: stale-discarded compiles never count. *)
-let record_graph_stats vm (code : Jit.compiled) =
+let tier_name = function None -> "jit" | Some _ -> "osr"
+
+(* The pipeline for a normal entry ([osr_bci = None]) or the OSR entry at
+   one loop header. *)
+let jit_compile ?summaries ~blacklist config program profile m = function
+  | None -> Jit.compile ?summaries ~blacklist config program profile m
+  | Some header -> Jit.compile_osr ?summaries ~blacklist config program profile m ~entry_bci:header
+
+(* The one install path: Sync's inline compile, Replay's queued compile at
+   its deadline and shared-cache adoption all end here. Compile-time
+   quantities land on the runtime counters only when code is installed,
+   so stale-discarded compiles never count. *)
+let install vm (m : Classfile.rt_method) osr_bci (code : Jit.compiled) =
   let stats = vm.env.Interp.stats in
+  (match osr_bci with
+  | None ->
+      Hashtbl.replace vm.compiled m.Classfile.mth_id code;
+      Stats.incr stats Stats.compiled_methods
+  | Some header ->
+      Hashtbl.replace vm.osr_compiled (m.Classfile.mth_id, header) code;
+      Stats.incr stats Stats.osr_compiles);
   Stats.observe stats Stats.compiled_graph_nodes (Pea_ir.Graph.n_nodes code.Jit.graph);
   Stats.add stats Stats.speculative_inlines code.Jit.spec_inlines;
   Stats.add stats Stats.inline_blacklist_skips code.Jit.spec_blacklist_skips;
   Option.iter (accumulate_jit_stats vm.jit_stats) code.Jit.pea_stats
-
-let record_compiled vm (code : Jit.compiled) =
-  Stats.incr vm.env.Interp.stats Stats.compiled_methods;
-  record_graph_stats vm code
 
 (* Safepoints: the queue is polled at method entry and at loop back
    edges — the same program points HotSpot uses — so finished background
@@ -133,45 +144,49 @@ let rec invoke vm (m : Classfile.rt_method) args =
                  takes the request; the VM never compiles on its own *)
               match cs.cs_lookup m with
               | Some code ->
-                  Hashtbl.replace vm.compiled m.Classfile.mth_id code;
-                  record_compiled vm code;
+                  install vm m None code;
                   run_compiled vm m code args
               | None ->
                   cs.cs_request m;
                   Interp.run vm.env m args)
           | None -> (
-              match vm.queue with
-              | None -> run_compiled vm m (compile_method vm m) args
-              | Some q ->
-                  (* keep interpreting while the background pipeline works *)
-                  request_compile vm q m None;
-                  Interp.run vm.env m args)
+              match want_code vm m None with
+              | Some code -> run_compiled vm m code args
+              | None -> Interp.run vm.env m args)
         else Interp.run vm.env m args
 
-and compile_method vm (m : Classfile.rt_method) =
-  let stats = vm.env.Interp.stats in
+(* Sync compiles now; Replay queues a request and keeps interpreting
+   while the queue works. The only place the two modes differ. *)
+and want_code vm m osr_bci =
+  match vm.queue with
+  | None -> Some (compile_now vm m osr_bci)
+  | Some q ->
+      request_compile vm q m osr_bci;
+      None
+
+and compile_now vm (m : Classfile.rt_method) osr_bci =
   let invocations = Profile.invocations vm.env.Interp.profile m in
   Log.debug (fun k ->
-      k "compiling %s (invocations=%d, blacklisted sites=%d)" (Classfile.qualified_name m)
+      k "compiling %s%s (invocations=%d, blacklisted sites=%d)" (Classfile.qualified_name m)
+        (match osr_bci with None -> "" | Some h -> Printf.sprintf " for OSR at bci %d" h)
         invocations (Hashtbl.length vm.site_blacklist));
   if Trace.enabled () then
     Trace.record
-      (Event.Tier_promote { meth = Classfile.qualified_name m; tier = "jit"; invocations });
+      (Event.Tier_promote
+         { meth = Classfile.qualified_name m; tier = tier_name osr_bci; invocations });
   let code =
-    Jit.compile ?summaries:(summaries vm) ~blacklist:(site_blacklisted vm) vm.config vm.program
-      vm.env.Interp.profile m
+    jit_compile ?summaries:(summaries vm) ~blacklist:(site_blacklisted vm) vm.config vm.program
+      vm.env.Interp.profile m osr_bci
   in
   (* synchronous compilation stalls the mutator for the modeled pipeline
-     latency; the charge lands on a dedicated counter (never [cycles], so
-     pre-existing behaviour is bit-for-bit unchanged) and is exactly what
-     the async/replay modes overlap away *)
-  Stats.add stats Stats.compile_stall_cycles
+     latency; the charge lands on a dedicated counter, never [cycles], and
+     is exactly what Replay's queue overlaps with interpretation *)
+  Stats.add vm.env.Interp.stats Stats.compile_stall_cycles
     (Cost.compile_latency ~bytecodes:(Array.length m.Classfile.mth_code));
-  Hashtbl.replace vm.compiled m.Classfile.mth_id code;
-  record_compiled vm code;
+  install vm m osr_bci code;
   code
 
-(* Ask the background pipeline for code. Every decision is deterministic:
+(* Ask the compile queue for code. Every decision is deterministic:
    dedup against the in-flight task, drop-and-reprofile when the queue is
    full, otherwise snapshot the compile inputs (profile, blacklist) on
    the mutator and queue a task whose install deadline is
@@ -197,26 +212,19 @@ and request_compile vm q (m : Classfile.rt_method) osr_bci =
     let meth = Classfile.qualified_name m in
     let invocations = Profile.invocations vm.env.Interp.profile m in
     if Trace.enabled () then
-      Trace.record
-        (Event.Tier_promote
-           { meth; tier = (match osr_bci with None -> "jit" | Some _ -> "osr"); invocations });
+      Trace.record (Event.Tier_promote { meth; tier = tier_name osr_bci; invocations });
     Log.debug (fun k ->
         k "queueing %s compile of %s (invocations=%d, queue depth=%d)"
           (match osr_bci with None -> "background" | Some h -> Printf.sprintf "background OSR@%d" h)
           meth invocations (Compile_queue.depth q));
-    (* snapshots taken on the mutator: the compiler domain must never
-       read tables the interpreter keeps mutating *)
+    (* the compile runs at the deadline from these enqueue-time
+       snapshots, never from the tables the interpreter keeps mutating *)
     let summaries = summaries vm in
     let profile = Profile.copy vm.env.Interp.profile in
     let blacklist_copy = Hashtbl.copy vm.site_blacklist in
     let blacklist site = Hashtbl.mem blacklist_copy site in
     let config = vm.config and program = vm.program in
-    let compile =
-      match osr_bci with
-      | None -> fun () -> Jit.compile ?summaries ~blacklist config program profile m
-      | Some header ->
-          fun () -> Jit.compile_osr ?summaries ~blacklist config program profile m ~entry_bci:header
-    in
+    let compile () = jit_compile ?summaries ~blacklist config program profile m osr_bci in
     let now = Stats.get stats Stats.cycles in
     let latency = Cost.compile_latency ~bytecodes:(Array.length m.Classfile.mth_code) in
     let task =
@@ -243,7 +251,7 @@ and poll_queue vm q =
   | [] -> ()
   | finished -> List.iter (fun (task, outcome) -> install_outcome vm q task outcome) finished
 
-(* Install finished background code — or refuse to. The epoch check makes
+(* Install code the queue compiled — or refuse to. The epoch check makes
    installation atomic with respect to deopt-driven invalidation: code
    compiled against a blacklist that a deopt has since extended is
    discarded (and requeued with fresh snapshots) rather than installed
@@ -258,7 +266,7 @@ and install_outcome vm q (task : Compile_queue.task) outcome =
   | Compile_queue.Failed error ->
       Hashtbl.replace vm.compile_failed task.Compile_queue.t_key ();
       Stats.incr stats Stats.compile_failures;
-      Log.debug (fun k -> k "background compile of %s failed: %s" meth error);
+      Log.debug (fun k -> k "queued compile of %s failed: %s" meth error);
       if Trace.enabled () then Trace.record (Event.Compile_failed { meth; osr_bci; error });
       Flight.trigger ~reason:"compile-failure"
   | Compile_queue.Done code ->
@@ -275,14 +283,7 @@ and install_outcome vm q (task : Compile_queue.task) outcome =
         if not (Hashtbl.mem vm.pinned mid) then request_compile vm q m osr_bci
       end
       else begin
-        (match osr_bci with
-        | None ->
-            Hashtbl.replace vm.compiled mid code;
-            record_compiled vm code
-        | Some header ->
-            Hashtbl.replace vm.osr_compiled (mid, header) code;
-            Stats.incr stats Stats.osr_compiles;
-            record_graph_stats vm code);
+        install vm m osr_bci code;
         Stats.incr stats Stats.compile_installs;
         let latency = task.Compile_queue.t_deadline - task.Compile_queue.t_enqueued_at in
         Stats.observe stats Stats.compile_latency latency;
@@ -290,8 +291,8 @@ and install_outcome vm q (task : Compile_queue.task) outcome =
           Trace.record
             (Event.Compile_install
                { meth; osr_bci; epoch = task.Compile_queue.t_epoch; latency });
-        (* the background pipeline delivers ready-to-run code: build the
-           closure translation at install instead of on first execution *)
+        (* the queue delivers ready-to-run code: build the closure
+           translation at install instead of on first execution *)
         ignore (ensure_closure vm m code)
       end
 
@@ -364,8 +365,8 @@ and handle_deopt vm (m : Classfile.rt_method) ~reason ?oracle (d : Pea_ir.Graph.
       vm.osr_compiled []
   in
   List.iter (Hashtbl.remove vm.osr_compiled) osr_keys;
-  (* moving the epoch dooms every in-flight background compile of this
-     method: whatever it speculated is now behind the blacklist *)
+  (* moving the epoch dooms every queued compile of this method:
+     whatever it speculated is now behind the blacklist *)
   vm.epochs.(m.Classfile.mth_id) <- vm.epochs.(m.Classfile.mth_id) + 1;
   let n = 1 + Option.value (Hashtbl.find_opt vm.invalidations m.Classfile.mth_id) ~default:0 in
   Hashtbl.replace vm.invalidations m.Classfile.mth_id n;
@@ -459,7 +460,7 @@ and ensure_closure vm m (code : Jit.compiled) =
   | Some cc -> cc
   | None ->
       (* lazy under Sync: built on the method's first compiled
-         execution. The background modes call this at install time. *)
+         execution. Replay calls this at install time. *)
       if Trace.enabled () then
         Trace.record
           (Event.Tier_promote
@@ -495,72 +496,32 @@ and on_back_edge vm (m : Classfile.rt_method) ~header ~locals =
     Interp.No_osr
   end
   else
-    match vm.queue with
-    | Some q -> (
-        (* background modes: request the OSR compile and keep looping in
-           the interpreter; a later back edge enters the code once the
-           deadline poll above has installed it *)
-        match Hashtbl.find_opt vm.osr_compiled key with
-        | None ->
-            request_compile vm q m (Some header);
-            Interp.No_osr
-        | Some code ->
-            (* a hot loop makes the whole method hot: request normal-entry
-               code too instead of waiting for the invocation counter *)
-            if
-              (not (Hashtbl.mem vm.compiled m.Classfile.mth_id))
-              && not (Classfile.uses_exceptions m)
-            then request_compile vm q m None;
-            Interp.Osr_return (run_osr vm m code locals))
-    | None -> (
-        let code =
-          match Hashtbl.find_opt vm.osr_compiled key with
-          | Some code -> Some code
-          | None -> (
-              match compile_osr_method vm m ~header with
-              | code -> Some code
-              | exception Pea_ir.Builder.Build_error msg ->
-                  (* e.g. the loop nest is irreducible when entered at this
-                     header; the enclosing loop's header will still OSR *)
-                  Log.debug (fun k ->
-                      k "OSR at %s bci %d not possible: %s" (Classfile.qualified_name m) header msg);
-                  Hashtbl.replace vm.osr_failed key ();
-                  None)
-        in
-        match code with
-        | None -> Interp.No_osr
-        | Some code ->
-            (* a hot loop makes the whole method hot: give it normal-entry
-               code now instead of waiting for the invocation counter *)
-            if
-              (not (Hashtbl.mem vm.compiled m.Classfile.mth_id))
-              && not (Classfile.uses_exceptions m)
-            then ignore (compile_method vm m);
-            Interp.Osr_return (run_osr vm m code locals))
-
-and compile_osr_method vm (m : Classfile.rt_method) ~header =
-  Log.debug (fun k ->
-      k "OSR-compiling %s at loop header bci %d (back edges=%d)" (Classfile.qualified_name m)
-        header
-        (Profile.back_edge_count vm.env.Interp.profile m ~header));
-  if Trace.enabled () then
-    Trace.record
-      (Event.Tier_promote
-         {
-           meth = Classfile.qualified_name m;
-           tier = "osr";
-           invocations = Profile.invocations vm.env.Interp.profile m;
-         });
-  let code =
-    Jit.compile_osr ?summaries:(summaries vm) ~blacklist:(site_blacklisted vm) vm.config
-      vm.program vm.env.Interp.profile m ~entry_bci:header
-  in
-  Stats.add vm.env.Interp.stats Stats.compile_stall_cycles
-    (Cost.compile_latency ~bytecodes:(Array.length m.Classfile.mth_code));
-  Hashtbl.replace vm.osr_compiled (m.Classfile.mth_id, header) code;
-  Stats.incr vm.env.Interp.stats Stats.osr_compiles;
-  record_graph_stats vm code;
-  code
+    let code =
+      match Hashtbl.find_opt vm.osr_compiled key with
+      | Some _ as code -> code
+      | None -> (
+          (* Replay keeps looping in the interpreter; a later back edge
+             enters the code once the deadline poll above installed it *)
+          match want_code vm m (Some header) with
+          | code -> code
+          | exception Pea_ir.Builder.Build_error msg ->
+              (* e.g. the loop nest is irreducible when entered at this
+                 header; the enclosing loop's header will still OSR *)
+              Log.debug (fun k ->
+                  k "OSR at %s bci %d not possible: %s" (Classfile.qualified_name m) header msg);
+              Hashtbl.replace vm.osr_failed key ();
+              None)
+    in
+    match code with
+    | None -> Interp.No_osr
+    | Some code ->
+        (* a hot loop makes the whole method hot: ask for normal-entry
+           code now instead of waiting for the invocation counter *)
+        if
+          (not (Hashtbl.mem vm.compiled m.Classfile.mth_id))
+          && not (Classfile.uses_exceptions m)
+        then ignore (want_code vm m None);
+        Interp.Osr_return (run_osr vm m code locals)
 
 let create ?(config = Jit.default_config) (program : Link.program) : t =
   (* catch frontend/compiler bugs at VM-creation time, like the JVM's
@@ -610,14 +571,7 @@ let create ?(config = Jit.default_config) (program : Link.program) : t =
         queue =
           (match config.Jit.compile_mode with
           | Jit.Sync -> None
-          | Jit.Replay ->
-              Some
-                (Compile_queue.create ~threaded:false ~cap:config.Jit.compile_queue_cap
-                   ~max_domains:config.Jit.compile_domains)
-          | Jit.Async ->
-              Some
-                (Compile_queue.create ~threaded:true ~cap:config.Jit.compile_queue_cap
-                   ~max_domains:config.Jit.compile_domains));
+          | Jit.Replay -> Some (Compile_queue.create ~cap:config.Jit.compile_queue_cap));
         epochs = Array.make (max (Array.length program.Link.methods) 1) 0;
         compile_failed = Hashtbl.create 8;
         code_source = None;
@@ -665,7 +619,7 @@ let pending_compiles vm =
 let compile_failed vm (m : Classfile.rt_method) =
   Hashtbl.mem vm.compile_failed (m.Classfile.mth_id, None, vm.config.Jit.inlining)
 
-(* Drain the background queue: resolve every in-flight task as if its
+(* Drain the compile queue: resolve every in-flight task as if its
    deadline had passed, installing (or stale-discarding and recompiling)
    until nothing is left. The VM clock does not advance — quiescing is a
    test/benchmark convenience, not a modeled operation. *)

@@ -1,20 +1,19 @@
-(* Background compilation (the Async/Replay compile modes).
+(* Background compilation (the Replay compile mode).
 
    - Replay goldens: the queue-decision stream (enqueue/install/
      stale/drop/failed) for a fixed scenario is pinned, and the full
-     trace is byte-identical across runs — replay is the deterministic,
-     goldens-testable twin of async.
-   - Robustness: a compiler-domain exception (injected through
-     [Compile_queue.test_hook]) marks the method compile-failed, the VM
-     keeps interpreting it, the queue keeps flowing, and the failure
-     surfaces as a metric and a trace event.
-   - Stress: interleaved hot methods and forced deopt storms under real
-     Async — no lost installs, no double-installs (the epoch check),
-     results identical to Sync, counters identical to Replay.
-   - Differential properties over the shared corpus through
-     [Test_support.run_all_configs]: every opt × OSR × compile-mode cell
-     agrees with the interpreter, and Async agrees with Replay on every
-     deterministic counter.
+     trace is byte-identical across runs.
+   - Robustness: a compiler exception (injected through
+     [Compile_queue.test_hook]) marks the method — or, for an OSR
+     compile, just that loop entry — compile-failed, the VM keeps
+     interpreting it, the queue keeps flowing, and the failure surfaces
+     as a metric and a trace event.
+   - Stress: interleaved hot methods and forced deopt storms under
+     Replay — no lost installs, no double-installs (the epoch check),
+     results identical to Sync, counters identical across runs.
+   - Differential properties over the shared corpus: every opt × OSR ×
+     compile-mode cell of [Test_support.run_all_configs] agrees with the
+     interpreter, and two Replay runs agree on every counter.
 
    Configs are built explicitly where the test compares compile modes
    against each other; [Test_env.apply] would collapse the axis. *)
@@ -125,19 +124,18 @@ let test_sync_untouched_by_queue_counters () =
   Alcotest.(check int) "no enqueues" 0 r.Vm.stats.Stats.s_compile_enqueues;
   Alcotest.(check int) "no installs" 0 r.Vm.stats.Stats.s_compile_installs;
   Alcotest.(check bool) "stall cycles charged" true (r.Vm.stats.Stats.s_compile_stall_cycles > 0);
-  (* time-to-steady-state = cycles + stall; replay (= async on the model
-     clock) must win whenever compiled code beats interpreting through
-     the latency window *)
+  (* time-to-steady-state = cycles + stall; replay must win whenever
+     compiled code beats interpreting through the latency window *)
   let rr, _, _ = run_golden () in
   Alcotest.(check string) "same result"
     (Test_support.string_of_result r.Vm.return_value)
     (Test_support.string_of_result rr.Vm.return_value);
-  Alcotest.(check bool) "async/replay time-to-steady beats sync" true
+  Alcotest.(check bool) "replay time-to-steady beats sync" true
     (rr.Vm.stats.Stats.s_cycles + rr.Vm.stats.Stats.s_compile_stall_cycles
     < r.Vm.stats.Stats.s_cycles + r.Vm.stats.Stats.s_compile_stall_cycles)
 
 (* ------------------------------------------------------------------ *)
-(* Robustness: a compiler-domain exception                             *)
+(* Robustness: a compiler exception                                   *)
 (* ------------------------------------------------------------------ *)
 
 let robust_src =
@@ -150,10 +148,10 @@ let robust_src =
    interpreter (correct results forever), the failure must surface as a
    metric and a trace event, and the queue must keep serving other
    methods — the VM never crashes or wedges. *)
-let check_compile_failure mode () =
+let test_compile_failure_replay () =
   let program = Link.compile_source ~require_main:false robust_src in
   let config =
-    { Jit.default_config with Jit.compile_threshold = 3; osr = false; compile_mode = mode }
+    { Jit.default_config with Jit.compile_threshold = 3; osr = false; compile_mode = Jit.Replay }
   in
   let vm = Vm.create ~config program in
   let f = Link.find_method program "C" "f" in
@@ -189,12 +187,65 @@ let check_compile_failure mode () =
           Alcotest.(check int) "f interpreted afterwards" 41 (as_int (Vm.invoke vm f [ vint 20 ]));
           Alcotest.(check int) "g compiled afterwards" 59 (as_int (Vm.invoke vm g [ vint 20 ]))))
 
-let test_compile_failure_replay () = check_compile_failure Jit.Replay ()
+let robust_loop_src =
+  "class C {\n\
+  \  static int sum(int n) {\n\
+  \    int acc = 0;\n\
+  \    int i = 0;\n\
+  \    while (i < n) { acc = acc + i; i = i + 1; }\n\
+  \    return acc;\n\
+  \  }\n\
+   }"
 
-let test_compile_failure_async () = check_compile_failure Jit.Async ()
+(* The same fault on the OSR entry only: the failure pins the
+   (method, loop header) key alone, so the loop keeps running in the
+   interpreter while the normal-entry compile of the same method goes
+   through the same queue and installs. *)
+let test_compile_failure_replay_osr () =
+  let program = Link.compile_source ~require_main:false robust_loop_src in
+  let config =
+    {
+      Jit.default_config with
+      Jit.compile_threshold = 3;
+      osr = true;
+      osr_threshold = 10;
+      compile_mode = Jit.Replay;
+    }
+  in
+  let vm = Vm.create ~config program in
+  let sum = Link.find_method program "C" "sum" in
+  let fail_mid = sum.Classfile.mth_id in
+  Compile_queue.test_hook :=
+    (fun (mid, osr, _) -> if mid = fail_mid && osr <> None then failwith "injected compiler fault");
+  Fun.protect
+    ~finally:(fun () -> Compile_queue.test_hook := fun _ -> ())
+    (fun () ->
+      with_tracer (fun t ->
+          for _ = 1 to 12 do
+            Alcotest.(check int) "sum stays correct" 1225 (as_int (Vm.invoke vm sum [ vint 50 ]))
+          done;
+          Vm.quiesce vm;
+          let failed_osr =
+            List.filter_map
+              (fun e ->
+                match e.Trace.e_event with
+                | Event.Compile_failed { meth = "C.sum"; osr_bci; _ } -> Some osr_bci
+                | _ -> None)
+              (Trace.entries t)
+          in
+          Alcotest.(check int) "one OSR failure traced" 1 (List.length failed_osr);
+          Alcotest.(check bool) "the failure is keyed to a loop header" true
+            (List.for_all Option.is_some failed_osr);
+          Alcotest.(check int) "failure counted once" 1
+            (Stats.get (Vm.stats vm) Stats.compile_failures);
+          Alcotest.(check int) "no OSR code" 0 (Stats.get (Vm.stats vm) Stats.osr_compiles);
+          Alcotest.(check bool) "normal entry not marked failed" false (Vm.compile_failed vm sum);
+          Alcotest.(check bool) "normal entry installed" true (Vm.compiled_graph vm sum <> None);
+          Alcotest.(check int) "queue drained" 0 (Vm.pending_compiles vm);
+          Alcotest.(check int) "compiled afterwards" 4950 (as_int (Vm.invoke vm sum [ vint 100 ]))))
 
 (* ------------------------------------------------------------------ *)
-(* Stress: hot methods × deopt storms under real Async                 *)
+(* Stress: hot methods × deopt storms under Replay                    *)
 (* ------------------------------------------------------------------ *)
 
 (* fa/fb carry three independently-pruned cold sites each; a site fires
@@ -242,7 +293,6 @@ let stress_config mode =
     deopt_storm_limit = 2;
     compile_mode = mode;
     compile_queue_cap = 2;
-    compile_domains = 2;
   }
 
 (* A fixed op budget of interleaved calls; every 45th/60th call takes
@@ -274,20 +324,20 @@ let drive_stress ?(trace = false) mode =
   in
   if trace then with_tracer (fun t -> body (Some t)) else body None
 
-let test_stress_async () =
-  let results_a, sa, entries, vm, (fa, fc) = drive_stress ~trace:true Jit.Async in
+let test_stress_replay () =
+  let results_r, sr, entries, vm, (fa, fc) = drive_stress ~trace:true Jit.Replay in
   (* real deopt storms happened, against installed background code *)
-  Alcotest.(check bool) "deopts fired" true (sa.Stats.s_deopts >= 4);
+  Alcotest.(check bool) "deopts fired" true (sr.Stats.s_deopts >= 4);
   Alcotest.(check bool) "the storm guard pinned fa" true (Vm.interpreter_pinned vm fa);
-  Alcotest.(check bool) "installs happened" true (sa.Stats.s_compile_installs > 0);
-  Alcotest.(check bool) "backpressure exercised" true (sa.Stats.s_compile_drops > 0);
+  Alcotest.(check bool) "installs happened" true (sr.Stats.s_compile_installs > 0);
+  Alcotest.(check bool) "backpressure exercised" true (sr.Stats.s_compile_drops > 0);
   (* no lost installs: after the drain, every enqueued task is accounted
      for as exactly one of installed / stale-discarded / failed *)
   Alcotest.(check int) "queue empty" 0 (Vm.pending_compiles vm);
-  Alcotest.(check int) "enqueues all accounted" sa.Stats.s_compile_enqueues
-    (sa.Stats.s_compile_installs + sa.Stats.s_compile_stale_discards
-   + sa.Stats.s_compile_failures);
-  Alcotest.(check int) "no compile failures" 0 sa.Stats.s_compile_failures;
+  Alcotest.(check int) "enqueues all accounted" sr.Stats.s_compile_enqueues
+    (sr.Stats.s_compile_installs + sr.Stats.s_compile_stale_discards
+   + sr.Stats.s_compile_failures);
+  Alcotest.(check int) "no compile failures" 0 sr.Stats.s_compile_failures;
   (* no double-installs: the epoch check means one install per
      (key, epoch) — a duplicate would be the same code installed twice *)
   let installs =
@@ -302,14 +352,13 @@ let test_stress_async () =
     (List.length (List.sort_uniq compare installs));
   (* the storm-free method ended up compiled *)
   Alcotest.(check bool) "fc installed" true (Vm.compiled_graph vm fc <> None);
-  (* semantics: identical call-by-call results in all three modes *)
+  (* semantics: identical call-by-call results in both modes *)
   let results_s, ss, _, _, _ = drive_stress Jit.Sync in
-  let results_r, sr, _, _, _ = drive_stress Jit.Replay in
-  Alcotest.(check (list int)) "async results = sync results" results_s results_a;
   Alcotest.(check (list int)) "replay results = sync results" results_s results_r;
-  (* determinism: async and replay agree bit-for-bit on the whole
-     counter surface — replay really is async on the model clock *)
-  Alcotest.(check bool) "async counters = replay counters" true (sa = sr);
+  (* determinism: a second (untraced) replay run agrees bit-for-bit on
+     the whole counter surface *)
+  let _, sr2, _, _, _ = drive_stress Jit.Replay in
+  Alcotest.(check bool) "replay counters identical across runs" true (sr = sr2);
   (* and sync saw none of the queue *)
   Alcotest.(check int) "sync never enqueues" 0 ss.Stats.s_compile_enqueues
 
@@ -355,9 +404,10 @@ let prop_matrix_differential =
       let cells = Test_support.run_all_configs ~iterations:iters src in
       List.for_all (fun (_, r) -> Test_support.outcome r = reference) cells)
 
-(* Async is replay plus wall-clock overlap: identical outcome and an
-   identical counter snapshot, domains or not. *)
-let prop_async_equals_replay =
+(* Replay is a function of the program and the configuration: two runs
+   agree on the outcome and on the whole counter snapshot, queue
+   counters included. *)
+let prop_replay_deterministic =
   let iters = 6 in
   let module G = QCheck2.Gen in
   let gen =
@@ -367,13 +417,13 @@ let prop_async_equals_replay =
       (G.oneofl [ Jit.O_none; Jit.O_ea; Jit.O_pea ])
       G.bool
   in
-  QCheck2.Test.make ~name:"async = replay on results and every counter"
+  QCheck2.Test.make ~name:"replay runs agree on results and every counter"
     ~count:(Test_env.qcheck_count 12)
     ~print:(fun (name, _, opt, osr) ->
       Printf.sprintf "%s opt=%s osr=%b" name (Test_support.opt_name opt) osr)
     gen
     (fun (_, src, opt, osr) ->
-      let run mode =
+      let run () =
         let program = Link.compile_source src in
         let config =
           {
@@ -382,7 +432,7 @@ let prop_async_equals_replay =
             osr;
             compile_threshold = 4;
             osr_threshold = 3;
-            compile_mode = mode;
+            compile_mode = Jit.Replay;
           }
         in
         let vm = Vm.create ~config program in
@@ -390,9 +440,7 @@ let prop_async_equals_replay =
         Vm.quiesce vm;
         (Test_support.outcome r, r.Vm.stats)
       in
-      let oa, sa = run Jit.Async in
-      let orr, sr = run Jit.Replay in
-      oa = orr && sa = sr)
+      run () = run ())
 
 let () =
   Alcotest.run "async"
@@ -402,23 +450,24 @@ let () =
           Alcotest.test_case "queue decision stream" `Quick test_replay_queue_golden;
           Alcotest.test_case "trace byte-identical across runs" `Quick
             test_replay_trace_deterministic;
-          Alcotest.test_case "sync untouched, async wins time-to-steady" `Quick
+          Alcotest.test_case "sync untouched, replay wins time-to-steady" `Quick
             test_sync_untouched_by_queue_counters;
         ] );
       ( "robustness",
         [
           Alcotest.test_case "compiler fault (replay)" `Quick test_compile_failure_replay;
-          Alcotest.test_case "compiler fault (async domain)" `Quick test_compile_failure_async;
+          Alcotest.test_case "compiler fault (replay, OSR entry)" `Quick
+            test_compile_failure_replay_osr;
         ] );
       ( "stress",
         [
-          Alcotest.test_case "hot methods x deopt storms" `Quick test_stress_async;
+          Alcotest.test_case "hot methods x deopt storms" `Quick test_stress_replay;
           Alcotest.test_case "stale discard on racing deopt" `Quick
             test_stale_discard_on_racing_deopt;
         ] );
       ( "differential",
         [
           QCheck_alcotest.to_alcotest prop_matrix_differential;
-          QCheck_alcotest.to_alcotest prop_async_equals_replay;
+          QCheck_alcotest.to_alcotest prop_replay_deterministic;
         ] );
     ]

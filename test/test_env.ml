@@ -5,10 +5,10 @@
    - MJVM_TEST_SUMMARIES = on | off forces interprocedural summaries on
      or off;
    - MJVM_TEST_OSR = on | off forces on-stack replacement on or off;
-   - MJVM_TEST_COMPILE_MODE = sync | async | replay forces when the
-     compile pipeline runs relative to the mutator (background
-     compilation; replay is the single-threaded deterministic twin of
-     async);
+   - MJVM_TEST_COMPILE_MODE = sync | replay forces when the compile
+     pipeline runs relative to the mutator (sync compiles inline at the
+     threshold; replay queues the compile and installs it at a modeled
+     deadline on the VM clock);
    - MJVM_TEST_CHECK_LEVEL = none | phase-end | every-phase forces when
      the speculation-safety verifier runs in the JIT pipeline;
    - MJVM_TEST_ORACLE = on | off forces the bisimulation deopt oracle;
@@ -41,14 +41,15 @@
    Wherever on | off is listed, 1 | true and 0 | false are accepted too.
    Unset variables leave the test's own configuration untouched. Any other
    MJVM_TEST_* name or value stops the suite at start-up with a message
-   naming the variable: a typo must not silently run the default
-   configuration. *)
+   naming the variable and, for a bad value, the accepted ones: a typo
+   must not silently run the default configuration. *)
 
 open Pea_vm
 
-let flag = function "on" | "1" | "true" | "off" | "0" | "false" -> true | _ -> false
+(* An accepted-values check with its description for error messages. *)
+let one_of values = (String.concat " | " values, fun v -> List.mem v values)
 
-let one_of values v = List.mem v values
+let flag = one_of [ "on"; "off"; "1"; "0"; "true"; "false" ]
 
 (* Every MJVM_TEST_* variable the suites read, with its accepted values. *)
 let variables =
@@ -56,13 +57,16 @@ let variables =
     ("MJVM_TEST_OPT", one_of [ "none"; "ea"; "pea" ]);
     ("MJVM_TEST_SUMMARIES", flag);
     ("MJVM_TEST_OSR", flag);
-    ("MJVM_TEST_COMPILE_MODE", one_of [ "sync"; "async"; "replay" ]);
-    ("MJVM_TEST_CHECK_LEVEL", fun v -> Pea_analysis.Spec_check.level_of_string v <> None);
+    ("MJVM_TEST_COMPILE_MODE", one_of [ "sync"; "replay" ]);
+    ( "MJVM_TEST_CHECK_LEVEL",
+      ( "none | phase-end | every-phase",
+        fun v -> Pea_analysis.Spec_check.level_of_string v <> None ) );
     ("MJVM_TEST_ORACLE", flag);
     ("MJVM_TEST_STACKALLOC", flag);
     ("MJVM_TEST_INLINING", flag);
     ( "MJVM_TEST_QCHECK_COUNT",
-      fun v -> match int_of_string_opt v with Some n -> n > 0 | None -> false );
+      ( "a positive integer",
+        fun v -> match int_of_string_opt v with Some n -> n > 0 | None -> false ) );
     ("MJVM_TEST_TRACE", flag);
     ("MJVM_TEST_PROFILE", flag);
     ("MJVM_TEST_SERVE", one_of [ "replay"; "real" ]);
@@ -78,8 +82,9 @@ let invalid env =
       else
         match List.assoc_opt name variables with
         | None -> Some (Printf.sprintf "%s: unknown test variable" name)
-        | Some ok when ok value -> None
-        | Some _ -> Some (Printf.sprintf "%s: unknown value %S" name value))
+        | Some (_, ok) when ok value -> None
+        | Some (accepted, _) ->
+            Some (Printf.sprintf "%s: unknown value %S (accepted: %s)" name value accepted))
     env
 
 let () =
@@ -143,7 +148,6 @@ let apply (cfg : Jit.config) =
   let cfg =
     match Sys.getenv_opt "MJVM_TEST_COMPILE_MODE" with
     | Some "sync" -> { cfg with Jit.compile_mode = Jit.Sync }
-    | Some "async" -> { cfg with Jit.compile_mode = Jit.Async }
     | Some "replay" -> { cfg with Jit.compile_mode = Jit.Replay }
     | Some _ | None -> cfg
   in

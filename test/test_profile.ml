@@ -69,12 +69,15 @@ let test_identical_across_runs () =
     (List.exists (fun (t, w) -> t <> "interp" && w > 0) a.Report.rp_tiers);
   Alcotest.(check (triple string string string)) "byte-identical" (renderings a) (renderings b)
 
-(* Replay is async's deterministic twin: identical profiles, per the
-   same clock argument that makes their counters bit-equal. *)
-let test_identical_replay_async () =
-  let _, r = run_profiled ~mode:Jit.Replay Programs.cache_loop in
-  let _, a = run_profiled ~mode:Jit.Async Programs.cache_loop in
-  Alcotest.(check (triple string string string)) "replay = async" (renderings r) (renderings a)
+(* The same under Replay: queued compiles install at modeled deadlines
+   on the VM clock, so the compiled code they deliver lands in the
+   profile at the same samples on every run. *)
+let test_identical_across_runs_replay () =
+  let _, a = run_profiled ~mode:Jit.Replay Programs.cache_loop in
+  let _, b = run_profiled ~mode:Jit.Replay Programs.cache_loop in
+  Alcotest.(check bool) "queued code sampled" true
+    (List.exists (fun (t, w) -> t <> "interp" && w > 0) a.Report.rp_tiers);
+  Alcotest.(check (triple string string string)) "byte-identical" (renderings a) (renderings b)
 
 (* Sync and replay schedule compiles differently (inline stall vs queued
    deadline), so their profiles legitimately differ on compiling
@@ -292,7 +295,8 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "byte-identical across runs" `Quick test_identical_across_runs;
-          Alcotest.test_case "replay = async" `Quick test_identical_replay_async;
+          Alcotest.test_case "replay byte-identical across runs" `Quick
+            test_identical_across_runs_replay;
           Alcotest.test_case "sync = replay without compiles" `Quick
             test_sync_replay_interp_only;
           Alcotest.test_case "collapsed-stack golden" `Quick test_collapsed_golden;

@@ -49,17 +49,13 @@ let cell_name c =
     (if c.c_osr then "on" else "off")
     (Jit.mode_string c.c_mode)
 
-(* Async is deliberately not in the default mode axis: it spawns real
-   domains per cell, and its deterministic counters are already pinned to
-   Replay's bit-for-bit (test_async.ml asserts that equivalence, which is
-   what makes Replay a faithful stand-in here). *)
-let default_modes = [ Jit.Sync; Jit.Replay ]
-
-let all_cells ?(modes = default_modes) () =
+(* Both compile modes: Sync compiles at the threshold, Replay at the
+   queue deadline, so the two tier up at different points. *)
+let all_cells () =
   List.concat_map
     (fun c_opt ->
       List.concat_map
-        (fun c_osr -> List.map (fun c_mode -> { c_opt; c_osr; c_mode }) modes)
+        (fun c_osr -> List.map (fun c_mode -> { c_opt; c_osr; c_mode }) [ Jit.Sync; Jit.Replay ])
         [ false; true ])
     [ Jit.O_none; Jit.O_ea; Jit.O_pea ]
 
@@ -67,11 +63,11 @@ let config_of_cell ?(base = Jit.default_config) c =
   { base with Jit.opt = c.c_opt; osr = c.c_osr; compile_mode = c.c_mode }
 
 (* [run_all_configs src] runs [main] [iterations] times under every cell
-   of the matrix and returns [(cell, result)] pairs, draining the
-   background compile queue first so queue counters are accounted. The
+   of the matrix and returns [(cell, result)] pairs, draining Replay's
+   compile queue first so queue counters are accounted. The
    thresholds default low enough that a few iterations cross every tier
    boundary. *)
-let run_all_configs ?(iterations = 8) ?(compile_threshold = 4) ?(osr_threshold = 3) ?modes
+let run_all_configs ?(iterations = 8) ?(compile_threshold = 4) ?(osr_threshold = 3)
     ?(base = Jit.default_config) src =
   let program = Pea_bytecode.Link.compile_source src in
   List.map
@@ -83,7 +79,7 @@ let run_all_configs ?(iterations = 8) ?(compile_threshold = 4) ?(osr_threshold =
       let r = Vm.run_main_iterations vm iterations in
       Vm.quiesce vm;
       (cell, r))
-    (all_cells ?modes ())
+    (all_cells ())
 
 (* The interpreter-only reference for the same observation:
    [run_main_iterations]' outcome concatenates prints across iterations,
