@@ -750,8 +750,8 @@ let tenants_arg =
     value & opt int 4
     & info [ "tenants" ] ~docv:"N"
         ~doc:
-          "Tenant count. Mixed sessions alternate tenants over the service apps; storm sessions \
-           use one storming tenant plus N-1 victims")
+          "Tenant count. Mixed sessions alternate tenants over the service apps; storm and quiet \
+           sessions use one storming tenant plus N-1 victims, so they need N >= 2")
 
 let workers_arg =
   Arg.(
@@ -830,7 +830,8 @@ let serve_cmd =
           exit 1
         end)
       [
-        ("tenants", tenants, 1);
+        (* storm and quiet sessions: the storming tenant plus at least one victim *)
+        ("tenants", tenants, (match session with `Mixed -> 1 | `Storm | `Quiet -> 2));
         ("workers", workers, 0);
         ("cache-shards", shards, 1);
         ("rounds", rounds, 1);
@@ -843,7 +844,7 @@ let serve_cmd =
       | `Storm | `Quiet ->
           Sessions.storm_script
             ~storm:(session = `Storm)
-            ~victims:(max 1 (tenants - 1))
+            ~victims:(tenants - 1)
             ~rounds ~requests_per_round:requests ~seed ()
     in
     let config =

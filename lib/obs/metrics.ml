@@ -39,7 +39,12 @@ type hcell = {
   mutable hc_max : int;
 }
 
-type t = { t_schema : schema; counters : int array; hists : hcell array }
+type t = {
+  t_schema : schema;
+  counters : int array;
+  cells : (int array * int) array; (* counter -> (counters, counter), see [cell] *)
+  hists : hcell array;
+}
 
 let make_schema () = { defs_rev = []; n_counters = 0; n_hists = 0; sealed = false }
 
@@ -72,9 +77,11 @@ let fresh_hcell () = { hc_count = 0; hc_sum = 0; hc_min = 0; hc_max = 0 }
 
 let create schema =
   schema.sealed <- true;
+  let counters = Array.make (max schema.n_counters 1) 0 in
   {
     t_schema = schema;
-    counters = Array.make (max schema.n_counters 1) 0;
+    counters;
+    cells = Array.init (Array.length counters) (fun c -> (counters, c));
     hists = Array.init (max schema.n_hists 1) (fun _ -> fresh_hcell ());
   }
 
@@ -96,7 +103,7 @@ let add t c v = t.counters.(c) <- t.counters.(c) + v
 
 let incr t c = add t c 1
 
-let cell t c = (t.counters, c)
+let cell t c = t.cells.(c)
 
 let observe t id v =
   let h = t.hists.(id) in

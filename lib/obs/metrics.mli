@@ -47,7 +47,9 @@ val cell : t -> counter -> int array * int
 (** [cell t c] is the storage of counter [c] in [t]: an array and the
     index of [c]'s slot in it. The array is [t]'s own, so writes through
     it are writes to the counter. For hot paths that resolve a counter
-    once and then bump it without a call; {!reset} keeps the array. *)
+    once and then bump it without a call; {!reset} keeps the array. The
+    pair is built when [t] is created, so [cell] allocates nothing and a
+    caller may resolve it once per activation. *)
 
 val observe : t -> histogram -> int -> unit
 (** Record one histogram observation. *)

@@ -97,13 +97,14 @@ let alloc_array_scratch t elem len : Value.arr =
 (* Per-frame stack regions.                                            *)
 (*                                                                     *)
 (* A compiled activation that may stack-allocate pushes a region on    *)
-(* entry and pops it on exit (return, MJ throw, trap or deopt — the    *)
-(* VM wraps the activation in [Fun.protect]). Frame-bounded            *)
-(* materializations register in the innermost region and are reclaimed *)
-(* in O(1) at the pop: the region's object list is dropped wholesale.  *)
-(* Reclaimed objects have their fields scrubbed so that a dangling     *)
-(* read — which the escape analysis is supposed to make impossible —   *)
-(* fails loudly instead of silently returning stale data.              *)
+(* entry and pops it on every exit (return, MJ throw, trap or deopt:   *)
+(* the VM pops it on both its return path and its exception path).     *)
+(* Frame-bounded materializations register in the innermost region and *)
+(* are reclaimed in O(1) at the pop: the region's object list is       *)
+(* dropped wholesale. Reclaimed objects have their fields scrubbed so  *)
+(* that a dangling read — which the escape analysis is supposed to     *)
+(* make impossible — fails loudly instead of silently returning stale  *)
+(* data.                                                               *)
 (* ------------------------------------------------------------------ *)
 
 let push_frame t =
@@ -127,6 +128,10 @@ let scrub (v : Value.value) =
 let pop_frame t =
   match t.regions with
   | [] -> invalid_arg "Heap.pop_frame: no active stack region"
+  | [] :: rest ->
+      (* the common case: the activation stack-allocated nothing *)
+      t.regions <- rest;
+      t.region_depth <- t.region_depth - 1
   | live :: rest ->
       t.regions <- rest;
       t.region_depth <- t.region_depth - 1;

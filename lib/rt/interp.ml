@@ -92,9 +92,16 @@ let pop_n stack n =
   in
   loop [] stack n
 
+(* bump a counter through its storage cell ({!Stats.cell}) *)
+let[@inline] bump ((counters, i) : int array * int) n = counters.(i) <- counters.(i) + n
+
 let exec env (m : rt_method) ~locals ~stack ~bci : Value.value option =
   let code = m.mth_code in
-  let stats = env.stats in
+  (* the two counters every bytecode bumps, resolved once per frame: the
+     dispatch loop bumps them without a call (a dev build compiles
+     [Stats] with [-opaque], so [Stats.add] would be an unknown call) *)
+  let instrs = Stats.cell env.stats Stats.interpreted_instrs in
+  let cycles = Stats.cell env.stats Stats.cycles in
   (* Oracle shadow replays (hooks = Some _) run on their own stats/heap
      with the profiler clock frozen; keep them out of the profile. *)
   let shadow = Option.is_some env.hooks in
@@ -105,7 +112,7 @@ let exec env (m : rt_method) ~locals ~stack ~bci : Value.value option =
     in
     match List.find_opt matches m.mth_handlers with
     | Some h ->
-        Stats.add stats Stats.cycles Cost.invoke (* unwind cost *);
+        bump cycles Cost.invoke (* unwind cost *);
         step h.h_pc [ v ]
     | None -> raise (Mj_throw v)
   and back_edge header stack =
@@ -122,10 +129,10 @@ let exec env (m : rt_method) ~locals ~stack ~bci : Value.value option =
     | _ :: _ -> step header stack
   and step bci stack =
     if bci < 0 || bci >= Array.length code then trap "pc %d out of range in %s" bci (qualified_name m);
-    Stats.incr stats Stats.interpreted_instrs;
-    Stats.add stats Stats.cycles Cost.interp_dispatch;
+    bump instrs 1;
+    bump cycles Cost.interp_dispatch;
     (* profiler safepoint: one bool load when profiling is off *)
-    if Pcpu.enabled () && not shadow then Pcpu.poll bci;
+    if !Pcpu.is_on && not shadow then Pcpu.poll bci;
     match code.(bci) with
     | Iconst n -> step (bci + 1) (Vint n :: stack)
     | Bconst b -> step (bci + 1) (Vbool b :: stack)
@@ -216,7 +223,7 @@ let exec env (m : rt_method) ~locals ~stack ~bci : Value.value option =
         | Vnull :: _ -> trap "null dereference at arraylength"
         | _ -> trap "arraylength on a non-array")
     | Aload -> (
-        Stats.add stats Stats.cycles Cost.array_access;
+        bump cycles Cost.array_access;
         match stack with
         | idx :: Varr a :: rest ->
             let i = as_int idx in
@@ -225,7 +232,7 @@ let exec env (m : rt_method) ~locals ~stack ~bci : Value.value option =
         | _ :: Vnull :: _ -> trap "null dereference at array load"
         | _ -> trap "array load on a non-array")
     | Astore -> (
-        Stats.add stats Stats.cycles Cost.array_access;
+        bump cycles Cost.array_access;
         match stack with
         | v :: idx :: Varr a :: rest ->
             let i = as_int idx in
@@ -235,13 +242,13 @@ let exec env (m : rt_method) ~locals ~stack ~bci : Value.value option =
         | _ :: _ :: Vnull :: _ -> trap "null dereference at array store"
         | _ -> trap "array store on a non-array")
     | Getfield f -> (
-        Stats.add stats Stats.cycles Cost.field_access;
+        bump cycles Cost.field_access;
         match stack with
         | Vobj o :: rest -> step (bci + 1) (o.o_fields.(f.fld_offset) :: rest)
         | Vnull :: _ -> trap "null dereference reading %s.%s" f.fld_owner f.fld_name
         | _ -> trap "getfield on a non-object")
     | Putfield f -> (
-        Stats.add stats Stats.cycles Cost.field_access;
+        bump cycles Cost.field_access;
         match stack with
         | v :: Vobj o :: rest ->
             o.o_fields.(f.fld_offset) <- v;
@@ -249,17 +256,17 @@ let exec env (m : rt_method) ~locals ~stack ~bci : Value.value option =
         | _ :: Vnull :: _ -> trap "null dereference writing %s.%s" f.fld_owner f.fld_name
         | _ -> trap "putfield on a non-object")
     | Getstatic f ->
-        Stats.add stats Stats.cycles Cost.static_access;
+        bump cycles Cost.static_access;
         step (bci + 1) (env.globals.(f.sf_index) :: stack)
     | Putstatic f -> (
-        Stats.add stats Stats.cycles Cost.static_access;
+        bump cycles Cost.static_access;
         match stack with
         | v :: rest ->
             env.globals.(f.sf_index) <- v;
             step (bci + 1) rest
         | [] -> trap "stack underflow at putstatic")
     | Invokevirtual callee -> (
-        Stats.add stats Stats.cycles Cost.invoke;
+        bump cycles Cost.invoke;
         let n = arity callee in
         let args, rest = pop_n stack n in
         match args with
@@ -284,7 +291,7 @@ let exec env (m : rt_method) ~locals ~stack ~bci : Value.value option =
                 dispatch_throw bci v)
         | [] -> trap "missing receiver")
     | Invokestatic callee -> (
-        Stats.add stats Stats.cycles Cost.invoke;
+        bump cycles Cost.invoke;
         let args, rest = pop_n stack (arity callee) in
         (match env.hooks with Some h -> h.h_call ~caller:m ~bci ~callee | None -> ());
         match env.on_invoke callee args with
@@ -296,7 +303,7 @@ let exec env (m : rt_method) ~locals ~stack ~bci : Value.value option =
             (match env.hooks with Some h -> h.h_return ~caller:m ~bci | None -> ());
             dispatch_throw bci v)
     | Invokespecial ctor -> (
-        Stats.add stats Stats.cycles Cost.invoke;
+        bump cycles Cost.invoke;
         let args, rest = pop_n stack (arity ctor) in
         match args with
         | Vnull :: _ -> trap "null receiver in constructor call"
@@ -384,7 +391,7 @@ let exec env (m : rt_method) ~locals ~stack ~bci : Value.value option =
    entry, truncate back on every exit path (return, MJ throw, trap). The
    profiling-off path is the bare [exec] call. *)
 let exec_profiled env m ~locals ~stack ~bci =
-  if Pcpu.enabled () && Option.is_none env.hooks then begin
+  if !Pcpu.is_on && Option.is_none env.hooks then begin
     let d = Pcpu.depth () in
     Pcpu.push m.mth_id Pcpu.T_interp;
     match exec env m ~locals ~stack ~bci with
@@ -397,11 +404,19 @@ let exec_profiled env m ~locals ~stack ~bci =
   end
   else exec env m ~locals ~stack ~bci
 
+(* [args] into [locals] from slot [i]; a top-level function, so a call
+   allocates no closure for it *)
+let rec store_args locals i = function
+  | [] -> ()
+  | v :: vs ->
+      locals.(i) <- v;
+      store_args locals (i + 1) vs
+
 let run env (m : rt_method) args =
   Profile.record_invocation env.profile m;
   Stats.incr env.stats Stats.invocations;
   let locals = Array.make (max m.mth_max_locals (List.length args)) Vnull in
-  List.iteri (fun i v -> locals.(i) <- v) args;
+  store_args locals 0 args;
   exec_profiled env m ~locals ~stack:[] ~bci:0
 
 let resume env m ~locals ~stack ~bci = exec_profiled env m ~locals ~stack ~bci

@@ -4,7 +4,13 @@
    (speculative cold-branch pruning, the mechanism that makes
    deoptimization and therefore §5.5 of the paper observable), and
    per-call-site receiver classes (inline-cache seeding in the closure
-   execution tier). *)
+   execution tier).
+
+   Back-edge and branch counts are int arrays indexed by bci, sized to
+   the method's code, so recording one is an array increment: the
+   interpreter records a branch at every conditional jump. Receiver
+   profiles stay hashed per call site; they are sparse, and only an
+   interpreted virtual call records one. *)
 
 open Pea_bytecode
 
@@ -26,8 +32,8 @@ type call_site_profile = {
 type method_profile = {
   mutable invocations : int;
   back_edges : int array; (* loop-header bci -> back edges taken to it *)
-  branch_taken : (int, int) Hashtbl.t; (* bci -> times the branch jumped *)
-  branch_fallthrough : (int, int) Hashtbl.t; (* bci -> times it fell through *)
+  branch_taken : int array; (* bci -> times the branch jumped *)
+  branch_fallthrough : int array; (* bci -> times it fell through *)
   receivers : (int, call_site_profile) Hashtbl.t;
       (* bci of an Invokevirtual -> per-class dispatch counts; a Hashtbl
          per site so recording stays O(1) even at megamorphic sites *)
@@ -38,11 +44,12 @@ type t = method_profile array (* indexed by mth_id *)
 let create (program : Link.program) : t =
   Array.map
     (fun (m : Classfile.rt_method) ->
+      let n = max (Array.length m.mth_code) 1 in
       {
         invocations = 0;
-        back_edges = Array.make (max (Array.length m.mth_code) 1) 0;
-        branch_taken = Hashtbl.create 8;
-        branch_fallthrough = Hashtbl.create 8;
+        back_edges = Array.make n 0;
+        branch_taken = Array.make n 0;
+        branch_fallthrough = Array.make n 0;
         receivers = Hashtbl.create 8;
       })
     program.methods
@@ -58,8 +65,8 @@ let copy (t : t) : t =
       {
         invocations = p.invocations;
         back_edges = Array.copy p.back_edges;
-        branch_taken = Hashtbl.copy p.branch_taken;
-        branch_fallthrough = Hashtbl.copy p.branch_fallthrough;
+        branch_taken = Array.copy p.branch_taken;
+        branch_fallthrough = Array.copy p.branch_fallthrough;
         receivers =
           (let r = Hashtbl.create (Hashtbl.length p.receivers) in
            Hashtbl.iter
@@ -91,13 +98,14 @@ let back_edge_count t m ~header =
 
 let record_branch t m ~bci ~taken =
   let p = for_method t m in
-  let table = if taken then p.branch_taken else p.branch_fallthrough in
-  Hashtbl.replace table bci (1 + Option.value (Hashtbl.find_opt table bci) ~default:0)
+  let counts = if taken then p.branch_taken else p.branch_fallthrough in
+  counts.(bci) <- counts.(bci) + 1
 
 let branch_counts t m ~bci =
   let p = for_method t m in
-  ( Option.value (Hashtbl.find_opt p.branch_taken bci) ~default:0,
-    Option.value (Hashtbl.find_opt p.branch_fallthrough bci) ~default:0 )
+  if bci >= 0 && bci < Array.length p.branch_taken then
+    (p.branch_taken.(bci), p.branch_fallthrough.(bci))
+  else (0, 0)
 
 let record_receiver t m ~bci (cls : Classfile.rt_class) =
   let p = for_method t m in

@@ -24,8 +24,8 @@ type call_site_profile = {
 type method_profile = {
   mutable invocations : int;
   back_edges : int array; (* loop-header bci -> back edges taken to it *)
-  branch_taken : (int, int) Hashtbl.t; (* bci -> times the branch jumped *)
-  branch_fallthrough : (int, int) Hashtbl.t;
+  branch_taken : int array; (* bci -> times the branch jumped *)
+  branch_fallthrough : int array; (* bci -> times it fell through *)
   receivers : (int, call_site_profile) Hashtbl.t;
       (* bci of an Invokevirtual -> per-class dispatch counts *)
 }
@@ -50,10 +50,11 @@ val record_back_edge : t -> Classfile.rt_method -> header:int -> unit
 val back_edge_count : t -> Classfile.rt_method -> header:int -> int
 
 (** [record_branch t m ~bci ~taken] counts one execution of the branch at
-    [bci]. *)
+    [bci], which must be a bci of [m]'s code. *)
 val record_branch : t -> Classfile.rt_method -> bci:int -> taken:bool -> unit
 
-(** [branch_counts t m ~bci] is [(taken, fallthrough)]. *)
+(** [branch_counts t m ~bci] is [(taken, fallthrough)]; [(0, 0)] for a
+    bci outside [m]'s code. *)
 val branch_counts : t -> Classfile.rt_method -> bci:int -> int * int
 
 (** [record_receiver t m ~bci cls] counts one dispatch on a receiver of

@@ -152,9 +152,11 @@ val add : t -> counter -> int -> unit
 val incr : t -> counter -> unit
 
 val cell : t -> counter -> int array * int
-(** The counter's storage cell, see {!Pea_obs.Metrics.cell}: the
-    closure tier resolves [compiled_ops] and [cycles] once per
-    translation and bumps them without a call. *)
+(** The counter's storage cell, see {!Pea_obs.Metrics.cell}; it
+    allocates nothing. The closure tier resolves [compiled_ops] and
+    [cycles] once per translation, the interpreter [interpreted_instrs]
+    and [cycles] once per frame, and the VM [invocations] once, and each
+    bumps them without a call. *)
 
 val observe : t -> histogram -> int -> unit
 (** Record one histogram observation. *)

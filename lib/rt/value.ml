@@ -63,8 +63,26 @@ let rec equal_value a b =
   | Varr x, Varr y -> x.a_id = y.a_id
   | (Vint _ | Vbool _ | Vnull | Vobj _ | Varr _), _ -> ignore equal_value; false
 
+(* decimal digits of [k <= 0]; negative, so [min_int] needs no case *)
+let rec neg_digits k = if k > -10 then 1 else 1 + neg_digits (k / 10)
+
+(* the digits of [k <= 0] into [b], the last one at [i] *)
+let rec write_neg_digits b k i =
+  Bytes.unsafe_set b i (Char.unsafe_chr (48 - (k mod 10)));
+  if k <= -10 then write_neg_digits b (k / 10) (i - 1)
+
+(* [string_of_int n], without the format string [caml_format_int] parses
+   on every call: a served request renders its int result with this *)
+let decimal n =
+  let k = if n > 0 then -n else n in
+  let sign = if n < 0 then 1 else 0 in
+  let b = Bytes.create (sign + neg_digits k) in
+  write_neg_digits b k (Bytes.length b - 1);
+  if n < 0 then Bytes.unsafe_set b 0 '-';
+  Bytes.unsafe_to_string b
+
 let string_of_value = function
-  | Vint n -> string_of_int n
+  | Vint n -> decimal n
   | Vbool b -> string_of_bool b
   | Vnull -> "null"
   | Vobj o -> Printf.sprintf "%s@%d" o.o_cls.cls_name o.o_id

@@ -117,7 +117,7 @@ type tenant = {
          tenant deopted that code: re-adopting it would replay the same
          deopt, so the tenant waits for the next epoch's compile instead
          — the serving twin of the per-site recompilation policy *)
-  mutable tn_round_log_rev : (string * int) list; (* (method, latency) this round *)
+  mutable tn_round_log_rev : (request * int) list; (* (request, latency) this round *)
   mutable tn_hits_rev : string list; (* shared-cache adoptions this round *)
   mutable tn_results_rev : string list;
   mutable tn_latencies_rev : int list;
@@ -266,8 +266,7 @@ let exec_request tn (rq : request) =
         in
         (render, Stats.get stats Stats.cycles - before)
   in
-  let meth = rq.rq_class ^ "." ^ rq.rq_method in
-  tn.tn_round_log_rev <- (meth, latency) :: tn.tn_round_log_rev;
+  tn.tn_round_log_rev <- (rq, latency) :: tn.tn_round_log_rev;
   tn.tn_results_rev <- render :: tn.tn_results_rev;
   tn.tn_latencies_rev <- latency :: tn.tn_latencies_rev
 
@@ -427,12 +426,18 @@ let barrier server (reqs : request list) =
     (fun rq ->
       match !(cursors.(rq.rq_tenant)) with
       | [] -> ()
-      | (meth, latency) :: rest ->
+      | (logged, latency) :: rest ->
           cursors.(rq.rq_tenant) := rest;
+          (* the label is built only for the trace *)
           if Trace.enabled () then
             Trace.record
               (Event.Serve_request
-                 { tenant = server.tenants.(rq.rq_tenant).tn_name; meth; round = server.round; latency }))
+                 {
+                   tenant = server.tenants.(rq.rq_tenant).tn_name;
+                   meth = logged.rq_class ^ "." ^ logged.rq_method;
+                   round = server.round;
+                   latency;
+                 }))
     reqs;
   Array.iter (fun tn -> tn.tn_round_log_rev <- []) server.tenants;
   (* shared-hit accounting, tenant order *)

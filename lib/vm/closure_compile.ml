@@ -661,6 +661,16 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
 
 let pool_depth code = List.length code.pool
 
+(* parameter [i] onwards from [args]; a top-level function, so binding
+   the arguments allocates no closure *)
+let rec bind_params code regs i args =
+  if i < Array.length code.param_ids then
+    match args with
+    | v :: vs ->
+        regs.(code.param_ids.(i)) <- v;
+        bind_params code regs (i + 1) vs
+    | [] -> trap "missing argument %d for %s" i code.method_name
+
 let run ?deopt (code : code) (args : Value.value list) : Value.value option =
   let regs =
     match code.pool with
@@ -669,17 +679,7 @@ let run ?deopt (code : code) (args : Value.value list) : Value.value option =
         code.pool <- rest;
         a
   in
-  let param_ids = code.param_ids in
-  let n_params = Array.length param_ids in
-  let rec bind i args =
-    if i < n_params then
-      match args with
-      | v :: vs ->
-          regs.(param_ids.(i)) <- v;
-          bind (i + 1) vs
-      | [] -> trap "missing argument %d for %s" i code.method_name
-  in
-  bind 0 args;
+  bind_params code regs 0 args;
   match code.entry regs with
   | r ->
       code.pool <- regs :: code.pool;

@@ -33,7 +33,7 @@ type t = {
   program : Link.program;
   config : Jit.config;
   env : Interp.env;
-  compiled : (int, Jit.compiled) Hashtbl.t; (* mth_id -> normal-entry code *)
+  compiled : Jit.compiled option array; (* mth_id -> normal-entry code *)
   osr_compiled : (int * int, Jit.compiled) Hashtbl.t;
       (* (mth_id, loop-header bci) -> OSR-entry code *)
   osr_failed : (int * int, unit) Hashtbl.t;
@@ -43,9 +43,10 @@ type t = {
       (* (mth_id, bci) of deopt sites that actually fired: recompilations
          keep speculating everywhere except these exact sites *)
   invalidations : (int, int) Hashtbl.t; (* mth_id -> invalidation count *)
-  pinned : (int, unit) Hashtbl.t;
-      (* deopt-storm guard: methods invalidated [deopt_storm_limit] times
-         stay in the interpreter for good *)
+  pinned : bool array;
+      (* mth_id -> pinned by the deopt-storm guard: methods invalidated
+         [deopt_storm_limit] times stay in the interpreter for good *)
+  mutable n_pinned : int; (* how many [pinned] entries are true *)
   printed_rev : Value.value list ref;
   jit_stats : Pea_core.Pea.pass_stats;
   mutable summary_table : Pea_analysis.Summary.t option;
@@ -64,6 +65,10 @@ type t = {
   mutable interp_only : bool;
       (* tenant quarantine: every method interprets, even ones with
          installed code; the code tables themselves are left intact *)
+  invocations_cell : int array;
+  invocations_idx : int;
+      (* the [invocations] counter's storage ({!Stats.cell}), resolved
+         once: a compiled entry bumps it without a call *)
 }
 
 let accumulate_jit_stats (acc : Pea_core.Pea.pass_stats) (st : Pea_core.Pea.pass_stats) =
@@ -111,7 +116,7 @@ let install vm (m : Classfile.rt_method) osr_bci (code : Jit.compiled) =
   let stats = vm.env.Interp.stats in
   (match osr_bci with
   | None ->
-      Hashtbl.replace vm.compiled m.Classfile.mth_id code;
+      vm.compiled.(m.Classfile.mth_id) <- Some code;
       Stats.incr stats Stats.compiled_methods
   | Some header ->
       Hashtbl.replace vm.osr_compiled (m.Classfile.mth_id, header) code;
@@ -128,9 +133,9 @@ let rec invoke vm (m : Classfile.rt_method) args =
   (match vm.queue with
   | Some q when Compile_queue.has_inflight q -> poll_queue vm q
   | _ -> ());
-  if vm.interp_only || Hashtbl.mem vm.pinned m.Classfile.mth_id then Interp.run vm.env m args
+  if vm.interp_only || vm.pinned.(m.Classfile.mth_id) then Interp.run vm.env m args
   else
-    match Hashtbl.find_opt vm.compiled m.Classfile.mth_id with
+    match vm.compiled.(m.Classfile.mth_id) with
     | Some code -> run_compiled vm m code args
     | None ->
         let invocations = Profile.invocations vm.env.Interp.profile m in
@@ -280,7 +285,7 @@ and install_outcome vm q (task : Compile_queue.task) outcome =
         Log.debug (fun k ->
             k "discarding stale compile of %s (epoch %d, now %d)" meth
               task.Compile_queue.t_epoch current);
-        if not (Hashtbl.mem vm.pinned mid) then request_compile vm q m osr_bci
+        if not vm.pinned.(mid) then request_compile vm q m osr_bci
       end
       else begin
         install vm m osr_bci code;
@@ -358,7 +363,7 @@ and handle_deopt vm (m : Classfile.rt_method) ~reason ?oracle (d : Pea_ir.Graph.
       Trace.record
         (Event.Site_blacklist { meth = Classfile.qualified_name site_method; bci = site_bci })
   end;
-  Hashtbl.remove vm.compiled m.Classfile.mth_id;
+  vm.compiled.(m.Classfile.mth_id) <- None;
   let osr_keys =
     Hashtbl.fold
       (fun ((mid, _) as key) _ acc -> if mid = m.Classfile.mth_id then key :: acc else acc)
@@ -374,7 +379,10 @@ and handle_deopt vm (m : Classfile.rt_method) ~reason ?oracle (d : Pea_ir.Graph.
     Log.debug (fun k ->
         k "deopt storm in %s (%d invalidations): pinning to the interpreter"
           (Classfile.qualified_name m) n);
-    Hashtbl.replace vm.pinned m.Classfile.mth_id ();
+    if not vm.pinned.(m.Classfile.mth_id) then begin
+      vm.pinned.(m.Classfile.mth_id) <- true;
+      vm.n_pinned <- vm.n_pinned + 1
+    end;
     (* the ring now holds the whole storm: snapshot it while it does *)
     Flight.trigger ~reason:"deopt-storm"
   end;
@@ -384,11 +392,13 @@ and handle_deopt vm (m : Classfile.rt_method) ~reason ?oracle (d : Pea_ir.Graph.
       Flight.trigger ~reason:"oracle-divergence";
       raise e
 
-and run_compiled vm m code args =
-  Stats.incr vm.env.Interp.stats Stats.invocations;
+and run_compiled vm (m : Classfile.rt_method) code args =
+  let cell = vm.invocations_cell and i = vm.invocations_idx in
+  cell.(i) <- cell.(i) + 1;
   (* compiled-tier calls keep feeding the profile, so invocation counts
      reported by [mjvm explain] / [Tier_promote] stay live *)
-  Profile.record_invocation vm.env.Interp.profile m;
+  let p = vm.env.Interp.profile.(m.Classfile.mth_id) in
+  p.Profile.invocations <- p.Profile.invocations + 1;
   exec_compiled vm m ~reason:"speculation-failed" code args
 
 (* Transfer an interpreter frame into OSR code. No invocation is counted:
@@ -410,11 +420,12 @@ and exec_compiled vm m ~reason code args =
                ~locals:(Array.of_list args))
       | None -> Some (Oracle.snapshot_call ~program:vm.program vm.env m args)
   in
+  let cc = ensure_closure vm m code in
   (* profiler shadow frame for this compiled activation; on deopt the
      frame is truncated BEFORE the interpreter frames run (the closure
      tier handles the deopt in-frame), so the reconstructed frames appear
      at this activation's depth *)
-  let profiled = Pcpu.enabled () in
+  let profiled = !Pcpu.is_on in
   let pdepth =
     if profiled then begin
       let d0 = Pcpu.depth () in
@@ -426,34 +437,28 @@ and exec_compiled vm m ~reason code args =
     end
     else 0
   in
+  (* the in-tier handler releases the register file back to the pool
+     once deopt completes (the lookup closure is dead by then) *)
   let handle d lookup =
     if profiled then Pcpu.truncate pdepth;
     handle_deopt vm m ~reason ?oracle d lookup
-  in
-  let exec () =
-    let cc = ensure_closure vm m code in
-    (* the in-tier handler releases the register file back to the pool
-       once deopt completes (the lookup closure is dead by then) *)
-    Closure_compile.run ~deopt:handle cc args
   in
   (* the compiled activation owns a stack region: frame-bounded
      materializations land there and are reclaimed in O(1) when the
      activation ends — by return, throw, or deopt alike (the deopt
      handler runs inside this extent and first promotes its live stack
      objects to the heap, see {!Deopt.handle}) *)
-  Heap.push_frame vm.env.Interp.heap;
-  Fun.protect
-    ~finally:(fun () -> Heap.pop_frame vm.env.Interp.heap)
-    (fun () ->
-      if not profiled then exec ()
-      else
-        match exec () with
-        | r ->
-            Pcpu.truncate pdepth;
-            r
-        | exception e ->
-            Pcpu.truncate pdepth;
-            raise e)
+  let heap = vm.env.Interp.heap in
+  Heap.push_frame heap;
+  match Closure_compile.run ~deopt:handle cc args with
+  | r ->
+      if profiled then Pcpu.truncate pdepth;
+      Heap.pop_frame heap;
+      r
+  | exception e ->
+      if profiled then Pcpu.truncate pdepth;
+      Heap.pop_frame heap;
+      raise e
 
 and ensure_closure vm m (code : Jit.compiled) =
   match code.Jit.closure with
@@ -482,20 +487,23 @@ and on_back_edge vm (m : Classfile.rt_method) ~header ~locals =
   | Some q when Compile_queue.has_inflight q -> poll_queue vm q
   | _ -> ());
   let cfg = vm.config in
-  let key = (m.Classfile.mth_id, header) in
+  let mid = m.Classfile.mth_id in
+  (* the counter test comes first, so a back edge below the threshold
+     makes no hash lookup; every test is pure, so the order is free *)
   if
     (not cfg.Jit.osr)
-    || vm.interp_only
-    || Hashtbl.mem vm.pinned m.Classfile.mth_id
-    || Hashtbl.mem vm.osr_failed key
-    || Hashtbl.mem vm.compile_failed (m.Classfile.mth_id, Some header, vm.config.Jit.inlining)
     || Profile.back_edge_count vm.env.Interp.profile m ~header < cfg.Jit.osr_threshold
+    || vm.interp_only
+    || vm.pinned.(mid)
+    || Hashtbl.mem vm.osr_failed (mid, header)
+    || Hashtbl.mem vm.compile_failed (mid, Some header, cfg.Jit.inlining)
   then Interp.No_osr
   else if Classfile.uses_exceptions m || has_monitors m then begin
-    Hashtbl.replace vm.osr_failed key ();
+    Hashtbl.replace vm.osr_failed (mid, header) ();
     Interp.No_osr
   end
   else
+    let key = (mid, header) in
     let code =
       match Hashtbl.find_opt vm.osr_compiled key with
       | Some _ as code -> code
@@ -517,10 +525,8 @@ and on_back_edge vm (m : Classfile.rt_method) ~header ~locals =
     | Some code ->
         (* a hot loop makes the whole method hot: ask for normal-entry
            code now instead of waiting for the invocation counter *)
-        if
-          (not (Hashtbl.mem vm.compiled m.Classfile.mth_id))
-          && not (Classfile.uses_exceptions m)
-        then ignore (want_code vm m None);
+        if Option.is_none vm.compiled.(mid) && not (Classfile.uses_exceptions m) then
+          ignore (want_code vm m None);
         Interp.Osr_return (run_osr vm m code locals)
 
 let create ?(config = Jit.default_config) (program : Link.program) : t =
@@ -542,43 +548,48 @@ let create ?(config = Jit.default_config) (program : Link.program) : t =
       globals.(sf.Classfile.sf_index) <- Value.default_value sf.Classfile.sf_ty)
     program.Link.statics;
   let printed_rev = ref [] in
+  (* per-method tables are indexed by [mth_id] *)
+  let n_methods = max (Array.length program.Link.methods) 1 in
+  let invocations_cell, invocations_idx = Stats.cell stats Stats.invocations in
+  (* the interpreter's hooks close over the VM they belong to *)
   let rec vm =
-    lazy
-      {
-        program;
-        config;
-        env =
-          {
-            Interp.heap;
-            stats;
-            profile;
-            globals;
-            on_invoke = (fun m args -> invoke (Lazy.force vm) m args);
-            on_print = (fun v -> printed_rev := v :: !printed_rev);
-            on_back_edge =
-              (fun m ~header ~locals -> on_back_edge (Lazy.force vm) m ~header ~locals);
-            hooks = None;
-          };
-        compiled = Hashtbl.create 32;
-        osr_compiled = Hashtbl.create 8;
-        osr_failed = Hashtbl.create 8;
-        site_blacklist = Hashtbl.create 8;
-        invalidations = Hashtbl.create 8;
-        pinned = Hashtbl.create 8;
-        printed_rev;
-        jit_stats = Pea_core.Pea.mk_stats ();
-        summary_table = None;
-        queue =
-          (match config.Jit.compile_mode with
-          | Jit.Sync -> None
-          | Jit.Replay -> Some (Compile_queue.create ~cap:config.Jit.compile_queue_cap));
-        epochs = Array.make (max (Array.length program.Link.methods) 1) 0;
-        compile_failed = Hashtbl.create 8;
-        code_source = None;
-        interp_only = false;
-      }
+    {
+      program;
+      config;
+      env =
+        {
+          Interp.heap;
+          stats;
+          profile;
+          globals;
+          on_invoke = (fun m args -> invoke vm m args);
+          on_print = (fun v -> printed_rev := v :: !printed_rev);
+          on_back_edge = (fun m ~header ~locals -> on_back_edge vm m ~header ~locals);
+          hooks = None;
+        };
+      compiled = Array.make n_methods None;
+      osr_compiled = Hashtbl.create 8;
+      osr_failed = Hashtbl.create 8;
+      site_blacklist = Hashtbl.create 8;
+      invalidations = Hashtbl.create 8;
+      pinned = Array.make n_methods false;
+      n_pinned = 0;
+      printed_rev;
+      jit_stats = Pea_core.Pea.mk_stats ();
+      summary_table = None;
+      queue =
+        (match config.Jit.compile_mode with
+        | Jit.Sync -> None
+        | Jit.Replay -> Some (Compile_queue.create ~cap:config.Jit.compile_queue_cap));
+      epochs = Array.make n_methods 0;
+      compile_failed = Hashtbl.create 8;
+      code_source = None;
+      interp_only = false;
+      invocations_cell;
+      invocations_idx;
+    }
   in
-  Lazy.force vm
+  vm
 
 let stats vm = vm.env.Interp.stats
 
@@ -591,16 +602,16 @@ let printed vm = List.rev !(vm.printed_rev)
 let class_breakdown vm = Heap.class_breakdown vm.env.Interp.heap
 
 let compiled_graph vm (m : Classfile.rt_method) =
-  Option.map (fun c -> c.Jit.graph) (Hashtbl.find_opt vm.compiled m.Classfile.mth_id)
+  Option.map (fun c -> c.Jit.graph) vm.compiled.(m.Classfile.mth_id)
 
 let osr_graph vm (m : Classfile.rt_method) ~header =
   Option.map
     (fun c -> c.Jit.graph)
     (Hashtbl.find_opt vm.osr_compiled (m.Classfile.mth_id, header))
 
-let interpreter_pinned vm (m : Classfile.rt_method) = Hashtbl.mem vm.pinned m.Classfile.mth_id
+let interpreter_pinned vm (m : Classfile.rt_method) = vm.pinned.(m.Classfile.mth_id)
 
-let pinned_count vm = Hashtbl.length vm.pinned
+let pinned_count vm = vm.n_pinned
 
 let set_code_source vm cs = vm.code_source <- Some cs
 

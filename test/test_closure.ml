@@ -1,7 +1,8 @@
 (* Closure execution tier tests: inline-cache behavior (monomorphic hit,
    polymorphic rebias, deopt invalidation), register-file pooling, one
-   prepared graph shared by translations in parallel domains, and
-   literal goldens for the cost model's accounting of compiled code. *)
+   prepared graph shared by translations in parallel domains, literal
+   goldens for the cost model's accounting of compiled code, and bounds
+   on the minor words a compiled comparison and a call allocate. *)
 
 open Pea_bytecode
 open Pea_rt
@@ -375,6 +376,49 @@ let test_comparison_allocation () =
     (Printf.sprintf "%.2f words per compiled operation, at most 0.5" per_op)
     true (per_op <= 0.5)
 
+(* What a call allocates, in minor words per VM invocation of a
+   recursive [fib]. A compiled call allocates its argument list, its
+   boxed ints, its result, its stack-region entry and its deopt handler:
+   33 words. The bound of 40 fails as soon as the dispatch or the
+   compiled entry allocates per call again: a hash lookup's option, a
+   [Fun.protect] with its thunks and a parameter-binding closure came to
+   70. An interpreted call allocates its frame (locals, operand-stack
+   cells, the dispatch closures): 62 words, under a bound of 68 that
+   counter cells resolved per frame must not push it over. *)
+let fib_src =
+  "class C {\n\
+  \  static int fib(int n) { if (n < 2) return n; return C.fib(n - 1) + C.fib(n - 2); }\n\
+   }"
+
+(* minor words per VM invocation of [fib 20], counted after warm-up *)
+let fib_words_per_invocation config =
+  let program, vm = setup ~config fib_src in
+  let fib = Link.find_method program "C" "fib" in
+  Vm.warm_up vm fib [ vint 12 ] 3;
+  let stats = Vm.stats vm in
+  let calls0 = Stats.get stats Stats.invocations in
+  let words0 = Gc.minor_words () in
+  let r = Vm.invoke vm fib [ vint 20 ] in
+  let words = Gc.minor_words () -. words0 in
+  Alcotest.(check int) "fib 20" 6765 (as_int r);
+  let calls = Stats.get stats Stats.invocations - calls0 in
+  Alcotest.(check int) "one invocation per call" 21891 calls;
+  (vm, fib, words /. float_of_int calls)
+
+let test_call_allocation () =
+  let compiled = { Jit.default_config with Jit.inline = false; compile_threshold = 2 } in
+  let vm, fib, per_call = fib_words_per_invocation compiled in
+  Alcotest.(check bool) "fib ran compiled" true (Vm.compiled_graph vm fib <> None);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per compiled invocation, at most 40" per_call)
+    true (per_call <= 40.);
+  let interpreted = { Jit.default_config with Jit.compile_threshold = max_int; osr = false } in
+  let vm, fib, per_call = fib_words_per_invocation interpreted in
+  Alcotest.(check bool) "fib ran interpreted" true (Vm.compiled_graph vm fib = None);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per interpreted invocation, at most 68" per_call)
+    true (per_call <= 68.)
+
 let () =
   Alcotest.run "closure"
     [
@@ -398,5 +442,8 @@ let () =
           Alcotest.test_case "operations trapping mid-block" `Quick test_trap_charges;
         ] );
       ( "cost",
-        [ Alcotest.test_case "comparisons allocate nothing" `Quick test_comparison_allocation ] );
+        [
+          Alcotest.test_case "comparisons allocate nothing" `Quick test_comparison_allocation;
+          Alcotest.test_case "calls" `Quick test_call_allocation;
+        ] );
     ]

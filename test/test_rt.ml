@@ -107,6 +107,23 @@ let test_default_values () =
   Alcotest.(check bool) "ref" true
     (Value.default_value (Pea_mjava.Ast.Tclass "X") = Value.Vnull)
 
+(* Ints render through a direct decimal conversion, which must print
+   exactly what [string_of_int] prints: at the digit-count steps, at both
+   ends of the int range, and on random ints. *)
+let test_int_rendering () =
+  List.iter
+    (fun n ->
+      Alcotest.(check string) (string_of_int n) (string_of_int n)
+        (Value.string_of_value (Value.Vint n)))
+    [ 0; 9; -9; 10; -10; 99; 100; -100; max_int; min_int; max_int - 1; min_int + 1 ]
+
+let prop_int_rendering =
+  QCheck2.Test.make ~count:2000 ~name:"string_of_value (Vint n) = string_of_int n"
+    ~print:string_of_int
+    QCheck2.Gen.(oneof [ int; small_signed_int ])
+    (fun n ->
+      Value.string_of_value (Value.Vint n) = Stdlib.string_of_int n)
+
 let () =
   Alcotest.run "rt"
     [
@@ -126,5 +143,7 @@ let () =
         [
           Alcotest.test_case "equality" `Quick test_value_equality;
           Alcotest.test_case "defaults" `Quick test_default_values;
+          Alcotest.test_case "int rendering" `Quick test_int_rendering;
+          QCheck_alcotest.to_alcotest prop_int_rendering;
         ] );
     ]
