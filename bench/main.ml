@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§6) on the synthetic workload suite, plus Bechamel
-   wall-clock microbenchmarks of the analysis itself.
+   evaluation (§6) on the synthetic workload suite, plus one gated
+   section for each extension.
 
    Sections:
      1. Table 1, DaCapo block       (MB/iter, MAllocs/iter, iters/min)
@@ -9,17 +9,115 @@
      4. §6.1 "Number of Locks"      (monitor-operation reductions)
      5. §6.2 comparison             (whole-method EA vs PEA, per suite)
      6. Figure 4 micro-patterns     (per-pattern optimization effects)
-     7. Bechamel wall-clock benches (one Test.make per table)
+     7. Ablations                   (design choices toggled off)
+     8. Gated sections, each writing BENCH_<name>.json: summaries,
+        inlining, obs, profile, osr, compile_mode, verify, stackalloc,
+        serving
+     9. §6.1 allocation breakdown
 
    Absolute numbers are not comparable with the paper (the substrate is a
    deterministic simulator, see DESIGN.md); the reproduced quantity is the
-   per-row relative change and the ordering between configurations. *)
+   per-row relative change and the ordering between configurations. The
+   run exits 1 if and only if some gate fails. Wall-clock benchmarking of
+   the implementation itself is bench/perf's job. *)
 
 open Pea_workloads
+module Json = Pea_obs.Json
+module Jit = Pea_vm.Jit
+module Vm = Pea_vm.Vm
+module Stats = Pea_rt.Stats
 
 let line = String.make 110 '-'
 
 let header title = Printf.printf "\n%s\n%s\n%s\n%!" line title line
+
+(* ------------------------------------------------------------------ *)
+(* Gated sections and their files                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A gate the host cannot exercise is waived, never passed. *)
+type gate = Pass | Fail | Waived of string
+
+let verdict ok = if ok then Pass else Fail
+
+let gate_string = function Pass -> "pass" | Fail -> "fail" | Waived why -> "waived: " ^ why
+
+(* What a gated section returns: one JSON object per row, any
+   section-level fields, the names of its wall-clock and host fields
+   (every other field is a model quantity that must reproduce exactly),
+   and its gates. *)
+type section = {
+  name : string;
+  rows : Json.field list list;
+  fields : Json.field list;
+  measured : string list;
+  gates : (string * gate) list;
+}
+
+let section ?(fields = []) ?(measured = []) name rows gates =
+  { name; rows; fields; measured; gates }
+
+let all p xs = verdict (List.for_all p xs)
+
+(* Writes BENCH_<name>.json as one object, one row per line so diffs stay
+   readable, and prints one line per gate. *)
+let emit s =
+  let file = Printf.sprintf "BENCH_%s.json" s.name in
+  let rows = List.map (fun r -> "\n    " ^ Json.obj r) s.rows in
+  let gates = List.map (fun (n, g) -> Json.str_field n (gate_string g)) s.gates in
+  let top =
+    (("rows", "[" ^ String.concat "," rows ^ "\n  ]") :: s.fields)
+    @ [ ("measured", Json.arr (List.map Json.str s.measured)); ("gates", Json.obj gates) ]
+  in
+  let lines = List.map (fun (k, v) -> "\n  " ^ Json.str k ^ ": " ^ v) top in
+  Out_channel.with_open_text file (fun oc ->
+      Printf.fprintf oc "{%s\n}\n" (String.concat "," lines));
+  Printf.printf "wrote %s\n" file;
+  List.iter (fun (n, g) -> Printf.printf "gate: %s.%s: %s\n" s.name n (gate_string g)) s.gates;
+  s.gates
+
+(* What a run computed: its return value and everything it printed. *)
+let outcome (r : Vm.result) =
+  ( (match r.Vm.return_value with None -> "void" | Some v -> Pea_rt.Value.string_of_value v),
+    List.map Pea_rt.Value.string_of_value r.Vm.printed )
+
+let batches = 5 and reps = 10
+
+(* Wall seconds of [reps] calls of [f a] and of [f b], each the fastest
+   of [batches] interleaved batches after one untimed batch that warms the
+   allocator: every call builds fresh state, so single-pass wall clock
+   carries enough scheduler noise to swamp a 10% budget. *)
+let best_of f a b =
+  let batch x =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to reps do
+      ignore (f x)
+    done;
+    Unix.gettimeofday () -. t0
+  in
+  ignore (batch a);
+  ignore (batch b);
+  let t_a = ref infinity and t_b = ref infinity in
+  for _ = 1 to batches do
+    t_a := Float.min !t_a (batch a);
+    t_b := Float.min !t_b (batch b)
+  done;
+  (!t_a, !t_b)
+
+(* The JIT's inputs without a VM: the program, an interpreter profile of
+   one [main] run (so the pipeline speculates the way a running VM's
+   would), and every method the JIT compiles. *)
+let offline src =
+  let program = Pea_bytecode.Link.compile_source src in
+  let env = Pea_rt.Run.make_env program ~printed:(ref []) in
+  (try ignore (Pea_rt.Interp.run env (Pea_bytecode.Link.entry_exn program) [])
+   with Pea_rt.Interp.Trap _ | Pea_rt.Interp.Mj_throw _ -> ());
+  let methods =
+    List.filter
+      (fun m -> not (Pea_bytecode.Classfile.uses_exceptions m))
+      (Array.to_list program.Pea_bytecode.Link.methods)
+  in
+  (program, env.Pea_rt.Interp.profile, methods)
 
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
@@ -154,61 +252,6 @@ let fig4_section () =
     patterns
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel wall-clock benchmarks                                      *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_section () =
-  header
-    "Bechamel wall-clock benchmarks (real time of this implementation; one Test.make per table)";
-  let open Bechamel in
-  let representative suite =
-    match suite with
-    | Spec.Dacapo -> Option.get (Spec.find "sunflow")
-    | Spec.Scala_dacapo -> Option.get (Spec.find "scalap")
-    | Spec.Specjbb -> Option.get (Spec.find "SPECjbb2005")
-  in
-  let workload_test name suite opt =
-    let row = representative suite in
-    let src = Codegen.source_for_row row in
-    Test.make ~name
-      (Staged.stage (fun () -> ignore (Harness.measure_program ~warmup:1 ~measure:1 src opt)))
-  in
-  let pea_pass_test =
-    let src = Codegen.source_for_row (representative Spec.Dacapo) in
-    let program = Pea_bytecode.Link.compile_source src in
-    let m = Pea_bytecode.Link.entry_exn program in
-    let g0 = Pea_ir.Builder.build m in
-    ignore (Pea_opt.Inline.run (Pea_opt.Inline.default_config program) g0);
-    ignore (Pea_opt.Canonicalize.run g0);
-    Test.make ~name:"pea-analysis-pass" (Staged.stage (fun () -> ignore (Pea_core.Pea.run g0)))
-  in
-  let tests =
-    [
-      workload_test "table1-dacapo-row" Spec.Dacapo Pea_vm.Jit.O_pea;
-      workload_test "table1-scaladacapo-row" Spec.Scala_dacapo Pea_vm.Jit.O_pea;
-      workload_test "table1-specjbb-row" Spec.Specjbb Pea_vm.Jit.O_pea;
-      pea_pass_test;
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~kde:(Some 50) () in
-  let instance = Toolkit.Instance.monotonic_clock in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-          instance results
-      in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "%-28s %12.0f ns/run\n%!" name est
-          | Some _ | None -> Printf.printf "%-28s (no estimate)\n%!" name)
-        ols)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* Stack allocation                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -314,19 +357,13 @@ let stackalloc_rows =
 
 let stackalloc_section () =
   header "Stack allocation: frame-bounded materializations, reclaimed at frame pop";
-  let outcome (r : Pea_vm.Vm.result) =
-    ( (match r.Pea_vm.Vm.return_value with
-      | None -> "void"
-      | Some v -> Pea_rt.Value.string_of_value v),
-      List.map Pea_rt.Value.string_of_value r.Pea_vm.Vm.printed )
-  in
   (* steady state: warm 2 iterations (everything compiles at threshold
      2), then measure per-iteration deltas over 3 more *)
   let cell src ~threshold ~opt ~stackalloc ~mode =
     let config =
       {
-        Pea_vm.Jit.default_config with
-        Pea_vm.Jit.compile_threshold = threshold;
+        Jit.default_config with
+        Jit.compile_threshold = threshold;
         opt;
         stackalloc;
         compile_mode = mode;
@@ -334,129 +371,86 @@ let stackalloc_section () =
         oracle = true;
       }
     in
-    let vm = Pea_vm.Vm.create ~config (Pea_bytecode.Link.compile_source src) in
-    ignore (Pea_vm.Vm.run_main_iterations vm 2);
-    let before = (Pea_vm.Vm.run_main_iterations vm 0).Pea_vm.Vm.stats in
-    let r = Pea_vm.Vm.run_main_iterations vm 3 in
-    Pea_vm.Vm.quiesce vm;
-    let d getter = (getter r.Pea_vm.Vm.stats - getter before) / 3 in
-    (* promotions happen at the one deopt before the site is
-       blacklisted and the method recompiled without the pruned branch,
-       so they are invisible in the steady-state delta: report the
-       run's cumulative total instead *)
-    ( d (fun (s : Pea_rt.Stats.snapshot) -> s.Pea_rt.Stats.s_allocations),
-      d (fun s -> s.Pea_rt.Stats.s_cycles),
-      d (fun s -> s.Pea_rt.Stats.s_stack_allocs),
-      d (fun s -> s.Pea_rt.Stats.s_stack_reclaimed),
-      r.Pea_vm.Vm.stats.Pea_rt.Stats.s_stack_promotions,
-      outcome r )
+    Harness.steady_state ~config src
   in
   (* offline SPEC12 sweep: compile every method of the row the way the
      VM would and count verifier violations on the final graphs *)
   let spec12_count src =
-    let program = Pea_bytecode.Link.compile_source src in
-    let printed = ref [] in
-    let env = Pea_rt.Run.make_env program ~printed in
-    (try ignore (Pea_rt.Interp.run env (Pea_bytecode.Link.entry_exn program) [])
-     with Pea_rt.Interp.Trap _ | Pea_rt.Interp.Mj_throw _ -> ());
+    let program, profile, methods = offline src in
     let summaries = Pea_analysis.Summary.analyze program in
-    let config = { Pea_vm.Jit.default_config with Pea_vm.Jit.compile_threshold = 2 } in
+    let config = { Jit.default_config with Jit.compile_threshold = 2 } in
     List.fold_left
       (fun acc m ->
-        match Pea_vm.Jit.compile ~summaries config program env.Pea_rt.Interp.profile m with
+        match Jit.compile ~summaries config program profile m with
         | c ->
             acc
             + List.length
                 (List.filter
                    (fun (v : Pea_analysis.Spec_check.violation) ->
                      v.Pea_analysis.Spec_check.v_rule = "SPEC12")
-                   (Pea_analysis.Spec_check.check ~summaries ~phase:"final" c.Pea_vm.Jit.graph))
+                   (Pea_analysis.Spec_check.check ~summaries ~phase:"final" c.Jit.graph))
         | exception Pea_ir.Builder.Build_error _ -> acc)
-      0
-      (List.filter
-         (fun m -> not (Pea_bytecode.Classfile.uses_exceptions m))
-         (Array.to_list program.Pea_bytecode.Link.methods))
+      0 methods
   in
   Printf.printf "%-14s | %10s %10s %8s | %9s %9s %9s %9s | %s\n" "row" "pea cyc" "+stack cyc"
     "speedup" "allocs/it" "stack/it" "reclaim" "promote" "parity (8 cells)";
-  let measured =
-    List.map
-      (fun (name, threshold, src) ->
-        let allocs_off, cycles_off, _, _, _, out0 =
-          cell src ~threshold ~opt:Pea_vm.Jit.O_pea ~stackalloc:false ~mode:Pea_vm.Jit.Sync
-        in
-        let allocs_on, cycles_on, stack_on, reclaimed_on, promoted_on, _ =
-          cell src ~threshold ~opt:Pea_vm.Jit.O_pea ~stackalloc:true ~mode:Pea_vm.Jit.Sync
-        in
-        (* full matrix: opt x stackalloc x compile-mode, every cell
-           oracle-checked, all results must be bit-identical *)
-        let parity =
+  let per_iter n = n / Harness.default_measure in
+  let result (name, threshold, src) =
+    let off_r, off = cell src ~threshold ~opt:Jit.O_pea ~stackalloc:false ~mode:Jit.Sync in
+    let on_r, on = cell src ~threshold ~opt:Jit.O_pea ~stackalloc:true ~mode:Jit.Sync in
+    let out0 = outcome off_r in
+    (* full matrix: opt x stackalloc x compile-mode, every cell
+       oracle-checked, all results must be bit-identical *)
+    let parity =
+      List.for_all
+        (fun (opt, stackalloc) ->
           List.for_all
-            (fun (opt, stackalloc) ->
-              List.for_all
-                (fun mode ->
-                  let _, _, _, _, _, out = cell src ~threshold ~opt ~stackalloc ~mode in
-                  out = out0)
-                [ Pea_vm.Jit.Sync; Pea_vm.Jit.Replay ])
-            [
-              (Pea_vm.Jit.O_none, false);
-              (Pea_vm.Jit.O_ea, false);
-              (Pea_vm.Jit.O_pea, false);
-              (Pea_vm.Jit.O_pea, true);
-            ]
-        in
-        let spec12 = spec12_count src in
-        let speedup = float_of_int cycles_off /. float_of_int cycles_on in
-        Printf.printf "%-14s | %10d %10d %7.2fx | %9d %9d %9d %9d | %s, SPEC12: %d\n%!" name
-          cycles_off cycles_on speedup allocs_on stack_on reclaimed_on promoted_on
-          (if parity then "identical" else "MISMATCH")
-          spec12;
-        (name, cycles_off, cycles_on, allocs_off, allocs_on, stack_on, reclaimed_on, promoted_on,
-         parity, spec12))
-      stackalloc_rows
+            (fun mode -> outcome (fst (cell src ~threshold ~opt ~stackalloc ~mode)) = out0)
+            [ Jit.Sync; Jit.Replay ])
+        [ (Jit.O_none, false); (Jit.O_ea, false); (Jit.O_pea, false); (Jit.O_pea, true) ]
+    in
+    let spec12 = spec12_count src in
+    let cycles_off = per_iter off.Stats.s_cycles and cycles_on = per_iter on.Stats.s_cycles in
+    let allocs_on = per_iter on.Stats.s_allocations in
+    let stack_on = per_iter on.Stats.s_stack_allocs in
+    let reclaimed = per_iter on.Stats.s_stack_reclaimed in
+    (* promotions happen at the one deopt before the site is
+       blacklisted and the method recompiled without the pruned branch,
+       so they are invisible in the steady-state delta: report the
+       run's cumulative total instead *)
+    let promoted = on_r.Vm.stats.Stats.s_stack_promotions in
+    let speedup = float_of_int cycles_off /. float_of_int cycles_on in
+    Printf.printf "%-14s | %10d %10d %7.2fx | %9d %9d %9d %9d | %s, SPEC12: %d\n%!" name
+      cycles_off cycles_on speedup allocs_on stack_on reclaimed promoted
+      (if parity then "identical" else "MISMATCH")
+      spec12;
+    ( (name, cycles_on < cycles_off, allocs_on, promoted, parity, spec12),
+      [
+        Json.str_field "row" name;
+        Json.int_field "pea_cycles_per_iter" cycles_off;
+        Json.int_field "stackalloc_cycles_per_iter" cycles_on;
+        Json.int_field "pea_allocs_per_iter" (per_iter off.Stats.s_allocations);
+        Json.int_field "stackalloc_allocs_per_iter" allocs_on;
+        Json.int_field "stack_allocs_per_iter" stack_on;
+        Json.int_field "stack_reclaimed_per_iter" reclaimed;
+        Json.int_field "stack_promotions_total" promoted;
+        Json.bool_field "results_identical" parity;
+        Json.int_field "spec12_violations" spec12;
+      ] )
   in
-  let oc = open_out "BENCH_stackalloc.json" in
-  output_string oc "[\n";
-  List.iteri
-    (fun i
-         (name, cycles_off, cycles_on, allocs_off, allocs_on, stack_on, reclaimed, promoted,
-          parity, spec12) ->
-      Printf.fprintf oc
-        "  {\"row\": %S, \"pea_cycles_per_iter\": %d, \"stackalloc_cycles_per_iter\": %d, \
-         \"pea_allocs_per_iter\": %d, \"stackalloc_allocs_per_iter\": %d, \
-         \"stack_allocs_per_iter\": %d, \"stack_reclaimed_per_iter\": %d, \
-         \"stack_promotions_total\": %d, \"results_identical\": %b, \"spec12_violations\": \
-         %d}%s\n"
-        name cycles_off cycles_on allocs_off allocs_on stack_on reclaimed promoted parity spec12
-        (if i = List.length measured - 1 then "" else ","))
-    measured;
-  output_string oc "]\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_stackalloc.json\n";
-  let faster =
-    List.for_all (fun (_, off, on, _, _, _, _, _, _, _) -> on < off) measured
-  in
-  let gated (name, _, _, _, _, _, _, _, _, _) = name <> "deopt-promote" in
-  let zero_heap =
-    List.for_all
-      (fun (_, _, _, _, allocs_on, _, _, _, _, _) -> allocs_on = 0)
-      (List.filter gated measured)
-  in
-  let promoted =
-    List.exists (fun (name, _, _, _, _, _, _, p, _, _) -> name = "deopt-promote" && p > 0)
-      measured
-  in
-  let parity = List.for_all (fun (_, _, _, _, _, _, _, _, p, _) -> p) measured in
-  let spec12_clean = List.for_all (fun (_, _, _, _, _, _, _, _, _, s) -> s = 0) measured in
-  Printf.printf
-    "gate: pea+stackalloc strictly beats pea on cycles: %s; steady-state heap allocs zero on \
-     gated rows: %s; deopt promotes live stack objects (oracle clean): %s; results \
-     bit-identical across opt x stackalloc x compile-mode: %s; SPEC12 violations: %s\n"
-    (if faster then "PASS" else "FAIL")
-    (if zero_heap then "PASS" else "FAIL")
-    (if promoted then "PASS" else "FAIL")
-    (if parity then "PASS" else "FAIL")
-    (if spec12_clean then "0, PASS" else "FAIL")
+  let checks, rows = List.split (List.map result stackalloc_rows) in
+  section "stackalloc" rows
+    [
+      ("beats_pea_on_cycles", all (fun (_, faster, _, _, _, _) -> faster) checks);
+      ( "zero_heap_allocs",
+        all (fun (name, _, allocs, _, _, _) -> name = "deopt-promote" || allocs = 0) checks );
+      ( "deopt_promotes",
+        verdict
+          (List.exists (fun (name, _, _, promoted, _, _) -> name = "deopt-promote" && promoted > 0)
+             checks) );
+      ("results_identical", all (fun (_, _, _, _, parity, _) -> parity) checks);
+      ("spec12_clean", all (fun (_, _, _, _, _, spec12) -> spec12 = 0) checks);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)
@@ -468,36 +462,27 @@ let ablation_section () =
   header "Ablations (factorie workload): which design choices carry the win";
   let row = Option.get (Spec.find "factorie") in
   let src = Codegen.source_for_row row in
-  let base = { Pea_vm.Jit.default_config with Pea_vm.Jit.compile_threshold = 2 } in
+  let base = { Jit.default_config with Jit.compile_threshold = 2 } in
   let variants =
     [
-      ("no escape analysis", { base with Pea_vm.Jit.opt = Pea_vm.Jit.O_none });
-      ("whole-method EA", { base with Pea_vm.Jit.opt = Pea_vm.Jit.O_ea });
-      ("PEA, no inlining", { base with Pea_vm.Jit.opt = Pea_vm.Jit.O_pea; inline = false });
-      ( "PEA, no dead-object pruning",
-        { base with Pea_vm.Jit.opt = Pea_vm.Jit.O_pea; pea_prune_dead = false } );
-      ("PEA, no speculation", { base with Pea_vm.Jit.opt = Pea_vm.Jit.O_pea; prune = false });
-      ( "PEA, no read elimination",
-        { base with Pea_vm.Jit.opt = Pea_vm.Jit.O_pea; read_elim = false } );
-      ("PEA (full)", { base with Pea_vm.Jit.opt = Pea_vm.Jit.O_pea });
+      ("no escape analysis", { base with Jit.opt = Jit.O_none });
+      ("whole-method EA", { base with Jit.opt = Jit.O_ea });
+      ("PEA, no inlining", { base with Jit.opt = Jit.O_pea; inline = false });
+      ("PEA, no dead-object pruning", { base with Jit.opt = Jit.O_pea; pea_prune_dead = false });
+      ("PEA, no speculation", { base with Jit.opt = Jit.O_pea; prune = false });
+      ("PEA, no read elimination", { base with Jit.opt = Jit.O_pea; read_elim = false });
+      ("PEA (full)", { base with Jit.opt = Jit.O_pea });
     ]
   in
-  Printf.printf "%-30s | %12s %12s %14s
-" "configuration" "kAllocs/it" "MB/it" "iters/min";
+  Printf.printf "%-30s | %12s %12s %14s\n" "configuration" "kAllocs/it" "MB/it" "iters/min";
   List.iter
     (fun (name, config) ->
-      let program = Pea_bytecode.Link.compile_source src in
-      let vm = Pea_vm.Vm.create ~config program in
-      ignore (Pea_vm.Vm.run_main_iterations vm 2);
-      let before = (Pea_vm.Vm.run_main_iterations vm 0).Pea_vm.Vm.stats in
-      let r = Pea_vm.Vm.run_main_iterations vm 3 in
-      let d getter = float_of_int (getter r.Pea_vm.Vm.stats - getter before) /. 3. in
-      let allocs = d (fun (s : Pea_rt.Stats.snapshot) -> s.Pea_rt.Stats.s_allocations) in
-      let bytes = d (fun s -> s.Pea_rt.Stats.s_allocated_bytes) in
-      let cycles = d (fun s -> s.Pea_rt.Stats.s_cycles) in
-      Printf.printf "%-30s | %12.1f %12.3f %14.0f
-%!" name (allocs /. 1e3) (bytes /. 1048576.)
-        (60e9 /. cycles))
+      let _, w = Harness.steady_state ~config src in
+      let per_iter n = float_of_int n /. float_of_int Harness.default_measure in
+      Printf.printf "%-30s | %12.1f %12.3f %14.0f\n%!" name
+        (per_iter w.Stats.s_allocations /. 1e3)
+        (per_iter w.Stats.s_allocated_bytes /. 1048576.)
+        (60e9 /. per_iter w.Stats.s_cycles))
     variants
 
 (* ------------------------------------------------------------------ *)
@@ -543,63 +528,39 @@ let summaries_workload () =
 let summaries_section () =
   header "Interprocedural summaries: keyed-cache lookup across a non-inlined call";
   let src = summaries_workload () in
-  let base = { Pea_vm.Jit.default_config with Pea_vm.Jit.compile_threshold = 2 } in
   let variants =
     [
-      ("none", Pea_vm.Jit.O_none, false);
-      ("ea", Pea_vm.Jit.O_ea, false);
-      ("ea", Pea_vm.Jit.O_ea, true);
-      ("pea", Pea_vm.Jit.O_pea, false);
-      ("pea", Pea_vm.Jit.O_pea, true);
+      ("none", Jit.O_none, false);
+      ("ea", Jit.O_ea, false);
+      ("ea", Jit.O_ea, true);
+      ("pea", Jit.O_pea, false);
+      ("pea", Jit.O_pea, true);
     ]
   in
   Printf.printf "%-6s %-9s | %12s %14s %12s %14s %12s\n" "opt" "summaries" "allocs"
     "alloc bytes" "monitors" "cycles" "scratch";
-  let rows =
-    List.map
-      (fun (opt_name, opt, summaries) ->
-        let config = { base with Pea_vm.Jit.opt; summaries } in
-        let program = Pea_bytecode.Link.compile_source src in
-        let vm = Pea_vm.Vm.create ~config program in
-        ignore (Pea_vm.Vm.run_main_iterations vm 2);
-        let before = (Pea_vm.Vm.run_main_iterations vm 0).Pea_vm.Vm.stats in
-        let r = Pea_vm.Vm.run_main_iterations vm 3 in
-        let d getter = getter r.Pea_vm.Vm.stats - getter before in
-        let allocs = d (fun (s : Pea_rt.Stats.snapshot) -> s.Pea_rt.Stats.s_allocations) in
-        let bytes = d (fun s -> s.Pea_rt.Stats.s_allocated_bytes) in
-        let monitors = d (fun s -> s.Pea_rt.Stats.s_monitor_ops) in
-        let cycles = d (fun s -> s.Pea_rt.Stats.s_cycles) in
-        let scratch = d (fun s -> s.Pea_rt.Stats.s_stack_allocs) in
-        Printf.printf "%-6s %-9s | %12d %14d %12d %14d %12d\n%!" opt_name
-          (if summaries then "on" else "off")
-          allocs bytes monitors cycles scratch;
-        (opt_name, summaries, allocs, bytes, monitors, cycles, scratch))
-      variants
+  let result (opt_name, opt, summaries) =
+    let config = { Jit.default_config with Jit.compile_threshold = 2; opt; summaries } in
+    let _, w = Harness.steady_state ~config src in
+    Printf.printf "%-6s %-9s | %12d %14d %12d %14d %12d\n%!" opt_name
+      (if summaries then "on" else "off")
+      w.Stats.s_allocations w.Stats.s_allocated_bytes w.Stats.s_monitor_ops w.Stats.s_cycles
+      w.Stats.s_stack_allocs;
+    ( ((opt_name, summaries), w.Stats.s_allocated_bytes),
+      [
+        Json.str_field "opt" opt_name;
+        Json.bool_field "summaries" summaries;
+        Json.int_field "allocations" w.Stats.s_allocations;
+        Json.int_field "allocated_bytes" w.Stats.s_allocated_bytes;
+        Json.int_field "monitor_ops" w.Stats.s_monitor_ops;
+        Json.int_field "cycles" w.Stats.s_cycles;
+        Json.int_field "stack_allocs" w.Stats.s_stack_allocs;
+      ] )
   in
-  let bytes_of opt s =
-    List.find_map
-      (fun (o, sm, _, b, _, _, _) -> if o = opt && sm = s then Some b else None)
-      rows
-  in
-  (match (bytes_of "pea" true, bytes_of "pea" false) with
-  | Some w, Some wo when w < wo ->
-      Printf.printf "summaries win: O_pea allocated bytes %d -> %d (-%.1f%%)\n" wo w
-        (100. *. float_of_int (wo - w) /. float_of_int (max wo 1))
-  | Some w, Some wo -> Printf.printf "summaries win NOT reproduced: %d vs %d\n" w wo
-  | _ -> ());
-  let oc = open_out "BENCH_summaries.json" in
-  output_string oc "[\n";
-  List.iteri
-    (fun i (opt_name, summaries, allocs, bytes, monitors, cycles, scratch) ->
-      Printf.fprintf oc
-        "  {\"opt\": %S, \"summaries\": %b, \"allocations\": %d, \"allocated_bytes\": %d, \
-         \"monitor_ops\": %d, \"cycles\": %d, \"stack_allocs\": %d}%s\n"
-        opt_name summaries allocs bytes monitors cycles scratch
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "]\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_summaries.json\n"
+  let bytes, rows = List.split (List.map result variants) in
+  let without = List.assoc ("pea", false) bytes and with_ = List.assoc ("pea", true) bytes in
+  Printf.printf "O_pea allocated bytes, summaries off -> on: %d -> %d\n" without with_;
+  section "summaries" rows [ ("pea_bytes_cut", verdict (with_ < without)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Speculative guarded inlining                                        *)
@@ -657,22 +618,16 @@ let inlining_workload () =
 let inlining_section () =
   header "Speculative guarded inlining: skewed megamorphic dispatch beyond CHA reach";
   let src = inlining_workload () in
-  let outcome (r : Pea_vm.Vm.result) =
-    ( (match r.Pea_vm.Vm.return_value with
-      | None -> "void"
-      | Some v -> Pea_rt.Value.string_of_value v),
-      List.map Pea_rt.Value.string_of_value r.Pea_vm.Vm.printed )
-  in
   (* every cell runs with the correctness tooling fully on: the verifier
      audits the guard/deopt metadata after every phase (a violation
      aborts the compile) and the oracle bisimulates every guard deopt
      against a shadow interpreter replay (a divergence raises) *)
-  let measure ~inlining ~tooling =
+  let cell (name, inlining, tooling) =
     let config =
       {
-        Pea_vm.Jit.default_config with
-        Pea_vm.Jit.compile_threshold = 2;
-        opt = Pea_vm.Jit.O_pea;
+        Jit.default_config with
+        Jit.compile_threshold = 2;
+        opt = Jit.O_pea;
         inlining;
         check_level =
           (if tooling then Pea_analysis.Spec_check.Every_phase
@@ -680,68 +635,52 @@ let inlining_section () =
         oracle = tooling;
       }
     in
-    let vm = Pea_vm.Vm.create ~config (Pea_bytecode.Link.compile_source src) in
-    ignore (Pea_vm.Vm.run_main_iterations vm 2);
-    let before = (Pea_vm.Vm.run_main_iterations vm 0).Pea_vm.Vm.stats in
-    let r = Pea_vm.Vm.run_main_iterations vm 3 in
-    let d getter = (getter r.Pea_vm.Vm.stats - getter before) / 3 in
-    ( d (fun (s : Pea_rt.Stats.snapshot) -> s.Pea_rt.Stats.s_allocations),
-      d (fun s -> s.Pea_rt.Stats.s_allocated_bytes),
-      d (fun s -> s.Pea_rt.Stats.s_cycles),
-      r.Pea_vm.Vm.stats.Pea_rt.Stats.s_speculative_inlines,
-      r.Pea_vm.Vm.stats.Pea_rt.Stats.s_guard_deopts,
-      r.Pea_vm.Vm.stats.Pea_rt.Stats.s_inline_blacklist_skips,
-      outcome r )
+    let r, w = Harness.steady_state ~config src in
+    let per_iter n = n / Harness.default_measure and s = r.Vm.stats in
+    let allocs = per_iter w.Stats.s_allocations and cycles = per_iter w.Stats.s_cycles in
+    let bytes = per_iter w.Stats.s_allocated_bytes in
+    let specs = s.Stats.s_speculative_inlines and gdeopts = s.Stats.s_guard_deopts in
+    let skips = s.Stats.s_inline_blacklist_skips in
+    Printf.printf "%-22s | %10d %12d %12d | %6d %7d %6d\n%!" name allocs bytes cycles specs gdeopts
+      skips;
+    ( (name, allocs, cycles, specs, gdeopts, skips, outcome r),
+      [
+        Json.str_field "config" name;
+        Json.bool_field "inlining" inlining;
+        Json.bool_field "tooling" tooling;
+        Json.int_field "allocations_per_iter" allocs;
+        Json.int_field "allocated_bytes_per_iter" bytes;
+        Json.int_field "cycles_per_iter" cycles;
+        Json.int_field "speculative_inlines" specs;
+        Json.int_field "guard_deopts" gdeopts;
+        Json.int_field "blacklist_skips" skips;
+      ] )
   in
   Printf.printf "%-22s | %10s %12s %12s | %6s %7s %6s\n" "configuration" "allocs/it" "bytes/it"
     "cycles/it" "specs" "gdeopts" "skips";
-  let cells =
-    List.map
-      (fun (name, inlining, tooling) ->
-        let allocs, bytes, cycles, specs, gdeopts, skips, out = measure ~inlining ~tooling in
-        Printf.printf "%-22s | %10d %12d %12d | %6d %7d %6d\n%!" name allocs bytes cycles specs
-          gdeopts skips;
-        (name, inlining, tooling, allocs, bytes, cycles, specs, gdeopts, skips, out))
-      [
-        ("pea+summaries", false, true);
-        ("pea+inlining", true, true);
-        ("pea+summaries no-tool", false, false);
-        ("pea+inlining no-tool", true, false);
-      ]
+  let cells, rows =
+    List.split
+      (List.map cell
+         [
+           ("pea+summaries", false, true);
+           ("pea+inlining", true, true);
+           ("pea+summaries no-tool", false, false);
+           ("pea+inlining no-tool", true, false);
+         ])
   in
-  let find name =
-    List.find (fun (n, _, _, _, _, _, _, _, _, _) -> n = name) cells
-  in
-  let _, _, _, a_off, _, c_off, _, _, _, o_off = find "pea+summaries" in
-  let _, _, _, a_on, _, c_on, specs, gdeopts, skips, o_on = find "pea+inlining" in
-  let results_identical =
-    List.for_all (fun (_, _, _, _, _, _, _, _, _, o) -> o = o_off) cells
-  in
-  let oc = open_out "BENCH_inlining.json" in
-  output_string oc "[\n";
-  List.iteri
-    (fun i (name, inlining, tooling, allocs, bytes, cycles, specs, gdeopts, skips, _) ->
-      Printf.fprintf oc
-        "  {\"config\": %S, \"inlining\": %b, \"tooling\": %b, \"allocations_per_iter\": %d, \
-         \"allocated_bytes_per_iter\": %d, \"cycles_per_iter\": %d, \"speculative_inlines\": %d, \
-         \"guard_deopts\": %d, \"blacklist_skips\": %d}%s\n"
-        name inlining tooling allocs bytes cycles specs gdeopts skips
-        (if i = List.length cells - 1 then "" else ","))
-    cells;
-  output_string oc "]\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_inlining.json\n";
+  let find name = List.find (fun (n, _, _, _, _, _, _) -> n = name) cells in
+  let _, a_off, c_off, _, _, _, o_off = find "pea+summaries" in
+  let _, a_on, c_on, specs, gdeopts, skips, _ = find "pea+inlining" in
   Printf.printf
     "speculated %d sites, %d guard deopts, %d blacklist fallbacks; allocations %d -> %d, cycles \
      %d -> %d per iteration\n"
     specs gdeopts skips a_off a_on c_off c_on;
-  ignore o_on;
-  Printf.printf
-    "gate: pea+inlining strictly beats pea+summaries on allocations: %s; on cycles: %s; results \
-     bit-identical across the matrix: %s; Every_phase verifier and oracle ran clean: PASS\n"
-    (if a_on < a_off then "PASS" else "FAIL")
-    (if c_on < c_off then "PASS" else "FAIL")
-    (if results_identical then "PASS" else "FAIL")
+  section "inlining" rows
+    [
+      ("fewer_allocations", verdict (a_on < a_off));
+      ("fewer_cycles", verdict (c_on < c_off));
+      ("results_identical", all (fun (_, _, _, _, _, _, o) -> o = o_off) cells);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Observability                                                       *)
@@ -755,17 +694,15 @@ let obs_section () =
   let row = Option.get (Spec.find "factorie") in
   let src = Codegen.source_for_row row in
   let run traced =
-    let config = { Pea_vm.Jit.default_config with Pea_vm.Jit.compile_threshold = 2 } in
-    let vm = Pea_vm.Vm.create ~config (Pea_bytecode.Link.compile_source src) in
-    if not traced then (Pea_vm.Vm.run_main_iterations vm 3, None)
+    let config = { Jit.default_config with Jit.compile_threshold = 2 } in
+    let vm = Vm.create ~config (Pea_bytecode.Link.compile_source src) in
+    if not traced then (Vm.run_main_iterations vm 3, None)
     else begin
       let t = Pea_obs.Trace.create () in
-      Pea_obs.Trace.set_clock t (fun () ->
-          Pea_rt.Stats.get (Pea_vm.Vm.stats vm) Pea_rt.Stats.cycles);
+      Pea_obs.Trace.set_clock t (fun () -> Stats.get (Vm.stats vm) Stats.cycles);
       Pea_obs.Trace.install t;
       let r =
-        Fun.protect ~finally:Pea_obs.Trace.uninstall (fun () ->
-            Pea_vm.Vm.run_main_iterations vm 3)
+        Fun.protect ~finally:Pea_obs.Trace.uninstall (fun () -> Vm.run_main_iterations vm 3)
       in
       (r, Some t)
     end
@@ -774,21 +711,24 @@ let obs_section () =
   let on, tracer1 = run true in
   let _, tracer2 = run true in
   let t1 = Option.get tracer1 and t2 = Option.get tracer2 in
-  let counters_identical = off.Pea_vm.Vm.stats = on.Pea_vm.Vm.stats in
+  let counters_identical = off.Vm.stats = on.Vm.stats in
   let deterministic = Pea_obs.Trace.jsonl_string t1 = Pea_obs.Trace.jsonl_string t2 in
-  Printf.printf "events captured: %d (dropped: %d)\n" (Pea_obs.Trace.length t1)
-    (Pea_obs.Trace.dropped t1);
-  Printf.printf "gate: counters identical with tracing on: %s; trace identical across runs: %s\n"
-    (if counters_identical then "PASS" else "FAIL")
-    (if deterministic then "PASS" else "FAIL");
-  let oc = open_out "BENCH_obs.json" in
-  Printf.fprintf oc
-    "{\"workload\": %S, \"events\": %d, \"dropped\": %d, \"counters_identical\": %b, \
-     \"trace_deterministic\": %b}\n"
-    row.Spec.name (Pea_obs.Trace.length t1) (Pea_obs.Trace.dropped t1) counters_identical
-    deterministic;
-  close_out oc;
-  Printf.printf "wrote BENCH_obs.json\n"
+  let events = Pea_obs.Trace.length t1 and dropped = Pea_obs.Trace.dropped t1 in
+  Printf.printf "events captured: %d (dropped: %d)\n" events dropped;
+  section "obs"
+    [
+      [
+        Json.str_field "workload" row.Spec.name;
+        Json.int_field "events" events;
+        Json.int_field "dropped" dropped;
+        Json.bool_field "counters_identical" counters_identical;
+        Json.bool_field "trace_deterministic" deterministic;
+      ];
+    ]
+    [
+      ("counters_identical", verdict counters_identical);
+      ("trace_deterministic", verdict deterministic);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Profiling                                                           *)
@@ -806,24 +746,22 @@ let profile_section () =
   let module Pheap = Pea_obs.Profile_heap in
   let src = inlining_workload () in
   let run ?(collect_report = true) profiled =
-    let config =
-      { Pea_vm.Jit.default_config with Pea_vm.Jit.compile_threshold = 2; opt = Pea_vm.Jit.O_pea }
-    in
+    let config = { Jit.default_config with Jit.compile_threshold = 2; opt = Jit.O_pea } in
     let body cpu heap =
       let program = Pea_bytecode.Link.compile_source src in
-      let vm = Pea_vm.Vm.create ~config program in
-      let r = Pea_vm.Vm.run_main_iterations vm 3 in
-      Pea_vm.Vm.quiesce vm;
+      let vm = Vm.create ~config program in
+      let r = Vm.run_main_iterations vm 3 in
+      Vm.quiesce vm;
       let report =
         match (cpu, heap) with
         | Some cpu, Some heap when collect_report ->
             Some
               (Pea_vm.Report.to_string
                  (Pea_vm.Report.collect ~program ~cpu ~heap
-                    ~pea_sites:(Pea_vm.Vm.jit_stats vm).Pea_core.Pea.sites ()))
+                    ~pea_sites:(Vm.jit_stats vm).Pea_core.Pea.sites ()))
         | _ -> None
       in
-      (r.Pea_vm.Vm.stats, report)
+      (r.Vm.stats, report)
     in
     if not profiled then body None None
     else begin
@@ -842,44 +780,29 @@ let profile_section () =
   let _, report2 = run true in
   let counters_identical = off_stats = on_stats in
   let deterministic = report1 = report2 && Option.is_some report1 in
-  (* the timed half excludes report aggregation (the gate is about the
-     always-on cost of sampling, not the one-shot readout), and takes the
-     fastest of several interleaved batches per configuration: each rep
-     builds a fresh VM and recompiles, so single-pass wall clock carries
-     enough scheduler noise to swamp a 10% budget. *)
-  let batches = 5 and reps = 10 in
-  let batch profiled =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (run ~collect_report:false profiled)
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  ignore (batch false) (* warm the allocator before timing *);
-  ignore (batch true);
-  let t_off = ref infinity and t_on = ref infinity in
-  for _ = 1 to batches do
-    t_off := Float.min !t_off (batch false);
-    t_on := Float.min !t_on (batch true)
-  done;
-  let t_off = !t_off and t_on = !t_on in
+  (* the timed half excludes report aggregation: the gate is about the
+     always-on cost of sampling, not the one-shot readout *)
+  let t_off, t_on = best_of (fun profiled -> run ~collect_report:false profiled) false true in
   let overhead = if t_off > 0. then t_on /. t_off else 1. in
   Printf.printf "wall clock, best of %d batches x %d runs: off %.4fs, on %.4fs (%.3fx)\n" batches
     reps t_off t_on overhead;
-  Printf.printf
-    "gate: counters identical with profiling on: %s; report identical across runs: %s; \
-     overhead <= 1.10x: %s\n"
-    (if counters_identical then "PASS" else "FAIL")
-    (if deterministic then "PASS" else "FAIL")
-    (if overhead <= 1.10 then "PASS" else "FAIL");
-  let oc = open_out "BENCH_profile.json" in
-  Printf.fprintf oc
-    "{\"workload\": \"megamorphic-inlining\", \"reps\": %d, \"wall_s_off\": %.6f, \"wall_s_on\": \
-     %.6f, \"overhead\": %.4f, \"overhead_ok\": %b, \"counters_identical\": %b, \
-     \"report_deterministic\": %b}\n"
-    reps t_off t_on overhead (overhead <= 1.10) counters_identical deterministic;
-  close_out oc;
-  Printf.printf "wrote BENCH_profile.json\n"
+  section "profile" ~measured:[ "wall_s_off"; "wall_s_on"; "overhead" ]
+    [
+      [
+        Json.str_field "workload" "megamorphic-inlining";
+        Json.int_field "reps" reps;
+        Json.float_field "wall_s_off" ~decimals:6 t_off;
+        Json.float_field "wall_s_on" ~decimals:6 t_on;
+        Json.float_field "overhead" ~decimals:4 overhead;
+        Json.bool_field "counters_identical" counters_identical;
+        Json.bool_field "report_deterministic" deterministic;
+      ];
+    ]
+    [
+      ("counters_identical", verdict counters_identical);
+      ("report_deterministic", verdict deterministic);
+      ("overhead_ok", verdict (overhead <= 1.10));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* On-stack replacement                                                 *)
@@ -933,62 +856,44 @@ let osr_section () =
          }" );
     ]
   in
-  let outcome (r : Pea_vm.Vm.result) =
-    ( (match r.Pea_vm.Vm.return_value with
-      | None -> "void"
-      | Some v -> Pea_rt.Value.string_of_value v),
-      List.map Pea_rt.Value.string_of_value r.Pea_vm.Vm.printed )
-  in
   (* compile_threshold maxed out: the only road to compiled code is OSR *)
   let run src ~osr =
-    let config =
-      { Pea_vm.Jit.default_config with Pea_vm.Jit.compile_threshold = max_int; osr }
-    in
-    Pea_vm.Vm.run (Pea_vm.Vm.create ~config (Pea_bytecode.Link.compile_source src))
+    let config = { Jit.default_config with Jit.compile_threshold = max_int; osr } in
+    Vm.run (Vm.create ~config (Pea_bytecode.Link.compile_source src))
   in
   Printf.printf "%-14s | %12s %12s %8s | %7s %11s | %s\n" "row" "interp cyc" "osr cyc" "speedup"
     "entries" "allocs" "results";
-  let measured =
-    List.map
-      (fun (name, src) ->
-        let interp = run src ~osr:false in
-        let osr = run src ~osr:true in
-        let ic = interp.Pea_vm.Vm.stats.Pea_rt.Stats.s_cycles in
-        let oc = osr.Pea_vm.Vm.stats.Pea_rt.Stats.s_cycles in
-        let entries = osr.Pea_vm.Vm.stats.Pea_rt.Stats.s_osr_entries in
-        let parity = outcome interp = outcome osr in
-        let speedup = float_of_int ic /. float_of_int oc in
-        Printf.printf "%-14s | %12d %12d %7.2fx | %7d %5d->%-5d | %s\n%!" name ic oc speedup
-          entries interp.Pea_vm.Vm.stats.Pea_rt.Stats.s_allocations
-          osr.Pea_vm.Vm.stats.Pea_rt.Stats.s_allocations
-          (if parity then "identical" else "MISMATCH");
-        (name, ic, oc, speedup, entries, parity))
-      rows
+  let result (name, src) =
+    let interp = run src ~osr:false in
+    let osr = run src ~osr:true in
+    let ic = interp.Vm.stats.Stats.s_cycles in
+    let oc = osr.Vm.stats.Stats.s_cycles in
+    let entries = osr.Vm.stats.Stats.s_osr_entries in
+    let parity = outcome interp = outcome osr in
+    let speedup = float_of_int ic /. float_of_int oc in
+    Printf.printf "%-14s | %12d %12d %7.2fx | %7d %5d->%-5d | %s\n%!" name ic oc speedup
+      entries interp.Vm.stats.Stats.s_allocations osr.Vm.stats.Stats.s_allocations
+      (if parity then "identical" else "MISMATCH");
+    ( (entries >= 1, oc < ic, parity),
+      [
+        Json.str_field "row" name;
+        Json.int_field "interp_cycles" ic;
+        Json.int_field "osr_cycles" oc;
+        Json.float_field "speedup" ~decimals:3 speedup;
+        Json.int_field "osr_entries" entries;
+        Json.bool_field "result_parity" parity;
+      ] )
   in
-  let oc = open_out "BENCH_osr.json" in
-  output_string oc "[\n";
-  List.iteri
-    (fun i (name, icyc, ocyc, speedup, entries, parity) ->
-      Printf.fprintf oc
-        "  {\"row\": %S, \"interp_cycles\": %d, \"osr_cycles\": %d, \"speedup\": %.3f, \
-         \"osr_entries\": %d, \"result_parity\": %b}%s\n"
-        name icyc ocyc speedup entries parity
-        (if i = List.length measured - 1 then "" else ","))
-    measured;
-  output_string oc "]\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_osr.json\n";
-  let tiered = List.for_all (fun (_, _, _, _, e, _) -> e >= 1) measured in
-  let faster = List.for_all (fun (_, ic, oc, _, _, _) -> oc < ic) measured in
-  let parity = List.for_all (fun (_, _, _, _, _, p) -> p) measured in
-  Printf.printf
-    "gate: osr entered on every row: %s; beats interpreter-only: %s; results bit-for-bit: %s\n"
-    (if tiered then "PASS" else "FAIL")
-    (if faster then "PASS" else "FAIL")
-    (if parity then "PASS" else "FAIL")
+  let checks, rows = List.split (List.map result rows) in
+  section "osr" rows
+    [
+      ("osr_entered", all (fun (entered, _, _) -> entered) checks);
+      ("beats_interpreter", all (fun (_, faster, _) -> faster) checks);
+      ("result_parity", all (fun (_, _, parity) -> parity) checks);
+    ]
 
 (* ------------------------------------------------------------------ *)
-(* Background compilation                                              *)
+(* Compile modes                                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* Time-to-steady-state under the two compile modes. In sync mode the
@@ -1001,75 +906,52 @@ let osr_section () =
    on the two most compile-heavy rows replay reaches steady state
    (cycles + compile_stall_cycles) strictly sooner than sync with
    identical results. *)
-let parallel_jit_section () =
+let compile_mode_section () =
   header "Background compilation: time-to-steady-state, sync vs replay";
-  let outcome (r : Pea_vm.Vm.result) =
-    ( (match r.Pea_vm.Vm.return_value with
-      | None -> "void"
-      | Some v -> Pea_rt.Value.string_of_value v),
-      List.map Pea_rt.Value.string_of_value r.Pea_vm.Vm.printed )
-  in
   let measure src mode =
-    let config =
-      { Pea_vm.Jit.default_config with Pea_vm.Jit.compile_threshold = 2; compile_mode = mode }
-    in
-    let vm = Pea_vm.Vm.create ~config (Pea_bytecode.Link.compile_source src) in
-    let r = Pea_vm.Vm.run_main_iterations vm 3 in
-    Pea_vm.Vm.quiesce vm;
-    (Pea_rt.Stats.snapshot (Pea_vm.Vm.stats vm), outcome r)
+    let config = { Jit.default_config with Jit.compile_threshold = 2; compile_mode = mode } in
+    let vm = Vm.create ~config (Pea_bytecode.Link.compile_source src) in
+    let r = Vm.run_main_iterations vm 3 in
+    Vm.quiesce vm;
+    (Stats.snapshot (Vm.stats vm), outcome r)
   in
-  let tts (s : Pea_rt.Stats.snapshot) =
-    s.Pea_rt.Stats.s_cycles + s.Pea_rt.Stats.s_compile_stall_cycles
-  in
+  let tts (s : Stats.snapshot) = s.Stats.s_cycles + s.Stats.s_compile_stall_cycles in
   let ranked =
     List.sort
-      (fun (_, (a : Pea_rt.Stats.snapshot), _) (_, b, _) ->
-        compare b.Pea_rt.Stats.s_compile_stall_cycles a.Pea_rt.Stats.s_compile_stall_cycles)
+      (fun (_, (a : Stats.snapshot), _) (_, b, _) ->
+        compare b.Stats.s_compile_stall_cycles a.Stats.s_compile_stall_cycles)
       (List.map
          (fun (row : Spec.row) ->
-           let src = Codegen.source_for_row row in
-           let s, o = measure src Pea_vm.Jit.Sync in
+           let s, o = measure (Codegen.source_for_row row) Jit.Sync in
            (row, s, o))
          (Spec.dacapo @ Spec.scala_dacapo @ Spec.specjbb))
   in
   let rows = List.filteri (fun i _ -> i < 4) ranked in
   Printf.printf "%-14s | %12s %12s %12s %8s | %s\n" "row" "sync stall" "sync tts" "replay tts"
     "speedup" "results";
-  let measured =
-    List.map
-      (fun ((row : Spec.row), sync_s, sync_o) ->
-        let src = Codegen.source_for_row row in
-        let replay_s, replay_o = measure src Pea_vm.Jit.Replay in
-        let identical = sync_o = replay_o in
-        let speedup = float_of_int (tts sync_s) /. float_of_int (tts replay_s) in
-        Printf.printf "%-14s | %12d %12d %12d %7.3fx | %s\n%!" row.Spec.name
-          sync_s.Pea_rt.Stats.s_compile_stall_cycles (tts sync_s) (tts replay_s) speedup
-          (if identical then "identical" else "MISMATCH");
-        (row, sync_s, replay_s, speedup, identical))
-      rows
+  let result ((row : Spec.row), sync_s, sync_o) =
+    let replay_s, replay_o = measure (Codegen.source_for_row row) Jit.Replay in
+    let identical = sync_o = replay_o in
+    let speedup = float_of_int (tts sync_s) /. float_of_int (tts replay_s) in
+    Printf.printf "%-14s | %12d %12d %12d %7.3fx | %s\n%!" row.Spec.name
+      sync_s.Stats.s_compile_stall_cycles (tts sync_s) (tts replay_s) speedup
+      (if identical then "identical" else "MISMATCH");
+    ( (tts replay_s < tts sync_s, identical),
+      [
+        Json.str_field "row" row.Spec.name;
+        Json.int_field "sync_stall_cycles" sync_s.Stats.s_compile_stall_cycles;
+        Json.int_field "sync_time_to_steady" (tts sync_s);
+        Json.int_field "replay_time_to_steady" (tts replay_s);
+        Json.float_field "speedup" ~decimals:3 speedup;
+        Json.bool_field "results_identical" identical;
+      ] )
   in
-  let oc = open_out "BENCH_parallel_jit.json" in
-  output_string oc "[\n";
-  List.iteri
-    (fun i ((row : Spec.row), sync_s, replay_s, speedup, identical) ->
-      Printf.fprintf oc
-        "  {\"row\": %S, \"sync_stall_cycles\": %d, \"sync_time_to_steady\": %d, \
-         \"replay_time_to_steady\": %d, \"speedup\": %.3f, \"results_identical\": %b}%s\n"
-        row.Spec.name sync_s.Pea_rt.Stats.s_compile_stall_cycles (tts sync_s) (tts replay_s)
-        speedup identical
-        (if i = List.length measured - 1 then "" else ","))
-    measured;
-  output_string oc "]\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_parallel_jit.json\n";
-  let top2 = List.filteri (fun i _ -> i < 2) measured in
-  let faster = List.for_all (fun (_, s, r, _, _) -> tts r < tts s) top2 in
-  let identical = List.for_all (fun (_, _, _, _, p) -> p) measured in
-  Printf.printf
-    "gate: replay beats sync to steady state on the two most compile-heavy rows: %s; results \
-     identical across modes: %s\n"
-    (if faster then "PASS" else "FAIL")
-    (if identical then "PASS" else "FAIL")
+  let checks, rows = List.split (List.map result rows) in
+  section "compile_mode" rows
+    [
+      ("replay_beats_sync", all fst (List.filteri (fun i _ -> i < 2) checks));
+      ("results_identical", all snd checks);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Speculation-safety verifier                                         *)
@@ -1090,106 +972,55 @@ let verify_section () =
   let rows = List.filteri (fun i _ -> i < 3) Spec.dacapo in
   let counters src level oracle =
     let config =
-      {
-        Pea_vm.Jit.default_config with
-        Pea_vm.Jit.compile_threshold = 2;
-        check_level = level;
-        oracle;
-      }
+      { Jit.default_config with Jit.compile_threshold = 2; check_level = level; oracle }
     in
-    let vm = Pea_vm.Vm.create ~config (Pea_bytecode.Link.compile_source src) in
-    (Pea_vm.Vm.run_main_iterations vm 3).Pea_vm.Vm.stats
-  in
-  (* offline pipeline re-runs over every compilable method: isolates the
-     verifier's compile-time cost from mutator time. [compile level]
-     compiles each method once; the timed batches repeat it [reps] times,
-     and each level keeps its fastest of [batches] interleaved batches,
-     as the profile section does, so scheduler noise cannot swamp the
-     ratio. *)
-  let batches = 5 and reps = 10 in
-  let offline src =
-    let program = Pea_bytecode.Link.compile_source src in
-    let printed = ref [] in
-    let env = Pea_rt.Run.make_env program ~printed in
-    (try ignore (Pea_rt.Interp.run env (Pea_bytecode.Link.entry_exn program) [])
-     with Pea_rt.Interp.Trap _ | Pea_rt.Interp.Mj_throw _ -> ());
-    let profile = env.Pea_rt.Interp.profile in
-    let methods =
-      List.filter
-        (fun m -> not (Pea_bytecode.Classfile.uses_exceptions m))
-        (Array.to_list program.Pea_bytecode.Link.methods)
-    in
-    fun level ->
-      let config = { Pea_vm.Jit.default_config with Pea_vm.Jit.check_level = level } in
-      List.map (fun m -> Pea_vm.Jit.compile config program profile m) methods
-  in
-  let batch compile level =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (compile level)
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  let best_of compile =
-    let none = Pea_analysis.Spec_check.No_check and every = Pea_analysis.Spec_check.Every_phase in
-    ignore (batch compile none) (* warm the allocator before timing *);
-    ignore (batch compile every);
-    let t_none = ref infinity and t_every = ref infinity in
-    for _ = 1 to batches do
-      t_none := Float.min !t_none (batch compile none);
-      t_every := Float.min !t_every (batch compile every)
-    done;
-    (!t_none, !t_every)
+    let vm = Vm.create ~config (Pea_bytecode.Link.compile_source src) in
+    (Vm.run_main_iterations vm 3).Vm.stats
   in
   Printf.printf "%-14s | %5s | %10s %10s %8s | %s\n" "row" "specs" "none s" "every s" "overhead"
     "counter drift (none/end/every/oracle)";
-  let measured =
-    List.map
-      (fun (row : Spec.row) ->
-        let src = Codegen.source_for_row row in
-        let base = counters src Pea_analysis.Spec_check.No_check false in
-        let drift =
-          base = counters src Pea_analysis.Spec_check.Phase_end false
-          && base = counters src Pea_analysis.Spec_check.Every_phase false
-          && base = counters src Pea_analysis.Spec_check.Phase_end true
-        in
-        let compile = offline src in
-        let graphs = compile Pea_analysis.Spec_check.No_check in
-        let t_none, t_every = best_of compile in
-        let violations =
-          List.fold_left
-            (fun acc (c : Pea_vm.Jit.compiled) ->
-              acc
-              + List.length (Pea_analysis.Spec_check.check ~phase:"final" c.Pea_vm.Jit.graph))
-            0 graphs
-        in
-        let overhead = if t_none > 0. then t_every /. t_none else 1. in
-        Printf.printf "%-14s | %5d | %10.4f %10.4f %7.2fx | %s\n%!" row.Spec.name violations
-          t_none t_every overhead
-          (if drift then "none" else "DRIFT");
-        (row, violations, t_none, t_every, overhead, drift))
-      rows
+  let none = Pea_analysis.Spec_check.No_check and every = Pea_analysis.Spec_check.Every_phase in
+  let result (row : Spec.row) =
+    let src = Codegen.source_for_row row in
+    let base = counters src none false in
+    let drift_free =
+      base = counters src Pea_analysis.Spec_check.Phase_end false
+      && base = counters src every false
+      && base = counters src Pea_analysis.Spec_check.Phase_end true
+    in
+    (* offline pipeline re-runs over every compilable method isolate
+       the verifier's compile-time cost from mutator time *)
+    let program, profile, methods = offline src in
+    let compile level =
+      let config = { Jit.default_config with Jit.check_level = level } in
+      List.map (fun m -> Jit.compile config program profile m) methods
+    in
+    let graphs = compile none in
+    let t_none, t_every = best_of compile none every in
+    let violations =
+      List.fold_left
+        (fun acc (c : Jit.compiled) ->
+          acc + List.length (Pea_analysis.Spec_check.check ~phase:"final" c.Jit.graph))
+        0 graphs
+    in
+    let overhead = if t_none > 0. then t_every /. t_none else 1. in
+    Printf.printf "%-14s | %5d | %10.4f %10.4f %7.2fx | %s\n%!" row.Spec.name violations
+      t_none t_every overhead
+      (if drift_free then "none" else "DRIFT");
+    ( (violations = 0, drift_free),
+      [
+        Json.str_field "row" row.Spec.name;
+        Json.int_field "violations" violations;
+        Json.float_field "compile_s_check_none" ~decimals:6 t_none;
+        Json.float_field "compile_s_check_every_phase" ~decimals:6 t_every;
+        Json.float_field "every_phase_overhead" ~decimals:3 overhead;
+        Json.bool_field "counter_drift" (not drift_free);
+      ] )
   in
-  let oc = open_out "BENCH_verify.json" in
-  output_string oc "[\n";
-  List.iteri
-    (fun i ((row : Spec.row), violations, t_none, t_every, overhead, drift) ->
-      Printf.fprintf oc
-        "  {\"row\": %S, \"violations\": %d, \"compile_s_check_none\": %.6f, \
-         \"compile_s_check_every_phase\": %.6f, \"every_phase_overhead\": %.3f, \
-         \"counter_drift\": %b}%s\n"
-        row.Spec.name violations t_none t_every overhead (not drift)
-        (if i = List.length measured - 1 then "" else ","))
-    measured;
-  output_string oc "]\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_verify.json\n";
-  let clean = List.for_all (fun (_, v, _, _, _, _) -> v = 0) measured in
-  let nodrift = List.for_all (fun (_, _, _, _, _, d) -> d) measured in
-  Printf.printf
-    "gate: zero counter drift across check levels and oracle: %s; corpus verifies clean: %s\n"
-    (if nodrift then "PASS" else "FAIL")
-    (if clean then "PASS" else "FAIL")
+  let checks, rows = List.split (List.map result rows) in
+  section "verify" rows
+    ~measured:[ "compile_s_check_none"; "compile_s_check_every_phase"; "every_phase_overhead" ]
+    [ ("no_counter_drift", all snd checks); ("corpus_clean", all fst checks) ]
 
 (* ------------------------------------------------------------------ *)
 (* Multi-tenant serving harness                                        *)
@@ -1209,7 +1040,7 @@ let serving_section () =
   header "Multi-tenant serving: throughput scaling, storm isolation, replay determinism";
   let module Server = Pea_serve.Server in
   let module Sessions = Pea_workloads.Sessions in
-  let jit = { Pea_vm.Jit.default_config with Pea_vm.Jit.compile_threshold = 4 } in
+  let jit = { Jit.default_config with Jit.compile_threshold = 4 } in
   let config mode = { Server.default_config with Server.sv_mode = mode; sv_jit = jit } in
   (* compute-heavy session: every tenant hammers the recursive handler,
      so worker domains have real parallel work once the shared cache is
@@ -1228,35 +1059,35 @@ let serving_section () =
   in
   let script = heavy_script ~tenants:8 ~rounds:6 ~per_tenant:6 in
   let requests = List.fold_left (fun n r -> n + List.length r) 0 script.Server.sc_rounds in
-  let measure workers =
-    let t0 = Unix.gettimeofday () in
-    let r = Server.run ~config:(config (Server.Threaded workers)) script in
-    let dt = Unix.gettimeofday () -. t0 in
-    let lat = List.concat_map (fun tr -> tr.Server.tr_latencies) r.Server.r_tenants in
-    (dt, float_of_int requests /. dt, Server.percentile lat 50, Server.percentile lat 99)
-  in
   Printf.printf "%-8s | %9s %12s %10s %10s\n" "workers" "seconds" "requests/s" "p50 cycles"
     "p99 cycles";
-  let rows =
+  let throughput =
     List.map
-      (fun w ->
-        let dt, rps, p50, p99 = measure w in
-        Printf.printf "%-8d | %9.3f %12.0f %10d %10d\n%!" w dt rps p50 p99;
-        (w, dt, rps, p50, p99))
+      (fun workers ->
+        let t0 = Unix.gettimeofday () in
+        let r = Server.run ~config:(config (Server.Threaded workers)) script in
+        let dt = Unix.gettimeofday () -. t0 in
+        let lat = List.concat_map (fun tr -> tr.Server.tr_latencies) r.Server.r_tenants in
+        let rps = float_of_int requests /. dt in
+        let p50 = Server.percentile lat 50 and p99 = Server.percentile lat 99 in
+        Printf.printf "%-8d | %9.3f %12.0f %10d %10d\n%!" workers dt rps p50 p99;
+        ( workers,
+          ( rps,
+            [
+              Json.int_field "workers" workers;
+              Json.float_field "seconds" ~decimals:4 dt;
+              Json.float_field "requests_per_s" ~decimals:1 rps;
+              Json.int_field "p50_cycles" p50;
+              Json.int_field "p99_cycles" p99;
+            ] ) ))
       [ 1; 2; 4 ]
   in
-  let rps_of w = List.find_map (fun (w', _, rps, _, _) -> if w' = w then Some rps else None) rows in
-  let scaling =
-    match (rps_of 1, rps_of 4) with Some a, Some b -> b /. a | _ -> 0.0
-  in
+  let rps workers = fst (List.assoc workers throughput) in
+  let scaling = rps 4 /. rps 1 in
   let cores = Domain.recommended_domain_count () in
-  (* a gate the host cannot exercise is recorded as waived, not passed *)
-  let scaling_gate =
-    if cores < 2 then "waived: single-core host" else if scaling >= 1.5 then "pass" else "fail"
-  in
   (* storm isolation, replay mode: victims' latency distribution against
      a stormless baseline of the byte-identical victim traffic *)
-  let storm_jit = { Pea_vm.Jit.default_config with Pea_vm.Jit.compile_threshold = 20 } in
+  let storm_jit = { Jit.default_config with Jit.compile_threshold = 20 } in
   let storm_config = { Server.default_config with Server.sv_jit = storm_jit } in
   let storm_script ~storm =
     Sessions.storm_script ~storm ~victims:3 ~rounds:26 ~requests_per_round:9 ~seed:11 ()
@@ -1275,7 +1106,6 @@ let serving_section () =
       0.0 (p99s stormy_run) (p99s quiet_run)
   in
   let quarantined = stormy_run.Server.r_quarantined = [ "stormy" ] in
-  let storm_pass = quarantined && drift_pct <= 10.0 in
   Printf.printf
     "storm: stormy quarantined=%b; victim p99 drift vs stormless baseline = %.2f%% (gate: <= \
      10%%)\n"
@@ -1287,35 +1117,31 @@ let serving_section () =
   let twin = replay_r = threaded_r in
   Printf.printf "replay run vs threaded run: %s\n"
     (if twin then "counter-identical" else "MISMATCH");
-  let oc = open_out "BENCH_serving.json" in
-  Printf.fprintf oc "{\n  \"cores\": %d,\n  \"requests\": %d,\n  \"throughput\": [\n" cores
-    requests;
-  List.iteri
-    (fun i (w, dt, rps, p50, p99) ->
-      Printf.fprintf oc
-        "    {\"workers\": %d, \"seconds\": %.4f, \"requests_per_s\": %.1f, \"p50_cycles\": %d, \
-         \"p99_cycles\": %d}%s\n"
-        w dt rps p50 p99
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ],\n  \"scaling_1_to_4\": %.3f,\n" scaling;
-  Printf.fprintf oc "  \"scaling_gate\": %S,\n" scaling_gate;
-  Printf.fprintf oc
-    "  \"storm\": {\"stormy_quarantined\": %b, \"victim_p99_storm\": [%s], \"victim_p99_quiet\": \
-     [%s], \"max_p99_drift_pct\": %.3f, \"pass\": %b},\n"
-    quarantined
-    (String.concat ", " (List.map string_of_int (p99s stormy_run)))
-    (String.concat ", " (List.map string_of_int (p99s quiet_run)))
-    drift_pct storm_pass;
-  Printf.fprintf oc "  \"replay_equals_threaded\": %b\n}\n" twin;
-  close_out oc;
-  Printf.printf "wrote BENCH_serving.json\n";
-  Printf.printf
-    "gate: warm-cache throughput 1->4 workers %.2fx (>= 1.5x): %s; storm leaves victims' p99 \
-     within 10%%: %s; replay == threaded: %s\n"
-    scaling scaling_gate
-    (if storm_pass then "PASS" else "FAIL")
-    (if twin then "PASS" else "FAIL")
+  let ints xs = Json.arr (List.map string_of_int xs) in
+  section "serving"
+    (List.map (fun (_, (_, row)) -> row) throughput)
+    ~fields:
+      [
+        Json.int_field "cores" cores;
+        Json.int_field "requests" requests;
+        Json.float_field "scaling_1_to_4" ~decimals:3 scaling;
+        ( "storm",
+          Json.obj
+            [
+              Json.bool_field "stormy_quarantined" quarantined;
+              ("victim_p99_storm", ints (p99s stormy_run));
+              ("victim_p99_quiet", ints (p99s quiet_run));
+              Json.float_field "max_p99_drift_pct" ~decimals:3 drift_pct;
+            ] );
+        Json.bool_field "replay_equals_threaded" twin;
+      ]
+    ~measured:[ "cores"; "seconds"; "requests_per_s"; "scaling_1_to_4" ]
+    [
+      ( "throughput_scaling",
+        if cores < 2 then Waived "single-core host" else verdict (scaling >= 1.5) );
+      ("storm_isolation", verdict (quarantined && drift_pct <= 10.0));
+      ("replay_equals_threaded", verdict twin);
+    ]
 
 (* The paper's §6.1 observation: "the allocations not removed by Partial
    Escape Analysis often contain large arrays". Show the per-class
@@ -1354,15 +1180,17 @@ let () =
   comparison_section all;
   fig4_section ();
   ablation_section ();
-  summaries_section ();
-  inlining_section ();
-  obs_section ();
-  profile_section ();
-  osr_section ();
-  parallel_jit_section ();
-  verify_section ();
-  stackalloc_section ();
-  serving_section ();
+  let gates =
+    List.concat_map
+      (fun section -> emit (section ()))
+      [ summaries_section; inlining_section; obs_section; profile_section; osr_section;
+        compile_mode_section; verify_section; stackalloc_section; serving_section ]
+  in
   breakdown_section ();
-  if not fast then bechamel_section ();
-  Printf.printf "\ndone.\n"
+  let count p = List.length (List.filter (fun (_, g) -> p g) gates) in
+  let failed = count (( = ) Fail) in
+  Printf.printf "\n%d gates: %d pass, %d fail, %d waived\n" (List.length gates)
+    (count (( = ) Pass))
+    failed
+    (count (function Waived _ -> true | Pass | Fail -> false));
+  if failed > 0 then exit 1

@@ -200,6 +200,17 @@ let flight_dump_arg =
            $(docv) when the VM hits a debuggable incident (deopt-storm pinning, compile \
            failure, oracle divergence). Read the dump back with $(b,mjvm report --flight)")
 
+(* Exit 1 naming the first option whose value is below its floor, before
+   the value can reach a library precondition. *)
+let check_floors floors =
+  List.iter
+    (fun (flag, v, floor) ->
+      if v < floor then begin
+        Printf.eprintf "--%s must be >= %d\n" flag floor;
+        exit 1
+      end)
+    floors
+
 let setup_logs verbose =
   if verbose then begin
     Logs.set_reporter (Logs.format_reporter ());
@@ -250,6 +261,8 @@ let run_cmd =
       no_stackalloc osr_threshold no_osr compile_mode compile_queue_cap check_level oracle
       verbose trace trace_format flight_dump =
     setup_logs verbose;
+    (* only replay mode creates the bounded compile queue *)
+    if compile_mode = Jit.Replay then check_floors [ ("compile-queue-cap", compile_queue_cap, 1) ];
     let program = compile_file_or_exit file in
     (let vm =
        Vm.create
@@ -682,10 +695,7 @@ let report_cmd =
         Printf.eprintf "nothing to report on: give FILE.mj to profile, or --flight DUMP\n";
         exit 1
     | None, Some file ->
-        if interval <= 0 then begin
-          Printf.eprintf "--interval must be positive\n";
-          exit 1
-        end;
+        check_floors [ ("interval", interval, 1) ];
         let program = compile_file_or_exit file in
         (* Fresh profilers for this run; anything globally installed
            (there should be nothing in the CLI, but the API allows it)
@@ -823,12 +833,7 @@ let serve_cmd =
   let action tenants workers shards rounds requests seed session threshold compile_rounds stats
       verbose =
     setup_logs verbose;
-    List.iter
-      (fun (flag, v, floor) ->
-        if v < floor then begin
-          Printf.eprintf "--%s must be >= %d\n" flag floor;
-          exit 1
-        end)
+    check_floors
       [
         (* storm and quiet sessions: the storming tenant plus at least one victim *)
         ("tenants", tenants, (match session with `Mixed -> 1 | `Storm | `Quiet -> 2));

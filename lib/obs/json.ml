@@ -1,7 +1,8 @@
-(* Minimal hand-rolled JSON emission. The observability sinks only ever
-   write objects of strings and ints, so a full JSON library would be
-   dead weight; what matters is that string escaping is correct and the
-   output is byte-for-byte stable. *)
+(* Minimal hand-rolled JSON emission. The observability sinks write
+   objects of strings and ints, the bench files add bools, fixed-decimal
+   floats and arrays, so a full JSON library would be dead weight; what
+   matters is that string escaping is correct and the output is
+   byte-for-byte stable. *)
 
 let escape s =
   let buf = Buffer.create (String.length s + 2) in
@@ -27,17 +28,30 @@ let int_field name n : field = (name, string_of_int n)
 
 let str_field name s : field = (name, str s)
 
+let bool_field name b : field = (name, string_of_bool b)
+
+(* At least one decimal, so the value parses back as a [Float], never an
+   [Int]; JSON has no spelling for a non-finite number. *)
+let float_field name ~decimals x : field =
+  if decimals < 1 || not (Float.is_finite x) then
+    invalid_arg (Printf.sprintf "Json.float_field %s: %g at %d decimals" name x decimals);
+  (name, Printf.sprintf "%.*f" decimals x)
+
+let arr values = "[" ^ String.concat "," values ^ "]"
+
 let obj (fields : field list) =
   "{" ^ String.concat "," (List.map (fun (k, v) -> str k ^ ":" ^ v) fields) ^ "}"
 
-(* Parsing — added for flight-dump reading ([mjvm report --flight]): a
-   recursive-descent parser over the same subset we emit, kept strict
-   enough to reject garbage but with no dependency beyond stdlib. *)
+(* Parsing — for flight-dump reading ([mjvm report --flight]) and the
+   bench files: a recursive-descent parser over the same subset we emit,
+   kept strict enough to reject garbage but with no dependency beyond
+   stdlib. *)
 
 type value =
   | Null
   | Bool of bool
   | Int of int
+  | Float of float
   | Str of string
   | List of value list
   | Obj of (string * value) list
@@ -145,18 +159,40 @@ let parse_string_body c =
   loop ();
   Buffer.contents buf
 
-let parse_int c =
+(* JSON's number grammar, -?d+(.d+)?([eE][+-]?d+)?; a number without
+   fraction or exponent is an [Int]. A value OCaml cannot represent raises
+   [Parse_error], as every other malformed input does. *)
+let parse_number c =
   let start = c.pos in
-  (match peek c with Some '-' -> advance c | _ -> ());
-  while match peek c with Some '0' .. '9' -> advance c; true | _ -> false do
-    ()
-  done;
-  if c.pos = start then fail c "expected number";
-  (* Reject the float forms we never emit rather than misparse them. *)
-  (match peek c with
-  | Some ('.' | 'e' | 'E') -> fail c "floats are not supported"
-  | _ -> ());
-  Int (int_of_string (String.sub c.src start (c.pos - start)))
+  let skip chars =
+    match peek c with
+    | Some ch when String.contains chars ch ->
+        advance c;
+        true
+    | _ -> false
+  in
+  let digits () =
+    let from = c.pos in
+    while skip "0123456789" do
+      ()
+    done;
+    if c.pos = from then fail c "expected digit"
+  in
+  ignore (skip "-");
+  digits ();
+  let fractional = skip "." in
+  if fractional then digits ();
+  let exponent = skip "eE" in
+  if exponent then begin
+    ignore (skip "+-");
+    digits ()
+  end;
+  let lexeme = String.sub c.src start (c.pos - start) in
+  if fractional || exponent then
+    match float_of_string_opt lexeme with
+    | Some x when Float.is_finite x -> Float x
+    | _ -> fail c "number out of range"
+  else match int_of_string_opt lexeme with Some n -> Int n | None -> fail c "integer out of range"
 
 let rec parse_value c =
   skip_ws c;
@@ -168,7 +204,7 @@ let rec parse_value c =
   | Some 't' -> parse_literal c "true" (Bool true)
   | Some 'f' -> parse_literal c "false" (Bool false)
   | Some 'n' -> parse_literal c "null" Null
-  | Some ('-' | '0' .. '9') -> parse_int c
+  | Some ('-' | '0' .. '9') -> parse_number c
   | Some ch -> fail c (Printf.sprintf "unexpected '%c'" ch)
 
 and parse_obj c =

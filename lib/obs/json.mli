@@ -1,5 +1,6 @@
-(** Minimal JSON emission for the observability sinks: objects of string
-    and int fields, with correct string escaping and byte-stable output. *)
+(** Minimal JSON emission for the observability sinks and the bench
+    files: objects of string, int, bool and fixed-decimal float fields and
+    arrays, with correct string escaping and byte-stable output. *)
 
 val escape : string -> string
 (** [escape s] is [s] with JSON string escapes applied (no quotes added). *)
@@ -14,18 +15,29 @@ val int_field : string -> int -> field
 
 val str_field : string -> string -> field
 
+val bool_field : string -> bool -> field
+
+val float_field : string -> decimals:int -> float -> field
+(** [float_field name ~decimals x] prints [x] with [decimals] digits after
+    the point. Raises [Invalid_argument] if [decimals < 1] or [x] is not
+    finite. *)
+
+val arr : string list -> string
+(** [arr values] is a one-line JSON array of already-serialized values. *)
+
 val obj : field list -> string
 (** [obj fields] is a one-line JSON object in the given field order. *)
 
 (** {1 Parsing}
 
-    Recursive-descent parser over the subset the sinks emit (no floats),
-    used to read flight-recorder dumps back. *)
+    Recursive-descent parser over the subset the emitters write, used to
+    read flight-recorder dumps and bench files back. *)
 
 type value =
   | Null
   | Bool of bool
   | Int of int
+  | Float of float
   | Str of string
   | List of value list
   | Obj of (string * value) list
@@ -34,7 +46,7 @@ exception Parse_error of string
 
 val parse : string -> value
 (** Parse one complete JSON value; raises {!Parse_error} on malformed
-    input or trailing garbage. *)
+    input, an integer outside OCaml's [int] range, or trailing garbage. *)
 
 val member : string -> value -> value option
 (** [member name v] is field [name] of object [v], if any. *)

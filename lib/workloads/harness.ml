@@ -27,29 +27,27 @@ let default_warmup = 2
 
 let default_measure = 3
 
-let measure_program ?(warmup = default_warmup) ?(measure = default_measure) src opt :
-    measurement =
-  let program = Link.compile_source src in
-  let config = { Jit.default_config with Jit.opt; compile_threshold = 2 } in
-  let vm = Vm.create ~config program in
-  let w = Vm.run_main_iterations vm warmup in
-  let before = w.Vm.stats in
+let steady_state ?(warmup = default_warmup) ?(measure = default_measure) ~config src =
+  let vm = Vm.create ~config (Link.compile_source src) in
+  ignore (Vm.run_main_iterations vm warmup);
+  let before = Stats.snapshot (Vm.stats vm) in
   let r = Vm.run_main_iterations vm measure in
-  let after = r.Vm.stats in
-  let per_iter f = f /. float_of_int measure in
-  let bytes = float_of_int (after.Stats.s_allocated_bytes - before.Stats.s_allocated_bytes) in
-  let allocs = float_of_int (after.Stats.s_allocations - before.Stats.s_allocations) in
-  let monitors = float_of_int (after.Stats.s_monitor_ops - before.Stats.s_monitor_ops) in
-  let cycles = float_of_int (after.Stats.s_cycles - before.Stats.s_cycles) in
-  let cycles_per_iter = per_iter cycles in
+  Vm.quiesce vm;
+  (r, Stats.diff r.Vm.stats before)
+
+let measure_program ?warmup ?(measure = default_measure) src opt : measurement =
+  let config = { Jit.default_config with Jit.opt; compile_threshold = 2 } in
+  let _, w = steady_state ?warmup ~measure ~config src in
+  let per_iter n = float_of_int n /. float_of_int measure in
+  let cycles_per_iter = per_iter w.Stats.s_cycles in
   {
-    m_mb_per_iter = per_iter bytes /. 1048576.;
-    m_mallocs_per_iter = per_iter allocs /. 1e6;
-    m_allocs_per_iter = per_iter allocs;
+    m_mb_per_iter = per_iter w.Stats.s_allocated_bytes /. 1048576.;
+    m_mallocs_per_iter = per_iter w.Stats.s_allocations /. 1e6;
+    m_allocs_per_iter = per_iter w.Stats.s_allocations;
     m_iters_per_min = (if cycles_per_iter > 0. then 60. *. clock_hz /. cycles_per_iter else 0.);
-    m_monitor_ops_per_iter = per_iter monitors;
+    m_monitor_ops_per_iter = per_iter w.Stats.s_monitor_ops;
     m_cycles_per_iter = cycles_per_iter;
-    m_deopts = after.Stats.s_deopts - before.Stats.s_deopts;
+    m_deopts = w.Stats.s_deopts;
   }
 
 type row_result = {
