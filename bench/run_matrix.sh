@@ -2,9 +2,10 @@
 # Run the tier-1 test suites under every VM configuration the matrix
 # covers: optimization level (none / ea / pea) crossed with
 # interprocedural escape summaries (on / off) crossed with on-stack
-# replacement (on / off) crossed with the compile mode (sync / replay);
-# a separate sweep toggles speculative guarded inlining (on / off)
-# across the optimization levels. The suites read the forced
+# replacement (on / off) crossed with the compile mode (sync / replay),
+# every cell with the correctness tooling on; a separate sweep toggles
+# speculative guarded inlining (on / off) across the optimization
+# levels. The suites read the forced
 # configuration from MJVM_TEST_OPT / MJVM_TEST_SUMMARIES /
 # MJVM_TEST_OSR / MJVM_TEST_COMPILE_MODE / MJVM_TEST_INLINING (see
 # test/test_env.ml, which rejects any MJVM_TEST_* name or value it does
@@ -21,8 +22,7 @@
 # domains (MJVM_TEST_SERVE, see test/test_serving.ml).
 #
 # Cells: 24 (opt x summaries x osr x compile-mode) + 6 (inlining x opt)
-# + 12 (correctness tooling: opt x osr x compile-mode) + 7 single cells
-# = 49.
+# + 7 single cells = 37.
 #
 # Failures do not stop the sweep: every failing cell prints its
 # environment line (the exact rerun command) first, then the output
@@ -36,11 +36,14 @@
 # fast local defaults: every matrix cell runs 500+ random programs per
 # differential property.
 #
-# The correctness-tooling sweep re-runs the opt x osr x compile-mode
-# matrix with the tooling forced on (MJVM_TEST_CHECK_LEVEL=every-phase,
-# MJVM_TEST_ORACLE=on): the speculation-safety verifier audits the
-# deopt metadata after every optimization phase and the oracle
-# bisimulates every deoptimization against a shadow interpreter replay.
+# The main sweep forces the correctness tooling on in every cell
+# (MJVM_TEST_CHECK_LEVEL=every-phase, MJVM_TEST_ORACLE=on): the
+# speculation-safety verifier audits the deopt metadata after every
+# optimization phase and the oracle bisimulates every deoptimization
+# against a shadow interpreter replay. Both only observe — they move no
+# counter (the verify bench section's no_counter_drift gate) — so one
+# sweep checks the configurations and the tooling together; the
+# check-level=none cell keeps the verifier-off path covered.
 #
 # Usage: bench/run_matrix.sh   (from the repository root)
 
@@ -77,13 +80,16 @@ run_cell() {
   fi
 }
 
+# A SPEC violation or a replay divergence in any cell is a compiler bug
+# caught by the tooling rather than by a wrong answer downstream.
 for opt in none ea pea; do
   for summaries in on off; do
     for osr in on off; do
       for mode in sync replay; do
-        run_cell "opt=$opt summaries=$summaries osr=$osr compile-mode=$mode" \
+        run_cell "opt=$opt summaries=$summaries osr=$osr compile-mode=$mode check-level=every-phase oracle=on" \
           "MJVM_TEST_OPT=$opt" "MJVM_TEST_SUMMARIES=$summaries" \
-          "MJVM_TEST_OSR=$osr" "MJVM_TEST_COMPILE_MODE=$mode"
+          "MJVM_TEST_OSR=$osr" "MJVM_TEST_COMPILE_MODE=$mode" \
+          "MJVM_TEST_CHECK_LEVEL=every-phase" "MJVM_TEST_ORACLE=on"
       done
     done
   done
@@ -99,23 +105,6 @@ for inlining in on off; do
   for opt in none ea pea; do
     run_cell "inlining=$inlining opt=$opt" \
       "MJVM_TEST_INLINING=$inlining" "MJVM_TEST_OPT=$opt"
-  done
-done
-
-# Correctness-tooling sweep: the speculation-safety verifier after every
-# optimization phase plus the bisimulation deopt oracle, across the
-# opt x osr x compile-mode matrix (summaries stay on — the verifier
-# cares about the shape of deopt metadata, which summaries only make
-# more speculative). A SPEC violation or a replay divergence in any
-# cell is a compiler bug caught by the tooling rather than by a wrong
-# answer downstream.
-for opt in none ea pea; do
-  for osr in on off; do
-    for mode in sync replay; do
-      run_cell "verify: opt=$opt osr=$osr compile-mode=$mode check-level=every-phase oracle=on" \
-        "MJVM_TEST_OPT=$opt" "MJVM_TEST_OSR=$osr" "MJVM_TEST_COMPILE_MODE=$mode" \
-        "MJVM_TEST_CHECK_LEVEL=every-phase" "MJVM_TEST_ORACLE=on"
-    done
   done
 done
 

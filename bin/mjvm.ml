@@ -59,7 +59,13 @@ let threshold_arg =
 let iterations_arg =
   Arg.(value & opt int 1 & info [ "iterations"; "n" ] ~docv:"N" ~doc:"How many times to run main()")
 
-let stats_arg = Arg.(value & flag & info [ "stats" ] ~doc:"Print VM statistics after the run")
+let stats_arg =
+  Arg.(
+    value & flag
+    & info [ "stats" ]
+        ~doc:
+          "After the run, print every metric of the VM's (for $(b,serve), the server's) \
+           statistics, one $(i,name: value) line each")
 
 let no_inline_arg = Arg.(value & flag & info [ "no-inline" ] ~doc:"Disable inlining")
 
@@ -256,6 +262,31 @@ let compile_file_or_exit ?require_main file =
       exit 1
   | program -> program
 
+(* Resolve a CLASS.METHOD argument, or exit 1 naming what is wrong. *)
+let find_method_or_exit program spec =
+  match String.index_opt spec '.' with
+  | None ->
+      Printf.eprintf "method must be CLASS.METHOD\n";
+      exit 1
+  | Some i -> (
+      let cls = String.sub spec 0 i
+      and name = String.sub spec (i + 1) (String.length spec - i - 1) in
+      match Link.find_method program cls name with
+      | m -> m
+      | exception Not_found ->
+          Printf.eprintf "no method %s.%s\n" cls name;
+          exit 1)
+
+(* [--stats]: every registered metric, one per line, declaration order *)
+let print_metrics stats =
+  List.iter
+    (fun (name, v) ->
+      match v with
+      | Pea_rt.Stats.Metrics.V_counter n -> Printf.printf "%s: %d\n" name n
+      | Pea_rt.Stats.Metrics.V_histogram h ->
+          Printf.printf "%s: n=%d sum=%d min=%d max=%d\n" name h.h_count h.h_sum h.h_min h.h_max)
+    (Pea_rt.Stats.dump stats)
+
 let run_cmd =
   let action file opt threshold iterations stats no_inline no_inlining no_prune no_summaries
       no_stackalloc osr_threshold no_osr compile_mode compile_queue_cap check_level oracle
@@ -327,15 +358,7 @@ let run_cmd =
             | Some v -> Printf.printf "=> %s\n" (Pea_rt.Value.string_of_value v)
             | None -> ());
             if stats then begin
-              (* every registered metric, one per line, declaration order *)
-              List.iter
-                (fun (name, v) ->
-                  match v with
-                  | Pea_rt.Stats.Metrics.V_counter n -> Printf.printf "%s: %d\n" name n
-                  | Pea_rt.Stats.Metrics.V_histogram h ->
-                      Printf.printf "%s: n=%d sum=%d min=%d max=%d\n" name h.h_count h.h_sum
-                        h.h_min h.h_max)
-                (Pea_rt.Stats.dump (Vm.stats vm));
+              print_metrics (Vm.stats vm);
               match Vm.class_breakdown vm with
               | [] -> ()
               | breakdown ->
@@ -389,28 +412,21 @@ let stage_arg =
 
 let dump_cmd =
   let action file spec stage =
-    let program = Link.compile_source ~require_main:false (read_file file) in
-    let cls, name =
-      match String.index_opt spec '.' with
-      | Some i -> (String.sub spec 0 i, String.sub spec (i + 1) (String.length spec - i - 1))
-      | None ->
-          Printf.eprintf "method must be CLASS.METHOD\n";
-          exit 1
-    in
-    let m =
-      match Link.find_method program cls name with
-      | m -> m
-      | exception Not_found ->
-          Printf.eprintf "no method %s.%s\n" cls name;
-          exit 1
-    in
+    let program = compile_file_or_exit ~require_main:false file in
+    let m = find_method_or_exit program spec in
     match stage with
     | `Bytecode -> print_string (Classfile.disassemble m)
     | `Summaries ->
         let t = Pea_analysis.Summary.analyze program in
         Format.printf "%a@." (Pea_analysis.Summary.pp_method t) m
     | (`Ir | `Inlined | `Pea | `Ea | `Dot) as stage -> (
-        let g = Pea_ir.Builder.build m in
+        let g =
+          match Pea_ir.Builder.build m with
+          | g -> g
+          | exception Pea_ir.Builder.Build_error msg ->
+              prerr_endline msg;
+              exit 1
+        in
         match stage with
         | `Ir -> print_string (Pea_ir.Printer.to_string g)
         | (`Inlined | `Pea | `Ea | `Dot) as stage -> (
@@ -425,8 +441,12 @@ let dump_cmd =
                   match stage with
                   | `Ea -> Pea_core.Escape.run ~summaries g
                   | `Pea | `Dot ->
-                      (* same eligibility the JIT computes, so the dump
-                         shows the graphs the VM actually runs *)
+                      (* the JIT's stack eligibility, but not the JIT's
+                         graph: this pipeline inlines within
+                         [Inline.default_config]'s 120-bytecode budget
+                         (the JIT's is 150) and without receiver
+                         profiles, and runs no read or conditional
+                         elimination, branch pruning or cleanup *)
                       let stack_eligible = Pea_core.Escape.frame_bounded ~summaries g in
                       Pea_core.Pea.run ~stack_eligible ~summaries g
                 in
@@ -480,20 +500,7 @@ let observed_arg =
 let explain_cmd =
   let action file spec no_summaries no_stackalloc osr_bci observed iterations =
     let program = compile_file_or_exit ~require_main:false file in
-    let cls, name =
-      match String.index_opt spec '.' with
-      | Some i -> (String.sub spec 0 i, String.sub spec (i + 1) (String.length spec - i - 1))
-      | None ->
-          Printf.eprintf "method must be CLASS.METHOD\n";
-          exit 1
-    in
-    let m =
-      match Link.find_method program cls name with
-      | m -> m
-      | exception Not_found ->
-          Printf.eprintf "no method %s.%s\n" cls name;
-          exit 1
-    in
+    let m = find_method_or_exit program spec in
     let observed_tbl =
       if not observed then None
       else
@@ -516,7 +523,8 @@ let explain_cmd =
     with
     | report -> print_string (Explain.to_string report)
     | exception Pea_ir.Builder.Build_error msg ->
-        Printf.eprintf "cannot build an OSR graph there: %s\n" msg;
+        if osr_bci <> None then Printf.eprintf "cannot build an OSR graph there: %s\n" msg
+        else prerr_endline msg;
         exit 1
   in
   let term =
@@ -565,19 +573,7 @@ let check_cmd =
           List.filter
             (fun m -> not (Classfile.uses_exceptions m))
             (Array.to_list program.Link.methods)
-      | Some spec -> (
-          match String.index_opt spec '.' with
-          | None ->
-              Printf.eprintf "method must be CLASS.METHOD\n";
-              exit 1
-          | Some i -> (
-              let cls = String.sub spec 0 i
-              and name = String.sub spec (i + 1) (String.length spec - i - 1) in
-              match Link.find_method program cls name with
-              | m -> [ m ]
-              | exception Not_found ->
-                  Printf.eprintf "no method %s.%s\n" cls name;
-                  exit 1))
+      | Some spec -> [ find_method_or_exit program spec ]
     in
     let violations = ref 0 in
     let checked = ref 0 in
@@ -885,7 +881,7 @@ let serve_cmd =
       r.Server.r_stats.Pea_rt.Stats.s_cache_shared_hits
       r.Server.r_stats.Pea_rt.Stats.s_cache_epoch_rejects
       r.Server.r_stats.Pea_rt.Stats.s_tenant_quarantines r.Server.r_cache_entries;
-    if stats then Format.printf "%a@." Pea_rt.Stats.pp (Server.stats server)
+    if stats then print_metrics (Server.stats server)
   in
   let term =
     Term.(

@@ -4,7 +4,7 @@
    metrics; every [create schema] then yields an independent instance
    whose storage is a flat int array (counters) plus a small cell per
    histogram. Declaring a new metric is one line at the declaration
-   site — instances, reset, dump, to_json and pp all follow for free.
+   site — instances, reset, dump and to_json all follow for free.
 
    The first [create] seals the schema: declaring a metric against a
    sealed schema is a programming error and raises, so an instance can
@@ -15,7 +15,7 @@
 type kind = Counter | Histogram
 
 (* one declaration; [m_id] indexes the storage of its kind *)
-type decl = { m_id : int; m_kind : kind; m_name : string; m_label : string }
+type decl = { m_id : int; m_kind : kind; m_name : string }
 
 type counter = int
 
@@ -48,7 +48,7 @@ type t = {
 
 let make_schema () = { defs_rev = []; n_counters = 0; n_hists = 0; sealed = false }
 
-let declare schema kind ?label name =
+let declare schema kind name =
   if schema.sealed then
     invalid_arg
       (Printf.sprintf "Metrics: declaring %S after the schema was sealed by create" name);
@@ -63,13 +63,13 @@ let declare schema kind ?label name =
         schema.n_hists <- id + 1;
         id
   in
-  let m = { m_id = id; m_kind = kind; m_name = name; m_label = Option.value label ~default:name } in
+  let m = { m_id = id; m_kind = kind; m_name = name } in
   schema.defs_rev <- m :: schema.defs_rev;
   id
 
-let counter schema ?label name = declare schema Counter ?label name
+let counter schema name = declare schema Counter name
 
-let histogram schema ?label name = declare schema Histogram ?label name
+let histogram schema name = declare schema Histogram name
 
 let defs schema = List.rev schema.defs_rev
 
@@ -153,27 +153,3 @@ let to_json t =
       hists
   in
   Json.obj [ ("counters", Json.obj counter_fields); ("histograms", Json.obj hist_fields) ]
-
-let pp ppf t =
-  let first = ref true in
-  List.iter
-    (fun m ->
-      if !first then first := false else Fmt.pf ppf " ";
-      match m.m_kind with
-      | Counter -> Fmt.pf ppf "%s=%d" m.m_label t.counters.(m.m_id)
-      | Histogram ->
-          let h = hist t m.m_id in
-          Fmt.pf ppf "%s(n=%d sum=%d min=%d max=%d)" m.m_label h.h_count h.h_sum h.h_min h.h_max)
-    (defs t.t_schema)
-
-(* [pp_counters] prints only the counters, in declaration order, as
-   "label=value" — the legacy [Stats.pp] line format. *)
-let pp_counters ppf t =
-  let first = ref true in
-  List.iter
-    (fun m ->
-      if m.m_kind = Counter then begin
-        if !first then first := false else Fmt.pf ppf " ";
-        Fmt.pf ppf "%s=%d" m.m_label t.counters.(m.m_id)
-      end)
-    (defs t.t_schema)

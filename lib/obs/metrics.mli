@@ -3,8 +3,8 @@
     A [schema] is populated once, at module-initialization time, by
     declaring metrics; [create schema] then yields independent instances
     (flat int-array storage) that all share the declarations. Adding a
-    metric is one line at the declaration site — reset, dump, [to_json]
-    and [pp] follow for free. The first [create] seals the schema, so a
+    metric is one line at the declaration site — reset, dump and
+    [to_json] follow for free. The first [create] seals the schema, so a
     late declaration (which an existing instance could not store) raises
     [Invalid_argument]. Counters and histograms have distinct handle
     types, so passing one where the other is expected is a type error. *)
@@ -19,11 +19,10 @@ type schema
 
 val make_schema : unit -> schema
 
-val counter : schema -> ?label:string -> string -> counter
-(** [counter schema name] declares a counter. [label] (default [name])
-    is the short key used by [pp]/[pp_counters]. *)
+val counter : schema -> string -> counter
+(** [counter schema name] declares a counter. *)
 
-val histogram : schema -> ?label:string -> string -> histogram
+val histogram : schema -> string -> histogram
 (** [histogram schema name] declares a histogram tracking count, sum,
     min and max of observed values. *)
 
@@ -66,9 +65,3 @@ val dump : t -> (string * value) list
 
 val to_json : t -> string
 (** One-line JSON object: [{"counters":{...},"histograms":{...}}]. *)
-
-val pp : Format.formatter -> t -> unit
-(** Every metric as ["label=value"] / ["label(n=· sum=· min=· max=·)"]. *)
-
-val pp_counters : Format.formatter -> t -> unit
-(** Counters only, declaration order, ["label=value"] space-separated. *)

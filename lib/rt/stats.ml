@@ -3,9 +3,8 @@
    a deterministic cycle count that stands in for wall-clock time.
 
    The storage is a Pea_obs.Metrics registry instance: adding a counter is
-   one [Metrics.counter] line here, and reset/dump/to_json/pp follow for
-   free. [snapshot]/[diff]/[pp] are kept as thin shims over the registry
-   so existing callers (and the --stats output) are unchanged. *)
+   one [Metrics.counter] line here, and reset and dump follow for free.
+   [snapshot]/[diff] are kept as thin shims over the registry. *)
 
 module Metrics = Pea_obs.Metrics
 
@@ -17,10 +16,10 @@ type histogram = Metrics.histogram
 
 let schema = Metrics.make_schema ()
 
-(* Declaration order is pp order; labels reproduce the historical pp line. *)
+(* Declaration order is dump order, the order --stats prints. *)
 let allocations = Metrics.counter schema "allocations"
 
-let allocated_bytes = Metrics.counter schema ~label:"bytes" "allocated_bytes"
+let allocated_bytes = Metrics.counter schema "allocated_bytes"
 
 let monitor_ops = Metrics.counter schema "monitor_ops"
 
@@ -39,17 +38,17 @@ let cycles = Metrics.counter schema "cycles"
 let deopts = Metrics.counter schema "deopts"
 
 (* virtual objects re-allocated during deopt *)
-let rematerialized = Metrics.counter schema ~label:"remat" "rematerialized"
+let rematerialized = Metrics.counter schema "rematerialized"
 
-let interpreted_instrs = Metrics.counter schema ~label:"interp" "interpreted_instrs"
+let interpreted_instrs = Metrics.counter schema "interpreted_instrs"
 
-let compiled_ops = Metrics.counter schema ~label:"compiled" "compiled_ops"
+let compiled_ops = Metrics.counter schema "compiled_ops"
 
-let invocations = Metrics.counter schema ~label:"invokes" "invocations"
+let invocations = Metrics.counter schema "invocations"
 
-let compiled_methods = Metrics.counter schema ~label:"jit" "compiled_methods"
+let compiled_methods = Metrics.counter schema "compiled_methods"
 
-let closure_compiled_methods = Metrics.counter schema ~label:"closure_jit" "closure_compiled_methods"
+let closure_compiled_methods = Metrics.counter schema "closure_compiled_methods"
 
 let ic_hits = Metrics.counter schema "ic_hits"
 
@@ -139,8 +138,6 @@ let cell = Metrics.cell
 let observe = Metrics.observe
 
 let dump = Metrics.dump
-
-let to_json = Metrics.to_json
 
 type snapshot = {
   s_allocations : int;
@@ -252,5 +249,3 @@ let diff a b =
     s_cache_epoch_rejects = a.s_cache_epoch_rejects - b.s_cache_epoch_rejects;
     s_tenant_quarantines = a.s_tenant_quarantines - b.s_tenant_quarantines;
   }
-
-let pp = Metrics.pp_counters

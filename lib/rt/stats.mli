@@ -6,8 +6,7 @@
     counter handle into a shared schema, mutated with [incr]/[add]/[set]
     and read with [get]; each histogram is fed with [observe]. Adding a
     metric is one declaration line in the implementation;
-    [snapshot]/[diff]/[pp] stay as thin shims so callers and the
-    [--stats] output are unchanged. *)
+    [snapshot]/[diff] stay as thin shims over the registry. *)
 
 module Metrics = Pea_obs.Metrics
 
@@ -164,8 +163,6 @@ val observe : t -> histogram -> int -> unit
 val dump : t -> (string * Metrics.value) list
 (** Every registered metric with its current value, declaration order. *)
 
-val to_json : t -> string
-
 (** An immutable copy of the legacy counters at one instant. *)
 type snapshot = {
   s_allocations : int;
@@ -207,5 +204,3 @@ val snapshot : t -> snapshot
 
 (** [diff later earlier] is the activity between two snapshots. *)
 val diff : snapshot -> snapshot -> snapshot
-
-val pp : Format.formatter -> t -> unit

@@ -125,18 +125,16 @@ type tenant = {
   mutable tn_quarantined : bool;
 }
 
-(* Compile-task bookkeeping: which (app, method) a queue key means and
-   which tenants asked for it (quarantined on compile failure). *)
-type pending_meta = { pm_app : app; pm_mid : int; mutable pm_requesters : int list }
+(* Compile-task payload: which (app, method) a task compiles and which
+   tenants asked for it (quarantined on compile failure). *)
+type pending = { pm_app : app; pm_mid : int; mutable pm_requesters : int list }
 
 type t = {
   config : config;
   apps : app array;
   tenants : tenant array;
   cache : Shared_cache.t;
-  queue : Compile_queue.t;
-  meta : (Compile_queue.key, pending_meta) Hashtbl.t;
-  failed : (Compile_queue.key, unit) Hashtbl.t; (* never retried *)
+  queue : pending Compile_queue.t;
   stats : Stats.t; (* the server's own counters *)
   mutable round : int; (* the serving layer's deterministic clock *)
 }
@@ -145,8 +143,7 @@ type t = {
    so one queue serves every app without colliding method ids. *)
 let app_stride = 4096
 
-let queue_key server (ap : app) mid =
-  (ap.ap_index * app_stride) + mid, None, server.config.sv_jit.Jit.inlining
+let queue_key (ap : app) mid = ((ap.ap_index * app_stride) + mid, None)
 
 let qualified (ap : app) (m : Classfile.rt_method) =
   ap.ap_name ^ ":" ^ Classfile.qualified_name m
@@ -208,16 +205,15 @@ let create ?(config = default_config) (script : script) : t =
            })
          script.sc_tenants)
   in
+  let stats = Stats.create () in
   let server =
     {
       config;
       apps;
       tenants;
       cache;
-      queue = Compile_queue.create ~cap:config.sv_queue_cap;
-      meta = Hashtbl.create 16;
-      failed = Hashtbl.create 8;
-      stats = Stats.create ();
+      queue = Compile_queue.create ~cap:config.sv_queue_cap stats;
+      stats;
       round = 0;
     }
   in
@@ -307,115 +303,69 @@ let quarantine server tn ~reason =
   end
 
 let enqueue_compile server (ap : app) mid ~requester =
-  let key = queue_key server ap mid in
   let ck = (ap.ap_index, mid) in
-  let m = ap.ap_program.Link.methods.(mid) in
-  if Hashtbl.mem server.failed key || Shared_cache.mem server.cache ck then ()
-  else if Compile_queue.mem server.queue key then begin
-    (* cross-tenant dedup: the win the shared queue exists for *)
-    (match Hashtbl.find_opt server.meta key with
-    | Some meta when not (List.mem requester meta.pm_requesters) ->
-        meta.pm_requesters <- requester :: meta.pm_requesters
-    | _ -> ());
-    Stats.incr server.stats Stats.compile_dedup_hits;
-    if Trace.enabled () then
-      Trace.record (Event.Compile_dedup { meth = qualified ap m; osr_bci = None })
-  end
-  else if Compile_queue.is_full server.queue then begin
-    (* drop: the tenant's hook re-requests at its next hot invocation *)
-    Stats.incr server.stats Stats.compile_drops;
-    if Trace.enabled () then
-      Trace.record (Event.Compile_drop { meth = qualified ap m; osr_bci = None })
-  end
-  else begin
-    (* compile inputs from the shared profile store: the first
-       requester's snapshot (for the current epoch) serves everyone *)
-    (match Shared_cache.profile_of server.cache ck with
-    | Some _ -> ()
-    | None ->
-        Shared_cache.remember_profile server.cache ck
-          (Profile.copy (Vm.profile server.tenants.(requester).tn_vm)));
-    let profile =
-      match Shared_cache.profile_of server.cache ck with
-      | Some p -> p
-      | None -> assert false
+  if not (Shared_cache.mem server.cache ck) then begin
+    let m = ap.ap_program.Link.methods.(mid) in
+    let snapshot () =
+      (* compile inputs from the shared profile store: the first
+         requester's snapshot (for the current epoch) serves everyone *)
+      let profile =
+        match Shared_cache.profile_of server.cache ck with
+        | Some p -> p
+        | None ->
+            let p = Profile.copy (Vm.profile server.tenants.(requester).tn_vm) in
+            Shared_cache.remember_profile server.cache ck p;
+            p
+      in
+      let summaries = summaries_of ap in
+      let blacklist_copy = Hashtbl.copy ap.ap_blacklist in
+      let blacklist site = Hashtbl.mem blacklist_copy site in
+      let config = { server.config.sv_jit with Jit.compile_mode = Jit.Sync; osr = false } in
+      ( { pm_app = ap; pm_mid = mid; pm_requesters = [ requester ] },
+        fun () -> Jit.compile ?summaries ~blacklist config ap.ap_program profile m )
     in
-    let summaries = summaries_of ap in
-    let blacklist_copy = Hashtbl.copy ap.ap_blacklist in
-    let blacklist site = Hashtbl.mem blacklist_copy site in
-    let config = { server.config.sv_jit with Jit.compile_mode = Jit.Sync; osr = false } in
-    let program = ap.ap_program in
-    let epoch = Shared_cache.epoch server.cache ck in
-    let task =
-      {
-        Compile_queue.t_key = key;
-        t_epoch = epoch;
-        t_enqueued_at = server.round;
-        t_deadline = server.round + server.config.sv_compile_rounds;
-        t_compile = (fun () -> Jit.compile ?summaries ~blacklist config program profile m);
-      }
-    in
-    Compile_queue.enqueue server.queue task;
-    Hashtbl.replace server.meta key { pm_app = ap; pm_mid = mid; pm_requesters = [ requester ] };
-    Stats.incr server.stats Stats.compile_enqueues;
-    Stats.observe server.stats Stats.compile_queue_depth (Compile_queue.depth server.queue);
-    if Trace.enabled () then
-      Trace.record
-        (Event.Compile_enqueue
-           { meth = qualified ap m; osr_bci = None; epoch; depth = Compile_queue.depth server.queue })
+    match
+      Compile_queue.request server.queue (queue_key ap mid) ~meth:(qualified ap m)
+        ~epoch:(Shared_cache.epoch server.cache ck) ~now:server.round
+        ~latency:server.config.sv_compile_rounds snapshot
+    with
+    | Compile_queue.Inflight pm ->
+        (* cross-tenant dedup: the win the shared queue exists for *)
+        if not (List.mem requester pm.pm_requesters) then
+          pm.pm_requesters <- requester :: pm.pm_requesters
+    | Queued | Failed_before -> ()
+    | Dropped -> () (* waits: the tenant's hook re-requests at its next hot invocation *)
   end
 
 (* Resolve every due task: install into the shared cache, or reject the
    stale ones and requeue them against fresh snapshots. *)
 let resolve_due server ~now =
-  List.iter
-    (fun ((task : Compile_queue.task), outcome) ->
-      let meta = Hashtbl.find server.meta task.Compile_queue.t_key in
-      Hashtbl.remove server.meta task.Compile_queue.t_key;
-      let ap = meta.pm_app in
-      let m = ap.ap_program.Link.methods.(meta.pm_mid) in
-      let meth = qualified ap m in
-      match outcome with
-      | Compile_queue.Failed error ->
-          Hashtbl.replace server.failed task.Compile_queue.t_key ();
-          Stats.incr server.stats Stats.compile_failures;
+  Compile_queue.resolve server.queue ~now
+    ~on_failed:(fun task _error ->
+      (* admission policy: a tenant whose requested compile fails is
+         quarantined; the shared cache is untouched *)
+      List.iter
+        (fun id -> quarantine server server.tenants.(id) ~reason:"compile-failure")
+        (List.sort compare task.Compile_queue.t_payload.pm_requesters))
+    ~install:(fun { Compile_queue.t_payload = pm; t_meth = meth; t_epoch = epoch; _ } code ->
+      match Shared_cache.publish server.cache (pm.pm_app.ap_index, pm.pm_mid) ~epoch code with
+      | `Installed shard ->
           if Trace.enabled () then
-            Trace.record (Event.Compile_failed { meth; osr_bci = None; error });
-          (* admission policy: a tenant whose requested compile fails is
-             quarantined; the shared cache is untouched *)
+            Trace.record (Event.Cache_publish { meth; epoch; shard; round = server.round });
+          true
+      | `Stale current ->
+          (* the epoch race: a deopt beat the install. Never
+             installed; recompiled against the moved blacklist. *)
+          Stats.incr server.stats Stats.cache_epoch_rejects;
+          if Trace.enabled () then
+            Trace.record
+              (Event.Cache_epoch_reject { meth; epoch; current_epoch = current; round = server.round });
           List.iter
-            (fun id -> quarantine server server.tenants.(id) ~reason:"compile-failure")
-            (List.sort compare meta.pm_requesters)
-      | Compile_queue.Done code -> (
-          let ck = (ap.ap_index, meta.pm_mid) in
-          match Shared_cache.publish server.cache ck ~epoch:task.Compile_queue.t_epoch code with
-          | `Installed shard ->
-              Stats.incr server.stats Stats.compile_installs;
-              Stats.observe server.stats Stats.compile_latency
-                (task.Compile_queue.t_deadline - task.Compile_queue.t_enqueued_at);
-              if Trace.enabled () then
-                Trace.record
-                  (Event.Cache_publish
-                     { meth; epoch = task.Compile_queue.t_epoch; shard; round = server.round })
-          | `Stale current ->
-              (* the epoch race: a deopt beat the install. Never
-                 installed; recompiled against the moved blacklist. *)
-              Stats.incr server.stats Stats.cache_epoch_rejects;
-              if Trace.enabled () then
-                Trace.record
-                  (Event.Cache_epoch_reject
-                     {
-                       meth;
-                       epoch = task.Compile_queue.t_epoch;
-                       current_epoch = current;
-                       round = server.round;
-                     });
-              List.iter
-                (fun id ->
-                  if not server.tenants.(id).tn_quarantined then
-                    enqueue_compile server ap meta.pm_mid ~requester:id)
-                (List.sort compare meta.pm_requesters)))
-    (Compile_queue.due server.queue ~now)
+            (fun id ->
+              if not server.tenants.(id).tn_quarantined then
+                enqueue_compile server pm.pm_app pm.pm_mid ~requester:id)
+            (List.sort compare pm.pm_requesters);
+          false)
 
 let barrier server (reqs : request list) =
   let stats = server.stats in

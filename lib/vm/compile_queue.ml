@@ -1,76 +1,100 @@
-(* Bounded deadline queue behind the Replay compile mode and the serving
-   layer's shared compile queue.
+(* The background-compile protocol of the Replay compile mode and the
+   serving layer; compile_queue.mli states its determinism contract and
+   what it owns. *)
 
-   Tasks are keyed by (mth_id, osr_bci option) and deduplicated: the
-   stream of "this is hot" requests the interpreter produces between the
-   threshold and the install collapses into one queued task. The queue is
-   bounded; the VM turns a refused request into drop-and-reprofile
-   backpressure (resetting the hotness counter that fired it).
+open Pea_rt
+module Event = Pea_obs.Event
+module Trace = Pea_obs.Trace
 
-   Determinism contract: a task resolves at its *deadline* — enqueue time
-   + latency on the caller's clock (VM cycles, or serving rounds). The
-   queue compiles a due task on the caller, from the snapshots the task
-   took at enqueue (profile copy, blacklist copy), so every queue
-   decision (enqueue, dedup, drop, install, stale-discard) happens at
-   the same deterministic point on every run. *)
+type key = int * int option
 
-type key = int * int option * bool
-(* (mth_id, osr loop-header bci option, speculative-inlining bit). The
-   inlining bit keys dedup to the config variant the task compiles under,
-   so a toggled config can never be satisfied by the other variant. *)
-
-type outcome =
-  | Done of Jit.compiled
-  | Failed of string (* the pipeline raised; never installed, never retried *)
-
-type task = {
+type 'p task = {
   t_key : key;
+  t_meth : string;
+  t_payload : 'p;
   t_epoch : int; (* the method's invalidation epoch at enqueue *)
-  t_enqueued_at : int; (* caller clock at enqueue *)
-  t_deadline : int; (* t_enqueued_at + the modeled compile latency *)
+  t_deadline : int; (* caller clock at enqueue + t_latency *)
+  t_latency : int; (* the modeled compile latency *)
   t_compile : unit -> Jit.compiled; (* closed over enqueue-time snapshots *)
 }
 
-(* Test-only fault injection: raised exceptions surface as [Failed] and
-   must leave the VM interpreting the method, never crashed or wedged. *)
+(* Test-only fault injection: raised exceptions fail the compile, which
+   must leave the client interpreting the method, never crashed or
+   wedged. *)
 let test_hook : (key -> unit) ref = ref (fun _ -> ())
 
-type t = {
+type 'p t = {
   cap : int;
-  mutable inflight : task list; (* enqueue order, oldest first; |..| <= cap *)
+  stats : Stats.t; (* the client's counters *)
+  mutable inflight : 'p task list; (* enqueue order, oldest first; |..| <= cap *)
+  failed : (key, unit) Hashtbl.t; (* keys whose compile raised: never retried *)
 }
 
-let create ~cap =
+let create ~cap stats =
   if cap <= 0 then invalid_arg "Compile_queue.create: cap must be positive";
-  { cap; inflight = [] }
+  { cap; stats; inflight = []; failed = Hashtbl.create 8 }
 
 let depth q = List.length q.inflight
 
-let is_full q = depth q >= q.cap
-
-let mem q key = List.exists (fun t -> t.t_key = key) q.inflight
-
 let has_inflight q = q.inflight <> []
 
-let enqueue q task =
-  if mem q task.t_key then invalid_arg "Compile_queue.enqueue: duplicate key";
-  if is_full q then invalid_arg "Compile_queue.enqueue: full";
-  q.inflight <- q.inflight @ [ task ]
+let failed q key = Hashtbl.mem q.failed key
+
+type 'p request = Queued | Inflight of 'p | Dropped | Failed_before
+
+let request q key ~meth ~epoch ~now ~latency make =
+  let osr_bci = snd key in
+  if Hashtbl.mem q.failed key then Failed_before
+  else
+    match List.find_opt (fun t -> t.t_key = key) q.inflight with
+    | Some task ->
+        Stats.incr q.stats Stats.compile_dedup_hits;
+        if Trace.enabled () then Trace.record (Event.Compile_dedup { meth; osr_bci });
+        Inflight task.t_payload
+    | None when depth q >= q.cap ->
+        Stats.incr q.stats Stats.compile_drops;
+        if Trace.enabled () then Trace.record (Event.Compile_drop { meth; osr_bci });
+        Dropped
+    | None ->
+        let t_payload, t_compile = make () in
+        q.inflight <-
+          q.inflight
+          @ [ { t_key = key; t_meth = meth; t_payload; t_epoch = epoch; t_deadline = now + latency;
+                t_latency = latency; t_compile } ];
+        let depth = depth q in
+        Stats.incr q.stats Stats.compile_enqueues;
+        Stats.observe q.stats Stats.compile_queue_depth depth;
+        if Trace.enabled () then
+          Trace.record (Event.Compile_enqueue { meth; osr_bci; epoch; depth });
+        Queued
 
 let run task =
   match
     !test_hook task.t_key;
     task.t_compile ()
   with
-  | code -> Done code
-  | exception e -> Failed (Printexc.to_string e)
+  | code -> Ok code
+  | exception e -> Error (Printexc.to_string e)
 
 (* Due tasks compile here, on the caller, so compile-internal trace spans
-   appear at the deadline. *)
-let due q ~now =
-  if q.inflight = [] then []
-  else begin
+   appear at the deadline, all of them before the first task resolves. *)
+let resolve q ~now ~on_failed ~install =
+  if q.inflight <> [] then begin
     let ready, rest = List.partition (fun t -> t.t_deadline <= now) q.inflight in
     q.inflight <- rest;
     List.map (fun t -> (t, run t)) ready
+    |> List.iter (fun (task, outcome) ->
+           match outcome with
+           | Error error ->
+               Hashtbl.replace q.failed task.t_key ();
+               Stats.incr q.stats Stats.compile_failures;
+               if Trace.enabled () then
+                 Trace.record
+                   (Event.Compile_failed { meth = task.t_meth; osr_bci = snd task.t_key; error });
+               on_failed task error
+           | Ok code ->
+               if install task code then begin
+                 Stats.incr q.stats Stats.compile_installs;
+                 Stats.observe q.stats Stats.compile_latency task.t_latency
+               end)
   end

@@ -1,58 +1,75 @@
-(** Bounded deadline queue behind the [Replay] compile mode (see
+(** The background-compile protocol behind the [Replay] compile mode (see
     {!Jit.compile_mode}) and the serving layer's shared compile queue.
 
-    Tasks are keyed by [(mth_id, osr_bci option)] and never duplicated in
-    flight; the queue is bounded (the VM turns refusals into
-    drop-and-reprofile backpressure). A task resolves at its {e deadline}
-    on the caller's clock — for the VM, enqueue cycles +
-    {!Pea_rt.Cost.compile_latency}. {!due} compiles each due task on the
-    caller, from the snapshots the task took at enqueue (profile copy,
-    blacklist copy), so every queue decision lands at the same
-    deterministic point on every run. *)
+    Tasks are keyed by [(mth_id, osr_bci option)] and deduplicated: the
+    stream of "this is hot" requests a client sees between the threshold
+    and the install collapses into one queued task. The queue is bounded
+    (the VM turns a refused request into drop-and-reprofile backpressure)
+    and refuses for good a key whose compile raised. A task resolves at
+    its {e deadline}: enqueue time + latency on the caller's clock (VM
+    cycles, or serving rounds). {!resolve} compiles each due task on the
+    caller, from the snapshots the task took at enqueue, so every queue
+    decision (enqueue, dedup, drop, install, stale discard) lands at the
+    same deterministic point on every run.
 
-type key = int * int option * bool
-(** [(mth_id, osr loop-header bci option, speculative-inlining bit)]. The
-    inlining bit keys the dedup check to the config variant the task was
-    compiled under, so toggling speculative inlining between enqueue and
-    install can never satisfy a request with code of the other variant. *)
+    The queue owns the protocol's accounting: the [compile_dedup_hits],
+    [compile_drops], [compile_enqueues], [compile_queue_depth],
+    [compile_failures], [compile_installs] and [compile_latency] metrics
+    and the [Compile_dedup], [Compile_drop], [Compile_enqueue] and
+    [Compile_failed] events. The client keeps its policy: its clock, the
+    compile inputs, what a drop or a failure costs, and the epoch check
+    before an install. *)
 
-type outcome =
-  | Done of Jit.compiled
-  | Failed of string  (** the pipeline raised; never installed or retried *)
+type key = int * int option
+(** [(mth_id, osr loop-header bci option)]. *)
 
-type task = {
+type 'p task = {
   t_key : key;
+  t_meth : string; (* the method's name in events and logs *)
+  t_payload : 'p; (* the client's bookkeeping *)
   t_epoch : int; (* the method's invalidation epoch at enqueue *)
-  t_enqueued_at : int; (* caller clock at enqueue *)
-  t_deadline : int; (* t_enqueued_at + the modeled compile latency *)
+  t_deadline : int; (* caller clock at enqueue + t_latency *)
+  t_latency : int; (* the modeled compile latency *)
   t_compile : unit -> Jit.compiled;
 }
 
 val test_hook : (key -> unit) ref
 (** Test-only fault injection, called before each compile; a raised
-    exception surfaces as {!Failed}. Default is a no-op. *)
+    exception fails the compile. Default is a no-op. *)
 
-type t
+type 'p t
 
-(** [create ~cap] — an empty queue holding at most [cap] tasks. *)
-val create : cap:int -> t
+(** [create ~cap stats] — an empty queue holding at most [cap] tasks,
+    counting on [stats]. *)
+val create : cap:int -> Pea_rt.Stats.t -> 'p t
 
-val depth : t -> int
+val depth : 'p t -> int
 
-val is_full : t -> bool
+val has_inflight : 'p t -> bool
 
-val mem : t -> key -> bool
-(** Whether a task with this key is in flight (the dedup check). *)
+val failed : 'p t -> key -> bool
+(** Whether a compile of this key raised. *)
 
-val has_inflight : t -> bool
+type 'p request =
+  | Queued
+  | Inflight of 'p  (** a dedup hit: the in-flight task's payload *)
+  | Dropped  (** the queue is full *)
+  | Failed_before  (** the key's compile raised earlier *)
 
-val enqueue : t -> task -> unit
-(** Queue a task.
-    @raise Invalid_argument on a duplicate key or a full queue — callers
-    must check {!mem} and {!is_full} first and apply their own dedup /
-    backpressure policy. *)
+val request :
+  'p t -> key -> meth:string -> epoch:int -> now:int -> latency:int ->
+  (unit -> 'p * (unit -> Jit.compiled)) -> 'p request
+(** [request q key ~meth ~epoch ~now ~latency make] asks for a compile of
+    [key] due at [now + latency]. [make] builds the payload and the
+    compile thunk; it runs only on [Queued], just before the task enters
+    the queue, so a dedup hit or a drop takes no snapshot. *)
 
-val due : t -> now:int -> (task * outcome) list
-(** [due q ~now] removes every task whose deadline has been reached and
-    compiles it, in enqueue order. Pass [now:max_int] to drain the queue
-    completely. *)
+val resolve :
+  'p t -> now:int -> on_failed:('p task -> string -> unit) ->
+  install:('p task -> Jit.compiled -> bool) -> unit
+(** [resolve q ~now ~on_failed ~install] takes every task whose deadline
+    has been reached, compiles them all in enqueue order, then resolves
+    them in that order: a compile that raised pins its key and calls
+    [on_failed] with the error; finished code goes to [install], which
+    returns whether it installed it (only then is the install counted).
+    Both callbacks may {!request} again. [now:max_int] takes every task. *)

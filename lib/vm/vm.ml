@@ -52,15 +52,12 @@ type t = {
   mutable summary_table : Pea_analysis.Summary.t option;
       (* whole-program escape summaries; computed lazily at the first
          compilation when [config.summaries] is set *)
-  queue : Compile_queue.t option; (* Replay's compile queue; None in Sync *)
+  queue : Classfile.rt_method Compile_queue.t option; (* Replay's compile queue; None in Sync *)
   epochs : int array;
       (* per-method invalidation epoch, bumped whenever a deopt
          invalidates the method's code: a queued compile whose
          enqueue-time epoch no longer matches at install is working from
          a stale blacklist and is discarded and requeued instead *)
-  compile_failed : (Compile_queue.key, unit) Hashtbl.t;
-      (* queued tasks whose compile raised: the method (or OSR entry)
-         stays interpreted for good; never retried *)
   mutable code_source : code_source option;
   mutable interp_only : bool;
       (* tenant quarantine: every method interprets, even ones with
@@ -131,7 +128,8 @@ let install vm (m : Classfile.rt_method) osr_bci (code : Jit.compiled) =
    code is installed at deterministic cycle boundaries. *)
 let rec invoke vm (m : Classfile.rt_method) args =
   (match vm.queue with
-  | Some q when Compile_queue.has_inflight q -> poll_queue vm q
+  | Some q when Compile_queue.has_inflight q ->
+      poll_queue vm q ~now:(Stats.get vm.env.Interp.stats Stats.cycles)
   | _ -> ());
   if vm.interp_only || vm.pinned.(m.Classfile.mth_id) then Interp.run vm.env m args
   else
@@ -197,25 +195,10 @@ and compile_now vm (m : Classfile.rt_method) osr_bci =
    the mutator and queue a task whose install deadline is
    [now + Cost.compile_latency] on the VM clock. *)
 and request_compile vm q (m : Classfile.rt_method) osr_bci =
-  let key = (m.Classfile.mth_id, osr_bci, vm.config.Jit.inlining) in
-  if Hashtbl.mem vm.compile_failed key then ()
-  else if Compile_queue.mem q key then begin
-    Stats.incr vm.env.Interp.stats Stats.compile_dedup_hits;
-    if Trace.enabled () then
-      Trace.record (Event.Compile_dedup { meth = Classfile.qualified_name m; osr_bci })
-  end
-  else if Compile_queue.is_full q then begin
-    Stats.incr vm.env.Interp.stats Stats.compile_drops;
-    (match osr_bci with
-    | None -> Profile.reset_invocations vm.env.Interp.profile m
-    | Some header -> Profile.reset_back_edge vm.env.Interp.profile m ~header);
-    if Trace.enabled () then
-      Trace.record (Event.Compile_drop { meth = Classfile.qualified_name m; osr_bci })
-  end
-  else begin
-    let stats = vm.env.Interp.stats in
-    let meth = Classfile.qualified_name m in
-    let invocations = Profile.invocations vm.env.Interp.profile m in
+  let profile = vm.env.Interp.profile in
+  let meth = Classfile.qualified_name m in
+  let snapshot () =
+    let invocations = Profile.invocations profile m in
     if Trace.enabled () then
       Trace.record (Event.Tier_promote { meth; tier = tier_name osr_bci; invocations });
     Log.debug (fun k ->
@@ -225,81 +208,57 @@ and request_compile vm q (m : Classfile.rt_method) osr_bci =
     (* the compile runs at the deadline from these enqueue-time
        snapshots, never from the tables the interpreter keeps mutating *)
     let summaries = summaries vm in
-    let profile = Profile.copy vm.env.Interp.profile in
+    let profile = Profile.copy profile in
     let blacklist_copy = Hashtbl.copy vm.site_blacklist in
     let blacklist site = Hashtbl.mem blacklist_copy site in
-    let config = vm.config and program = vm.program in
-    let compile () = jit_compile ?summaries ~blacklist config program profile m osr_bci in
-    let now = Stats.get stats Stats.cycles in
-    let latency = Cost.compile_latency ~bytecodes:(Array.length m.Classfile.mth_code) in
-    let task =
-      {
-        Compile_queue.t_key = key;
-        t_epoch = vm.epochs.(m.Classfile.mth_id);
-        t_enqueued_at = now;
-        t_deadline = now + latency;
-        t_compile = compile;
-      }
-    in
-    Compile_queue.enqueue q task;
-    Stats.incr stats Stats.compile_enqueues;
-    Stats.observe stats Stats.compile_queue_depth (Compile_queue.depth q);
-    if Trace.enabled () then
-      Trace.record
-        (Event.Compile_enqueue
-           { meth; osr_bci; epoch = task.Compile_queue.t_epoch; depth = Compile_queue.depth q })
-  end
+    (m, fun () -> jit_compile ?summaries ~blacklist vm.config vm.program profile m osr_bci)
+  in
+  let mid = m.Classfile.mth_id in
+  match
+    Compile_queue.request q (mid, osr_bci) ~meth ~epoch:vm.epochs.(mid)
+      ~now:(Stats.get vm.env.Interp.stats Stats.cycles)
+      ~latency:(Cost.compile_latency ~bytecodes:(Array.length m.Classfile.mth_code))
+      snapshot
+  with
+  | Compile_queue.Dropped -> (
+      match osr_bci with
+      | None -> Profile.reset_invocations profile m
+      | Some header -> Profile.reset_back_edge profile m ~header)
+  | Queued | Inflight _ | Failed_before -> ()
 
-and poll_queue vm q =
-  let now = Stats.get vm.env.Interp.stats Stats.cycles in
-  match Compile_queue.due q ~now with
-  | [] -> ()
-  | finished -> List.iter (fun (task, outcome) -> install_outcome vm q task outcome) finished
+and poll_queue vm q ~now =
+  Compile_queue.resolve q ~now ~install:(install_queued vm q) ~on_failed:(fun task error ->
+      (* a compile that raised leaves its key pinned in the queue: the
+         method (or OSR entry) keeps interpreting, the queue keeps flowing *)
+      Log.debug (fun k -> k "queued compile of %s failed: %s" task.Compile_queue.t_meth error);
+      Flight.trigger ~reason:"compile-failure")
 
 (* Install code the queue compiled — or refuse to. The epoch check makes
    installation atomic with respect to deopt-driven invalidation: code
    compiled against a blacklist that a deopt has since extended is
    discarded (and requeued with fresh snapshots) rather than installed
-   stale. A compile that raised pins the task's key as compile-failed;
-   the method keeps interpreting and the queue keeps flowing. *)
-and install_outcome vm q (task : Compile_queue.task) outcome =
-  let stats = vm.env.Interp.stats in
-  let mid, osr_bci, _ = task.Compile_queue.t_key in
-  let m = vm.program.Link.methods.(mid) in
-  let meth = Classfile.qualified_name m in
-  match outcome with
-  | Compile_queue.Failed error ->
-      Hashtbl.replace vm.compile_failed task.Compile_queue.t_key ();
-      Stats.incr stats Stats.compile_failures;
-      Log.debug (fun k -> k "queued compile of %s failed: %s" meth error);
-      if Trace.enabled () then Trace.record (Event.Compile_failed { meth; osr_bci; error });
-      Flight.trigger ~reason:"compile-failure"
-  | Compile_queue.Done code ->
-      let current = vm.epochs.(mid) in
-      if current <> task.Compile_queue.t_epoch then begin
-        Stats.incr stats Stats.compile_stale_discards;
-        if Trace.enabled () then
-          Trace.record
-            (Event.Compile_stale
-               { meth; osr_bci; epoch = task.Compile_queue.t_epoch; current_epoch = current });
-        Log.debug (fun k ->
-            k "discarding stale compile of %s (epoch %d, now %d)" meth
-              task.Compile_queue.t_epoch current);
-        if not vm.pinned.(mid) then request_compile vm q m osr_bci
-      end
-      else begin
-        install vm m osr_bci code;
-        Stats.incr stats Stats.compile_installs;
-        let latency = task.Compile_queue.t_deadline - task.Compile_queue.t_enqueued_at in
-        Stats.observe stats Stats.compile_latency latency;
-        if Trace.enabled () then
-          Trace.record
-            (Event.Compile_install
-               { meth; osr_bci; epoch = task.Compile_queue.t_epoch; latency });
-        (* the queue delivers ready-to-run code: build the closure
-           translation at install instead of on first execution *)
-        ignore (ensure_closure vm m code)
-      end
+   stale. *)
+and install_queued vm q task code =
+  let { Compile_queue.t_payload = m; t_key = mid, osr_bci; t_meth = meth; t_epoch = epoch;
+        t_latency = latency; _ } = task in
+  let current = vm.epochs.(mid) in
+  if current <> epoch then begin
+    Stats.incr vm.env.Interp.stats Stats.compile_stale_discards;
+    if Trace.enabled () then
+      Trace.record (Event.Compile_stale { meth; osr_bci; epoch; current_epoch = current });
+    Log.debug (fun k -> k "discarding stale compile of %s (epoch %d, now %d)" meth epoch current);
+    if not vm.pinned.(mid) then request_compile vm q m osr_bci;
+    false
+  end
+  else begin
+    install vm m osr_bci code;
+    if Trace.enabled () then
+      Trace.record (Event.Compile_install { meth; osr_bci; epoch; latency });
+    (* the queue delivers ready-to-run code: build the closure
+       translation at install instead of on first execution *)
+    ignore (ensure_closure vm m code);
+    true
+  end
 
 (* Per-site deopt policy: blacklist the exact site that fired (innermost
    deopt frame), invalidate every piece of the root method's code, and pin
@@ -484,7 +443,8 @@ and ensure_closure vm m (code : Jit.compiled) =
    normal-entry code so subsequent calls skip the interpreter too. *)
 and on_back_edge vm (m : Classfile.rt_method) ~header ~locals =
   (match vm.queue with
-  | Some q when Compile_queue.has_inflight q -> poll_queue vm q
+  | Some q when Compile_queue.has_inflight q ->
+      poll_queue vm q ~now:(Stats.get vm.env.Interp.stats Stats.cycles)
   | _ -> ());
   let cfg = vm.config in
   let mid = m.Classfile.mth_id in
@@ -496,7 +456,6 @@ and on_back_edge vm (m : Classfile.rt_method) ~header ~locals =
     || vm.interp_only
     || vm.pinned.(mid)
     || Hashtbl.mem vm.osr_failed (mid, header)
-    || Hashtbl.mem vm.compile_failed (mid, Some header, cfg.Jit.inlining)
   then Interp.No_osr
   else if Classfile.uses_exceptions m || has_monitors m then begin
     Hashtbl.replace vm.osr_failed (mid, header) ();
@@ -580,9 +539,8 @@ let create ?(config = Jit.default_config) (program : Link.program) : t =
       queue =
         (match config.Jit.compile_mode with
         | Jit.Sync -> None
-        | Jit.Replay -> Some (Compile_queue.create ~cap:config.Jit.compile_queue_cap));
+        | Jit.Replay -> Some (Compile_queue.create ~cap:config.Jit.compile_queue_cap stats));
       epochs = Array.make n_methods 0;
-      compile_failed = Hashtbl.create 8;
       code_source = None;
       interp_only = false;
       invocations_cell;
@@ -628,7 +586,7 @@ let pending_compiles vm =
   match vm.queue with None -> 0 | Some q -> Compile_queue.depth q
 
 let compile_failed vm (m : Classfile.rt_method) =
-  Hashtbl.mem vm.compile_failed (m.Classfile.mth_id, None, vm.config.Jit.inlining)
+  match vm.queue with None -> false | Some q -> Compile_queue.failed q (m.Classfile.mth_id, None)
 
 (* Drain the compile queue: resolve every in-flight task as if its
    deadline had passed, installing (or stale-discarding and recompiling)
@@ -638,14 +596,9 @@ let quiesce vm =
   match vm.queue with
   | None -> ()
   | Some q ->
-      let rec drain () =
-        match Compile_queue.due q ~now:max_int with
-        | [] -> ()
-        | finished ->
-            List.iter (fun (task, outcome) -> install_outcome vm q task outcome) finished;
-            drain ()
-      in
-      drain ()
+      while Compile_queue.has_inflight q do
+        poll_queue vm q ~now:max_int
+      done
 
 let blacklisted_sites vm (m : Classfile.rt_method) =
   Hashtbl.fold

@@ -158,7 +158,7 @@ let test_compile_failure_replay () =
   let g = Link.find_method program "C" "g" in
   let fail_mid = f.Classfile.mth_id in
   Compile_queue.test_hook :=
-    (fun (mid, osr, _) -> if mid = fail_mid && osr = None then failwith "injected compiler fault");
+    (fun (mid, osr) -> if mid = fail_mid && osr = None then failwith "injected compiler fault");
   Fun.protect
     ~finally:(fun () -> Compile_queue.test_hook := fun _ -> ())
     (fun () ->
@@ -216,7 +216,7 @@ let test_compile_failure_replay_osr () =
   let sum = Link.find_method program "C" "sum" in
   let fail_mid = sum.Classfile.mth_id in
   Compile_queue.test_hook :=
-    (fun (mid, osr, _) -> if mid = fail_mid && osr <> None then failwith "injected compiler fault");
+    (fun (mid, osr) -> if mid = fail_mid && osr <> None then failwith "injected compiler fault");
   Fun.protect
     ~finally:(fun () -> Compile_queue.test_hook := fun _ -> ())
     (fun () ->

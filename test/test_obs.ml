@@ -16,7 +16,7 @@ module Trace = Pea_obs.Trace
 let test_metrics_basics () =
   let schema = Metrics.make_schema () in
   let a = Metrics.counter schema "alpha" in
-  let b = Metrics.counter schema ~label:"brv" "bravo" in
+  let b = Metrics.counter schema "bravo" in
   let h = Metrics.histogram schema "sizes" in
   let t = Metrics.create schema in
   Alcotest.(check int) "zeroed" 0 (Metrics.get t a);
@@ -39,8 +39,6 @@ let test_metrics_basics () =
   Alcotest.(check string) "to_json"
     "{\"counters\":{\"alpha\":5,\"bravo\":9},\"histograms\":{\"sizes\":{\"count\":3,\"sum\":18,\"min\":3,\"max\":10}}}"
     (Metrics.to_json t);
-  Alcotest.(check string) "pp_counters uses labels" "alpha=5 brv=9"
-    (Format.asprintf "%a" Metrics.pp_counters t);
   Metrics.reset t;
   Alcotest.(check int) "reset counter" 0 (Metrics.get t a);
   Alcotest.(check int) "reset histogram" 0 (Metrics.hist t h).Metrics.h_count

@@ -238,6 +238,99 @@ let test_replay_deterministic_trace () =
   Alcotest.(check bool) "trace JSONL is non-trivial" true (String.length j1 > 0);
   Alcotest.(check string) "two replay runs: byte-identical trace JSONL" j1 j2
 
+(* ------------------------------------------------------------------ *)
+(* Shared compile queue: failure pinning and backpressure              *)
+(* ------------------------------------------------------------------ *)
+
+(* The same session with compilation never triggered: every tenant
+   interprets every request. *)
+let interp_only_results config script =
+  let never = { config.Server.sv_jit with Jit.compile_threshold = max_int } in
+  (Server.run ~config:{ config with Server.sv_jit = never } script).Server.r_tenants
+  |> List.map (fun tr -> (tr.Server.tr_name, tr.Server.tr_results))
+
+let check_results_match_interpreter config script (r : Server.report) =
+  List.iter2
+    (fun (name, expected) tr ->
+      Alcotest.(check (list string))
+        (name ^ ": results equal the interpreter-only run")
+        expected tr.Server.tr_results)
+    (interp_only_results config script) r.Server.r_tenants
+
+(* A compile fault injected at the barrier. a and b both get pair-svc's
+   [handle] hot in round 2, so the first compile the queue runs is that
+   one, requested by both (b's request is a cross-tenant dedup hit);
+   the hook fails that compile alone. c and d tier up later and compile
+   normally, and c's [handle] gets hot only after the failure: the
+   failed key must turn its request away, not enqueue or quarantine. *)
+let test_compile_failure_quarantines_requesters () =
+  let req t meth args = { Server.rq_tenant = t; rq_class = "Svc"; rq_method = meth; rq_args = args } in
+  let round r =
+    [ req 0 "handle" [ (2 * r) + 1 ]; req 0 "handle" [ (2 * r) + 2 ];
+      req 1 "handle" [ r + 50 ]; req 1 "handle" [ r + 60 ];
+      req 2 "mix" [ r; r + 1 ] ]
+    @ (if r >= 4 then [ req 2 "handle" [ r + 30 ] ] else [])
+    @ [ req 3 "handle" [ r + 7 ] ]
+  in
+  let script =
+    {
+      Server.sc_apps = [ ("pair-svc", Sessions.pair_app); ("calc-svc", Sessions.calc_app) ];
+      sc_tenants = [ ("a", 0); ("b", 0); ("c", 0); ("d", 1) ];
+      sc_rounds = List.init 12 round;
+    }
+  in
+  let fired = ref false in
+  Compile_queue.test_hook :=
+    (fun _ ->
+      if not !fired then begin
+        fired := true;
+        failwith "injected compiler fault"
+      end);
+  let server, r, events =
+    Fun.protect
+      ~finally:(fun () -> Compile_queue.test_hook := fun _ -> ())
+      (fun () ->
+        Trace.uninstall ();
+        Test_support.with_tracer (fun t ->
+            let server = Server.create ~config:test_config script in
+            Server.run_rounds server script.Server.sc_rounds;
+            let r = Server.report server in
+            (server, r, List.map (fun e -> e.Trace.e_event) (Trace.entries t))))
+  in
+  Alcotest.(check int) "one failure counted" 1 r.Server.r_stats.Stats.s_compile_failures;
+  Alcotest.(check (list string)) "one compile_failed event, for the faulted compile"
+    [ "pair-svc:Svc.handle" ]
+    (List.filter_map (function Event.Compile_failed { meth; _ } -> Some meth | _ -> None) events);
+  Alcotest.(check (list string)) "exactly its requesters quarantined" [ "a"; "b" ]
+    r.Server.r_quarantined;
+  Alcotest.(check int) "the failed method is never enqueued again" 1
+    (List.length
+       (List.filter
+          (function Event.Compile_enqueue { meth = "pair-svc:Svc.handle"; _ } -> true | _ -> false)
+          events));
+  let handle = Server.find_app_method server ~app:0 "Svc" "handle" in
+  let c = Server.tenant_vm server 2 in
+  Alcotest.(check bool) "c's handle got hot after the failure" true
+    (Profile.invocations (Vm.profile c) handle >= test_jit.Jit.compile_threshold);
+  Alcotest.(check bool) "c kept interpreting it" true (Vm.compiled_graph c handle = None);
+  Alcotest.(check bool) "the queue kept installing other methods" true
+    (r.Server.r_stats.Stats.s_compile_installs >= 2);
+  check_results_match_interpreter test_config script r
+
+(* Backpressure: a one-slot queue turns concurrent requests away; the
+   tenants re-request at their next hot invocation and every result
+   still equals the interpreter's. *)
+let test_full_queue_drops_requests () =
+  let config = { test_config with Server.sv_queue_cap = 1 } in
+  let script = Sessions.mixed_script ~tenants:4 ~rounds:10 ~requests_per_round:24 ~seed:3 () in
+  let r = Server.run ~config script in
+  let s = r.Server.r_stats in
+  Alcotest.(check bool) "requests dropped" true (s.Stats.s_compile_drops > 0);
+  Alcotest.(check bool) "compiles still installed" true (s.Stats.s_compile_installs > 0);
+  Alcotest.(check int) "every enqueue resolved exactly once" s.Stats.s_compile_enqueues
+    (s.Stats.s_compile_installs + s.Stats.s_cache_epoch_rejects + s.Stats.s_compile_failures);
+  check_results_match_interpreter config script r
+
 let test_percentile_nearest_rank () =
   let samples = [ 5; 1; 9; 3; 7 ] in
   Alcotest.(check int) "p50 of odd-length sample" 5 (Server.percentile samples 50);
@@ -308,6 +401,12 @@ let () =
           Alcotest.test_case "cross-tenant shared hits" `Quick test_shared_cache_cross_tenant_hits;
           Alcotest.test_case "epoch race rejects the stale install" `Quick
             test_epoch_race_rejects_stale_install;
+        ] );
+      ( "compile-queue",
+        [
+          Alcotest.test_case "compile failure quarantines its requesters" `Quick
+            test_compile_failure_quarantines_requesters;
+          Alcotest.test_case "full queue drops requests" `Quick test_full_queue_drops_requests;
         ] );
       ( "replay",
         [
