@@ -12,7 +12,8 @@
    reads-heap, ret-fresh). The global fixpoint iterates methods from a
    worklist seeded with every method and re-enqueues callers whenever a
    callee's summary grows; all facts move one way on a finite lattice, so
-   it terminates. *)
+   it terminates. It runs at the first query, not in [analyze]: a table
+   that no compile asks about costs nothing. *)
 
 open Pea_bytecode
 open Pea_ir
@@ -29,10 +30,13 @@ type method_summary = {
   s_reads_heap : bool;
 }
 
-type t = {
-  program : Link.program;
+type solution = {
   table : method_summary array; (* indexed by mth_id *)
   targets : Classfile.rt_method list array; (* CHA targets, indexed by mth_id *)
+}
+
+type t = {
+  solution : solution Lazy.t; (* the whole-program fixpoint, run at the first query *)
   virtual_cache : (int, method_summary) Hashtbl.t;
 }
 
@@ -247,7 +251,7 @@ let summarize table targets (m : Classfile.rt_method) (g : Graph.t) =
 (* Whole-program fixpoint                                              *)
 (* ------------------------------------------------------------------ *)
 
-let analyze (program : Link.program) =
+let solve (program : Link.program) =
   let n = Array.length program.Link.methods in
   let table = Array.make n (top 0) in
   let targets = Array.map (fun m -> Link.cha_targets program m) program.Link.methods in
@@ -257,7 +261,7 @@ let analyze (program : Link.program) =
     Array.map
       (fun m ->
         if Classfile.uses_exceptions m then None
-        else try Some (Builder.build m) with _ -> None)
+        else try Some (Builder.build m) with Builder.Build_error _ -> None)
       program.Link.methods
   in
   Array.iteri
@@ -305,7 +309,7 @@ let analyze (program : Link.program) =
   let guard = ref 0 in
   while not (Queue.is_empty queue) do
     incr guard;
-    if !guard > 100 * (n + 1) * 8 then failwith "Summary.analyze: fixpoint did not converge";
+    if !guard > 100 * (n + 1) * 8 then failwith "Summary: fixpoint did not converge";
     let i = Queue.pop queue in
     queued.(i) <- false;
     match graphs.(i) with
@@ -317,29 +321,34 @@ let analyze (program : Link.program) =
           ISet.iter enqueue dependents.(i)
         end
   done;
-  { program; table; targets; virtual_cache = Hashtbl.create 16 }
+  { table; targets }
 
-let of_method t (m : Classfile.rt_method) = t.table.(m.Classfile.mth_id)
+let analyze program = { solution = lazy (solve program); virtual_cache = Hashtbl.create 16 }
+
+let solved t = Lazy.is_val t.solution
+
+let of_method t (m : Classfile.rt_method) = (Lazy.force t.solution).table.(m.Classfile.mth_id)
 
 let call_summary t kind (m : Classfile.rt_method) =
   match (kind : Node.invoke_kind) with
-  | Static | Special -> t.table.(m.Classfile.mth_id)
+  | Static | Special -> of_method t m
   | Virtual -> (
       match Hashtbl.find_opt t.virtual_cache m.Classfile.mth_id with
       | Some s -> s
       | None ->
+          let { table; targets } = Lazy.force t.solution in
           let s =
             join_all (Classfile.arity m)
               (List.map
-                 (fun (tg : Classfile.rt_method) -> t.table.(tg.mth_id))
-                 t.targets.(m.Classfile.mth_id))
+                 (fun (tg : Classfile.rt_method) -> table.(tg.mth_id))
+                 targets.(m.Classfile.mth_id))
           in
           Hashtbl.replace t.virtual_cache m.Classfile.mth_id s;
           s)
 
 let exact_summary t (cls : Classfile.rt_class) (m : Classfile.rt_method) =
   match Classfile.resolve_method cls m.Classfile.mth_name with
-  | Some tgt -> t.table.(tgt.Classfile.mth_id)
+  | Some tgt -> of_method t tgt
   | None -> top (Classfile.arity m)
 
 let transparent ps = ps.ps_escape = No_escape && (not ps.ps_written)

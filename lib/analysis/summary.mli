@@ -11,7 +11,22 @@
     the result is sound. Virtual call sites join the summaries of every
     CHA dispatch target; MJ has no dynamic class loading, so the class
     hierarchy in a {!Pea_bytecode.Link.program} is closed and the join is
-    exhaustive. *)
+    exhaustive.
+
+    The fixpoint runs at the first {!of_method}, {!call_summary} or
+    {!exact_summary} on a table, not in {!analyze}, so a compile whose
+    calls are all inlined never runs it. That query raises any exception
+    of the IR builder other than [Build_error], and [Failure] if the
+    fixpoint does not converge; every later query raises the same
+    exception. Queries run inside a compile. Under [Sync] the exception
+    ends the run. Under [Replay] and in the serving layer the compile
+    queue turns it into a failed compile of the method being compiled
+    ([compile_failures], a [Compile_failed] event): the VM keeps that
+    method interpreted and triggers a flight dump, and the server
+    quarantines the tenants that asked for it.
+
+    The first query forces a [Lazy.t], so a table is queried from one
+    domain at a time. *)
 
 open Pea_bytecode
 
@@ -41,9 +56,14 @@ val lvl_join : escape_level -> escape_level -> escape_level
     every parameter globally escapes, nothing is known pure or fresh. *)
 val top : int -> method_summary
 
-(** [analyze program] runs the whole-program fixpoint. Methods that use
-    exceptions (which the JIT bails out on) get {!top} summaries. *)
+(** [analyze program] is the summary table of [program]. The
+    whole-program fixpoint runs at the first query. Methods that use
+    exceptions (which the JIT bails out on), or that the IR builder
+    rejects with [Build_error], get {!top} summaries. *)
 val analyze : Link.program -> t
+
+(** [solved t] holds once a query has computed the fixpoint. *)
+val solved : t -> bool
 
 (** [of_method t m] is the computed summary of [m]'s own body. *)
 val of_method : t -> Classfile.rt_method -> method_summary

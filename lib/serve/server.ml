@@ -95,8 +95,9 @@ type app = {
   ap_index : int;
   ap_name : string;
   ap_program : Link.program;
-  mutable ap_summaries : Pea_analysis.Summary.t option;
-      (* shared across every tenant and compile of this app *)
+  ap_summaries : Pea_analysis.Summary.t option;
+      (* shared across every tenant and compile of this app; None when
+         [sv_jit.summaries] is off *)
   ap_blacklist : (int * int, unit) Hashtbl.t;
       (* (mth_id, bci) deopt sites merged across all tenants: shared
          compiles never re-speculate on a site any tenant has fired *)
@@ -148,14 +149,6 @@ let queue_key (ap : app) mid = ((ap.ap_index * app_stride) + mid, None)
 let qualified (ap : app) (m : Classfile.rt_method) =
   ap.ap_name ^ ":" ^ Classfile.qualified_name m
 
-let summaries_of ap =
-  match ap.ap_summaries with
-  | Some _ as s -> s
-  | None ->
-      let s = Pea_analysis.Summary.analyze ap.ap_program in
-      ap.ap_summaries <- Some s;
-      Some s
-
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -172,7 +165,9 @@ let create ?(config = default_config) (script : script) : t =
              ap_index = i;
              ap_name = name;
              ap_program = program;
-             ap_summaries = None;
+             ap_summaries =
+               (if config.sv_jit.Jit.summaries then Some (Pea_analysis.Summary.analyze program)
+                else None);
              ap_blacklist = Hashtbl.create 8;
            })
          script.sc_apps)
@@ -180,8 +175,11 @@ let create ?(config = default_config) (script : script) : t =
   let cache = Shared_cache.create ~shards:config.sv_shards in
   (* every tenant VM: compilation routed through the server (Sync mode,
      no VM-local queue), OSR off so normal entries are the only tier-up
-     path — the one the code-source hook covers *)
-  let tenant_jit = { config.sv_jit with Jit.compile_mode = Jit.Sync; osr = false } in
+     path — the one the code-source hook covers. The shared compiles take
+     [ap_summaries], so a tenant needs no summary table of its own. *)
+  let tenant_jit =
+    { config.sv_jit with Jit.compile_mode = Jit.Sync; osr = false; summaries = false }
+  in
   let tenants =
     Array.of_list
       (List.mapi
@@ -317,12 +315,11 @@ let enqueue_compile server (ap : app) mid ~requester =
             Shared_cache.remember_profile server.cache ck p;
             p
       in
-      let summaries = summaries_of ap in
       let blacklist_copy = Hashtbl.copy ap.ap_blacklist in
       let blacklist site = Hashtbl.mem blacklist_copy site in
       let config = { server.config.sv_jit with Jit.compile_mode = Jit.Sync; osr = false } in
       ( { pm_app = ap; pm_mid = mid; pm_requesters = [ requester ] },
-        fun () -> Jit.compile ?summaries ~blacklist config ap.ap_program profile m )
+        fun () -> Jit.compile ?summaries:ap.ap_summaries ~blacklist config ap.ap_program profile m )
     in
     match
       Compile_queue.request server.queue (queue_key ap mid) ~meth:(qualified ap m)

@@ -49,9 +49,10 @@ type t = {
   mutable n_pinned : int; (* how many [pinned] entries are true *)
   printed_rev : Value.value list ref;
   jit_stats : Pea_core.Pea.pass_stats;
-  mutable summary_table : Pea_analysis.Summary.t option;
-      (* whole-program escape summaries; computed lazily at the first
-         compilation when [config.summaries] is set *)
+  summaries : Pea_analysis.Summary.t option;
+      (* escape summaries when [config.summaries] is set: one table serves
+         every compilation of this VM, and its fixpoint runs at the first
+         query *)
   queue : Classfile.rt_method Compile_queue.t option; (* Replay's compile queue; None in Sync *)
   epochs : int array;
       (* per-method invalidation epoch, bumped whenever a deopt
@@ -77,18 +78,6 @@ let accumulate_jit_stats (acc : Pea_core.Pea.pass_stats) (st : Pea_core.Pea.pass
   acc.folded_checks <- acc.folded_checks + st.folded_checks;
   acc.scratch_args <- acc.scratch_args + st.scratch_args;
   acc.sites <- acc.sites @ st.sites
-
-(* The summary table covers the closed program, so one fixpoint serves
-   every compilation of this VM. *)
-let summaries vm =
-  if not vm.config.Jit.summaries then None
-  else
-    match vm.summary_table with
-    | Some _ as t -> t
-    | None ->
-        let t = Pea_analysis.Summary.analyze vm.program in
-        vm.summary_table <- Some t;
-        Some t
 
 let site_blacklisted vm site = Hashtbl.mem vm.site_blacklist site
 
@@ -178,7 +167,7 @@ and compile_now vm (m : Classfile.rt_method) osr_bci =
       (Event.Tier_promote
          { meth = Classfile.qualified_name m; tier = tier_name osr_bci; invocations });
   let code =
-    jit_compile ?summaries:(summaries vm) ~blacklist:(site_blacklisted vm) vm.config vm.program
+    jit_compile ?summaries:vm.summaries ~blacklist:(site_blacklisted vm) vm.config vm.program
       vm.env.Interp.profile m osr_bci
   in
   (* synchronous compilation stalls the mutator for the modeled pipeline
@@ -207,11 +196,10 @@ and request_compile vm q (m : Classfile.rt_method) osr_bci =
           meth invocations (Compile_queue.depth q));
     (* the compile runs at the deadline from these enqueue-time
        snapshots, never from the tables the interpreter keeps mutating *)
-    let summaries = summaries vm in
     let profile = Profile.copy profile in
     let blacklist_copy = Hashtbl.copy vm.site_blacklist in
     let blacklist site = Hashtbl.mem blacklist_copy site in
-    (m, fun () -> jit_compile ?summaries ~blacklist vm.config vm.program profile m osr_bci)
+    (m, fun () -> jit_compile ?summaries:vm.summaries ~blacklist vm.config vm.program profile m osr_bci)
   in
   let mid = m.Classfile.mth_id in
   match
@@ -535,7 +523,8 @@ let create ?(config = Jit.default_config) (program : Link.program) : t =
       n_pinned = 0;
       printed_rev;
       jit_stats = Pea_core.Pea.mk_stats ();
-      summary_table = None;
+      summaries =
+        (if config.Jit.summaries then Some (Pea_analysis.Summary.analyze program) else None);
       queue =
         (match config.Jit.compile_mode with
         | Jit.Sync -> None

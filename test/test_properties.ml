@@ -427,7 +427,8 @@ let prop_verified_execution =
    The opt level is drawn per case (the serving harness itself
    forces Sync + no OSR on tenant VMs, so those axes don't apply);
    env-driven axes (summaries, stackalloc, inlining, ...) still reach
-   the shared compiles through [Test_env.apply]. *)
+   the shared compiles through [Test_env.apply]: with summaries off,
+   the server builds no summary table for its shared compiles. *)
 let prop_serving_matches_isolated =
   let module Server = Pea_serve.Server in
   let module Sessions = Pea_workloads.Sessions in
@@ -477,6 +478,50 @@ let prop_serving_matches_isolated =
       let r = Server.run ~config:{ Server.default_config with Server.sv_jit } script in
       List.map (fun tr -> tr.Server.tr_results) r.Server.r_tenants = isolated_results script)
 
+(* Escape summaries are a least fixpoint over a finite lattice, so they
+   must not depend on which method is asked about first, however lazily
+   the table computes them. Every method's own summary and its Static and
+   Virtual call-site summaries must print the same when the methods are
+   queried in ascending id order, in descending order and in a seeded
+   shuffle, each on a fresh table. The generated programs have virtual
+   calls on A/B/C and (self-)recursion. *)
+let prop_summaries_order_independent =
+  let module Summary = Pea_analysis.Summary in
+  let summaries_in program order =
+    let t = Summary.analyze program in
+    let out = Array.make (Array.length order) [] in
+    Array.iter
+      (fun (m : Pea_bytecode.Classfile.rt_method) ->
+        let pp s = Format.asprintf "%a" Summary.pp_summary s in
+        out.(m.Pea_bytecode.Classfile.mth_id) <-
+          [
+            pp (Summary.of_method t m);
+            pp (Summary.call_summary t Pea_ir.Node.Static m);
+            pp (Summary.call_summary t Pea_ir.Node.Virtual m);
+          ])
+      order;
+    out
+  in
+  QCheck2.Test.make ~name:"escape summaries do not depend on query order"
+    ~count:(Test_env.qcheck_count 100)
+    ~print:(fun (src, seed) -> Printf.sprintf "seed=%d\n%s" seed src)
+    (G.pair gen_program (G.int_bound 1_000_000))
+    (fun (src, seed) ->
+      let program = Pea_bytecode.Link.compile_source src in
+      let ascending = program.Pea_bytecode.Link.methods in
+      let n = Array.length ascending in
+      let descending = Array.init n (fun i -> ascending.(n - 1 - i)) in
+      let shuffled = Array.copy ascending in
+      let rng = Random.State.make [| seed |] in
+      for i = n - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let x = shuffled.(i) in
+        shuffled.(i) <- shuffled.(j);
+        shuffled.(j) <- x
+      done;
+      let reference = summaries_in program ascending in
+      summaries_in program descending = reference && summaries_in program shuffled = reference)
+
 let () =
   Alcotest.run "properties"
     [
@@ -489,5 +534,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_verified_execution;
           QCheck_alcotest.to_alcotest prop_pretty_roundtrip;
           QCheck_alcotest.to_alcotest prop_serving_matches_isolated;
+          QCheck_alcotest.to_alcotest prop_summaries_order_independent;
         ] );
     ]

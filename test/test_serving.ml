@@ -339,6 +339,72 @@ let test_percentile_nearest_rank () =
   Alcotest.(check int) "empty sample" 0 (Server.percentile [] 99)
 
 (* ------------------------------------------------------------------ *)
+(* Escape summaries reach the shared compiles                          *)
+(* ------------------------------------------------------------------ *)
+
+(* [Svc.handle] passes a fresh Key to [Cache.find], whose 60-statement
+   body is too big to inline. With summaries PEA keeps the Key virtual
+   across the call and hands the callee a stack scratch object; without
+   them the call forces a heap allocation. The served tenant must follow
+   [sv_jit.summaries] the way a plain VM follows [Jit.summaries]. *)
+let key_app =
+  "class Key { int a; int b; }\n\
+   class Cache {\n\
+  \  static int find(Key k) {\n\
+  \    int s = 0;\n"
+  ^ String.concat ""
+      (List.init 60 (fun i ->
+           Printf.sprintf "    s = s + %s + %d;\n" (if i mod 2 = 0 then "k.a" else "k.b") i))
+  ^ "    return s;\n\
+  \  }\n\
+   }\n\
+   class Svc {\n\
+  \  static int handle(int x) {\n\
+  \    Key k = new Key();\n\
+  \    k.a = x;\n\
+  \    k.b = x + 1;\n\
+  \    return Cache.find(k);\n\
+  \  }\n\
+   }\n"
+
+let key_script =
+  {
+    Server.sc_apps = [ ("key-svc", key_app) ];
+    sc_tenants = [ ("t", 0) ];
+    sc_rounds =
+      List.init 10 (fun r ->
+          List.init 10 (fun i ->
+              { Server.rq_tenant = 0; rq_class = "Svc"; rq_method = "handle"; rq_args = [ (10 * r) + i ] }));
+  }
+
+let test_summaries_follow_config () =
+  let served summaries =
+    let config = { test_config with Server.sv_jit = { test_jit with Jit.summaries } } in
+    let r = Server.run ~config key_script in
+    check_results_match_interpreter config key_script r;
+    (tenant r "t").Server.tr_stats
+  in
+  let plain summaries =
+    let program = Pea_bytecode.Link.compile_source ~require_main:false key_app in
+    let vm = Vm.create ~config:{ test_jit with Jit.summaries } program in
+    let m = Pea_bytecode.Link.find_method program "Svc" "handle" in
+    List.iter
+      (fun rq -> ignore (Vm.invoke vm m (List.map (fun i -> Value.Vint i) rq.Server.rq_args)))
+      (List.concat key_script.Server.sc_rounds);
+    Stats.snapshot (Vm.stats vm)
+  in
+  let counts (s : Stats.snapshot) = (s.Stats.s_allocations, s.Stats.s_stack_allocs) in
+  let off = served false and plain_off = plain false in
+  Alcotest.(check (pair int int)) "summaries off: the plain VM's allocations, no stack objects"
+    (counts plain_off) (counts off);
+  Alcotest.(check int) "summaries off: every request allocates its Key" 100
+    off.Stats.s_allocations;
+  let on = served true in
+  Alcotest.(check bool) "summaries on: the Key goes to the stack" true (on.Stats.s_stack_allocs > 0);
+  Alcotest.(check bool) "summaries on: fewer heap allocations" true
+    (on.Stats.s_allocations < off.Stats.s_allocations)
+
+(* ------------------------------------------------------------------ *)
 (* Threaded mode (real domains; MJVM_TEST_SERVE=real)                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -407,6 +473,8 @@ let () =
           Alcotest.test_case "compile failure quarantines its requesters" `Quick
             test_compile_failure_quarantines_requesters;
           Alcotest.test_case "full queue drops requests" `Quick test_full_queue_drops_requests;
+          Alcotest.test_case "summaries follow sv_jit.summaries" `Quick
+            test_summaries_follow_config;
         ] );
       ( "replay",
         [

@@ -156,6 +156,142 @@ let test_exact_receiver_skips_join () =
   Alcotest.(check bool) "exact A.use is pure" true exact.Summary.s_pure
 
 (* ------------------------------------------------------------------ *)
+(* Lazy fixpoint: it runs at the first query, inside a compile         *)
+(* ------------------------------------------------------------------ *)
+
+(* Whichever end of a recursive pair that leaks its argument is asked
+   about first, the leak reaches both. *)
+let test_cycle_from_either_end () =
+  let src =
+    "class Box { int v; }\n\
+     class R {\n\
+    \  static Box g;\n\
+    \  static int down(Box b, int n) { if (n <= 0) return 0; return R.leak(b, n); }\n\
+    \  static int leak(Box b, int n) { R.g = b; return R.down(b, n - 1); }\n\
+     }"
+  in
+  List.iter
+    (fun first ->
+      let program, t = analyze src in
+      ignore (Summary.of_method t (Link.find_method program "R" first));
+      List.iter
+        (fun name ->
+          Alcotest.check lvl
+            (Printf.sprintf "%s first: %s's parameter escapes" first name)
+            Summary.Global_escape
+            (Summary.of_method t (Link.find_method program "R" name)).Summary.s_params.(0)
+              .Summary.ps_escape)
+        [ "down"; "leak" ])
+    [ "down"; "leak" ]
+
+let test_exception_callee_is_top () =
+  let program, t =
+    analyze
+      "class Box { int v; }\n\
+       class Oops { int code; }\n\
+       class E {\n\
+      \  static int risky(Box b) {\n\
+      \    try { if (b.v > 3) { throw new Oops(); } return b.v; } catch (Oops o) { return 0; }\n\
+      \  }\n\
+      \  static int caller(Box b) { return E.risky(b); }\n\
+       }"
+  in
+  let s = Summary.of_method t (Link.find_method program "E" "caller") in
+  let pp s = Format.asprintf "%a" Summary.pp_summary s in
+  Alcotest.(check string) "a callee that uses exceptions gets top" (pp (Summary.top 1))
+    (pp (Summary.of_method t (Link.find_method program "E" "risky")));
+  Alcotest.check lvl "the caller's parameter escapes through it" Summary.Global_escape
+    s.Summary.s_params.(0).Summary.ps_escape
+
+(* The JIT asks summaries only at call sites that survive inlining: a
+   compile whose calls are all inlined must not run the fixpoint. *)
+let test_inlined_compile_forces_nothing () =
+  let program =
+    Link.compile_source
+      "class Key { int a; int b; }\n\
+       class Main {\n\
+      \  static int use(Key k) { return k.a + k.b; }\n\
+      \  static int main() { Key k = new Key(); k.a = 1; k.b = 2; return Main.use(k); }\n\
+       }"
+  in
+  let main = Link.find_method program "Main" "main" in
+  let compile inline =
+    let summaries = Summary.analyze program in
+    let config = { Jit.default_config with Jit.inline } in
+    let c = Jit.compile ~summaries config program (Profile.create program) main in
+    let calls = ref 0 in
+    Pea_ir.Graph.iter_blocks
+      (fun b ->
+        Pea_support.Dyn_array.iter
+          (fun (nd : Pea_ir.Node.t) ->
+            match nd.Pea_ir.Node.op with Pea_ir.Node.Invoke _ -> incr calls | _ -> ())
+          b.Pea_ir.Graph.instrs)
+      c.Jit.graph;
+    (!calls, Summary.solved summaries)
+  in
+  Alcotest.(check (pair int bool)) "inlined: no call left, fixpoint not run" (0, false)
+    (compile true);
+  Alcotest.(check (pair int bool)) "not inlined: the call's summary ran it" (1, true)
+    (compile false)
+
+(* [F.broken] is never executed, but the fixpoint builds its IR, and the
+   code injected into it (a jump past its end) makes the builder raise
+   [Invalid_argument], not [Build_error]. [F.caller] keeps its call to
+   it (no inlining, no pruning), so compiling [F.caller] asks for a
+   summary and runs the fixpoint. Under Replay the compile queue turns
+   the exception into a failed compile of [F.caller], which stays
+   interpreted; under Sync the exception ends the run. *)
+let test_builder_fault_fails_the_compile () =
+  let src =
+    "class Box { int v; }\n\
+     class F {\n\
+    \  static int broken(Box b) { return b.v; }\n\
+    \  static int caller(int x) {\n\
+    \    Box b = new Box();\n\
+    \    b.v = x;\n\
+    \    if (x < 0) { return F.broken(b); }\n\
+    \    return b.v + 1;\n\
+    \  }\n\
+     }"
+  in
+  let setup ~summaries mode =
+    let program = Link.compile_source ~require_main:false src in
+    let config =
+      { Jit.default_config with
+        Jit.compile_mode = mode;
+        compile_threshold = 3;
+        osr = false;
+        inline = false;
+        prune = false;
+        summaries;
+      }
+    in
+    let vm = Vm.create ~config program in
+    (* after [Vm.create], whose bytecode verifier would reject it *)
+    (Link.find_method program "F" "broken").Classfile.mth_code <- [| Classfile.Goto 9999 |];
+    (vm, Link.find_method program "F" "caller")
+  in
+  let drive (vm, caller) =
+    for i = 1 to 20 do
+      Alcotest.(check int) "caller stays correct" (i + 1)
+        (match Vm.invoke vm caller [ Value.Vint i ] with Some (Value.Vint n) -> n | _ -> -1)
+    done;
+    Vm.quiesce vm;
+    ( Vm.compile_failed vm caller,
+      Vm.compiled_graph vm caller <> None,
+      Stats.get (Vm.stats vm) Stats.compile_failures )
+  in
+  let outcome = Alcotest.(triple bool bool int) in
+  Alcotest.check outcome "replay: the compile fails, the caller stays interpreted" (true, false, 1)
+    (drive (setup ~summaries:true Jit.Replay));
+  Alcotest.check outcome "replay without summaries: the caller compiles" (false, true, 0)
+    (drive (setup ~summaries:false Jit.Replay));
+  Alcotest.(check bool) "sync: the exception ends the run" true
+    (match drive (setup ~summaries:true Jit.Sync) with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* ------------------------------------------------------------------ *)
 (* End to end: summaries avoid materialization at a non-inlined call   *)
 (* ------------------------------------------------------------------ *)
 
@@ -243,6 +379,15 @@ let () =
         [
           Alcotest.test_case "CHA join" `Quick test_cha_join;
           Alcotest.test_case "exact receiver" `Quick test_exact_receiver_skips_join;
+        ] );
+      ( "lazy",
+        [
+          Alcotest.test_case "a cycle from either end" `Quick test_cycle_from_either_end;
+          Alcotest.test_case "exception callee is top" `Quick test_exception_callee_is_top;
+          Alcotest.test_case "inlined compile forces nothing" `Quick
+            test_inlined_compile_forces_nothing;
+          Alcotest.test_case "builder fault fails the compile" `Quick
+            test_builder_fault_fails_the_compile;
         ] );
       ( "end-to-end",
         [
