@@ -11,8 +11,7 @@
      6. Figure 4 micro-patterns     (per-pattern optimization effects)
      7. Ablations                   (design choices toggled off)
      8. Gated sections, each writing BENCH_<name>.json: summaries,
-        inlining, obs, profile, osr, compile_mode, verify, stackalloc,
-        serving
+        inlining, obs, profile, osr, verify, stackalloc, serving
      9. §6.1 allocation breakdown
 
    Absolute numbers are not comparable with the paper (the substrate is a
@@ -276,7 +275,7 @@ let fig4_section () =
    aborts the compile) and the deopt oracle on. The gate: pea+stackalloc
    strictly beats pea on cycles, steady-state heap allocations reach
    zero on the non-deopt rows, the deopt row actually promotes, and
-   results are bit-identical across opt x stackalloc x compile-mode. *)
+   results are bit-identical across opt x stackalloc. *)
 (* (name, compile threshold, source). The deopt-promote row compiles at
    threshold 30 so the flip branch has a mature never-taken profile
    (cold-branch pruning wants >= 20 samples) and actually gets pruned —
@@ -359,14 +358,13 @@ let stackalloc_section () =
   header "Stack allocation: frame-bounded materializations, reclaimed at frame pop";
   (* steady state: warm 2 iterations (everything compiles at threshold
      2), then measure per-iteration deltas over 3 more *)
-  let cell src ~threshold ~opt ~stackalloc ~mode =
+  let cell src ~threshold ~opt ~stackalloc =
     let config =
       {
         Jit.default_config with
         Jit.compile_threshold = threshold;
         opt;
         stackalloc;
-        compile_mode = mode;
         check_level = Pea_analysis.Spec_check.Every_phase;
         oracle = true;
       }
@@ -393,20 +391,17 @@ let stackalloc_section () =
       0 methods
   in
   Printf.printf "%-14s | %10s %10s %8s | %9s %9s %9s %9s | %s\n" "row" "pea cyc" "+stack cyc"
-    "speedup" "allocs/it" "stack/it" "reclaim" "promote" "parity (8 cells)";
+    "speedup" "allocs/it" "stack/it" "reclaim" "promote" "parity (4 cells)";
   let per_iter n = n / Harness.default_measure in
   let result (name, threshold, src) =
-    let off_r, off = cell src ~threshold ~opt:Jit.O_pea ~stackalloc:false ~mode:Jit.Sync in
-    let on_r, on = cell src ~threshold ~opt:Jit.O_pea ~stackalloc:true ~mode:Jit.Sync in
+    let off_r, off = cell src ~threshold ~opt:Jit.O_pea ~stackalloc:false in
+    let on_r, on = cell src ~threshold ~opt:Jit.O_pea ~stackalloc:true in
     let out0 = outcome off_r in
-    (* full matrix: opt x stackalloc x compile-mode, every cell
-       oracle-checked, all results must be bit-identical *)
+    (* full matrix: opt x stackalloc, every cell oracle-checked, all
+       results must be bit-identical *)
     let parity =
       List.for_all
-        (fun (opt, stackalloc) ->
-          List.for_all
-            (fun mode -> outcome (fst (cell src ~threshold ~opt ~stackalloc ~mode)) = out0)
-            [ Jit.Sync; Jit.Replay ])
+        (fun (opt, stackalloc) -> outcome (fst (cell src ~threshold ~opt ~stackalloc)) = out0)
         [ (Jit.O_none, false); (Jit.O_ea, false); (Jit.O_pea, false); (Jit.O_pea, true) ]
     in
     let spec12 = spec12_count src in
@@ -751,7 +746,6 @@ let profile_section () =
       let program = Pea_bytecode.Link.compile_source src in
       let vm = Vm.create ~config program in
       let r = Vm.run_main_iterations vm 3 in
-      Vm.quiesce vm;
       let report =
         match (cpu, heap) with
         | Some cpu, Some heap when collect_report ->
@@ -890,67 +884,6 @@ let osr_section () =
       ("osr_entered", all (fun (entered, _, _) -> entered) checks);
       ("beats_interpreter", all (fun (_, faster, _) -> faster) checks);
       ("result_parity", all (fun (_, _, parity) -> parity) checks);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Compile modes                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Time-to-steady-state under the two compile modes. In sync mode the
-   mutator stalls for the full modeled latency of every compilation it
-   triggers (charged to compile_stall_cycles); under replay the same
-   compilations are queued and installed at their deadline, so the
-   method keeps interpreting instead of stalling. Rows are ranked by how
-   much the sync mutator actually stalls — the measured stall is exactly
-   the amount of compilation the row demands — and the gate checks that
-   on the two most compile-heavy rows replay reaches steady state
-   (cycles + compile_stall_cycles) strictly sooner than sync with
-   identical results. *)
-let compile_mode_section () =
-  header "Background compilation: time-to-steady-state, sync vs replay";
-  let measure src mode =
-    let config = { Jit.default_config with Jit.compile_threshold = 2; compile_mode = mode } in
-    let vm = Vm.create ~config (Pea_bytecode.Link.compile_source src) in
-    let r = Vm.run_main_iterations vm 3 in
-    Vm.quiesce vm;
-    (Stats.snapshot (Vm.stats vm), outcome r)
-  in
-  let tts (s : Stats.snapshot) = s.Stats.s_cycles + s.Stats.s_compile_stall_cycles in
-  let ranked =
-    List.sort
-      (fun (_, (a : Stats.snapshot), _) (_, b, _) ->
-        compare b.Stats.s_compile_stall_cycles a.Stats.s_compile_stall_cycles)
-      (List.map
-         (fun (row : Spec.row) ->
-           let s, o = measure (Codegen.source_for_row row) Jit.Sync in
-           (row, s, o))
-         (Spec.dacapo @ Spec.scala_dacapo @ Spec.specjbb))
-  in
-  let rows = List.filteri (fun i _ -> i < 4) ranked in
-  Printf.printf "%-14s | %12s %12s %12s %8s | %s\n" "row" "sync stall" "sync tts" "replay tts"
-    "speedup" "results";
-  let result ((row : Spec.row), sync_s, sync_o) =
-    let replay_s, replay_o = measure (Codegen.source_for_row row) Jit.Replay in
-    let identical = sync_o = replay_o in
-    let speedup = float_of_int (tts sync_s) /. float_of_int (tts replay_s) in
-    Printf.printf "%-14s | %12d %12d %12d %7.3fx | %s\n%!" row.Spec.name
-      sync_s.Stats.s_compile_stall_cycles (tts sync_s) (tts replay_s) speedup
-      (if identical then "identical" else "MISMATCH");
-    ( (tts replay_s < tts sync_s, identical),
-      [
-        Json.str_field "row" row.Spec.name;
-        Json.int_field "sync_stall_cycles" sync_s.Stats.s_compile_stall_cycles;
-        Json.int_field "sync_time_to_steady" (tts sync_s);
-        Json.int_field "replay_time_to_steady" (tts replay_s);
-        Json.float_field "speedup" ~decimals:3 speedup;
-        Json.bool_field "results_identical" identical;
-      ] )
-  in
-  let checks, rows = List.split (List.map result rows) in
-  section "compile_mode" rows
-    [
-      ("replay_beats_sync", all fst (List.filteri (fun i _ -> i < 2) checks));
-      ("results_identical", all snd checks);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -1184,7 +1117,7 @@ let () =
     List.concat_map
       (fun section -> emit (section ()))
       [ summaries_section; inlining_section; obs_section; profile_section; osr_section;
-        compile_mode_section; verify_section; stackalloc_section; serving_section ]
+        verify_section; stackalloc_section; serving_section ]
   in
   breakdown_section ();
   let count p = List.length (List.filter (fun (_, g) -> p g) gates) in

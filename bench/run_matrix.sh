@@ -2,12 +2,11 @@
 # Run the tier-1 test suites under every VM configuration the matrix
 # covers: optimization level (none / ea / pea) crossed with
 # interprocedural escape summaries (on / off) crossed with on-stack
-# replacement (on / off) crossed with the compile mode (sync / replay),
-# every cell with the correctness tooling on; a separate sweep toggles
-# speculative guarded inlining (on / off) across the optimization
-# levels. The suites read the forced
+# replacement (on / off), every cell with the correctness tooling on; a
+# separate sweep toggles speculative guarded inlining (on / off) across
+# the optimization levels. The suites read the forced
 # configuration from MJVM_TEST_OPT / MJVM_TEST_SUMMARIES /
-# MJVM_TEST_OSR / MJVM_TEST_COMPILE_MODE / MJVM_TEST_INLINING (see
+# MJVM_TEST_OSR / MJVM_TEST_INLINING (see
 # test/test_env.ml, which rejects any MJVM_TEST_* name or value it does
 # not list); a differential or monotonicity failure in any cell is a
 # real bug in that configuration. Two extra cells re-run the default
@@ -21,8 +20,8 @@
 # multi-tenant harness in forced-replay mode and with real worker
 # domains (MJVM_TEST_SERVE, see test/test_serving.ml).
 #
-# Cells: 24 (opt x summaries x osr x compile-mode) + 6 (inlining x opt)
-# + 7 single cells = 37.
+# Cells: 12 (opt x summaries x osr) + 6 (inlining x opt) + 7 single
+# cells = 25.
 #
 # Failures do not stop the sweep: every failing cell prints its
 # environment line (the exact rerun command) first, then the output
@@ -85,12 +84,9 @@ run_cell() {
 for opt in none ea pea; do
   for summaries in on off; do
     for osr in on off; do
-      for mode in sync replay; do
-        run_cell "opt=$opt summaries=$summaries osr=$osr compile-mode=$mode check-level=every-phase oracle=on" \
-          "MJVM_TEST_OPT=$opt" "MJVM_TEST_SUMMARIES=$summaries" \
-          "MJVM_TEST_OSR=$osr" "MJVM_TEST_COMPILE_MODE=$mode" \
-          "MJVM_TEST_CHECK_LEVEL=every-phase" "MJVM_TEST_ORACLE=on"
-      done
+      run_cell "opt=$opt summaries=$summaries osr=$osr check-level=every-phase oracle=on" \
+        "MJVM_TEST_OPT=$opt" "MJVM_TEST_SUMMARIES=$summaries" "MJVM_TEST_OSR=$osr" \
+        "MJVM_TEST_CHECK_LEVEL=every-phase" "MJVM_TEST_ORACLE=on"
     done
   done
 done

@@ -31,15 +31,6 @@ let opt_conv =
   in
   Arg.conv (parse, print)
 
-let mode_conv =
-  let parse = function
-    | "sync" -> Ok Jit.Sync
-    | "replay" -> Ok Jit.Replay
-    | s -> Error (`Msg (Printf.sprintf "unknown compile mode %S (sync|replay)" s))
-  in
-  let print ppf m = Format.pp_print_string ppf (Jit.mode_string m) in
-  Arg.conv (parse, print)
-
 let file_arg =
   Arg.(
     required & pos 0 (some non_dir_file) None & info [] ~docv:"FILE.mj" ~doc:"MiniJava source file")
@@ -112,26 +103,6 @@ let no_osr_arg =
         ~doc:
           "Disable on-stack replacement (hot loops then only tier up at the next full \
            invocation)")
-
-let mode_arg =
-  Arg.(
-    value
-    & opt mode_conv Jit.Sync
-    & info [ "compile-mode" ] ~docv:"MODE"
-        ~doc:
-          "When the JIT pipeline runs: sync (inline at the threshold, stalling the mutator) or \
-           replay (bounded queue; the method keeps interpreting and its code is compiled and \
-           installed at a modeled deadline on the VM clock — every queue decision is \
-           deterministic)")
-
-let queue_cap_arg =
-  Arg.(
-    value
-    & opt int Jit.default_config.Jit.compile_queue_cap
-    & info [ "compile-queue-cap" ] ~docv:"N"
-        ~doc:
-          "Background compile queue bound; requests beyond it are dropped and the method is \
-           reprofiled")
 
 let check_level_conv =
   let parse s =
@@ -224,7 +195,7 @@ let setup_logs verbose =
   end
 
 let config opt threshold no_inline no_inlining no_prune no_summaries no_stackalloc osr_threshold
-    no_osr compile_mode compile_queue_cap check_level oracle =
+    no_osr check_level oracle =
   {
     Jit.default_config with
     Jit.opt;
@@ -236,8 +207,6 @@ let config opt threshold no_inline no_inlining no_prune no_summaries no_stackall
     stackalloc = not no_stackalloc;
     osr = not no_osr;
     osr_threshold;
-    compile_mode;
-    compile_queue_cap;
     check_level;
     oracle;
   }
@@ -289,93 +258,113 @@ let print_metrics stats =
 
 let run_cmd =
   let action file opt threshold iterations stats no_inline no_inlining no_prune no_summaries
-      no_stackalloc osr_threshold no_osr compile_mode compile_queue_cap check_level oracle
-      verbose trace trace_format flight_dump =
+      no_stackalloc osr_threshold no_osr check_level oracle verbose trace trace_format
+      flight_dump =
     setup_logs verbose;
-    (* only replay mode creates the bounded compile queue *)
-    if compile_mode = Jit.Replay then check_floors [ ("compile-queue-cap", compile_queue_cap, 1) ];
+    check_floors
+      [
+        ("threshold", threshold, 0);
+        ("iterations", iterations, 1);
+        ("osr-threshold", osr_threshold, 0);
+      ];
     let program = compile_file_or_exit file in
-    (let vm =
-       Vm.create
-         ~config:
-           (config opt threshold no_inline no_inlining no_prune no_summaries no_stackalloc
-              osr_threshold no_osr compile_mode compile_queue_cap check_level oracle)
-         program
-     in
-     let tracer =
-       match trace with
-       | None -> None
-       | Some path ->
-           let t = Trace.create () in
-           (* deterministic clock: the VM's cost-model cycle counter *)
-           Trace.set_clock t (fun () -> Pea_rt.Stats.get (Vm.stats vm) Pea_rt.Stats.cycles);
-           Trace.install t;
-           Some (path, t)
-     in
-     (* The flight recorder needs a live ring to snapshot: reuse the
-        --trace ring when there is one, otherwise run a private ring
-        that is never written unless an incident triggers a dump. *)
-     let flight_private_ring =
-       match flight_dump with
-       | None -> false
-       | Some path ->
-           let ring, private_ring =
-             match tracer with
-             | Some (_, t) -> (t, false)
-             | None ->
-                 let t = Trace.create () in
-                 Trace.set_clock t (fun () ->
-                     Pea_rt.Stats.get (Vm.stats vm) Pea_rt.Stats.cycles);
-                 Trace.install t;
-                 (t, true)
-           in
-           Flight.arm (Flight.create ~path ring);
-           private_ring
-     in
-     let write_trace () =
-       if Option.is_some flight_dump then Flight.disarm ();
-       if flight_private_ring then Trace.uninstall ();
-       match tracer with
-       | None -> ()
-       | Some (path, t) ->
-           Trace.uninstall ();
-           let oc = open_out_bin path in
-           Fun.protect
-             ~finally:(fun () -> close_out_noerr oc)
-             (fun () -> Trace.write trace_format t oc)
-     in
-     Fun.protect ~finally:write_trace @@ fun () ->
-     match Vm.run_main_iterations vm iterations with
-        | exception Pea_rt.Interp.Trap msg ->
-            Printf.eprintf "runtime trap: %s\n" msg;
-            exit 2
-        | exception Pea_rt.Interp.Mj_throw v ->
-            Printf.eprintf "uncaught exception: %s\n" (Pea_rt.Value.string_of_value v);
-            exit 3
-        | r ->
-            List.iter (fun v -> print_endline (Pea_rt.Value.string_of_value v)) r.Vm.printed;
-            (match r.Vm.return_value with
-            | Some v -> Printf.printf "=> %s\n" (Pea_rt.Value.string_of_value v)
-            | None -> ());
-            if stats then begin
-              print_metrics (Vm.stats vm);
-              match Vm.class_breakdown vm with
-              | [] -> ()
-              | breakdown ->
-                  Printf.printf "allocation breakdown:\n";
-                  List.iter
-                    (fun (name, count, bytes) ->
-                      Printf.printf "  %-16s %8d allocs %10d bytes\n" name count bytes)
-                    breakdown
-            end)
+    (* opened before the run: a path that cannot be written fails before
+       any work is done *)
+    let trace_out =
+      Option.map
+        (fun path ->
+          match open_out_bin path with
+          | oc -> oc
+          | exception Sys_error msg ->
+              Printf.eprintf "cannot write the trace: %s\n" msg;
+              exit 1)
+        trace
+    in
+    let vm =
+      Vm.create
+        ~config:
+          (config opt threshold no_inline no_inlining no_prune no_summaries no_stackalloc
+             osr_threshold no_osr check_level oracle)
+        program
+    in
+    let tracer =
+      Option.map
+        (fun oc ->
+          let t = Trace.create () in
+          (* deterministic clock: the VM's cost-model cycle counter *)
+          Trace.set_clock t (fun () -> Pea_rt.Stats.get (Vm.stats vm) Pea_rt.Stats.cycles);
+          Trace.install t;
+          (oc, t))
+        trace_out
+    in
+    (* The flight recorder needs a live ring to snapshot: reuse the
+       --trace ring when there is one, otherwise run a private ring
+       that is never written unless an incident triggers a dump. *)
+    let flight_private_ring =
+      match flight_dump with
+      | None -> false
+      | Some path ->
+          let ring, private_ring =
+            match tracer with
+            | Some (_, t) -> (t, false)
+            | None ->
+                let t = Trace.create () in
+                Trace.set_clock t (fun () -> Pea_rt.Stats.get (Vm.stats vm) Pea_rt.Stats.cycles);
+                Trace.install t;
+                (t, true)
+          in
+          Flight.arm (Flight.create ~path ring);
+          private_ring
+    in
+    let write_trace () =
+      if Option.is_some flight_dump then Flight.disarm ();
+      if flight_private_ring then Trace.uninstall ();
+      match tracer with
+      | None -> ()
+      | Some (oc, t) ->
+          Trace.uninstall ();
+          Fun.protect
+            ~finally:(fun () -> close_out_noerr oc)
+            (fun () -> Trace.write trace_format t oc)
+    in
+    (* the run yields its exit status and exits only after [write_trace]:
+       an [exit] inside [Fun.protect] would skip the [finally], losing the
+       trace of exactly the runs that trap or throw *)
+    let status =
+      Fun.protect ~finally:write_trace @@ fun () ->
+      match Vm.run_main_iterations vm iterations with
+      | exception Pea_rt.Interp.Trap msg ->
+          Printf.eprintf "runtime trap: %s\n" msg;
+          2
+      | exception Pea_rt.Interp.Mj_throw v ->
+          Printf.eprintf "uncaught exception: %s\n" (Pea_rt.Value.string_of_value v);
+          3
+      | r ->
+          List.iter (fun v -> print_endline (Pea_rt.Value.string_of_value v)) r.Vm.printed;
+          (match r.Vm.return_value with
+          | Some v -> Printf.printf "=> %s\n" (Pea_rt.Value.string_of_value v)
+          | None -> ());
+          if stats then begin
+            print_metrics (Vm.stats vm);
+            match Vm.class_breakdown vm with
+            | [] -> ()
+            | breakdown ->
+                Printf.printf "allocation breakdown:\n";
+                List.iter
+                  (fun (name, count, bytes) ->
+                    Printf.printf "  %-16s %8d allocs %10d bytes\n" name count bytes)
+                  breakdown
+          end;
+          0
+    in
+    if status <> 0 then exit status
   in
   let term =
     Term.(
       const action $ file_arg $ opt_arg $ threshold_arg $ iterations_arg $ stats_arg
       $ no_inline_arg $ no_inlining_arg $ no_prune_arg $ no_summaries_arg $ no_stackalloc_arg
-      $ osr_threshold_arg
-      $ no_osr_arg $ mode_arg $ queue_cap_arg $ check_level_arg $ oracle_arg
-      $ verbose_arg $ trace_arg $ trace_format_arg $ flight_dump_arg)
+      $ osr_threshold_arg $ no_osr_arg $ check_level_arg $ oracle_arg $ verbose_arg $ trace_arg
+      $ trace_format_arg $ flight_dump_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run a MiniJava program on the tiered VM") term
 
@@ -499,6 +488,9 @@ let observed_arg =
 
 let explain_cmd =
   let action file spec no_summaries no_stackalloc osr_bci observed iterations =
+    check_floors
+      (("iterations", iterations, 1)
+      :: Option.fold osr_bci ~none:[] ~some:(fun bci -> [ ("osr-bci", bci, 0) ]));
     let program = compile_file_or_exit ~require_main:false file in
     let m = find_method_or_exit program spec in
     let observed_tbl =
@@ -674,9 +666,15 @@ let collapsed_arg =
         ~doc:"Print only the collapsed call stacks (flamegraph-tool input), nothing else")
 
 let report_cmd =
-  let action file flight opt threshold iterations compile_mode interval top json collapsed
-      verbose =
+  let action file flight opt threshold iterations interval top json collapsed verbose =
     setup_logs verbose;
+    check_floors
+      [
+        ("threshold", threshold, 0);
+        ("iterations", iterations, 1);
+        ("interval", interval, 1);
+        ("top", top, 0);
+      ];
     match (flight, file) with
     | Some dump, _ -> (
         (* flight mode: no program run, just decode and summarize *)
@@ -691,7 +689,6 @@ let report_cmd =
         Printf.eprintf "nothing to report on: give FILE.mj to profile, or --flight DUMP\n";
         exit 1
     | None, Some file ->
-        check_floors [ ("interval", interval, 1) ];
         let program = compile_file_or_exit file in
         (* Fresh profilers for this run; anything globally installed
            (there should be nothing in the CLI, but the API allows it)
@@ -710,7 +707,7 @@ let report_cmd =
         let vm =
           Vm.create
             ~config:
-              { Jit.default_config with Jit.opt; compile_threshold = threshold; compile_mode }
+              { Jit.default_config with Jit.opt; compile_threshold = threshold }
             program
         in
         (match Vm.run_main_iterations vm iterations with
@@ -721,7 +718,6 @@ let report_cmd =
             Printf.eprintf "uncaught exception: %s\n" (Pea_rt.Value.string_of_value v);
             exit 3
         | _ -> ());
-        Vm.quiesce vm;
         let report =
           Report.collect ~program ~cpu ~heap ~pea_sites:(Vm.jit_stats vm).Pea_core.Pea.sites ()
         in
@@ -732,7 +728,7 @@ let report_cmd =
   let term =
     Term.(
       const action $ report_file_arg $ flight_read_arg $ opt_arg $ threshold_arg
-      $ iterations_arg $ mode_arg $ interval_arg $ top_arg $ json_arg
+      $ iterations_arg $ interval_arg $ top_arg $ json_arg
       $ collapsed_arg $ verbose_arg)
   in
   Cmd.v
@@ -766,12 +762,6 @@ let workers_arg =
         ~doc:
           "Worker domains serving requests. 0 (the default) runs the replay mode: the same \
            schedule single-threaded, with every counter bit-identical to a threaded run")
-
-let shards_arg =
-  Arg.(
-    value
-    & opt int Server.default_config.Server.sv_shards
-    & info [ "cache-shards" ] ~docv:"N" ~doc:"Shared code-cache shards")
 
 let rounds_arg =
   Arg.(value & opt int 26 & info [ "rounds" ] ~docv:"N" ~doc:"Session rounds to generate")
@@ -826,17 +816,16 @@ let compile_rounds_arg =
         ~doc:"Barrier-to-install latency of the shared compile queue, in rounds")
 
 let serve_cmd =
-  let action tenants workers shards rounds requests seed session threshold compile_rounds stats
-      verbose =
+  let action tenants workers rounds requests seed session threshold compile_rounds stats verbose =
     setup_logs verbose;
     check_floors
       [
         (* storm and quiet sessions: the storming tenant plus at least one victim *)
         ("tenants", tenants, (match session with `Mixed -> 1 | `Storm | `Quiet -> 2));
         ("workers", workers, 0);
-        ("cache-shards", shards, 1);
         ("rounds", rounds, 1);
         ("requests", requests, 1);
+        ("threshold", threshold, 0);
         ("compile-rounds", compile_rounds, 1);
       ];
     let script =
@@ -852,7 +841,6 @@ let serve_cmd =
       {
         Server.default_config with
         Server.sv_mode = (if workers = 0 then Server.Replay else Server.Threaded workers);
-        sv_shards = shards;
         sv_compile_rounds = compile_rounds;
         sv_jit = { Jit.default_config with Jit.compile_threshold = threshold };
       }
@@ -885,7 +873,7 @@ let serve_cmd =
   in
   let term =
     Term.(
-      const action $ tenants_arg $ workers_arg $ shards_arg $ rounds_arg $ requests_arg $ seed_arg
+      const action $ tenants_arg $ workers_arg $ rounds_arg $ requests_arg $ seed_arg
       $ session_arg $ serve_threshold_arg $ compile_rounds_arg $ stats_arg $ verbose_arg)
   in
   Cmd.v

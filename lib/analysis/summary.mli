@@ -18,12 +18,11 @@
     calls are all inlined never runs it. That query raises any exception
     of the IR builder other than [Build_error], and [Failure] if the
     fixpoint does not converge; every later query raises the same
-    exception. Queries run inside a compile. Under [Sync] the exception
-    ends the run. Under [Replay] and in the serving layer the compile
-    queue turns it into a failed compile of the method being compiled
-    ([compile_failures], a [Compile_failed] event): the VM keeps that
-    method interpreted and triggers a flight dump, and the server
-    quarantines the tenants that asked for it.
+    exception. Queries run inside a compile. In a VM the exception
+    triggers a flight dump and then ends the run. In the serving layer
+    the compile queue turns it into a failed compile of the method being
+    compiled ([compile_failures], a [Compile_failed] event), and the
+    server quarantines the tenants that asked for it.
 
     The first query forces a [Lazy.t], so a table is queried from one
     domain at a time. *)

@@ -73,22 +73,20 @@ type t =
          interpreter at the pre-call state *)
   | Ic_transition of { meth : string; callee : string; cls : string; kind : ic_kind }
   | Tier_promote of { meth : string; tier : string; invocations : int }
-  (* Background-compilation queue discipline (replay compile mode).
+  (* The serving layer's background-compile queue (lib/serve).
      [osr_bci] distinguishes a normal-entry task (None) from an OSR task
-     for one loop header; [epoch] is the method's invalidation epoch the
-     task was keyed to at enqueue. *)
+     for one loop header; [epoch] is the method's shared invalidation
+     epoch the task was keyed to at enqueue. *)
   | Compile_enqueue of { meth : string; osr_bci : int option; epoch : int; depth : int }
   | Compile_dedup of { meth : string; osr_bci : int option }
   | Compile_drop of { meth : string; osr_bci : int option }
-  | Compile_install of { meth : string; osr_bci : int option; epoch : int; latency : int }
-  | Compile_stale of { meth : string; osr_bci : int option; epoch : int; current_epoch : int }
   | Compile_failed of { meth : string; osr_bci : int option; error : string }
   | Verify_violation of { meth : string; phase : string; rule : string; site : string; detail : string }
   (* Multi-tenant serving harness (lib/serve). [round] is the session
      round index — the serving layer's deterministic clock. *)
   | Serve_request of { tenant : string; meth : string; round : int; latency : int }
   | Cache_shared_hit of { tenant : string; meth : string; round : int }
-  | Cache_publish of { meth : string; epoch : int; shard : int; round : int }
+  | Cache_publish of { meth : string; epoch : int; round : int }
   | Cache_epoch_reject of { meth : string; epoch : int; current_epoch : int; round : int }
   | Tenant_quarantine of { tenant : string; reason : string; round : int }
 
@@ -110,8 +108,6 @@ let name = function
   | Compile_enqueue _ -> "compile_enqueue"
   | Compile_dedup _ -> "compile_dedup"
   | Compile_drop _ -> "compile_drop"
-  | Compile_install _ -> "compile_install"
-  | Compile_stale _ -> "compile_stale"
   | Compile_failed _ -> "compile_failed"
   | Verify_violation _ -> "verify_violation"
   | Serve_request _ -> "serve_request"
@@ -181,20 +177,6 @@ let fields ev : Json.field list =
       ]
   | Compile_dedup { meth = m; osr_bci } | Compile_drop { meth = m; osr_bci } ->
       [ meth m; Json.int_field "osr_bci" (Option.value osr_bci ~default:(-1)) ]
-  | Compile_install { meth = m; osr_bci; epoch; latency } ->
-      [
-        meth m;
-        Json.int_field "osr_bci" (Option.value osr_bci ~default:(-1));
-        Json.int_field "epoch" epoch;
-        Json.int_field "latency" latency;
-      ]
-  | Compile_stale { meth = m; osr_bci; epoch; current_epoch } ->
-      [
-        meth m;
-        Json.int_field "osr_bci" (Option.value osr_bci ~default:(-1));
-        Json.int_field "epoch" epoch;
-        Json.int_field "current_epoch" current_epoch;
-      ]
   | Compile_failed { meth = m; osr_bci; error } ->
       [
         meth m;
@@ -218,13 +200,8 @@ let fields ev : Json.field list =
       ]
   | Cache_shared_hit { tenant; meth = m; round } ->
       [ Json.str_field "tenant" tenant; meth m; Json.int_field "round" round ]
-  | Cache_publish { meth = m; epoch; shard; round } ->
-      [
-        meth m;
-        Json.int_field "epoch" epoch;
-        Json.int_field "shard" shard;
-        Json.int_field "round" round;
-      ]
+  | Cache_publish { meth = m; epoch; round } ->
+      [ meth m; Json.int_field "epoch" epoch; Json.int_field "round" round ]
   | Cache_epoch_reject { meth = m; epoch; current_epoch; round } ->
       [
         meth m;

@@ -47,19 +47,15 @@ type t =
   | Ic_transition of { meth : string; callee : string; cls : string; kind : ic_kind }
   | Tier_promote of { meth : string; tier : string; invocations : int }
   | Compile_enqueue of { meth : string; osr_bci : int option; epoch : int; depth : int }
-      (** a compile task entered the background queue; [depth] is the
-          queue depth after the enqueue *)
+      (** a compile task entered the serving layer's background queue;
+          [depth] is the queue depth after the enqueue *)
   | Compile_dedup of { meth : string; osr_bci : int option }
       (** a request coalesced into an already-queued task *)
   | Compile_drop of { meth : string; osr_bci : int option }
-      (** a request refused by a full queue (drop-and-reprofile) *)
-  | Compile_install of { meth : string; osr_bci : int option; epoch : int; latency : int }
-      (** finished code installed at a safepoint *)
-  | Compile_stale of { meth : string; osr_bci : int option; epoch : int; current_epoch : int }
-      (** finished code discarded: the method's epoch moved during the
-          compile (a deopt invalidated its speculation basis) *)
+      (** a request refused by a full queue *)
   | Compile_failed of { meth : string; osr_bci : int option; error : string }
-      (** the compiler raised; the method stays interpreted for good *)
+      (** the compiler raised; the key is never compiled again and its
+          requesting tenants are quarantined *)
   | Verify_violation of { meth : string; phase : string; rule : string; site : string; detail : string }
       (** the speculation-safety verifier rejected a graph *)
   | Serve_request of { tenant : string; meth : string; round : int; latency : int }
@@ -67,7 +63,7 @@ type t =
           the session round (the serving layer's deterministic clock) *)
   | Cache_shared_hit of { tenant : string; meth : string; round : int }
       (** a tenant adopted a compiled graph from the shared code cache *)
-  | Cache_publish of { meth : string; epoch : int; shard : int; round : int }
+  | Cache_publish of { meth : string; epoch : int; round : int }
       (** a finished compile passed epoch validation and entered the
           shared cache *)
   | Cache_epoch_reject of { meth : string; epoch : int; current_epoch : int; round : int }

@@ -47,12 +47,8 @@ let deopt = 500
 
 (* Modeled JIT compilation latency, as a function of method size. The
    constants make compilation cost on the order of thousands of cycles —
-   enough that a synchronous stall at the threshold is visible against a
-   hot loop, and that a background compile finishes within a few hundred
-   interpreted iterations. Both Sync's stall charge and Replay's install
-   deadline use this same function, so the only difference between the
-   modes is *where* the latency lands: on the mutator's critical path, or
-   overlapped with interpretation. *)
+   enough that the stall of compiling at the threshold is visible
+   against a hot loop. *)
 let compile_base = 2000
 
 let compile_per_bytecode = 150

@@ -49,8 +49,7 @@ val compile_base : int
 val compile_per_bytecode : int
 
 (** [compile_latency ~bytecodes] — modeled cycles to run the JIT pipeline
-    on a method of the given bytecode length. Synchronous compilation
-    charges it to {!Pea_rt.Stats.compile_stall_cycles} on the mutator;
-    the replay compile queue uses it as the install deadline, so the
-    latency overlaps with continued interpretation instead. *)
+    on a method of the given bytecode length. The VM charges it to
+    {!Pea_rt.Stats.compile_stall_cycles} on the mutator at every
+    compile. *)
 val compile_latency : bytecodes:int -> int

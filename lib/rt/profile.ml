@@ -56,9 +56,9 @@ let create (program : Link.program) : t =
 
 let for_method (t : t) (m : Classfile.rt_method) = t.(m.mth_id)
 
-(* Deep snapshot for queued compilation: a task compiles at its deadline
-   from the profile as it was at enqueue, not from the live tables the
-   interpreter kept mutating in between. *)
+(* Deep snapshot for the serving layer's queued compiles: a task compiles
+   at its deadline from the profile as it was at enqueue, not from the
+   live tables the interpreter kept mutating in between. *)
 let copy (t : t) : t =
   Array.map
     (fun p ->
@@ -144,12 +144,3 @@ let hot_receiver t m ~bci =
       Option.map (fun c -> c.rc_cls) best
 
 let invocations t m = (for_method t m).invocations
-
-(* Drop-and-reprofile backpressure: when the compile queue refuses a
-   request, the hotness counter that triggered it is reset so the method
-   re-qualifies only after another full profiling window. *)
-let reset_invocations t m = (for_method t m).invocations <- 0
-
-let reset_back_edge t m ~header =
-  let p = for_method t m in
-  if header >= 0 && header < Array.length p.back_edges then p.back_edges.(header) <- 0

@@ -69,15 +69,7 @@ val hot_receiver : t -> Classfile.rt_method -> bci:int -> Classfile.rt_class opt
 val invocations : t -> Classfile.rt_method -> int
 
 (** [copy t] is a deep snapshot: mutating [t] afterwards never changes the
-    copy (and vice versa). A queued compile works from such a snapshot
-    taken at enqueue time, so the profile writes the interpreter makes
-    before the deadline never reach it. *)
+    copy (and vice versa). The serving layer's queued compiles work from
+    such a snapshot taken at enqueue time, so the profile writes the
+    interpreter makes before the deadline never reach it. *)
 val copy : t -> t
-
-(** [reset_invocations t m] zeroes [m]'s invocation counter
-    (drop-and-reprofile backpressure when the compile queue is full). *)
-val reset_invocations : t -> Classfile.rt_method -> unit
-
-(** [reset_back_edge t m ~header] zeroes one loop header's back-edge
-    counter. Out-of-range headers are ignored. *)
-val reset_back_edge : t -> Classfile.rt_method -> header:int -> unit

@@ -72,24 +72,20 @@ let guard_deopts = Metrics.counter schema "guard_deopts"
 (* speculation sites the inliner skipped because of the deopt blacklist *)
 let inline_blacklist_skips = Metrics.counter schema "inline_blacklist_skips"
 
-(* background-compilation queue (replay compile mode, serving layer) *)
+(* the serving layer's background-compile queue (lib/serve) *)
 let compile_enqueues = Metrics.counter schema "compile_enqueues"
 
 let compile_dedup_hits = Metrics.counter schema "compile_dedup_hits"
 
-(* requests refused by a full queue (drop-and-reprofile) *)
+(* requests refused by a full queue; the tenant asks again later *)
 let compile_drops = Metrics.counter schema "compile_drops"
 
 let compile_installs = Metrics.counter schema "compile_installs"
 
-(* finished compilations discarded by the install-time epoch check *)
-let compile_stale_discards = Metrics.counter schema "compile_stale_discards"
-
-(* queued compiles that raised; the method is pinned compile-failed *)
+(* queued compiles that raised; the key is never compiled again *)
 let compile_failures = Metrics.counter schema "compile_failures"
 
-(* mutator cycles stalled waiting for synchronous compilation; replay
-   mode never charges it — that is exactly the win it exists for *)
+(* mutator cycles stalled waiting for the VM's inline compilation *)
 let compile_stall_cycles = Metrics.counter schema "compile_stall_cycles"
 
 (* multi-tenant serving harness (lib/serve): requests completed across
@@ -118,7 +114,7 @@ let compiled_graph_nodes = Metrics.histogram schema "compiled_graph_nodes"
 (* queue depth observed after each background-compile enqueue *)
 let compile_queue_depth = Metrics.histogram schema "compile_queue_depth"
 
-(* modeled compile latency (cycles between enqueue and install) *)
+(* modeled compile latency (serving rounds between enqueue and install) *)
 let compile_latency = Metrics.histogram schema "compile_latency"
 
 let create () = Metrics.create schema
@@ -166,7 +162,6 @@ type snapshot = {
   s_compile_dedup_hits : int;
   s_compile_drops : int;
   s_compile_installs : int;
-  s_compile_stale_discards : int;
   s_compile_failures : int;
   s_compile_stall_cycles : int;
   s_serve_requests : int;
@@ -203,7 +198,6 @@ let snapshot t =
     s_compile_dedup_hits = get t compile_dedup_hits;
     s_compile_drops = get t compile_drops;
     s_compile_installs = get t compile_installs;
-    s_compile_stale_discards = get t compile_stale_discards;
     s_compile_failures = get t compile_failures;
     s_compile_stall_cycles = get t compile_stall_cycles;
     s_serve_requests = get t serve_requests;
@@ -241,7 +235,6 @@ let diff a b =
     s_compile_dedup_hits = a.s_compile_dedup_hits - b.s_compile_dedup_hits;
     s_compile_drops = a.s_compile_drops - b.s_compile_drops;
     s_compile_installs = a.s_compile_installs - b.s_compile_installs;
-    s_compile_stale_discards = a.s_compile_stale_discards - b.s_compile_stale_discards;
     s_compile_failures = a.s_compile_failures - b.s_compile_failures;
     s_compile_stall_cycles = a.s_compile_stall_cycles - b.s_compile_stall_cycles;
     s_serve_requests = a.s_serve_requests - b.s_serve_requests;

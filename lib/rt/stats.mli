@@ -87,28 +87,26 @@ val inline_blacklist_skips : counter
     already holds their (method, bci) key. *)
 
 val compile_enqueues : counter
-(** Compile requests accepted by the replay compile queue. *)
+(** Compile requests accepted by the serving layer's compile queue. *)
 
 val compile_dedup_hits : counter
 (** Requests coalesced into an already-queued [(method, osr)] task. *)
 
 val compile_drops : counter
-(** Requests refused by a full queue (drop-and-reprofile backpressure). *)
+(** Requests refused by a full queue; the tenant asks again at its next
+    hot invocation. *)
 
 val compile_installs : counter
-(** Finished background compilations installed at a safepoint. *)
-
-val compile_stale_discards : counter
-(** Finished compilations discarded because the method's epoch moved
-    (a deopt invalidated its speculation basis while it compiled). *)
+(** Finished background compilations installed in the shared code cache. *)
 
 val compile_failures : counter
-(** Queued compiles that raised; the method stays interpreted for good. *)
+(** Queued compiles that raised; the key is never compiled again. *)
 
 val compile_stall_cycles : counter
-(** Mutator cycles stalled in synchronous compilation. Replay mode never
-    charges it; [cycles + compile_stall_cycles] is a mode's
-    time-to-steady-state. *)
+(** Mutator cycles stalled in the VM's inline compilation: each compile
+    charges its modeled latency ({!Cost.compile_latency}) here, never to
+    [cycles]; [cycles + compile_stall_cycles] is the time to steady
+    state. *)
 
 val serve_requests : counter
 (** Requests completed across all tenants of a serving-harness run. *)
@@ -134,7 +132,7 @@ val compile_queue_depth : histogram
 (** Histogram: queue depth observed after each background enqueue. *)
 
 val compile_latency : histogram
-(** Histogram: modeled cycles between a task's enqueue and its install. *)
+(** Histogram: serving rounds between a task's enqueue and its install. *)
 
 (** [create ()] is a zeroed statistics instance. *)
 val create : unit -> t
@@ -191,7 +189,6 @@ type snapshot = {
   s_compile_dedup_hits : int;
   s_compile_drops : int;
   s_compile_installs : int;
-  s_compile_stale_discards : int;
   s_compile_failures : int;
   s_compile_stall_cycles : int;
   s_serve_requests : int;

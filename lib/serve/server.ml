@@ -1,19 +1,18 @@
 (* Multi-tenant request server on OCaml 5 domains.
 
    N worker domains serve MJ request handlers over per-tenant VM
-   instances, backed by the sharded {!Shared_cache} and one
-   {!Pea_vm.Compile_queue} serving every tenant. The design invariant —
-   the one "Correctness of Speculative Optimizations with Dynamic
-   Deoptimization" frames — is that one tenant's deopt/invalidation storm
-   may never corrupt or stall another tenant's speculation state.
+   instances, backed by the {!Shared_cache} and one {!Compile_queue}
+   serving every tenant. The design invariant — the one "Correctness of
+   Speculative Optimizations with Dynamic Deoptimization" frames — is
+   that one tenant's deopt/invalidation storm may never corrupt or stall
+   another tenant's speculation state.
 
-   Determinism model (the serving twin of the VM's replay compile mode):
-   a session is a sequence of *rounds* of requests. Within a round every
-   tenant is fully isolated — its VM, heap, profile and counters are its
-   own, and the shared cache is frozen (workers only read it) — so a
-   tenant's counters do not depend on how rounds interleave across
-   domains. All cross-tenant interaction happens at the round *barrier*
-   on the coordinator, in tenant-id order:
+   Determinism model: a session is a sequence of *rounds* of requests.
+   Within a round every tenant is fully isolated — its VM, heap, profile
+   and counters are its own, and the shared cache is frozen (workers only
+   read it) — so a tenant's counters do not depend on how rounds
+   interleave across domains. All cross-tenant interaction happens at
+   the round *barrier* on the coordinator, in tenant-id order:
 
      1. epoch bumps — deopts reported by this round's execution move the
         shared (app, method) epoch and drop the cache entry, and the
@@ -40,7 +39,6 @@ open Pea_bytecode
 open Pea_rt
 module Vm = Pea_vm.Vm
 module Jit = Pea_vm.Jit
-module Compile_queue = Pea_vm.Compile_queue
 module Trace = Pea_obs.Trace
 module Event = Pea_obs.Event
 module Pcpu = Pea_obs.Profile_cpu
@@ -63,14 +61,13 @@ type mode = Replay | Threaded of int (* worker domains *)
 
 type config = {
   sv_mode : mode;
-  sv_shards : int; (* shared-cache shards *)
   sv_queue_cap : int; (* shared compile-queue bound *)
   sv_compile_rounds : int; (* barrier-to-install latency, in rounds *)
   sv_jit : Jit.config; (* per-tenant VM configuration *)
 }
 
 let default_config =
-  { sv_mode = Replay; sv_shards = 4; sv_queue_cap = 16; sv_compile_rounds = 1; sv_jit = Jit.default_config }
+  { sv_mode = Replay; sv_queue_cap = 16; sv_compile_rounds = 1; sv_jit = Jit.default_config }
 
 type tenant_report = {
   tr_name : string;
@@ -172,14 +169,12 @@ let create ?(config = default_config) (script : script) : t =
            })
          script.sc_apps)
   in
-  let cache = Shared_cache.create ~shards:config.sv_shards in
-  (* every tenant VM: compilation routed through the server (Sync mode,
-     no VM-local queue), OSR off so normal entries are the only tier-up
-     path — the one the code-source hook covers. The shared compiles take
-     [ap_summaries], so a tenant needs no summary table of its own. *)
-  let tenant_jit =
-    { config.sv_jit with Jit.compile_mode = Jit.Sync; osr = false; summaries = false }
-  in
+  let cache = Shared_cache.create () in
+  (* every tenant VM: compilation routed through the server, OSR off so
+     normal entries are the only tier-up path — the one the code-source
+     hook covers. The shared compiles take [ap_summaries], so a tenant
+     needs no summary table of its own. *)
+  let tenant_jit = { config.sv_jit with Jit.osr = false; summaries = false } in
   let tenants =
     Array.of_list
       (List.mapi
@@ -217,8 +212,9 @@ let create ?(config = default_config) (script : script) : t =
   in
   (* wire each tenant's tier-up decisions into the shared cache: adopt
      ready code (a shared hit) or register the want for the next barrier.
-     Everything the hook touches is tenant-local except the mutex-guarded
-     cache read, so workers stay race-free. *)
+     Everything the hook touches is tenant-local except the cache read,
+     and the cache is only written at barriers, so workers stay
+     race-free. *)
   Array.iter
     (fun tn ->
       let ap = tn.tn_app in
@@ -317,7 +313,7 @@ let enqueue_compile server (ap : app) mid ~requester =
       in
       let blacklist_copy = Hashtbl.copy ap.ap_blacklist in
       let blacklist site = Hashtbl.mem blacklist_copy site in
-      let config = { server.config.sv_jit with Jit.compile_mode = Jit.Sync; osr = false } in
+      let config = { server.config.sv_jit with Jit.osr = false } in
       ( { pm_app = ap; pm_mid = mid; pm_requesters = [ requester ] },
         fun () -> Jit.compile ?summaries:ap.ap_summaries ~blacklist config ap.ap_program profile m )
     in
@@ -346,9 +342,9 @@ let resolve_due server ~now =
         (List.sort compare task.Compile_queue.t_payload.pm_requesters))
     ~install:(fun { Compile_queue.t_payload = pm; t_meth = meth; t_epoch = epoch; _ } code ->
       match Shared_cache.publish server.cache (pm.pm_app.ap_index, pm.pm_mid) ~epoch code with
-      | `Installed shard ->
+      | `Installed ->
           if Trace.enabled () then
-            Trace.record (Event.Cache_publish { meth; epoch; shard; round = server.round });
+            Trace.record (Event.Cache_publish { meth; epoch; round = server.round });
           true
       | `Stale current ->
           (* the epoch race: a deopt beat the install. Never

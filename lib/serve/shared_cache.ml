@@ -1,21 +1,23 @@
-(* Sharded, epoch-validated cross-tenant code cache and profile store.
+(* Epoch-validated cross-tenant code cache and profile store.
 
    Entries are keyed by (app index, mth_id): tenants running the same
    application share compiled graphs. Every key carries a *shared
-   invalidation epoch*, the serving-layer twin of the per-VM epochs from
-   the background-compile pipeline: when any tenant's deopt invalidates a
-   method, the coordinator bumps the shared epoch, which (a) drops the
-   cache entry and its profile snapshot, and (b) dooms every in-flight
-   compile keyed to the old epoch — [publish] refuses the stale graph,
-   so it is recompiled against fresh snapshots, never installed.
+   invalidation epoch*: when any tenant's deopt invalidates a method, the
+   coordinator bumps the shared epoch, which (a) drops the cache entry
+   and its profile snapshot, and (b) dooms every in-flight compile keyed
+   to the old epoch — [publish] refuses the stale graph, so it is
+   recompiled against fresh snapshots, never installed.
 
-   Concurrency discipline: worker domains only ever call [lookup], which
-   takes the shard mutex. All mutation ([bump], [publish], the profile
-   store) happens on the coordinator at round barriers, while the workers
-   are parked — the mutex makes the reads safe against any future
-   relaxation of that discipline. Because [bump] drops the entry in the
-   same critical step as the epoch move, a present entry is always valid:
-   [lookup] never needs to read the (coordinator-only) epoch table. *)
+   Concurrency: one plain [Hashtbl], no lock. Worker domains only ever
+   call [lookup], and only while a round runs. Every write ([bump],
+   [publish], the profile store) happens on the coordinator at the round
+   barrier, which starts after [Domain.join] has returned for every
+   worker of the round; the next round's workers are spawned after the
+   barrier ends. [Domain.spawn] and [Domain.join] order memory, so every
+   write happens-before the next round's reads and no read overlaps a
+   write. Because [bump] drops the entry in the same step as the epoch
+   move, a present entry is always valid: [lookup] never needs to read
+   the epoch table. *)
 
 module Jit = Pea_vm.Jit
 module Profile = Pea_rt.Profile
@@ -27,38 +29,16 @@ type entry = {
   ce_epoch : int; (* shared epoch the install was validated against *)
 }
 
-type shard = { sh_mutex : Mutex.t; sh_entries : (key, entry) Hashtbl.t }
-
 type t = {
-  n_shards : int;
-  shards : shard array;
-  epochs : (key, int) Hashtbl.t; (* coordinator-only *)
+  entries : (key, entry) Hashtbl.t;
+  epochs : (key, int) Hashtbl.t;
   profiles : (key, Profile.t) Hashtbl.t;
       (* first-requester profile snapshot for the key's current epoch;
-         compile tasks read their inputs here (coordinator-only) *)
+         compile tasks read their inputs here *)
 }
 
-let create ~shards =
-  if shards <= 0 then invalid_arg "Shared_cache.create: shards must be positive";
-  {
-    n_shards = shards;
-    shards =
-      Array.init shards (fun _ ->
-          { sh_mutex = Mutex.create (); sh_entries = Hashtbl.create 16 });
-    epochs = Hashtbl.create 32;
-    profiles = Hashtbl.create 32;
-  }
-
-(* Deterministic shard map: a fixed hash of the key, never [Hashtbl.hash]
-   of a boxed value (its layout is an implementation detail). *)
-let shard_id t ((app, mid) : key) = ((app * 8191) + mid) mod t.n_shards
-
-let shard t k = t.shards.(shard_id t k)
-
-let with_shard t k f =
-  let s = shard t k in
-  Mutex.lock s.sh_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock s.sh_mutex) (fun () -> f s.sh_entries)
+let create () =
+  { entries = Hashtbl.create 16; epochs = Hashtbl.create 32; profiles = Hashtbl.create 32 }
 
 let epoch t k = Option.value (Hashtbl.find_opt t.epochs k) ~default:0
 
@@ -67,7 +47,7 @@ let epoch t k = Option.value (Hashtbl.find_opt t.epochs k) ~default:0
 let bump t k =
   Hashtbl.replace t.epochs k (epoch t k + 1);
   Hashtbl.remove t.profiles k;
-  with_shard t k (fun entries -> Hashtbl.remove entries k)
+  Hashtbl.remove t.entries k
 
 (* Install a finished compile — or refuse it. [`Stale current] means a
    deopt moved the epoch while the compile was in flight; the graph is
@@ -76,29 +56,25 @@ let publish t k ~epoch:e code =
   let current = epoch t k in
   if current <> e then `Stale current
   else begin
-    with_shard t k (fun entries ->
-        Hashtbl.replace entries k { ce_code = { code with Jit.closure = None }; ce_epoch = e });
-    `Installed (shard_id t k)
+    Hashtbl.replace t.entries k { ce_code = { code with Jit.closure = None }; ce_epoch = e };
+    `Installed
   end
 
-(* Adopt-side read, safe from worker domains; returns the code with the
-   epoch it was installed under. The returned record is a fresh copy with
-   [closure = None]: closure-tier translations capture the adopting VM's
-   environment, so they must never be shared across tenants — each
-   adopter builds its own lazily. *)
+(* Adopt-side read, the one call made from worker domains; returns the
+   code with the epoch it was installed under. The returned record is a
+   fresh copy with [closure = None]: closure-tier translations capture
+   the adopting VM's environment, so they must never be shared across
+   tenants — each adopter builds its own lazily. *)
 let lookup t k =
-  with_shard t k (fun entries ->
-      Option.map
-        (fun e -> ({ e.ce_code with Jit.closure = None }, e.ce_epoch))
-        (Hashtbl.find_opt entries k))
+  Option.map
+    (fun e -> ({ e.ce_code with Jit.closure = None }, e.ce_epoch))
+    (Hashtbl.find_opt t.entries k)
 
-let mem t k = with_shard t k (fun entries -> Hashtbl.mem entries k)
+let mem t k = Hashtbl.mem t.entries k
 
-let entry_epoch t k = with_shard t k (fun entries ->
-    Option.map (fun e -> e.ce_epoch) (Hashtbl.find_opt entries k))
+let entry_epoch t k = Option.map (fun e -> e.ce_epoch) (Hashtbl.find_opt t.entries k)
 
-let size t =
-  Array.fold_left (fun acc s -> acc + Hashtbl.length s.sh_entries) 0 t.shards
+let size t = Hashtbl.length t.entries
 
 (* Profile store: the compile inputs for [k]'s current epoch. The first
    requester's snapshot serves every tenant's compile of the method. *)

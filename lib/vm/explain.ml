@@ -43,10 +43,7 @@ let observe ?config ?(iterations = 1) (program : Link.program) :
   Fun.protect
     ~finally:(fun () ->
       match saved with Some p -> Pheap.install p | None -> Pheap.uninstall ())
-    (fun () ->
-      let vm = Vm.create ?config program in
-      ignore (Vm.run_main_iterations vm iterations);
-      Vm.quiesce vm);
+    (fun () -> ignore (Vm.run_main_iterations (Vm.create ?config program) iterations));
   let name mid =
     if mid >= 0 && mid < Array.length program.Link.methods then
       Classfile.qualified_name program.Link.methods.(mid)

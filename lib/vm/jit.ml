@@ -23,17 +23,6 @@ type opt_level =
 
 let opt_string = function O_none -> "none" | O_ea -> "ea" | O_pea -> "pea"
 
-(* When the pipeline runs relative to the mutator. Both modes charge the
-   same modeled latency (Cost.compile_latency): Sync stalls the mutator
-   for it at the threshold, Replay queues the compile and installs the
-   code at the deadline (enqueue cycles + latency) on the VM clock, so
-   its queue decisions are deterministic and can be goldened. *)
-type compile_mode =
-  | Sync (* compile inline at the threshold, stalling the mutator *)
-  | Replay (* bounded queue, compiled and installed at the deadline *)
-
-let mode_string = function Sync -> "sync" | Replay -> "replay"
-
 type config = {
   opt : opt_level;
   inline : bool;
@@ -60,8 +49,6 @@ type config = {
   deopt_storm_limit : int;
       (* distinct invalidations of one method before the VM gives up on
          compiling it and pins it to the interpreter *)
-  compile_mode : compile_mode;
-  compile_queue_cap : int; (* queued tasks beyond which requests are dropped *)
 }
 
 let default_config =
@@ -83,8 +70,6 @@ let default_config =
     osr = true;
     osr_threshold = 100;
     deopt_storm_limit = 5;
-    compile_mode = Sync;
-    compile_queue_cap = 8;
   }
 
 type compiled = {

@@ -21,19 +21,6 @@ type opt_level =
   | O_ea
   | O_pea
 
-(** When the pipeline runs relative to the mutator. Both modes charge the
-    same modeled latency ({!Pea_rt.Cost.compile_latency}). [Sync]
-    compiles inline at the threshold and charges the latency to the
-    mutator as {!Pea_rt.Stats.compile_stall_cycles}. [Replay] queues the
-    compile ({!Compile_queue}) and keeps interpreting; the code is
-    compiled and installed at the deadline (enqueue cycles + latency) on
-    the VM clock, so every queue decision is deterministic. *)
-type compile_mode =
-  | Sync
-  | Replay
-
-val mode_string : compile_mode -> string
-
 type config = {
   opt : opt_level;
   inline : bool;
@@ -70,15 +57,10 @@ type config = {
   deopt_storm_limit : int;
       (* distinct invalidations of one method before the VM pins it to
          the interpreter (deopt-storm guard) *)
-  compile_mode : compile_mode;
-  compile_queue_cap : int;
-      (* queued background tasks beyond which new requests are dropped
-         with their hotness counter reset (drop-and-reprofile) *)
 }
 
 (** PEA on, everything enabled, threshold 10, OSR after 100
-    back edges, interpreter-pinning after 5 invalidations, synchronous
-    compilation (queue cap 8 once switched to [Replay]). *)
+    back edges, interpreter-pinning after 5 invalidations. *)
 val default_config : config
 
 type compiled = {
@@ -88,8 +70,7 @@ type compiled = {
   spec_inlines : int; (* guarded splices in this graph *)
   spec_blacklist_skips : int; (* speculation sites vetoed by the blacklist *)
   mutable closure : Closure_compile.code option;
-      (* built lazily by the VM: at first execution under [Sync], at
-         install under [Replay] *)
+      (* built lazily by the VM, at the code's first execution *)
 }
 
 (** [compile ?summaries ?blacklist config program profile m] runs the

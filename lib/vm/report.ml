@@ -259,8 +259,6 @@ let to_string ?top t = Format.asprintf "%a" (pp ?top) t
 let collapsed t =
   String.concat "" (List.map (fun (line, w) -> Printf.sprintf "%s %d\n" line w) t.rp_stacks)
 
-let json_list items = "[" ^ String.concat "," items ^ "]"
-
 let to_json ?(top = -1) t =
   let methods =
     List.map
@@ -304,10 +302,10 @@ let to_json ?(top = -1) t =
     [
       Json.int_field "interval" t.rp_interval;
       Json.int_field "total_samples" t.rp_total;
-      ("methods", json_list methods);
-      ("tiers", json_list tiers);
-      ("allocations", json_list allocs);
-      ("stacks", json_list stacks);
+      ("methods", Json.arr methods);
+      ("tiers", Json.arr tiers);
+      ("allocations", Json.arr allocs);
+      ("stacks", Json.arr stacks);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -381,5 +379,5 @@ let flight_to_json (d : Flight.dump) =
       Json.int_field "events" d.Flight.d_events;
       Json.int_field "dropped" d.Flight.d_dropped;
       Json.int_field "dump" d.Flight.d_ordinal;
-      ("event_counts", json_list counts);
+      ("event_counts", Json.arr counts);
     ]

@@ -53,12 +53,10 @@ type t = {
       (* escape summaries when [config.summaries] is set: one table serves
          every compilation of this VM, and its fixpoint runs at the first
          query *)
-  queue : Classfile.rt_method Compile_queue.t option; (* Replay's compile queue; None in Sync *)
   epochs : int array;
       (* per-method invalidation epoch, bumped whenever a deopt
-         invalidates the method's code: a queued compile whose
-         enqueue-time epoch no longer matches at install is working from
-         a stale blacklist and is discarded and requeued instead *)
+         invalidates the method's code: the serving layer reads it to
+         find this round's deopts and move the shared cache's epochs *)
   mutable code_source : code_source option;
   mutable interp_only : bool;
       (* tenant quarantine: every method interprets, even ones with
@@ -94,10 +92,9 @@ let jit_compile ?summaries ~blacklist config program profile m = function
   | None -> Jit.compile ?summaries ~blacklist config program profile m
   | Some header -> Jit.compile_osr ?summaries ~blacklist config program profile m ~entry_bci:header
 
-(* The one install path: Sync's inline compile, Replay's queued compile at
-   its deadline and shared-cache adoption all end here. Compile-time
-   quantities land on the runtime counters only when code is installed,
-   so stale-discarded compiles never count. *)
+(* The one install path: the VM's own compile and shared-cache adoption
+   both end here. Compile-time quantities land on the runtime counters
+   only when code is installed. *)
 let install vm (m : Classfile.rt_method) osr_bci (code : Jit.compiled) =
   let stats = vm.env.Interp.stats in
   (match osr_bci with
@@ -112,14 +109,7 @@ let install vm (m : Classfile.rt_method) osr_bci (code : Jit.compiled) =
   Stats.add stats Stats.inline_blacklist_skips code.Jit.spec_blacklist_skips;
   Option.iter (accumulate_jit_stats vm.jit_stats) code.Jit.pea_stats
 
-(* Safepoints: the queue is polled at method entry and at loop back
-   edges — the same program points HotSpot uses — so finished background
-   code is installed at deterministic cycle boundaries. *)
 let rec invoke vm (m : Classfile.rt_method) args =
-  (match vm.queue with
-  | Some q when Compile_queue.has_inflight q ->
-      poll_queue vm q ~now:(Stats.get vm.env.Interp.stats Stats.cycles)
-  | _ -> ());
   if vm.interp_only || vm.pinned.(m.Classfile.mth_id) then Interp.run vm.env m args
   else
     match vm.compiled.(m.Classfile.mth_id) with
@@ -141,21 +131,14 @@ let rec invoke vm (m : Classfile.rt_method) args =
               | None ->
                   cs.cs_request m;
                   Interp.run vm.env m args)
-          | None -> (
-              match want_code vm m None with
-              | Some code -> run_compiled vm m code args
-              | None -> Interp.run vm.env m args)
+          | None -> run_compiled vm m (compile_now vm m None) args
         else Interp.run vm.env m args
 
-(* Sync compiles now; Replay queues a request and keeps interpreting
-   while the queue works. The only place the two modes differ. *)
-and want_code vm m osr_bci =
-  match vm.queue with
-  | None -> Some (compile_now vm m osr_bci)
-  | Some q ->
-      request_compile vm q m osr_bci;
-      None
-
+(* Compile inline at the threshold: the mutator stalls for the pipeline.
+   An exception escaping the compiler is a flight-recorder incident: the
+   ring is dumped, then the exception propagates and ends the run. An
+   OSR build refusal is no fault: [on_back_edge] expects it and marks
+   the header. *)
 and compile_now vm (m : Classfile.rt_method) osr_bci =
   let invocations = Profile.invocations vm.env.Interp.profile m in
   Log.debug (fun k ->
@@ -167,86 +150,22 @@ and compile_now vm (m : Classfile.rt_method) osr_bci =
       (Event.Tier_promote
          { meth = Classfile.qualified_name m; tier = tier_name osr_bci; invocations });
   let code =
-    jit_compile ?summaries:vm.summaries ~blacklist:(site_blacklisted vm) vm.config vm.program
-      vm.env.Interp.profile m osr_bci
+    match
+      jit_compile ?summaries:vm.summaries ~blacklist:(site_blacklisted vm) vm.config vm.program
+        vm.env.Interp.profile m osr_bci
+    with
+    | code -> code
+    | exception (Pea_ir.Builder.Build_error _ as e) when osr_bci <> None -> raise e
+    | exception e ->
+        Flight.trigger ~reason:"compile-failure";
+        raise e
   in
   (* synchronous compilation stalls the mutator for the modeled pipeline
-     latency; the charge lands on a dedicated counter, never [cycles], and
-     is exactly what Replay's queue overlaps with interpretation *)
+     latency; the charge lands on a dedicated counter, never [cycles] *)
   Stats.add vm.env.Interp.stats Stats.compile_stall_cycles
     (Cost.compile_latency ~bytecodes:(Array.length m.Classfile.mth_code));
   install vm m osr_bci code;
   code
-
-(* Ask the compile queue for code. Every decision is deterministic:
-   dedup against the in-flight task, drop-and-reprofile when the queue is
-   full, otherwise snapshot the compile inputs (profile, blacklist) on
-   the mutator and queue a task whose install deadline is
-   [now + Cost.compile_latency] on the VM clock. *)
-and request_compile vm q (m : Classfile.rt_method) osr_bci =
-  let profile = vm.env.Interp.profile in
-  let meth = Classfile.qualified_name m in
-  let snapshot () =
-    let invocations = Profile.invocations profile m in
-    if Trace.enabled () then
-      Trace.record (Event.Tier_promote { meth; tier = tier_name osr_bci; invocations });
-    Log.debug (fun k ->
-        k "queueing %s compile of %s (invocations=%d, queue depth=%d)"
-          (match osr_bci with None -> "background" | Some h -> Printf.sprintf "background OSR@%d" h)
-          meth invocations (Compile_queue.depth q));
-    (* the compile runs at the deadline from these enqueue-time
-       snapshots, never from the tables the interpreter keeps mutating *)
-    let profile = Profile.copy profile in
-    let blacklist_copy = Hashtbl.copy vm.site_blacklist in
-    let blacklist site = Hashtbl.mem blacklist_copy site in
-    (m, fun () -> jit_compile ?summaries:vm.summaries ~blacklist vm.config vm.program profile m osr_bci)
-  in
-  let mid = m.Classfile.mth_id in
-  match
-    Compile_queue.request q (mid, osr_bci) ~meth ~epoch:vm.epochs.(mid)
-      ~now:(Stats.get vm.env.Interp.stats Stats.cycles)
-      ~latency:(Cost.compile_latency ~bytecodes:(Array.length m.Classfile.mth_code))
-      snapshot
-  with
-  | Compile_queue.Dropped -> (
-      match osr_bci with
-      | None -> Profile.reset_invocations profile m
-      | Some header -> Profile.reset_back_edge profile m ~header)
-  | Queued | Inflight _ | Failed_before -> ()
-
-and poll_queue vm q ~now =
-  Compile_queue.resolve q ~now ~install:(install_queued vm q) ~on_failed:(fun task error ->
-      (* a compile that raised leaves its key pinned in the queue: the
-         method (or OSR entry) keeps interpreting, the queue keeps flowing *)
-      Log.debug (fun k -> k "queued compile of %s failed: %s" task.Compile_queue.t_meth error);
-      Flight.trigger ~reason:"compile-failure")
-
-(* Install code the queue compiled — or refuse to. The epoch check makes
-   installation atomic with respect to deopt-driven invalidation: code
-   compiled against a blacklist that a deopt has since extended is
-   discarded (and requeued with fresh snapshots) rather than installed
-   stale. *)
-and install_queued vm q task code =
-  let { Compile_queue.t_payload = m; t_key = mid, osr_bci; t_meth = meth; t_epoch = epoch;
-        t_latency = latency; _ } = task in
-  let current = vm.epochs.(mid) in
-  if current <> epoch then begin
-    Stats.incr vm.env.Interp.stats Stats.compile_stale_discards;
-    if Trace.enabled () then
-      Trace.record (Event.Compile_stale { meth; osr_bci; epoch; current_epoch = current });
-    Log.debug (fun k -> k "discarding stale compile of %s (epoch %d, now %d)" meth epoch current);
-    if not vm.pinned.(mid) then request_compile vm q m osr_bci;
-    false
-  end
-  else begin
-    install vm m osr_bci code;
-    if Trace.enabled () then
-      Trace.record (Event.Compile_install { meth; osr_bci; epoch; latency });
-    (* the queue delivers ready-to-run code: build the closure
-       translation at install instead of on first execution *)
-    ignore (ensure_closure vm m code);
-    true
-  end
 
 (* Per-site deopt policy: blacklist the exact site that fired (innermost
    deopt frame), invalidate every piece of the root method's code, and pin
@@ -317,8 +236,7 @@ and handle_deopt vm (m : Classfile.rt_method) ~reason ?oracle (d : Pea_ir.Graph.
       vm.osr_compiled []
   in
   List.iter (Hashtbl.remove vm.osr_compiled) osr_keys;
-  (* moving the epoch dooms every queued compile of this method:
-     whatever it speculated is now behind the blacklist *)
+  (* the serving layer reads the moved epoch at its next barrier *)
   vm.epochs.(m.Classfile.mth_id) <- vm.epochs.(m.Classfile.mth_id) + 1;
   let n = 1 + Option.value (Hashtbl.find_opt vm.invalidations m.Classfile.mth_id) ~default:0 in
   Hashtbl.replace vm.invalidations m.Classfile.mth_id n;
@@ -411,8 +329,7 @@ and ensure_closure vm m (code : Jit.compiled) =
   match code.Jit.closure with
   | Some cc -> cc
   | None ->
-      (* lazy under Sync: built on the method's first compiled
-         execution. Replay calls this at install time. *)
+      (* built on the code's first execution *)
       if Trace.enabled () then
         Trace.record
           (Event.Tier_promote
@@ -430,10 +347,6 @@ and ensure_closure vm m (code : Jit.compiled) =
    OSR graph entered at it, transfer the running frame in, and cache
    normal-entry code so subsequent calls skip the interpreter too. *)
 and on_back_edge vm (m : Classfile.rt_method) ~header ~locals =
-  (match vm.queue with
-  | Some q when Compile_queue.has_inflight q ->
-      poll_queue vm q ~now:(Stats.get vm.env.Interp.stats Stats.cycles)
-  | _ -> ());
   let cfg = vm.config in
   let mid = m.Classfile.mth_id in
   (* the counter test comes first, so a back edge below the threshold
@@ -455,10 +368,8 @@ and on_back_edge vm (m : Classfile.rt_method) ~header ~locals =
       match Hashtbl.find_opt vm.osr_compiled key with
       | Some _ as code -> code
       | None -> (
-          (* Replay keeps looping in the interpreter; a later back edge
-             enters the code once the deadline poll above installed it *)
-          match want_code vm m (Some header) with
-          | code -> code
+          match compile_now vm m (Some header) with
+          | code -> Some code
           | exception Pea_ir.Builder.Build_error msg ->
               (* e.g. the loop nest is irreducible when entered at this
                  header; the enclosing loop's header will still OSR *)
@@ -473,7 +384,7 @@ and on_back_edge vm (m : Classfile.rt_method) ~header ~locals =
         (* a hot loop makes the whole method hot: ask for normal-entry
            code now instead of waiting for the invocation counter *)
         if Option.is_none vm.compiled.(mid) && not (Classfile.uses_exceptions m) then
-          ignore (want_code vm m None);
+          ignore (compile_now vm m None);
         Interp.Osr_return (run_osr vm m code locals)
 
 let create ?(config = Jit.default_config) (program : Link.program) : t =
@@ -525,10 +436,6 @@ let create ?(config = Jit.default_config) (program : Link.program) : t =
       jit_stats = Pea_core.Pea.mk_stats ();
       summaries =
         (if config.Jit.summaries then Some (Pea_analysis.Summary.analyze program) else None);
-      queue =
-        (match config.Jit.compile_mode with
-        | Jit.Sync -> None
-        | Jit.Replay -> Some (Compile_queue.create ~cap:config.Jit.compile_queue_cap stats));
       epochs = Array.make n_methods 0;
       code_source = None;
       interp_only = false;
@@ -570,24 +477,6 @@ let invalidation_epoch vm (m : Classfile.rt_method) = vm.epochs.(m.Classfile.mth
 
 let invalidation_count vm (m : Classfile.rt_method) =
   Option.value (Hashtbl.find_opt vm.invalidations m.Classfile.mth_id) ~default:0
-
-let pending_compiles vm =
-  match vm.queue with None -> 0 | Some q -> Compile_queue.depth q
-
-let compile_failed vm (m : Classfile.rt_method) =
-  match vm.queue with None -> false | Some q -> Compile_queue.failed q (m.Classfile.mth_id, None)
-
-(* Drain the compile queue: resolve every in-flight task as if its
-   deadline had passed, installing (or stale-discarding and recompiling)
-   until nothing is left. The VM clock does not advance — quiescing is a
-   test/benchmark convenience, not a modeled operation. *)
-let quiesce vm =
-  match vm.queue with
-  | None -> ()
-  | Some q ->
-      while Compile_queue.has_inflight q do
-        poll_queue vm q ~now:max_int
-      done
 
 let blacklisted_sites vm (m : Classfile.rt_method) =
   Hashtbl.fold

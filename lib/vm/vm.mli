@@ -115,20 +115,6 @@ val invalidation_epoch : t -> Classfile.rt_method -> int
     [m]'s code ({!Jit.config.deopt_storm_limit} pins the method). *)
 val invalidation_count : t -> Classfile.rt_method -> int
 
-(** [pending_compiles vm] — background compile tasks currently in flight
-    (always 0 under {!Jit.Sync}). *)
-val pending_compiles : t -> int
-
-(** [compile_failed vm m] — whether a background compilation of [m]'s
-    normal entry raised, pinning the method to the interpreter. *)
-val compile_failed : t -> Classfile.rt_method -> bool
-
-(** [quiesce vm] drains the background compile queue: every in-flight
-    task is resolved as if its deadline had passed (installing, or
-    stale-discarding and recompiling). No-op under {!Jit.Sync}; the VM
-    clock does not advance. *)
-val quiesce : t -> unit
-
 (** [blacklisted_sites vm m] — bcis of [m]'s deopt sites excluded from
     speculation, ascending. *)
 val blacklisted_sites : t -> Classfile.rt_method -> int list

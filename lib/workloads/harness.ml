@@ -32,7 +32,6 @@ let steady_state ?(warmup = default_warmup) ?(measure = default_measure) ~config
   ignore (Vm.run_main_iterations vm warmup);
   let before = Stats.snapshot (Vm.stats vm) in
   let r = Vm.run_main_iterations vm measure in
-  Vm.quiesce vm;
   (r, Stats.diff r.Vm.stats before)
 
 let measure_program ?warmup ?(measure = default_measure) src opt : measurement =

@@ -24,10 +24,9 @@ val default_warmup : int
 val default_measure : int
 
 (** [steady_state ~config src] is the one steady-state protocol: on a
-    fresh VM it runs [main] [warmup] times, snapshots the counters, runs
-    it [measure] more times and quiesces the VM (a no-op under [Sync]). It
-    returns the last result and the counter deltas of the measured
-    window, before any division. *)
+    fresh VM it runs [main] [warmup] times, snapshots the counters and
+    runs it [measure] more times. It returns the last result and the
+    counter deltas of the measured window, before any division. *)
 val steady_state :
   ?warmup:int -> ?measure:int -> config:Pea_vm.Jit.config -> string ->
   Pea_vm.Vm.result * Pea_rt.Stats.snapshot

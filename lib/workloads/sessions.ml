@@ -49,8 +49,8 @@ let pair_app =
   \  }\n\
    }\n"
 
-(* Accumulator plus bounded recursion: a second code shape so sharding
-   and summaries see more than one app. *)
+(* Accumulator plus bounded recursion: a second code shape so the shared
+   cache and summaries see more than one app. *)
 let calc_app =
   "class Acc { int t; }\n\
    class Svc {\n\

@@ -5,10 +5,6 @@
    - MJVM_TEST_SUMMARIES = on | off forces interprocedural summaries on
      or off;
    - MJVM_TEST_OSR = on | off forces on-stack replacement on or off;
-   - MJVM_TEST_COMPILE_MODE = sync | replay forces when the compile
-     pipeline runs relative to the mutator (sync compiles inline at the
-     threshold; replay queues the compile and installs it at a modeled
-     deadline on the VM clock);
    - MJVM_TEST_CHECK_LEVEL = none | phase-end | every-phase forces when
      the speculation-safety verifier runs in the JIT pipeline;
    - MJVM_TEST_ORACLE = on | off forces the bisimulation deopt oracle;
@@ -35,8 +31,8 @@
      `real` additionally unlocks the threaded suites that run real
      worker domains and pin their reports bit-for-bit to replay's. This
      axis is read by test_serving.ml directly (see [serve_real]), not
-     through [apply] — the serving harness owns its tenants' compile
-     mode and OSR settings by design.
+     through [apply] — the serving harness owns its tenants' OSR
+     setting by design.
 
    Wherever on | off is listed, 1 | true and 0 | false are accepted too.
    Unset variables leave the test's own configuration untouched. Any other
@@ -57,7 +53,6 @@ let variables =
     ("MJVM_TEST_OPT", one_of [ "none"; "ea"; "pea" ]);
     ("MJVM_TEST_SUMMARIES", flag);
     ("MJVM_TEST_OSR", flag);
-    ("MJVM_TEST_COMPILE_MODE", one_of [ "sync"; "replay" ]);
     ( "MJVM_TEST_CHECK_LEVEL",
       ( "none | phase-end | every-phase",
         fun v -> Pea_analysis.Spec_check.level_of_string v <> None ) );
@@ -143,12 +138,6 @@ let apply (cfg : Jit.config) =
     match Sys.getenv_opt "MJVM_TEST_OSR" with
     | Some ("on" | "1" | "true") -> { cfg with Jit.osr = true }
     | Some ("off" | "0" | "false") -> { cfg with Jit.osr = false }
-    | Some _ | None -> cfg
-  in
-  let cfg =
-    match Sys.getenv_opt "MJVM_TEST_COMPILE_MODE" with
-    | Some "sync" -> { cfg with Jit.compile_mode = Jit.Sync }
-    | Some "replay" -> { cfg with Jit.compile_mode = Jit.Replay }
     | Some _ | None -> cfg
   in
   let cfg =

@@ -23,7 +23,7 @@ let as_int = function
       Alcotest.failf "expected an int result, got %s"
         (match other with None -> "void" | Some v -> Value.string_of_value v)
 
-(* The env axes still vary OSR / compile mode / check level / oracle;
+(* The env axes still vary OSR / check level / oracle;
    opt and the inlining bit are pinned because the assertions below are
    about the guarded-inlining pipeline itself. *)
 let config () =

@@ -74,13 +74,11 @@ let setup ?(config = Test_env.apply { Jit.default_config with Jit.compile_thresh
   let program = Link.compile_source ~require_main:false src in
   (program, Vm.create ~config program)
 
-(* Warm [C.f] until compiled and hand its installed graph over (under
-   Replay the queued compile is installed here). *)
+(* Warm [C.f] until compiled and hand its installed graph over. *)
 let compiled_graph_of ?config src warm_args =
   let program, vm = setup ?config src in
   let f = Link.find_method program "C" "f" in
   Vm.warm_up vm f warm_args 40;
-  Vm.quiesce vm;
   match Vm.compiled_graph vm f with
   | Some g -> (program, vm, f, g)
   | None -> Alcotest.fail "method did not compile"

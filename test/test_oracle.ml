@@ -35,11 +35,8 @@ let setup ?(config = config ()) src =
   let program = Link.compile_source ~require_main:false src in
   (program, Vm.create ~config program)
 
-(* Warm [f] past the compile threshold; under Replay the queued compile
-   is installed here, as it is under Sync. *)
-let warm_up vm f args =
-  Vm.warm_up vm f args 40;
-  Vm.quiesce vm
+(* Warm [f] past the compile threshold. *)
+let warm_up vm f args = Vm.warm_up vm f args 40
 
 let deopts vm = Stats.get (Vm.stats vm) Stats.deopts
 

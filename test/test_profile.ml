@@ -2,11 +2,11 @@
    (Profile_cpu), the allocation-site heap profiler (Profile_heap), the
    flight recorder, and the [mjvm report] aggregation.
 
-   The determinism cases deliberately bypass [Test_env.apply]: they
-   compare compile modes against each other, and forcing one from the
-   environment would collapse the comparison. The parity property at the end
-   is the axis-friendly half: whatever the configuration, profiling on
-   vs off must not move any result or deterministic counter. *)
+   The determinism cases deliberately bypass [Test_env.apply]: their
+   goldens pin one configuration, which a forced axis would change. The
+   parity property at the end is the axis-friendly half: whatever the
+   configuration, profiling on vs off must not move any result or
+   deterministic counter. *)
 
 open Pea_bytecode
 open Pea_rt
@@ -32,28 +32,26 @@ let with_profilers ?(interval = 256) f =
     (fun () -> f cpu heap)
 
 (* Run [src] under fresh profilers and hand back (vm result, report). *)
-let run_profiled ?interval ?(iterations = 8) ?(threshold = 4) ?(opt = Jit.O_pea)
-    ?(mode = Jit.Sync) ?(osr = true) src =
+let run_profiled ?interval ?(iterations = 8) ?(threshold = 4) ?(opt = Jit.O_pea) ?(osr = true)
+    src =
   with_profilers ?interval (fun cpu heap ->
       let program = Link.compile_source src in
-      let config =
-        {
-          Jit.default_config with
-          Jit.opt;
-          compile_threshold = threshold;
-          compile_mode = mode;
-          osr;
-        }
-      in
+      let config = { Jit.default_config with Jit.opt; compile_threshold = threshold; osr } in
       let vm = Vm.create ~config program in
       let r = Vm.run_main_iterations vm iterations in
-      Vm.quiesce vm;
       let report =
         Report.collect ~program ~cpu ~heap ~pea_sites:(Vm.jit_stats vm).Pea_core.Pea.sites ()
       in
       (r, report))
 
 let renderings rp = (Report.to_string rp, Report.to_json rp, Report.collapsed rp)
+
+(* Count heap-profiler records of [cls] and [kind] per run. *)
+let class_count rp cls kind =
+  List.fold_left
+    (fun acc (r : Report.alloc_row) ->
+      if r.Report.ar_cls = cls && r.Report.ar_kind = kind then acc + r.Report.ar_count else acc)
+    0 rp.Report.rp_allocs
 
 (* ------------------------------------------------------------------ *)
 (* Determinism goldens                                                 *)
@@ -69,24 +67,36 @@ let test_identical_across_runs () =
     (List.exists (fun (t, w) -> t <> "interp" && w > 0) a.Report.rp_tiers);
   Alcotest.(check (triple string string string)) "byte-identical" (renderings a) (renderings b)
 
-(* The same under Replay: queued compiles install at modeled deadlines
-   on the VM clock, so the compiled code they deliver lands in the
-   profile at the same samples on every run. *)
-let test_identical_across_runs_replay () =
-  let _, a = run_profiled ~mode:Jit.Replay Programs.cache_loop in
-  let _, b = run_profiled ~mode:Jit.Replay Programs.cache_loop in
-  Alcotest.(check bool) "queued code sampled" true
-    (List.exists (fun (t, w) -> t <> "interp" && w > 0) a.Report.rp_tiers);
+(* The same through deopts: rematerializations and the interpreter
+   frames a deopt resumes in land at the same samples on every run. *)
+let test_identical_across_runs_with_deopts () =
+  let run () =
+    run_profiled ~iterations:30 ~threshold:22 ~osr:false ~opt:Jit.O_pea Programs.deopt_trap
+  in
+  let r, a = run () in
+  let _, b = run () in
+  Alcotest.(check bool) "a deopt fired" true (r.Vm.stats.Stats.s_deopts > 0);
+  Alcotest.(check bool) "remat rows present" true (class_count a "P" "remat" > 0);
   Alcotest.(check (triple string string string)) "byte-identical" (renderings a) (renderings b)
 
-(* Sync and replay schedule compiles differently (inline stall vs queued
-   deadline), so their profiles legitimately differ on compiling
-   workloads; on a workload that never compiles they must agree. *)
-let test_sync_replay_interp_only () =
-  let _, s = run_profiled ~threshold:max_int ~osr:false ~mode:Jit.Sync Programs.cache_loop in
-  let _, r = run_profiled ~threshold:max_int ~osr:false ~mode:Jit.Replay Programs.cache_loop in
-  Alcotest.(check bool) "samples taken" true (s.Report.rp_total > 0);
-  Alcotest.(check (triple string string string)) "sync = replay" (renderings s) (renderings r)
+(* A run that never compiles is the interpreter's alone: the JIT's
+   optimization level must not move a single sample or allocation
+   record. *)
+let test_interp_only_ignores_opt () =
+  let profile opt =
+    snd (run_profiled ~threshold:max_int ~osr:false ~opt Programs.cache_loop)
+  in
+  let none = profile Jit.O_none in
+  Alcotest.(check bool) "samples taken" true (none.Report.rp_total > 0);
+  Alcotest.(check (list (pair string int))) "interpreter samples only"
+    [ ("interp", none.Report.rp_total) ]
+    (List.filter (fun (_, w) -> w > 0) none.Report.rp_tiers);
+  List.iter
+    (fun opt ->
+      Alcotest.(check (triple string string string))
+        (Test_support.opt_name opt ^ " = none")
+        (renderings none) (renderings (profile opt)))
+    [ Jit.O_ea; Jit.O_pea ]
 
 (* A literal golden: a tiny interpreter-only loop has a fully pinned
    collapsed-stack profile. If this moves, either the cost model or the
@@ -132,13 +142,6 @@ let test_compiled_golden () =
 (* ------------------------------------------------------------------ *)
 (* Heap attribution                                                    *)
 (* ------------------------------------------------------------------ *)
-
-(* Count heap-profiler records of [cls] and [kind] per run. *)
-let class_count rp cls kind =
-  List.fold_left
-    (fun acc (r : Report.alloc_row) ->
-      if r.Report.ar_cls = cls && r.Report.ar_kind = kind then acc + r.Report.ar_count else acc)
-    0 rp.Report.rp_allocs
 
 (* The ISSUE-8 cross-reference: the same bytecode site shows N
    materialized allocations under --opt none and a (near-)zero count
@@ -265,9 +268,7 @@ let prop_profiling_off_parity =
         ~base:{ Jit.default_config with Jit.compile_threshold = 4; osr_threshold = 3 }
         cell
     in
-    let vm = Vm.create ~config program in
-    let r = Vm.run_main_iterations vm 6 in
-    Vm.quiesce vm;
+    let r = Vm.run_main_iterations (Vm.create ~config program) 6 in
     (Test_support.outcome r, Test_support.deterministic_counters r.Vm.stats)
   in
   QCheck2.Test.make ~name:"profiling changes no result and no counter"
@@ -295,10 +296,10 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "byte-identical across runs" `Quick test_identical_across_runs;
-          Alcotest.test_case "replay byte-identical across runs" `Quick
-            test_identical_across_runs_replay;
-          Alcotest.test_case "sync = replay without compiles" `Quick
-            test_sync_replay_interp_only;
+          Alcotest.test_case "byte-identical across runs with deopts" `Quick
+            test_identical_across_runs_with_deopts;
+          Alcotest.test_case "no compiles: the opt level moves nothing" `Quick
+            test_interp_only_ignores_opt;
           Alcotest.test_case "collapsed-stack golden" `Quick test_collapsed_golden;
           Alcotest.test_case "compiled collapsed-stack golden" `Quick test_compiled_golden;
         ] );

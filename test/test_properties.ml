@@ -391,7 +391,7 @@ let prop_ir_checker_after_pea =
 
 (* Correctness tooling under fuzz: the every-phase verifier and the deopt
    oracle are forced on (overriding any matrix axis — the point is that
-   they stay silent), while the opt / compile-mode / OSR axes still come
+   they stay silent), while the opt / summaries / OSR axes still come
    from the environment, so `bench/run_matrix.sh` sweeps this property across
    the whole cell matrix. Any SPEC violation aborts compilation with
    [Failure]; any replay divergence raises [Oracle.Divergence]; either

@@ -10,20 +10,25 @@
      is rejected ([cache_epoch_rejects]) and requeued — a stale epoch is
      never installed, and the entry eventually present carries the
      current epoch.
+   - Compile queue: a fixed session's queue-decision stream is pinned;
+     driven directly, [Compile_queue] dedups, drops, resolves by
+     deadline in enqueue order, pins a failed key and counts only the
+     installs its client accepts, and [Shared_cache] dooms an old epoch.
    - Replay determinism: two runs of the same session script produce
      structurally identical reports and byte-identical trace JSONL.
    - Threaded mode (MJVM_TEST_SERVE=real): real worker domains produce
      the same reports as replay — counter-identical, not just
      result-identical.
 
-   Serving configs are built explicitly: the harness forces Sync + no
-   OSR on tenant VMs by design, so [Test_env.apply]'s compile-mode and
-   OSR axes do not apply here. *)
+   Serving configs are built explicitly: the harness forces OSR off on
+   tenant VMs by design, so [Test_env.apply]'s OSR axis does not apply
+   here. *)
 
 open Pea_rt
 open Pea_vm
 module Server = Pea_serve.Server
 module Shared_cache = Pea_serve.Shared_cache
+module Compile_queue = Pea_serve.Compile_queue
 module Sessions = Pea_workloads.Sessions
 module Trace = Pea_obs.Trace
 module Event = Pea_obs.Event
@@ -331,6 +336,242 @@ let test_full_queue_drops_requests () =
     (s.Stats.s_compile_installs + s.Stats.s_cache_epoch_rejects + s.Stats.s_compile_failures);
   check_results_match_interpreter config script r
 
+(* The queue-decision stream of a fixed session: every queue and cache
+   event. At threshold 4, a's and b's [handle] (two calls a round each)
+   are hot in round 2: a's request enters the queue at that barrier and
+   b's, the same pair-svc method, joins it (a cross-tenant dedup); the
+   code is published at the next barrier, and both adopt it. b's [mix]
+   and c's calc-svc [handle] (one call a round each) are hot in round 4,
+   enqueued in tenant order and published together in round 5. Pinned:
+   any change to the round clock, the latency, the sharing or the
+   install order shows up here. *)
+let queue_decisions events =
+  List.filter_map
+    (function
+      | Event.Compile_enqueue { meth; epoch; depth; _ } ->
+          Some (Printf.sprintf "enqueue %s epoch %d depth %d" meth epoch depth)
+      | Event.Compile_dedup { meth; _ } -> Some ("dedup " ^ meth)
+      | Event.Compile_drop { meth; _ } -> Some ("drop " ^ meth)
+      | Event.Compile_failed { meth; _ } -> Some ("failed " ^ meth)
+      | Event.Cache_publish { meth; epoch; round } ->
+          Some (Printf.sprintf "publish %s epoch %d round %d" meth epoch round)
+      | Event.Cache_epoch_reject { meth; round; _ } ->
+          Some (Printf.sprintf "reject %s round %d" meth round)
+      | _ -> None)
+    events
+
+let test_queue_decision_stream () =
+  let req t meth args = { Server.rq_tenant = t; rq_class = "Svc"; rq_method = meth; rq_args = args } in
+  let round r =
+    [ req 0 "handle" [ r ]; req 0 "handle" [ r + 1 ]; req 1 "handle" [ r + 2 ];
+      req 1 "handle" [ r + 5 ]; req 1 "mix" [ r; r + 3 ]; req 2 "handle" [ r + 4 ] ]
+  in
+  let script =
+    {
+      Server.sc_apps = [ ("pair-svc", Sessions.pair_app); ("calc-svc", Sessions.calc_app) ];
+      sc_tenants = [ ("a", 0); ("b", 0); ("c", 1) ];
+      sc_rounds = List.init 8 round;
+    }
+  in
+  let run () =
+    Trace.uninstall ();
+    Test_support.with_tracer (fun t ->
+        let r = Server.run ~config:test_config script in
+        (r, List.map (fun e -> e.Trace.e_event) (Trace.entries t)))
+  in
+  let r, events = run () in
+  Alcotest.(check (list string)) "queue decision stream"
+    [
+      "enqueue pair-svc:Svc.handle epoch 0 depth 1";
+      "dedup pair-svc:Svc.handle";
+      "publish pair-svc:Svc.handle epoch 0 round 3";
+      "enqueue pair-svc:Svc.mix epoch 0 depth 1";
+      "enqueue calc-svc:Svc.handle epoch 0 depth 2";
+      "publish pair-svc:Svc.mix epoch 0 round 5";
+      "publish calc-svc:Svc.handle epoch 0 round 5";
+    ]
+    (queue_decisions events);
+  let s = r.Server.r_stats in
+  Alcotest.(check int) "one enqueue per method" 3 s.Stats.s_compile_enqueues;
+  Alcotest.(check int) "one install per method" 3 s.Stats.s_compile_installs;
+  Alcotest.(check int) "nothing dropped" 0 s.Stats.s_compile_drops;
+  Alcotest.(check int) "each tenant adopts each published method it runs" 4
+    s.Stats.s_cache_shared_hits;
+  check_results_match_interpreter test_config script r;
+  let _, again = run () in
+  Alcotest.(check (list string)) "the same stream on a second run" (queue_decisions events)
+    (queue_decisions again)
+
+(* ------------------------------------------------------------------ *)
+(* Compile_queue and Shared_cache, driven directly                     *)
+(* ------------------------------------------------------------------ *)
+
+let tiny_code =
+  lazy
+    (let program =
+       Pea_bytecode.Link.compile_source ~require_main:false
+         "class C { static int f(int x) { return x + 1; } }"
+     in
+     let m = Pea_bytecode.Link.find_method program "C" "f" in
+     Jit.compile Jit.default_config program (Profile.create program) m)
+
+let request_name = function
+  | Compile_queue.Queued -> "queued"
+  | Compile_queue.Inflight p -> "inflight " ^ p
+  | Compile_queue.Dropped -> "dropped"
+  | Compile_queue.Failed_before -> "failed before"
+
+(* [ask q key payload] requests [key] at clock 0, latency 2; the log
+   records each snapshot [make] takes and each compile the queue runs. *)
+let ask ?(now = 0) ?(latency = 2) ?(log = ref []) q key payload =
+  request_name
+    (Compile_queue.request q key ~meth:payload ~epoch:0 ~now ~latency (fun () ->
+         log := ("snapshot " ^ payload) :: !log;
+         ( payload,
+           fun () ->
+             log := ("compile " ^ payload) :: !log;
+             Lazy.force tiny_code )))
+
+let no_failures _ error = Alcotest.failf "unexpected compile failure: %s" error
+
+let test_queue_dedup () =
+  let stats = Stats.create () in
+  let q = Compile_queue.create ~cap:4 stats in
+  let log = ref [] in
+  Alcotest.(check string) "first request queued" "queued" (ask ~log q (7, None) "a");
+  Alcotest.(check string) "a second request joins the first task" "inflight a"
+    (ask ~log q (7, None) "b");
+  Alcotest.(check (list string)) "only the queued request took a snapshot" [ "snapshot a" ] !log;
+  Alcotest.(check string) "the OSR entry is its own key" "queued" (ask ~log q (7, Some 4) "c");
+  Alcotest.(check int) "two tasks" 2 (Compile_queue.depth q);
+  Alcotest.(check int) "one dedup hit" 1 (Stats.get stats Stats.compile_dedup_hits);
+  Alcotest.(check int) "two enqueues" 2 (Stats.get stats Stats.compile_enqueues)
+
+let test_queue_drops_when_full () =
+  let stats = Stats.create () in
+  let q = Compile_queue.create ~cap:1 stats in
+  let log = ref [] in
+  Alcotest.(check string) "fills the queue" "queued" (ask ~log q (1, None) "a");
+  Alcotest.(check string) "a full queue turns a new key away" "dropped" (ask ~log q (2, None) "b");
+  Alcotest.(check string) "a dedup hit still lands" "inflight a" (ask ~log q (1, None) "c");
+  Alcotest.(check (list string)) "a drop takes no snapshot" [ "snapshot a" ] !log;
+  Alcotest.(check int) "one drop counted" 1 (Stats.get stats Stats.compile_drops);
+  Compile_queue.resolve q ~now:max_int ~on_failed:no_failures ~install:(fun _ _ -> true);
+  Alcotest.(check string) "the dropped key is accepted once there is room" "queued"
+    (ask ~log q (2, None) "b")
+
+let test_queue_deadline_order () =
+  let stats = Stats.create () in
+  let q = Compile_queue.create ~cap:4 stats in
+  let log = ref [] in
+  ignore (ask ~log ~now:0 ~latency:5 q (1, None) "k1");
+  ignore (ask ~log ~now:1 ~latency:2 q (2, None) "k2");
+  ignore (ask ~log ~now:1 ~latency:4 q (3, None) "k3");
+  log := [];
+  let resolve now =
+    Compile_queue.resolve q ~now ~on_failed:no_failures ~install:(fun task _ ->
+        log := ("install " ^ task.Compile_queue.t_payload) :: !log;
+        true)
+  in
+  resolve 2;
+  Alcotest.(check (list string)) "nothing due at 2" [] !log;
+  resolve 3;
+  Alcotest.(check (list string)) "k2 due at 3" [ "compile k2"; "install k2" ] (List.rev !log);
+  log := [];
+  resolve 5;
+  Alcotest.(check (list string)) "every due task compiles, then each installs, in enqueue order"
+    [ "compile k1"; "compile k3"; "install k1"; "install k3" ]
+    (List.rev !log);
+  Alcotest.(check bool) "queue drained" false (Compile_queue.has_inflight q);
+  Alcotest.(check int) "three installs counted" 3 (Stats.get stats Stats.compile_installs)
+
+let test_queue_failure_pins_key () =
+  let stats = Stats.create () in
+  let q = Compile_queue.create ~cap:4 stats in
+  ignore (ask q (1, None) "bad");
+  ignore (ask q (1, Some 6) "bad-osr");
+  ignore (ask q (2, None) "good");
+  let failures = ref [] and installs = ref [] in
+  Compile_queue.test_hook :=
+    (fun key -> if key = (1, None) then failwith "injected compiler fault");
+  Fun.protect
+    ~finally:(fun () -> Compile_queue.test_hook := fun _ -> ())
+    (fun () ->
+      Compile_queue.resolve q ~now:max_int
+        ~on_failed:(fun task error ->
+          failures := (task.Compile_queue.t_payload, Test_support.contains error "injected") :: !failures)
+        ~install:(fun task _ ->
+          installs := task.Compile_queue.t_payload :: !installs;
+          true));
+  Alcotest.(check (list (pair string bool))) "the faulted compile reported with its error"
+    [ ("bad", true) ] !failures;
+  Alcotest.(check (list string)) "the other tasks installed" [ "bad-osr"; "good" ]
+    (List.rev !installs);
+  Alcotest.(check bool) "the key is pinned" true (Compile_queue.failed q (1, None));
+  Alcotest.(check bool) "the same method's OSR key is not" false (Compile_queue.failed q (1, Some 6));
+  let log = ref [] in
+  Alcotest.(check string) "the pinned key is turned away" "failed before" (ask ~log q (1, None) "again");
+  Alcotest.(check (list string)) "without a snapshot" [] !log;
+  Alcotest.(check int) "one failure counted" 1 (Stats.get stats Stats.compile_failures);
+  Alcotest.(check int) "two installs counted" 2 (Stats.get stats Stats.compile_installs)
+
+(* The server refuses a stale install and requeues from inside
+   [install]; only installs that [install] accepts are counted. *)
+let test_queue_refused_install () =
+  let stats = Stats.create () in
+  let q = Compile_queue.create ~cap:4 stats in
+  ignore (ask q (1, None) "first");
+  let requeued = ref "" in
+  Compile_queue.resolve q ~now:max_int ~on_failed:no_failures ~install:(fun _ _ ->
+      requeued := ask ~now:10 q (1, None) "second";
+      false);
+  Alcotest.(check string) "the callback may request the key again" "queued" !requeued;
+  Alcotest.(check int) "a refused install is not counted" 0 (Stats.get stats Stats.compile_installs);
+  Alcotest.(check int) "two enqueues" 2 (Stats.get stats Stats.compile_enqueues);
+  Compile_queue.resolve q ~now:11 ~on_failed:no_failures ~install:(fun _ _ -> true);
+  Alcotest.(check bool) "not due before its own deadline" true (Compile_queue.has_inflight q);
+  Compile_queue.resolve q ~now:12 ~on_failed:no_failures ~install:(fun _ _ -> true);
+  Alcotest.(check int) "the requeued task installs" 1 (Stats.get stats Stats.compile_installs)
+
+(* A bump moves the key's epoch, drops its entry and its profile, and
+   dooms a compile validated against the old epoch; other keys keep
+   theirs. Every lookup hands out its own closure-free copy. *)
+let test_shared_cache_epochs () =
+  let c = Shared_cache.create () in
+  let k = (0, 7) and other = (1, 7) in
+  let code = Lazy.force tiny_code in
+  let program =
+    Pea_bytecode.Link.compile_source ~require_main:false "class C { static int f() { return 0; } }"
+  in
+  let p1 = Profile.create program and p2 = Profile.create program in
+  Alcotest.(check bool) "empty" true (Shared_cache.lookup c k = None);
+  Alcotest.(check bool) "publish at the current epoch installs" true
+    (Shared_cache.publish c k ~epoch:0 code = `Installed);
+  Alcotest.(check bool) "other apps' keys are separate" true
+    (Shared_cache.publish c other ~epoch:0 code = `Installed);
+  (match (Shared_cache.lookup c k, Shared_cache.lookup c k) with
+  | Some (a, 0), Some (b, 0) ->
+      Alcotest.(check bool) "no closure shared" true (a.Jit.closure = None && b.Jit.closure = None);
+      Alcotest.(check bool) "each lookup is a fresh copy" true (a != b)
+  | _ -> Alcotest.fail "the published entry is not found at epoch 0");
+  Shared_cache.remember_profile c k p1;
+  Shared_cache.remember_profile c k p2;
+  Alcotest.(check bool) "the first requester's profile is kept" true
+    (match Shared_cache.profile_of c k with Some p -> p == p1 | None -> false);
+  Shared_cache.bump c k;
+  Alcotest.(check int) "epoch moved" 1 (Shared_cache.epoch c k);
+  Alcotest.(check bool) "entry dropped" false (Shared_cache.mem c k);
+  Alcotest.(check bool) "profile dropped" true (Shared_cache.profile_of c k = None);
+  Alcotest.(check bool) "a compile from the old epoch is refused" true
+    (Shared_cache.publish c k ~epoch:0 code = `Stale 1);
+  Alcotest.(check bool) "and not installed" false (Shared_cache.mem c k);
+  Alcotest.(check bool) "a compile at the new epoch installs" true
+    (Shared_cache.publish c k ~epoch:1 code = `Installed);
+  Alcotest.(check (option int)) "carrying the new epoch" (Some 1) (Shared_cache.entry_epoch c k);
+  Alcotest.(check (option int)) "the other key untouched" (Some 0)
+    (Shared_cache.entry_epoch c other);
+  Alcotest.(check int) "two entries" 2 (Shared_cache.size c)
+
 let test_percentile_nearest_rank () =
   let samples = [ 5; 1; 9; 3; 7 ] in
   Alcotest.(check int) "p50 of odd-length sample" 5 (Server.percentile samples 50);
@@ -467,9 +708,17 @@ let () =
           Alcotest.test_case "cross-tenant shared hits" `Quick test_shared_cache_cross_tenant_hits;
           Alcotest.test_case "epoch race rejects the stale install" `Quick
             test_epoch_race_rejects_stale_install;
+          Alcotest.test_case "bump dooms the old epoch" `Quick test_shared_cache_epochs;
         ] );
       ( "compile-queue",
         [
+          Alcotest.test_case "queue decision stream" `Quick test_queue_decision_stream;
+          Alcotest.test_case "dedup joins the in-flight task" `Quick test_queue_dedup;
+          Alcotest.test_case "full queue drops without a snapshot" `Quick
+            test_queue_drops_when_full;
+          Alcotest.test_case "deadline and enqueue order" `Quick test_queue_deadline_order;
+          Alcotest.test_case "a raised compile pins its key" `Quick test_queue_failure_pins_key;
+          Alcotest.test_case "a refused install is not counted" `Quick test_queue_refused_install;
           Alcotest.test_case "compile failure quarantines its requesters" `Quick
             test_compile_failure_quarantines_requesters;
           Alcotest.test_case "full queue drops requests" `Quick test_full_queue_drops_requests;

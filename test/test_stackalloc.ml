@@ -80,10 +80,7 @@ let run ?(iterations = 3) ?(threshold = 4) ?(opt = Jit.O_pea) ?(stackalloc = tru
       oracle = true;
     }
   in
-  let vm = Vm.create ~config (Link.compile_source src) in
-  let r = Vm.run_main_iterations vm iterations in
-  Vm.quiesce vm;
-  r
+  Vm.run_main_iterations (Vm.create ~config (Link.compile_source src)) iterations
 
 (* ------------------------------------------------------------------ *)
 (* Scratch/heap accounting                                             *)
@@ -304,7 +301,7 @@ let stackalloc_axis =
   | Some _ -> [ true ]
   | None -> [ true; false ]
 
-(* Across the full opt x OSR x compile-mode matrix crossed with the
+(* Across the full opt x OSR matrix crossed with the
    tier on/off, with the deopt oracle armed: every cell agrees with the
    interpreter, and the stack-region counters balance (reclaimed +
    promoted never exceeds births, and are identically zero with the
@@ -334,9 +331,7 @@ let prop_stackalloc_differential =
                     cell
                 in
                 let vm = Vm.create ~config (Link.compile_source src) in
-                let r = Vm.run_main_iterations vm iterations in
-                Vm.quiesce vm;
-                (cell, r))
+                (cell, Vm.run_main_iterations vm iterations))
               cells
           in
           List.for_all

@@ -238,10 +238,10 @@ let test_inlined_compile_forces_nothing () =
    code injected into it (a jump past its end) makes the builder raise
    [Invalid_argument], not [Build_error]. [F.caller] keeps its call to
    it (no inlining, no pruning), so compiling [F.caller] asks for a
-   summary and runs the fixpoint. Under Replay the compile queue turns
-   the exception into a failed compile of [F.caller], which stays
-   interpreted; under Sync the exception ends the run. *)
-let test_builder_fault_fails_the_compile () =
+   summary and runs the fixpoint. The exception ends the run, after the
+   armed flight recorder has dumped its ring as a compile-failure
+   incident; without summaries nothing asks, and the caller compiles. *)
+let test_builder_fault_ends_the_run () =
   let src =
     "class Box { int v; }\n\
      class F {\n\
@@ -254,12 +254,11 @@ let test_builder_fault_fails_the_compile () =
     \  }\n\
      }"
   in
-  let setup ~summaries mode =
+  let setup ~summaries =
     let program = Link.compile_source ~require_main:false src in
     let config =
       { Jit.default_config with
-        Jit.compile_mode = mode;
-        compile_threshold = 3;
+        Jit.compile_threshold = 3;
         osr = false;
         inline = false;
         prune = false;
@@ -271,25 +270,48 @@ let test_builder_fault_fails_the_compile () =
     (Link.find_method program "F" "broken").Classfile.mth_code <- [| Classfile.Goto 9999 |];
     (vm, Link.find_method program "F" "caller")
   in
+  (* the calls that returned before the run ended *)
   let drive (vm, caller) =
-    for i = 1 to 20 do
-      Alcotest.(check int) "caller stays correct" (i + 1)
-        (match Vm.invoke vm caller [ Value.Vint i ] with Some (Value.Vint n) -> n | _ -> -1)
-    done;
-    Vm.quiesce vm;
-    ( Vm.compile_failed vm caller,
-      Vm.compiled_graph vm caller <> None,
-      Stats.get (Vm.stats vm) Stats.compile_failures )
+    let served = ref 0 in
+    match
+      for i = 1 to 20 do
+        Alcotest.(check int) "caller stays correct" (i + 1)
+          (match Vm.invoke vm caller [ Value.Vint i ] with Some (Value.Vint n) -> n | _ -> -1);
+        incr served
+      done
+    with
+    | () -> Ok !served
+    | exception Invalid_argument _ -> Error !served
   in
-  let outcome = Alcotest.(triple bool bool int) in
-  Alcotest.check outcome "replay: the compile fails, the caller stays interpreted" (true, false, 1)
-    (drive (setup ~summaries:true Jit.Replay));
-  Alcotest.check outcome "replay without summaries: the caller compiles" (false, true, 0)
-    (drive (setup ~summaries:false Jit.Replay));
-  Alcotest.(check bool) "sync: the exception ends the run" true
-    (match drive (setup ~summaries:true Jit.Sync) with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
+  let path = Filename.temp_file "mjvm_flight" ".jsonl" in
+  let saved_trace = Pea_obs.Trace.installed () in
+  let ring = Pea_obs.Trace.create () in
+  Pea_obs.Trace.install ring;
+  Pea_obs.Flight.arm (Pea_obs.Flight.create ~path ring);
+  Fun.protect
+    ~finally:(fun () ->
+      Pea_obs.Flight.disarm ();
+      (match saved_trace with
+      | Some t -> Pea_obs.Trace.install t
+      | None -> Pea_obs.Trace.uninstall ());
+      Sys.remove path)
+    (fun () ->
+      let vm, caller = setup ~summaries:false in
+      Alcotest.(check (result int int)) "without summaries: every call served" (Ok 20)
+        (drive (vm, caller));
+      Alcotest.(check bool) "without summaries: the caller compiled" true
+        (Vm.compiled_graph vm caller <> None);
+      Alcotest.(check (result int int)) "with summaries: the compile at the threshold raises"
+        (Error 3)
+        (drive (setup ~summaries:true));
+      (match Pea_obs.Flight.armed () with
+      | Some fl -> Alcotest.(check int) "one dump written" 1 (Pea_obs.Flight.dumps fl)
+      | None -> Alcotest.fail "recorder disarmed itself");
+      match Pea_obs.Flight.read_file path with
+      | Error msg -> Alcotest.failf "dump does not parse: %s" msg
+      | Ok d ->
+          Alcotest.(check string) "tagged with the trigger" "compile-failure"
+            d.Pea_obs.Flight.d_reason)
 
 (* ------------------------------------------------------------------ *)
 (* End to end: summaries avoid materialization at a non-inlined call   *)
@@ -386,8 +408,7 @@ let () =
           Alcotest.test_case "exception callee is top" `Quick test_exception_callee_is_top;
           Alcotest.test_case "inlined compile forces nothing" `Quick
             test_inlined_compile_forces_nothing;
-          Alcotest.test_case "builder fault fails the compile" `Quick
-            test_builder_fault_fails_the_compile;
+          Alcotest.test_case "builder fault ends the run" `Quick test_builder_fault_ends_the_run;
         ] );
       ( "end-to-end",
         [

@@ -6,8 +6,8 @@
    test_support_lib.ml.
 
    The centerpiece is [run_all_configs]: one place that enumerates the
-   opt × OSR × compile-mode matrix, so differential tests stop
-   re-rolling it by hand and automatically pick up new axes. *)
+   opt × OSR matrix, so differential tests stop re-rolling it by hand
+   and automatically pick up new axes. *)
 
 open Pea_rt
 open Pea_vm
@@ -41,31 +41,20 @@ let opt_name = function Jit.O_none -> "none" | Jit.O_ea -> "ea" | Jit.O_pea -> "
 type cell = {
   c_opt : Jit.opt_level;
   c_osr : bool;
-  c_mode : Jit.compile_mode;
 }
 
-let cell_name c =
-  Printf.sprintf "%s/osr-%s/%s" (opt_name c.c_opt)
-    (if c.c_osr then "on" else "off")
-    (Jit.mode_string c.c_mode)
+let cell_name c = Printf.sprintf "%s/osr-%s" (opt_name c.c_opt) (if c.c_osr then "on" else "off")
 
-(* Both compile modes: Sync compiles at the threshold, Replay at the
-   queue deadline, so the two tier up at different points. *)
 let all_cells () =
   List.concat_map
-    (fun c_opt ->
-      List.concat_map
-        (fun c_osr -> List.map (fun c_mode -> { c_opt; c_osr; c_mode }) [ Jit.Sync; Jit.Replay ])
-        [ false; true ])
+    (fun c_opt -> List.map (fun c_osr -> { c_opt; c_osr }) [ false; true ])
     [ Jit.O_none; Jit.O_ea; Jit.O_pea ]
 
-let config_of_cell ?(base = Jit.default_config) c =
-  { base with Jit.opt = c.c_opt; osr = c.c_osr; compile_mode = c.c_mode }
+let config_of_cell ?(base = Jit.default_config) c = { base with Jit.opt = c.c_opt; osr = c.c_osr }
 
 (* [run_all_configs src] runs [main] [iterations] times under every cell
-   of the matrix and returns [(cell, result)] pairs, draining Replay's
-   compile queue first so queue counters are accounted. The
-   thresholds default low enough that a few iterations cross every tier
+   of the matrix and returns [(cell, result)] pairs. The thresholds
+   default low enough that a few iterations cross every tier
    boundary. *)
 let run_all_configs ?(iterations = 8) ?(compile_threshold = 4) ?(osr_threshold = 3)
     ?(base = Jit.default_config) src =
@@ -75,10 +64,7 @@ let run_all_configs ?(iterations = 8) ?(compile_threshold = 4) ?(osr_threshold =
       let config =
         config_of_cell ~base:{ base with Jit.compile_threshold; osr_threshold } cell
       in
-      let vm = Vm.create ~config program in
-      let r = Vm.run_main_iterations vm iterations in
-      Vm.quiesce vm;
-      (cell, r))
+      (cell, Vm.run_main_iterations (Vm.create ~config program) iterations))
     (all_cells ())
 
 (* The interpreter-only reference for the same observation:
@@ -90,8 +76,8 @@ let interp_reference ~iterations src =
     List.concat (List.init iterations (fun _ -> List.map Value.string_of_value r.Run.printed))
   )
 
-(* The counters every cell must agree on with its mode siblings
-   (wall-clock-independent model state). *)
+(* The wall-clock-independent model counters: a run's deterministic
+   state, compared across runs that must not differ. *)
 let deterministic_counters (s : Stats.snapshot) =
   [
     ("cycles", s.Stats.s_cycles);
@@ -104,11 +90,6 @@ let deterministic_counters (s : Stats.snapshot) =
     ("osr_entries", s.Stats.s_osr_entries);
     ("osr_compiles", s.Stats.s_osr_compiles);
     ("invocations", s.Stats.s_invocations);
-    ("compile_enqueues", s.Stats.s_compile_enqueues);
-    ("compile_installs", s.Stats.s_compile_installs);
-    ("compile_stale_discards", s.Stats.s_compile_stale_discards);
-    ("compile_drops", s.Stats.s_compile_drops);
-    ("compile_failures", s.Stats.s_compile_failures);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -119,9 +119,9 @@ let test_dot () =
      contains 0)
 
 (* Listed names with listed values pass and other variables are ignored;
-   an unknown name (a typo or a retired variable) and an unknown value (a
-   typo or a retired one, like the async compile mode) are each reported
-   by name, a bad value together with the accepted ones. *)
+   an unknown name (a typo or a retired variable, like the compile mode
+   axis) and an unknown value are each reported by name, a bad value
+   together with the accepted ones. *)
 let test_env_check () =
   Alcotest.(check (list string)) "known bindings pass" []
     (Test_env.invalid
@@ -131,7 +131,6 @@ let test_env_check () =
          ("MJVM_TEST_CHECK_LEVEL", "every-phase");
          ("MJVM_TEST_QCHECK_COUNT", "500");
          ("MJVM_TEST_SERVE", "real");
-         ("MJVM_TEST_COMPILE_MODE", "replay");
          ("PATH", "/usr/bin");
        ]);
   List.iter
@@ -142,15 +141,22 @@ let test_env_check () =
       | msgs -> Alcotest.failf "%s=%s: %d messages" name value (List.length msgs))
     [
       ("MJVM_TEST_OSR", "yes");
-      ("MJVM_TEST_COMPILE_MODE", "async");
       ("MJVM_TEST_CHECK_LEVEL", "every");
       ("MJVM_TEST_QCHECK_COUNT", "0");
       ("MJVM_TEST_TIER", "closure");
       ("MJVM_TEST_OPTS", "pea");
     ];
   Alcotest.(check (list string)) "a bad value names the accepted ones"
-    [ "MJVM_TEST_COMPILE_MODE: unknown value \"async\" (accepted: sync | replay)" ]
-    (Test_env.invalid [ ("MJVM_TEST_COMPILE_MODE", "async") ])
+    [ "MJVM_TEST_SERVE: unknown value \"threaded\" (accepted: replay | real)" ]
+    (Test_env.invalid [ ("MJVM_TEST_SERVE", "threaded") ]);
+  (* the compile mode axis is gone with the mode: a stale setting, of
+     either former value, stops the suite as an unknown name *)
+  List.iter
+    (fun value ->
+      Alcotest.(check (list string)) ("stale compile mode " ^ value)
+        [ "MJVM_TEST_COMPILE_MODE: unknown test variable" ]
+        (Test_env.invalid [ ("MJVM_TEST_COMPILE_MODE", value) ]))
+    [ "sync"; "replay" ]
 
 let () =
   Alcotest.run "support"

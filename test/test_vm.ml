@@ -169,6 +169,179 @@ let test_bool_equality () =
         fun s -> s.Stats.s_osr_entries > 0 );
     ]
 
+(* The VM compiles inline at the threshold: each compile stalls the
+   mutator for its modeled latency, charged to [compile_stall_cycles],
+   never to [cycles]. *)
+let test_stall_per_compile () =
+  let src =
+    "class Main {\n\
+    \  static int f(int x) { return x * 2 + 1; }\n\
+    \  static int g(int x) { return x * 3 - 1; }\n\
+    \  static int main() {\n\
+    \    int acc = 0;\n\
+    \    int i = 0;\n\
+    \    while (i < 400) { acc = acc + Main.f(i) + Main.g(i); i = i + 1; }\n\
+    \    return acc;\n\
+    \  }\n\
+     }"
+  in
+  let program = Pea_bytecode.Link.compile_source src in
+  let config = { Jit.default_config with Jit.compile_threshold = 5; osr = false } in
+  let r = Vm.run (Vm.create ~config program) in
+  let s = r.Vm.stats in
+  Alcotest.(check string) "same result as the interpreter"
+    (string_of_result (Run.run_source src).Run.return_value)
+    (string_of_result r.Vm.return_value);
+  Alcotest.(check int) "f and g compiled" 2 s.Stats.s_compiled_methods;
+  let latency name =
+    let m = Pea_bytecode.Link.find_method program "Main" name in
+    Cost.compile_latency ~bytecodes:(Array.length m.Pea_bytecode.Classfile.mth_code)
+  in
+  Alcotest.(check int) "one latency charged per compile" (latency "f" + latency "g")
+    s.Stats.s_compile_stall_cycles
+
+(* Interleaved hot methods and deopt storms. fa/fb carry three
+   independently pruned cold sites each; a site fires every 45th/60th
+   call, cycling through the sites. Each firing is one deopt, site
+   blacklist, invalidation and recompile, and with
+   [deopt_storm_limit = 2] the second invalidation pins the method. fc
+   is plain hot arithmetic; fd is a hot loop that tiers up through OSR. *)
+let stress_src =
+  "class S { int v; }\n\
+   class W {\n\
+  \  static int sink;\n\
+  \  static int fa(int x, int k) {\n\
+  \    S s = new S();\n\
+  \    s.v = x * 3 + 1;\n\
+  \    if (k == 1) { W.sink = W.sink + s.v; }\n\
+  \    if (k == 2) { W.sink = W.sink + s.v * 2; }\n\
+  \    if (k == 3) { W.sink = W.sink - s.v; }\n\
+  \    return s.v;\n\
+  \  }\n\
+  \  static int fb(int x, int k) {\n\
+  \    S s = new S();\n\
+  \    s.v = x * 5 - 2;\n\
+  \    if (k == 1) { W.sink = W.sink + s.v * 2; }\n\
+  \    if (k == 2) { W.sink = W.sink - s.v * 3; }\n\
+  \    if (k == 3) { W.sink = W.sink + s.v + 1; }\n\
+  \    return s.v + 1;\n\
+  \  }\n\
+  \  static int fc(int x) { return x * 7 + W.sink; }\n\
+  \  static int fd(int x) {\n\
+  \    int acc = 0;\n\
+  \    int i = 0;\n\
+  \    while (i < 10) { acc = acc + x + i; i = i + 1; }\n\
+  \    return acc;\n\
+  \  }\n\
+   }"
+
+let stress_config =
+  {
+    Jit.default_config with
+    Jit.compile_threshold = 25;
+    osr = true;
+    osr_threshold = 30;
+    deopt_storm_limit = 2;
+  }
+
+(* A fixed budget of interleaved calls; every 45th/60th call takes the
+   next cold site in the cycle, a forced deopt against whatever code is
+   installed at that point. Returns every call's result, the counters,
+   the normal-entry compiles of each method (from the trace) and the VM. *)
+let drive_stress config =
+  let program = Pea_bytecode.Link.compile_source ~require_main:false stress_src in
+  let vm = Vm.create ~config program in
+  let find = Pea_bytecode.Link.find_method program "W" in
+  let fa = find "fa" and fb = find "fb" and fc = find "fc" and fd = find "fd" in
+  let results = ref [] in
+  let push v =
+    match v with
+    | Some (Value.Vint n) -> results := n :: !results
+    | _ -> Alcotest.fail "expected an int result"
+  in
+  let cold i period = if i mod period = 0 then 1 + (i / period mod 3) else 0 in
+  let compiles =
+    Test_support.with_tracer (fun t ->
+        for i = 1 to 300 do
+          push (Vm.invoke vm fa [ Value.Vint i; Value.Vint (cold i 45) ]);
+          push (Vm.invoke vm fb [ Value.Vint i; Value.Vint (cold i 60) ]);
+          push (Vm.invoke vm fc [ Value.Vint i ]);
+          if i mod 3 = 0 then push (Vm.invoke vm fd [ Value.Vint i ])
+        done;
+        List.filter_map
+          (fun e ->
+            match e.Pea_obs.Trace.e_event with
+            | Pea_obs.Event.Tier_promote { meth; tier = "jit"; _ } -> Some meth
+            | _ -> None)
+          (Pea_obs.Trace.entries t))
+  in
+  (List.rev !results, Stats.snapshot (Vm.stats vm), compiles, vm, (fa, fb, fc))
+
+let test_stress_deopt_storms () =
+  let results, s, compiles, vm, (fa, fb, fc) = drive_stress stress_config in
+  Alcotest.(check bool) "deopts fired" true (s.Stats.s_deopts >= 4);
+  Alcotest.(check bool) "OSR entered" true (s.Stats.s_osr_entries > 0);
+  Alcotest.(check bool) "the storm guard pinned fa" true (Vm.interpreter_pinned vm fa);
+  Alcotest.(check bool) "fc compiled" true (Vm.compiled_graph vm fc <> None);
+  (* one compile per invalidation epoch: a method is recompiled only
+     after a deopt invalidated its code, and a pinned one never again *)
+  List.iter
+    (fun m ->
+      let name = Pea_bytecode.Classfile.qualified_name m in
+      let n = List.length (List.filter (String.equal name) compiles) in
+      let expected =
+        Vm.invalidation_count vm m + if Vm.interpreter_pinned vm m then 0 else 1
+      in
+      Alcotest.(check int) (name ^ ": one compile per epoch") expected n)
+    [ fa; fb; fc ];
+  let reference, _, _, _, _ =
+    drive_stress { stress_config with Jit.compile_threshold = max_int; osr = false }
+  in
+  Alcotest.(check (list int)) "every call = the interpreter's" reference results;
+  let results2, s2, compiles2, _, _ = drive_stress stress_config in
+  Alcotest.(check (list int)) "results identical across runs" results results2;
+  Alcotest.(check bool) "counters identical across runs" true (s = s2);
+  Alcotest.(check (list string)) "compiles identical across runs" compiles compiles2
+
+(* A run is a function of the program and the configuration: two runs
+   agree on the outcome and on the whole counter snapshot. *)
+let prop_runs_agree =
+  let iters = 6 in
+  let module G = QCheck2.Gen in
+  let gen =
+    G.map3
+      (fun (name, src) opt osr -> (name, src, opt, osr))
+      (G.oneofl Programs.corpus)
+      (G.oneofl [ Jit.O_none; Jit.O_ea; Jit.O_pea ])
+      G.bool
+  in
+  QCheck2.Test.make ~name:"two runs agree on results and every counter"
+    ~count:(Test_env.qcheck_count 12)
+    ~print:(fun (name, _, opt, osr) -> Printf.sprintf "%s opt=%s osr=%b" name (opt_name opt) osr)
+    gen
+    (fun (_, src, opt, osr) ->
+      let run () =
+        let config =
+          { Jit.default_config with Jit.opt; osr; compile_threshold = 4; osr_threshold = 3 }
+        in
+        let r = run_vm src config ~iterations:iters in
+        (Test_support.outcome r, r.Vm.stats)
+      in
+      run () = run ())
+
+(* Every cell of the opt x OSR matrix equals the interpreter on results
+   and prints. *)
+let prop_matrix_differential =
+  let iters = 6 in
+  QCheck2.Test.make ~name:"every opt x OSR cell = interpreter"
+    ~count:(Test_env.qcheck_count 25)
+    ~print:(fun (name, _) -> name)
+    (QCheck2.Gen.oneofl Programs.corpus)
+    (fun (_, src) ->
+      let reference = Test_support.interp_reference ~iterations:iters src in
+      let cells = Test_support.run_all_configs ~iterations:iters src in
+      List.for_all (fun (_, r) -> Test_support.outcome r = reference) cells)
+
 let () =
   Alcotest.run "vm"
     [
@@ -181,4 +354,14 @@ let () =
           Alcotest.test_case "lock elision removes monitor ops" `Quick test_lock_elision;
         ] );
       ("booleans", [ Alcotest.test_case "== and != compare booleans" `Quick test_bool_equality ]);
+      ( "compile",
+        [
+          Alcotest.test_case "stall cycles charged per compile" `Quick test_stall_per_compile;
+          Alcotest.test_case "hot methods x deopt storms" `Quick test_stress_deopt_storms;
+        ] );
+      ( "differential",
+        [
+          QCheck_alcotest.to_alcotest prop_matrix_differential;
+          QCheck_alcotest.to_alcotest prop_runs_agree;
+        ] );
     ]
