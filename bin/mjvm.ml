@@ -246,6 +246,19 @@ let find_method_or_exit program spec =
           Printf.eprintf "no method %s.%s\n" cls name;
           exit 1)
 
+(* Can [path] be written? Answered without changing what is there: an
+   existing file is opened for appending and closed unwritten, a missing
+   one is created and removed again. The error is [Sys_error]'s
+   "<path>: <reason>". *)
+let check_writable path =
+  let existed = Sys.file_exists path in
+  match open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o666 path with
+  | oc ->
+      close_out oc;
+      if not existed then Sys.remove path;
+      Ok ()
+  | exception Sys_error msg -> Error msg
+
 (* [--stats]: every registered metric, one per line, declaration order *)
 let print_metrics stats =
   List.iter
@@ -268,6 +281,17 @@ let run_cmd =
         ("osr-threshold", osr_threshold, 0);
       ];
     let program = compile_file_or_exit file in
+    (* checked before the run, like the trace below: a dump path that
+       cannot be written fails before any work is done, not when an
+       incident fires and its dump is lost *)
+    Option.iter
+      (fun path ->
+        match check_writable path with
+        | Ok () -> ()
+        | Error msg ->
+            Printf.eprintf "cannot write the flight dump: %s\n" msg;
+            exit 1)
+      flight_dump;
     (* opened before the run: a path that cannot be written fails before
        any work is done *)
     let trace_out =
@@ -387,6 +411,7 @@ let stage_conv =
       ("pea", `Pea);
       ("ea", `Ea);
       ("dot", `Dot);
+      ("closure", `Closure);
       ("summaries", `Summaries);
     ]
 
@@ -397,7 +422,9 @@ let stage_arg =
     & info [ "stage" ] ~docv:"STAGE"
         ~doc:
           "Pipeline stage: bytecode, ir (after building), inlined, pea, ea, dot (Graphviz after \
-           PEA), or summaries (the method's interprocedural escape summary)")
+           PEA), closure (the closure tier's register plan for the graph of pea: each node's \
+           register kind, where int values are boxed, and each fused compare-and-branch), or \
+           summaries (the method's interprocedural escape summary)")
 
 let dump_cmd =
   let action file spec stage =
@@ -408,7 +435,7 @@ let dump_cmd =
     | `Summaries ->
         let t = Pea_analysis.Summary.analyze program in
         Format.printf "%a@." (Pea_analysis.Summary.pp_method t) m
-    | (`Ir | `Inlined | `Pea | `Ea | `Dot) as stage -> (
+    | (`Ir | `Inlined | `Pea | `Ea | `Dot | `Closure) as stage -> (
         let g =
           match Pea_ir.Builder.build m with
           | g -> g
@@ -418,18 +445,18 @@ let dump_cmd =
         in
         match stage with
         | `Ir -> print_string (Pea_ir.Printer.to_string g)
-        | (`Inlined | `Pea | `Ea | `Dot) as stage -> (
+        | (`Inlined | `Pea | `Ea | `Dot | `Closure) as stage -> (
             ignore (Pea_opt.Inline.run (Pea_opt.Inline.default_config program) g);
             ignore (Pea_opt.Canonicalize.run g);
             let summaries = Pea_analysis.Summary.analyze program in
             ignore (Pea_opt.Gvn.run ~summaries g);
             match stage with
             | `Inlined -> print_string (Pea_ir.Printer.to_string g)
-            | (`Pea | `Ea | `Dot) as stage ->
+            | (`Pea | `Ea | `Dot | `Closure) as stage ->
                 let g', st =
                   match stage with
                   | `Ea -> Pea_core.Escape.run ~summaries g
-                  | `Pea | `Dot ->
+                  | `Pea | `Dot | `Closure ->
                       (* the JIT's stack eligibility, but not the JIT's
                          graph: this pipeline inlines within
                          [Inline.default_config]'s 120-bytecode budget
@@ -441,6 +468,9 @@ let dump_cmd =
                 in
                 ignore (Pea_opt.Canonicalize.run g');
                 if stage = `Dot then print_string (Pea_ir.Printer.to_dot g')
+                else if stage = `Closure then
+                  print_string
+                    (Pea_vm.Closure_compile.plan_to_string g' (Pea_vm.Closure_compile.plan g'))
                 else begin
                   print_string (Pea_ir.Printer.to_string g');
                   Printf.printf

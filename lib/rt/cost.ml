@@ -57,10 +57,15 @@ let compile_latency ~bytecodes = compile_base + (compile_per_bytecode * bytecode
 
 (* How the closure execution tier runs a graph is a wall-clock matter
    only and adds no model cycles: its inline caches, pooled register
-   files, threaded instruction chains, per-operator int/bool fast paths,
+   files, threaded instruction chains, typed registers (unboxed ints,
+   constants filled into the register file, fused compare-and-branch),
    shared booleans and counter cells resolved at translation change what
    an operation costs the host, never what it is charged. Compiled code
-   is charged per IR operation, before the operation runs, from the
-   constants above, so the deterministic Table-1 numbers do not depend on
-   how compiled graphs are executed. *)
+   is charged per IR operation from the constants above. A constant runs
+   no code, so its charge is applied with the next operation of its
+   block, or at the block's end; wherever the counters can be observed
+   (an operation that can trap, call, allocate or deopt, a block-entry
+   safepoint, a terminator) they hold exactly the charges of every
+   operation before that point, so the deterministic Table-1 numbers do
+   not depend on how compiled graphs are executed. *)
 

@@ -14,11 +14,25 @@
        threaded chain ending in its terminator; control transfers are tail
        calls through a per-graph closure table, so loops run in constant
        stack space.
-     - [Arith], [Cmp] and [Not] get one closure per operator, whose fast
-       path matches the [Vint]/[Vbool] operands directly; any other operand
-       falls back to the [as_int]/[as_bool] trap. A comparison returns one
-       of two shared booleans ([vtrue], [vfalse]) instead of allocating,
-       and an [If] matches its condition directly.
+     - Typed registers. A register file is two arrays indexed by node id:
+       [vr], the [Value.value] registers, and beside it [ir], unboxed int
+       registers. {!plan} decides, once per graph, which file each node
+       lives in: [Arith] and [Neg] results, and phis whose inputs are all
+       ints (an optimistic fixpoint, see [plan]), live in [ir]; constants
+       are filled into the file when it is made (an int constant in both
+       files) and never run. An int operand is read in one of three
+       modes resolved at translation: its [ir] register, an immediate
+       (a constant), or its [vr] register unboxed, which traps with the
+       interpreter's message on a non-int. An int value is boxed only
+       where a value consumer reads it: a store, a call argument, a
+       return, an allocation's field, [print], a phi edge into a value
+       phi, or a [Deopt], which boxes every int register its frame state
+       names before the lookup can read it.
+     - [Arith], [Cmp] and [Neg] get one closure per operator and operand
+       mode; a comparison that is not fused returns one of two shared
+       booleans ([vtrue], [vfalse]) instead of allocating. An int [Cmp]
+       whose only use is its block's [If] becomes one compare-and-branch
+       closure.
      - The [compiled_ops] and [cycles] counters are resolved to their
        storage cells ({!Stats.cell}) once per translation and bumped in
        place. The dev profile compiles every module that has an [.mli]
@@ -27,11 +41,11 @@
      - Phi routing comes from the graph's {!Ir_exec.prepared} tables: each
        [(pred, block)] edge becomes a parallel assignment over index
        arrays, with no predecessor search and no list allocation. Edges
-       with one or two phis move their values directly; longer moves go
-       through a scratch buffer that belongs to this translation, never to
-       the shared tables. Reusing it across invocations is safe because
-       the move performs no calls (no reentrancy) and a VM never runs on
-       two domains at once.
+       with one move, or two moves within one file, move their values
+       directly; any other edge goes through scratch buffers that belong
+       to this translation, never to the shared tables. Reusing them
+       across invocations is safe because the move performs no calls (no
+       reentrancy) and a VM never runs on two domains at once.
      - Virtual [Invoke] sites get a monomorphic inline cache seeded from
        the interpreter's receiver profile: the fast path is one class-id
        check against a pre-resolved target; a miss falls back to
@@ -39,17 +53,23 @@
      - Register files are pooled per compiled method across invocations
        instead of [Array.make] per call (see the lifetime rules below).
 
-   Cost accounting: every instruction closure charges [Cost.compiled_op]
-   plus its operation-specific cost and one [compiled_ops], before the
-   operation body, so an operation that traps is still charged; an [If]
-   charges one [Cost.compiled_op]; edge moves and jumps charge nothing.
-   Inline caches and register pooling are wall-clock optimizations only
-   and add no model cycles. test/test_closure.ml pins the totals.
+   Cost accounting: every IR instruction is charged [Cost.compiled_op]
+   plus its operation-specific cost and one [compiled_ops]; an [If]
+   charges one [Cost.compiled_op]; edge moves, boxing and jumps charge
+   nothing. A constant has no closure: its charge rides on the next
+   closure of its block, or on the block's terminator, and a fused
+   compare-and-branch charges its [Cmp] and its [If] at once. Every
+   closure charges before its operation body, so at every point that can
+   observe the counters (an operation that can trap, call, allocate or
+   deopt, a block-entry safepoint, a terminator) the totals are exactly
+   those of charging each instruction in turn. Inline caches, typed
+   registers and register pooling are wall-clock optimizations only and
+   add no model cycles. test/test_closure.ml pins the totals.
 
    Register-file lifetime rules: a register file is acquired from the pool
    on entry and released on normal return and on an MJ exception unwinding
    through this frame. A [Deopt] terminator is the delicate case: the
-   [Deoptimize] exception carries a [regs]-backed lookup closure that
+   [Deoptimize] exception carries a [vr]-backed lookup closure that
    {!Deopt.handle} consults after re-entrant interpreter execution, so the
    file must survive until the handler finishes. When the caller passes a
    [?deopt] handler, [run] invokes it in-frame and releases the file
@@ -57,8 +77,9 @@
    exception propagates and the file leaks with it — the VM always passes
    a handler. Released files keep their stale values; that is sound
    because SSA guarantees every read is dominated by a write in the same
-   invocation, and frame states only reference dominating definitions
-   (enforced by the IR checker). *)
+   invocation, frame states only reference dominating definitions
+   (enforced by the IR checker), and no closure writes a constant's
+   registers. *)
 
 open Pea_bytecode
 open Pea_ir
@@ -69,15 +90,26 @@ module Trace = Pea_obs.Trace
 module Profile_cpu = Pea_obs.Profile_cpu
 module Profile_heap = Pea_obs.Profile_heap
 
+(* a register file: the value registers and the unboxed int registers,
+   both indexed by node id *)
+type frame = {
+  vr : Value.value array;
+  ir : int array;
+}
+
 (* compiled code from one instruction (or terminator) of a block to the
    end of the invocation *)
-type chain = Value.value array -> Value.value option
+type chain = frame -> Value.value option
 
 type code = {
   nregs : int;
   param_ids : int array; (* Param node ids, in parameter order *)
+  const_ids : int array; (* every constant of the register file ... *)
+  const_values : Value.value array; (* ... and its value, boxed *)
+  int_const_ids : int array; (* the int constants among them ... *)
+  int_const_values : int array; (* ... and their values *)
   entry : chain;
-  mutable pool : Value.value array list; (* free register files *)
+  mutable pool : frame list; (* free register files *)
   method_name : string; (* for trap messages *)
 }
 
@@ -94,15 +126,360 @@ let vtrue = Vbool true
 
 let vfalse = Vbool false
 
-(* The trap of an int operation whose operands are not both ints. The
-   message names the right operand if it is not an int, else the left:
-   the generic path converted the right operand first. *)
+(* The trap of a comparison of two value registers that are not both ints
+   (nor both booleans, for [==] and [!=]). The message names the right
+   operand if it is not an int, else the left: the generic path converted
+   the right operand first. *)
 let int_operands va vb =
   trap "expected int, found %s" (string_of_value (match vb with Vint _ -> va | _ -> vb))
 
 (* ------------------------------------------------------------------ *)
+(* The plan: which file each node lives in                             *)
+(* ------------------------------------------------------------------ *)
+
+type reg_kind =
+  | R_value
+  | R_int
+  | R_const
+  | R_none
+
+type plan = {
+  regs : reg_kind array;
+  int_cmps : bool array;
+  fused : Node.node_id option array;
+}
+
+let int_const (g : Graph.t) id =
+  match (Graph.node g id).Node.op with Node.Const (Node.Cint _) -> true | _ -> false
+
+(* A [Cmp] compares ints unless it is [==] or [!=] on operands neither of
+   which is known to hold an int: those may be two booleans. *)
+let is_int_cmp c ~int_typed a b =
+  match c with
+  | Classfile.Ceq | Classfile.Cne -> int_typed a || int_typed b
+  | Classfile.Clt | Classfile.Cle | Classfile.Cgt | Classfile.Cge -> true
+
+(* The operands an operation reads from the value file; every other
+   operand is read as an int. *)
+let value_operands (op : Node.op) ~int_cmp =
+  match op with
+  | Node.Const _ | Node.Param _ | Node.Phi _ | Node.Arith _ | Node.Neg _ | Node.New _
+  | Node.New_array _ | Node.Load_static _ ->
+      []
+  | Node.Cmp (_, a, b) -> if int_cmp then [] else [ a; b ]
+  | Node.Array_load (a, _) -> [ a ]
+  | Node.Array_store (a, _, x) -> [ a; x ]
+  | op ->
+      let acc = ref [] in
+      Node.iter_operands (fun x -> if not (List.mem x !acc) then acc := x :: !acc) op;
+      List.rev !acc
+
+(* The register decisions for [g]:
+
+   - [Arith] and [Neg] results live in the int file.
+   - Constants in reachable blocks are filled into the file when it is
+     made: an int constant into both files, any other into the value
+     file.
+   - A phi lives in the int file when every input is statically an int
+     and at least one input is computed in the int file. "Statically an
+     int" is the greatest fixpoint over phis (optimistic: every phi starts
+     as an int and is demoted when one of its inputs is not), from the
+     nodes whose value is an int by construction: int constants, [Arith],
+     [Neg], [Array_length], an [int] parameter of a normal entry (an OSR
+     entry's parameters are untyped locals), an [int] field or static
+     load, a call returning [int]. "Computed in the int file" is the
+     least fixpoint from [Arith] and [Neg] results, so a phi of boxed
+     values alone (parameters, loads, call results, constants) stays a
+     value phi and never unboxes only to box again.
+   - Every other value lives in the value file; a node without a value
+     has no register.
+   - An int [Cmp] that is the last non-constant instruction of its block
+     and whose one use is the block's [If] is fused with it into one
+     compare-and-branch and has no register. *)
+let plan (g : Graph.t) : plan =
+  let n = max (Graph.n_nodes g) 1 in
+  let reachable = Graph.reachable g in
+  let regs = Array.make n R_none and typed = Array.make n false in
+  let m = g.Graph.g_method in
+  List.iter
+    (fun (p : Node.t) ->
+      regs.(p.Node.id) <- R_value;
+      typed.(p.Node.id) <-
+        (match p.Node.op with
+        | Node.Param i ->
+            let k = if m.Classfile.mth_static then i else i - 1 in
+            Option.is_none g.Graph.g_osr_entry
+            && k >= 0
+            &&
+            (match List.nth_opt m.Classfile.mth_params k with
+            | Some Pea_mjava.Ast.Tint -> true
+            | _ -> false)
+        | _ -> false))
+    g.Graph.params;
+  let phis = ref [] and cmps = ref [] and ifs = ref [] in
+  for bid = 0 to Graph.n_blocks g - 1 do
+    if reachable.(bid) then begin
+      let b = Graph.block g bid in
+      List.iter
+        (fun (p : Node.t) ->
+          phis := p :: !phis;
+          regs.(p.Node.id) <- R_value;
+          (* optimistic: every phi is an int until one of its inputs is not *)
+          typed.(p.Node.id) <- true)
+        b.Graph.phis;
+      Pea_support.Dyn_array.iter
+        (fun (x : Node.t) ->
+          let id = x.Node.id in
+          if Node.produces_value x.Node.op then regs.(id) <- R_value;
+          match x.Node.op with
+          | Node.Const c ->
+              regs.(id) <- R_const;
+              typed.(id) <- (match c with Node.Cint _ -> true | _ -> false)
+          | Node.Arith _ | Node.Neg _ ->
+              regs.(id) <- R_int;
+              typed.(id) <- true
+          | Node.Array_length _
+          | Node.Load_field (_, { Classfile.fld_ty = Pea_mjava.Ast.Tint; _ })
+          | Node.Load_static { Classfile.sf_ty = Pea_mjava.Ast.Tint; _ }
+          | Node.Invoke (_, { Classfile.mth_ret = Some Pea_mjava.Ast.Tint; _ }, _) ->
+              typed.(id) <- true
+          | Node.Cmp _ -> cmps := x :: !cmps
+          | _ -> ())
+        b.Graph.instrs;
+      match b.Graph.term with Graph.If _ -> ifs := b :: !ifs | _ -> ()
+    end
+  done;
+  let inputs (p : Node.t) = match p.Node.op with Node.Phi ph -> ph.Node.inputs | _ -> [||] in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun (p : Node.t) ->
+        if typed.(p.Node.id) && not (Array.for_all (fun i -> typed.(i)) (inputs p)) then begin
+          typed.(p.Node.id) <- false;
+          changed := true
+        end)
+      !phis
+  done;
+  changed := true;
+  while !changed do
+    changed := false;
+    List.iter
+      (fun (p : Node.t) ->
+        if
+          typed.(p.Node.id)
+          && regs.(p.Node.id) <> R_int
+          && Array.exists (fun i -> regs.(i) = R_int) (inputs p)
+        then begin
+          regs.(p.Node.id) <- R_int;
+          changed := true
+        end)
+      !phis
+  done;
+  let int_typed id = typed.(id) in
+  let int_cmps = Array.make n false in
+  List.iter
+    (fun (x : Node.t) ->
+      match x.Node.op with
+      | Node.Cmp (c, a, b) -> int_cmps.(x.Node.id) <- is_int_cmp c ~int_typed a b
+      | _ -> ())
+    !cmps;
+  let fused = Array.make (max (Graph.n_blocks g) 1) None in
+  (* the candidates: an int [Cmp] as its block's last non-constant
+     instruction and [If] condition *)
+  let candidates =
+    List.filter_map
+      (fun (b : Graph.block) ->
+        match b.Graph.term with
+        | Graph.If { cond; _ } when int_cmps.(cond) ->
+            let last =
+              Pea_support.Dyn_array.fold_left
+                (fun last (x : Node.t) ->
+                  match x.Node.op with Node.Const _ | Node.Param _ -> last | _ -> x.Node.id)
+                (-1) b.Graph.instrs
+            in
+            if last = cond then Some (b, cond) else None
+        | _ -> None)
+      !ifs
+  in
+  if candidates <> [] then begin
+    (* a candidate fuses when its branch is its one use at run time:
+       operands, phi inputs, terminators and the frame states a [Deopt]
+       reads *)
+    let uses = Array.make n 0 in
+    let use i = uses.(i) <- uses.(i) + 1 in
+    for bid = 0 to Graph.n_blocks g - 1 do
+      if reachable.(bid) then begin
+        let b = Graph.block g bid in
+        List.iter (fun (p : Node.t) -> Array.iter use (inputs p)) b.Graph.phis;
+        Pea_support.Dyn_array.iter
+          (fun (x : Node.t) -> Node.iter_operands use x.Node.op)
+          b.Graph.instrs;
+        match b.Graph.term with
+        | Graph.If { cond; _ } -> use cond
+        | Graph.Return (Some x) -> use x
+        | Graph.Deopt d -> Frame_state.iter_nodes use d.Graph.d_state
+        | Graph.Return None | Graph.Goto _ | Graph.Trap _ | Graph.Unreachable -> ()
+      end
+    done;
+    List.iter
+      (fun ((b : Graph.block), cond) ->
+        if uses.(cond) = 1 then begin
+          fused.(b.Graph.b_id) <- Some cond;
+          regs.(cond) <- R_none
+        end)
+      candidates
+  end;
+  { regs; int_cmps; fused }
+
+(* The move a phi edge makes from [src] into the phi [dst]. *)
+type move =
+  | Mv_int (* int register to int register *)
+  | Mv_value (* value register to value register *)
+  | Mv_box (* int register to value register *)
+  | Mv_unbox (* value register to int register *)
+
+let move_kind (g : Graph.t) (pl : plan) ~dst ~src =
+  match (pl.regs.(dst), pl.regs.(src)) with
+  | R_int, R_int -> Mv_int
+  | R_int, R_const when int_const g src -> Mv_int
+  | R_int, _ -> Mv_unbox
+  | _, R_int -> Mv_box
+  | _ -> Mv_value
+
+(* The int registers a value consumer reads: boxed just before it. *)
+let boxed_operands (pl : plan) (n : Node.t) =
+  if Node.exists_operand (fun x -> pl.regs.(x) = R_int) n.Node.op then
+    List.filter
+      (fun x -> pl.regs.(x) = R_int)
+      (value_operands n.Node.op ~int_cmp:pl.int_cmps.(n.Node.id))
+  else []
+
+(* The int registers a deopt's frame state names: boxed before the
+   lookup can read them. *)
+let deopt_boxes (pl : plan) (d : Graph.deopt) =
+  let ids = ref [] in
+  Frame_state.iter_nodes
+    (fun x -> if pl.regs.(x) = R_int && not (List.mem x !ids) then ids := x :: !ids)
+    d.Graph.d_state;
+  List.rev !ids
+
+(* ------------------------------------------------------------------ *)
+(* Printing the plan                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The conversions of the (pred -> succ) edge's phi moves, as text. *)
+let edge_conversions (g : Graph.t) (pl : plan) ~pred ~succ =
+  let b = Graph.block g succ in
+  match List.find_index (fun p -> p = pred) b.Graph.preds with
+  | None -> []
+  | Some i ->
+      List.filter_map
+        (fun (p : Node.t) ->
+          match p.Node.op with
+          | Node.Phi ph -> (
+              let dst = p.Node.id and src = ph.Node.inputs.(i) in
+              match move_kind g pl ~dst ~src with
+              | Mv_unbox -> Some (Printf.sprintf "unbox v%d into v%d" src dst)
+              | Mv_box -> Some (Printf.sprintf "box v%d into v%d" src dst)
+              | Mv_int | Mv_value -> None)
+          | _ -> None)
+        b.Graph.phis
+
+let plan_to_string (g : Graph.t) (pl : plan) =
+  let buf = Buffer.create 1024 in
+  let line text note =
+    if note = "" then Buffer.add_string buf (Printf.sprintf "  %s\n" text)
+    else Buffer.add_string buf (Printf.sprintf "  %-40s ; %s\n" text note)
+  in
+  let count k = Array.fold_left (fun acc r -> if r = k then acc + 1 else acc) 0 pl.regs in
+  let n_fused = Array.fold_left (fun acc f -> if Option.is_none f then acc else acc + 1) 0 pl.fused in
+  Buffer.add_string buf
+    (Printf.sprintf
+       "closure plan of %s: %d int, %d value, %d constant registers; %d compare-and-branch\n"
+       (Classfile.qualified_name g.Graph.g_method)
+       (count R_int) (count R_value) (count R_const) n_fused);
+  let kind_note id =
+    match pl.regs.(id) with
+    | R_value -> "value"
+    | R_int -> "int"
+    | R_const ->
+        if int_const g id then "constant, int and value files" else "constant, value file"
+    | R_none -> ""
+  in
+  let boxes ids = String.concat ", " (List.map (Printf.sprintf "v%d") ids) in
+  let node_line (x : Node.t) note =
+    line (Printf.sprintf "v%d = %s" x.Node.id (Node.string_of_op x.Node.op)) note
+  in
+  List.iter (fun (p : Node.t) -> node_line p (kind_note p.Node.id)) g.Graph.params;
+  let reachable = Graph.reachable g in
+  let edges ~pred succs =
+    List.concat_map (fun succ -> edge_conversions g pl ~pred ~succ) succs
+  in
+  Graph.iter_blocks
+    (fun b ->
+      let bid = b.Graph.b_id in
+      if reachable.(bid) then begin
+        Buffer.add_string buf
+          (Printf.sprintf "B%d%s\n" bid
+             (match b.Graph.kind with
+             | Graph.Plain -> ""
+             | Graph.Merge -> " (merge)"
+             | Graph.Loop_header -> " (loop header)"));
+        List.iter (fun (p : Node.t) -> node_line p (kind_note p.Node.id)) b.Graph.phis;
+        Pea_support.Dyn_array.iter
+          (fun (x : Node.t) ->
+            let id = x.Node.id in
+            let note =
+              if pl.fused.(bid) = Some id then "fused into the branch"
+              else
+                let boxed = boxes (boxed_operands pl x) in
+                String.concat "; "
+                  (List.filter (( <> ) "")
+                     [ kind_note id; (if boxed = "" then "" else "box " ^ boxed) ])
+            in
+            node_line x note)
+          b.Graph.instrs;
+        let term = Printer.string_of_terminator b.Graph.term in
+        let conv = edges ~pred:bid (Graph.successors b.Graph.term) in
+        let notes =
+          (match b.Graph.term with
+          | Graph.If _ when pl.fused.(bid) <> None -> [ "compare-and-branch" ]
+          | Graph.Return (Some x) when pl.regs.(x) = R_int -> [ Printf.sprintf "box v%d" x ]
+          | Graph.Deopt d -> (
+              match deopt_boxes pl d with
+              | [] -> []
+              | ids -> [ "box " ^ boxes ids ^ " for the lookup" ])
+          | _ -> [])
+          @ conv
+        in
+        let term =
+          (* a deopt's frame state is long: the plan names the block's
+             boxing, the IR dump has the state *)
+          match b.Graph.term with Graph.Deopt _ -> "deopt" | _ -> term
+        in
+        line term (String.concat "; " notes)
+      end)
+    g;
+  Buffer.contents buf
+
+(* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
+
+(* How an int operand is read, resolved at translation: its int register,
+   an immediate (the operand is the constant's value), or its value
+   register, unboxed. *)
+type mode =
+  | Reg
+  | Imm
+  | Box
+
+let[@inline] geti f mode x =
+  match mode with
+  | Reg -> f.ir.(x)
+  | Imm -> x
+  | Box -> ( match f.vr.(x) with Vint n -> n | v -> as_int v)
 
 let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
   let g = p.Ir_exec.p_graph in
@@ -113,25 +490,37 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
   let profile = env.Interp.profile in
   let on_invoke = env.Interp.on_invoke in
   let on_print = env.Interp.on_print in
+  let pl = plan g in
+  let regs = pl.regs in
   (* the closure table control transfers jump through; filled below *)
   let bodies : chain array =
     Array.make (Graph.n_blocks g) (fun _ -> trap "closure tier: jump into an uncompiled block")
   in
-  (* the counter bump every instruction closure starts with: [cy] is the
-     full pre-resolved charge (base + operation-specific), applied before
-     the operation body so a trapping operation is still charged *)
+  (* the counter bump a charging closure starts with: [k] operations and
+     [cy] cycles, its own and those of the constants before it, applied
+     before the operation body so a trapping operation is still charged *)
   let ops_cell, ops = Stats.cell stats Stats.compiled_ops in
   let cycles_cell, cycles = Stats.cell stats Stats.cycles in
-  let[@inline] bump cy =
-    ops_cell.(ops) <- ops_cell.(ops) + 1;
+  let[@inline] bump k cy =
+    ops_cell.(ops) <- ops_cell.(ops) + k;
     cycles_cell.(cycles) <- cycles_cell.(cycles) + cy
   in
   let base = Cost.compiled_op in
+  (* the read mode of an int operand, and what to pass for it *)
+  let int_operand x =
+    match regs.(x) with
+    | R_int -> (Reg, x)
+    | R_const -> (
+        match (Graph.node g x).Node.op with
+        | Node.Const (Node.Cint v) -> (Imm, v)
+        | _ -> (Box, x))
+    | R_value | R_none -> (Box, x)
+  in
   (* bytecode-site attribution, pre-resolved like every other operand so
      the profiler checks below cost one bool load when profiling is off *)
   let sites = p.Ir_exec.p_sites and block_bcis = p.Ir_exec.p_bcis in
-  let build_args arg_ids regs =
-    let rec go i acc = if i < 0 then acc else go (i - 1) (regs.(arg_ids.(i)) :: acc) in
+  let build_args arg_ids vr =
+    let rec go i acc = if i < 0 then acc else go (i - 1) (vr.(arg_ids.(i)) :: acc) in
     go (Array.length arg_ids - 1) []
   in
   (* monomorphic inline caches, one per virtual call site: (class id,
@@ -166,346 +555,514 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
     | _ -> ());
     ics.(n.Node.id) <- Some (ref (Option.map (fun (cls, tgt) -> (cls.Classfile.cls_id, tgt)) seed))
   in
-  let compile_instr (n : Node.t) (next : chain) : chain =
+  (* an int operation: [Arith], [Neg] or a comparison producing a boolean,
+     its operands read in their modes *)
+  let compile_arith k cy op dst (ma, a) (mb, b) (next : chain) : chain =
+    match op with
+    | Node.Add -> (
+        match (ma, mb) with
+        | Reg, Reg ->
+            fun f ->
+              bump k cy;
+              let r = f.ir in
+              r.(dst) <- r.(a) + r.(b);
+              next f
+        | Reg, Imm ->
+            fun f ->
+              bump k cy;
+              let r = f.ir in
+              r.(dst) <- r.(a) + b;
+              next f
+        | _ ->
+            fun f ->
+              bump k cy;
+              let y = geti f mb b in
+              let x = geti f ma a in
+              f.ir.(dst) <- x + y;
+              next f)
+    | Node.Sub -> (
+        match (ma, mb) with
+        | Reg, Reg ->
+            fun f ->
+              bump k cy;
+              let r = f.ir in
+              r.(dst) <- r.(a) - r.(b);
+              next f
+        | Reg, Imm ->
+            fun f ->
+              bump k cy;
+              let r = f.ir in
+              r.(dst) <- r.(a) - b;
+              next f
+        | _ ->
+            fun f ->
+              bump k cy;
+              let y = geti f mb b in
+              let x = geti f ma a in
+              f.ir.(dst) <- x - y;
+              next f)
+    | Node.Mul -> (
+        match (ma, mb) with
+        | Reg, Reg ->
+            fun f ->
+              bump k cy;
+              let r = f.ir in
+              r.(dst) <- r.(a) * r.(b);
+              next f
+        | Reg, Imm ->
+            fun f ->
+              bump k cy;
+              let r = f.ir in
+              r.(dst) <- r.(a) * b;
+              next f
+        | _ ->
+            fun f ->
+              bump k cy;
+              let y = geti f mb b in
+              let x = geti f ma a in
+              f.ir.(dst) <- x * y;
+              next f)
+    | Node.Div -> (
+        match (ma, mb) with
+        | Reg, Imm when b <> 0 ->
+            fun f ->
+              bump k cy;
+              let r = f.ir in
+              r.(dst) <- r.(a) / b;
+              next f
+        | _ ->
+            fun f ->
+              bump k cy;
+              let y = geti f mb b in
+              let x = geti f ma a in
+              if y = 0 then trap "division by zero";
+              f.ir.(dst) <- x / y;
+              next f)
+    | Node.Rem -> (
+        match (ma, mb) with
+        | Reg, Imm when b <> 0 ->
+            fun f ->
+              bump k cy;
+              let r = f.ir in
+              r.(dst) <- r.(a) mod b;
+              next f
+        | _ ->
+            fun f ->
+              bump k cy;
+              let y = geti f mb b in
+              let x = geti f ma a in
+              if y = 0 then trap "division by zero";
+              f.ir.(dst) <- x mod y;
+              next f)
+  in
+  (* an int comparison whose boolean lands in a value register *)
+  let compile_int_cmp k cy c dst (ma, a) (mb, b) (next : chain) : chain =
+    let test : int -> int -> bool =
+      match c with
+      | Classfile.Clt -> ( < )
+      | Classfile.Cle -> ( <= )
+      | Classfile.Cgt -> ( > )
+      | Classfile.Cge -> ( >= )
+      | Classfile.Ceq -> ( = )
+      | Classfile.Cne -> ( <> )
+    in
+    fun f ->
+      bump k cy;
+      let y = geti f mb b in
+      let x = geti f ma a in
+      f.vr.(dst) <- (if test x y then vtrue else vfalse);
+      next f
+  in
+  (* a compare-and-branch: [k] and [cy] cover the [Cmp], the [If] and the
+     constants before them *)
+  let compile_fused k cy c (ma, a) (mb, b) (et : chain) (ef : chain) : chain =
+    match c with
+    | Classfile.Clt -> (
+        match (ma, mb) with
+        | Reg, Reg ->
+            fun f ->
+              bump k cy;
+              let r = f.ir in
+              if r.(a) < r.(b) then et f else ef f
+        | Reg, Imm ->
+            fun f ->
+              bump k cy;
+              if f.ir.(a) < b then et f else ef f
+        | _ ->
+            fun f ->
+              bump k cy;
+              let y = geti f mb b in
+              if geti f ma a < y then et f else ef f)
+    | Classfile.Cle -> (
+        match (ma, mb) with
+        | Reg, Reg ->
+            fun f ->
+              bump k cy;
+              let r = f.ir in
+              if r.(a) <= r.(b) then et f else ef f
+        | Reg, Imm ->
+            fun f ->
+              bump k cy;
+              if f.ir.(a) <= b then et f else ef f
+        | _ ->
+            fun f ->
+              bump k cy;
+              let y = geti f mb b in
+              if geti f ma a <= y then et f else ef f)
+    | Classfile.Cgt -> (
+        match (ma, mb) with
+        | Reg, Reg ->
+            fun f ->
+              bump k cy;
+              let r = f.ir in
+              if r.(a) > r.(b) then et f else ef f
+        | Reg, Imm ->
+            fun f ->
+              bump k cy;
+              if f.ir.(a) > b then et f else ef f
+        | _ ->
+            fun f ->
+              bump k cy;
+              let y = geti f mb b in
+              if geti f ma a > y then et f else ef f)
+    | Classfile.Cge -> (
+        match (ma, mb) with
+        | Reg, Reg ->
+            fun f ->
+              bump k cy;
+              let r = f.ir in
+              if r.(a) >= r.(b) then et f else ef f
+        | Reg, Imm ->
+            fun f ->
+              bump k cy;
+              if f.ir.(a) >= b then et f else ef f
+        | _ ->
+            fun f ->
+              bump k cy;
+              let y = geti f mb b in
+              if geti f ma a >= y then et f else ef f)
+    | Classfile.Ceq -> (
+        match (ma, mb) with
+        | Reg, Reg ->
+            fun f ->
+              bump k cy;
+              let r = f.ir in
+              if r.(a) = r.(b) then et f else ef f
+        | Reg, Imm ->
+            fun f ->
+              bump k cy;
+              if f.ir.(a) = b then et f else ef f
+        | _ ->
+            fun f ->
+              bump k cy;
+              let y = geti f mb b in
+              if geti f ma a = y then et f else ef f)
+    | Classfile.Cne -> (
+        match (ma, mb) with
+        | Reg, Reg ->
+            fun f ->
+              bump k cy;
+              let r = f.ir in
+              if r.(a) <> r.(b) then et f else ef f
+        | Reg, Imm ->
+            fun f ->
+              bump k cy;
+              if f.ir.(a) <> b then et f else ef f
+        | _ ->
+            fun f ->
+              bump k cy;
+              let y = geti f mb b in
+              if geti f ma a <> y then et f else ef f)
+  in
+  (* [k] operations and [cy] cycles: the charge of this instruction plus
+     that of the constants before it in its block *)
+  let compile_instr (n : Node.t) k cy (next : chain) : chain =
     let dst = n.Node.id in
     match n.Node.op with
-    | Node.Const c ->
-        let value = const_value c in
-        fun regs ->
-          bump base;
-          regs.(dst) <- value;
-          next regs
-    | Node.Param _ ->
-        (* bound at entry *)
-        fun regs ->
-          bump base;
-          next regs
-    | Node.Phi _ -> assert false
-    | Node.Arith (k, a, b) -> (
-        match k with
-        | Node.Add ->
-            fun regs ->
-              bump base;
-              (match (regs.(a), regs.(b)) with
-              | Vint x, Vint y -> regs.(dst) <- Vint (x + y)
-              | va, vb -> int_operands va vb);
-              next regs
-        | Node.Sub ->
-            fun regs ->
-              bump base;
-              (match (regs.(a), regs.(b)) with
-              | Vint x, Vint y -> regs.(dst) <- Vint (x - y)
-              | va, vb -> int_operands va vb);
-              next regs
-        | Node.Mul ->
-            fun regs ->
-              bump base;
-              (match (regs.(a), regs.(b)) with
-              | Vint x, Vint y -> regs.(dst) <- Vint (x * y)
-              | va, vb -> int_operands va vb);
-              next regs
-        | Node.Div ->
-            fun regs ->
-              bump base;
-              (match (regs.(a), regs.(b)) with
-              | Vint _, Vint 0 -> trap "division by zero"
-              | Vint x, Vint y -> regs.(dst) <- Vint (x / y)
-              | va, vb -> int_operands va vb);
-              next regs
-        | Node.Rem ->
-            fun regs ->
-              bump base;
-              (match (regs.(a), regs.(b)) with
-              | Vint _, Vint 0 -> trap "division by zero"
-              | Vint x, Vint y -> regs.(dst) <- Vint (x mod y)
-              | va, vb -> int_operands va vb);
-              next regs)
-    | Node.Neg a ->
-        fun regs ->
-          bump base;
-          (regs.(dst) <- (match regs.(a) with Vint x -> Vint (-x) | v -> Vint (-as_int v)));
-          next regs
+    | Node.Const _ | Node.Param _ | Node.Phi _ -> assert false
+    | Node.Arith (op, a, b) ->
+        let a = int_operand a and b = int_operand b in
+        (* an immediate left operand of a commutative operator moves
+           right, where the immediate closures read it *)
+        let a, b =
+          match (op, a, b) with
+          | (Node.Add | Node.Mul), (Imm, _), (Reg, _) -> (b, a)
+          | _ -> (a, b)
+        in
+        compile_arith k cy op dst a b next
+    | Node.Neg a -> (
+        match int_operand a with
+        | Reg, a ->
+            fun f ->
+              bump k cy;
+              let r = f.ir in
+              r.(dst) <- -r.(a);
+              next f
+        | ma, a ->
+            fun f ->
+              bump k cy;
+              f.ir.(dst) <- -geti f ma a;
+              next f)
     | Node.Not a ->
-        fun regs ->
-          bump base;
-          (regs.(dst) <-
-             (match regs.(a) with
+        fun f ->
+          bump k cy;
+          (f.vr.(dst) <-
+             (match f.vr.(a) with
              | Vbool true -> vfalse
              | Vbool false -> vtrue
              | v -> Vbool (not (as_bool v))));
-          next regs
+          next f
+    | Node.Cmp (c, a, b) when pl.int_cmps.(dst) ->
+        compile_int_cmp k cy c dst (int_operand a) (int_operand b) next
     | Node.Cmp (c, a, b) -> (
+        (* [==] and [!=] on values that may be booleans: compared by value *)
         match c with
-        | Classfile.Clt ->
-            fun regs ->
-              bump base;
-              (regs.(dst) <-
-                 (match (regs.(a), regs.(b)) with
-                 | Vint x, Vint y -> if x < y then vtrue else vfalse
-                 | va, vb -> int_operands va vb));
-              next regs
-        | Classfile.Cle ->
-            fun regs ->
-              bump base;
-              (regs.(dst) <-
-                 (match (regs.(a), regs.(b)) with
-                 | Vint x, Vint y -> if x <= y then vtrue else vfalse
-                 | va, vb -> int_operands va vb));
-              next regs
-        | Classfile.Cgt ->
-            fun regs ->
-              bump base;
-              (regs.(dst) <-
-                 (match (regs.(a), regs.(b)) with
-                 | Vint x, Vint y -> if x > y then vtrue else vfalse
-                 | va, vb -> int_operands va vb));
-              next regs
-        | Classfile.Cge ->
-            fun regs ->
-              bump base;
-              (regs.(dst) <-
-                 (match (regs.(a), regs.(b)) with
-                 | Vint x, Vint y -> if x >= y then vtrue else vfalse
-                 | va, vb -> int_operands va vb));
-              next regs
-        (* [==] and [!=] also compare two booleans, by value *)
         | Classfile.Ceq ->
-            fun regs ->
-              bump base;
-              (regs.(dst) <-
-                 (match (regs.(a), regs.(b)) with
+            fun f ->
+              bump k cy;
+              let r = f.vr in
+              (r.(dst) <-
+                 (match (r.(a), r.(b)) with
                  | Vint x, Vint y -> if x = y then vtrue else vfalse
                  | Vbool x, Vbool y -> if x = y then vtrue else vfalse
                  | va, vb -> int_operands va vb));
-              next regs
-        | Classfile.Cne ->
-            fun regs ->
-              bump base;
-              (regs.(dst) <-
-                 (match (regs.(a), regs.(b)) with
+              next f
+        | _ ->
+            fun f ->
+              bump k cy;
+              let r = f.vr in
+              (r.(dst) <-
+                 (match (r.(a), r.(b)) with
                  | Vint x, Vint y -> if x <> y then vtrue else vfalse
                  | Vbool x, Vbool y -> if x <> y then vtrue else vfalse
                  | va, vb -> int_operands va vb));
-              next regs)
+              next f)
     | Node.RefCmp (c, a, b) -> (
         match c with
         | Classfile.AEq ->
-            fun regs ->
-              bump base;
-              (regs.(dst) <- (if equal_value regs.(a) regs.(b) then vtrue else vfalse));
-              next regs
+            fun f ->
+              bump k cy;
+              let r = f.vr in
+              (r.(dst) <- (if equal_value r.(a) r.(b) then vtrue else vfalse));
+              next f
         | Classfile.ANe ->
-            fun regs ->
-              bump base;
-              (regs.(dst) <- (if equal_value regs.(a) regs.(b) then vfalse else vtrue));
-              next regs)
+            fun f ->
+              bump k cy;
+              let r = f.vr in
+              (r.(dst) <- (if equal_value r.(a) r.(b) then vfalse else vtrue));
+              next f)
     | Node.New cls ->
         let mid, bci = sites.(dst) in
         let cls_name = cls.Classfile.cls_name in
         let bytes = Value.object_bytes cls in
-        fun regs ->
-          bump base;
+        fun f ->
+          bump k cy;
           if Profile_heap.enabled () then
             Profile_heap.record ~mid ~bci ~cls:cls_name ~kind:Profile_heap.K_alloc ~bytes;
-          regs.(dst) <- Vobj (Heap.alloc_object heap cls);
-          next regs
+          f.vr.(dst) <- Vobj (Heap.alloc_object heap cls);
+          next f
     | Node.Alloc (cls, field_values) ->
         let mid, bci = sites.(dst) in
         let cls_name = cls.Classfile.cls_name in
         let bytes = Value.object_bytes cls in
-        fun regs ->
-          bump base;
+        fun f ->
+          bump k cy;
           if Profile_heap.enabled () then
             Profile_heap.record ~mid ~bci ~cls:cls_name ~kind:Profile_heap.K_alloc ~bytes;
           let o = Heap.alloc_object heap cls in
+          let r = f.vr in
           for i = 0 to Array.length field_values - 1 do
-            o.o_fields.(i) <- regs.(field_values.(i))
+            o.o_fields.(i) <- r.(field_values.(i))
           done;
-          regs.(dst) <- Vobj o;
-          next regs
+          r.(dst) <- Vobj o;
+          next f
     | Node.Alloc_array (elem, elem_values) ->
         let len = Array.length elem_values in
         let mid, bci = sites.(dst) in
         let arr_name = Pea_mjava.Ast.string_of_ty elem ^ "[]" in
         let bytes = Value.array_bytes elem len in
-        fun regs ->
-          bump base;
+        fun f ->
+          bump k cy;
           (match Heap.alloc_array heap elem len with
           | arr ->
               if Profile_heap.enabled () then
                 Profile_heap.record ~mid ~bci ~cls:arr_name ~kind:Profile_heap.K_alloc ~bytes;
+              let r = f.vr in
               for i = 0 to len - 1 do
-                arr.a_elems.(i) <- regs.(elem_values.(i))
+                arr.a_elems.(i) <- r.(elem_values.(i))
               done;
-              regs.(dst) <- Varr arr
-          | exception Heap.Negative_array_size k -> trap "negative array size %d" k);
-          next regs
-    | Node.Stack_alloc (k, cls, field_values) ->
+              r.(dst) <- Varr arr
+          | exception Heap.Negative_array_size n -> trap "negative array size %d" n);
+          next f
+    | Node.Stack_alloc (sk, cls, field_values) ->
         let mid, bci = sites.(dst) in
         let cls_name = cls.Classfile.cls_name in
         let bytes = Value.object_bytes cls in
         let kind, alloc =
-          match k with
+          match sk with
           | Node.Sk_scratch -> (Profile_heap.K_scratch, Heap.alloc_object_scratch)
           | Node.Sk_frame -> (Profile_heap.K_stack, Heap.alloc_object_stack)
         in
-        fun regs ->
-          bump base;
+        fun f ->
+          bump k cy;
           if Profile_heap.enabled () then
             Profile_heap.record ~mid ~bci ~cls:cls_name ~kind ~bytes;
           let o = alloc heap cls in
+          let r = f.vr in
           for i = 0 to Array.length field_values - 1 do
-            o.o_fields.(i) <- regs.(field_values.(i))
+            o.o_fields.(i) <- r.(field_values.(i))
           done;
-          regs.(dst) <- Vobj o;
-          next regs
-    | Node.Stack_alloc_array (k, elem, elem_values) ->
+          r.(dst) <- Vobj o;
+          next f
+    | Node.Stack_alloc_array (sk, elem, elem_values) ->
         let len = Array.length elem_values in
         let mid, bci = sites.(dst) in
         let arr_name = Pea_mjava.Ast.string_of_ty elem ^ "[]" in
         let bytes = Value.array_bytes elem len in
         let kind, alloc =
-          match k with
+          match sk with
           | Node.Sk_scratch -> (Profile_heap.K_scratch, Heap.alloc_array_scratch)
           | Node.Sk_frame -> (Profile_heap.K_stack, Heap.alloc_array_stack)
         in
-        fun regs ->
-          bump base;
+        fun f ->
+          bump k cy;
           if Profile_heap.enabled () then
             Profile_heap.record ~mid ~bci ~cls:arr_name ~kind ~bytes;
           let arr = alloc heap elem len in
+          let r = f.vr in
           for i = 0 to len - 1 do
-            arr.a_elems.(i) <- regs.(elem_values.(i))
+            arr.a_elems.(i) <- r.(elem_values.(i))
           done;
-          regs.(dst) <- Varr arr;
-          next regs
+          r.(dst) <- Varr arr;
+          next f
     | Node.New_array (elem, len) ->
         let mid, bci = sites.(dst) in
         let arr_name = Pea_mjava.Ast.string_of_ty elem ^ "[]" in
-        fun regs ->
-          bump base;
-          (match Heap.alloc_array heap elem (as_int regs.(len)) with
+        let ml, len = int_operand len in
+        fun f ->
+          bump k cy;
+          (match Heap.alloc_array heap elem (geti f ml len) with
           | arr ->
               if Profile_heap.enabled () then
                 Profile_heap.record ~mid ~bci ~cls:arr_name ~kind:Profile_heap.K_alloc
                   ~bytes:(Value.array_bytes elem (Array.length arr.a_elems));
-              regs.(dst) <- Varr arr
-          | exception Heap.Negative_array_size k -> trap "negative array size %d" k);
-          next regs
-    | Node.Load_field (o, f) ->
-        let off = f.Classfile.fld_offset in
-        let name = f.Classfile.fld_name in
-        let cy = base + Cost.field_access in
-        fun regs ->
-          bump cy;
-          (match regs.(o) with
-          | Vobj obj -> regs.(dst) <- obj.o_fields.(off)
+              f.vr.(dst) <- Varr arr
+          | exception Heap.Negative_array_size n -> trap "negative array size %d" n);
+          next f
+    | Node.Load_field (o, fld) ->
+        let off = fld.Classfile.fld_offset in
+        let name = fld.Classfile.fld_name in
+        fun f ->
+          bump k cy;
+          let r = f.vr in
+          (match r.(o) with
+          | Vobj obj -> r.(dst) <- obj.o_fields.(off)
           | Vnull -> trap "null dereference reading %s" name
           | _ -> trap "field load on a non-object");
-          next regs
-    | Node.Store_field (o, f, x) ->
-        let off = f.Classfile.fld_offset in
-        let name = f.Classfile.fld_name in
-        let cy = base + Cost.field_access in
-        fun regs ->
-          bump cy;
-          (match regs.(o) with
-          | Vobj obj -> obj.o_fields.(off) <- regs.(x)
+          next f
+    | Node.Store_field (o, fld, x) ->
+        let off = fld.Classfile.fld_offset in
+        let name = fld.Classfile.fld_name in
+        fun f ->
+          bump k cy;
+          let r = f.vr in
+          (match r.(o) with
+          | Vobj obj -> obj.o_fields.(off) <- r.(x)
           | Vnull -> trap "null dereference writing %s" name
           | _ -> trap "field store on a non-object");
-          next regs
+          next f
     | Node.Load_static sf ->
         let idx = sf.Classfile.sf_index in
-        let cy = base + Cost.static_access in
-        fun regs ->
-          bump cy;
-          regs.(dst) <- globals.(idx);
-          next regs
+        fun f ->
+          bump k cy;
+          f.vr.(dst) <- globals.(idx);
+          next f
     | Node.Store_static (sf, x) ->
         let idx = sf.Classfile.sf_index in
-        let cy = base + Cost.static_access in
-        fun regs ->
-          bump cy;
-          globals.(idx) <- regs.(x);
-          next regs
+        fun f ->
+          bump k cy;
+          globals.(idx) <- f.vr.(x);
+          next f
     | Node.Array_load (a, i) ->
-        let cy = base + Cost.array_access in
-        fun regs ->
-          bump cy;
-          (match regs.(a) with
+        let mi, i = int_operand i in
+        fun f ->
+          bump k cy;
+          let r = f.vr in
+          (match r.(a) with
           | Varr arr ->
-              let idx = as_int regs.(i) in
+              let idx = geti f mi i in
               if idx < 0 || idx >= Array.length arr.a_elems then
                 trap "array index %d out of bounds" idx;
-              regs.(dst) <- arr.a_elems.(idx)
+              r.(dst) <- arr.a_elems.(idx)
           | Vnull -> trap "null dereference at array load"
           | _ -> trap "array load on a non-array");
-          next regs
+          next f
     | Node.Array_store (a, i, x) ->
-        let cy = base + Cost.array_access in
-        fun regs ->
-          bump cy;
-          (match regs.(a) with
+        let mi, i = int_operand i in
+        fun f ->
+          bump k cy;
+          let r = f.vr in
+          (match r.(a) with
           | Varr arr ->
-              let idx = as_int regs.(i) in
+              let idx = geti f mi i in
               if idx < 0 || idx >= Array.length arr.a_elems then
                 trap "array index %d out of bounds" idx;
-              arr.a_elems.(idx) <- regs.(x)
+              arr.a_elems.(idx) <- r.(x)
           | Vnull -> trap "null dereference at array store"
           | _ -> trap "array store on a non-array");
-          next regs
+          next f
     | Node.Array_length a ->
-        fun regs ->
-          bump base;
-          (match regs.(a) with
-          | Varr arr -> regs.(dst) <- Vint (Array.length arr.a_elems)
+        fun f ->
+          bump k cy;
+          let r = f.vr in
+          (match r.(a) with
+          | Varr arr -> r.(dst) <- Vint (Array.length arr.a_elems)
           | Vnull -> trap "null dereference at arraylength"
           | _ -> trap "arraylength on a non-array");
-          next regs
+          next f
     | Node.Monitor_enter a ->
-        fun regs ->
-          bump base;
-          (match regs.(a) with
+        fun f ->
+          bump k cy;
+          (match f.vr.(a) with
           | Vnull -> trap "monitorenter on null"
           | x -> (
               match Heap.monitor_enter heap x with
               | () -> ()
               | exception Heap.Unbalanced_monitor msg -> trap "%s" msg));
-          next regs
+          next f
     | Node.Monitor_exit a ->
-        fun regs ->
-          bump base;
-          (match regs.(a) with
+        fun f ->
+          bump k cy;
+          (match f.vr.(a) with
           | Vnull -> trap "monitorexit on null"
           | x -> (
               match Heap.monitor_exit heap x with
               | () -> ()
               | exception Heap.Unbalanced_monitor msg -> trap "%s" msg));
-          next regs
+          next f
     | Node.Invoke (kind, callee, arg_ids) -> (
-        let cy = base + Cost.invoke in
         match kind with
         | Node.Special ->
-            fun regs ->
-              bump cy;
-              let args = build_args arg_ids regs in
+            fun f ->
+              bump k cy;
+              let args = build_args arg_ids f.vr in
               (match args with
               | Vnull :: _ -> trap "null receiver in constructor call"
               | _ -> ());
               ignore (on_invoke callee args);
-              next regs
+              next f
         | Node.Static ->
-            fun regs ->
-              bump cy;
-              (match on_invoke callee (build_args arg_ids regs) with
-              | Some r -> regs.(dst) <- r
+            fun f ->
+              bump k cy;
+              (match on_invoke callee (build_args arg_ids f.vr) with
+              | Some r -> f.vr.(dst) <- r
               | None -> ());
-              next regs
+              next f
         | Node.Virtual ->
             let ic = Option.get ics.(dst) in
-            fun regs ->
-              bump cy;
-              let args = build_args arg_ids regs in
+            fun f ->
+              bump k cy;
+              let args = build_args arg_ids f.vr in
               let recv = match args with r :: _ -> r | [] -> trap "missing receiver" in
               let target =
                 match (recv, !ic) with
@@ -531,125 +1088,250 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
                     tgt
               in
               (match on_invoke target args with
-              | Some r -> regs.(dst) <- r
+              | Some r -> f.vr.(dst) <- r
               | None -> ());
-              next regs)
+              next f)
     | Node.Instance_of (a, cls) ->
-        fun regs ->
-          bump base;
-          (regs.(dst) <- (if Interp.value_instanceof regs.(a) cls then vtrue else vfalse));
-          next regs
+        fun f ->
+          bump k cy;
+          let r = f.vr in
+          (r.(dst) <- (if Interp.value_instanceof r.(a) cls then vtrue else vfalse));
+          next f
     | Node.Has_class (a, cls) ->
         (* exact-class guard: no subclass walk, false for null and arrays *)
         let cid = cls.Classfile.cls_id in
-        fun regs ->
-          bump base;
-          (regs.(dst) <-
-             (match regs.(a) with
+        fun f ->
+          bump k cy;
+          let r = f.vr in
+          (r.(dst) <-
+             (match r.(a) with
              | Vobj o when o.o_cls.Classfile.cls_id = cid -> vtrue
              | _ -> vfalse));
-          next regs
+          next f
     | Node.Check_cast (a, cls) ->
         let cls_name = cls.Classfile.cls_name in
-        fun regs ->
-          bump base;
-          (match regs.(a) with
-          | Vnull -> regs.(dst) <- Vnull
+        fun f ->
+          bump k cy;
+          let r = f.vr in
+          (match r.(a) with
+          | Vnull -> r.(dst) <- Vnull
           | x ->
-              if Interp.value_instanceof x cls then regs.(dst) <- x
+              if Interp.value_instanceof x cls then r.(dst) <- x
               else trap "cannot cast %s to %s" (string_of_value x) cls_name);
-          next regs
+          next f
     | Node.Null_check a ->
-        fun regs ->
-          bump base;
-          (match regs.(a) with Vnull -> trap "null dereference" | _ -> ());
-          next regs
+        fun f ->
+          bump k cy;
+          (match f.vr.(a) with Vnull -> trap "null dereference" | _ -> ());
+          next f
     | Node.Print a ->
-        fun regs ->
-          bump base;
-          on_print regs.(a);
-          next regs
+        fun f ->
+          bump k cy;
+          on_print f.vr.(a);
+          next f
+  in
+  (* what an operation is charged besides [Cost.compiled_op] *)
+  let op_cost (op : Node.op) =
+    match op with
+    | Node.Load_field _ | Node.Store_field _ -> Cost.field_access
+    | Node.Load_static _ | Node.Store_static _ -> Cost.static_access
+    | Node.Array_load _ | Node.Array_store _ -> Cost.array_access
+    | Node.Invoke _ -> Cost.invoke
+    | _ -> 0
+  in
+  (* box the int register [x] into its own value register, for a value
+     consumer that reads it next; charges nothing *)
+  let box x (next : chain) : chain =
+   fun f ->
+    f.vr.(x) <- Vint f.ir.(x);
+    next f
   in
   (* the (pred -> succ) control-transfer closure: the phi parallel move for
-     that edge, read from the prepared routing tables, then the jump *)
+     that edge, read from the prepared routing tables, converting between
+     the files where the two sides differ, then the jump *)
   let compile_edge ~pred ~succ : chain =
     match p.Ir_exec.p_phis.(succ) with
-    | None -> fun regs -> bodies.(succ) regs
+    | None -> fun f -> bodies.(succ) f
     | Some pb -> (
         let idx = pb.Ir_exec.pb_route.(pred) in
         if idx < 0 then fun _ -> trap "phi resolution: B%d is not a predecessor of B%d" pred succ
         else
           let dsts = pb.Ir_exec.pb_dsts and srcs = pb.Ir_exec.pb_srcs.(idx) in
-          match (dsts, srcs) with
-          | [| d |], [| s |] ->
-              fun regs ->
-                regs.(d) <- regs.(s);
-                bodies.(succ) regs
-          | [| d0; d1 |], [| s0; s1 |] ->
+          let kinds = Array.mapi (fun i dst -> move_kind g pl ~dst ~src:srcs.(i)) dsts in
+          match (kinds, dsts, srcs) with
+          | [| Mv_int |], [| d |], [| s |] ->
+              fun f ->
+                let r = f.ir in
+                r.(d) <- r.(s);
+                bodies.(succ) f
+          | [| Mv_value |], [| d |], [| s |] ->
+              fun f ->
+                let r = f.vr in
+                r.(d) <- r.(s);
+                bodies.(succ) f
+          | [| Mv_box |], [| d |], [| s |] ->
+              fun f ->
+                f.vr.(d) <- Vint f.ir.(s);
+                bodies.(succ) f
+          | [| Mv_unbox |], [| d |], [| s |] ->
+              fun f ->
+                f.ir.(d) <- as_int f.vr.(s);
+                bodies.(succ) f
+          | [| Mv_int; Mv_int |], [| d0; d1 |], [| s0; s1 |] ->
               (* both sources are read before either phi is written: the
                  pair may be a swap *)
-              fun regs ->
-                let v0 = regs.(s0) and v1 = regs.(s1) in
-                regs.(d0) <- v0;
-                regs.(d1) <- v1;
-                bodies.(succ) regs
+              fun f ->
+                let r = f.ir in
+                let v0 = r.(s0) and v1 = r.(s1) in
+                r.(d0) <- v0;
+                r.(d1) <- v1;
+                bodies.(succ) f
+          | [| Mv_value; Mv_value |], [| d0; d1 |], [| s0; s1 |] ->
+              fun f ->
+                let r = f.vr in
+                let v0 = r.(s0) and v1 = r.(s1) in
+                r.(d0) <- v0;
+                r.(d1) <- v1;
+                bodies.(succ) f
           | _ ->
               (* per-translation scratch: the move makes no calls *)
-              let tmp = Array.make (Array.length dsts) Vnull in
-              fun regs ->
-                for i = 0 to Array.length srcs - 1 do
-                  tmp.(i) <- regs.(srcs.(i))
+              let n = Array.length dsts in
+              let ti = Array.make n 0 and tv = Array.make n Vnull in
+              fun f ->
+                let ir = f.ir and vr = f.vr in
+                for i = 0 to n - 1 do
+                  let s = srcs.(i) in
+                  match kinds.(i) with
+                  | Mv_int -> ti.(i) <- ir.(s)
+                  | Mv_value -> tv.(i) <- vr.(s)
+                  | Mv_box -> tv.(i) <- Vint ir.(s)
+                  | Mv_unbox -> ti.(i) <- as_int vr.(s)
                 done;
-                for i = 0 to Array.length dsts - 1 do
-                  regs.(dsts.(i)) <- tmp.(i)
+                for i = 0 to n - 1 do
+                  match kinds.(i) with
+                  | Mv_int | Mv_unbox -> ir.(dsts.(i)) <- ti.(i)
+                  | Mv_value | Mv_box -> vr.(dsts.(i)) <- tv.(i)
                 done;
-                bodies.(succ) regs)
+                bodies.(succ) f)
   in
-  let compile_term (b : Graph.block) : chain =
+  (* [k] and [cy]: the charge of the block's trailing constants, which
+     rides on its terminator *)
+  let compile_term (b : Graph.block) k cy : chain =
+    let charged (c : chain) : chain =
+      if k = 0 then c
+      else fun f ->
+        bump k cy;
+        c f
+    in
     match b.Graph.term with
-    | Graph.Return None -> fun _ -> None
-    | Graph.Return (Some x) -> fun regs -> Some regs.(x)
-    | Graph.Deopt d -> fun regs -> raise (Ir_exec.Deoptimize (d, fun id -> regs.(id)))
-    | Graph.Trap msg -> fun _ -> trap "%s" msg
-    | Graph.Unreachable -> fun _ -> trap "reached an Unreachable terminator"
-    | Graph.Goto t -> compile_edge ~pred:b.Graph.b_id ~succ:t
-    | Graph.If { cond; tru; fls; _ } ->
+    | Graph.Return None -> charged (fun _ -> None)
+    | Graph.Return (Some x) ->
+        if regs.(x) = R_int then charged (fun f -> Some (Vint f.ir.(x)))
+        else charged (fun f -> Some f.vr.(x))
+    | Graph.Deopt d ->
+        (* the lookup reads the value file: box every int register the
+           frame state names first *)
+        let ints = Array.of_list (deopt_boxes pl d) in
+        charged (fun f ->
+            for i = 0 to Array.length ints - 1 do
+              let x = ints.(i) in
+              f.vr.(x) <- Vint f.ir.(x)
+            done;
+            let vr = f.vr in
+            raise (Ir_exec.Deoptimize (d, fun id -> vr.(id))))
+    | Graph.Trap msg -> charged (fun _ -> trap "%s" msg)
+    | Graph.Unreachable -> charged (fun _ -> trap "reached an Unreachable terminator")
+    | Graph.Goto t -> charged (compile_edge ~pred:b.Graph.b_id ~succ:t)
+    | Graph.If { cond; tru; fls; _ } -> (
         let et = compile_edge ~pred:b.Graph.b_id ~succ:tru in
         let ef = compile_edge ~pred:b.Graph.b_id ~succ:fls in
-        fun regs -> (
-          cycles_cell.(cycles) <- cycles_cell.(cycles) + base;
-          match regs.(cond) with
-          | Vbool true -> et regs
-          | Vbool false -> ef regs
-          | v -> if as_bool v then et regs else ef regs)
+        match pl.fused.(b.Graph.b_id) with
+        | Some c -> (
+            match (Graph.node g c).Node.op with
+            | Node.Cmp (cmp, x, y) ->
+                compile_fused k (cy + base) cmp (int_operand x) (int_operand y) et ef
+            | _ -> assert false)
+        | None ->
+            let cy = cy + base in
+            if k = 0 then fun f ->
+              cycles_cell.(cycles) <- cycles_cell.(cycles) + cy;
+              match f.vr.(cond) with
+              | Vbool true -> et f
+              | Vbool false -> ef f
+              | v -> if as_bool v then et f else ef f
+            else fun f ->
+              bump k cy;
+              match f.vr.(cond) with
+              | Vbool true -> et f
+              | Vbool false -> ef f
+              | v -> if as_bool v then et f else ef f)
   in
   let reachable = Graph.reachable g in
+  (* the constants of the register file, filled when a file is made *)
+  let consts = ref [] in
   Graph.iter_blocks
     (fun b ->
       if reachable.(b.Graph.b_id) then begin
         let instrs = Pea_support.Dyn_array.to_list b.Graph.instrs in
-        (* the chain is linked from its terminator backwards; the inline
-           caches are seeded first, in instruction order, which is the
-           order the trace sees their seed events in *)
+        (* the inline caches are seeded first, in instruction order,
+           which is the order the trace sees their seed events in *)
         List.iter
           (fun (n : Node.t) ->
             match n.Node.op with
             | Node.Invoke (Node.Virtual, callee, _) -> seed_ic n callee
             | _ -> ())
           instrs;
-        let chain = List.fold_right compile_instr instrs (compile_term b) in
+        (* the charges, forwards: a constant's (and a fused comparison's)
+           is pending until the next closure, which takes it on *)
+        let fused = Option.value pl.fused.(b.Graph.b_id) ~default:(-1) in
+        let k = ref 0 and cy = ref 0 in
+        let steps =
+          List.filter_map
+            (fun (n : Node.t) ->
+              k := !k + 1;
+              cy := !cy + base + op_cost n.Node.op;
+              match n.Node.op with
+              | Node.Const c ->
+                  consts := (n.Node.id, c) :: !consts;
+                  None
+              | Node.Param _ -> None
+              | _ when n.Node.id = fused -> None
+              | _ ->
+                  let step = (n, !k, !cy) in
+                  k := 0;
+                  cy := 0;
+                  Some step)
+            instrs
+        in
+        (* the chain is linked from its terminator backwards; a value
+           consumer's int operands are boxed just before it *)
+        let chain =
+          List.fold_right
+            (fun ((n : Node.t), k, cy) next ->
+              List.fold_right box (boxed_operands pl n) (compile_instr n k cy next))
+            steps
+            (compile_term b !k !cy)
+        in
         (* profiler safepoint on block entry, after the edge's phi move
            (which charges no cycles) *)
         let sample_bci = block_bcis.(b.Graph.b_id) in
         bodies.(b.Graph.b_id) <-
-          (fun regs ->
+          (fun f ->
             if !Profile_cpu.is_on then Profile_cpu.poll sample_bci;
-            chain regs)
+            chain f)
       end)
     g;
+  let consts = !consts in
+  let int_consts =
+    List.filter_map (function id, Node.Cint v -> Some (id, v) | _ -> None) consts
+  in
   {
     nregs = max (Graph.n_nodes g) 1;
     param_ids = Array.of_list (List.map (fun (p : Node.t) -> p.Node.id) g.Graph.params);
+    const_ids = Array.of_list (List.map fst consts);
+    const_values = Array.of_list (List.map (fun (_, c) -> const_value c) consts);
+    int_const_ids = Array.of_list (List.map fst int_consts);
+    int_const_values = Array.of_list (List.map snd int_consts);
     entry = bodies.(Graph.entry_id);
     pool = [];
     method_name = meth;
@@ -661,42 +1343,53 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
 
 let pool_depth code = List.length code.pool
 
+(* a fresh register file, its constants filled in *)
+let make_frame code =
+  let vr = Array.make code.nregs Vnull and ir = Array.make code.nregs 0 in
+  for i = 0 to Array.length code.const_ids - 1 do
+    vr.(code.const_ids.(i)) <- code.const_values.(i)
+  done;
+  for i = 0 to Array.length code.int_const_ids - 1 do
+    ir.(code.int_const_ids.(i)) <- code.int_const_values.(i)
+  done;
+  { vr; ir }
+
 (* parameter [i] onwards from [args]; a top-level function, so binding
    the arguments allocates no closure *)
-let rec bind_params code regs i args =
+let rec bind_params code vr i args =
   if i < Array.length code.param_ids then
     match args with
     | v :: vs ->
-        regs.(code.param_ids.(i)) <- v;
-        bind_params code regs (i + 1) vs
+        vr.(code.param_ids.(i)) <- v;
+        bind_params code vr (i + 1) vs
     | [] -> trap "missing argument %d for %s" i code.method_name
 
 let run ?deopt (code : code) (args : Value.value list) : Value.value option =
-  let regs =
+  let f =
     match code.pool with
-    | [] -> Array.make code.nregs Vnull
+    | [] -> make_frame code
     | a :: rest ->
         code.pool <- rest;
         a
   in
-  bind_params code regs 0 args;
-  match code.entry regs with
+  bind_params code f.vr 0 args;
+  match code.entry f with
   | r ->
-      code.pool <- regs :: code.pool;
+      code.pool <- f :: code.pool;
       r
   | exception (Ir_exec.Deoptimize (d, lookup) as e) -> (
       match deopt with
       | Some handler ->
-          (* [regs] stays live through the lookup closure until the handler
+          (* [f] stays live through the lookup closure until the handler
              returns (or raises through re-entrant interpretation); only
              then is it safe to put it back in the pool *)
           Fun.protect
-            ~finally:(fun () -> code.pool <- regs :: code.pool)
+            ~finally:(fun () -> code.pool <- f :: code.pool)
             (fun () -> handler d lookup)
       | None ->
-          (* no in-frame handler: the exception carries the [regs]-backed
+          (* no in-frame handler: the exception carries the [vr]-backed
              lookup out of this frame, so the file must leak with it *)
           raise e)
   | exception e ->
-      code.pool <- regs :: code.pool;
+      code.pool <- f :: code.pool;
       raise e

@@ -9,13 +9,61 @@
     monomorphic inline cache, and register files are pooled across
     invocations.
 
+    Registers are typed ({!plan}): int results live unboxed in an int
+    file beside the value file and are boxed only where a value consumer
+    reads them; constants are filled into the file when it is made and
+    run no closure; an int comparison that only feeds its block's [If]
+    becomes one compare-and-branch.
+
     Cost accounting ({!Stats.cycles}, {!Stats.compiled_ops}, bumped
     through counter cells resolved at translation) charges each
     instruction [Cost.compiled_op] plus its operation-specific cost, and
-    each [If] one [Cost.compiled_op]; how the closures are built is a
+    each [If] one [Cost.compiled_op]. A constant's charge rides on the
+    next closure of its block or on its terminator, so wherever the
+    counters can be observed (an operation that can trap, call, allocate
+    or deopt, a block-entry safepoint, a terminator) they read exactly
+    the per-instruction totals; how the closures are built is a
     wall-clock matter only and charges no model cycles. *)
 
 open Pea_rt
+
+(** {1 The translation's decisions} *)
+
+(** Where a node's value lives in a register file. *)
+type reg_kind =
+  | R_value  (** a [Value.value] register, written when its node runs *)
+  | R_int  (** an unboxed [int] register, written when its node runs *)
+  | R_const
+      (** a constant, filled in when a register file is made: an int
+          constant into both files, any other into the value file *)
+  | R_none
+      (** no register: the node produces no value, is outside the
+          reachable blocks, or is a comparison fused into its branch *)
+
+type plan = {
+  regs : reg_kind array;  (** per node id *)
+  int_cmps : bool array;
+      (** per node id: a [Cmp] compared as ints (false for [==] and [!=]
+          on operands that may be booleans) *)
+  fused : Pea_ir.Node.node_id option array;
+      (** per block id: the [Cmp] the block's [If] is fused with *)
+}
+
+(** [plan g] is what the translation of [g] decides, as a pure function
+    of the graph: [Arith] and [Neg] results are int registers; a phi is
+    an int register when every input is statically an int (an
+    optimistic fixpoint) and one of them is computed in the int file;
+    constants are [R_const]; every other value is a value register. An
+    int [Cmp] that is its block's last non-constant instruction and
+    whose one use is the block's [If] is fused with it. *)
+val plan : Pea_ir.Graph.t -> plan
+
+(** [plan_to_string g p] renders [p] over [g]'s reachable blocks: each
+    node's register kind, where int values are boxed or unboxed (value
+    consumers, phi edges, deopt lookups), and each compare-and-branch. *)
+val plan_to_string : Pea_ir.Graph.t -> plan -> string
+
+(** {1 Translation and execution} *)
 
 type code
 
@@ -30,11 +78,12 @@ val compile : Interp.env -> Ir_exec.prepared -> code
 
 (** [run ?deopt code args] executes one invocation, using a pooled
     register file. The file is returned to the pool on normal return and
-    on {!Interp.Mj_throw}. At a [Deopt] terminator, [deopt] (if given) is
-    invoked in-frame with the deopt record and register lookup; the file is
-    released once it finishes, so the pool depth recovers. Without [deopt]
-    the {!Ir_exec.Deoptimize} exception propagates and the file leaks with
-    its lookup closure.
+    on {!Interp.Mj_throw}. At a [Deopt] terminator, every int register
+    the frame state names is boxed into the value file, and [deopt] (if
+    given) is invoked in-frame with the deopt record and register lookup;
+    the file is released once it finishes, so the pool depth recovers.
+    Without [deopt] the {!Ir_exec.Deoptimize} exception propagates and
+    the file leaks with its lookup closure.
     @raise Ir_exec.Deoptimize at [Deopt] terminators when [deopt] is absent.
     @raise Interp.Trap on runtime faults. *)
 val run :

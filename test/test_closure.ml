@@ -1,8 +1,9 @@
 (* Closure execution tier tests: inline-cache behavior (monomorphic hit,
    polymorphic rebias, deopt invalidation), register-file pooling, one
-   prepared graph shared by translations in parallel domains, literal
-   goldens for the cost model's accounting of compiled code, and bounds
-   on the minor words a compiled comparison and a call allocate. *)
+   prepared graph shared by translations in parallel domains, typed
+   registers across a deopt, literal goldens for the cost model's
+   accounting of compiled code, and bounds on the minor words a compiled
+   int loop, a comparison and a call allocate. *)
 
 open Pea_bytecode
 open Pea_rt
@@ -340,10 +341,11 @@ let test_trap_charges () =
     ]
 
 (* Compiled comparisons allocate nothing: a comparison yields one of two
-   shared booleans, and an [If] tests it where it is. On this loop of
-   [<], [!=], [!], [&&] and branches, the words left are the boxed ints
-   of the two counters, about 0.3 per compiled operation; a fresh
-   boolean per comparison brings it to about 1.5. *)
+   shared booleans, or is fused with the [If] it feeds, and an [If] tests
+   a boolean where it is. On this loop of [<], [!=], [!], [&&] and
+   branches, the two counters live in int registers, so no words are
+   left per compiled operation (about 0.3 while every int was boxed);
+   a fresh boolean per comparison brings it to about 1.5. *)
 let test_comparison_allocation () =
   let src =
     "class C {\n\
@@ -375,6 +377,227 @@ let test_comparison_allocation () =
   Alcotest.(check bool)
     (Printf.sprintf "%.2f words per compiled operation, at most 0.5" per_op)
     true (per_op <= 0.5)
+
+(* An int loop runs in int registers: the accumulator and the counter
+   are phis of the int file, the constants immediates, the comparison
+   fused with its branch, so an iteration allocates nothing. The loop is
+   entered from a boxed parameter, unboxed once on the loop-entry edge,
+   and the result is boxed once at the return. With every int boxed it
+   was 1.0 minor word per compiled operation. *)
+let test_int_loop_allocation () =
+  let src =
+    "class C {\n\
+    \  static int f(int i, int n) {\n\
+    \    int acc = i; int w = 0;\n\
+    \    while (w < n) { acc = (acc * 31 + w) % 65537; w = w + 1; }\n\
+    \    return acc;\n\
+    \  }\n\
+     }"
+  in
+  let config = { Jit.default_config with Jit.compile_threshold = 2 } in
+  let program, vm = setup ~config src in
+  let f = Link.find_method program "C" "f" in
+  Vm.warm_up vm f [ vint 3; vint 10 ] 3;
+  let n = 100_000 in
+  let ops0 = Stats.get (Vm.stats vm) Stats.compiled_ops in
+  let words0 = Gc.minor_words () in
+  let r = Vm.invoke vm f [ vint 7; vint n ] in
+  let words = Gc.minor_words () -. words0 in
+  let ops = Stats.get (Vm.stats vm) Stats.compiled_ops - ops0 in
+  let want = ref 7 in
+  for w = 0 to n - 1 do
+    want := ((!want * 31) + w) mod 65537
+  done;
+  Alcotest.(check int) "result" !want (as_int r);
+  Alcotest.(check bool) "ran compiled" true (ops > 500_000);
+  let per_op = words /. float_of_int ops in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f words per compiled operation, at most 0.05" per_op)
+    true (per_op <= 0.05)
+
+(* A deopt inside an int loop: the frame state of the pruned branch
+   holds the loop's int-register phis, directly and as the fields of a
+   scalar-replaced object, so the deopt must box them for the lookup and
+   rebuild exactly the interpreter's frame. The oracle checks the
+   rematerialized state against a shadow interpreter replay; the result
+   and the escaped object must be the interpreter's, with one deopt and
+   one rematerialization. *)
+let int_phi_deopt_src =
+  "class P { int a; int b; }\n\
+   class C {\n\
+  \  static P sink;\n\
+  \  static int seen;\n\
+  \  static int f(int n, int k) {\n\
+  \    int acc = n; int i = 0;\n\
+  \    while (i < 100) {\n\
+  \      P p = new P(); p.a = acc; p.b = i;\n\
+  \      if (i == k) { C.sink = p; C.seen = acc; }\n\
+  \      acc = (acc * 7 + i) % 1009;\n\
+  \      i = i + 1;\n\
+  \    }\n\
+  \    return acc;\n\
+  \  }\n\
+  \  static int sinkA() { return C.sink.a + C.sink.b * 10000; }\n\
+   }"
+
+let test_deopt_int_phis () =
+  let run config =
+    let program, vm = setup ~config int_phi_deopt_src in
+    let f = Link.find_method program "C" "f" in
+    Vm.warm_up vm f [ vint 3; vint (-1) ] 30;
+    let compiled = Vm.compiled_graph vm f <> None in
+    let before = Stats.snapshot (Vm.stats vm) in
+    let r = as_int (Vm.invoke vm f [ vint 3; vint 50 ]) in
+    let d = Stats.diff (Stats.snapshot (Vm.stats vm)) before in
+    let escaped = as_int (Vm.invoke vm (Link.find_method program "C" "sinkA") []) in
+    (compiled, r, escaped, d)
+  in
+  let interpreted = { Jit.default_config with Jit.compile_threshold = max_int; osr = false } in
+  let was_compiled, want_r, want_escaped, _ = run interpreted in
+  Alcotest.(check bool) "reference interpreted" false was_compiled;
+  let was_compiled, r, escaped, d =
+    run { Jit.default_config with Jit.compile_threshold = 25; osr = false; oracle = true }
+  in
+  Alcotest.(check bool) "compiled before the deopt" true was_compiled;
+  Alcotest.(check int) "result = interpreter" want_r r;
+  Alcotest.(check int) "escaped object = interpreter" want_escaped escaped;
+  Alcotest.(check int) "one deopt" 1 d.Stats.s_deopts;
+  Alcotest.(check int) "one rematerialization" 1 d.Stats.s_rematerialized
+
+(* The deopt above really reads int-register phis: in the plan of the
+   compiled graph, the [Deopt]'s frame state names phis of the int file,
+   directly and through the virtual object's fields. *)
+let test_deopt_state_int_phis () =
+  let config = { Jit.default_config with Jit.compile_threshold = 25; osr = false } in
+  let program, vm = setup ~config int_phi_deopt_src in
+  let f = Link.find_method program "C" "f" in
+  Vm.warm_up vm f [ vint 3; vint (-1) ] 30;
+  let g = Option.get (Vm.compiled_graph vm f) in
+  let plan = Closure_compile.plan g in
+  let int_phis = ref [] in
+  Pea_ir.Graph.iter_blocks
+    (fun b ->
+      match b.Pea_ir.Graph.term with
+      | Pea_ir.Graph.Deopt d ->
+          Pea_ir.Frame_state.iter_nodes
+            (fun id ->
+              match (Pea_ir.Graph.node g id).Pea_ir.Node.op with
+              | Pea_ir.Node.Phi _ when plan.Closure_compile.regs.(id) = Closure_compile.R_int ->
+                  if not (List.mem id !int_phis) then int_phis := id :: !int_phis
+              | _ -> ())
+            d.Pea_ir.Graph.d_state
+      | _ -> ())
+    g;
+  Alcotest.(check int) "int-register phis in the deopt state" 2 (List.length !int_phis)
+
+(* What a [Deopt] block holding only constants charges: no constant runs
+   a closure, so their charge rides on the terminator, which must apply
+   it before the handler can look. The graph is built by hand, since the
+   JIT's pruned branches deopt from empty blocks: B0 adds 1 to its
+   parameter and jumps to B1, which holds three constants and deopts
+   with a state naming the sum and two of them. The handler reads the
+   counters and the lookup; the values were recorded from the closure
+   tier before its registers were typed, when each constant was a
+   closure of its own. *)
+let test_deopt_constants_charges () =
+  let program =
+    Link.compile_source ~require_main:false "class C { static int f(int x) { return x; } }"
+  in
+  let m = Link.find_method program "C" "f" in
+  let module G = Pea_ir.Graph in
+  let module N = Pea_ir.Node in
+  let module F = Pea_ir.Frame_state in
+  let g = G.create m in
+  let b0 = G.new_block g in
+  let b1 = G.new_block g in
+  let x = (G.add_param g 0).N.id in
+  let one = G.append g b0 (N.Const (N.Cint 1)) in
+  let sum = G.append g b0 (N.Arith (N.Add, x, one.N.id)) in
+  b0.G.term <- G.Goto b1.G.b_id;
+  b1.G.preds <- [ b0.G.b_id ];
+  let c2 = G.append g b1 (N.Const (N.Cint 2)) in
+  let cf = G.append g b1 (N.Const (N.Cbool false)) in
+  ignore (G.append g b1 (N.Const N.Cnull));
+  let state =
+    {
+      F.fs_method = m;
+      fs_bci = 0;
+      fs_locals = [| F.F_node sum.N.id; F.F_node c2.N.id; F.F_node cf.N.id |];
+      fs_stack = [];
+      fs_locks = [];
+      fs_outer = None;
+      fs_virtuals = [];
+    }
+  in
+  b1.G.term <- G.Deopt { G.d_state = state; d_edge = None; d_guard = None };
+  let env = bare_env program in
+  let code = Closure_compile.compile env (Ir_exec.prepare g) in
+  let seen = ref [] in
+  let deopt _ lookup =
+    let s = env.Interp.stats in
+    seen :=
+      [
+        ("cycles", Stats.get s Stats.cycles);
+        ("compiled_ops", Stats.get s Stats.compiled_ops);
+        ("sum", as_int (Some (lookup sum.N.id)));
+        ("constant", as_int (Some (lookup c2.N.id)));
+      ];
+    Some (lookup cf.N.id)
+  in
+  (match Closure_compile.run ~deopt code [ vint 41 ] with
+  | Some (Value.Vbool false) -> ()
+  | _ -> Alcotest.fail "the handler's result is the looked-up constant");
+  Alcotest.(check (list (pair string int)))
+    "counters and lookups at the deopt"
+    [ ("cycles", 5); ("compiled_ops", 5); ("sum", 42); ("constant", 2) ]
+    !seen
+
+(* What the first call after a compare-and-branch sees: the comparison
+   and its [If] are one closure, charged with the constants before
+   them, and the call charges its own block's constants on its way in.
+   [on_invoke] records the counters at every call; the values were
+   recorded from the closure tier before comparisons were fused. *)
+let test_fused_branch_call_charges () =
+  let src =
+    "class C {\n\
+    \  static int h(int a, int b) { return a + b; }\n\
+    \  static int f(int x, int y) {\n\
+    \    int r = 3;\n\
+    \    if (x < y) { r = C.h(x * 2, 5); }\n\
+    \    if (r > 100) { r = C.h(r, 1); }\n\
+    \    return r;\n\
+    \  }\n\
+     }"
+  in
+  let program = Link.compile_source ~require_main:false src in
+  let f = Link.find_method program "C" "f" in
+  let env = bare_env program in
+  let calls = ref [] in
+  let env =
+    {
+      env with
+      Interp.on_invoke =
+        (fun _ args ->
+          let s = env.Interp.stats in
+          calls := (Stats.get s Stats.cycles, Stats.get s Stats.compiled_ops) :: !calls;
+          match args with
+          | [ Value.Vint a; Value.Vint b ] -> Some (vint (a + b))
+          | _ -> Alcotest.fail "h takes two ints");
+    }
+  in
+  let compiled =
+    Jit.compile
+      { Jit.default_config with Jit.inline = false; prune = false }
+      program env.Interp.profile f
+  in
+  let code = Closure_compile.compile env compiled.Jit.prepared in
+  let r = as_int (Closure_compile.run code [ vint 60; vint 70 ]) in
+  let s = env.Interp.stats in
+  Alcotest.(check int) "result" 126 r;
+  Alcotest.(check (list (pair int int)))
+    "(cycles, compiled ops) at each call, then at the return"
+    [ (31, 5); (61, 9); (61, 9) ]
+    (List.rev ((Stats.get s Stats.cycles, Stats.get s Stats.compiled_ops) :: !calls))
 
 (* What a call allocates, in minor words per VM invocation of a
    recursive [fib]. A compiled call allocates its argument list, its
@@ -440,9 +663,18 @@ let () =
           Alcotest.test_case "tier_parity scenario counters" `Quick test_scenario_golden;
           Alcotest.test_case "invoke-heavy Table-1 rows" `Quick test_row_goldens;
           Alcotest.test_case "operations trapping mid-block" `Quick test_trap_charges;
+          Alcotest.test_case "deopt block of constants" `Quick test_deopt_constants_charges;
+          Alcotest.test_case "first call after a fused branch" `Quick
+            test_fused_branch_call_charges;
+        ] );
+      ( "typed-registers",
+        [
+          Alcotest.test_case "deopt with int phis, oracle on" `Quick test_deopt_int_phis;
+          Alcotest.test_case "deopt state names int phis" `Quick test_deopt_state_int_phis;
         ] );
       ( "cost",
         [
+          Alcotest.test_case "int loops allocate nothing" `Quick test_int_loop_allocation;
           Alcotest.test_case "comparisons allocate nothing" `Quick test_comparison_allocation;
           Alcotest.test_case "calls" `Quick test_call_allocation;
         ] );

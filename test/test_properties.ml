@@ -163,6 +163,40 @@ let rec gen_stmt env lvl : string G.t =
             (Printf.sprintf "%s{ int %s = 0; while (%s < %d) {\n%s%s%s = %s + 1; } }" (indent lvl)
                counter counter n body (indent (lvl + 1)) counter counter) );
         ( 1,
+          (* an int loop entered from boxed values (a field load, a static,
+             a call result) whose body calls int helpers on loop values
+             and feeds their results round the loop: the typed closure
+             tier unboxes on the entry edge, boxes the call arguments and
+             unboxes the results; [Main.mix] runs the same shape entered
+             from its parameters *)
+          let s = Printf.sprintf "s%d" lvl and t = Printf.sprintf "t%d" lvl in
+          let counter = Printf.sprintf "n%d" lvl in
+          let* entry =
+            G.oneof
+              [
+                G.map (fun p -> p ^ ".a") (G.oneofl env.pvars);
+                G.map (fun p -> p ^ ".b") (G.oneofl env.pvars);
+                G.return "Main.g2";
+                G.map (fun q -> q ^ ".w") (G.oneofl env.qvars);
+                (let* q = G.oneofl env.qvars and* k = G.int_range 0 9 in
+                 G.return (Printf.sprintf "%s.val(%d)" q k));
+              ]
+          and* t0 = gen_int_atom env
+          and* n = G.int_range 1 5
+          and* v = G.oneofl env.ivars
+          and* body = gen_block { env' with ivars = s :: t :: env.ivars } (lvl + 1) in
+          G.return
+            (Printf.sprintf
+               "%s{ int %s = %s; int %s = %s; int %s = 0;\n\
+                %swhile (%s < %d) {\n\
+                %s%s%s = Main.mix(%s, %s) + %s;\n\
+                %s%s = (%s * 7 + Main.rec(%s, %s %% 5)) %% 1009;\n\
+                %s%s = %s + 1; }\n\
+                %s%s = %s + %s; }"
+               (indent lvl) s entry t t0 counter (indent lvl) counter n body
+               (indent (lvl + 1)) s s counter t (indent (lvl + 1)) t t counter s
+               (indent (lvl + 1)) counter counter (indent lvl) v s t) );
+        ( 1,
           let* p = G.oneofl env.pvars and* body = gen_block env' (lvl + 1) in
           G.return
             (Printf.sprintf "%ssynchronized (%s) {\n%s%s}" (indent lvl) p body (indent lvl)) );
@@ -187,9 +221,10 @@ and gen_block env lvl : string G.t =
 
 (* Fixed skeleton around the generated body: the P scratch class, a small
    A/B/C hierarchy whose [val] overrides disagree (so a wrongly
-   devirtualized call changes the checksum), and two bounded recursive
+   devirtualized call changes the checksum), two bounded recursive
    helpers — [recP] allocates per frame, putting virtual descriptors into
-   the frame states of recursively inlined code. *)
+   the frame states of recursively inlined code — and [mix], an int loop
+   entered from its parameters. *)
 let skeleton_classes =
   "class P { int a; int b; P next; }\n\
    class A { int w; int val(int x) { return x + w; } }\n\
@@ -206,6 +241,11 @@ let skeleton_helpers =
   \    P t = new P();\n\
   \    t.a = n;\n\
   \    return t.a + Main.recP(n - 1);\n\
+  \  }\n\
+  \  static int mix(int a, int b) {\n\
+  \    int s = a; int t = b; int k = 0;\n\
+  \    while (k < 3) { s = (s * 31 + t) % 65537; t = t - s % 5; k = k + 1; }\n\
+  \    return s + t;\n\
   \  }\n"
 
 let gen_program : string G.t =
