@@ -108,15 +108,12 @@ let best_of f a b =
    would), and every method the JIT compiles. *)
 let offline src =
   let program = Pea_bytecode.Link.compile_source src in
-  let env = Pea_rt.Run.make_env program ~printed:(ref []) in
-  (try ignore (Pea_rt.Interp.run env (Pea_bytecode.Link.entry_exn program) [])
-   with Pea_rt.Interp.Trap _ | Pea_rt.Interp.Mj_throw _ -> ());
   let methods =
     List.filter
       (fun m -> not (Pea_bytecode.Classfile.uses_exceptions m))
       (Array.to_list program.Pea_bytecode.Link.methods)
   in
-  (program, env.Pea_rt.Interp.profile, methods)
+  (program, Pea_rt.Run.profile program, methods)
 
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
@@ -372,11 +369,12 @@ let stackalloc_section () =
     Harness.steady_state ~config src
   in
   (* offline SPEC12 sweep: compile every method of the row the way the
-     VM would and count verifier violations on the final graphs *)
+     VM would and count verifier violations on the final graphs; the
+     compile itself checks nothing, or a violation would abort it *)
   let spec12_count src =
     let program, profile, methods = offline src in
     let summaries = Pea_analysis.Summary.analyze program in
-    let config = { Jit.default_config with Jit.compile_threshold = 2 } in
+    let config = { Jit.default_config with Jit.check_level = Pea_analysis.Spec_check.No_check } in
     List.fold_left
       (fun acc m ->
         match Jit.compile ~summaries config program profile m with

@@ -9,8 +9,8 @@ open Pea_bytecode
 open Pea_vm
 module Trace = Pea_obs.Trace
 module Pcpu = Pea_obs.Profile_cpu
-module Pheap = Pea_obs.Profile_heap
 module Flight = Pea_obs.Flight
+module Spec_check = Pea_analysis.Spec_check
 
 let read_file path =
   let ic = open_in_bin path in
@@ -106,12 +106,12 @@ let no_osr_arg =
 
 let check_level_conv =
   let parse s =
-    match Pea_analysis.Spec_check.level_of_string s with
+    match Spec_check.level_of_string s with
     | Some l -> Ok l
     | None ->
         Error (`Msg (Printf.sprintf "unknown check level %S (none|phase-end|every-phase)" s))
   in
-  let print ppf l = Format.pp_print_string ppf (Pea_analysis.Spec_check.level_string l) in
+  let print ppf l = Format.pp_print_string ppf (Spec_check.level_string l) in
   Arg.conv (parse, print)
 
 let check_level_arg =
@@ -258,6 +258,22 @@ let check_writable path =
       if not existed then Sys.remove path;
       Ok ()
   | exception Sys_error msg -> Error msg
+
+(* Run [f], exiting 1 when the JIT refuses or fails to compile, 2 on a
+   runtime trap and 3 on an uncaught throw, with the error's message on
+   stderr; [during] says what was running. *)
+let or_exit ?(during = "") f =
+  match f () with
+  | r -> r
+  | exception (Pea_ir.Builder.Build_error msg | Failure msg) ->
+      prerr_endline msg;
+      exit 1
+  | exception Pea_rt.Interp.Trap msg ->
+      Printf.eprintf "runtime trap%s: %s\n" during msg;
+      exit 2
+  | exception Pea_rt.Interp.Mj_throw v ->
+      Printf.eprintf "uncaught exception%s: %s\n" during (Pea_rt.Value.string_of_value v);
+      exit 3
 
 (* [--stats]: every registered metric, one per line, declaration order *)
 let print_metrics stats =
@@ -421,10 +437,12 @@ let stage_arg =
     & opt stage_conv `Pea
     & info [ "stage" ] ~docv:"STAGE"
         ~doc:
-          "Pipeline stage: bytecode, ir (after building), inlined, pea, ea, dot (Graphviz after \
-           PEA), closure (the closure tier's register plan for the graph of pea: each node's \
-           register kind, where int values are boxed, and each fused compare-and-branch), or \
-           summaries (the method's interprocedural escape summary)")
+          "Pipeline stage: bytecode, ir (after building), inlined (after inlining), pea, ea, dot \
+           (Graphviz of pea), closure (the closure tier's register plan for the graph of pea: \
+           each node's register kind, where int values are boxed, and each fused \
+           compare-and-branch), or summaries (the method's interprocedural escape summary). \
+           Graphs are the JIT's own compile, with its checks off, on the profile of one run of \
+           main (run first)")
 
 let dump_cmd =
   let action file spec stage =
@@ -436,52 +454,38 @@ let dump_cmd =
         let t = Pea_analysis.Summary.analyze program in
         Format.printf "%a@." (Pea_analysis.Summary.pp_method t) m
     | (`Ir | `Inlined | `Pea | `Ea | `Dot | `Closure) as stage -> (
-        let g =
-          match Pea_ir.Builder.build m with
-          | g -> g
-          | exception Pea_ir.Builder.Build_error msg ->
-              prerr_endline msg;
-              exit 1
+        (* checks off: a graph a checker rejects is the one worth dumping *)
+        let opt = if stage = `Ea then Jit.O_ea else Jit.O_pea in
+        let config =
+          { Jit.default_config with Jit.opt; check_level = Spec_check.No_check; verify = false }
         in
+        (* ir and inlined are printed as the JIT's phase leaves them *)
+        let after_phase phase g =
+          match (stage, phase) with
+          | `Ir, "build" | `Inlined, "inline" -> print_string (Pea_ir.Printer.to_string g)
+          | _ -> ()
+        in
+        let c =
+          or_exit (fun () ->
+              Jit.compile ~summaries:(Pea_analysis.Summary.analyze program) ~after_phase config
+                program (Pea_rt.Run.profile program) m)
+        in
+        let g = c.Jit.graph in
         match stage with
-        | `Ir -> print_string (Pea_ir.Printer.to_string g)
-        | (`Inlined | `Pea | `Ea | `Dot | `Closure) as stage -> (
-            ignore (Pea_opt.Inline.run (Pea_opt.Inline.default_config program) g);
-            ignore (Pea_opt.Canonicalize.run g);
-            let summaries = Pea_analysis.Summary.analyze program in
-            ignore (Pea_opt.Gvn.run ~summaries g);
-            match stage with
-            | `Inlined -> print_string (Pea_ir.Printer.to_string g)
-            | (`Pea | `Ea | `Dot | `Closure) as stage ->
-                let g', st =
-                  match stage with
-                  | `Ea -> Pea_core.Escape.run ~summaries g
-                  | `Pea | `Dot | `Closure ->
-                      (* the JIT's stack eligibility, but not the JIT's
-                         graph: this pipeline inlines within
-                         [Inline.default_config]'s 120-bytecode budget
-                         (the JIT's is 150) and without receiver
-                         profiles, and runs no read or conditional
-                         elimination, branch pruning or cleanup *)
-                      let stack_eligible = Pea_core.Escape.frame_bounded ~summaries g in
-                      Pea_core.Pea.run ~stack_eligible ~summaries g
-                in
-                ignore (Pea_opt.Canonicalize.run g');
-                if stage = `Dot then print_string (Pea_ir.Printer.to_dot g')
-                else if stage = `Closure then
-                  print_string
-                    (Pea_vm.Closure_compile.plan_to_string g' (Pea_vm.Closure_compile.plan g'))
-                else begin
-                  print_string (Pea_ir.Printer.to_string g');
-                  Printf.printf
-                    "\n\
-                     ; %d virtualized, %d materialized (%d to stack), %d loads removed, %d \
-                     stores removed, %d monitor ops removed, %d checks folded\n"
-                    st.Pea_core.Pea.virtualized_allocs st.Pea_core.Pea.materializations
-                    st.Pea_core.Pea.stack_materializations st.Pea_core.Pea.removed_loads
-                    st.Pea_core.Pea.removed_stores st.Pea_core.Pea.removed_monitor_ops
-                    st.Pea_core.Pea.folded_checks
-                end))
+        | `Ir | `Inlined -> ()
+        | `Dot -> print_string (Pea_ir.Printer.to_dot g)
+        | `Closure -> print_string (Closure_compile.plan_to_string g (Closure_compile.plan g))
+        | `Pea | `Ea ->
+            let st = Option.get c.Jit.pea_stats in
+            print_string (Pea_ir.Printer.to_string g);
+            Printf.printf
+              "\n\
+               ; %d virtualized, %d materialized (%d to stack), %d loads removed, %d stores \
+               removed, %d monitor ops removed, %d checks folded\n"
+              st.Pea_core.Pea.virtualized_allocs st.Pea_core.Pea.materializations
+              st.Pea_core.Pea.stack_materializations st.Pea_core.Pea.removed_loads
+              st.Pea_core.Pea.removed_stores st.Pea_core.Pea.removed_monitor_ops
+              st.Pea_core.Pea.folded_checks)
   in
   let term = Term.(const action $ file_arg $ method_arg $ stage_arg) in
   Cmd.v (Cmd.info "dump" ~doc:"Dump bytecode or IR of a method at a pipeline stage") term
@@ -514,7 +518,7 @@ let observed_arg =
           "Also run the program under a private allocation-site heap profiler and print, next \
            to each analysis verdict, what actually happened at that bytecode site: materialized \
            allocations, deopt rematerializations and scratch allocations. Requires a main \
-           method; the run uses the default VM configuration")
+           method; the run uses the analysis's configuration")
 
 let explain_cmd =
   let action file spec no_summaries no_stackalloc osr_bci observed iterations =
@@ -523,31 +527,27 @@ let explain_cmd =
       :: Option.fold osr_bci ~none:[] ~some:(fun bci -> [ ("osr-bci", bci, 0) ]));
     let program = compile_file_or_exit ~require_main:false file in
     let m = find_method_or_exit program spec in
+    let config =
+      { Jit.default_config with Jit.summaries = not no_summaries; stackalloc = not no_stackalloc }
+    in
     let observed_tbl =
       if not observed then None
       else
-        match Explain.observe ~iterations program with
+        match
+          or_exit ~during:" during observation" (fun () ->
+              Explain.observe ~config ~iterations program)
+        with
         | tbl -> Some tbl
         | exception Link.Link_error msg ->
             Printf.eprintf "cannot observe (no runnable entry point): %s\n" msg;
             exit 1
-        | exception Pea_rt.Interp.Trap msg ->
-            Printf.eprintf "runtime trap during observation: %s\n" msg;
-            exit 2
-        | exception Pea_rt.Interp.Mj_throw v ->
-            Printf.eprintf "uncaught exception during observation: %s\n"
-              (Pea_rt.Value.string_of_value v);
-            exit 3
     in
-    match
-      Explain.analyze ~summaries:(not no_summaries) ~stackalloc:(not no_stackalloc)
-        ?osr_at:osr_bci ?observed:observed_tbl program m
-    with
-    | report -> print_string (Explain.to_string report)
-    | exception Pea_ir.Builder.Build_error msg ->
-        if osr_bci <> None then Printf.eprintf "cannot build an OSR graph there: %s\n" msg
-        else prerr_endline msg;
-        exit 1
+    let profile = Pea_rt.Run.profile program in
+    or_exit (fun () ->
+        match Explain.analyze ?osr_at:osr_bci ?observed:observed_tbl config program profile m with
+        | report -> print_string (Explain.to_string report)
+        | exception Pea_ir.Builder.Build_error msg when osr_bci <> None ->
+            failwith ("cannot build an OSR graph there: " ^ msg))
   in
   let term =
     Term.(
@@ -576,18 +576,13 @@ let check_method_arg =
 let check_cmd =
   let action file spec level =
     let program = compile_file_or_exit ~require_main:false file in
-    (* Warm an interpreter profile first so the pipeline speculates —
-       prunes branches, devirtualizes call sites — the way the JIT would
-       in a running VM. Unexercised deopt metadata is easy to get right;
-       the speculative kind is what the verifier exists for. *)
-    let printed = ref [] in
-    let env = Pea_rt.Run.make_env program ~printed in
-    (match Link.entry_exn program with
-    | entry -> (
-        try ignore (Pea_rt.Interp.run env entry [])
-        with Pea_rt.Interp.Trap _ | Pea_rt.Interp.Mj_throw _ -> ())
-    | exception Link.Link_error _ -> ());
-    let profile = env.Pea_rt.Interp.profile in
+    if level = Spec_check.No_check then begin
+      prerr_endline "no method checked: --check-level none verifies nothing";
+      exit 1
+    end;
+    (* on the one-run profile the pipeline speculates as in a running VM:
+       speculative deopt metadata is what the verifier exists for *)
+    let profile = Pea_rt.Run.profile program in
     let summaries = Pea_analysis.Summary.analyze program in
     let targets =
       match spec with
@@ -597,45 +592,45 @@ let check_cmd =
             (Array.to_list program.Link.methods)
       | Some spec -> [ find_method_or_exit program spec ]
     in
-    let violations = ref 0 in
-    let checked = ref 0 in
+    let violations = ref 0 and checked = ref 0 in
+    let report vs =
+      violations := !violations + List.length vs;
+      List.iter (Format.printf "%a@." Spec_check.pp_violation) vs
+    in
+    (* every-phase: the observer checks each phase and stops the compile
+       at the first bad one, so the report names the phase that broke
+       the state *)
+    let exception Broken in
+    let after_phase phase g =
+      match Spec_check.check ~summaries ~phase g with
+      | [] -> ()
+      | vs ->
+          report vs;
+          raise Broken
+    in
+    let after_phase = if level = Spec_check.Every_phase then Some after_phase else None in
+    let config = { Jit.default_config with Jit.check_level = Spec_check.No_check } in
     List.iter
       (fun m ->
-        let qualified = Classfile.qualified_name m in
-        match level with
-        | Pea_analysis.Spec_check.No_check -> ()
-        | Pea_analysis.Spec_check.Every_phase -> (
-            (* the pipeline's own per-phase hook aborts on the first bad
-               phase, so the report names the phase that broke the state *)
-            let config =
-              { Jit.default_config with Jit.check_level = Pea_analysis.Spec_check.Every_phase }
-            in
-            match Jit.compile ~summaries config program profile m with
-            | _ -> incr checked
-            | exception Failure msg ->
-                incr checked;
-                incr violations;
-                print_string msg;
-                print_newline ()
-            | exception Pea_ir.Builder.Build_error msg ->
-                Printf.eprintf "skipping %s: %s\n" qualified msg)
-        | Pea_analysis.Spec_check.Phase_end -> (
-            let config =
-              { Jit.default_config with Jit.check_level = Pea_analysis.Spec_check.No_check }
-            in
-            match Jit.compile ~summaries config program profile m with
-            | compiled ->
-                incr checked;
-                List.iter
-                  (fun v ->
-                    incr violations;
-                    Format.printf "%a@." Pea_analysis.Spec_check.pp_violation v)
-                  (Pea_analysis.Spec_check.check ~summaries ~phase:"final" compiled.Jit.graph)
-            | exception Pea_ir.Builder.Build_error msg ->
-                Printf.eprintf "skipping %s: %s\n" qualified msg))
+        match Jit.compile ~summaries ?after_phase config program profile m with
+        | c ->
+            incr checked;
+            report (Spec_check.check ~summaries ~phase:"final" c.Jit.graph)
+        | exception Broken -> incr checked
+        | exception Failure msg ->
+            (* a compile that fails counts as one violation *)
+            incr checked;
+            incr violations;
+            print_endline msg
+        | exception Pea_ir.Builder.Build_error msg ->
+            Printf.eprintf "skipping %s: %s\n" (Classfile.qualified_name m) msg)
       targets;
     if !violations > 0 then begin
       Printf.printf "%d violation%s\n" !violations (if !violations = 1 then "" else "s");
+      exit 1
+    end
+    else if !checked = 0 then begin
+      prerr_endline "no method checked: the JIT compiles none of the targets";
       exit 1
     end
     else
@@ -649,7 +644,7 @@ let check_cmd =
          "Compile every method offline and run the speculation-safety verifier over the deopt \
           metadata: closed virtual descriptors, reachable and dominating values, monotone \
           escape decisions, complete OSR transfer maps, balanced lock bookkeeping. Exits \
-          non-zero if any rule fires")
+          non-zero if any rule fires or no method was checked")
     term
 
 (* ------------------------------------------------------------------ *)
@@ -720,34 +715,10 @@ let report_cmd =
         exit 1
     | None, Some file ->
         let program = compile_file_or_exit file in
-        (* Fresh profilers for this run; anything globally installed
-           (there should be nothing in the CLI, but the API allows it)
-           is saved and restored. Install before Vm.create so the VM
-           wires the sampling clock to its cycle counter. *)
-        let saved_cpu = Pcpu.installed () and saved_heap = Pheap.installed () in
-        let cpu = Pcpu.create ~interval () in
-        let heap = Pheap.create () in
-        Pcpu.install cpu;
-        Pheap.install heap;
-        let restore () =
-          (match saved_cpu with Some p -> Pcpu.install p | None -> Pcpu.uninstall ());
-          match saved_heap with Some p -> Pheap.install p | None -> Pheap.uninstall ()
+        let config = { Jit.default_config with Jit.opt; compile_threshold = threshold } in
+        let vm, cpu, heap =
+          or_exit (fun () -> Report.profile ~interval ~config ~iterations program)
         in
-        Fun.protect ~finally:restore @@ fun () ->
-        let vm =
-          Vm.create
-            ~config:
-              { Jit.default_config with Jit.opt; compile_threshold = threshold }
-            program
-        in
-        (match Vm.run_main_iterations vm iterations with
-        | exception Pea_rt.Interp.Trap msg ->
-            Printf.eprintf "runtime trap: %s\n" msg;
-            exit 2
-        | exception Pea_rt.Interp.Mj_throw v ->
-            Printf.eprintf "uncaught exception: %s\n" (Pea_rt.Value.string_of_value v);
-            exit 3
-        | _ -> ());
         let report =
           Report.collect ~program ~cpu ~heap ~pea_sites:(Vm.jit_stats vm).Pea_core.Pea.sites ()
         in

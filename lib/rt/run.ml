@@ -50,3 +50,11 @@ let run_program ?stats (program : Link.program) : result =
 
 (* [run_source src] compiles and interprets an MJ source string. *)
 let run_source ?stats src = run_program ?stats (Link.compile_source src)
+
+(* what an offline compile speculates on, as a running VM's compile would *)
+let profile (program : Link.program) : Profile.t =
+  let env = make_env program ~printed:(ref []) in
+  (match Link.entry_exn program with
+  | entry -> ( try ignore (Interp.run env entry []) with Interp.Trap _ | Interp.Mj_throw _ -> ())
+  | exception Link.Link_error _ -> ());
+  env.Interp.profile

@@ -12,12 +12,6 @@ type result = {
   stats : Stats.snapshot;
 }
 
-(** [make_env ?stats program ~printed] builds an interpreter environment
-    whose invokes recurse into the interpreter and whose prints accumulate
-    (newest first) into [printed]. *)
-val make_env :
-  ?stats:Stats.t -> Link.program -> printed:Value.value list ref -> Interp.env
-
 (** [run_program program] interprets [main] once.
     @raise Link.Link_error if the program has no entry point.
     @raise Interp.Trap on runtime faults. *)
@@ -25,3 +19,8 @@ val run_program : ?stats:Stats.t -> Link.program -> result
 
 (** [run_source src] compiles and interprets an MJ source string. *)
 val run_source : ?stats:Stats.t -> string -> result
+
+(** [profile program] is the interpreter profile of one run of [main]
+    (a trap or an uncaught throw ends it), or an empty profile when
+    [program] has no [main]. *)
+val profile : Link.program -> Profile.t

@@ -1,11 +1,11 @@
 (* Per-allocation-site PEA provenance report.
 
-   Runs the same ahead-of-time pipeline as `mjvm dump --stage pea` (build,
-   inline, canonicalize, GVN with interprocedural summaries, then partial
-   escape analysis) and renders the site reports the pass collects: for
-   every New / new[] in the method after inlining, whether it was
-   virtualized, where and why it was materialized, and how many loads,
-   stores and monitor operations its virtualization removed. *)
+   Compiles the method through the JIT itself ([Jit.compile], or
+   [Jit.compile_osr] for an OSR entry) and renders the site reports its
+   escape analysis collected: for every New / new[] in the method after
+   inlining, whether it was virtualized, where and why it was
+   materialized, and how many loads, stores and monitor operations its
+   virtualization removed. *)
 
 open Pea_bytecode
 module Pea = Pea_core.Pea
@@ -26,33 +26,21 @@ type t = {
   ex_summaries : bool;
   ex_stats : Pea.pass_stats;
   ex_spec : Pea_analysis.Spec_check.violation list;
-      (* speculation-safety verdict on the post-PEA graph *)
+      (* speculation-safety verdict on the compiled graph *)
   ex_observed : (string * int, observation) Hashtbl.t option;
       (* per (method, bci) observed counts, when an observation ran *)
 }
 
-(* Run the program under a private heap profiler and fold the records
-   into per-(method, bci) observations, so `mjvm explain --observed`
-   shows the decision AND the outcome in one view. Any globally
-   installed profiler is saved and restored. *)
-let observe ?config ?(iterations = 1) (program : Link.program) :
+(* Run the program under private profilers ({!Report.profile}) and fold
+   the heap records into per-(method, bci) observations, so `mjvm explain
+   --observed` shows the decision AND the outcome in one view. *)
+let observe ~config ?(iterations = 1) (program : Link.program) :
     (string * int, observation) Hashtbl.t =
-  let saved = Pheap.installed () in
-  let h = Pheap.create () in
-  Pheap.install h;
-  Fun.protect
-    ~finally:(fun () ->
-      match saved with Some p -> Pheap.install p | None -> Pheap.uninstall ())
-    (fun () -> ignore (Vm.run_main_iterations (Vm.create ?config program) iterations));
-  let name mid =
-    if mid >= 0 && mid < Array.length program.Link.methods then
-      Classfile.qualified_name program.Link.methods.(mid)
-    else "<unknown>"
-  in
+  let _, _, heap = Report.profile ~config ~iterations program in
   let tbl = Hashtbl.create 32 in
   Pheap.fold
     (fun ~mid ~bci ~cls:_ ~kind ~count ~bytes:_ () ->
-      let key = (name mid, bci) in
+      let key = (Report.method_name program mid, bci) in
       let prev =
         Option.value
           (Hashtbl.find_opt tbl key)
@@ -66,25 +54,25 @@ let observe ?config ?(iterations = 1) (program : Link.program) :
         | Pheap.K_stack -> { prev with ob_stack = prev.ob_stack + count }
       in
       Hashtbl.replace tbl key next)
-    h ();
+    heap ();
   tbl
 
-let analyze ?(summaries = true) ?(stackalloc = true) ?osr_at ?observed
-    (program : Link.program) (m : Classfile.rt_method) : t =
-  let g = Pea_ir.Builder.build ?osr_at m in
-  ignore (Pea_opt.Inline.run (Pea_opt.Inline.default_config program) g);
-  ignore (Pea_opt.Canonicalize.run g);
-  let tbl = if summaries then Some (Pea_analysis.Summary.analyze program) else None in
-  ignore (Pea_opt.Gvn.run ?summaries:tbl g);
-  let stack_eligible =
-    if stackalloc then Pea_core.Escape.frame_bounded ?summaries:tbl g else fun _ -> false
+let analyze ?osr_at ?observed (config : Jit.config) (program : Link.program) profile
+    (m : Classfile.rt_method) : t =
+  let config = { config with Jit.check_level = Pea_analysis.Spec_check.No_check } in
+  let summaries =
+    if config.Jit.summaries then Some (Pea_analysis.Summary.analyze program) else None
   in
-  let g', st = Pea.run ~stack_eligible ?summaries:tbl g in
+  let compiled =
+    match osr_at with
+    | None -> Jit.compile ?summaries config program profile m
+    | Some entry_bci -> Jit.compile_osr ?summaries config program profile m ~entry_bci
+  in
   {
     ex_method = Classfile.qualified_name m;
-    ex_summaries = summaries;
-    ex_stats = st;
-    ex_spec = Pea_analysis.Spec_check.check ?summaries:tbl ~phase:"pea" g';
+    ex_summaries = config.Jit.summaries;
+    ex_stats = Option.get compiled.Jit.pea_stats;
+    ex_spec = Pea_analysis.Spec_check.check ?summaries ~phase:"final" compiled.Jit.graph;
     ex_observed = observed;
   }
 

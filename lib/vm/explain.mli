@@ -1,9 +1,9 @@
 (** Per-allocation-site PEA provenance report ([mjvm explain]).
 
-    Runs the ahead-of-time pipeline (build, inline, canonicalize, GVN,
-    partial escape analysis — the same stages as [mjvm dump --stage pea])
-    and renders what the analysis decided about every allocation site in
-    the method after inlining: virtualized or not, where and why it was
+    Compiles the method through the JIT itself ({!Jit.compile}; the CLI
+    on the profile of one run of [main], {!Pea_rt.Run.profile}) and
+    renders what its escape analysis decided about every allocation site
+    in the method after inlining: virtualized or not, where and why it was
     materialized, and how many loads/stores/monitor operations its
     virtualization removed. *)
 
@@ -23,39 +23,39 @@ type t = {
   ex_summaries : bool;  (** interprocedural summaries were enabled *)
   ex_stats : Pea_core.Pea.pass_stats;
   ex_spec : Pea_analysis.Spec_check.violation list;
-      (** speculation-safety verifier verdict on the post-PEA graph
+      (** speculation-safety verifier verdict on the compiled graph
           (empty = every deopt state is rematerializable) *)
   ex_observed : (string * int, observation) Hashtbl.t option;
       (** per (method, bci) observed counts, when an observation ran *)
 }
 
 val observe :
-  ?config:Jit.config ->
+  config:Jit.config ->
   ?iterations:int ->
   Link.program ->
   (string * int, observation) Hashtbl.t
-(** [observe program] runs the program's entry point under a private
-    heap profiler ([iterations] times, default 1) and returns observed
-    per-site allocation counts, for [analyze]'s [observed] argument. A
-    globally installed heap profiler is saved and restored. *)
+(** [observe ~config program] runs [main] on a VM with [config] under
+    private profilers ({!Report.profile}; [iterations] times, default 1)
+    and returns observed per-site counts, for [analyze]'s [observed]. *)
 
 val analyze :
-  ?summaries:bool ->
-  ?stackalloc:bool ->
   ?osr_at:int ->
   ?observed:(string * int, observation) Hashtbl.t ->
+  Jit.config ->
   Link.program ->
+  Pea_rt.Profile.t ->
   Classfile.rt_method ->
   t
-(** [analyze program m] compiles [m] ahead of time ([summaries] and
-    [stackalloc] default to [true], matching the VM's default
-    configuration) and collects the PEA site reports. With [osr_at] the
-    graph is built entered at that loop-header bci, the way
-    {!Jit.compile_osr} sees it: locals become parameters, so object
-    locals alive at the header report as escaped on entry.
-    @raise Failure on malformed input graphs.
-    @raise Pea_ir.Builder.Build_error when [osr_at] cannot head an OSR
-    graph. *)
+(** [analyze config program profile m] reports [Jit.compile]'s
+    [pea_stats] for [m] at [check_level = No_check], then runs the
+    speculation-safety verifier once on the compiled graph. With [osr_at]
+    it reports {!Jit.compile_osr} entered at that loop-header bci: locals
+    become parameters, so object locals alive at the header report as
+    escaped on entry.
+    @raise Invalid_argument when [config.opt] is [O_none].
+    @raise Failure when the IR checker fails.
+    @raise Pea_ir.Builder.Build_error when the JIT refuses [m] or
+    [osr_at]. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -83,8 +83,6 @@ type compiled = {
          the JIT does not hold) *)
 }
 
-let verify config g = if config.verify then Check.check_exn g
-
 module Spec_check = Pea_analysis.Spec_check
 
 (* Run the speculation-safety verifier on [g] after [phase]. Violations
@@ -114,34 +112,31 @@ let spec_check_now ?summaries ~phase g =
            (String.concat "\n  "
               (List.map (Fmt.str "%a" Spec_check.pp_violation) vs)))
 
-(* After each individual phase: only at [Every_phase]. *)
-let spec_verify_phase ?summaries config ~phase g =
-  match config.check_level with
-  | Spec_check.Every_phase -> spec_check_now ?summaries ~phase g
-  | Spec_check.Phase_end | Spec_check.No_check -> ()
-
-(* After the whole pipeline: at [Phase_end] and [Every_phase]. *)
-let spec_verify_final ?summaries config g =
-  match config.check_level with
-  | Spec_check.No_check -> ()
-  | Spec_check.Phase_end | Spec_check.Every_phase -> spec_check_now ?summaries ~phase:"final" g
-
 let no_blacklist : int * int -> bool = fun _ -> false
 
 (* The shared pipeline: [compile] runs it on a normal-entry graph,
    [compile_osr] on a graph entered at a loop header. [blacklist] vetoes
    speculation on individual deopt sites (keyed by the innermost frame's
    (mth_id, bci)) so one cold-path deopt does not cost the whole method
-   its scalar replacement. *)
-let compile_graph ?summaries config (program : Link.program) (profile : Profile.t)
+   its scalar replacement. The one phase sequence of lib/ and bin/:
+   tools watch it through [after_phase]. *)
+let compile_graph ?summaries ?after_phase config (program : Link.program) (profile : Profile.t)
     (m : Classfile.rt_method) ~osr_at ~blacklist : compiled =
   let meth = Classfile.qualified_name m in
   if Trace.enabled () then
     Trace.record (Event.Compile_start { meth; opt = opt_string config.opt });
   let span phase f = Trace.span ~meth phase f in
+  (* After each phase: the IR checker, the speculation-safety verifier
+     at [Every_phase], then the observer. *)
+  let after phase g =
+    if config.verify then Check.check_exn g;
+    (match config.check_level with
+    | Spec_check.Every_phase -> spec_check_now ?summaries ~phase g
+    | Spec_check.Phase_end | Spec_check.No_check -> ());
+    Option.iter (fun f -> f phase g) after_phase
+  in
   let g = span "build" (fun () -> Builder.build ?osr_at m) in
-  verify config g;
-  spec_verify_phase ?summaries config ~phase:"build" g;
+  after "build" g;
   let inline_stats = Pea_opt.Inline.mk_stats () in
   if config.inline then
     span "inline" (fun () ->
@@ -163,21 +158,18 @@ let compile_graph ?summaries config (program : Link.program) (profile : Profile.
             (fun (caller, callee, cls, bci) ->
               Trace.record (Event.Inline_speculative { meth = caller; callee; cls; bci }))
             (List.rev inline_stats.Pea_opt.Inline.spec_sites);
-        verify config g;
-        spec_verify_phase ?summaries config ~phase:"inline" g);
+        after "inline" g);
   span "simplify" (fun () ->
       ignore (Pea_opt.Canonicalize.run g);
       ignore (Pea_opt.Gvn.run ?summaries g);
       if config.read_elim then ignore (Pea_opt.Read_elim.run ?summaries g);
       if config.cond_elim then ignore (Pea_opt.Cond_elim.run g);
-      verify config g;
-      spec_verify_phase ?summaries config ~phase:"simplify" g);
+      after "simplify" g);
   if config.prune then
     span "prune" (fun () ->
         ignore (Pea_opt.Prune.run ~blacklist profile g);
         ignore (Pea_opt.Canonicalize.run g);
-        verify config g;
-        spec_verify_phase ?summaries config ~phase:"prune" g);
+        after "prune" g);
   let g, pea_stats =
     match config.opt with
     | O_none -> (g, None)
@@ -197,17 +189,15 @@ let compile_graph ?summaries config (program : Link.program) (profile : Profile.
             in
             (g', Some st))
   in
-  verify config g;
-  spec_verify_phase ?summaries config
-    ~phase:(match config.opt with O_none -> "opt" | O_ea -> "escape-analysis" | O_pea -> "pea")
-    g;
+  after (match config.opt with O_none -> "opt" | O_ea -> "escape-analysis" | O_pea -> "pea") g;
   span "cleanup" (fun () ->
       ignore (Pea_opt.Canonicalize.run g);
       ignore (Pea_opt.Gvn.run ?summaries g);
       if config.read_elim then ignore (Pea_opt.Read_elim.run ?summaries g);
-      verify config g;
-      spec_verify_phase ?summaries config ~phase:"cleanup" g);
-  spec_verify_final ?summaries config g;
+      after "cleanup" g);
+  (match config.check_level with
+  | Spec_check.No_check -> ()
+  | Spec_check.Phase_end | Spec_check.Every_phase -> spec_check_now ?summaries ~phase:"final" g);
   if Trace.enabled () then
     Trace.record (Event.Compile_end { meth; nodes = Graph.n_nodes g });
   {
@@ -219,8 +209,9 @@ let compile_graph ?summaries config (program : Link.program) (profile : Profile.
     closure = None;
   }
 
-let compile ?summaries ?(blacklist = no_blacklist) config program profile m : compiled =
-  compile_graph ?summaries config program profile m ~osr_at:None ~blacklist
+let compile ?summaries ?after_phase ?(blacklist = no_blacklist) config program profile m :
+    compiled =
+  compile_graph ?summaries ?after_phase config program profile m ~osr_at:None ~blacklist
 
 (* [compile_osr ~entry_bci] builds and optimizes a graph entered at the
    loop header [entry_bci] (see {!Builder.build}). The resulting code

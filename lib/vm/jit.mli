@@ -73,14 +73,20 @@ type compiled = {
       (* built lazily by the VM, at the code's first execution *)
 }
 
-(** [compile ?summaries ?blacklist config program profile m] runs the
-    pipeline on [m]. [blacklist (mth_id, bci)] vetoes speculation on one
-    deopt site (the VM populates it from sites that actually
-    deoptimized; every other branch keeps being pruned). [summaries] is
-    the whole-program summary table; the VM computes it lazily once and
-    passes it to every compilation when [config.summaries] is set. *)
+(** [compile ?summaries ?after_phase ?blacklist config program profile m]
+    runs the pipeline on [m]. [blacklist (mth_id, bci)] vetoes
+    speculation on one deopt site (the VM populates it from sites that
+    actually deoptimized; every other branch keeps being pruned).
+    [summaries] is the whole-program summary table; the VM computes it
+    lazily once and passes it to every compilation when
+    [config.summaries] is set. [after_phase phase g] sees each phase's
+    graph after that phase's checks ("build", "inline", "simplify",
+    "prune", "opt" | "escape-analysis" | "pea", "cleanup"); later phases
+    mutate [g], and an exception it raises aborts the compile.
+    @raise Failure when a check configured in [config] fails. *)
 val compile :
   ?summaries:Pea_analysis.Summary.t ->
+  ?after_phase:(string -> Graph.t -> unit) ->
   ?blacklist:(int * int -> bool) ->
   config ->
   Link.program ->

@@ -193,6 +193,22 @@ let collect ~(program : Link.program) ?(cpu : Pcpu.t option) ?(heap : Pheap.t op
     rp_stacks = stacks;
   }
 
+(* installed before [Vm.create], which wires the sampling clock to the
+   new VM's cycle counter *)
+let profile ?(interval = Pcpu.default_interval) ~config ~iterations program =
+  let saved_cpu = Pcpu.installed () and saved_heap = Pheap.installed () in
+  let cpu = Pcpu.create ~interval () and heap = Pheap.create () in
+  Pcpu.install cpu;
+  Pheap.install heap;
+  let restore () =
+    (match saved_cpu with Some p -> Pcpu.install p | None -> Pcpu.uninstall ());
+    match saved_heap with Some p -> Pheap.install p | None -> Pheap.uninstall ()
+  in
+  Fun.protect ~finally:restore @@ fun () ->
+  let vm = Vm.create ~config program in
+  ignore (Vm.run_main_iterations vm iterations);
+  (vm, cpu, heap)
+
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)

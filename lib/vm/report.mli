@@ -43,6 +43,21 @@ val collect :
     VM's accumulated [jit_stats.sites]) annotates allocation rows with
     the compiler's per-site decision. *)
 
+val profile :
+  ?interval:int ->
+  config:Jit.config ->
+  iterations:int ->
+  Pea_bytecode.Link.program ->
+  Vm.t * Pcpu.t * Pheap.t
+(** [profile ~config ~iterations program] runs [main] [iterations] times
+    on one new VM under fresh CPU ([interval] cycles per sample, default
+    {!Pcpu.default_interval}) and heap profilers, and returns the VM and
+    both profiles. The profilers installed before are restored, also when
+    the run raises. *)
+
+val method_name : Pea_bytecode.Link.program -> int -> string
+(** Qualified name of a [mth_id]; ["<unknown>"] outside the program. *)
+
 val to_string : ?top:int -> t -> string
 (** Human-readable report; [top] (default 10) caps the method and
     allocation lists. Byte-deterministic for a deterministic profile. *)

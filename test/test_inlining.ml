@@ -191,7 +191,9 @@ let test_inlining_off () =
 let test_explain_renders_origin () =
   let program = Link.compile_source ~require_main:false src in
   let outer = Link.find_method program "C" "outer" in
-  let report = Explain.to_string (Explain.analyze program outer) in
+  let report =
+    Explain.to_string (Explain.analyze Jit.default_config program (Run.profile program) outer)
+  in
   (* [inner] direct-inlines into [outer]; its Box site must be reported
      with the (caller, callee, call-site bci) chain it crossed *)
   Alcotest.(check bool) "origin chain rendered" true (Test_support.contains report "inlined:");

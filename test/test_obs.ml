@@ -234,7 +234,7 @@ let explain_src =
 let explain_for name =
   let program = Pea_bytecode.Link.compile_source ~require_main:false explain_src in
   let m = Pea_bytecode.Link.find_method program "Cache" name in
-  Explain.to_string (Explain.analyze program m)
+  Explain.to_string (Explain.analyze Jit.default_config program (Run.profile program) m)
 
 let test_explain_partial_escape () =
   Alcotest.(check string) "branch-escaping site"
@@ -242,7 +242,7 @@ let test_explain_partial_escape () =
      site v4: Key (allocated in B0, Cache.getValue@0)\n\
     \    virtualized, then materialized:\n\
     \      in B1: stored into a static field (global escape)\n\
-    \    removed: 2 loads, 2 stores, 0 monitor ops\n\
+    \    removed: 0 loads, 2 stores, 0 monitor ops\n\
      \n\
      sites: 1, fully scalar-replaced: 0, materializations: 1 (0 to stack), scratch args: 0\n\
      speculation safety: clean (every deopt state rematerializable)\n"
@@ -253,11 +253,43 @@ let test_explain_scalar_replaced () =
     "PEA report for Cache.local (summaries=on)\n\
      site v2: Key (allocated in B0, Cache.local@0)\n\
     \    fully scalar-replaced: never materialized\n\
-    \    removed: 1 loads, 1 stores, 0 monitor ops\n\
+    \    removed: 0 loads, 1 stores, 0 monitor ops\n\
      \n\
      sites: 1, fully scalar-replaced: 1, materializations: 0 (0 to stack), scratch args: 0\n\
      speculation safety: clean (every deopt state rematerializable)\n"
     (explain_for "local")
+
+(* Explain reports the JIT's own compile: on the same configuration and
+   profile, its stats are [Jit.compile]'s [pea_stats], site reports
+   included, for every method the JIT compiles in the three example
+   programs and the 27 Table-1 rows, each on its one-run profile. *)
+let test_explain_is_the_jit () =
+  let examples =
+    List.map
+      (fun f -> In_channel.with_open_bin ("../examples/" ^ f) In_channel.input_all)
+      [ "cache.mj"; "merge.mj"; "retry.mj" ]
+  in
+  let rows = List.map Pea_workloads.Codegen.source_for_row Pea_workloads.Spec.all in
+  let config = Jit.default_config in
+  let compared = ref 0 and differ = ref [] in
+  List.iter
+    (fun src ->
+      let program = Pea_bytecode.Link.compile_source src in
+      let profile = Run.profile program in
+      let summaries = Pea_analysis.Summary.analyze program in
+      Array.iter
+        (fun m ->
+          match Jit.compile ~summaries config program profile m with
+          | exception Pea_ir.Builder.Build_error _ -> ()
+          | c ->
+              incr compared;
+              let e = Explain.analyze config program profile m in
+              if Some e.Explain.ex_stats <> c.Jit.pea_stats then
+                differ := Pea_bytecode.Classfile.qualified_name m :: !differ)
+        program.Pea_bytecode.Link.methods)
+    (examples @ rows);
+  Alcotest.(check (list string)) "methods whose explain stats differ" [] (List.rev !differ);
+  Alcotest.(check int) "methods compared" 338 !compared
 
 (* ------------------------------------------------------------------ *)
 (* Zero-overhead guarantee                                             *)
@@ -332,6 +364,7 @@ let () =
         [
           Alcotest.test_case "partial escape" `Quick test_explain_partial_escape;
           Alcotest.test_case "fully scalar-replaced" `Quick test_explain_scalar_replaced;
+          Alcotest.test_case "is the JIT's compile" `Quick test_explain_is_the_jit;
         ] );
       ( "zero-overhead",
         [
