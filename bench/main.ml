@@ -109,9 +109,7 @@ let best_of f a b =
 let offline src =
   let program = Pea_bytecode.Link.compile_source src in
   let methods =
-    List.filter
-      (fun m -> not (Pea_bytecode.Classfile.uses_exceptions m))
-      (Array.to_list program.Pea_bytecode.Link.methods)
+    List.filter (fun m -> Jit.compilable m) (Array.to_list program.Pea_bytecode.Link.methods)
   in
   (program, Pea_rt.Run.profile program, methods)
 
@@ -269,10 +267,11 @@ let fig4_section () =
                      object to the heap mid-frame (oracle-checked)
 
    Every cell runs with the verifier at Every_phase (a SPEC12 violation
-   aborts the compile) and the deopt oracle on. The gate: pea+stackalloc
-   strictly beats pea on cycles, steady-state heap allocations reach
-   zero on the non-deopt rows, the deopt row actually promotes, and
-   results are bit-identical across opt x stackalloc. *)
+   aborts the compile, and the row then fails) and the deopt oracle on.
+   The gate: pea+stackalloc strictly beats pea on cycles, steady-state
+   heap allocations reach zero on the non-deopt rows, the deopt row
+   actually promotes, and results are bit-identical across opt x
+   stackalloc. *)
 (* (name, compile threshold, source). The deopt-promote row compiles at
    threshold 30 so the flip branch has a mature never-taken profile
    (cold-branch pruning wants >= 20 samples) and actually gets pruned —
@@ -392,44 +391,60 @@ let stackalloc_section () =
     "speedup" "allocs/it" "stack/it" "reclaim" "promote" "parity (4 cells)";
   let per_iter n = n / Harness.default_measure in
   let result (name, threshold, src) =
-    let off_r, off = cell src ~threshold ~opt:Jit.O_pea ~stackalloc:false in
-    let on_r, on = cell src ~threshold ~opt:Jit.O_pea ~stackalloc:true in
-    let out0 = outcome off_r in
-    (* full matrix: opt x stackalloc, every cell oracle-checked, all
-       results must be bit-identical *)
-    let parity =
-      List.for_all
-        (fun (opt, stackalloc) -> outcome (fst (cell src ~threshold ~opt ~stackalloc)) = out0)
-        [ (Jit.O_none, false); (Jit.O_ea, false); (Jit.O_pea, false); (Jit.O_pea, true) ]
-    in
+    (* counted before the cells run: a SPEC12 violation aborts their
+       compiles, and the row still reports it *)
     let spec12 = spec12_count src in
-    let cycles_off = per_iter off.Stats.s_cycles and cycles_on = per_iter on.Stats.s_cycles in
-    let allocs_on = per_iter on.Stats.s_allocations in
-    let stack_on = per_iter on.Stats.s_stack_allocs in
-    let reclaimed = per_iter on.Stats.s_stack_reclaimed in
-    (* promotions happen at the one deopt before the site is
-       blacklisted and the method recompiled without the pruned branch,
-       so they are invisible in the steady-state delta: report the
-       run's cumulative total instead *)
-    let promoted = on_r.Vm.stats.Stats.s_stack_promotions in
-    let speedup = float_of_int cycles_off /. float_of_int cycles_on in
-    Printf.printf "%-14s | %10d %10d %7.2fx | %9d %9d %9d %9d | %s, SPEC12: %d\n%!" name
-      cycles_off cycles_on speedup allocs_on stack_on reclaimed promoted
-      (if parity then "identical" else "MISMATCH")
-      spec12;
-    ( (name, cycles_on < cycles_off, allocs_on, promoted, parity, spec12),
-      [
-        Json.str_field "row" name;
-        Json.int_field "pea_cycles_per_iter" cycles_off;
-        Json.int_field "stackalloc_cycles_per_iter" cycles_on;
-        Json.int_field "pea_allocs_per_iter" (per_iter off.Stats.s_allocations);
-        Json.int_field "stackalloc_allocs_per_iter" allocs_on;
-        Json.int_field "stack_allocs_per_iter" stack_on;
-        Json.int_field "stack_reclaimed_per_iter" reclaimed;
-        Json.int_field "stack_promotions_total" promoted;
-        Json.bool_field "results_identical" parity;
-        Json.int_field "spec12_violations" spec12;
-      ] )
+    match
+      let off_r, off = cell src ~threshold ~opt:Jit.O_pea ~stackalloc:false in
+      let on_r, on = cell src ~threshold ~opt:Jit.O_pea ~stackalloc:true in
+      let out0 = outcome off_r in
+      (* full matrix: opt x stackalloc, every cell oracle-checked, all
+         results must be bit-identical *)
+      let parity =
+        List.for_all
+          (fun (opt, stackalloc) -> outcome (fst (cell src ~threshold ~opt ~stackalloc)) = out0)
+          [ (Jit.O_none, false); (Jit.O_ea, false); (Jit.O_pea, false); (Jit.O_pea, true) ]
+      in
+      (off, on_r, on, parity)
+    with
+    | exception Failure msg ->
+        (* a failed row: every gate that reads its cells fails *)
+        let first_line = List.hd (String.split_on_char '\n' msg) in
+        Printf.printf "%-14s | compile failed, SPEC12: %d | %s\n%!" name spec12 first_line;
+        ( (name, false, -1, 0, false, spec12),
+          [
+            Json.str_field "row" name;
+            Json.str_field "compile_failure" first_line;
+            Json.int_field "spec12_violations" spec12;
+          ] )
+    | off, on_r, on, parity ->
+        let cycles_off = per_iter off.Stats.s_cycles and cycles_on = per_iter on.Stats.s_cycles in
+        let allocs_on = per_iter on.Stats.s_allocations in
+        let stack_on = per_iter on.Stats.s_stack_allocs in
+        let reclaimed = per_iter on.Stats.s_stack_reclaimed in
+        (* promotions happen at the one deopt before the site is
+           blacklisted and the method recompiled without the pruned
+           branch, so they are invisible in the steady-state delta:
+           report the run's cumulative total instead *)
+        let promoted = on_r.Vm.stats.Stats.s_stack_promotions in
+        let speedup = float_of_int cycles_off /. float_of_int cycles_on in
+        Printf.printf "%-14s | %10d %10d %7.2fx | %9d %9d %9d %9d | %s, SPEC12: %d\n%!" name
+          cycles_off cycles_on speedup allocs_on stack_on reclaimed promoted
+          (if parity then "identical" else "MISMATCH")
+          spec12;
+        ( (name, cycles_on < cycles_off, allocs_on, promoted, parity, spec12),
+          [
+            Json.str_field "row" name;
+            Json.int_field "pea_cycles_per_iter" cycles_off;
+            Json.int_field "stackalloc_cycles_per_iter" cycles_on;
+            Json.int_field "pea_allocs_per_iter" (per_iter off.Stats.s_allocations);
+            Json.int_field "stackalloc_allocs_per_iter" allocs_on;
+            Json.int_field "stack_allocs_per_iter" stack_on;
+            Json.int_field "stack_reclaimed_per_iter" reclaimed;
+            Json.int_field "stack_promotions_total" promoted;
+            Json.bool_field "results_identical" parity;
+            Json.int_field "spec12_violations" spec12;
+          ] )
   in
   let checks, rows = List.split (List.map result stackalloc_rows) in
   section "stackalloc" rows
@@ -1086,14 +1101,12 @@ let breakdown_section () =
       { Pea_vm.Jit.default_config with Pea_vm.Jit.opt; compile_threshold = 2 }
     in
     let vm = Pea_vm.Vm.create ~config (Pea_bytecode.Link.compile_source src) in
-    ignore (Pea_vm.Vm.run_main_iterations vm 3);
-    Printf.printf "%s:
-" label;
+    let _, ledger = Pea_obs.Profile_heap.collect (fun () -> Pea_vm.Vm.run_main_iterations vm 3) in
+    Printf.printf "%s:\n" label;
     List.iter
       (fun (name, count, bytes) ->
-        Printf.printf "  %-12s %9d allocs %12d bytes
-" name count bytes)
-      (Pea_vm.Vm.class_breakdown vm)
+        Printf.printf "  %-12s %9d allocs %12d bytes\n" name count bytes)
+      (Pea_obs.Profile_heap.by_class ledger)
   in
   show "without escape analysis" Pea_vm.Jit.O_none;
   show "with PEA" Pea_vm.Jit.O_pea

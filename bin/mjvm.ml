@@ -9,6 +9,7 @@ open Pea_bytecode
 open Pea_vm
 module Trace = Pea_obs.Trace
 module Pcpu = Pea_obs.Profile_cpu
+module Pheap = Pea_obs.Profile_heap
 module Flight = Pea_obs.Flight
 module Spec_check = Pea_analysis.Spec_check
 
@@ -275,15 +276,8 @@ let or_exit ?(during = "") f =
       Printf.eprintf "uncaught exception%s: %s\n" during (Pea_rt.Value.string_of_value v);
       exit 3
 
-(* [--stats]: every registered metric, one per line, declaration order *)
-let print_metrics stats =
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | Pea_rt.Stats.Metrics.V_counter n -> Printf.printf "%s: %d\n" name n
-      | Pea_rt.Stats.Metrics.V_histogram h ->
-          Printf.printf "%s: n=%d sum=%d min=%d max=%d\n" name h.h_count h.h_sum h.h_min h.h_max)
-    (Pea_rt.Stats.dump stats)
+(* [--stats]: every metric, one per line, declaration order *)
+let print_metrics stats = List.iter print_endline (Pea_rt.Stats.dump stats)
 
 let run_cmd =
   let action file opt threshold iterations stats no_inline no_inlining no_prune no_summaries
@@ -367,34 +361,43 @@ let run_cmd =
             ~finally:(fun () -> close_out_noerr oc)
             (fun () -> Trace.write trace_format t oc)
     in
+    (* with --stats a fresh heap profiler watches the run: it is the
+       ledger of the allocation breakdown *)
+    let run () = Vm.run_main_iterations vm iterations in
     (* the run yields its exit status and exits only after [write_trace]:
        an [exit] inside [Fun.protect] would skip the [finally], losing the
        trace of exactly the runs that trap or throw *)
     let status =
       Fun.protect ~finally:write_trace @@ fun () ->
-      match Vm.run_main_iterations vm iterations with
+      match
+        if stats then
+          let r, ledger = Pheap.collect run in
+          (r, Some ledger)
+        else (run (), None)
+      with
       | exception Pea_rt.Interp.Trap msg ->
           Printf.eprintf "runtime trap: %s\n" msg;
           2
       | exception Pea_rt.Interp.Mj_throw v ->
           Printf.eprintf "uncaught exception: %s\n" (Pea_rt.Value.string_of_value v);
           3
-      | r ->
+      | r, ledger ->
           List.iter (fun v -> print_endline (Pea_rt.Value.string_of_value v)) r.Vm.printed;
           (match r.Vm.return_value with
           | Some v -> Printf.printf "=> %s\n" (Pea_rt.Value.string_of_value v)
           | None -> ());
-          if stats then begin
-            print_metrics (Vm.stats vm);
-            match Vm.class_breakdown vm with
-            | [] -> ()
-            | breakdown ->
-                Printf.printf "allocation breakdown:\n";
-                List.iter
-                  (fun (name, count, bytes) ->
-                    Printf.printf "  %-16s %8d allocs %10d bytes\n" name count bytes)
-                  breakdown
-          end;
+          Option.iter
+            (fun ledger ->
+              print_metrics (Vm.stats vm);
+              match Pheap.by_class ledger with
+              | [] -> ()
+              | breakdown ->
+                  Printf.printf "allocation breakdown:\n";
+                  List.iter
+                    (fun (name, count, bytes) ->
+                      Printf.printf "  %-16s %8d allocs %10d bytes\n" name count bytes)
+                    breakdown)
+            ledger;
           0
     in
     if status <> 0 then exit status
@@ -586,10 +589,7 @@ let check_cmd =
     let summaries = Pea_analysis.Summary.analyze program in
     let targets =
       match spec with
-      | None ->
-          List.filter
-            (fun m -> not (Classfile.uses_exceptions m))
-            (Array.to_list program.Link.methods)
+      | None -> List.filter (fun m -> Jit.compilable m) (Array.to_list program.Link.methods)
       | Some spec -> [ find_method_or_exit program spec ]
     in
     let violations = ref 0 and checked = ref 0 in

@@ -4,7 +4,8 @@
    Replays §6.1 of the paper on a mixed workload: small wrapper objects
    (scalar-replaceable), cache keys that escape rarely (PEA-only wins),
    log records that always escape, and int buffers (arrays — never
-   virtualized). The per-class breakdown shows the surviving allocations
+   virtualized). The per-class breakdown, read from the allocation-site
+   heap profiler that watches each run, shows the surviving allocations
    shifting toward arrays and genuinely escaping objects. *)
 
 open Pea_bytecode
@@ -58,7 +59,7 @@ let () =
   let show label opt =
     let config = { Jit.default_config with Jit.opt; compile_threshold = 5 } in
     let vm = Vm.create ~config (Link.compile_source source) in
-    let r = Vm.run_main_iterations vm 3 in
+    let r, ledger = Pea_obs.Profile_heap.collect (fun () -> Vm.run_main_iterations vm 3) in
     Printf.printf "\n%s (result %s):\n" label
       (match r.Vm.return_value with
       | Some v -> Pea_rt.Value.string_of_value v
@@ -66,7 +67,7 @@ let () =
     Printf.printf "  %-10s %10s %12s\n" "class" "allocs" "bytes";
     List.iter
       (fun (name, count, bytes) -> Printf.printf "  %-10s %10d %12d\n" name count bytes)
-      (Vm.class_breakdown vm)
+      (Pea_obs.Profile_heap.by_class ledger)
   in
   show "without escape analysis" Jit.O_none;
   show "whole-method EA" Jit.O_ea;

@@ -73,14 +73,13 @@ type t =
          interpreter at the pre-call state *)
   | Ic_transition of { meth : string; callee : string; cls : string; kind : ic_kind }
   | Tier_promote of { meth : string; tier : string; invocations : int }
-  (* The serving layer's background-compile queue (lib/serve).
-     [osr_bci] distinguishes a normal-entry task (None) from an OSR task
-     for one loop header; [epoch] is the method's shared invalidation
-     epoch the task was keyed to at enqueue. *)
-  | Compile_enqueue of { meth : string; osr_bci : int option; epoch : int; depth : int }
-  | Compile_dedup of { meth : string; osr_bci : int option }
-  | Compile_drop of { meth : string; osr_bci : int option }
-  | Compile_failed of { meth : string; osr_bci : int option; error : string }
+  (* The serving layer's background-compile queue (lib/serve). [epoch]
+     is the method's shared invalidation epoch the task was keyed to at
+     enqueue. *)
+  | Compile_enqueue of { meth : string; epoch : int; depth : int }
+  | Compile_dedup of { meth : string }
+  | Compile_drop of { meth : string }
+  | Compile_failed of { meth : string; error : string }
   | Verify_violation of { meth : string; phase : string; rule : string; site : string; detail : string }
   (* Multi-tenant serving harness (lib/serve). [round] is the session
      round index — the serving layer's deterministic clock. *)
@@ -168,21 +167,10 @@ let fields ev : Json.field list =
       ]
   | Tier_promote { meth = m; tier; invocations } ->
       [ meth m; Json.str_field "tier" tier; Json.int_field "invocations" invocations ]
-  | Compile_enqueue { meth = m; osr_bci; epoch; depth } ->
-      [
-        meth m;
-        Json.int_field "osr_bci" (Option.value osr_bci ~default:(-1));
-        Json.int_field "epoch" epoch;
-        Json.int_field "depth" depth;
-      ]
-  | Compile_dedup { meth = m; osr_bci } | Compile_drop { meth = m; osr_bci } ->
-      [ meth m; Json.int_field "osr_bci" (Option.value osr_bci ~default:(-1)) ]
-  | Compile_failed { meth = m; osr_bci; error } ->
-      [
-        meth m;
-        Json.int_field "osr_bci" (Option.value osr_bci ~default:(-1));
-        Json.str_field "error" error;
-      ]
+  | Compile_enqueue { meth = m; epoch; depth } ->
+      [ meth m; Json.int_field "epoch" epoch; Json.int_field "depth" depth ]
+  | Compile_dedup { meth = m } | Compile_drop { meth = m } -> [ meth m ]
+  | Compile_failed { meth = m; error } -> [ meth m; Json.str_field "error" error ]
   | Verify_violation { meth = m; phase; rule; site; detail } ->
       [
         meth m;

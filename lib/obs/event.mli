@@ -46,14 +46,14 @@ type t =
           class broke the speculation *)
   | Ic_transition of { meth : string; callee : string; cls : string; kind : ic_kind }
   | Tier_promote of { meth : string; tier : string; invocations : int }
-  | Compile_enqueue of { meth : string; osr_bci : int option; epoch : int; depth : int }
+  | Compile_enqueue of { meth : string; epoch : int; depth : int }
       (** a compile task entered the serving layer's background queue;
           [depth] is the queue depth after the enqueue *)
-  | Compile_dedup of { meth : string; osr_bci : int option }
+  | Compile_dedup of { meth : string }
       (** a request coalesced into an already-queued task *)
-  | Compile_drop of { meth : string; osr_bci : int option }
+  | Compile_drop of { meth : string }
       (** a request refused by a full queue *)
-  | Compile_failed of { meth : string; osr_bci : int option; error : string }
+  | Compile_failed of { meth : string; error : string }
       (** the compiler raised; the key is never compiled again and its
           requesting tenants are quarantined *)
   | Verify_violation of { meth : string; phase : string; rule : string; site : string; detail : string }

@@ -1,12 +1,14 @@
 (* Allocation-site heap profiler.
 
    Attributes every *materialized* allocation — the ones PEA could not
-   (or chose not to) virtualize, plus rematerializations at deopt and
-   scratch stack allocations — to its originating bytecode site
-   (method id, bci). Together with the PEA site reports (which say what
-   the compiler *decided* per site) this answers the paper's Table-1
-   question empirically: "site C.m@12: 300 allocs under --opt none, 0
-   under pea (virtualized: NoEscape), 42 remat".
+   (or chose not to) virtualize, plus rematerializations and stack-object
+   promotions at deopt and scratch and stack allocations — to its
+   originating bytecode site (method id, bci). Together with the PEA
+   site reports (which say what the compiler *decided* per site) this
+   answers the paper's Table-1 question empirically: "site C.m@12: 300
+   allocs under --opt none, 0 under pea (virtualized: NoEscape), 42
+   remat". Its charged records are also the VM's per-class allocation
+   ledger ([by_class]).
 
    Same global-install discipline as {!Trace} and {!Profile_cpu}: one
    bool-ref load when off, and the profiler never touches {!Stats} or
@@ -14,16 +16,21 @@
    counter. *)
 
 type kind =
-  | K_alloc (* ordinary heap allocation, charged to Stats/Heap *)
+  | K_alloc (* ordinary heap allocation, charged to Stats *)
   | K_scratch (* scalar-replaced scratch allocation (stack_allocs) *)
   | K_stack (* frame-bounded stack-region allocation, reclaimed at frame pop *)
   | K_remat (* rematerialized at deoptimization *)
+  | K_promote (* stack-region object promoted to the heap at deoptimization *)
 
 let kind_string = function
   | K_alloc -> "alloc"
   | K_scratch -> "scratch"
   | K_stack -> "stack"
   | K_remat -> "remat"
+  | K_promote -> "promote"
+
+(* the kinds Stats.allocations counts *)
+let charged = function K_alloc | K_remat | K_promote -> true | K_scratch | K_stack -> false
 
 type site_key = {
   ak_mid : int; (* method id; -1 when the site has no frame state *)
@@ -64,6 +71,18 @@ let uninstall () =
 
 let installed () = !current
 
+let collect f =
+  let saved = !current and t = create () in
+  install t;
+  let restore () = match saved with Some p -> install p | None -> uninstall () in
+  match f () with
+  | r ->
+      restore ();
+      (r, t)
+  | exception e ->
+      restore ();
+      raise e
+
 (* ------------------------------------------------------------------ *)
 (* Recording                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -94,3 +113,14 @@ let fold f t init =
     (fun acc (k, count, bytes) ->
       f ~mid:k.ak_mid ~bci:k.ak_bci ~cls:k.ak_cls ~kind:k.ak_kind ~count ~bytes acc)
     init (sorted_cells t)
+
+let by_class t =
+  let totals = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun k c ->
+      if charged k.ak_kind then
+        let count, bytes = Option.value (Hashtbl.find_opt totals k.ak_cls) ~default:(0, 0) in
+        Hashtbl.replace totals k.ak_cls (count + c.c_count, bytes + c.c_bytes))
+    t.cells;
+  Hashtbl.fold (fun cls (count, bytes) acc -> (cls, count, bytes) :: acc) totals []
+  |> List.sort (fun (a, _, x) (b, _, y) -> compare (y, a) (x, b))

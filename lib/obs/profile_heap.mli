@@ -1,18 +1,24 @@
 (** Allocation-site heap profiler.
 
     Attributes every materialized allocation — ordinary heap
-    allocations, scalar-replaced scratch allocations and deopt
-    rematerializations — to its bytecode site [(method id, bci)] and
-    class. Cross-referenced with PEA site reports by {!Report} to show
-    the compiler's decision and the observed outcome side by side.
-    Never writes {!Stats} or {!Heap} counters. *)
+    allocations, scalar-replaced scratch and stack allocations, and deopt
+    rematerializations and stack-object promotions — to its bytecode
+    site [(method id, bci)] and class. Cross-referenced with PEA site
+    reports by {!Report} to show the compiler's decision and the
+    observed outcome side by side. It is also the VM's one per-class
+    allocation ledger ({!by_class}): its charged records add up to
+    [Stats.allocations] and [Stats.allocated_bytes] of a run it watched
+    from the start. Never writes {!Stats} or {!Heap} counters. *)
 
 type kind =
-  | K_alloc  (** ordinary heap allocation (charged to Stats/Heap) *)
+  | K_alloc  (** ordinary heap allocation (charged to Stats) *)
   | K_scratch  (** scalar-replaced scratch allocation *)
   | K_stack
       (** frame-bounded stack-region allocation, reclaimed at frame pop *)
-  | K_remat  (** rematerialized at deoptimization *)
+  | K_remat  (** rematerialized at deoptimization (charged) *)
+  | K_promote
+      (** stack-region object promoted to the heap at deoptimization,
+          recorded at the deopt site (charged) *)
 
 val kind_string : kind -> string
 
@@ -33,6 +39,11 @@ val install : t -> unit
 val uninstall : unit -> unit
 
 val installed : unit -> t option
+
+val collect : (unit -> 'a) -> 'a * t
+(** [collect f] runs [f] under a fresh installed profiler and returns
+    [f]'s result with that profile. The profiler installed before is
+    restored, also when [f] raises. *)
 
 val record :
   mid:int -> bci:int -> cls:string -> kind:kind -> bytes:int -> unit
@@ -55,3 +66,10 @@ val fold :
   'a ->
   'a
 (** Iterate sites in a deterministic (sorted) order. *)
+
+val by_class : t -> (string * int * int) list
+(** Per-class [(class, count, bytes)] over the kinds charged to
+    [Stats.allocations] ([K_alloc], [K_remat], [K_promote]), bytes
+    descending, ties broken by class name. Arrays appear as ["int[]"],
+    ["Object[]"], etc. The paper's §6.1 observation — allocations that
+    survive PEA are dominated by arrays — is directly visible here. *)

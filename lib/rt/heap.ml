@@ -1,48 +1,32 @@
 (* Allocation front end: every object and array the VM creates goes through
    here so that allocation counts and byte sizes are accounted exactly
    once, whether the allocation comes from interpreted code, compiled code,
-   or deoptimization-time rematerialization. *)
+   or deoptimization-time rematerialization. Counts per class are the heap
+   profiler's (Pea_obs.Profile_heap), not kept here. *)
 
 open Pea_bytecode
 
 type t = {
   stats : Stats.t;
   mutable next_id : int;
-  by_class : (string, int ref * int ref) Hashtbl.t; (* name -> count, bytes *)
   mutable region_depth : int; (* active per-frame stack regions, 0 = none *)
   mutable regions : Value.value list list; (* innermost frame region first *)
 }
 
-let create stats =
-  { stats; next_id = 1; by_class = Hashtbl.create 16; region_depth = 0; regions = [] }
+let create stats = { stats; next_id = 1; region_depth = 0; regions = [] }
 
 let fresh_id t =
   let id = t.next_id in
   t.next_id <- id + 1;
   id
 
-let charge t name bytes =
+let charge t bytes =
   Stats.incr t.stats Stats.allocations;
   Stats.add t.stats Stats.allocated_bytes bytes;
-  Stats.add t.stats Stats.cycles (Cost.alloc_cost bytes);
-  let count, total =
-    match Hashtbl.find_opt t.by_class name with
-    | Some entry -> entry
-    | None ->
-        let entry = (ref 0, ref 0) in
-        Hashtbl.replace t.by_class name entry;
-        entry
-  in
-  incr count;
-  total := !total + bytes
-
-(* [class_breakdown t] — per-class (name, count, bytes), largest first. *)
-let class_breakdown t =
-  Hashtbl.fold (fun name (c, b) acc -> (name, !c, !b) :: acc) t.by_class []
-  |> List.sort (fun (_, _, a) (_, _, b) -> compare b a)
+  Stats.add t.stats Stats.cycles (Cost.alloc_cost bytes)
 
 let alloc_object t (cls : Classfile.rt_class) : Value.obj =
-  charge t cls.cls_name (Value.object_bytes cls);
+  charge t (Value.object_bytes cls);
   {
     o_id = fresh_id t;
     o_cls = cls;
@@ -73,7 +57,7 @@ exception Negative_array_size of int
 
 let alloc_array t elem len : Value.arr =
   if len < 0 then raise (Negative_array_size len);
-  charge t (Pea_mjava.Ast.string_of_ty elem ^ "[]") (Value.array_bytes elem len);
+  charge t (Value.array_bytes elem len);
   {
     a_id = fresh_id t;
     a_elem = elem;
@@ -180,15 +164,15 @@ let promote t (v : Value.value) =
   match v with
   | Vobj o when o.o_region > 0 ->
       o.o_region <- 0;
-      charge t o.o_cls.cls_name (Value.object_bytes o.o_cls);
-      Stats.incr t.stats Stats.stack_promotions
+      charge t (Value.object_bytes o.o_cls);
+      Stats.incr t.stats Stats.stack_promotions;
+      true
   | Varr a when a.a_region > 0 ->
       a.a_region <- 0;
-      charge t
-        (Pea_mjava.Ast.string_of_ty a.a_elem ^ "[]")
-        (Value.array_bytes a.a_elem (Array.length a.a_elems));
-      Stats.incr t.stats Stats.stack_promotions
-  | Vobj _ | Varr _ | Vnull | Vint _ | Vbool _ -> ()
+      charge t (Value.array_bytes a.a_elem (Array.length a.a_elems));
+      Stats.incr t.stats Stats.stack_promotions;
+      true
+  | Vobj _ | Varr _ | Vnull | Vint _ | Vbool _ -> false
 
 (* Monitor operations; [who] is only used in trap messages. *)
 exception Unbalanced_monitor of string

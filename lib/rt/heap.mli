@@ -3,26 +3,22 @@
     Every object and array the VM creates goes through this module so that
     allocation counts, byte sizes and monitor operations are accounted
     exactly once — whether the allocation comes from interpreted code,
-    compiled code, or deoptimization-time rematerialization. *)
+    compiled code, or deoptimization-time rematerialization. The heap
+    keeps no per-class counts: the allocation-site heap profiler
+    ({!Pea_obs.Profile_heap}, its [by_class] view) is the one per-class
+    ledger. *)
 
 open Pea_bytecode
 
 type t = {
   stats : Stats.t;
   mutable next_id : int;
-  by_class : (string, int ref * int ref) Hashtbl.t; (* name -> count, bytes *)
   mutable region_depth : int; (* active per-frame stack regions, 0 = none *)
   mutable regions : Value.value list list; (* innermost frame region first *)
 }
 
 (** [create stats] is a fresh heap charging into [stats]. *)
 val create : Stats.t -> t
-
-(** [class_breakdown t] — per-class [(name, count, bytes)] since creation,
-    sorted by bytes descending. Arrays appear as ["int[]"], ["Object[]"],
-    etc. The paper's §6.1 observation — allocations that survive PEA are
-    dominated by arrays — is directly visible here. *)
-val class_breakdown : t -> (string * int * int) list
 
 (** [alloc_object t cls] allocates an instance with default field values,
     charging one allocation of {!Value.object_bytes}. *)
@@ -74,8 +70,9 @@ val alloc_array_stack : t -> Pea_mjava.Ast.ty -> int -> Value.arr
     deoptimization rematerialization: charges the real allocation the
     stack tier elided, clears the region marker (so the enclosing
     [pop_frame] leaves it alone) and counts one
-    {!Stats.stack_promotions}. No-op on heap values and primitives. *)
-val promote : t -> Value.value -> unit
+    {!Stats.stack_promotions}. Returns whether [v] was promoted: [false]
+    (and no effect) on heap values and primitives. *)
+val promote : t -> Value.value -> bool
 
 exception Unbalanced_monitor of string
 

@@ -2,138 +2,189 @@
    reports: number of allocations, allocated bytes, monitor operations, and
    a deterministic cycle count that stands in for wall-clock time.
 
-   The storage is a Pea_obs.Metrics registry instance: adding a counter is
-   one [Metrics.counter] line here, and reset and dump follow for free.
-   [snapshot]/[diff] are kept as thin shims over the registry. *)
+   An instance is a flat int array of counters plus one count/sum/min/max
+   cell per histogram. Adding a metric is one declaration line here:
+   [create], [dump] and the --stats lines follow for free. *)
 
-module Metrics = Pea_obs.Metrics
+type counter = int
 
-type t = Metrics.t
+type histogram = int
 
-type counter = Metrics.counter
+(* The declared names, newest first. A handle is its metric's slot in
+   its kind's storage. Every declaration runs at module initialization,
+   so every instance has room for every metric. *)
+let counter_names_rev = ref []
 
-type histogram = Metrics.histogram
+let histogram_names_rev = ref []
 
-let schema = Metrics.make_schema ()
+let declare names name =
+  let id = List.length !names in
+  names := name :: !names;
+  id
 
-(* Declaration order is dump order, the order --stats prints. *)
-let allocations = Metrics.counter schema "allocations"
+let counter name = declare counter_names_rev name
 
-let allocated_bytes = Metrics.counter schema "allocated_bytes"
+let histogram name = declare histogram_names_rev name
 
-let monitor_ops = Metrics.counter schema "monitor_ops"
+(* Declaration order is dump order, the order --stats prints: counters,
+   then histograms. *)
+let allocations = counter "allocations"
+
+let allocated_bytes = counter "allocated_bytes"
+
+let monitor_ops = counter "monitor_ops"
 
 (* scratch allocations from summary-backed PEA, plus frame-bounded stack
    allocations from the stack tier *)
-let stack_allocs = Metrics.counter schema "stack_allocs"
+let stack_allocs = counter "stack_allocs"
 
 (* stack-region objects reclaimed in O(1) at frame pop *)
-let stack_reclaimed = Metrics.counter schema "stack_reclaimed"
+let stack_reclaimed = counter "stack_reclaimed"
 
 (* stack-region objects promoted to heap during deopt rematerialization *)
-let stack_promotions = Metrics.counter schema "stack_promotions"
+let stack_promotions = counter "stack_promotions"
 
-let cycles = Metrics.counter schema "cycles"
+let cycles = counter "cycles"
 
-let deopts = Metrics.counter schema "deopts"
+let deopts = counter "deopts"
 
 (* virtual objects re-allocated during deopt *)
-let rematerialized = Metrics.counter schema "rematerialized"
+let rematerialized = counter "rematerialized"
 
-let interpreted_instrs = Metrics.counter schema "interpreted_instrs"
+let interpreted_instrs = counter "interpreted_instrs"
 
-let compiled_ops = Metrics.counter schema "compiled_ops"
+let compiled_ops = counter "compiled_ops"
 
-let invocations = Metrics.counter schema "invocations"
+let invocations = counter "invocations"
 
-let compiled_methods = Metrics.counter schema "compiled_methods"
+let compiled_methods = counter "compiled_methods"
 
-let closure_compiled_methods = Metrics.counter schema "closure_compiled_methods"
+let closure_compiled_methods = counter "closure_compiled_methods"
 
-let ic_hits = Metrics.counter schema "ic_hits"
+let ic_hits = counter "ic_hits"
 
-let ic_misses = Metrics.counter schema "ic_misses"
+let ic_misses = counter "ic_misses"
 
 (* OSR graphs compiled (one per hot loop header) *)
-let osr_compiles = Metrics.counter schema "osr_compiles"
+let osr_compiles = counter "osr_compiles"
 
 (* interpreter frames that transferred into OSR-compiled code *)
-let osr_entries = Metrics.counter schema "osr_entries"
+let osr_entries = counter "osr_entries"
 
 (* deopt sites excluded from further speculation (per-site policy) *)
-let site_blacklists = Metrics.counter schema "site_blacklists"
+let site_blacklists = counter "site_blacklists"
 
 (* virtual calls spliced behind a receiver-class guard *)
-let speculative_inlines = Metrics.counter schema "speculative_inlines"
+let speculative_inlines = counter "speculative_inlines"
 
 (* receiver-class guards that missed at runtime *)
-let guard_deopts = Metrics.counter schema "guard_deopts"
+let guard_deopts = counter "guard_deopts"
 
 (* speculation sites the inliner skipped because of the deopt blacklist *)
-let inline_blacklist_skips = Metrics.counter schema "inline_blacklist_skips"
+let inline_blacklist_skips = counter "inline_blacklist_skips"
 
 (* the serving layer's background-compile queue (lib/serve) *)
-let compile_enqueues = Metrics.counter schema "compile_enqueues"
+let compile_enqueues = counter "compile_enqueues"
 
-let compile_dedup_hits = Metrics.counter schema "compile_dedup_hits"
+let compile_dedup_hits = counter "compile_dedup_hits"
 
 (* requests refused by a full queue; the tenant asks again later *)
-let compile_drops = Metrics.counter schema "compile_drops"
+let compile_drops = counter "compile_drops"
 
-let compile_installs = Metrics.counter schema "compile_installs"
+let compile_installs = counter "compile_installs"
 
 (* queued compiles that raised; the key is never compiled again *)
-let compile_failures = Metrics.counter schema "compile_failures"
+let compile_failures = counter "compile_failures"
 
 (* mutator cycles stalled waiting for the VM's inline compilation *)
-let compile_stall_cycles = Metrics.counter schema "compile_stall_cycles"
+let compile_stall_cycles = counter "compile_stall_cycles"
 
 (* multi-tenant serving harness (lib/serve): requests completed across
    all tenants of a server run *)
-let serve_requests = Metrics.counter schema "serve_requests"
+let serve_requests = counter "serve_requests"
 
 (* compiled graphs adopted from the shared cross-tenant code cache
    instead of being compiled again *)
-let cache_shared_hits = Metrics.counter schema "cache_shared_hits"
+let cache_shared_hits = counter "cache_shared_hits"
 
 (* shared-cache installs refused because a deopt moved the (app, method)
    epoch while the compile was in flight — the stale graph is never
    installed, the work is requeued against fresh snapshots *)
-let cache_epoch_rejects = Metrics.counter schema "cache_epoch_rejects"
+let cache_epoch_rejects = counter "cache_epoch_rejects"
 
 (* tenants demoted to interpreter-only serving (deopt-storm pinning or a
    failing compile); quarantine never evicts other tenants' cache entries *)
-let tenant_quarantines = Metrics.counter schema "tenant_quarantines"
+let tenant_quarantines = counter "tenant_quarantines"
 
 (* distribution of rematerialized objects per deopt event *)
-let remat_per_deopt = Metrics.histogram schema "remat_per_deopt"
+let remat_per_deopt = histogram "remat_per_deopt"
 
 (* distribution of optimized-graph sizes at the end of JIT compilation *)
-let compiled_graph_nodes = Metrics.histogram schema "compiled_graph_nodes"
+let compiled_graph_nodes = histogram "compiled_graph_nodes"
 
 (* queue depth observed after each background-compile enqueue *)
-let compile_queue_depth = Metrics.histogram schema "compile_queue_depth"
+let compile_queue_depth = histogram "compile_queue_depth"
 
 (* modeled compile latency (serving rounds between enqueue and install) *)
-let compile_latency = Metrics.histogram schema "compile_latency"
+let compile_latency = histogram "compile_latency"
 
-let create () = Metrics.create schema
+let counter_names = List.rev !counter_names_rev
 
-let reset = Metrics.reset
+let histogram_names = List.rev !histogram_names_rev
 
-let get = Metrics.get
+(* mutable histogram cell; [h_min]/[h_max] are meaningless while
+   [h_count] is zero *)
+type hist = {
+  mutable h_count : int;
+  mutable h_sum : int;
+  mutable h_min : int;
+  mutable h_max : int;
+}
 
-let set = Metrics.set
+type t = {
+  counters : int array;
+  cells : (int array * int) array; (* counter -> (counters, counter), see [cell] *)
+  hists : hist array;
+}
 
-let add = Metrics.add
+let create () =
+  let counters = Array.make (List.length counter_names) 0 in
+  {
+    counters;
+    cells = Array.init (Array.length counters) (fun c -> (counters, c));
+    hists =
+      Array.init (List.length histogram_names) (fun _ ->
+          { h_count = 0; h_sum = 0; h_min = 0; h_max = 0 });
+  }
 
-let incr = Metrics.incr
+let get t c = t.counters.(c)
 
-let cell = Metrics.cell
+let add t c v = t.counters.(c) <- t.counters.(c) + v
 
-let observe = Metrics.observe
+let incr t c = add t c 1
 
-let dump = Metrics.dump
+let cell t c = t.cells.(c)
+
+let observe t id v =
+  let h = t.hists.(id) in
+  if h.h_count = 0 then begin
+    h.h_min <- v;
+    h.h_max <- v
+  end
+  else begin
+    if v < h.h_min then h.h_min <- v;
+    if v > h.h_max then h.h_max <- v
+  end;
+  h.h_count <- h.h_count + 1;
+  h.h_sum <- h.h_sum + v
+
+let dump t =
+  List.mapi (fun c name -> Printf.sprintf "%s: %d" name t.counters.(c)) counter_names
+  @ List.mapi
+      (fun id name ->
+        let h = t.hists.(id) in
+        Printf.sprintf "%s: n=%d sum=%d min=%d max=%d" name h.h_count h.h_sum h.h_min h.h_max)
+      histogram_names
 
 type snapshot = {
   s_allocations : int;

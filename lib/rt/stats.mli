@@ -2,21 +2,19 @@
     number of allocations, allocated bytes, monitor operations, and a
     deterministic cycle count that stands in for wall-clock time.
 
-    Backed by a {!Pea_obs.Metrics} registry: each counter below is a
-    counter handle into a shared schema, mutated with [incr]/[add]/[set]
-    and read with [get]; each histogram is fed with [observe]. Adding a
-    metric is one declaration line in the implementation;
-    [snapshot]/[diff] stay as thin shims over the registry. *)
+    An instance stores its own counters (a flat int array) and one
+    count/sum/min/max cell per histogram. Each counter below is a
+    handle, mutated with [incr]/[add] and read with [get]; each
+    histogram is fed with [observe]. Adding a metric is one declaration
+    line in the implementation, and [dump] prints it. Counters and
+    histograms have distinct handle types, so passing one where the
+    other is expected is a type error. *)
 
-module Metrics = Pea_obs.Metrics
+type t
 
-type t = Metrics.t
+type counter
 
-type counter = Metrics.counter
-
-type histogram = Metrics.histogram
-
-val schema : Metrics.schema
+type histogram
 
 val allocations : counter
 
@@ -137,31 +135,31 @@ val compile_latency : histogram
 (** [create ()] is a zeroed statistics instance. *)
 val create : unit -> t
 
-(** [reset t] zeroes every metric in place. *)
-val reset : t -> unit
-
 val get : t -> counter -> int
-
-val set : t -> counter -> int -> unit
 
 val add : t -> counter -> int -> unit
 
 val incr : t -> counter -> unit
 
 val cell : t -> counter -> int array * int
-(** The counter's storage cell, see {!Pea_obs.Metrics.cell}; it
-    allocates nothing. The closure tier resolves [compiled_ops] and
-    [cycles] once per translation, the interpreter [interpreted_instrs]
-    and [cycles] once per frame, and the VM [invocations] once, and each
-    bumps them without a call. *)
+(** [cell t c] is the storage of counter [c] in [t]: an array and the
+    index of [c]'s slot in it. The array is [t]'s own, so writes through
+    it are writes to the counter. The pair is built when [t] is created,
+    so [cell] allocates nothing. The closure tier resolves
+    [compiled_ops] and [cycles] once per translation, the interpreter
+    [interpreted_instrs] and [cycles] once per frame, and the VM
+    [invocations] once, and each bumps them without a call. *)
 
 val observe : t -> histogram -> int -> unit
 (** Record one histogram observation. *)
 
-val dump : t -> (string * Metrics.value) list
-(** Every registered metric with its current value, declaration order. *)
+val dump : t -> string list
+(** Every metric as one line, declaration order (counters, then
+    histograms): [name: value] for a counter, [name: n=N sum=S min=A
+    max=B] for a histogram ([min] and [max] are 0 while [n] is 0). These
+    are the lines [mjvm run --stats] and [mjvm serve --stats] print. *)
 
-(** An immutable copy of the legacy counters at one instant. *)
+(** An immutable copy of the counters at one instant. *)
 type snapshot = {
   s_allocations : int;
   s_allocated_bytes : int;

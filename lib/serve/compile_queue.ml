@@ -6,7 +6,7 @@ module Jit = Pea_vm.Jit
 module Event = Pea_obs.Event
 module Trace = Pea_obs.Trace
 
-type key = int * int option
+type key = int
 
 type 'p task = {
   t_key : key;
@@ -43,17 +43,16 @@ let failed q key = Hashtbl.mem q.failed key
 type 'p request = Queued | Inflight of 'p | Dropped | Failed_before
 
 let request q key ~meth ~epoch ~now ~latency make =
-  let osr_bci = snd key in
   if Hashtbl.mem q.failed key then Failed_before
   else
     match List.find_opt (fun t -> t.t_key = key) q.inflight with
     | Some task ->
         Stats.incr q.stats Stats.compile_dedup_hits;
-        if Trace.enabled () then Trace.record (Event.Compile_dedup { meth; osr_bci });
+        if Trace.enabled () then Trace.record (Event.Compile_dedup { meth });
         Inflight task.t_payload
     | None when depth q >= q.cap ->
         Stats.incr q.stats Stats.compile_drops;
-        if Trace.enabled () then Trace.record (Event.Compile_drop { meth; osr_bci });
+        if Trace.enabled () then Trace.record (Event.Compile_drop { meth });
         Dropped
     | None ->
         let t_payload, t_compile = make () in
@@ -65,7 +64,7 @@ let request q key ~meth ~epoch ~now ~latency make =
         Stats.incr q.stats Stats.compile_enqueues;
         Stats.observe q.stats Stats.compile_queue_depth depth;
         if Trace.enabled () then
-          Trace.record (Event.Compile_enqueue { meth; osr_bci; epoch; depth });
+          Trace.record (Event.Compile_enqueue { meth; epoch; depth });
         Queued
 
 let run task =
@@ -89,8 +88,7 @@ let resolve q ~now ~on_failed ~install =
                Hashtbl.replace q.failed task.t_key ();
                Stats.incr q.stats Stats.compile_failures;
                if Trace.enabled () then
-                 Trace.record
-                   (Event.Compile_failed { meth = task.t_meth; osr_bci = snd task.t_key; error });
+                 Trace.record (Event.Compile_failed { meth = task.t_meth; error });
                on_failed task error
            | Ok code ->
                if install task code then begin

@@ -137,11 +137,11 @@ type t = {
   mutable round : int; (* the serving layer's deterministic clock *)
 }
 
-(* Queue keys pack (app, method) into the [Compile_queue.key] method slot
-   so one queue serves every app without colliding method ids. *)
+(* Queue keys pack (app, method) into one [Compile_queue.key] so one
+   queue serves every app without colliding method ids. *)
 let app_stride = 4096
 
-let queue_key (ap : app) mid = ((ap.ap_index * app_stride) + mid, None)
+let queue_key (ap : app) mid = (ap.ap_index * app_stride) + mid
 
 let qualified (ap : app) (m : Classfile.rt_method) =
   ap.ap_name ^ ":" ^ Classfile.qualified_name m

@@ -45,33 +45,33 @@ let handle ?(reason = "speculation-failed") ?(oracle : Oracle.t option) (env : I
   (* --- rematerialize --- *)
   let descriptors = collect_virtuals fs in
   let objects : (Frame_state.virt_id, Value.value) Hashtbl.t = Hashtbl.create 8 in
-  (* heap-profiler attribution for rematerializations: the deopt site
-     (innermost frame) is the bytecode position the allocations reappear
-     at, which is what "42 remat at C.m@12" should mean in a report *)
-  let remat_site =
-    (fs.Frame_state.fs_method.Classfile.mth_id, fs.Frame_state.fs_bci)
+  (* heap-profiler attribution for rematerializations and promotions:
+     the deopt site (innermost frame) is the bytecode position the
+     allocations reappear at, which is what "42 remat at C.m@12" should
+     mean in a report *)
+  let record kind (v : Value.value) =
+    if Pea_obs.Profile_heap.enabled () then
+      let mid = fs.Frame_state.fs_method.Classfile.mth_id and bci = fs.Frame_state.fs_bci in
+      match v with
+      | Vobj o ->
+          Pea_obs.Profile_heap.record ~mid ~bci ~cls:o.o_cls.Classfile.cls_name ~kind
+            ~bytes:(Value.object_bytes o.o_cls)
+      | Varr a ->
+          Pea_obs.Profile_heap.record ~mid ~bci
+            ~cls:(Pea_mjava.Ast.string_of_ty a.a_elem ^ "[]")
+            ~kind
+            ~bytes:(Value.array_bytes a.a_elem (Array.length a.a_elems))
+      | Vint _ | Vbool _ | Vnull -> ()
   in
   Hashtbl.iter
     (fun id (vd : Frame_state.virtual_desc) ->
       let v =
         match vd.Frame_state.vd_shape with
-        | Frame_state.Obj_shape cls ->
-            if Pea_obs.Profile_heap.enabled () then begin
-              let mid, bci = remat_site in
-              Pea_obs.Profile_heap.record ~mid ~bci ~cls:cls.Classfile.cls_name
-                ~kind:Pea_obs.Profile_heap.K_remat ~bytes:(Value.object_bytes cls)
-            end;
-            Vobj (Heap.alloc_object env.Interp.heap cls)
+        | Frame_state.Obj_shape cls -> Vobj (Heap.alloc_object env.Interp.heap cls)
         | Frame_state.Arr_shape elem ->
-            let len = Array.length vd.Frame_state.vd_fields in
-            if Pea_obs.Profile_heap.enabled () then begin
-              let mid, bci = remat_site in
-              Pea_obs.Profile_heap.record ~mid ~bci
-                ~cls:(Pea_mjava.Ast.string_of_ty elem ^ "[]")
-                ~kind:Pea_obs.Profile_heap.K_remat ~bytes:(Value.array_bytes elem len)
-            end;
-            Varr (Heap.alloc_array env.Interp.heap elem len)
+            Varr (Heap.alloc_array env.Interp.heap elem (Array.length vd.Frame_state.vd_fields))
       in
+      record Pea_obs.Profile_heap.K_remat v;
       Stats.incr stats Stats.rematerialized;
       Hashtbl.replace objects id v)
     descriptors;
@@ -105,21 +105,22 @@ let handle ?(reason = "speculation-failed") ?(oracle : Oracle.t option) (env : I
      or store it anywhere. Walk everything the state can reach
      (rematerialized fields included: remat objects are heap-allocated
      but may point at stack objects) and promote each live stack-region
-     object: charge the allocation the stack tier elided and clear its
-     region marker so the enclosing pop skips it. *)
+     object: charge the allocation the stack tier elided, clear its
+     region marker so the enclosing pop skips it, and record it at the
+     deopt site like a rematerialization. *)
   let visited_o = ref [] and visited_a = ref [] in
   let rec promote_value (v : Value.value) =
     match v with
     | Vobj o ->
         if not (List.memq o !visited_o) then begin
           visited_o := o :: !visited_o;
-          Heap.promote env.Interp.heap v;
+          if Heap.promote env.Interp.heap v then record Pea_obs.Profile_heap.K_promote v;
           Array.iter promote_value o.o_fields
         end
     | Varr a ->
         if not (List.memq a !visited_a) then begin
           visited_a := a :: !visited_a;
-          Heap.promote env.Interp.heap v;
+          if Heap.promote env.Interp.heap v then record Pea_obs.Profile_heap.K_promote v;
           Array.iter promote_value a.a_elems
         end
     | Vint _ | Vbool _ | Vnull -> ()

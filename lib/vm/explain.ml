@@ -52,6 +52,9 @@ let observe ~config ?(iterations = 1) (program : Link.program) :
         | Pheap.K_remat -> { prev with ob_remat = prev.ob_remat + count }
         | Pheap.K_scratch -> { prev with ob_scratch = prev.ob_scratch + count }
         | Pheap.K_stack -> { prev with ob_stack = prev.ob_stack + count }
+        (* a promoted object was already observed as [stack] at its
+           allocation site; its promotion is recorded at the deopt site *)
+        | Pheap.K_promote -> prev
       in
       Hashtbl.replace tbl key next)
     heap ();

@@ -114,6 +114,15 @@ let spec_check_now ?summaries ~phase g =
 
 let no_blacklist : int * int -> bool = fun _ -> false
 
+(* What the JIT compiles, decided here for the VM and every tool: a
+   method with exception handlers or [athrow] runs interpreted, and so
+   does an OSR entry into a method that locks (OSR enters the loop with
+   an empty lock stack; normal-entry compilation still covers it). *)
+let has_monitors (m : Classfile.rt_method) =
+  Array.exists (function Classfile.Monitorenter -> true | _ -> false) m.Classfile.mth_code
+
+let compilable ?(osr = false) m = not (Classfile.uses_exceptions m || (osr && has_monitors m))
+
 (* The shared pipeline: [compile] runs it on a normal-entry graph,
    [compile_osr] on a graph entered at a loop header. [blacklist] vetoes
    speculation on individual deopt sites (keyed by the innermost frame's
@@ -123,6 +132,12 @@ let no_blacklist : int * int -> bool = fun _ -> false
 let compile_graph ?summaries ?after_phase config (program : Link.program) (profile : Profile.t)
     (m : Classfile.rt_method) ~osr_at ~blacklist : compiled =
   let meth = Classfile.qualified_name m in
+  if not (compilable ~osr:(osr_at <> None) m) then
+    raise
+      (Builder.Build_error
+         (if Classfile.uses_exceptions m then
+            Printf.sprintf "cannot build IR for %s: explicit exceptions are not compiled" meth
+          else Printf.sprintf "cannot build an OSR graph for %s: it holds monitors" meth));
   if Trace.enabled () then
     Trace.record (Event.Compile_start { meth; opt = opt_string config.opt });
   let span phase f = Trace.span ~meth phase f in

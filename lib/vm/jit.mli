@@ -73,6 +73,13 @@ type compiled = {
       (* built lazily by the VM, at the code's first execution *)
 }
 
+(** [compilable ?osr m] is whether the JIT compiles [m]: never a method
+    with exception handlers or [athrow] (it runs interpreted), and, with
+    [osr] (default [false]), never an OSR entry into a method that holds
+    monitors. The VM, [mjvm check] and the benchmarks ask this before
+    compiling; {!compile} and {!compile_osr} refuse the rest. *)
+val compilable : ?osr:bool -> Classfile.rt_method -> bool
+
 (** [compile ?summaries ?after_phase ?blacklist config program profile m]
     runs the pipeline on [m]. [blacklist (mth_id, bci)] vetoes
     speculation on one deopt site (the VM populates it from sites that
@@ -83,6 +90,8 @@ type compiled = {
     graph after that phase's checks ("build", "inline", "simplify",
     "prune", "opt" | "escape-analysis" | "pea", "cleanup"); later phases
     mutate [g], and an exception it raises aborts the compile.
+    @raise Pea_ir.Builder.Build_error when [m] is not {!compilable} or
+    the builder refuses it.
     @raise Failure when a check configured in [config] fails. *)
 val compile :
   ?summaries:Pea_analysis.Summary.t ->
@@ -100,8 +109,8 @@ val compile :
     compiled code takes the interpreter frame's local slots as its
     parameters; the VM transfers into it at a back edge with the live
     locals.
-    @raise Pea_ir.Builder.Build_error when [entry_bci] cannot head an
-    OSR graph. *)
+    @raise Pea_ir.Builder.Build_error when [m] is not {!compilable}
+    with [~osr:true] or [entry_bci] cannot head an OSR graph. *)
 val compile_osr :
   ?summaries:Pea_analysis.Summary.t ->
   ?blacklist:(int * int -> bool) ->

@@ -25,7 +25,7 @@ type alloc_row = {
   ar_method : string;
   ar_bci : int;
   ar_cls : string;
-  ar_kind : string; (* alloc | scratch | stack | remat *)
+  ar_kind : string; (* alloc | scratch | stack | remat | promote *)
   ar_count : int;
   ar_bytes : int;
   ar_pea : string option; (* what PEA decided about this site, if known *)
@@ -196,17 +196,17 @@ let collect ~(program : Link.program) ?(cpu : Pcpu.t option) ?(heap : Pheap.t op
 (* installed before [Vm.create], which wires the sampling clock to the
    new VM's cycle counter *)
 let profile ?(interval = Pcpu.default_interval) ~config ~iterations program =
-  let saved_cpu = Pcpu.installed () and saved_heap = Pheap.installed () in
-  let cpu = Pcpu.create ~interval () and heap = Pheap.create () in
+  let saved_cpu = Pcpu.installed () in
+  let cpu = Pcpu.create ~interval () in
   Pcpu.install cpu;
-  Pheap.install heap;
-  let restore () =
-    (match saved_cpu with Some p -> Pcpu.install p | None -> Pcpu.uninstall ());
-    match saved_heap with Some p -> Pheap.install p | None -> Pheap.uninstall ()
-  in
+  let restore () = match saved_cpu with Some p -> Pcpu.install p | None -> Pcpu.uninstall () in
   Fun.protect ~finally:restore @@ fun () ->
-  let vm = Vm.create ~config program in
-  ignore (Vm.run_main_iterations vm iterations);
+  let vm, heap =
+    Pheap.collect (fun () ->
+        let vm = Vm.create ~config program in
+        ignore (Vm.run_main_iterations vm iterations);
+        vm)
+  in
   (vm, cpu, heap)
 
 (* ------------------------------------------------------------------ *)

@@ -17,7 +17,7 @@ type alloc_row = {
   ar_method : string;
   ar_bci : int;
   ar_cls : string;
-  ar_kind : string;  (** alloc | scratch | remat *)
+  ar_kind : string;  (** alloc | scratch | stack | remat | promote *)
   ar_count : int;
   ar_bytes : int;
   ar_pea : string option;  (** what PEA decided about this site, if known *)

@@ -79,11 +79,6 @@ let accumulate_jit_stats (acc : Pea_core.Pea.pass_stats) (st : Pea_core.Pea.pass
 
 let site_blacklisted vm site = Hashtbl.mem vm.site_blacklist site
 
-(* OSR enters the loop with an empty lock stack, so methods that lock are
-   excluded (they are rare; normal-entry compilation still covers them). *)
-let has_monitors (m : Classfile.rt_method) =
-  Array.exists (function Classfile.Monitorenter -> true | _ -> false) m.Classfile.mth_code
-
 let tier_name = function None -> "jit" | Some _ -> "osr"
 
 (* The pipeline for a normal entry ([osr_bci = None]) or the OSR entry at
@@ -116,10 +111,7 @@ let rec invoke vm (m : Classfile.rt_method) args =
     | Some code -> run_compiled vm m code args
     | None ->
         let invocations = Profile.invocations vm.env.Interp.profile m in
-        if
-          invocations >= vm.config.Jit.compile_threshold
-          && not (Classfile.uses_exceptions m)
-        then
+        if invocations >= vm.config.Jit.compile_threshold && Jit.compilable m then
           match vm.code_source with
           | Some cs -> (
               (* serving: the shared cache either delivers ready code or
@@ -358,7 +350,7 @@ and on_back_edge vm (m : Classfile.rt_method) ~header ~locals =
     || vm.pinned.(mid)
     || Hashtbl.mem vm.osr_failed (mid, header)
   then Interp.No_osr
-  else if Classfile.uses_exceptions m || has_monitors m then begin
+  else if not (Jit.compilable ~osr:true m) then begin
     Hashtbl.replace vm.osr_failed (mid, header) ();
     Interp.No_osr
   end
@@ -383,7 +375,7 @@ and on_back_edge vm (m : Classfile.rt_method) ~header ~locals =
     | Some code ->
         (* a hot loop makes the whole method hot: ask for normal-entry
            code now instead of waiting for the invocation counter *)
-        if Option.is_none vm.compiled.(mid) && not (Classfile.uses_exceptions m) then
+        if Option.is_none vm.compiled.(mid) && Jit.compilable m then
           ignore (compile_now vm m None);
         Interp.Osr_return (run_osr vm m code locals)
 
@@ -452,8 +444,6 @@ let profile vm = vm.env.Interp.profile
 let jit_stats vm = vm.jit_stats
 
 let printed vm = List.rev !(vm.printed_rev)
-
-let class_breakdown vm = Heap.class_breakdown vm.env.Interp.heap
 
 let compiled_graph vm (m : Classfile.rt_method) =
   Option.map (fun c -> c.Jit.graph) vm.compiled.(m.Classfile.mth_id)

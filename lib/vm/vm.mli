@@ -62,11 +62,6 @@ val jit_stats : t -> Pea_core.Pea.pass_stats
 (** [printed vm] is everything printed so far, oldest first. *)
 val printed : t -> Value.value list
 
-(** [class_breakdown vm] — per-class [(name, count, bytes)] allocation
-    totals since VM creation, largest first (see
-    {!Pea_rt.Heap.class_breakdown}). *)
-val class_breakdown : t -> (string * int * int) list
-
 (** [compiled_graph vm m] returns the current normal-entry compiled IR
     for [m], if the method has been JIT-compiled. *)
 val compiled_graph : t -> Classfile.rt_method -> Pea_ir.Graph.t option

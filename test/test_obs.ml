@@ -1,55 +1,12 @@
-(* Observability tests: the metrics registry, the trace ring buffer and
-   sinks, trace determinism across runs and a literal event-stream
-   golden, the [Explain] report, and the zero-overhead guarantee — tracing on must
+(* Observability tests: the trace ring buffer and sinks, trace
+   determinism across runs and a literal event-stream golden, the
+   [Explain] report, and the zero-overhead guarantee — tracing on must
    never change results or deterministic counters. *)
 
 open Pea_rt
 open Pea_vm
-module Metrics = Pea_obs.Metrics
 module Event = Pea_obs.Event
 module Trace = Pea_obs.Trace
-
-(* ------------------------------------------------------------------ *)
-(* Metrics registry                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let test_metrics_basics () =
-  let schema = Metrics.make_schema () in
-  let a = Metrics.counter schema "alpha" in
-  let b = Metrics.counter schema "bravo" in
-  let h = Metrics.histogram schema "sizes" in
-  let t = Metrics.create schema in
-  Alcotest.(check int) "zeroed" 0 (Metrics.get t a);
-  Metrics.incr t a;
-  Metrics.add t a 4;
-  Metrics.set t b 9;
-  Alcotest.(check int) "incr+add" 5 (Metrics.get t a);
-  Alcotest.(check int) "set" 9 (Metrics.get t b);
-  Metrics.observe t h 3;
-  Metrics.observe t h 10;
-  Metrics.observe t h 5;
-  let v = Metrics.hist t h in
-  Alcotest.(check int) "h_count" 3 v.Metrics.h_count;
-  Alcotest.(check int) "h_sum" 18 v.Metrics.h_sum;
-  Alcotest.(check int) "h_min" 3 v.Metrics.h_min;
-  Alcotest.(check int) "h_max" 10 v.Metrics.h_max;
-  (* dump preserves declaration order *)
-  Alcotest.(check (list string)) "dump order" [ "alpha"; "bravo"; "sizes" ]
-    (List.map fst (Metrics.dump t));
-  Alcotest.(check string) "to_json"
-    "{\"counters\":{\"alpha\":5,\"bravo\":9},\"histograms\":{\"sizes\":{\"count\":3,\"sum\":18,\"min\":3,\"max\":10}}}"
-    (Metrics.to_json t);
-  Metrics.reset t;
-  Alcotest.(check int) "reset counter" 0 (Metrics.get t a);
-  Alcotest.(check int) "reset histogram" 0 (Metrics.hist t h).Metrics.h_count
-
-let test_metrics_sealed () =
-  let schema = Metrics.make_schema () in
-  let _ = Metrics.counter schema "only" in
-  let _ = Metrics.create schema in
-  Alcotest.check_raises "late declaration rejected"
-    (Invalid_argument "Metrics: declaring \"late\" after the schema was sealed by create")
-    (fun () -> ignore (Metrics.counter schema "late"))
 
 (* ------------------------------------------------------------------ *)
 (* Ring buffer and span                                                *)
@@ -289,7 +246,7 @@ let test_explain_is_the_jit () =
         program.Pea_bytecode.Link.methods)
     (examples @ rows);
   Alcotest.(check (list string)) "methods whose explain stats differ" [] (List.rev !differ);
-  Alcotest.(check int) "methods compared" 338 !compared
+  Alcotest.(check int) "methods compared" 337 !compared
 
 (* ------------------------------------------------------------------ *)
 (* Zero-overhead guarantee                                             *)
@@ -344,11 +301,6 @@ let prop_tracing_is_pure =
 let () =
   Alcotest.run "obs"
     [
-      ( "metrics",
-        [
-          Alcotest.test_case "counters and histograms" `Quick test_metrics_basics;
-          Alcotest.test_case "schema seals at create" `Quick test_metrics_sealed;
-        ] );
       ( "ring",
         [
           Alcotest.test_case "overflow drops oldest" `Quick test_ring_overflow;

@@ -195,6 +195,33 @@ let test_remat_attribution () =
       end)
     rp.Report.rp_allocs
 
+(* The by-class view is the per-class allocation ledger: it sums the
+   charged kinds only (alloc, remat, promote; scratch and stack objects
+   are never charged), orders by bytes descending and breaks ties by
+   name. [collect] restores the profiler installed before. *)
+let test_by_class () =
+  let saved = Pheap.installed () in
+  let (), t =
+    Pheap.collect (fun () ->
+        let record cls kind bytes = Pheap.record ~mid:0 ~bci:1 ~cls ~kind ~bytes in
+        record "Small" Pheap.K_alloc 24;
+        record "Small" Pheap.K_alloc 24;
+        record "Small" Pheap.K_scratch 24;
+        record "Small" Pheap.K_stack 24;
+        record "Cell" Pheap.K_promote 48;
+        record "Big" Pheap.K_remat 48;
+        record "int[]" Pheap.K_alloc 416;
+        record "Box" Pheap.K_stack 24)
+  in
+  Alcotest.(check (list (triple string int int))) "charged kinds, bytes desc, then name"
+    [ ("int[]", 1, 416); ("Big", 1, 48); ("Cell", 1, 48); ("Small", 2, 48) ]
+    (Pheap.by_class t);
+  Alcotest.(check bool) "the profiler installed before is back" true
+    (match (saved, Pheap.installed ()) with
+    | None, None -> true
+    | Some a, Some b -> a == b
+    | _ -> false)
+
 (* ------------------------------------------------------------------ *)
 (* Flight recorder                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -307,6 +334,7 @@ let () =
         [
           Alcotest.test_case "none vs pea at one site" `Quick test_attribution_none_vs_pea;
           Alcotest.test_case "remat attribution" `Quick test_remat_attribution;
+          Alcotest.test_case "by-class ledger" `Quick test_by_class;
         ] );
       ("flight", [ Alcotest.test_case "dump on deopt storm" `Quick test_flight_dump_on_storm ]);
       ( "parity",

@@ -416,7 +416,7 @@ let prop_ir_checker_after_pea =
     (fun src ->
       let program = Pea_bytecode.Link.compile_source src in
       let m = Pea_bytecode.Link.entry_exn program in
-      if Pea_bytecode.Classfile.uses_exceptions m then true (* interpreter-only, as in the VM *)
+      if not (Pea_vm.Jit.compilable m) then true (* interpreter-only, as in the VM *)
       else begin
       let g = Pea_ir.Builder.build m in
       ignore (Pea_opt.Inline.run (Pea_opt.Inline.default_config program) g);

@@ -1,5 +1,5 @@
-(* Unit tests for the runtime substrate: heap accounting, per-class
-   breakdown, stats snapshots/diffs, the cost model, and value helpers. *)
+(* Unit tests for the runtime substrate: heap accounting, stats
+   snapshots/diffs and dump lines, the cost model, and value helpers. *)
 
 open Pea_bytecode
 open Pea_rt
@@ -36,25 +36,6 @@ let test_array_accounting () =
   | exception Heap.Negative_array_size _ -> ()
   | _ -> Alcotest.fail "negative size accepted"
 
-let test_class_breakdown () =
-  let _, heap = make_heap () in
-  let small, big = classes () in
-  ignore (Heap.alloc_object heap small);
-  ignore (Heap.alloc_object heap small);
-  ignore (Heap.alloc_object heap big);
-  ignore (Heap.alloc_array heap Pea_mjava.Ast.Tint 100);
-  let breakdown = Heap.class_breakdown heap in
-  Alcotest.(check int) "three entries" 3 (List.length breakdown);
-  (* sorted by bytes: the int[] dominates *)
-  (match breakdown with
-  | ("int[]", 1, 416) :: _ -> ()
-  | (n, c, b) :: _ -> Alcotest.failf "unexpected top entry %s/%d/%d" n c b
-  | [] -> Alcotest.fail "empty breakdown");
-  let small_entry = List.find (fun (n, _, _) -> n = "Small") breakdown in
-  (match small_entry with
-  | _, 2, 48 -> ()
-  | _, c, b -> Alcotest.failf "Small entry wrong: %d/%d" c b)
-
 let test_monitor_accounting () =
   let stats, heap = make_heap () in
   let small, _ = classes () in
@@ -70,17 +51,40 @@ let test_monitor_accounting () =
 
 let test_stats_snapshot_diff () =
   let stats = Stats.create () in
-  Stats.set stats Stats.allocations 5;
-  Stats.set stats Stats.cycles 100;
+  Stats.add stats Stats.allocations 5;
+  Stats.add stats Stats.cycles 100;
   let s1 = Stats.snapshot stats in
-  Stats.set stats Stats.allocations 12;
-  Stats.set stats Stats.cycles 250;
+  Stats.add stats Stats.allocations 7;
+  Stats.add stats Stats.cycles 150;
   let s2 = Stats.snapshot stats in
   let d = Stats.diff s2 s1 in
   Alcotest.(check int) "alloc delta" 7 d.Stats.s_allocations;
   Alcotest.(check int) "cycle delta" 150 d.Stats.s_cycles;
-  Stats.reset stats;
-  Alcotest.(check int) "reset" 0 (Stats.get stats Stats.allocations)
+  Alcotest.(check int) "later total" 12 s2.Stats.s_allocations
+
+(* [dump] prints counters, then histograms, in declaration order; a
+   histogram keeps count, sum, min and max, and reads 0 until observed.
+   Each instance owns its storage, and [cell] is that storage. *)
+let test_stats_dump () =
+  let stats = Stats.create () in
+  Stats.incr stats Stats.allocations;
+  Stats.add stats Stats.allocations 4;
+  List.iter (Stats.observe stats Stats.remat_per_deopt) [ 3; 10; 5 ];
+  let line name = List.find (fun l -> String.starts_with ~prefix:(name ^ ":") l) (Stats.dump stats) in
+  Alcotest.(check string) "counter" "allocations: 5" (line "allocations");
+  Alcotest.(check string) "histogram" "remat_per_deopt: n=3 sum=18 min=3 max=10"
+    (line "remat_per_deopt");
+  Alcotest.(check string) "unobserved histogram" "compile_latency: n=0 sum=0 min=0 max=0"
+    (line "compile_latency");
+  let names = List.map (fun l -> String.sub l 0 (String.index l ':')) (Stats.dump stats) in
+  Alcotest.(check (list string)) "declaration order, counters first"
+    [ "allocations"; "allocated_bytes"; "monitor_ops" ]
+    (List.filteri (fun i _ -> i < 3) names);
+  Alcotest.(check string) "histograms last" "compile_latency" (List.nth names (List.length names - 1));
+  let cells, i = Stats.cell stats Stats.cycles in
+  cells.(i) <- cells.(i) + 7;
+  Alcotest.(check int) "a cell write is a counter write" 7 (Stats.get stats Stats.cycles);
+  Alcotest.(check int) "instances are independent" 0 (Stats.get (Stats.create ()) Stats.allocations)
 
 let test_cost_model_shape () =
   (* allocation cost grows with size; compiled ops are cheaper than
@@ -131,12 +135,12 @@ let () =
         [
           Alcotest.test_case "object accounting" `Quick test_object_accounting;
           Alcotest.test_case "array accounting" `Quick test_array_accounting;
-          Alcotest.test_case "class breakdown" `Quick test_class_breakdown;
           Alcotest.test_case "monitor accounting" `Quick test_monitor_accounting;
         ] );
       ( "stats",
         [
           Alcotest.test_case "snapshot/diff" `Quick test_stats_snapshot_diff;
+          Alcotest.test_case "dump lines" `Quick test_stats_dump;
           Alcotest.test_case "cost model shape" `Quick test_cost_model_shape;
         ] );
       ( "values",

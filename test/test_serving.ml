@@ -438,35 +438,34 @@ let test_queue_dedup () =
   let stats = Stats.create () in
   let q = Compile_queue.create ~cap:4 stats in
   let log = ref [] in
-  Alcotest.(check string) "first request queued" "queued" (ask ~log q (7, None) "a");
+  Alcotest.(check string) "first request queued" "queued" (ask ~log q 7 "a");
   Alcotest.(check string) "a second request joins the first task" "inflight a"
-    (ask ~log q (7, None) "b");
+    (ask ~log q 7 "b");
   Alcotest.(check (list string)) "only the queued request took a snapshot" [ "snapshot a" ] !log;
-  Alcotest.(check string) "the OSR entry is its own key" "queued" (ask ~log q (7, Some 4) "c");
-  Alcotest.(check int) "two tasks" 2 (Compile_queue.depth q);
+  Alcotest.(check int) "one task" 1 (Compile_queue.depth q);
   Alcotest.(check int) "one dedup hit" 1 (Stats.get stats Stats.compile_dedup_hits);
-  Alcotest.(check int) "two enqueues" 2 (Stats.get stats Stats.compile_enqueues)
+  Alcotest.(check int) "one enqueue" 1 (Stats.get stats Stats.compile_enqueues)
 
 let test_queue_drops_when_full () =
   let stats = Stats.create () in
   let q = Compile_queue.create ~cap:1 stats in
   let log = ref [] in
-  Alcotest.(check string) "fills the queue" "queued" (ask ~log q (1, None) "a");
-  Alcotest.(check string) "a full queue turns a new key away" "dropped" (ask ~log q (2, None) "b");
-  Alcotest.(check string) "a dedup hit still lands" "inflight a" (ask ~log q (1, None) "c");
+  Alcotest.(check string) "fills the queue" "queued" (ask ~log q 1 "a");
+  Alcotest.(check string) "a full queue turns a new key away" "dropped" (ask ~log q 2 "b");
+  Alcotest.(check string) "a dedup hit still lands" "inflight a" (ask ~log q 1 "c");
   Alcotest.(check (list string)) "a drop takes no snapshot" [ "snapshot a" ] !log;
   Alcotest.(check int) "one drop counted" 1 (Stats.get stats Stats.compile_drops);
   Compile_queue.resolve q ~now:max_int ~on_failed:no_failures ~install:(fun _ _ -> true);
   Alcotest.(check string) "the dropped key is accepted once there is room" "queued"
-    (ask ~log q (2, None) "b")
+    (ask ~log q 2 "b")
 
 let test_queue_deadline_order () =
   let stats = Stats.create () in
   let q = Compile_queue.create ~cap:4 stats in
   let log = ref [] in
-  ignore (ask ~log ~now:0 ~latency:5 q (1, None) "k1");
-  ignore (ask ~log ~now:1 ~latency:2 q (2, None) "k2");
-  ignore (ask ~log ~now:1 ~latency:4 q (3, None) "k3");
+  ignore (ask ~log ~now:0 ~latency:5 q 1 "k1");
+  ignore (ask ~log ~now:1 ~latency:2 q 2 "k2");
+  ignore (ask ~log ~now:1 ~latency:4 q 3 "k3");
   log := [];
   let resolve now =
     Compile_queue.resolve q ~now ~on_failed:no_failures ~install:(fun task _ ->
@@ -488,12 +487,11 @@ let test_queue_deadline_order () =
 let test_queue_failure_pins_key () =
   let stats = Stats.create () in
   let q = Compile_queue.create ~cap:4 stats in
-  ignore (ask q (1, None) "bad");
-  ignore (ask q (1, Some 6) "bad-osr");
-  ignore (ask q (2, None) "good");
+  ignore (ask q 1 "bad");
+  ignore (ask q 2 "good");
   let failures = ref [] and installs = ref [] in
   Compile_queue.test_hook :=
-    (fun key -> if key = (1, None) then failwith "injected compiler fault");
+    (fun key -> if key = 1 then failwith "injected compiler fault");
   Fun.protect
     ~finally:(fun () -> Compile_queue.test_hook := fun _ -> ())
     (fun () ->
@@ -505,25 +503,23 @@ let test_queue_failure_pins_key () =
           true));
   Alcotest.(check (list (pair string bool))) "the faulted compile reported with its error"
     [ ("bad", true) ] !failures;
-  Alcotest.(check (list string)) "the other tasks installed" [ "bad-osr"; "good" ]
-    (List.rev !installs);
-  Alcotest.(check bool) "the key is pinned" true (Compile_queue.failed q (1, None));
-  Alcotest.(check bool) "the same method's OSR key is not" false (Compile_queue.failed q (1, Some 6));
+  Alcotest.(check (list string)) "the other task installed" [ "good" ] (List.rev !installs);
+  Alcotest.(check bool) "the key is pinned" true (Compile_queue.failed q 1);
   let log = ref [] in
-  Alcotest.(check string) "the pinned key is turned away" "failed before" (ask ~log q (1, None) "again");
+  Alcotest.(check string) "the pinned key is turned away" "failed before" (ask ~log q 1 "again");
   Alcotest.(check (list string)) "without a snapshot" [] !log;
   Alcotest.(check int) "one failure counted" 1 (Stats.get stats Stats.compile_failures);
-  Alcotest.(check int) "two installs counted" 2 (Stats.get stats Stats.compile_installs)
+  Alcotest.(check int) "one install counted" 1 (Stats.get stats Stats.compile_installs)
 
 (* The server refuses a stale install and requeues from inside
    [install]; only installs that [install] accepts are counted. *)
 let test_queue_refused_install () =
   let stats = Stats.create () in
   let q = Compile_queue.create ~cap:4 stats in
-  ignore (ask q (1, None) "first");
+  ignore (ask q 1 "first");
   let requeued = ref "" in
   Compile_queue.resolve q ~now:max_int ~on_failed:no_failures ~install:(fun _ _ ->
-      requeued := ask ~now:10 q (1, None) "second";
+      requeued := ask ~now:10 q 1 "second";
       false);
   Alcotest.(check string) "the callback may request the key again" "queued" !requeued;
   Alcotest.(check int) "a refused install is not counted" 0 (Stats.get stats Stats.compile_installs);

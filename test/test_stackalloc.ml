@@ -19,6 +19,7 @@ open Pea_rt
 open Pea_vm
 module Trace = Pea_obs.Trace
 module Flight = Pea_obs.Flight
+module Pheap = Pea_obs.Profile_heap
 
 (* A Point allocated on both arms of a branch and merged: PEA cannot
    keep the two virtual objects virtual across the merge, so the site
@@ -354,13 +355,46 @@ let prop_stackalloc_differential =
             runs)
         stackalloc_axis)
 
+(* The heap profiler is the one per-class allocation ledger, so it must
+   see the allocation a promotion charges. On the deopt-promote program
+   at threshold 30 (bench/main.ml's stackalloc row; [mjvm run --stats
+   --threshold 30] prints the same counters) the charged records add up
+   to [Stats]' 31 allocations and 992 bytes, and the one promotion is
+   its own record at the deopt site. *)
+let test_promotion_ledger () =
+  let program = Link.compile_source deopt_promote_src in
+  let vm = Vm.create ~config:{ Jit.default_config with Jit.compile_threshold = 30 } program in
+  let r, ledger = Pheap.collect (fun () -> Vm.run vm) in
+  let s = r.Vm.stats in
+  Alcotest.(check (triple int int int)) "allocations, bytes, promotions" (31, 992, 1)
+    (s.Stats.s_allocations, s.Stats.s_allocated_bytes, s.Stats.s_stack_promotions);
+  Alcotest.(check (list (triple string int int))) "the charged records are Stats' totals"
+    [ ("Point", s.Stats.s_allocations, s.Stats.s_allocated_bytes) ]
+    (Pheap.by_class ledger);
+  let promotions =
+    Pheap.fold
+      (fun ~mid ~bci:_ ~cls ~kind ~count ~bytes acc ->
+        if kind = Pheap.K_promote then
+          (Classfile.qualified_name program.Link.methods.(mid), cls, count, bytes) :: acc
+        else acc)
+      ledger []
+  in
+  Alcotest.(check (list (pair (pair string string) (pair int int))))
+    "one promoted Point, recorded at the deopt site"
+    [ (("Main.work", "Point"), (1, 32)) ]
+    (List.map (fun (m, c, n, b) -> ((m, c), (n, b))) promotions)
+
 let () =
   Alcotest.run "stackalloc"
     [
       ( "accounting",
         [ Alcotest.test_case "heap/stack counter parity" `Quick test_accounting_parity ] );
       ( "deopt",
-        [ Alcotest.test_case "live stack objects promote" `Quick test_deopt_promotion ] );
+        [
+          Alcotest.test_case "live stack objects promote" `Quick test_deopt_promotion;
+          Alcotest.test_case "promotions are in the allocation ledger" `Quick
+            test_promotion_ledger;
+        ] );
       ( "flight",
         [
           Alcotest.test_case "dump write failure warns on stderr" `Quick
