@@ -761,8 +761,9 @@ let workers_arg =
     value & opt int 0
     & info [ "workers" ] ~docv:"N"
         ~doc:
-          "Worker domains serving requests. 0 (the default) runs the replay mode: the same \
-           schedule single-threaded, with every counter bit-identical to a threaded run")
+          "Worker domains serving requests, at most 127 (the runtime's domain limit less the \
+           coordinator). 0 (the default) runs the replay mode: the same schedule \
+           single-threaded, with every counter bit-identical to a threaded run")
 
 let rounds_arg =
   Arg.(value & opt int 26 & info [ "rounds" ] ~docv:"N" ~doc:"Session rounds to generate")
@@ -829,6 +830,10 @@ let serve_cmd =
         ("threshold", threshold, 0);
         ("compile-rounds", compile_rounds, 1);
       ];
+    if workers > Server.max_workers then begin
+      Printf.eprintf "--workers must be <= %d\n" Server.max_workers;
+      exit 1
+    end;
     let script =
       match session with
       | `Mixed -> Sessions.mixed_script ~tenants ~rounds ~requests_per_round:requests ~seed ()

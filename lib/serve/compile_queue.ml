@@ -6,7 +6,7 @@ module Jit = Pea_vm.Jit
 module Event = Pea_obs.Event
 module Trace = Pea_obs.Trace
 
-type key = int
+type key = Shared_cache.key
 
 type 'p task = {
   t_key : key;

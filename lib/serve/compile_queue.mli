@@ -1,7 +1,7 @@
 (** The serving layer's background-compile queue: one queue serves every
     tenant of a {!Server}, and the server drains it at round barriers.
 
-    Tasks are keyed by the client's method key and deduplicated: the
+    Tasks are keyed by (app, method) and deduplicated: the
     stream of "this is hot" requests the tenants send between the
     threshold and the install collapses into one queued task. The queue
     is bounded (a refused request waits; the tenant asks again at its
@@ -20,8 +20,8 @@
     compile inputs, what a drop or a failure costs, and the epoch check
     before an install. *)
 
-type key = int
-(** The client's method key; the server packs [(app, method)] into it. *)
+type key = Shared_cache.key
+(** The method key: [(app index, mth_id)], as in the shared cache. *)
 
 type 'p task = {
   t_key : key;

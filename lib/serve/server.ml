@@ -14,26 +14,30 @@
    interleave across domains. All cross-tenant interaction happens at
    the round *barrier* on the coordinator, in tenant-id order:
 
-     1. epoch bumps — deopts reported by this round's execution move the
-        shared (app, method) epoch and drop the cache entry, and the
-        tenant's fired deopt sites merge into the app's shared blacklist;
+     1. deopt reports — each deopt a tenant's VM reported this round
+        ({!Vm.code_source}'s [cs_deopt]) moves the shared epoch of the
+        compiled (app, method) and drops its cache entry, and the fired
+        site, an inlined callee's when that is where it fired, joins the
+        app's shared blacklist;
      2. install — compile tasks whose deadline (in rounds) arrived are
         compiled; a task whose enqueue-time epoch no longer matches is
         rejected ([cache_epoch_rejects]) and requeued against fresh
         snapshots, never installed;
-     3. quarantine — a tenant that storm-pinned a method (or whose
-        requested compile failed) is demoted to interpreter-only serving;
-        nothing it owns is evicted from the shared cache;
+     3. quarantine — a tenant whose reported deopt storm-pinned a method
+        (or whose requested compile failed) is demoted to
+        interpreter-only serving; nothing it owns is evicted from the
+        shared cache;
      4. enqueue — compile requests collected by the tenants' code-source
         hooks enter the shared queue, deduplicated across tenants, with
         the first requester's profile snapshot as the compile input.
 
    Replay mode runs the same schedule single-threaded; threaded mode runs
-   each round's tenants on [Domain]s (statically assigned: tenant id mod
-   workers). Both modes compile at the barrier, on the coordinator, and
-   make exactly the same model decisions, so every deterministic counter
-   is bit-for-bit identical — threaded mode's only divergence is
-   wall-clock, which is the point of the scaling benchmark. *)
+   each round's tenants on 1..[max_workers] [Domain]s (statically
+   assigned: tenant id mod workers). Both modes compile at the barrier,
+   on the coordinator, and make exactly the same model decisions, so
+   every deterministic counter is bit-for-bit identical — threaded
+   mode's only divergence is wall-clock, which is the point of the
+   scaling benchmark. *)
 
 open Pea_bytecode
 open Pea_rt
@@ -57,7 +61,11 @@ type script = {
   sc_rounds : request list list;
 }
 
-type mode = Replay | Threaded of int (* worker domains *)
+type mode = Replay | Threaded of int (* worker domains, 1..[max_workers] *)
+
+(* The worker domains and the coordinator's must fit the runtime's domain
+   limit (Max_domains, 128 in OCaml 5.1). *)
+let max_workers = 127
 
 type config = {
   sv_mode : mode;
@@ -105,9 +113,8 @@ type tenant = {
   tn_name : string;
   tn_app : app;
   tn_vm : Vm.t;
-  tn_epoch_seen : int array;
-      (* the tenant's per-method local invalidation epochs at the last
-         barrier; growth since then is this round's deopt report *)
+  mutable tn_deopts_rev : (Classfile.rt_method * (int * int)) list;
+      (* this round's deopt reports: (compiled root, fired site) *)
   tn_pending : (int, unit) Hashtbl.t; (* mth_ids the code source requested this round *)
   tn_adopted : (int, int) Hashtbl.t;
       (* mth_id -> shared epoch of the entry this tenant last adopted.
@@ -137,12 +144,6 @@ type t = {
   mutable round : int; (* the serving layer's deterministic clock *)
 }
 
-(* Queue keys pack (app, method) into one [Compile_queue.key] so one
-   queue serves every app without colliding method ids. *)
-let app_stride = 4096
-
-let queue_key (ap : app) mid = (ap.ap_index * app_stride) + mid
-
 let qualified (ap : app) (m : Classfile.rt_method) =
   ap.ap_name ^ ":" ^ Classfile.qualified_name m
 
@@ -151,13 +152,15 @@ let qualified (ap : app) (m : Classfile.rt_method) =
 (* ------------------------------------------------------------------ *)
 
 let create ?(config = default_config) (script : script) : t =
+  (match config.sv_mode with
+  | Threaded n when n < 1 || n > max_workers ->
+      invalid_arg (Printf.sprintf "Server.create: Threaded %d is outside 1..%d" n max_workers)
+  | Replay | Threaded _ -> ());
   let apps =
     Array.of_list
       (List.mapi
          (fun i (name, src) ->
            let program = Link.compile_source ~require_main:false src in
-           if Array.length program.Link.methods > app_stride then
-             invalid_arg "Server.create: app exceeds the queue key stride";
            {
              ap_index = i;
              ap_name = name;
@@ -186,7 +189,7 @@ let create ?(config = default_config) (script : script) : t =
              tn_name = name;
              tn_app = ap;
              tn_vm = vm;
-             tn_epoch_seen = Array.make (Array.length ap.ap_program.Link.methods) 0;
+             tn_deopts_rev = [];
              tn_pending = Hashtbl.create 8;
              tn_adopted = Hashtbl.create 8;
              tn_round_log_rev = [];
@@ -211,16 +214,16 @@ let create ?(config = default_config) (script : script) : t =
     }
   in
   (* wire each tenant's tier-up decisions into the shared cache: adopt
-     ready code (a shared hit) or register the want for the next barrier.
-     Everything the hook touches is tenant-local except the cache read,
-     and the cache is only written at barriers, so workers stay
-     race-free. *)
+     ready code (a shared hit) or register the want for the next barrier;
+     and keep its deopt reports for the next barrier. Everything the hooks
+     touch is tenant-local except the cache read, and the cache is only
+     written at barriers, so workers stay race-free. *)
   Array.iter
     (fun tn ->
       let ap = tn.tn_app in
       Vm.set_code_source tn.tn_vm
         {
-          Vm.cs_lookup =
+          Vm.cs_code =
             (fun m ->
               let mid = m.Classfile.mth_id in
               match Shared_cache.lookup cache (ap.ap_index, mid) with
@@ -230,8 +233,10 @@ let create ?(config = default_config) (script : script) : t =
                   tn.tn_hits_rev <- qualified ap m :: tn.tn_hits_rev;
                   Stats.incr (Vm.stats tn.tn_vm) Stats.cache_shared_hits;
                   Some code
-              | Some _ | None -> None);
-          Vm.cs_request = (fun m -> Hashtbl.replace tn.tn_pending m.Classfile.mth_id ());
+              | Some _ | None ->
+                  Hashtbl.replace tn.tn_pending mid ();
+                  None);
+          cs_deopt = (fun m ~site -> tn.tn_deopts_rev <- (m, site) :: tn.tn_deopts_rev);
         })
     tenants;
   server
@@ -318,7 +323,7 @@ let enqueue_compile server (ap : app) mid ~requester =
         fun () -> Jit.compile ?summaries:ap.ap_summaries ~blacklist config ap.ap_program profile m )
     in
     match
-      Compile_queue.request server.queue (queue_key ap mid) ~meth:(qualified ap m)
+      Compile_queue.request server.queue ck ~meth:(qualified ap m)
         ~epoch:(Shared_cache.epoch server.cache ck) ~now:server.round
         ~latency:server.config.sv_compile_rounds snapshot
     with
@@ -394,34 +399,31 @@ let barrier server (reqs : request list) =
         (List.rev tn.tn_hits_rev);
       tn.tn_hits_rev <- [])
     server.tenants;
-  (* 1. epoch bumps from this round's deopts, tenant order; each (app,
-     method) bumps at most once per barrier *)
+  (* 1. this round's deopt reports, tenant then report order: the fired
+     site joins the app's blacklist, and each (app, method) whose code a
+     deopt invalidated bumps at most once per barrier *)
   let bumped = Hashtbl.create 8 in
   Array.iter
     (fun tn ->
       let ap = tn.tn_app in
-      Array.iteri
-        (fun mid seen ->
-          let m = ap.ap_program.Link.methods.(mid) in
-          let e = Vm.invalidation_epoch tn.tn_vm m in
-          if e > seen then begin
-            tn.tn_epoch_seen.(mid) <- e;
-            List.iter
-              (fun bci -> Hashtbl.replace ap.ap_blacklist (mid, bci) ())
-              (Vm.blacklisted_sites tn.tn_vm m);
-            let ck = (ap.ap_index, mid) in
-            if not (Hashtbl.mem bumped ck) then begin
-              Hashtbl.replace bumped ck ();
-              Shared_cache.bump server.cache ck
-            end
+      List.iter
+        (fun ((m : Classfile.rt_method), site) ->
+          Hashtbl.replace ap.ap_blacklist site ();
+          let ck = (ap.ap_index, m.Classfile.mth_id) in
+          if not (Hashtbl.mem bumped ck) then begin
+            Hashtbl.replace bumped ck ();
+            Shared_cache.bump server.cache ck
           end)
-        tn.tn_epoch_seen)
+        (List.rev tn.tn_deopts_rev))
     server.tenants;
   (* 2. resolve due compile work (stale tasks rejected, not installed) *)
   resolve_due server ~now:server.round;
-  (* 3. quarantine storm-pinned tenants *)
+  (* 3. quarantine the tenants whose reported deopts storm-pinned a method *)
   Array.iter
-    (fun tn -> if Vm.pinned_count tn.tn_vm > 0 then quarantine server tn ~reason:"deopt-storm")
+    (fun tn ->
+      if List.exists (fun (m, _) -> Vm.interpreter_pinned tn.tn_vm m) tn.tn_deopts_rev then
+        quarantine server tn ~reason:"deopt-storm";
+      tn.tn_deopts_rev <- [])
     server.tenants;
   (* 4. enqueue this round's compile requests, tenant then method order *)
   Array.iter

@@ -1,7 +1,7 @@
 (* Per-allocation-site PEA provenance report.
 
-   Compiles the method through the JIT itself ([Jit.compile], or
-   [Jit.compile_osr] for an OSR entry) and renders the site reports its
+   Compiles the method through the JIT itself ([Jit.compile], entered at
+   a loop header for an OSR entry) and renders the site reports its
    escape analysis collected: for every New / new[] in the method after
    inlining, whether it was virtualized, where and why it was
    materialized, and how many loads, stores and monitor operations its
@@ -66,11 +66,7 @@ let analyze ?osr_at ?observed (config : Jit.config) (program : Link.program) pro
   let summaries =
     if config.Jit.summaries then Some (Pea_analysis.Summary.analyze program) else None
   in
-  let compiled =
-    match osr_at with
-    | None -> Jit.compile ?summaries config program profile m
-    | Some entry_bci -> Jit.compile_osr ?summaries config program profile m ~entry_bci
-  in
+  let compiled = Jit.compile ?summaries ?osr_at config program profile m in
   {
     ex_method = Classfile.qualified_name m;
     ex_summaries = config.Jit.summaries;

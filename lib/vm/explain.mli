@@ -49,7 +49,7 @@ val analyze :
 (** [analyze config program profile m] reports [Jit.compile]'s
     [pea_stats] for [m] at [check_level = No_check], then runs the
     speculation-safety verifier once on the compiled graph. With [osr_at]
-    it reports {!Jit.compile_osr} entered at that loop-header bci: locals
+    it reports {!Jit.compile} entered at that loop-header bci: locals
     become parameters, so object locals alive at the header report as
     escaped on entry.
     @raise Invalid_argument when [config.opt] is [O_none].

@@ -123,14 +123,15 @@ let has_monitors (m : Classfile.rt_method) =
 
 let compilable ?(osr = false) m = not (Classfile.uses_exceptions m || (osr && has_monitors m))
 
-(* The shared pipeline: [compile] runs it on a normal-entry graph,
-   [compile_osr] on a graph entered at a loop header. [blacklist] vetoes
-   speculation on individual deopt sites (keyed by the innermost frame's
-   (mth_id, bci)) so one cold-path deopt does not cost the whole method
-   its scalar replacement. The one phase sequence of lib/ and bin/:
-   tools watch it through [after_phase]. *)
-let compile_graph ?summaries ?after_phase config (program : Link.program) (profile : Profile.t)
-    (m : Classfile.rt_method) ~osr_at ~blacklist : compiled =
+(* The one phase sequence of lib/ and bin/, on a normal-entry graph or,
+   with [osr_at], on a graph entered at that loop header whose code takes
+   the interpreter frame's locals as its arguments (see {!Builder.build}).
+   [blacklist] vetoes speculation on individual deopt sites (keyed by the
+   innermost frame's (mth_id, bci)) so one cold-path deopt does not cost
+   the whole method its scalar replacement. Tools watch the phases
+   through [after_phase]. *)
+let compile ?summaries ?after_phase ?(blacklist = no_blacklist) ?osr_at config
+    (program : Link.program) (profile : Profile.t) (m : Classfile.rt_method) : compiled =
   let meth = Classfile.qualified_name m in
   if not (compilable ~osr:(osr_at <> None) m) then
     raise
@@ -223,14 +224,3 @@ let compile_graph ?summaries ?after_phase config (program : Link.program) (profi
     spec_blacklist_skips = inline_stats.Pea_opt.Inline.blacklist_skips;
     closure = None;
   }
-
-let compile ?summaries ?after_phase ?(blacklist = no_blacklist) config program profile m :
-    compiled =
-  compile_graph ?summaries ?after_phase config program profile m ~osr_at:None ~blacklist
-
-(* [compile_osr ~entry_bci] builds and optimizes a graph entered at the
-   loop header [entry_bci] (see {!Builder.build}). The resulting code
-   takes the interpreter frame's locals as its arguments. *)
-let compile_osr ?summaries ?(blacklist = no_blacklist) config program profile m ~entry_bci :
-    compiled =
-  compile_graph ?summaries config program profile m ~osr_at:(Some entry_bci) ~blacklist

@@ -10,7 +10,11 @@
     - [O_ea]: whole-method equi-escape-set analysis with all-or-nothing
       scalar replacement (the HotSpot-server-compiler-style comparison of
       §6.2);
-    - [O_pea]: partial escape analysis (§5). *)
+    - [O_pea]: partial escape analysis (§5).
+
+    {!compile} is the one entry point: it runs the pipeline for a
+    method's normal entry or, with [~osr_at], for an on-stack-replacement
+    entry at a loop header. *)
 
 open Pea_bytecode
 open Pea_ir
@@ -77,11 +81,16 @@ type compiled = {
     with exception handlers or [athrow] (it runs interpreted), and, with
     [osr] (default [false]), never an OSR entry into a method that holds
     monitors. The VM, [mjvm check] and the benchmarks ask this before
-    compiling; {!compile} and {!compile_osr} refuse the rest. *)
+    compiling; {!compile} refuses the rest. *)
 val compilable : ?osr:bool -> Classfile.rt_method -> bool
 
-(** [compile ?summaries ?after_phase ?blacklist config program profile m]
-    runs the pipeline on [m]. [blacklist (mth_id, bci)] vetoes
+(** [compile ?summaries ?after_phase ?blacklist ?osr_at config program
+    profile m] runs the pipeline on [m]. Without [osr_at] the graph has
+    the normal entry. With [~osr_at:bci] it is an on-stack-replacement
+    graph entered at the loop header [bci] (see {!Pea_ir.Builder.build}):
+    the compiled code takes the interpreter frame's local slots as its
+    parameters, and the VM transfers into it at a back edge with the
+    live locals. [blacklist (mth_id, bci)] vetoes
     speculation on one deopt site (the VM populates it from sites that
     actually deoptimized; every other branch keeps being pruned).
     [summaries] is the whole-program summary table; the VM computes it
@@ -90,33 +99,17 @@ val compilable : ?osr:bool -> Classfile.rt_method -> bool
     graph after that phase's checks ("build", "inline", "simplify",
     "prune", "opt" | "escape-analysis" | "pea", "cleanup"); later phases
     mutate [g], and an exception it raises aborts the compile.
-    @raise Pea_ir.Builder.Build_error when [m] is not {!compilable} or
-    the builder refuses it.
+    @raise Pea_ir.Builder.Build_error when [m] is not {!compilable}
+    (with [~osr:true] under [osr_at]), or the builder refuses it (e.g.
+    [osr_at] cannot head an OSR graph).
     @raise Failure when a check configured in [config] fails. *)
 val compile :
   ?summaries:Pea_analysis.Summary.t ->
   ?after_phase:(string -> Graph.t -> unit) ->
   ?blacklist:(int * int -> bool) ->
+  ?osr_at:int ->
   config ->
   Link.program ->
   Profile.t ->
   Classfile.rt_method ->
-  compiled
-
-(** [compile_osr ?summaries ?blacklist config program profile m
-    ~entry_bci] compiles an on-stack-replacement graph of [m] entered at
-    the loop header [entry_bci] (see {!Pea_ir.Builder.build}). The
-    compiled code takes the interpreter frame's local slots as its
-    parameters; the VM transfers into it at a back edge with the live
-    locals.
-    @raise Pea_ir.Builder.Build_error when [m] is not {!compilable}
-    with [~osr:true] or [entry_bci] cannot head an OSR graph. *)
-val compile_osr :
-  ?summaries:Pea_analysis.Summary.t ->
-  ?blacklist:(int * int -> bool) ->
-  config ->
-  Link.program ->
-  Profile.t ->
-  Classfile.rt_method ->
-  entry_bci:int ->
   compiled

@@ -20,43 +20,44 @@ type result = {
 }
 
 (* External code provider (the multi-tenant serving layer's shared code
-   cache). When installed, a hot method consults it instead of the VM's
-   own compiler: [cs_lookup] either hands back ready-to-install code or
-   returns [None], in which case [cs_request] registers the want and the
-   method keeps interpreting until the provider delivers. *)
+   cache). When installed, a hot method asks it instead of the VM's own
+   compiler: [cs_code] either hands back ready-to-install code or, having
+   registered the want, returns [None] and the method keeps interpreting
+   until the provider delivers. [cs_deopt] hears of every deopt: the
+   compiled root method and the fired site (innermost frame). *)
 type code_source = {
-  cs_lookup : Classfile.rt_method -> Jit.compiled option;
-  cs_request : Classfile.rt_method -> unit;
+  cs_code : Classfile.rt_method -> Jit.compiled option;
+  cs_deopt : Classfile.rt_method -> site:int * int -> unit;
+}
+
+(* Everything the VM keeps per method, indexed by [mth_id]. *)
+type meth = {
+  mutable code : Jit.compiled option; (* normal-entry code *)
+  mutable osr : (int * Jit.compiled) list; (* loop-header bci -> OSR-entry code *)
+  mutable osr_failed : int list;
+      (* loop headers OSR gave up on (irreducible from the header, or the
+         method holds monitors / uses exceptions): never retried *)
+  mutable fired : int list;
+      (* bcis of this method's deopt sites that actually fired, whichever
+         compiled root they were inlined into: recompilations keep
+         speculating everywhere except these exact sites *)
+  mutable invalidations : int; (* deopts that invalidated this method's code *)
+  mutable pinned : bool;
+      (* pinned by the deopt-storm guard: a method invalidated
+         [deopt_storm_limit] times stays in the interpreter for good *)
 }
 
 type t = {
   program : Link.program;
   config : Jit.config;
   env : Interp.env;
-  compiled : Jit.compiled option array; (* mth_id -> normal-entry code *)
-  osr_compiled : (int * int, Jit.compiled) Hashtbl.t;
-      (* (mth_id, loop-header bci) -> OSR-entry code *)
-  osr_failed : (int * int, unit) Hashtbl.t;
-      (* loop headers OSR gave up on (irreducible from the header, or the
-         method holds monitors / uses exceptions): never retried *)
-  site_blacklist : (int * int, unit) Hashtbl.t;
-      (* (mth_id, bci) of deopt sites that actually fired: recompilations
-         keep speculating everywhere except these exact sites *)
-  invalidations : (int, int) Hashtbl.t; (* mth_id -> invalidation count *)
-  pinned : bool array;
-      (* mth_id -> pinned by the deopt-storm guard: methods invalidated
-         [deopt_storm_limit] times stay in the interpreter for good *)
-  mutable n_pinned : int; (* how many [pinned] entries are true *)
+  meths : meth array;
   printed_rev : Value.value list ref;
   jit_stats : Pea_core.Pea.pass_stats;
   summaries : Pea_analysis.Summary.t option;
       (* escape summaries when [config.summaries] is set: one table serves
          every compilation of this VM, and its fixpoint runs at the first
          query *)
-  epochs : int array;
-      (* per-method invalidation epoch, bumped whenever a deopt
-         invalidates the method's code: the serving layer reads it to
-         find this round's deopts and move the shared cache's epochs *)
   mutable code_source : code_source option;
   mutable interp_only : bool;
       (* tenant quarantine: every method interprets, even ones with
@@ -77,27 +78,22 @@ let accumulate_jit_stats (acc : Pea_core.Pea.pass_stats) (st : Pea_core.Pea.pass
   acc.scratch_args <- acc.scratch_args + st.scratch_args;
   acc.sites <- acc.sites @ st.sites
 
-let site_blacklisted vm site = Hashtbl.mem vm.site_blacklist site
+let site_blacklisted vm (mid, bci) = List.mem bci vm.meths.(mid).fired
 
 let tier_name = function None -> "jit" | Some _ -> "osr"
-
-(* The pipeline for a normal entry ([osr_bci = None]) or the OSR entry at
-   one loop header. *)
-let jit_compile ?summaries ~blacklist config program profile m = function
-  | None -> Jit.compile ?summaries ~blacklist config program profile m
-  | Some header -> Jit.compile_osr ?summaries ~blacklist config program profile m ~entry_bci:header
 
 (* The one install path: the VM's own compile and shared-cache adoption
    both end here. Compile-time quantities land on the runtime counters
    only when code is installed. *)
 let install vm (m : Classfile.rt_method) osr_bci (code : Jit.compiled) =
   let stats = vm.env.Interp.stats in
+  let r = vm.meths.(m.Classfile.mth_id) in
   (match osr_bci with
   | None ->
-      vm.compiled.(m.Classfile.mth_id) <- Some code;
+      r.code <- Some code;
       Stats.incr stats Stats.compiled_methods
   | Some header ->
-      Hashtbl.replace vm.osr_compiled (m.Classfile.mth_id, header) code;
+      r.osr <- (header, code) :: r.osr;
       Stats.incr stats Stats.osr_compiles);
   Stats.observe stats Stats.compiled_graph_nodes (Pea_ir.Graph.n_nodes code.Jit.graph);
   Stats.add stats Stats.speculative_inlines code.Jit.spec_inlines;
@@ -105,9 +101,10 @@ let install vm (m : Classfile.rt_method) osr_bci (code : Jit.compiled) =
   Option.iter (accumulate_jit_stats vm.jit_stats) code.Jit.pea_stats
 
 let rec invoke vm (m : Classfile.rt_method) args =
-  if vm.interp_only || vm.pinned.(m.Classfile.mth_id) then Interp.run vm.env m args
+  let r = vm.meths.(m.Classfile.mth_id) in
+  if vm.interp_only || r.pinned then Interp.run vm.env m args
   else
-    match vm.compiled.(m.Classfile.mth_id) with
+    match r.code with
     | Some code -> run_compiled vm m code args
     | None ->
         let invocations = Profile.invocations vm.env.Interp.profile m in
@@ -116,13 +113,11 @@ let rec invoke vm (m : Classfile.rt_method) args =
           | Some cs -> (
               (* serving: the shared cache either delivers ready code or
                  takes the request; the VM never compiles on its own *)
-              match cs.cs_lookup m with
+              match cs.cs_code m with
               | Some code ->
                   install vm m None code;
                   run_compiled vm m code args
-              | None ->
-                  cs.cs_request m;
-                  Interp.run vm.env m args)
+              | None -> Interp.run vm.env m args)
           | None -> run_compiled vm m (compile_now vm m None) args
         else Interp.run vm.env m args
 
@@ -136,15 +131,16 @@ and compile_now vm (m : Classfile.rt_method) osr_bci =
   Log.debug (fun k ->
       k "compiling %s%s (invocations=%d, blacklisted sites=%d)" (Classfile.qualified_name m)
         (match osr_bci with None -> "" | Some h -> Printf.sprintf " for OSR at bci %d" h)
-        invocations (Hashtbl.length vm.site_blacklist));
+        invocations
+        (Stats.get vm.env.Interp.stats Stats.site_blacklists));
   if Trace.enabled () then
     Trace.record
       (Event.Tier_promote
          { meth = Classfile.qualified_name m; tier = tier_name osr_bci; invocations });
   let code =
     match
-      jit_compile ?summaries:vm.summaries ~blacklist:(site_blacklisted vm) vm.config vm.program
-        vm.env.Interp.profile m osr_bci
+      Jit.compile ?summaries:vm.summaries ~blacklist:(site_blacklisted vm) ?osr_at:osr_bci
+        vm.config vm.program vm.env.Interp.profile m
     with
     | code -> code
     | exception (Pea_ir.Builder.Build_error _ as e) when osr_bci <> None -> raise e
@@ -168,7 +164,7 @@ and handle_deopt vm (m : Classfile.rt_method) ~reason ?oracle (d : Pea_ir.Graph.
   let fs = d.Pea_ir.Graph.d_state in
   let site_method = fs.Pea_ir.Frame_state.fs_method in
   let site_bci = fs.Pea_ir.Frame_state.fs_bci in
-  let site = (site_method.Classfile.mth_id, site_bci) in
+  let site_rec = vm.meths.(site_method.Classfile.mth_id) in
   (* a missed receiver-class guard is counted separately from branch
      deopts, with the actual receiver class in the trace event *)
   let reason =
@@ -214,37 +210,31 @@ and handle_deopt vm (m : Classfile.rt_method) ~reason ?oracle (d : Pea_ir.Graph.
         (Classfile.qualified_name m) site_bci
         (Pea_ir.Frame_state.depth fs)
         (Classfile.qualified_name site_method));
-  if not (Hashtbl.mem vm.site_blacklist site) then begin
-    Hashtbl.replace vm.site_blacklist site ();
+  if not (List.mem site_bci site_rec.fired) then begin
+    site_rec.fired <- site_bci :: site_rec.fired;
     Stats.incr stats Stats.site_blacklists;
     if Trace.enabled () then
       Trace.record
         (Event.Site_blacklist { meth = Classfile.qualified_name site_method; bci = site_bci })
   end;
-  vm.compiled.(m.Classfile.mth_id) <- None;
-  let osr_keys =
-    Hashtbl.fold
-      (fun ((mid, _) as key) _ acc -> if mid = m.Classfile.mth_id then key :: acc else acc)
-      vm.osr_compiled []
-  in
-  List.iter (Hashtbl.remove vm.osr_compiled) osr_keys;
-  (* the serving layer reads the moved epoch at its next barrier *)
-  vm.epochs.(m.Classfile.mth_id) <- vm.epochs.(m.Classfile.mth_id) + 1;
-  let n = 1 + Option.value (Hashtbl.find_opt vm.invalidations m.Classfile.mth_id) ~default:0 in
-  Hashtbl.replace vm.invalidations m.Classfile.mth_id n;
-  if n >= vm.config.Jit.deopt_storm_limit then begin
+  let root = vm.meths.(m.Classfile.mth_id) in
+  root.code <- None;
+  root.osr <- [];
+  root.invalidations <- root.invalidations + 1;
+  if root.invalidations >= vm.config.Jit.deopt_storm_limit then begin
     Log.debug (fun k ->
         k "deopt storm in %s (%d invalidations): pinning to the interpreter"
-          (Classfile.qualified_name m) n);
-    if not vm.pinned.(m.Classfile.mth_id) then begin
-      vm.pinned.(m.Classfile.mth_id) <- true;
-      vm.n_pinned <- vm.n_pinned + 1
-    end;
+          (Classfile.qualified_name m) root.invalidations);
+    root.pinned <- true;
     (* the ring now holds the whole storm: snapshot it while it does *)
     Flight.trigger ~reason:"deopt-storm"
   end;
+  (* the serving layer acts on the report at its next barrier *)
+  (match vm.code_source with
+  | Some cs -> cs.cs_deopt m ~site:(site_method.Classfile.mth_id, site_bci)
+  | None -> ());
   match Deopt.handle ~reason ?oracle vm.env d lookup with
-  | r -> r
+  | v -> v
   | exception (Oracle.Divergence _ as e) ->
       Flight.trigger ~reason:"oracle-divergence";
       raise e
@@ -340,24 +330,23 @@ and ensure_closure vm m (code : Jit.compiled) =
    normal-entry code so subsequent calls skip the interpreter too. *)
 and on_back_edge vm (m : Classfile.rt_method) ~header ~locals =
   let cfg = vm.config in
-  let mid = m.Classfile.mth_id in
+  let r = vm.meths.(m.Classfile.mth_id) in
   (* the counter test comes first, so a back edge below the threshold
-     makes no hash lookup; every test is pure, so the order is free *)
+     makes no list walk; every test is pure, so the order is free *)
   if
     (not cfg.Jit.osr)
     || Profile.back_edge_count vm.env.Interp.profile m ~header < cfg.Jit.osr_threshold
     || vm.interp_only
-    || vm.pinned.(mid)
-    || Hashtbl.mem vm.osr_failed (mid, header)
+    || r.pinned
+    || List.mem header r.osr_failed
   then Interp.No_osr
   else if not (Jit.compilable ~osr:true m) then begin
-    Hashtbl.replace vm.osr_failed (mid, header) ();
+    r.osr_failed <- header :: r.osr_failed;
     Interp.No_osr
   end
   else
-    let key = (mid, header) in
     let code =
-      match Hashtbl.find_opt vm.osr_compiled key with
+      match List.assoc_opt header r.osr with
       | Some _ as code -> code
       | None -> (
           match compile_now vm m (Some header) with
@@ -367,7 +356,7 @@ and on_back_edge vm (m : Classfile.rt_method) ~header ~locals =
                  header; the enclosing loop's header will still OSR *)
               Log.debug (fun k ->
                   k "OSR at %s bci %d not possible: %s" (Classfile.qualified_name m) header msg);
-              Hashtbl.replace vm.osr_failed key ();
+              r.osr_failed <- header :: r.osr_failed;
               None)
     in
     match code with
@@ -375,7 +364,7 @@ and on_back_edge vm (m : Classfile.rt_method) ~header ~locals =
     | Some code ->
         (* a hot loop makes the whole method hot: ask for normal-entry
            code now instead of waiting for the invocation counter *)
-        if Option.is_none vm.compiled.(mid) && Jit.compilable m then
+        if Option.is_none r.code && Jit.compilable m then
           ignore (compile_now vm m None);
         Interp.Osr_return (run_osr vm m code locals)
 
@@ -398,8 +387,6 @@ let create ?(config = Jit.default_config) (program : Link.program) : t =
       globals.(sf.Classfile.sf_index) <- Value.default_value sf.Classfile.sf_ty)
     program.Link.statics;
   let printed_rev = ref [] in
-  (* per-method tables are indexed by [mth_id] *)
-  let n_methods = max (Array.length program.Link.methods) 1 in
   let invocations_cell, invocations_idx = Stats.cell stats Stats.invocations in
   (* the interpreter's hooks close over the VM they belong to *)
   let rec vm =
@@ -417,18 +404,13 @@ let create ?(config = Jit.default_config) (program : Link.program) : t =
           on_back_edge = (fun m ~header ~locals -> on_back_edge vm m ~header ~locals);
           hooks = None;
         };
-      compiled = Array.make n_methods None;
-      osr_compiled = Hashtbl.create 8;
-      osr_failed = Hashtbl.create 8;
-      site_blacklist = Hashtbl.create 8;
-      invalidations = Hashtbl.create 8;
-      pinned = Array.make n_methods false;
-      n_pinned = 0;
+      meths =
+        Array.init (Array.length program.Link.methods) (fun _ ->
+            { code = None; osr = []; osr_failed = []; fired = []; invalidations = 0; pinned = false });
       printed_rev;
       jit_stats = Pea_core.Pea.mk_stats ();
       summaries =
         (if config.Jit.summaries then Some (Pea_analysis.Summary.analyze program) else None);
-      epochs = Array.make n_methods 0;
       code_source = None;
       interp_only = false;
       invocations_cell;
@@ -446,16 +428,9 @@ let jit_stats vm = vm.jit_stats
 let printed vm = List.rev !(vm.printed_rev)
 
 let compiled_graph vm (m : Classfile.rt_method) =
-  Option.map (fun c -> c.Jit.graph) vm.compiled.(m.Classfile.mth_id)
+  Option.map (fun c -> c.Jit.graph) vm.meths.(m.Classfile.mth_id).code
 
-let osr_graph vm (m : Classfile.rt_method) ~header =
-  Option.map
-    (fun c -> c.Jit.graph)
-    (Hashtbl.find_opt vm.osr_compiled (m.Classfile.mth_id, header))
-
-let interpreter_pinned vm (m : Classfile.rt_method) = vm.pinned.(m.Classfile.mth_id)
-
-let pinned_count vm = vm.n_pinned
+let interpreter_pinned vm (m : Classfile.rt_method) = vm.meths.(m.Classfile.mth_id).pinned
 
 let set_code_source vm cs = vm.code_source <- Some cs
 
@@ -463,16 +438,10 @@ let set_interp_only vm = vm.interp_only <- true
 
 let interp_only vm = vm.interp_only
 
-let invalidation_epoch vm (m : Classfile.rt_method) = vm.epochs.(m.Classfile.mth_id)
-
-let invalidation_count vm (m : Classfile.rt_method) =
-  Option.value (Hashtbl.find_opt vm.invalidations m.Classfile.mth_id) ~default:0
+let invalidation_count vm (m : Classfile.rt_method) = vm.meths.(m.Classfile.mth_id).invalidations
 
 let blacklisted_sites vm (m : Classfile.rt_method) =
-  Hashtbl.fold
-    (fun (mid, bci) _ acc -> if mid = m.Classfile.mth_id then bci :: acc else acc)
-    vm.site_blacklist []
-  |> List.sort compare
+  List.sort compare vm.meths.(m.Classfile.mth_id).fired
 
 let result_of vm return_value =
   {

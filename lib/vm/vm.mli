@@ -7,17 +7,23 @@
     interpreted invocation tiers up without waiting for a return, via
     on-stack replacement: the interpreter hands its live locals to the
     VM at a back edge, which compiles an OSR graph entered at the loop
-    header ({!Jit.compile_osr}) and transfers the running frame into it
-    (normal-entry code is cached at the same time for subsequent calls).
+    header ({!Jit.compile} with [~osr_at]) and transfers the running
+    frame into it (normal-entry code is cached at the same time for
+    subsequent calls).
 
     Hitting a pruned branch deoptimizes back to the interpreter
     (rematerializing scalar-replaced objects) and invalidates the
-    method's compiled code — but speculation is disabled {e per deopt
-    site}, not per method: the recompiled code keeps pruning and
-    scalar-replacing everywhere except the exact (method, bci) sites
-    that actually fired. A method invalidated
-    {!Jit.config.deopt_storm_limit} times is pinned to the interpreter
-    for good (deopt-storm guard). *)
+    compiled method's normal and OSR code — but speculation is disabled
+    {e per deopt site}, not per method: the recompiled code keeps
+    pruning and scalar-replacing everywhere except the exact (method,
+    bci) sites that actually fired, each keyed by the innermost frame,
+    so a site inlined from a callee is the callee's. A method
+    invalidated {!Jit.config.deopt_storm_limit} times is pinned to the
+    interpreter for good (deopt-storm guard).
+
+    The VM keeps one record per method (indexed by [mth_id]): its
+    normal code, its OSR code per loop header, the headers OSR gave up
+    on, its fired deopt sites, its invalidation count and its pin. *)
 
 open Pea_bytecode
 open Pea_rt
@@ -66,25 +72,21 @@ val printed : t -> Value.value list
     for [m], if the method has been JIT-compiled. *)
 val compiled_graph : t -> Classfile.rt_method -> Pea_ir.Graph.t option
 
-(** [osr_graph vm m ~header] returns the OSR-entry compiled IR for [m]
-    entered at loop header [header], if one is live. *)
-val osr_graph : t -> Classfile.rt_method -> header:int -> Pea_ir.Graph.t option
-
 (** [interpreter_pinned vm m] — whether the deopt-storm guard has pinned
     [m] to the interpreter. *)
 val interpreter_pinned : t -> Classfile.rt_method -> bool
 
-(** [pinned_count vm] — how many methods the deopt-storm guard has pinned
-    (the serving layer's quarantine trigger). *)
-val pinned_count : t -> int
-
-(** External code provider (the serving layer's shared code cache): a hot
-    method consults [cs_lookup] for ready-to-install code instead of
-    compiling; on [None], [cs_request] registers the want and the method
-    keeps interpreting until the provider delivers. *)
+(** External code provider (the serving layer's shared code cache). A
+    hot method asks [cs_code m] for ready-to-install code instead of
+    compiling; [None] means the provider has registered the want, and
+    the method keeps interpreting until it delivers. Every deopt calls
+    [cs_deopt m ~site] with the compiled root method [m], whose code the
+    deopt invalidated, and the fired site [(mth_id, bci)] of the
+    innermost frame, which is an inlined callee's when the site was
+    inlined. *)
 type code_source = {
-  cs_lookup : Classfile.rt_method -> Jit.compiled option;
-  cs_request : Classfile.rt_method -> unit;
+  cs_code : Classfile.rt_method -> Jit.compiled option;
+  cs_deopt : Classfile.rt_method -> site:int * int -> unit;
 }
 
 (** [set_code_source vm cs] routes all future tier-up decisions through
@@ -101,17 +103,13 @@ val set_interp_only : t -> unit
 (** [interp_only vm] — whether {!set_interp_only} was called. *)
 val interp_only : t -> bool
 
-(** [invalidation_epoch vm m] — [m]'s invalidation epoch: bumped every
-    time a deopt invalidates the method's code. The serving layer
-    validates shared-cache entries against it. *)
-val invalidation_epoch : t -> Classfile.rt_method -> int
-
 (** [invalidation_count vm m] — how many times deopts have invalidated
     [m]'s code ({!Jit.config.deopt_storm_limit} pins the method). *)
 val invalidation_count : t -> Classfile.rt_method -> int
 
 (** [blacklisted_sites vm m] — bcis of [m]'s deopt sites excluded from
-    speculation, ascending. *)
+    speculation, ascending. A site of [m] that fired while [m] was
+    inlined into another method is listed here, under [m]. *)
 val blacklisted_sites : t -> Classfile.rt_method -> int list
 
 (** [warm_up vm m args n] invokes [m] [n] times (to drive profiling and

@@ -243,8 +243,8 @@ let test_transfer_map_hole () =
   (* find the loop header the interpreter would OSR at: the only
      back-edge target; build directly at bci of the while condition *)
   let compiled =
-    Jit.compile_osr config program profile f
-      ~entry_bci:
+    Jit.compile config program profile f
+      ~osr_at:
         (let code = f.Classfile.mth_code in
          let header = ref (-1) in
          Array.iteri

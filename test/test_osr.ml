@@ -236,6 +236,105 @@ let test_deopt_storm_pins () =
   Alcotest.(check bool) "still not recompiled" true (Vm.compiled_graph vm f = None)
 
 (* ------------------------------------------------------------------ *)
+(* The per-method record                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* [g]'s cold [k == 7] branch sits before its loop, so [g]'s OSR graph,
+   entered at the loop header, does not contain it. [f] has a loop of its
+   own and calls [g] after it; the JIT inlines [g] into [f]. *)
+let two_loops_src =
+  "class C {\n\
+  \  static int g(int n, int k) {\n\
+  \    int s = 0;\n\
+  \    if (k == 7) { s = 1000; }\n\
+  \    int i = 0;\n\
+  \    while (i < n) { s = s + i; i = i + 1; }\n\
+  \    return s;\n\
+  \  }\n\
+  \  static int f(int n, int k) {\n\
+  \    int s = 0;\n\
+  \    int j = 0;\n\
+  \    while (j < n) { s = s + 1; j = j + 1; }\n\
+  \    return s + C.g(n, k);\n\
+  \  }\n\
+   }"
+
+(* Only OSR tiers up, so each method gets its normal-entry code together
+   with its OSR code. *)
+let osr_only_config =
+  { Jit.default_config with Jit.compile_threshold = max_int; osr = true; osr_threshold = 50 }
+
+(* A deopt invalidates the compiled root's normal and OSR code and
+   nothing else: [f] deopts at [g]'s site inlined into it, the
+   interpreter resumes [g]'s frame before [g]'s loop, and the loop
+   enters [g]'s OSR code, which the deopt left in place. *)
+let test_deopt_drops_only_its_method () =
+  let program = Link.compile_source ~require_main:false two_loops_src in
+  let vm = Vm.create ~config:osr_only_config program in
+  let f = Link.find_method program "C" "f" and g = Link.find_method program "C" "g" in
+  let stat c = Stats.get (Vm.stats vm) c in
+  let g_of n k = (if k = 7 then 1000 else 0) + (n * (n - 1) / 2) in
+  (* short calls profile both loop exits as taken and [k == 7] as
+     untaken; [f]'s loop gets hot first and OSRs, inlining [g] *)
+  for _ = 1 to 30 do
+    Alcotest.(check int) "f" (2 + g_of 2 0) (as_int (Vm.invoke vm f [ vint 2; vint 0 ]))
+  done;
+  Alcotest.(check bool) "f has normal-entry code" true (Vm.compiled_graph vm f <> None);
+  let entries = stat Stats.osr_entries in
+  Alcotest.(check int) "g" (g_of 60 0) (as_int (Vm.invoke vm g [ vint 60; vint 0 ]));
+  Alcotest.(check int) "g entered its OSR code" (entries + 1) (stat Stats.osr_entries);
+  Alcotest.(check bool) "g has normal-entry code" true (Vm.compiled_graph vm g <> None);
+  let entries = stat Stats.osr_entries and compiles = stat Stats.osr_compiles in
+  (* f's normal code deopts at g's inlined branch *)
+  Alcotest.(check int) "f's result through the deopt" (60 + g_of 60 7)
+    (as_int (Vm.invoke vm f [ vint 60; vint 7 ]));
+  Alcotest.(check int) "one deopt" 1 (stat Stats.deopts);
+  Alcotest.(check bool) "f's normal code dropped" true (Vm.compiled_graph vm f = None);
+  Alcotest.(check bool) "g's normal code kept" true (Vm.compiled_graph vm g <> None);
+  Alcotest.(check int) "f invalidated once" 1 (Vm.invalidation_count vm f);
+  Alcotest.(check int) "g never invalidated" 0 (Vm.invalidation_count vm g);
+  Alcotest.(check int) "g's resumed loop entered g's kept OSR code" (entries + 1)
+    (stat Stats.osr_entries);
+  Alcotest.(check int) "without compiling it again" compiles (stat Stats.osr_compiles);
+  (* f's OSR code went with the deopt: its loop compiles it again *)
+  Alcotest.(check int) "f's result after the deopt" (60 + g_of 60 0)
+    (as_int (Vm.invoke vm f [ vint 60; vint 0 ]));
+  Alcotest.(check int) "f's OSR code compiled again" (compiles + 1) (stat Stats.osr_compiles);
+  Alcotest.(check int) "and entered" (entries + 2) (stat Stats.osr_entries)
+
+(* [helper]'s cold branch, inlined into [f], fires inside [f]'s code:
+   the site is [helper]'s, so it is listed under [helper], while the
+   invalidation is [f]'s. *)
+let test_inlined_site_listed_under_callee () =
+  let src =
+    "class C {\n\
+    \  static int helper(int x, boolean flip) {\n\
+    \    int r = x + 1;\n\
+    \    if (flip) { r = r * 3; }\n\
+    \    return r;\n\
+    \  }\n\
+    \  static int f(int x, boolean flip) { return C.helper(x, flip) + 1; }\n\
+     }"
+  in
+  let program = Link.compile_source ~require_main:false src in
+  let config = { Jit.default_config with Jit.compile_threshold = 25; osr = false } in
+  let vm = Vm.create ~config program in
+  let f = Link.find_method program "C" "f" and helper = Link.find_method program "C" "helper" in
+  Vm.warm_up vm f [ vint 3; vbool false ] 40;
+  Alcotest.(check bool) "f compiled" true (Vm.compiled_graph vm f <> None);
+  Alcotest.(check int) "the cold branch deopts" 25 (as_int (Vm.invoke vm f [ vint 7; vbool true ]));
+  Alcotest.(check int) "one deopt" 1 (Stats.get (Vm.stats vm) Stats.deopts);
+  Alcotest.(check int) "one site listed under helper" 1
+    (List.length (Vm.blacklisted_sites vm helper));
+  Alcotest.(check (list int)) "none under the root" [] (Vm.blacklisted_sites vm f);
+  Alcotest.(check int) "the root's code was invalidated" 1 (Vm.invalidation_count vm f);
+  Alcotest.(check int) "the callee's was not" 0 (Vm.invalidation_count vm helper);
+  (* the recompile of f keeps helper's branch: taking it again is no deopt *)
+  ignore (Vm.invoke vm f [ vint 3; vbool false ]);
+  Alcotest.(check int) "taken again" 25 (as_int (Vm.invoke vm f [ vint 7; vbool true ]));
+  Alcotest.(check int) "still one deopt" 1 (Stats.get (Vm.stats vm) Stats.deopts)
+
+(* ------------------------------------------------------------------ *)
 (* Compiled-tier invocation profiling                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -324,6 +423,13 @@ let () =
           Alcotest.test_case "per-site blacklist" `Quick test_per_site_blacklist;
           Alcotest.test_case "site_blacklist event" `Quick test_site_blacklist_event;
           Alcotest.test_case "deopt storm pins" `Quick test_deopt_storm_pins;
+        ] );
+      ( "method-record",
+        [
+          Alcotest.test_case "a deopt drops only its method's code" `Quick
+            test_deopt_drops_only_its_method;
+          Alcotest.test_case "an inlined callee's site is the callee's" `Quick
+            test_inlined_site_listed_under_callee;
         ] );
       ( "profile",
         [

@@ -403,6 +403,139 @@ let test_queue_decision_stream () =
     (queue_decisions again)
 
 (* ------------------------------------------------------------------ *)
+(* Deopt reports: a site inlined from a callee                         *)
+(* ------------------------------------------------------------------ *)
+
+(* [handle] calls [helper] on even [x]; the JIT inlines [helper], so its
+   cold [flip == 1] branch becomes a deopt site inside [handle]'s code
+   that belongs to [helper]. [handle_direct] writes the same branch in
+   the handler itself. *)
+let inlined_app =
+  "class Svc {\n\
+  \  static int helper(int x, int flip) {\n\
+  \    int r = x + 1;\n\
+  \    if (flip == 1) { r = r * 3; }\n\
+  \    return r;\n\
+  \  }\n\
+  \  static int handle(int x, int flip) {\n\
+  \    if (x % 2 == 0) { return Svc.helper(x, flip); }\n\
+  \    return x - 1;\n\
+  \  }\n\
+  \  static int handle_direct(int x, int flip) {\n\
+  \    if (x % 2 == 0) {\n\
+  \      int r = x + 1;\n\
+  \      if (flip == 1) { r = r * 3; }\n\
+  \      return r;\n\
+  \    }\n\
+  \    return x - 1;\n\
+  \  }\n\
+   }\n"
+
+(* Two tenants, six requests each a round (three on even [x]); from
+   round 10 tenant 1 takes the cold branch once a round, at request 2.
+   Threshold 45: [handle] is hot by round 7 and [helper], called on even
+   [x] only, never gets hot while it runs inlined. *)
+let inlined_session ~meth =
+  let round r =
+    List.concat_map
+      (fun t ->
+        List.init 6 (fun i ->
+            let flip = if t = 1 && i = 2 && r >= 10 then 1 else 0 in
+            { Server.rq_tenant = t; rq_class = "Svc"; rq_method = meth;
+              rq_args = [ (100 * t) + (6 * r) + i; flip ] }))
+      [ 0; 1 ]
+  in
+  {
+    Server.sc_apps = [ ("inline-svc", inlined_app) ];
+    sc_tenants = [ ("steady", 0); ("flipper", 0) ];
+    sc_rounds = List.init 20 round;
+  }
+
+let inlined_config mode =
+  {
+    Server.default_config with
+    Server.sv_mode = mode;
+    sv_jit = { Jit.default_config with Jit.compile_threshold = 45 };
+  }
+
+(* The fired site is [helper]'s, inside [handle]'s code. The tenant's
+   deopt report carries it to the app's shared blacklist, so the shared
+   recompile stops speculating on it: one deopt and two installs, the
+   same as with the branch written in the handler. *)
+let test_inlined_site_reaches_shared_blacklist () =
+  let modes = Server.Replay :: (if Test_env.serve_real () then [ Server.Threaded 2 ] else []) in
+  List.iter
+    (fun mode ->
+      let run meth =
+        let script = inlined_session ~meth in
+        let config = inlined_config mode in
+        let server = Server.create ~config script in
+        Server.run_rounds server script.Server.sc_rounds;
+        let r = Server.report server in
+        check_results_match_interpreter config script r;
+        (server, r)
+      in
+      let server, r = run "handle" and _, direct = run "handle_direct" in
+      List.iter
+        (fun (label, (r : Server.report)) ->
+          Alcotest.(check int) (label ^ ": the flipping tenant deopts once") 1
+            (tenant r "flipper").Server.tr_stats.Stats.s_deopts;
+          Alcotest.(check int) (label ^ ": two installs") 2
+            r.Server.r_stats.Stats.s_compile_installs)
+        [ ("branch in the inlined helper", r); ("branch in the handler", direct) ];
+      let helper = Server.find_app_method server ~app:0 "Svc" "helper" in
+      let mid = helper.Pea_bytecode.Classfile.mth_id in
+      let fired = Vm.blacklisted_sites (Server.tenant_vm server 1) helper in
+      Alcotest.(check int) "the tenant's VM lists one fired site under helper" 1
+        (List.length fired);
+      List.iter
+        (fun bci ->
+          Alcotest.(check bool) "helper's fired site is in the app's shared blacklist" true
+            (Hashtbl.mem server.Server.apps.(0).Server.ap_blacklist (mid, bci)))
+        fired)
+    modes
+
+(* One compile-queue key per (app, method): an app's size is not
+   bounded by the key. *)
+let test_serves_an_app_of_4100_methods () =
+  let n = 4100 in
+  let buf = Buffer.create (n * 48) in
+  Buffer.add_string buf "class Big {\n";
+  for i = 0 to n - 1 do
+    Buffer.add_string buf (Printf.sprintf "  static int f%d(int x) { return x + %d; }\n" i i)
+  done;
+  Buffer.add_string buf "}\n";
+  let req x = { Server.rq_tenant = 0; rq_class = "Big"; rq_method = "f4099"; rq_args = [ x ] } in
+  let script =
+    {
+      Server.sc_apps = [ ("big", Buffer.contents buf) ];
+      sc_tenants = [ ("t", 0) ];
+      sc_rounds = List.init 4 (fun r -> List.init 3 (fun i -> req ((3 * r) + i)));
+    }
+  in
+  let r = Server.run ~config:test_config script in
+  Alcotest.(check (list string)) "every request answered"
+    (List.init 12 (fun x -> string_of_int (x + 4099)))
+    (tenant r "t").Server.tr_results;
+  Alcotest.(check int) "the hot method was compiled and installed" 1
+    r.Server.r_stats.Stats.s_compile_installs
+
+(* [Threaded n] must leave room for the coordinator within the runtime's
+   domain limit, and a worker count below 1 has no domain to run on. *)
+let test_threaded_worker_bounds () =
+  let script = Sessions.mixed_script ~tenants:2 ~rounds:1 ~requests_per_round:2 ~seed:1 () in
+  List.iter
+    (fun n ->
+      match Server.create ~config:{ test_config with Server.sv_mode = Server.Threaded n } script with
+      | _ -> Alcotest.failf "Threaded %d accepted" n
+      | exception Invalid_argument msg ->
+          Alcotest.(check string)
+            (Printf.sprintf "Threaded %d refused before any domain starts" n)
+            (Printf.sprintf "Server.create: Threaded %d is outside 1..127" n)
+            msg)
+    [ 0; -1; Server.max_workers + 1 ]
+
+(* ------------------------------------------------------------------ *)
 (* Compile_queue and Shared_cache, driven directly                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -438,34 +571,36 @@ let test_queue_dedup () =
   let stats = Stats.create () in
   let q = Compile_queue.create ~cap:4 stats in
   let log = ref [] in
-  Alcotest.(check string) "first request queued" "queued" (ask ~log q 7 "a");
+  Alcotest.(check string) "first request queued" "queued" (ask ~log q (0, 7) "a");
   Alcotest.(check string) "a second request joins the first task" "inflight a"
-    (ask ~log q 7 "b");
+    (ask ~log q (0, 7) "b");
   Alcotest.(check (list string)) "only the queued request took a snapshot" [ "snapshot a" ] !log;
   Alcotest.(check int) "one task" 1 (Compile_queue.depth q);
   Alcotest.(check int) "one dedup hit" 1 (Stats.get stats Stats.compile_dedup_hits);
-  Alcotest.(check int) "one enqueue" 1 (Stats.get stats Stats.compile_enqueues)
+  Alcotest.(check int) "one enqueue" 1 (Stats.get stats Stats.compile_enqueues);
+  Alcotest.(check string) "the same method id in another app is another key" "queued"
+    (ask ~log q (1, 7) "c")
 
 let test_queue_drops_when_full () =
   let stats = Stats.create () in
   let q = Compile_queue.create ~cap:1 stats in
   let log = ref [] in
-  Alcotest.(check string) "fills the queue" "queued" (ask ~log q 1 "a");
-  Alcotest.(check string) "a full queue turns a new key away" "dropped" (ask ~log q 2 "b");
-  Alcotest.(check string) "a dedup hit still lands" "inflight a" (ask ~log q 1 "c");
+  Alcotest.(check string) "fills the queue" "queued" (ask ~log q (0, 1) "a");
+  Alcotest.(check string) "a full queue turns a new key away" "dropped" (ask ~log q (0, 2) "b");
+  Alcotest.(check string) "a dedup hit still lands" "inflight a" (ask ~log q (0, 1) "c");
   Alcotest.(check (list string)) "a drop takes no snapshot" [ "snapshot a" ] !log;
   Alcotest.(check int) "one drop counted" 1 (Stats.get stats Stats.compile_drops);
   Compile_queue.resolve q ~now:max_int ~on_failed:no_failures ~install:(fun _ _ -> true);
   Alcotest.(check string) "the dropped key is accepted once there is room" "queued"
-    (ask ~log q 2 "b")
+    (ask ~log q (0, 2) "b")
 
 let test_queue_deadline_order () =
   let stats = Stats.create () in
   let q = Compile_queue.create ~cap:4 stats in
   let log = ref [] in
-  ignore (ask ~log ~now:0 ~latency:5 q 1 "k1");
-  ignore (ask ~log ~now:1 ~latency:2 q 2 "k2");
-  ignore (ask ~log ~now:1 ~latency:4 q 3 "k3");
+  ignore (ask ~log ~now:0 ~latency:5 q (0, 1) "k1");
+  ignore (ask ~log ~now:1 ~latency:2 q (0, 2) "k2");
+  ignore (ask ~log ~now:1 ~latency:4 q (0, 3) "k3");
   log := [];
   let resolve now =
     Compile_queue.resolve q ~now ~on_failed:no_failures ~install:(fun task _ ->
@@ -487,11 +622,11 @@ let test_queue_deadline_order () =
 let test_queue_failure_pins_key () =
   let stats = Stats.create () in
   let q = Compile_queue.create ~cap:4 stats in
-  ignore (ask q 1 "bad");
-  ignore (ask q 2 "good");
+  ignore (ask q (0, 1) "bad");
+  ignore (ask q (0, 2) "good");
   let failures = ref [] and installs = ref [] in
   Compile_queue.test_hook :=
-    (fun key -> if key = 1 then failwith "injected compiler fault");
+    (fun key -> if key = (0, 1) then failwith "injected compiler fault");
   Fun.protect
     ~finally:(fun () -> Compile_queue.test_hook := fun _ -> ())
     (fun () ->
@@ -504,9 +639,9 @@ let test_queue_failure_pins_key () =
   Alcotest.(check (list (pair string bool))) "the faulted compile reported with its error"
     [ ("bad", true) ] !failures;
   Alcotest.(check (list string)) "the other task installed" [ "good" ] (List.rev !installs);
-  Alcotest.(check bool) "the key is pinned" true (Compile_queue.failed q 1);
+  Alcotest.(check bool) "the key is pinned" true (Compile_queue.failed q (0, 1));
   let log = ref [] in
-  Alcotest.(check string) "the pinned key is turned away" "failed before" (ask ~log q 1 "again");
+  Alcotest.(check string) "the pinned key is turned away" "failed before" (ask ~log q (0, 1) "again");
   Alcotest.(check (list string)) "without a snapshot" [] !log;
   Alcotest.(check int) "one failure counted" 1 (Stats.get stats Stats.compile_failures);
   Alcotest.(check int) "one install counted" 1 (Stats.get stats Stats.compile_installs)
@@ -516,10 +651,10 @@ let test_queue_failure_pins_key () =
 let test_queue_refused_install () =
   let stats = Stats.create () in
   let q = Compile_queue.create ~cap:4 stats in
-  ignore (ask q 1 "first");
+  ignore (ask q (0, 1) "first");
   let requeued = ref "" in
   Compile_queue.resolve q ~now:max_int ~on_failed:no_failures ~install:(fun _ _ ->
-      requeued := ask ~now:10 q 1 "second";
+      requeued := ask ~now:10 q (0, 1) "second";
       false);
   Alcotest.(check string) "the callback may request the key again" "queued" !requeued;
   Alcotest.(check int) "a refused install is not counted" 0 (Stats.get stats Stats.compile_installs);
@@ -720,6 +855,15 @@ let () =
           Alcotest.test_case "full queue drops requests" `Quick test_full_queue_drops_requests;
           Alcotest.test_case "summaries follow sv_jit.summaries" `Quick
             test_summaries_follow_config;
+        ] );
+      ( "deopt-reports",
+        [
+          Alcotest.test_case "an inlined callee's site reaches the shared blacklist" `Quick
+            test_inlined_site_reaches_shared_blacklist;
+          Alcotest.test_case "an app of 4100 methods is served" `Quick
+            test_serves_an_app_of_4100_methods;
+          Alcotest.test_case "Threaded n outside 1..127 is refused" `Quick
+            test_threaded_worker_bounds;
         ] );
       ( "replay",
         [

@@ -106,10 +106,13 @@ let deterministic_counters (s : Stats.snapshot) =
    this way before the closure tier reads it. Returns the graph. *)
 let install_offline ?(mutate = ignore) ~config vm program (m : Pea_bytecode.Classfile.rt_method)
     ~warm:(args, n) =
-  Vm.set_code_source vm { Vm.cs_lookup = (fun _ -> None); cs_request = ignore };
+  Vm.set_code_source vm { Vm.cs_code = (fun _ -> None); cs_deopt = (fun _ ~site:_ -> ()) };
   Vm.warm_up vm m args n;
   let code = Jit.compile config program (Vm.profile vm) m in
   mutate code.Jit.graph;
   Vm.set_code_source vm
-    { Vm.cs_lookup = (fun m' -> if m' == m then Some code else None); cs_request = ignore };
+    {
+      Vm.cs_code = (fun m' -> if m' == m then Some code else None);
+      cs_deopt = (fun _ ~site:_ -> ());
+    };
   code.Jit.graph
