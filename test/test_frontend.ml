@@ -388,6 +388,23 @@ let test_pretty_preserves_semantics () =
         (Pea_rt.Value.string_of_value b)
   | _ -> Alcotest.fail "missing results"
 
+let prop_pretty_roundtrip =
+  QCheck2.Test.make ~name:"pretty-print roundtrip on random programs" ~count:120
+    ~print:(fun s -> s) Program_gen.gen_program
+    (fun src ->
+      let ast1 = Pea_mjava.Parser.parse_program src in
+      let printed1 = Pea_mjava.Pretty.program ast1 in
+      let ast2 = Pea_mjava.Parser.parse_program printed1 in
+      let printed2 = Pea_mjava.Pretty.program ast2 in
+      (* fixpoint, and the printed program behaves like the original *)
+      printed1 = printed2
+      &&
+      let r1 = Pea_rt.Run.run_source src in
+      let r2 = Pea_rt.Run.run_source printed1 in
+      r1.Pea_rt.Run.return_value = r2.Pea_rt.Run.return_value
+      && List.map Pea_rt.Value.string_of_value r1.Pea_rt.Run.printed
+         = List.map Pea_rt.Value.string_of_value r2.Pea_rt.Run.printed)
+
 let () =
   Alcotest.run "frontend"
     [
@@ -421,6 +438,7 @@ let () =
         [
           Alcotest.test_case "roundtrips" `Quick test_pretty_roundtrip_cases;
           Alcotest.test_case "semantics preserved" `Quick test_pretty_preserves_semantics;
+          QCheck_alcotest.to_alcotest prop_pretty_roundtrip;
         ] );
       ( "typecheck",
         [

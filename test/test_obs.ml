@@ -270,33 +270,33 @@ let test_tracing_off_parity () =
   Alcotest.(check (pair string (list string))) "same outcome" (outcome off) (outcome on);
   check_snapshots_equal "same counters" off.Vm.stats on.Vm.stats
 
-(* Property form, over the shared corpus and a sampled configuration
-   space: installing a tracer never changes the program outcome or any
-   deterministic counter. *)
+(* Property form, over the shared corpus and a drawn configuration and
+   compile threshold: installing a tracer never changes the program
+   outcome or any deterministic counter. The property walks the tracer
+   itself; the drawn profilers stay installed for both runs. *)
 let prop_tracing_is_pure =
   let module G = QCheck2.Gen in
   let gen =
-    G.map2
-      (fun (name, src) threshold -> (name, src, threshold))
-      (G.oneofl Programs.corpus) (G.int_range 0 12)
+    G.pair (G.oneofl Programs.corpus)
+      (G.bind (G.int_range 0 12) (fun compile_threshold ->
+           Test_support.gen_config ~base:{ Jit.default_config with Jit.compile_threshold } ()))
   in
   QCheck2.Test.make ~name:"tracing changes no result and no counter"
     ~count:(Test_env.qcheck_count 40)
-    ~print:(fun (name, _, threshold) -> Printf.sprintf "%s threshold=%d" name threshold)
+    ~print:(fun ((name, _), d) -> name ^ " " ^ Test_support.show_draw ~walks:[ "tracer" ] d)
     gen
-    (fun (_, src, threshold) ->
-      (* OSR stays at its default here: tracer purity must hold on the
-         OSR path too *)
-      let config = { Jit.default_config with Jit.compile_threshold = threshold } in
+    (fun ((_, src), d) ->
+      let config = d.Test_support.config in
       let program = Pea_bytecode.Link.compile_source src in
-      let off = Vm.run_main_iterations (Vm.create ~config program) 3 in
-      let vm = Vm.create ~config program in
-      let on =
-        with_tracer (fun t ->
-            Trace.set_clock t (fun () -> Stats.get (Vm.stats vm) Stats.cycles);
-            Vm.run_main_iterations vm 3)
-      in
-      outcome off = outcome on && off.Vm.stats = on.Vm.stats)
+      Test_support.with_instrumentation { d with Test_support.tracer = false } (fun () ->
+          let off = Vm.run_main_iterations (Vm.create ~config program) 3 in
+          let vm = Vm.create ~config program in
+          let on =
+            with_tracer (fun t ->
+                Trace.set_clock t (fun () -> Stats.get (Vm.stats vm) Stats.cycles);
+                Vm.run_main_iterations vm 3)
+          in
+          outcome off = outcome on && off.Vm.stats = on.Vm.stats))
 
 let () =
   Alcotest.run "obs"

@@ -20,9 +20,8 @@
      the same reports as replay — counter-identical, not just
      result-identical.
 
-   Serving configs are built explicitly: the harness forces OSR off on
-   tenant VMs by design, so [Test_env.apply]'s OSR axis does not apply
-   here. *)
+   Serving configs are built explicitly; the harness runs its tenant
+   VMs without OSR by design. *)
 
 open Pea_rt
 open Pea_vm

@@ -379,6 +379,50 @@ let test_e2e_matches_interpreter () =
   Alcotest.(check string) "interpreter agrees" (str_ref reference.Run.return_value)
     (match with_s.Vm.return_value with None -> "void" | Some v -> Value.string_of_value v)
 
+(* Escape summaries are a least fixpoint over a finite lattice, so they
+   must not depend on which method is asked about first, however lazily
+   the table computes them. Every method's own summary and its Static and
+   Virtual call-site summaries must print the same when the methods are
+   queried in ascending id order, in descending order and in a seeded
+   shuffle, each on a fresh table. The generated programs have virtual
+   calls on A/B/C and (self-)recursion. *)
+let prop_summaries_order_independent =
+  let module Summary = Pea_analysis.Summary in
+  let summaries_in program order =
+    let t = Summary.analyze program in
+    let out = Array.make (Array.length order) [] in
+    Array.iter
+      (fun (m : Pea_bytecode.Classfile.rt_method) ->
+        let pp s = Format.asprintf "%a" Summary.pp_summary s in
+        out.(m.Pea_bytecode.Classfile.mth_id) <-
+          [
+            pp (Summary.of_method t m);
+            pp (Summary.call_summary t Pea_ir.Node.Static m);
+            pp (Summary.call_summary t Pea_ir.Node.Virtual m);
+          ])
+      order;
+    out
+  in
+  QCheck2.Test.make ~name:"escape summaries do not depend on query order"
+    ~count:(Test_env.qcheck_count 100)
+    ~print:(fun (src, seed) -> Printf.sprintf "seed=%d\n%s" seed src)
+    (QCheck2.Gen.pair Program_gen.gen_program (QCheck2.Gen.int_bound 1_000_000))
+    (fun (src, seed) ->
+      let program = Pea_bytecode.Link.compile_source src in
+      let ascending = program.Pea_bytecode.Link.methods in
+      let n = Array.length ascending in
+      let descending = Array.init n (fun i -> ascending.(n - 1 - i)) in
+      let shuffled = Array.copy ascending in
+      let rng = Random.State.make [| seed |] in
+      for i = n - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let x = shuffled.(i) in
+        shuffled.(i) <- shuffled.(j);
+        shuffled.(j) <- x
+      done;
+      let reference = summaries_in program ascending in
+      summaries_in program descending = reference && summaries_in program shuffled = reference)
+
 let () =
   Alcotest.run "summaries"
     [
@@ -409,6 +453,7 @@ let () =
           Alcotest.test_case "inlined compile forces nothing" `Quick
             test_inlined_compile_forces_nothing;
           Alcotest.test_case "builder fault ends the run" `Quick test_builder_fault_ends_the_run;
+          QCheck_alcotest.to_alcotest prop_summaries_order_independent;
         ] );
       ( "end-to-end",
         [
