@@ -257,10 +257,7 @@ let test_checker_catches_phi_arity () =
     | [] -> Alcotest.fail "checker accepted wrong phi arity"
     | _ -> ()
 
-let contains s sub =
-  let n = String.length sub in
-  let rec loop i = i + n <= String.length s && (String.sub s i n = sub || loop (i + 1)) in
-  loop 0
+let contains = Test_support.contains
 
 let test_checker_invoke_frame_state_rule () =
   (* stripping the frame state from an invoke violates the default rules

@@ -302,6 +302,34 @@ let test_fig6_phi_different_objects () =
   Alcotest.(check int) "two allocations survive" 2 (allocs g');
   ignore st
 
+(* Lock counts that differ across a merge's predecessors force the object
+   out (§5.3). Structured source never reaches such a merge, so the test
+   deletes the locking arm's monitor exit from the built graph. *)
+let test_merge_unbalanced_locks () =
+  let _, g =
+    graph_of
+      "class P { int v; }\n\
+       class C {\n\
+      \  static int f(boolean c) {\n\
+      \    P p = new P();\n\
+      \    if (c) { synchronized (p) { p.v = 1; } } else { p.v = 2; }\n\
+      \    return p.v;\n\
+      \  }\n\
+       }"
+      "C" "f" ~inline:false
+  in
+  Graph.iter_blocks
+    (fun b ->
+      Pea_support.Dyn_array.iter
+        (fun (n : Node.t) ->
+          match n.Node.op with Node.Monitor_exit _ -> n.Node.op <- Node.Const Node.Cundef | _ -> ())
+        b.Graph.instrs)
+    g;
+  Alcotest.(check int) "the monitor enter is left alone" 1 (monitors g);
+  let g', st = Pea.run g in
+  Alcotest.(check bool) "the merge materializes the object" true
+    (st.Pea.materializations >= 1 && allocs g' >= 1)
+
 (* ------------------------------------------------------------------ *)
 (* Folding of checks on virtual objects                                *)
 (* ------------------------------------------------------------------ *)
@@ -427,6 +455,7 @@ let () =
           Alcotest.test_case "mixed merge" `Quick test_fig6_mixed_merge;
           Alcotest.test_case "phi alias" `Quick test_fig6_phi_alias;
           Alcotest.test_case "phi different objects" `Quick test_fig6_phi_different_objects;
+          Alcotest.test_case "unbalanced lock counts" `Quick test_merge_unbalanced_locks;
         ] );
       ( "folding",
         [

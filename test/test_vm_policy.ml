@@ -6,11 +6,7 @@ open Pea_bytecode
 open Pea_rt
 open Pea_vm
 
-let vint n = Value.Vint n
-
-let as_int = function
-  | Some (Value.Vint n) -> n
-  | _ -> Alcotest.fail "expected an int"
+let vint, as_int = Test_support.(vint, as_int)
 
 let simple_src =
   "class C { static int f(int x) { return x * 2 + 1; } }\n\
