@@ -80,28 +80,44 @@ let outcome (r : Vm.result) =
   ( (match r.Vm.return_value with None -> "void" | Some v -> Pea_rt.Value.string_of_value v),
     List.map Pea_rt.Value.string_of_value r.Vm.printed )
 
-let batches = 5 and reps = 10
+(* Wall seconds of one call of [f x] *)
+let time f x =
+  let t0 = Unix.gettimeofday () in
+  ignore (f x);
+  Unix.gettimeofday () -. t0
 
-(* Wall seconds of [reps] calls of [f a] and of [f b], each the fastest
-   of [batches] interleaved batches after one untimed batch that warms the
-   allocator: every call builds fresh state, so single-pass wall clock
-   carries enough scheduler noise to swamp a 10% budget. *)
-let best_of f a b =
-  let batch x =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (f x)
-    done;
-    Unix.gettimeofday () -. t0
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+
+(* How much dearer [f b] is than [f a]: the median [b / a] ratio over
+   [pairs] pairs of calls, one of each side back to back (which side goes
+   first alternates), after an untimed call of each that warms the
+   allocator; with the median call times. Every call builds fresh state,
+   so one timing carries enough scheduler noise to swamp a 10% budget;
+   the two calls of a pair, a few milliseconds apart, share the host's
+   load, so load that shifts between pairs cancels in their ratio, and
+   the median passes over the pairs a burst of load splits. *)
+let pairs = 301
+
+let median_ratio f a b =
+  let time = time f in
+  ignore (time a);
+  ignore (time b);
+  let runs =
+    List.init pairs (fun i ->
+        if i mod 2 = 0 then
+          let t_a = time a in
+          (t_a, time b)
+        else
+          let t_b = time b in
+          (time a, t_b))
   in
-  ignore (batch a);
-  ignore (batch b);
-  let t_a = ref infinity and t_b = ref infinity in
-  for _ = 1 to batches do
-    t_a := Float.min !t_a (batch a);
-    t_b := Float.min !t_b (batch b)
-  done;
-  (!t_a, !t_b)
+  ( median (List.map fst runs),
+    median (List.map snd runs),
+    median (List.map (fun (t_a, t_b) -> t_b /. t_a) runs) )
 
 (* The JIT's inputs without a VM: the program, an interpreter profile of
    one [main] run (so the pipeline speculates the way a running VM's
@@ -789,15 +805,16 @@ let profile_section () =
   let deterministic = report1 = report2 && Option.is_some report1 in
   (* the timed half excludes report aggregation: the gate is about the
      always-on cost of sampling, not the one-shot readout *)
-  let t_off, t_on = best_of (fun profiled -> run ~collect_report:false profiled) false true in
-  let overhead = if t_off > 0. then t_on /. t_off else 1. in
-  Printf.printf "wall clock, best of %d batches x %d runs: off %.4fs, on %.4fs (%.3fx)\n" batches
-    reps t_off t_on overhead;
+  let t_off, t_on, overhead =
+    median_ratio (fun profiled -> run ~collect_report:false profiled) false true
+  in
+  Printf.printf "wall clock, median of %d interleaved pairs of runs: off %.4fs, on %.4fs, on/off %.3fx\n"
+    pairs t_off t_on overhead;
   section "profile" ~measured:[ "wall_s_off"; "wall_s_on"; "overhead" ]
     [
       [
         Json.str_field "workload" "megamorphic-inlining";
-        Json.int_field "reps" reps;
+        Json.int_field "reps" 1 (* runs per timed sample *);
         Json.float_field "wall_s_off" ~decimals:6 t_off;
         Json.float_field "wall_s_on" ~decimals:6 t_on;
         Json.float_field "overhead" ~decimals:4 overhead;
@@ -911,7 +928,7 @@ let osr_section () =
    Two: the whole workload corpus verifies clean — zero false positives
    from SPEC01..SPEC10 on real compiled graphs. The compile-time cost of
    Every_phase is measured by re-running the full pipeline offline over
-   every compilable method, wall clock, best of interleaved batches, and
+   every compilable method, wall clock, the median of paired batches, and
    lands in BENCH_verify.json. *)
 let verify_section () =
   header "Speculation safety: counter-drift gate, false-positive gate, verifier overhead";
@@ -942,14 +959,13 @@ let verify_section () =
       List.map (fun m -> Jit.compile config program profile m) methods
     in
     let graphs = compile none in
-    let t_none, t_every = best_of compile none every in
+    let t_none, t_every, overhead = median_ratio compile none every in
     let violations =
       List.fold_left
         (fun acc (c : Jit.compiled) ->
           acc + List.length (Pea_analysis.Spec_check.check ~phase:"final" c.Jit.graph))
         0 graphs
     in
-    let overhead = if t_none > 0. then t_every /. t_none else 1. in
     Printf.printf "%-14s | %5d | %10.4f %10.4f %7.2fx | %s\n%!" row.Spec.name violations
       t_none t_every overhead
       (if drift_free then "none" else "DRIFT");

@@ -4,8 +4,9 @@
    the same program produce different profiles. This one samples on the
    cost-model cycle counter instead: a sample is taken at the first
    safepoint at or after every [interval]-cycle grid point. Safepoints
-   are the interpreter dispatch loop and compiled-code block entry, so
-   the sample stream, and therefore the whole profile, is a pure
+   are the interpreter dispatch loop and, in compiled code, the entry of
+   each block (polled by the control transfer into it), so the sample
+   stream, and therefore the whole profile, is a pure
    function of the executed program: byte identical across runs.
 
    Attribution is (method, tier, bci bucket) at the sample's leaf plus

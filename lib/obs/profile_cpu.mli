@@ -1,8 +1,9 @@
 (** Deterministic sampling profiler on the VM cycle clock.
 
-    Samples are taken at safepoints (interpreter dispatch, compiled-tier
-    block entry) at every [interval]-cycle grid point of an injected
-    clock, and attributed to the shadow call stack the VM maintains plus
+    Samples are taken at safepoints (interpreter dispatch; in compiled
+    code, the entry of a block, polled by the control transfer into it
+    after the edge's phi moves, and the method entry) at every
+    [interval]-cycle grid point of an injected clock, and attributed to the shadow call stack the VM maintains plus
     the leaf's bci bucket. Because the clock is the deterministic
     cost-model cycle counter, profiles are byte-identical across runs.
     The profiler
@@ -47,10 +48,12 @@ val enabled : unit -> bool
 (** One bool-ref load; every instrumentation site guards on this. *)
 
 val is_on : bool ref
-(** The flag [enabled] reads, for the one site where a call is too dear:
-    compiled-code block entry. A dev build compiles modules that have an
-    [.mli] with [-opaque], so [enabled] is never inlined across modules.
-    Read only; [install] and [uninstall] are its only writers. *)
+(** The flag [enabled] reads, for the sites where a call is too dear:
+    the interpreter's dispatch and every control transfer of compiled
+    code, which costs one load of it when profiling is off. A dev build
+    compiles modules that have an [.mli] with [-opaque], so [enabled] is
+    never inlined across modules. Read only; [install] and [uninstall]
+    are its only writers. *)
 
 val install : t -> unit
 

@@ -3,11 +3,13 @@
     compiled code.
 
     Every instruction becomes a pre-bound closure that tail-calls the
-    next, so every block is one threaded chain; every [(pred, block)]
-    edge becomes a parallel phi move over the graph's
-    {!Ir_exec.prepared} routing tables, every virtual call site a
-    monomorphic inline cache, and register files are pooled across
-    invocations.
+    next, so every block is one threaded chain; a control transfer calls
+    its target's chain directly (through a per-graph table on a back
+    edge), polling the CPU profiler's safepoint of each block it enters
+    when profiling is on; every [(pred, block)] edge with phis becomes a
+    parallel move over the graph's {!Ir_exec.prepared} routing tables,
+    every virtual call site a monomorphic inline cache, and register
+    files are pooled across invocations.
 
     Registers are typed ({!plan}): int results live unboxed in an int
     file beside the value file and are boxed only where a value consumer
@@ -18,12 +20,14 @@
     Cost accounting ({!Stats.cycles}, {!Stats.compiled_ops}, bumped
     through counter cells resolved at translation) charges each
     instruction [Cost.compiled_op] plus its operation-specific cost, and
-    each [If] one [Cost.compiled_op]. A constant's charge rides on the
-    next closure of its block or on its terminator, so wherever the
-    counters can be observed (an operation that can trap, call, allocate
-    or deopt, a block-entry safepoint, a terminator) they read exactly
-    the per-instruction totals; how the closures are built is a
-    wall-clock matter only and charges no model cycles. *)
+    each [If] one [Cost.compiled_op]. The charge of a constant, or of an
+    int operation that cannot trap, rides on the next closure of its
+    block that charges or on its terminator, so wherever the counters
+    can be observed (an operation that can trap, call, allocate or
+    deopt, a safepoint, a terminator) they read exactly the
+    per-instruction totals, and safepoints are polled in the order the
+    instructions reach them; how the closures are built is a wall-clock
+    matter only and charges no model cycles. *)
 
 open Pea_rt
 

@@ -305,6 +305,11 @@ let trap_src =
   \  static int[] g;\n\
   \  static int index(int i) { int[] a = new int[3]; C.g = a; a[i] = i + 1; return a[0] + i; }\n\
   \  static int size(int n) { int[] a = new int[n - 1]; return a.length + n; }\n\
+  \  static int store(int i, int n) {\n\
+  \    int[] a = new int[3]; C.g = a; int j = i - 1; int k = j * 2;\n\
+  \    if (n > 0) { } else { C.g = null; }\n\
+  \    int m = k + j; int q = m * 3; a[q] = k; return q;\n\
+  \  }\n\
    }"
 
 let test_trap_charges () =
@@ -330,6 +335,12 @@ let test_trap_charges () =
       ("field", [ n; vint 1 ], [ Value.Vnull; vint 1 ], "null dereference reading v", (6, 3, 0));
       ("index", [ vint 1 ], [ vint 3 ], "array index 3 out of bounds", (62, 6, 1));
       ("size", [ vint 4 ], [ vint 0 ], "negative array size -1", (3, 3, 0));
+      (* [k * 2] before the branch, an empty block passed through, and
+         [k + j] and [m * 3] before the store: int operations that cannot
+         trap, whose charges ride on the branch and on the store;
+         recorded while each of them still charged itself *)
+      ("store", [ vint 1; vint 1 ], [ vint 5; vint 1 ], "array index 36 out of bounds",
+        (69, 12, 1));
     ]
 
 (* Compiled comparisons allocate nothing: a comparison yields one of two
@@ -544,6 +555,57 @@ let test_deopt_constants_charges () =
     [ ("cycles", 5); ("compiled_ops", 5); ("sum", 42); ("constant", 2) ]
     !seen
 
+(* A [Deopt] whose block ends in int operations that cannot trap: their
+   charges ride on the terminator, so the handler sees every operation of
+   the block charged, and their results boxed for the lookup. Recorded
+   while each of them still charged itself. *)
+let test_deopt_int_op_charges () =
+  let program =
+    Link.compile_source ~require_main:false "class C { static int f(int x) { return x; } }"
+  in
+  let m = Link.find_method program "C" "f" in
+  let module G = Pea_ir.Graph in
+  let module N = Pea_ir.Node in
+  let module F = Pea_ir.Frame_state in
+  let g = G.create m in
+  let b0 = G.new_block g in
+  let x = (G.add_param g 0).N.id in
+  let one = G.append g b0 (N.Const (N.Cint 1)) in
+  let sum = G.append g b0 (N.Arith (N.Add, x, one.N.id)) in
+  let two = G.append g b0 (N.Const (N.Cint 2)) in
+  let twice = G.append g b0 (N.Arith (N.Mul, sum.N.id, two.N.id)) in
+  let total = G.append g b0 (N.Arith (N.Add, twice.N.id, sum.N.id)) in
+  let state =
+    {
+      F.fs_method = m;
+      fs_bci = 0;
+      fs_locals = [| F.F_node total.N.id |];
+      fs_stack = [];
+      fs_locks = [];
+      fs_outer = None;
+      fs_virtuals = [];
+    }
+  in
+  b0.G.term <- G.Deopt { G.d_state = state; d_edge = None; d_guard = None };
+  let env = bare_env program in
+  let code = Closure_compile.compile env (Ir_exec.prepare g) in
+  let seen = ref [] in
+  let deopt _ lookup =
+    let s = env.Interp.stats in
+    seen :=
+      [
+        ("cycles", Stats.get s Stats.cycles);
+        ("compiled_ops", Stats.get s Stats.compiled_ops);
+        ("total", as_int (Some (lookup total.N.id)));
+      ];
+    None
+  in
+  ignore (Closure_compile.run ~deopt code [ vint 41 ]);
+  Alcotest.(check (list (pair string int)))
+    "counters and lookups at the deopt"
+    [ ("cycles", 5); ("compiled_ops", 5); ("total", 126) ]
+    !seen
+
 (* What the first call after a compare-and-branch sees: the comparison
    and its [If] are one closure, charged with the constants before
    them, and the call charges its own block's constants on its way in.
@@ -656,6 +718,8 @@ let () =
           Alcotest.test_case "invoke-heavy Table-1 rows" `Quick test_row_goldens;
           Alcotest.test_case "operations trapping mid-block" `Quick test_trap_charges;
           Alcotest.test_case "deopt block of constants" `Quick test_deopt_constants_charges;
+          Alcotest.test_case "deopt after int operations that cannot trap" `Quick
+            test_deopt_int_op_charges;
           Alcotest.test_case "first call after a fused branch" `Quick
             test_fused_branch_call_charges;
         ] );

@@ -137,6 +137,69 @@ let test_compiled_golden () =
      Main.main[interp];Cache.getValue[interp];Key.sameAs[interp];@16 2\n"
     (Report.collapsed rp)
 
+(* The safepoint stream: with a profiler at interval 1, the cycle count
+   the clock reads at every poll, in order, for a whole run. The count
+   and an order-sensitive digest of the readings are pinned: a safepoint
+   lost, added or moved across a charge changes them, where the samples
+   can hide it (compiled frames carry no bci, and weights follow the
+   cycle clock). [safepoint_src] has empty blocks passed through (an
+   inlined recursion leaves chains of them), phi edges, int operations
+   that cannot trap, a compiled call and a deopt on the fifth run; on
+   the [fop] row 241,620 polls. Both literals were recorded while each
+   compiled block still polled from a closure of its own at its entry
+   and every int operation charged itself. *)
+let safepoint_src =
+  "class Box { int v; }\n\
+   class Main {\n\
+  \  static int runs;\n\
+  \  static int down(int x) {\n\
+  \    if (x < 2) { return x; }\n\
+  \    return Main.down(x - 1) + 1;\n\
+  \  }\n\
+  \  static int main() {\n\
+  \    Main.runs = Main.runs + 1;\n\
+  \    Box b = new Box();\n\
+  \    int s = 0;\n\
+  \    int i = 0;\n\
+  \    while (i < 120) {\n\
+  \      int t = i * 3 + 1;\n\
+  \      if (t % 4 == 0) { } else { b.v = b.v + 1; }\n\
+  \      if (t % 5 == 0) { } else { s = s + t / 2; }\n\
+  \      if (i % 16 == 0) { s = s + Main.down(i % 7); }\n\
+  \      i = i + 1;\n\
+  \    }\n\
+  \    if (Main.runs > 4) { s = s - b.v; }\n\
+  \    return s + b.v;\n\
+  \  }\n\
+   }"
+
+(* (polls, digest, result) of [iterations] runs of [src] at [threshold] *)
+let safepoint_stream ~threshold ~iterations src =
+  with_profilers ~interval:1 (fun cpu _ ->
+      let program = Link.compile_source src in
+      let config = { Jit.default_config with Jit.compile_threshold = threshold } in
+      let vm = Vm.create ~config program in
+      let polls = ref 0 and digest = ref 0 in
+      Pcpu.set_clock cpu (fun () ->
+          let c = Stats.get (Vm.stats vm) Stats.cycles in
+          incr polls;
+          digest := ((!digest * 1_000_003) + c) land max_int;
+          c);
+      let r = Vm.run_main_iterations vm iterations in
+      (!polls, !digest, r))
+
+let test_safepoint_stream () =
+  let polls, digest, r = safepoint_stream ~threshold:2 ~iterations:8 safepoint_src in
+  let s = r.Vm.stats in
+  Alcotest.(check bool) "a deopt fired" true (s.Stats.s_deopts > 0);
+  Alcotest.(check bool) "ran compiled" true (s.Stats.s_compiled_ops > 0);
+  Alcotest.(check (pair int int)) "polls and digest" (11836, 2189085758806342809) (polls, digest);
+  let fop = Option.get (Pea_workloads.Spec.find "fop") in
+  let polls, digest, _ =
+    safepoint_stream ~threshold:2 ~iterations:3 (Pea_workloads.Codegen.source_for_row fop)
+  in
+  Alcotest.(check (pair int int)) "fop: polls and digest" (241620, 2353098976596625061) (polls, digest)
+
 (* ------------------------------------------------------------------ *)
 (* Heap attribution                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -312,6 +375,7 @@ let () =
             test_interp_only_ignores_opt;
           Alcotest.test_case "collapsed-stack golden" `Quick test_collapsed_golden;
           Alcotest.test_case "compiled collapsed-stack golden" `Quick test_compiled_golden;
+          Alcotest.test_case "safepoint stream" `Quick test_safepoint_stream;
         ] );
       ( "attribution",
         [
