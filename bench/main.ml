@@ -711,7 +711,7 @@ let inlining_section () =
 (* ------------------------------------------------------------------ *)
 
 (* The tracing subsystem's two contracts, checked on a real workload row:
-   installing a tracer moves no deterministic counter, and the captured
+   handing a VM a tracer moves no deterministic counter, and the captured
    trace is byte-for-byte identical across runs. *)
 let obs_section () =
   header "Observability: tracing overhead and determinism gate";
@@ -719,17 +719,12 @@ let obs_section () =
   let src = Codegen.source_for_row row in
   let run traced =
     let config = { Jit.default_config with Jit.compile_threshold = 2 } in
-    let vm = Vm.create ~config (Pea_bytecode.Link.compile_source src) in
-    if not traced then (Vm.run_main_iterations vm 3, None)
-    else begin
-      let t = Pea_obs.Trace.create () in
-      Pea_obs.Trace.set_clock t (fun () -> Stats.get (Vm.stats vm) Stats.cycles);
-      Pea_obs.Trace.install t;
-      let r =
-        Fun.protect ~finally:Pea_obs.Trace.uninstall (fun () -> Vm.run_main_iterations vm 3)
-      in
-      (r, Some t)
-    end
+    let trace = if traced then Some (Pea_obs.Trace.create ()) else None in
+    let vm = Vm.create ?trace ~config (Pea_bytecode.Link.compile_source src) in
+    Option.iter
+      (fun t -> Pea_obs.Trace.set_clock t (fun () -> Stats.get (Vm.stats vm) Stats.cycles))
+      trace;
+    (Vm.run_main_iterations vm 3, trace)
   in
   let off, _ = run false in
   let on, tracer1 = run true in
@@ -759,7 +754,7 @@ let obs_section () =
 (* ------------------------------------------------------------------ *)
 
 (* The profiler's three contracts on the megamorphic inlining workload:
-   installing the sampling + heap profilers moves no deterministic
+   handing a VM the sampling + heap profilers moves no deterministic
    counter; the aggregated report is byte-identical across runs; and the
    wall-clock overhead of profiling stays within the budget (the
    cycle-clock grid makes each safepoint a load + compare, so the
@@ -771,32 +766,22 @@ let profile_section () =
   let src = inlining_workload () in
   let run ?(collect_report = true) profiled =
     let config = { Jit.default_config with Jit.compile_threshold = 2; opt = Jit.O_pea } in
-    let body cpu heap =
-      let program = Pea_bytecode.Link.compile_source src in
-      let vm = Vm.create ~config program in
-      let r = Vm.run_main_iterations vm 3 in
-      let report =
-        match (cpu, heap) with
-        | Some cpu, Some heap when collect_report ->
-            Some
-              (Pea_vm.Report.to_string
-                 (Pea_vm.Report.collect ~program ~cpu ~heap
-                    ~pea_sites:(Vm.jit_stats vm).Pea_core.Pea.sites ()))
-        | _ -> None
-      in
-      (r.Vm.stats, report)
+    let cpu, heap =
+      if profiled then (Some (Pcpu.create ()), Some (Pheap.create ())) else (None, None)
     in
-    if not profiled then body None None
-    else begin
-      let cpu = Pcpu.create () and heap = Pheap.create () in
-      Pcpu.install cpu;
-      Pheap.install heap;
-      Fun.protect
-        ~finally:(fun () ->
-          Pcpu.uninstall ();
-          Pheap.uninstall ())
-        (fun () -> body (Some cpu) (Some heap))
-    end
+    let program = Pea_bytecode.Link.compile_source src in
+    let vm = Vm.create ?cpu ?heap ~config program in
+    let r = Vm.run_main_iterations vm 3 in
+    let report =
+      match (cpu, heap) with
+      | Some cpu, Some heap when collect_report ->
+          Some
+            (Pea_vm.Report.to_string
+               (Pea_vm.Report.collect ~program ~cpu ~heap
+                  ~pea_sites:(Vm.jit_stats vm).Pea_core.Pea.sites ()))
+      | _ -> None
+    in
+    (r.Vm.stats, report)
   in
   let off_stats, _ = run false in
   let on_stats, report1 = run true in
@@ -1116,8 +1101,9 @@ let breakdown_section () =
     let config =
       { Pea_vm.Jit.default_config with Pea_vm.Jit.opt; compile_threshold = 2 }
     in
-    let vm = Pea_vm.Vm.create ~config (Pea_bytecode.Link.compile_source src) in
-    let _, ledger = Pea_obs.Profile_heap.collect (fun () -> Pea_vm.Vm.run_main_iterations vm 3) in
+    let ledger = Pea_obs.Profile_heap.create () in
+    let vm = Pea_vm.Vm.create ~heap:ledger ~config (Pea_bytecode.Link.compile_source src) in
+    ignore (Pea_vm.Vm.run_main_iterations vm 3);
     Printf.printf "%s:\n" label;
     List.iter
       (fun (name, count, bytes) ->

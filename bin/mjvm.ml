@@ -314,74 +314,48 @@ let run_cmd =
               exit 1)
         trace
     in
+    (* The flight recorder needs a live ring to snapshot: it takes the
+       --trace ring when there is one, otherwise a private ring that is
+       never written out unless an incident triggers a dump. *)
+    let tracer =
+      if Option.is_some trace_out || Option.is_some flight_dump then Some (Trace.create ()) else None
+    in
+    let flight = Option.map (fun path -> Flight.create ~path (Option.get tracer)) flight_dump in
+    (* with --stats a fresh heap profiler watches the run: it is the
+       ledger of the allocation breakdown *)
+    let ledger = if stats then Some (Pheap.create ()) else None in
     let vm =
-      Vm.create
+      Vm.create ?trace:tracer ?heap:ledger ?flight
         ~config:
           (config opt threshold no_inline no_inlining no_prune no_summaries no_stackalloc
              osr_threshold no_osr check_level oracle)
         program
     in
-    let tracer =
-      Option.map
-        (fun oc ->
-          let t = Trace.create () in
-          (* deterministic clock: the VM's cost-model cycle counter *)
-          Trace.set_clock t (fun () -> Pea_rt.Stats.get (Vm.stats vm) Pea_rt.Stats.cycles);
-          Trace.install t;
-          (oc, t))
-        trace_out
-    in
-    (* The flight recorder needs a live ring to snapshot: reuse the
-       --trace ring when there is one, otherwise run a private ring
-       that is never written unless an incident triggers a dump. *)
-    let flight_private_ring =
-      match flight_dump with
-      | None -> false
-      | Some path ->
-          let ring, private_ring =
-            match tracer with
-            | Some (_, t) -> (t, false)
-            | None ->
-                let t = Trace.create () in
-                Trace.set_clock t (fun () -> Pea_rt.Stats.get (Vm.stats vm) Pea_rt.Stats.cycles);
-                Trace.install t;
-                (t, true)
-          in
-          Flight.arm (Flight.create ~path ring);
-          private_ring
-    in
+    (* deterministic clock: the VM's cost-model cycle counter *)
+    Option.iter
+      (fun t -> Trace.set_clock t (fun () -> Pea_rt.Stats.get (Vm.stats vm) Pea_rt.Stats.cycles))
+      tracer;
     let write_trace () =
-      if Option.is_some flight_dump then Flight.disarm ();
-      if flight_private_ring then Trace.uninstall ();
-      match tracer with
-      | None -> ()
-      | Some (oc, t) ->
-          Trace.uninstall ();
+      match (trace_out, tracer) with
+      | Some oc, Some t ->
           Fun.protect
             ~finally:(fun () -> close_out_noerr oc)
             (fun () -> Trace.write trace_format t oc)
+      | _ -> ()
     in
-    (* with --stats a fresh heap profiler watches the run: it is the
-       ledger of the allocation breakdown *)
-    let run () = Vm.run_main_iterations vm iterations in
     (* the run yields its exit status and exits only after [write_trace]:
        an [exit] inside [Fun.protect] would skip the [finally], losing the
        trace of exactly the runs that trap or throw *)
     let status =
       Fun.protect ~finally:write_trace @@ fun () ->
-      match
-        if stats then
-          let r, ledger = Pheap.collect run in
-          (r, Some ledger)
-        else (run (), None)
-      with
+      match Vm.run_main_iterations vm iterations with
       | exception Pea_rt.Interp.Trap msg ->
           Printf.eprintf "runtime trap: %s\n" msg;
           2
       | exception Pea_rt.Interp.Mj_throw v ->
           Printf.eprintf "uncaught exception: %s\n" (Pea_rt.Value.string_of_value v);
           3
-      | r, ledger ->
+      | r ->
           List.iter (fun v -> print_endline (Pea_rt.Value.string_of_value v)) r.Vm.printed;
           (match r.Vm.return_value with
           | Some v -> Printf.printf "=> %s\n" (Pea_rt.Value.string_of_value v)

@@ -58,8 +58,9 @@ let () =
   Printf.printf "per-class allocation profile, 5000 operations per iteration\n";
   let show label opt =
     let config = { Jit.default_config with Jit.opt; compile_threshold = 5 } in
-    let vm = Vm.create ~config (Link.compile_source source) in
-    let r, ledger = Pea_obs.Profile_heap.collect (fun () -> Vm.run_main_iterations vm 3) in
+    let ledger = Pea_obs.Profile_heap.create () in
+    let vm = Vm.create ~heap:ledger ~config (Link.compile_source source) in
+    let r = Vm.run_main_iterations vm 3 in
     Printf.printf "\n%s (result %s):\n" label
       (match r.Vm.return_value with
       | Some v -> Pea_rt.Value.string_of_value v

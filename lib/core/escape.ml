@@ -200,5 +200,5 @@ let frame_bounded ?summaries (g : Graph.t) : Node.node_id -> bool =
   done;
   fun id -> id >= 0 && id < n && not (escaped id)
 
-let run ?summaries (g : Graph.t) =
-  Pea.run ~force_escape:(escaping_allocations ?summaries g) ?summaries g
+let run ?summaries ?trace (g : Graph.t) =
+  Pea.run ~force_escape:(escaping_allocations ?summaries g) ?summaries ?trace g

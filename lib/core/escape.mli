@@ -35,7 +35,11 @@ val escaping_allocations :
 val frame_bounded :
   ?summaries:Pea_analysis.Summary.t -> Graph.t -> Node.node_id -> bool
 
-(** [run ?summaries g] is the all-or-nothing scalar replacement: classic
-    escape analysis followed by whole-method scalar replacement of the
-    non-escaping allocations. *)
-val run : ?summaries:Pea_analysis.Summary.t -> Graph.t -> Graph.t * Pea.pass_stats
+(** [run ?summaries ?trace g] is the all-or-nothing scalar replacement:
+    classic escape analysis followed by whole-method scalar replacement
+    of the non-escaping allocations ([trace] as in {!Pea.run}). *)
+val run :
+  ?summaries:Pea_analysis.Summary.t ->
+  ?trace:Pea_obs.Trace.t ->
+  Graph.t ->
+  Graph.t * Pea.pass_stats

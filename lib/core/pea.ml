@@ -78,6 +78,7 @@ type ctx = {
       (* (start block, barrier block) -> input nodes used in blocks
          reachable from start without passing through barrier *)
   meth : string; (* qualified method name, for provenance events *)
+  trace : Trace.t option; (* where provenance events go *)
   sites : (int, site_report) Hashtbl.t; (* input allocation node id -> report *)
   obj_site : (int, int) Hashtbl.t; (* virtual object id -> allocation node id *)
 }
@@ -258,8 +259,11 @@ let note_virtualize ctx node_id cls (ob : Graph.block) oid =
   let r = register_site ctx node_id cls ob.Graph.b_id in
   r.sr_virtualized <- true;
   Hashtbl.replace ctx.obj_site oid node_id;
-  if Trace.enabled () then
-    Trace.record (Event.Pea_virtualize { meth = ctx.meth; site = node_id; block = ob.Graph.b_id; cls })
+  match ctx.trace with
+  | Some t ->
+      Trace.emit t
+        (Event.Pea_virtualize { meth = ctx.meth; site = node_id; block = ob.Graph.b_id; cls })
+  | None -> ()
 
 let record_decision r block reason =
   let entry = (block, reason) in
@@ -271,9 +275,11 @@ let note_unvirtualized ctx node_id cls (ob : Graph.block) ~forced ~reason =
   let r = register_site ctx node_id cls ob.Graph.b_id in
   if forced then r.sr_forced <- true;
   record_decision r ob.Graph.b_id reason;
-  if Trace.enabled () then
-    Trace.record
-      (Event.Pea_materialize { meth = ctx.meth; site = node_id; block = ob.Graph.b_id; reason })
+  match ctx.trace with
+  | Some t ->
+      Trace.emit t
+        (Event.Pea_materialize { meth = ctx.meth; site = node_id; block = ob.Graph.b_id; reason })
+  | None -> ()
 
 let note_materialize ctx (ob : Graph.block) ~reason oid =
   match Hashtbl.find_opt ctx.obj_site oid with
@@ -282,18 +288,23 @@ let note_materialize ctx (ob : Graph.block) ~reason oid =
       (match Hashtbl.find_opt ctx.sites site with
       | Some r -> record_decision r ob.Graph.b_id reason
       | None -> ());
-      if Trace.enabled () then
-        Trace.record (Event.Pea_materialize { meth = ctx.meth; site; block = ob.Graph.b_id; reason })
+      match ctx.trace with
+      | Some t ->
+          Trace.emit t
+            (Event.Pea_materialize { meth = ctx.meth; site; block = ob.Graph.b_id; reason })
+      | None -> ()
 
 let note_lock_elided ctx oid =
   match Hashtbl.find_opt ctx.obj_site oid with
   | None -> ()
   | Some site -> (
       match Hashtbl.find_opt ctx.sites site with
-      | Some r ->
+      | Some r -> (
           r.sr_locks <- r.sr_locks + 1;
-          if Trace.enabled () then
-            Trace.record (Event.Lock_elided { meth = ctx.meth; site; block = r.site_block })
+          match ctx.trace with
+          | Some t ->
+              Trace.emit t (Event.Lock_elided { meth = ctx.meth; site; block = r.site_block })
+          | None -> ())
       | None -> ())
 
 let with_site ctx oid f =
@@ -793,10 +804,12 @@ let process_instr ctx ob (sref : Pea_state.t ref) (n : Node.t) =
                           ctx.pstats.scratch_args <- ctx.pstats.scratch_args + 1;
                           with_site ctx oid (fun r ->
                               r.sr_scratch <- r.sr_scratch + 1;
-                              if Trace.enabled () then
-                                Trace.record
-                                  (Event.Pea_scratch_arg
-                                     { meth = ctx.meth; site = r.site_node; callee }));
+                              match ctx.trace with
+                              | Some t ->
+                                  Trace.emit t
+                                    (Event.Pea_scratch_arg
+                                       { meth = ctx.meth; site = r.site_node; callee })
+                              | None -> ());
                           let sfs = origin_fs ctx oid in
                           (match shape with
                           | Obj_shape cls ->
@@ -1356,7 +1369,7 @@ let rec process_loop ctx header ~mark =
 (* ------------------------------------------------------------------ *)
 
 let run ?(force_escape = fun _ -> false) ?(stack_eligible = fun _ -> false)
-    ?(prune_dead_objects = true) ?summaries (in_g : Graph.t) : Graph.t * pass_stats =
+    ?(prune_dead_objects = true) ?summaries ?trace (in_g : Graph.t) : Graph.t * pass_stats =
   let doms = Dominators.compute in_g in
   let loops = Loops.compute in_g doms in
   let out_g = Graph.create in_g.Graph.g_method in
@@ -1385,6 +1398,7 @@ let run ?(force_escape = fun _ -> false) ?(stack_eligible = fun _ -> false)
       def_block = Hashtbl.create 64;
       used_from_cache = Hashtbl.create 16;
       meth = Pea_bytecode.Classfile.qualified_name in_g.Graph.g_method;
+      trace;
       sites = Hashtbl.create 16;
       obj_site = Hashtbl.create 32;
     }

@@ -102,11 +102,15 @@ val mk_stats : unit -> pass_stats
     satisfiable from the tracked fields) is passed as an uncharged
     scratch object ([Stack_alloc]) and stays virtual in the caller.
 
+    [trace] receives one provenance event per site decision (virtualize,
+    materialize, lock elided, scratch argument).
+
     @raise Failure on malformed input graphs. *)
 val run :
   ?force_escape:(Node.node_id -> bool) ->
   ?stack_eligible:(Node.node_id -> bool) ->
   ?prune_dead_objects:bool ->
   ?summaries:Pea_analysis.Summary.t ->
+  ?trace:Pea_obs.Trace.t ->
   Graph.t ->
   Graph.t * pass_stats

@@ -1,9 +1,9 @@
 (* Flight recorder: the bounded trace ring kept always-on, snapshotted
    to disk when the VM hits something worth debugging — deopt-storm
-   pinning, a compile failure, or an oracle divergence. The ring already
-   costs almost nothing when armed (it is the {!Trace} buffer the VM
-   would use for tracing anyway); the flight recorder only adds a file
-   write on the rare trigger path.
+   pinning, a compile failure, or an oracle divergence. A recorder is an
+   argument of the VM it watches ([Vm.create ~flight]), handed together
+   with its ring as the VM's tracer; the ring costs what tracing costs,
+   and the recorder only adds a file write on the rare trigger path.
 
    The dump format is one JSON header line (trigger reason, entry count,
    drop count, dump ordinal) followed by the ring contents in the JSONL
@@ -24,18 +24,6 @@ let trace t = t.fl_trace
 let dumps t = t.fl_dumps
 
 (* ------------------------------------------------------------------ *)
-(* Global installation                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let current : t option ref = ref None
-
-let arm t = current := Some t
-
-let disarm () = current := None
-
-let armed () = !current
-
-(* ------------------------------------------------------------------ *)
 (* Triggering                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -54,20 +42,17 @@ let dump_string t ~reason =
 (* Each trigger overwrites the file: the latest incident wins, which is
    the one the user is chasing. A write failure must never take down the
    VM it is meant to debug, but it must not be silent either — a user
-   who armed --flight-dump and hit an incident would otherwise chase a
+   who asked for --flight-dump and hit an incident would otherwise chase a
    dump that was never written. One warning per failed trigger goes to
    stderr; the run's result and exit status are unaffected. *)
-let trigger ~reason =
-  match !current with
-  | None -> ()
-  | Some t -> (
-      t.fl_dumps <- t.fl_dumps + 1;
-      try
-        let oc = open_out t.fl_path in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_string oc (dump_string t ~reason))
-      with Sys_error msg -> Printf.eprintf "mjvm: flight dump failed: %s\n%!" msg)
+let trigger t ~reason =
+  t.fl_dumps <- t.fl_dumps + 1;
+  try
+    let oc = open_out t.fl_path in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () -> output_string oc (dump_string t ~reason))
+  with Sys_error msg -> Printf.eprintf "mjvm: flight dump failed: %s\n%!" msg
 
 (* ------------------------------------------------------------------ *)
 (* Reading dumps back                                                  *)

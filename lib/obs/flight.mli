@@ -4,7 +4,11 @@
 
     Dump format: one JSON header line ([{"flight":reason, "events":N,
     "dropped":D, "dump":k}]) followed by the ring in JSONL trace format.
-    Each trigger overwrites the file — the latest incident wins. *)
+    Each trigger overwrites the file — the latest incident wins.
+
+    A recorder is handed to the VM it watches ([Vm.create ~flight]),
+    together with its ring as the VM's tracer ([~trace]): the ring only
+    holds what the VM traces into it. *)
 
 type t
 
@@ -17,18 +21,10 @@ val trace : t -> Trace.t
 val dumps : t -> int
 (** How many times this recorder has triggered. *)
 
-(** {1 Global installation} *)
-
-val arm : t -> unit
-
-val disarm : unit -> unit
-
-val armed : unit -> t option
-
-val trigger : reason:string -> unit
-(** Snapshot the armed recorder's ring to its path, tagging the dump
-    with [reason]. No-op when nothing is armed; write failures are
-    swallowed (a bad dump path must never crash the VM). *)
+val trigger : t -> reason:string -> unit
+(** Snapshot the recorder's ring to its path, tagging the dump with
+    [reason]. A write failure prints one warning to stderr and is
+    otherwise swallowed (a bad dump path must never crash the VM). *)
 
 val dump_string : t -> reason:string -> string
 (** The exact bytes a trigger would write (for tests). *)

@@ -15,10 +15,11 @@
    exit and on deoptimization), not the OCaml stack, so capture is an
    [Array.sub] with no unwinding.
 
-   Cost discipline: like {!Trace}, one profiler can be installed
-   globally and every instrumentation site guards on [enabled ()] — a
-   single bool-ref load — so a VM with profiling off pays one load per
-   safepoint and nothing else. The profiler only ever *reads* the cycle
+   Cost discipline: like {!Trace}, a profiler is an argument of the VM it
+   watches, which hands it to the interpreter and the closure tier as an
+   option; every instrumentation site matches on that option, so a VM
+   with profiling off pays one load and compare per safepoint and
+   nothing else. The profiler only ever *reads* the cycle
    clock; it never touches {!Stats} counters, so profiling on cannot
    drift any deterministic counter ("heisenbug-free" sampling). *)
 
@@ -84,51 +85,25 @@ let clear t =
   t.next_due <- t.interval
 
 (* ------------------------------------------------------------------ *)
-(* Global installation                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let current : t option ref = ref None
-
-let is_on = ref false
-
-let enabled () = !is_on
-
-let install t =
-  current := Some t;
-  is_on := true
-
-let uninstall () =
-  current := None;
-  is_on := false
-
-let installed () = !current
-
-(* ------------------------------------------------------------------ *)
 (* Shadow stack                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let push mid tier =
-  match !current with
-  | None -> ()
-  | Some t ->
-      if t.depth = Array.length t.stack then begin
-        let bigger = Array.make (2 * t.depth) no_frame in
-        Array.blit t.stack 0 bigger 0 t.depth;
-        t.stack <- bigger
-      end;
-      t.stack.(t.depth) <- { fr_mid = mid; fr_tier = tier };
-      t.depth <- t.depth + 1
+let push t mid tier =
+  if t.depth = Array.length t.stack then begin
+    let bigger = Array.make (2 * t.depth) no_frame in
+    Array.blit t.stack 0 bigger 0 t.depth;
+    t.stack <- bigger
+  end;
+  t.stack.(t.depth) <- { fr_mid = mid; fr_tier = tier };
+  t.depth <- t.depth + 1
 
-(* [depth ()] / [truncate d] bracket a frame: the VM records the depth
+(* [depth t] / [truncate t d] bracket a frame: the VM records the depth
    before pushing and truncates back to it on every exit path (normal
    return, MJ exception, trap, deoptimization), so an unwound frame can
    never linger on the shadow stack. Truncation is idempotent. *)
-let depth () = match !current with None -> 0 | Some t -> t.depth
+let depth t = t.depth
 
-let truncate d =
-  match !current with
-  | None -> ()
-  | Some t -> if t.depth > d && d >= 0 then t.depth <- d
+let truncate t d = if t.depth > d && d >= 0 then t.depth <- d
 
 (* ------------------------------------------------------------------ *)
 (* Sampling                                                            *)
@@ -149,17 +124,14 @@ let record t key weight =
   | None -> Hashtbl.replace t.samples key (ref weight));
   t.n_samples <- t.n_samples + weight
 
-(* [poll bci] — the safepoint hook. Call only when [enabled ()]. *)
-let poll bci =
-  match !current with
-  | None -> ()
-  | Some t ->
-      let now = t.clock () in
-      if now >= t.next_due then begin
-        let weight = sample t now in
-        let key = { sk_frames = Array.sub t.stack 0 t.depth; sk_bci = bucket bci } in
-        record t key weight
-      end
+(* [poll t bci] — the safepoint hook. *)
+let poll t bci =
+  let now = t.clock () in
+  if now >= t.next_due then begin
+    let weight = sample t now in
+    let key = { sk_frames = Array.sub t.stack 0 t.depth; sk_bci = bucket bci } in
+    record t key weight
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Readout                                                             *)

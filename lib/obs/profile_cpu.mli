@@ -3,12 +3,17 @@
     Samples are taken at safepoints (interpreter dispatch; in compiled
     code, the entry of a block, polled by the control transfer into it
     after the edge's phi moves, and the method entry) at every
-    [interval]-cycle grid point of an injected clock, and attributed to the shadow call stack the VM maintains plus
-    the leaf's bci bucket. Because the clock is the deterministic
-    cost-model cycle counter, profiles are byte-identical across runs.
-    The profiler
-    never writes any {!Stats} counter: profiling cannot perturb the
-    deterministic state it measures. *)
+    [interval]-cycle grid point of an injected clock, and attributed to
+    the shadow call stack the VM maintains plus the leaf's bci bucket.
+    Because the clock is the deterministic cost-model cycle counter,
+    profiles are byte-identical across runs. The profiler never writes
+    any {!Stats} counter: profiling cannot perturb the deterministic
+    state it measures.
+
+    A profiler is handed to the VM it watches ([Vm.create ~cpu]), which
+    wires its clock and passes it to the interpreter and the closure
+    tier as an option: with none, a safepoint costs one load and
+    compare. A profiler is not shared across domains. *)
 
 type tier =
   | T_interp  (** interpreted frames *)
@@ -33,7 +38,8 @@ val create : ?interval:int -> unit -> t
 
 val set_clock : t -> (unit -> int) -> unit
 (** Wire the deterministic clock (the VM's cycle counter) and restart
-    the sampling grid. The VM calls this at creation time. *)
+    the sampling grid. [Vm.create] calls this on the profiler it is
+    handed. *)
 
 val interval : t -> int
 
@@ -42,43 +48,24 @@ val total_weight : t -> int
 
 val clear : t -> unit
 
-(** {1 Global installation} — mirror of {!Trace}'s discipline. *)
-
-val enabled : unit -> bool
-(** One bool-ref load; every instrumentation site guards on this. *)
-
-val is_on : bool ref
-(** The flag [enabled] reads, for the sites where a call is too dear:
-    the interpreter's dispatch and every control transfer of compiled
-    code, which costs one load of it when profiling is off. A dev build
-    compiles modules that have an [.mli] with [-opaque], so [enabled] is
-    never inlined across modules. Read only; [install] and [uninstall]
-    are its only writers. *)
-
-val install : t -> unit
-
-val uninstall : unit -> unit
-
-val installed : unit -> t option
-
 (** {1 Shadow stack}
 
     The VM pushes a frame at method entry and truncates back to the
     pre-entry depth on every exit path (return, exception, trap,
-    deoptimization). Only call these when [enabled ()]. *)
+    deoptimization). *)
 
-val push : int -> tier -> unit
-(** [push mid tier] enters method [mid] at [tier]. *)
+val push : t -> int -> tier -> unit
+(** [push t mid tier] enters method [mid] at [tier]. *)
 
-val depth : unit -> int
+val depth : t -> int
 
-val truncate : int -> unit
-(** [truncate d] drops shadow frames above depth [d]; idempotent. *)
+val truncate : t -> int -> unit
+(** [truncate t d] drops shadow frames above depth [d]; idempotent. *)
 
-val poll : int -> unit
-(** [poll bci] — the safepoint hook: take a (weighted) sample if the
+val poll : t -> int -> unit
+(** [poll t bci] — the safepoint hook: take a (weighted) sample if the
     clock reached the next grid point. [bci] is the leaf bytecode
-    position, [-1] when unknown. Only call when [enabled ()]. *)
+    position, [-1] when unknown. *)
 
 (** {1 Readout} *)
 

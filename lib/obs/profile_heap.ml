@@ -10,10 +10,10 @@
    remat". Its charged records are also the VM's per-class allocation
    ledger ([by_class]).
 
-   Same global-install discipline as {!Trace} and {!Profile_cpu}: one
-   bool-ref load when off, and the profiler never touches {!Stats} or
-   {!Heap} counters, so heap profiling cannot drift any deterministic
-   counter. *)
+   Like {!Trace} and {!Profile_cpu}, it is an argument of the VM it
+   watches, carried to every allocation site as an option: one load and
+   compare when off. The profiler never touches {!Stats} or {!Heap}
+   counters, so heap profiling cannot drift any deterministic counter. *)
 
 type kind =
   | K_alloc (* ordinary heap allocation, charged to Stats *)
@@ -52,53 +52,17 @@ let clear t =
 let total_records t = t.n_records
 
 (* ------------------------------------------------------------------ *)
-(* Global installation                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let current : t option ref = ref None
-
-let is_on = ref false
-
-let enabled () = !is_on
-
-let install t =
-  current := Some t;
-  is_on := true
-
-let uninstall () =
-  current := None;
-  is_on := false
-
-let installed () = !current
-
-let collect f =
-  let saved = !current and t = create () in
-  install t;
-  let restore () = match saved with Some p -> install p | None -> uninstall () in
-  match f () with
-  | r ->
-      restore ();
-      (r, t)
-  | exception e ->
-      restore ();
-      raise e
-
-(* ------------------------------------------------------------------ *)
 (* Recording                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Only call when [enabled ()]. *)
-let record ~mid ~bci ~cls ~kind ~bytes =
-  match !current with
-  | None -> ()
-  | Some t ->
-      let key = { ak_mid = mid; ak_bci = bci; ak_cls = cls; ak_kind = kind } in
-      (match Hashtbl.find_opt t.cells key with
-      | Some c ->
-          c.c_count <- c.c_count + 1;
-          c.c_bytes <- c.c_bytes + bytes
-      | None -> Hashtbl.replace t.cells key { c_count = 1; c_bytes = bytes });
-      t.n_records <- t.n_records + 1
+let record t ~mid ~bci ~cls ~kind ~bytes =
+  let key = { ak_mid = mid; ak_bci = bci; ak_cls = cls; ak_kind = kind } in
+  (match Hashtbl.find_opt t.cells key with
+  | Some c ->
+      c.c_count <- c.c_count + 1;
+      c.c_bytes <- c.c_bytes + bytes
+  | None -> Hashtbl.replace t.cells key { c_count = 1; c_bytes = bytes });
+  t.n_records <- t.n_records + 1
 
 (* ------------------------------------------------------------------ *)
 (* Readout                                                             *)

@@ -8,7 +8,8 @@
     observed outcome side by side. It is also the VM's one per-class
     allocation ledger ({!by_class}): its charged records add up to
     [Stats.allocations] and [Stats.allocated_bytes] of a run it watched
-    from the start. Never writes {!Stats} or {!Heap} counters. *)
+    from the start ([Vm.create ~heap]). Never writes {!Stats} or {!Heap}
+    counters. A profiler is not shared across domains. *)
 
 type kind =
   | K_alloc  (** ordinary heap allocation (charged to Stats) *)
@@ -30,26 +31,10 @@ val clear : t -> unit
 
 val total_records : t -> int
 
-(** {1 Global installation} — mirror of {!Trace}'s discipline. *)
-
-val enabled : unit -> bool
-
-val install : t -> unit
-
-val uninstall : unit -> unit
-
-val installed : unit -> t option
-
-val collect : (unit -> 'a) -> 'a * t
-(** [collect f] runs [f] under a fresh installed profiler and returns
-    [f]'s result with that profile. The profiler installed before is
-    restored, also when [f] raises. *)
-
 val record :
-  mid:int -> bci:int -> cls:string -> kind:kind -> bytes:int -> unit
+  t -> mid:int -> bci:int -> cls:string -> kind:kind -> bytes:int -> unit
 (** Record one allocation at site [(mid, bci)] of class [cls]. Use
-    [mid = -1] / [bci = -1] when the site is unknown. Only call when
-    [enabled ()]. *)
+    [mid = -1] / [bci = -1] when the site is unknown. *)
 
 (** {1 Readout} *)
 

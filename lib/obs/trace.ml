@@ -1,9 +1,11 @@
 (* Bounded event ring buffer with pluggable sinks.
 
-   One tracer can be installed globally; instrumentation sites guard
-   every emission with [enabled ()] — a single bool-ref load — so a VM
-   with tracing off pays nothing and, in particular, cannot perturb the
-   deterministic counters.
+   A tracer is an argument of what it watches: the VM, the server, the
+   JIT and the PEA pass take it as an option, and every emission site
+   matches on that option before it builds an event, so a run with
+   tracing off builds no event and, in particular, cannot perturb the
+   deterministic counters. A tracer belongs to the domain that runs
+   what it watches: nothing here is shared or locked.
 
    Determinism rules (see DESIGN.md section 4e):
    - timestamps come from an injected clock ([set_clock]), which the VM
@@ -45,19 +47,12 @@ let create ?(capacity = default_capacity) () =
 
 let set_clock t f = t.clock <- f
 
-(* The ring is mutated by the mutator domain; the serving layer's worker
-   domains run with emission suppressed (see [suppress]) but the lock
-   keeps a stray cross-domain emission memory-safe rather than
-   corrupting. *)
-let emit_mutex = Mutex.create ()
-
 let emit t ev =
-  Mutex.protect emit_mutex (fun () ->
-      let e = { e_seq = t.seq; e_cycles = t.clock (); e_event = ev } in
-      t.seq <- t.seq + 1;
-      t.buf.(t.next) <- e;
-      t.next <- (t.next + 1) mod t.capacity;
-      if t.len < t.capacity then t.len <- t.len + 1 else t.n_dropped <- t.n_dropped + 1)
+  let e = { e_seq = t.seq; e_cycles = t.clock (); e_event = ev } in
+  t.seq <- t.seq + 1;
+  t.buf.(t.next) <- e;
+  t.next <- (t.next + 1) mod t.capacity;
+  if t.len < t.capacity then t.len <- t.len + 1 else t.n_dropped <- t.n_dropped + 1
 
 let entries t =
   (* oldest first *)
@@ -74,49 +69,12 @@ let clear t =
   t.seq <- 0;
   t.n_dropped <- 0
 
-(* ------------------------------------------------------------------ *)
-(* Global installation                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let current : t option ref = ref None
-
-let is_on = ref false
-
-let enabled () = !is_on
-
-let install t =
-  current := Some t;
-  is_on := true
-
-let uninstall () =
-  current := None;
-  is_on := false
-
-let installed () = !current
-
-(* Per-domain suppression: a worker domain would stamp its events with
-   racy, wall-clock-ordered sequence numbers and a clock read off another
-   domain's counter, destroying trace determinism. The serving layer's
-   threaded mode runs each worker's share of a round under [suppress];
-   the coordinator's barrier events still record normally, so threaded
-   traces stay deterministic. *)
-let suppressed_key = Domain.DLS.new_key (fun () -> false)
-
-let suppress f =
-  let old = Domain.DLS.get suppressed_key in
-  Domain.DLS.set suppressed_key true;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set suppressed_key old) f
-
-let record ev =
-  if Domain.DLS.get suppressed_key then ()
-  else match !current with Some t -> emit t ev | None -> ()
-
-let span ~meth phase f =
-  if !is_on then begin
-    record (Event.Phase_start { meth; phase });
-    Fun.protect ~finally:(fun () -> record (Event.Phase_end { meth; phase })) f
-  end
-  else f ()
+let span trace ~meth phase f =
+  match trace with
+  | None -> f ()
+  | Some t ->
+      emit t (Event.Phase_start { meth; phase });
+      Fun.protect ~finally:(fun () -> emit t (Event.Phase_end { meth; phase })) f
 
 (* ------------------------------------------------------------------ *)
 (* Sinks                                                               *)

@@ -1,10 +1,12 @@
 (** Bounded event ring buffer with JSONL and Chrome trace_event sinks.
 
-    One tracer can be installed globally; instrumentation sites guard
-    emissions with [enabled ()] (a single bool load), so tracing off is
-    a true no-op. Timestamps come from an injected clock — the VM wires
-    the cost-model cycle counter — never wall clock, so traces are
-    byte-for-byte reproducible. *)
+    A tracer is handed to what it watches ([Vm.create ~trace],
+    [Server.create ~trace], [Jit.compile ~trace], [Pea.run ~trace]) as an
+    option; emission sites match on it before building an event, so
+    tracing off is one load and compare. Timestamps come from an
+    injected clock — the caller wires the cost-model cycle counter —
+    never wall clock, so traces are byte-for-byte reproducible. A tracer
+    is not shared across domains. *)
 
 type entry = { e_seq : int; e_cycles : int; e_event : Event.t }
 
@@ -30,31 +32,9 @@ val dropped : t -> int
 
 val clear : t -> unit
 
-(** {2 Global installation} *)
-
-val install : t -> unit
-
-val uninstall : unit -> unit
-
-val installed : unit -> t option
-
-val enabled : unit -> bool
-(** True iff a tracer is installed. Emission sites must check this
-    before constructing an event so that tracing off allocates nothing. *)
-
-val record : Event.t -> unit
-(** Emit to the installed tracer, if any. No-op while the calling domain
-    is inside {!suppress}. *)
-
-val suppress : (unit -> 'a) -> 'a
-(** [suppress f] runs [f] with event recording disabled on the calling
-    domain. The serving layer's worker domains run each round under it:
-    their events would otherwise interleave nondeterministically with the
-    coordinator's, destroying trace reproducibility. *)
-
-val span : meth:string -> string -> (unit -> 'a) -> 'a
-(** [span ~meth phase f] wraps [f] in [Phase_start]/[Phase_end] events
-    when tracing is enabled (the end event is emitted even if [f]
+val span : t option -> meth:string -> string -> (unit -> 'a) -> 'a
+(** [span trace ~meth phase f] wraps [f] in [Phase_start]/[Phase_end]
+    events when [trace] is a tracer (the end event is emitted even if [f]
     raises); otherwise just runs [f]. *)
 
 (** {2 Sinks} *)

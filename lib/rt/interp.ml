@@ -1,8 +1,21 @@
+(* The bytecode interpreter: the reference semantics every compiled
+   tier is checked against, the frames a deopt resumes in, and the
+   source of the JIT's profiles.
+
+   What watches it comes in its environment ([env.instruments]): the
+   sampling profiler is resolved once per frame and polled at every
+   dispatch (one load and compare when there is none), each frame is
+   bracketed on its shadow stack, and every allocation is recorded in
+   the heap profiler. An environment without instruments — the deopt
+   oracle's shadow replay, a threaded server's tenant — is seen by
+   none, so no per-dispatch test needs to ask whose environment it is. *)
+
 open Pea_bytecode
 open Classfile
 open Value
 module Pcpu = Pea_obs.Profile_cpu
 module Pheap = Pea_obs.Profile_heap
+module Instruments = Pea_obs.Instruments
 
 exception Trap of string
 
@@ -49,6 +62,7 @@ and env = {
   on_print : Value.value -> unit;
   on_back_edge : rt_method -> header:int -> locals:Value.value array -> osr_result;
   hooks : hooks option; (* [None] everywhere except oracle shadow replays *)
+  instruments : Instruments.t;
 }
 
 let trap fmt = Format.kasprintf (fun m -> raise (Trap m)) fmt
@@ -102,9 +116,8 @@ let exec env (m : rt_method) ~locals ~stack ~bci : Value.value option =
      [Stats] with [-opaque], so [Stats.add] would be an unknown call) *)
   let instrs = Stats.cell env.stats Stats.interpreted_instrs in
   let cycles = Stats.cell env.stats Stats.cycles in
-  (* Oracle shadow replays (hooks = Some _) run on their own stats/heap
-     with the profiler clock frozen; keep them out of the profile. *)
-  let shadow = Option.is_some env.hooks in
+  (* the sampling profiler every dispatch polls, resolved once *)
+  let cpu = env.instruments.cpu in
   let rec dispatch_throw bci v =
     (* find the innermost handler covering [bci] whose class matches *)
     let matches (h : handler) =
@@ -131,8 +144,8 @@ let exec env (m : rt_method) ~locals ~stack ~bci : Value.value option =
     if bci < 0 || bci >= Array.length code then trap "pc %d out of range in %s" bci (qualified_name m);
     bump instrs 1;
     bump cycles Cost.interp_dispatch;
-    (* profiler safepoint: one bool load when profiling is off *)
-    if !Pcpu.is_on && not shadow then Pcpu.poll bci;
+    (* profiler safepoint: one load and compare when profiling is off *)
+    (match cpu with Some p -> Pcpu.poll p bci | None -> ());
     match code.(bci) with
     | Iconst n -> step (bci + 1) (Vint n :: stack)
     | Bconst b -> step (bci + 1) (Vbool b :: stack)
@@ -200,20 +213,24 @@ let exec env (m : rt_method) ~locals ~stack ~bci : Value.value option =
             step (bci + 1) (Vbool (match c with AEq -> eq | ANe -> not eq) :: rest)
         | _ -> trap "stack underflow at acmp")
     | New cls ->
-        if Pheap.enabled () && not shadow then
-          Pheap.record ~mid:m.mth_id ~bci ~cls:cls.cls_name ~kind:Pheap.K_alloc
-            ~bytes:(Value.object_bytes cls);
+        (match env.instruments.heap with
+        | Some p ->
+            Pheap.record p ~mid:m.mth_id ~bci ~cls:cls.cls_name ~kind:Pheap.K_alloc
+              ~bytes:(Value.object_bytes cls)
+        | None -> ());
         step (bci + 1) (Vobj (Heap.alloc_object env.heap cls) :: stack)
     | Newarray elem -> (
         match stack with
         | len :: rest -> (
             match Heap.alloc_array env.heap elem (as_int len) with
             | arr ->
-                if Pheap.enabled () && not shadow then
-                  Pheap.record ~mid:m.mth_id ~bci
-                    ~cls:(Pea_mjava.Ast.string_of_ty elem ^ "[]")
-                    ~kind:Pheap.K_alloc
-                    ~bytes:(Value.array_bytes elem (Array.length arr.a_elems));
+                (match env.instruments.heap with
+                | Some p ->
+                    Pheap.record p ~mid:m.mth_id ~bci
+                      ~cls:(Pea_mjava.Ast.string_of_ty elem ^ "[]")
+                      ~kind:Pheap.K_alloc
+                      ~bytes:(Value.array_bytes elem (Array.length arr.a_elems))
+                | None -> ());
                 step (bci + 1) (Varr arr :: rest)
             | exception Heap.Negative_array_size n -> trap "negative array size %d" n)
         | [] -> trap "stack underflow at newarray")
@@ -391,18 +408,18 @@ let exec env (m : rt_method) ~locals ~stack ~bci : Value.value option =
    entry, truncate back on every exit path (return, MJ throw, trap). The
    profiling-off path is the bare [exec] call. *)
 let exec_profiled env m ~locals ~stack ~bci =
-  if !Pcpu.is_on && Option.is_none env.hooks then begin
-    let d = Pcpu.depth () in
-    Pcpu.push m.mth_id Pcpu.T_interp;
-    match exec env m ~locals ~stack ~bci with
-    | r ->
-        Pcpu.truncate d;
-        r
-    | exception e ->
-        Pcpu.truncate d;
-        raise e
-  end
-  else exec env m ~locals ~stack ~bci
+  match env.instruments.cpu with
+  | None -> exec env m ~locals ~stack ~bci
+  | Some p -> (
+      let d = Pcpu.depth p in
+      Pcpu.push p m.mth_id Pcpu.T_interp;
+      match exec env m ~locals ~stack ~bci with
+      | r ->
+          Pcpu.truncate p d;
+          r
+      | exception e ->
+          Pcpu.truncate p d;
+          raise e)
 
 (* [args] into [locals] from slot [i]; a top-level function, so a call
    allocates no closure for it *)
@@ -420,3 +437,28 @@ let run env (m : rt_method) args =
   exec_profiled env m ~locals ~stack:[] ~bci:0
 
 let resume env m ~locals ~stack ~bci = exec_profiled env m ~locals ~stack ~bci
+
+let make_env ?(stats = Stats.create ()) ?globals ?(on_print = ignore) ?hooks
+    ?(instruments = Instruments.none) (program : Link.program) =
+  let globals =
+    match globals with
+    | Some g -> g
+    | None ->
+        let g = Array.make (max program.Link.n_statics 1) Vnull in
+        List.iter (fun sf -> g.(sf.sf_index) <- Value.default_value sf.sf_ty) program.Link.statics;
+        g
+  in
+  let rec env =
+    {
+      heap = Heap.create stats;
+      stats;
+      profile = Profile.create program;
+      globals;
+      on_invoke = (fun m args -> run env m args);
+      on_print;
+      on_back_edge = (fun _ ~header:_ ~locals:_ -> No_osr);
+      hooks;
+      instruments;
+    }
+  in
+  env

@@ -73,7 +73,30 @@ and env = {
   hooks : hooks option;
       (** [None] everywhere except deopt-oracle shadow replays: the hook
           dispatch is one option match per branch/invoke. *)
+  instruments : Pea_obs.Instruments.t;
+      (** what watches this environment: the interpreter polls the
+          sampling profiler at every dispatch and brackets each frame on
+          its shadow stack, and records every allocation in the heap
+          profiler; the closure tier, deoptimization and the VM read the
+          rest. The oracle's shadow replay carries none, so what checks
+          a deopt is never seen by what profiles it. *)
 }
+
+(** [make_env program] is an environment for [program]: [stats] (fresh
+    by default), a fresh heap and profile, [globals] (by default the
+    static fields at their declared types' defaults), every invoke
+    interpreted in this environment, no OSR, [on_print] (default
+    [ignore]), [hooks] (default none) and [instruments] (default
+    {!Pea_obs.Instruments.none}). A VM replaces [on_invoke] and
+    [on_back_edge] with its tiering policy. *)
+val make_env :
+  ?stats:Stats.t ->
+  ?globals:Value.value array ->
+  ?on_print:(Value.value -> unit) ->
+  ?hooks:hooks ->
+  ?instruments:Pea_obs.Instruments.t ->
+  Link.program ->
+  env
 
 (** [run env m args] executes [m] from bytecode index 0.
     Returns [Some v] for value-returning methods, [None] for void. *)

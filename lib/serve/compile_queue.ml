@@ -26,13 +26,16 @@ let test_hook : (key -> unit) ref = ref (fun _ -> ())
 type 'p t = {
   cap : int;
   stats : Stats.t; (* the client's counters *)
+  trace : Trace.t option; (* the client's tracer *)
   mutable inflight : 'p task list; (* enqueue order, oldest first; |..| <= cap *)
   failed : (key, unit) Hashtbl.t; (* keys whose compile raised: never retried *)
 }
 
-let create ~cap stats =
+let create ?trace ~cap stats =
   if cap <= 0 then invalid_arg "Compile_queue.create: cap must be positive";
-  { cap; stats; inflight = []; failed = Hashtbl.create 8 }
+  { cap; stats; trace; inflight = []; failed = Hashtbl.create 8 }
+
+let note q ev = match q.trace with Some t -> Trace.emit t (ev ()) | None -> ()
 
 let depth q = List.length q.inflight
 
@@ -48,11 +51,11 @@ let request q key ~meth ~epoch ~now ~latency make =
     match List.find_opt (fun t -> t.t_key = key) q.inflight with
     | Some task ->
         Stats.incr q.stats Stats.compile_dedup_hits;
-        if Trace.enabled () then Trace.record (Event.Compile_dedup { meth });
+        note q (fun () -> Event.Compile_dedup { meth });
         Inflight task.t_payload
     | None when depth q >= q.cap ->
         Stats.incr q.stats Stats.compile_drops;
-        if Trace.enabled () then Trace.record (Event.Compile_drop { meth });
+        note q (fun () -> Event.Compile_drop { meth });
         Dropped
     | None ->
         let t_payload, t_compile = make () in
@@ -63,8 +66,7 @@ let request q key ~meth ~epoch ~now ~latency make =
         let depth = depth q in
         Stats.incr q.stats Stats.compile_enqueues;
         Stats.observe q.stats Stats.compile_queue_depth depth;
-        if Trace.enabled () then
-          Trace.record (Event.Compile_enqueue { meth; epoch; depth });
+        note q (fun () -> Event.Compile_enqueue { meth; epoch; depth });
         Queued
 
 let run task =
@@ -87,8 +89,7 @@ let resolve q ~now ~on_failed ~install =
            | Error error ->
                Hashtbl.replace q.failed task.t_key ();
                Stats.incr q.stats Stats.compile_failures;
-               if Trace.enabled () then
-                 Trace.record (Event.Compile_failed { meth = task.t_meth; error });
+               note q (fun () -> Event.Compile_failed { meth = task.t_meth; error });
                on_failed task error
            | Ok code ->
                if install task code then begin

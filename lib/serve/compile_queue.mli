@@ -39,9 +39,9 @@ val test_hook : (key -> unit) ref
 
 type 'p t
 
-(** [create ~cap stats] — an empty queue holding at most [cap] tasks,
-    counting on [stats]. *)
-val create : cap:int -> Pea_rt.Stats.t -> 'p t
+(** [create ?trace ~cap stats] — an empty queue holding at most [cap]
+    tasks, counting on [stats] and recording its events in [trace]. *)
+val create : ?trace:Pea_obs.Trace.t -> cap:int -> Pea_rt.Stats.t -> 'p t
 
 val depth : 'p t -> int
 

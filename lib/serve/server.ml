@@ -37,7 +37,17 @@
    on the coordinator, and make exactly the same model decisions, so
    every deterministic counter is bit-for-bit identical — threaded
    mode's only divergence is wall-clock, which is the point of the
-   scaling benchmark. *)
+   scaling benchmark.
+
+   Instruments (a tracer, the sampling and heap profilers, a flight
+   recorder) are arguments of [create]. The server's own events — the
+   barrier's, the compile queue's and the shared compiles' — go to its
+   tracer in both modes: the coordinator emits them in a fixed order. A
+   replay server hands all its instruments to every tenant VM, whose
+   events interleave deterministically on the one domain. A threaded
+   server hands its tenant VMs none: a worker's events would interleave
+   with the coordinator's in wall-clock order, and the profilers are
+   single-domain instruments (shadow stacks, site tables). *)
 
 open Pea_bytecode
 open Pea_rt
@@ -45,8 +55,6 @@ module Vm = Pea_vm.Vm
 module Jit = Pea_vm.Jit
 module Trace = Pea_obs.Trace
 module Event = Pea_obs.Event
-module Pcpu = Pea_obs.Profile_cpu
-module Pheap = Pea_obs.Profile_heap
 
 type request = {
   rq_tenant : int; (* index into [sc_tenants] *)
@@ -141,6 +149,7 @@ type t = {
   cache : Shared_cache.t;
   queue : pending Compile_queue.t;
   stats : Stats.t; (* the server's own counters *)
+  trace : Trace.t option; (* the server's own events *)
   mutable round : int; (* the serving layer's deterministic clock *)
 }
 
@@ -151,7 +160,7 @@ let qualified (ap : app) (m : Classfile.rt_method) =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let create ?(config = default_config) (script : script) : t =
+let create ?trace ?cpu ?heap ?flight ?(config = default_config) (script : script) : t =
   (match config.sv_mode with
   | Threaded n when n < 1 || n > max_workers ->
       invalid_arg (Printf.sprintf "Server.create: Threaded %d is outside 1..%d" n max_workers)
@@ -178,12 +187,17 @@ let create ?(config = default_config) (script : script) : t =
      hook covers. The shared compiles take [ap_summaries], so a tenant
      needs no summary table of its own. *)
   let tenant_jit = { config.sv_jit with Jit.osr = false; summaries = false } in
+  let tenant_vm program =
+    match config.sv_mode with
+    | Replay -> Vm.create ?trace ?cpu ?heap ?flight ~config:tenant_jit program
+    | Threaded _ -> Vm.create ~config:tenant_jit program
+  in
   let tenants =
     Array.of_list
       (List.mapi
          (fun i (name, app_idx) ->
            let ap = apps.(app_idx) in
-           let vm = Vm.create ~config:tenant_jit ap.ap_program in
+           let vm = tenant_vm ap.ap_program in
            {
              tn_id = i;
              tn_name = name;
@@ -208,8 +222,9 @@ let create ?(config = default_config) (script : script) : t =
       apps;
       tenants;
       cache;
-      queue = Compile_queue.create ~cap:config.sv_queue_cap stats;
+      queue = Compile_queue.create ?trace ~cap:config.sv_queue_cap stats;
       stats;
+      trace;
       round = 0;
     }
   in
@@ -282,8 +297,7 @@ let run_round server (reqs : request list) =
           (fun rev ->
             let mine = List.rev rev in
             Domain.spawn (fun () ->
-                Trace.suppress (fun () ->
-                    List.iter (fun rq -> exec_request server.tenants.(rq.rq_tenant) rq) mine)))
+                List.iter (fun rq -> exec_request server.tenants.(rq.rq_tenant) rq) mine))
           per_worker
       in
       Array.iter Domain.join doms
@@ -297,8 +311,10 @@ let quarantine server tn ~reason =
     tn.tn_quarantined <- true;
     Vm.set_interp_only tn.tn_vm;
     Stats.incr server.stats Stats.tenant_quarantines;
-    if Trace.enabled () then
-      Trace.record (Event.Tenant_quarantine { tenant = tn.tn_name; reason; round = server.round })
+    match server.trace with
+    | Some t ->
+        Trace.emit t (Event.Tenant_quarantine { tenant = tn.tn_name; reason; round = server.round })
+    | None -> ()
   end
 
 let enqueue_compile server (ap : app) mid ~requester =
@@ -320,7 +336,9 @@ let enqueue_compile server (ap : app) mid ~requester =
       let blacklist site = Hashtbl.mem blacklist_copy site in
       let config = { server.config.sv_jit with Jit.osr = false } in
       ( { pm_app = ap; pm_mid = mid; pm_requesters = [ requester ] },
-        fun () -> Jit.compile ?summaries:ap.ap_summaries ~blacklist config ap.ap_program profile m )
+        fun () ->
+          Jit.compile ?summaries:ap.ap_summaries ~blacklist ?trace:server.trace config ap.ap_program
+            profile m )
     in
     match
       Compile_queue.request server.queue ck ~meth:(qualified ap m)
@@ -348,16 +366,20 @@ let resolve_due server ~now =
     ~install:(fun { Compile_queue.t_payload = pm; t_meth = meth; t_epoch = epoch; _ } code ->
       match Shared_cache.publish server.cache (pm.pm_app.ap_index, pm.pm_mid) ~epoch code with
       | `Installed ->
-          if Trace.enabled () then
-            Trace.record (Event.Cache_publish { meth; epoch; round = server.round });
+          (match server.trace with
+          | Some t -> Trace.emit t (Event.Cache_publish { meth; epoch; round = server.round })
+          | None -> ());
           true
       | `Stale current ->
           (* the epoch race: a deopt beat the install. Never
              installed; recompiled against the moved blacklist. *)
           Stats.incr server.stats Stats.cache_epoch_rejects;
-          if Trace.enabled () then
-            Trace.record
-              (Event.Cache_epoch_reject { meth; epoch; current_epoch = current; round = server.round });
+          (match server.trace with
+          | Some t ->
+              Trace.emit t
+                (Event.Cache_epoch_reject
+                   { meth; epoch; current_epoch = current; round = server.round })
+          | None -> ());
           List.iter
             (fun id ->
               if not server.tenants.(id).tn_quarantined then
@@ -377,15 +399,17 @@ let barrier server (reqs : request list) =
       | (logged, latency) :: rest ->
           cursors.(rq.rq_tenant) := rest;
           (* the label is built only for the trace *)
-          if Trace.enabled () then
-            Trace.record
-              (Event.Serve_request
-                 {
-                   tenant = server.tenants.(rq.rq_tenant).tn_name;
-                   meth = logged.rq_class ^ "." ^ logged.rq_method;
-                   round = server.round;
-                   latency;
-                 }))
+          match server.trace with
+          | Some t ->
+              Trace.emit t
+                (Event.Serve_request
+                   {
+                     tenant = server.tenants.(rq.rq_tenant).tn_name;
+                     meth = logged.rq_class ^ "." ^ logged.rq_method;
+                     round = server.round;
+                     latency;
+                   })
+          | None -> ())
     reqs;
   Array.iter (fun tn -> tn.tn_round_log_rev <- []) server.tenants;
   (* shared-hit accounting, tenant order *)
@@ -394,8 +418,10 @@ let barrier server (reqs : request list) =
       List.iter
         (fun meth ->
           Stats.incr stats Stats.cache_shared_hits;
-          if Trace.enabled () then
-            Trace.record (Event.Cache_shared_hit { tenant = tn.tn_name; meth; round = server.round }))
+          match server.trace with
+          | Some t ->
+              Trace.emit t (Event.Cache_shared_hit { tenant = tn.tn_name; meth; round = server.round })
+          | None -> ())
         (List.rev tn.tn_hits_rev);
       tn.tn_hits_rev <- [])
     server.tenants;
@@ -438,32 +464,13 @@ let barrier server (reqs : request list) =
 (* Session driving                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* In threaded mode any globally installed sampling/heap profiler is
-   suspended for the run: the global profilers are single-domain
-   instruments (shadow stacks, site tables), and profiling must never be
-   able to corrupt a serving run. Replay mode leaves them untouched —
-   single-threaded, they are deterministic there. *)
-let with_global_profilers_suspended server f =
-  match server.config.sv_mode with
-  | Replay -> f ()
-  | Threaded _ ->
-      let cpu = Pcpu.installed () and heap = Pheap.installed () in
-      Pcpu.uninstall ();
-      Pheap.uninstall ();
-      Fun.protect
-        ~finally:(fun () ->
-          Option.iter Pcpu.install cpu;
-          Option.iter Pheap.install heap)
-        f
-
 let run_rounds server (rounds : request list list) =
-  with_global_profilers_suspended server (fun () ->
-      List.iter
-        (fun reqs ->
-          run_round server reqs;
-          barrier server reqs;
-          server.round <- server.round + 1)
-        rounds)
+  List.iter
+    (fun reqs ->
+      run_round server reqs;
+      barrier server reqs;
+      server.round <- server.round + 1)
+    rounds
 
 (* Drain the queue after the last round: no mutator runs between passes,
    so no epoch can move and the loop terminates. *)
@@ -499,8 +506,8 @@ let report server =
       |> List.filter_map (fun tn -> if tn.tn_quarantined then Some tn.tn_name else None);
   }
 
-let run ?config script =
-  let server = create ?config script in
+let run ?trace ?cpu ?heap ?flight ?config script =
+  let server = create ?trace ?cpu ?heap ?flight ?config script in
   run_rounds server script.sc_rounds;
   report server
 

@@ -20,13 +20,16 @@
        an [If] or a [Goto] makes its transfer itself; an edge with phi
        moves is one closure that moves, then transfers. No closure runs
        only to jump or only to test the profiler.
-     - The CPU profiler's block safepoints are polled by the transfer
-       into the block, after the edge's moves, and only when
-       [Profile_cpu.is_on] (one bool load when it is off); the method
-       entry's by {!run}. A block with no closure of its own (no
-       instruction, no pending charge, a [Goto] to a block without phis)
-       is passed through: a transfer into it polls its safepoint and its
-       successor's, in order, and calls the successor's chain.
+     - The instruments are captured from the environment once, at
+       translation: every check tests that captured value, never a
+       global. The CPU profiler's block safepoints are polled by the
+       transfer into the block, after the edge's moves, and only when
+       the translation captured a profiler (one load and compare when
+       it did not); the method entry's by {!run}. A block with no
+       closure of its own (no instruction, no pending charge, a [Goto]
+       to a block without phis) is passed through: a transfer into it
+       polls its safepoint and its successor's, in order, and calls the
+       successor's chain.
      - Typed registers. A register file is two arrays indexed by node id:
        [vr], the [Value.value] registers, and beside it [ir], unboxed int
        registers. {!plan} decides, once per graph, which file each node
@@ -89,11 +92,10 @@
    through this frame. A [Deopt] terminator is the delicate case: the
    [Deoptimize] exception carries a [vr]-backed lookup closure that
    {!Deopt.handle} consults after re-entrant interpreter execution, so the
-   file must survive until the handler finishes. When the caller passes a
-   [?deopt] handler, [run] invokes it in-frame and releases the file
-   afterwards (the lookup closure is dead by then); without a handler the
-   exception propagates and the file leaks with it — the VM always passes
-   a handler. Released files keep their stale values; that is sound
+   file must survive until the handler finishes: the file goes with the
+   exception and never returns to the pool. Returning it would buy
+   nothing, since the VM's deopt handling drops the code that owns the
+   pool. Released files keep their stale values; that is sound
    because SSA guarantees every read is dominated by a write in the same
    invocation, frame states only reference dominating definitions
    (enforced by the IR checker), and no closure writes a constant's
@@ -145,6 +147,7 @@ type code = {
   entry_bci : int; (* the safepoints the method entry polls ... *)
   entry_rest : int array;
   entry : chain; (* ... before it runs this *)
+  cpu : Profile_cpu.t option; (* the profiler the entry polls *)
   mutable pool : frame list; (* free register files *)
   method_name : string; (* for trap messages *)
 }
@@ -554,14 +557,18 @@ type step =
 
 (* The safepoints a transfer polls when profiling is on, after the
    edge's moves (see [entry]). *)
-let poll_rest rest =
+let poll_rest p rest =
   for i = 0 to Array.length rest - 1 do
-    Profile_cpu.poll rest.(i)
+    Profile_cpu.poll p rest.(i)
   done
 
-let[@inline] enter bci rest =
-  Profile_cpu.poll bci;
-  if Array.length rest > 0 then poll_rest rest
+let[@inline] enter p bci rest =
+  Profile_cpu.poll p bci;
+  if Array.length rest > 0 then poll_rest p rest
+
+(* [cpu] is the profiler the translation captured: with none, a
+   transfer's safepoints cost one load and compare *)
+let[@inline] poll cpu bci rest = match cpu with Some p -> enter p bci rest | None -> ()
 
 (* A branch arm is a transfer the branch closure makes itself, polling
    [bci] and [rest] then calling [next]; or, for an edge with moves,
@@ -569,8 +576,8 @@ let[@inline] enter bci rest =
    is [no_poll]. *)
 let no_poll = min_int
 
-let[@inline] take bci rest (next : chain) f =
-  if !Profile_cpu.is_on && bci <> no_poll then enter bci rest;
+let[@inline] take cpu bci rest (next : chain) f =
+  (match cpu with Some p when bci <> no_poll -> enter p bci rest | _ -> ());
   next f
 
 (* The blocks reachable from the entry, as flags and, in the first
@@ -599,6 +606,9 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
   let profile = env.Interp.profile in
   let on_invoke = env.Interp.on_invoke in
   let on_print = env.Interp.on_print in
+  (* the instruments, captured once: every check below tests one of
+     these values, never a global *)
+  let { Pea_obs.Instruments.trace; cpu; heap = pheap; _ } = env.Interp.instruments in
   let reachable, order, n_order = postorder g in
   let pl = plan_of ~reachable g in
   let regs = pl.regs in
@@ -655,9 +665,9 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
               | Some target -> Some (cls, target)
               | None -> None))
     in
-    (match seed with
-    | Some (cls, _) when Trace.enabled () ->
-        Trace.record
+    (match (seed, trace) with
+    | Some (cls, _), Some t ->
+        Trace.emit t
           (Event.Ic_transition
              {
                meth;
@@ -805,96 +815,96 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
             fun f ->
               bump k cy;
               let r = f.ir in
-              if r.(a) < r.(b) then take bt rt et f else take bf rf ef f
+              if r.(a) < r.(b) then take cpu bt rt et f else take cpu bf rf ef f
         | Reg, Imm ->
             fun f ->
               bump k cy;
-              if f.ir.(a) < b then take bt rt et f else take bf rf ef f
+              if f.ir.(a) < b then take cpu bt rt et f else take cpu bf rf ef f
         | _ ->
             fun f ->
               bump k cy;
               let y = geti f mb b in
-              if geti f ma a < y then take bt rt et f else take bf rf ef f)
+              if geti f ma a < y then take cpu bt rt et f else take cpu bf rf ef f)
     | Classfile.Cle -> (
         match (ma, mb) with
         | Reg, Reg ->
             fun f ->
               bump k cy;
               let r = f.ir in
-              if r.(a) <= r.(b) then take bt rt et f else take bf rf ef f
+              if r.(a) <= r.(b) then take cpu bt rt et f else take cpu bf rf ef f
         | Reg, Imm ->
             fun f ->
               bump k cy;
-              if f.ir.(a) <= b then take bt rt et f else take bf rf ef f
+              if f.ir.(a) <= b then take cpu bt rt et f else take cpu bf rf ef f
         | _ ->
             fun f ->
               bump k cy;
               let y = geti f mb b in
-              if geti f ma a <= y then take bt rt et f else take bf rf ef f)
+              if geti f ma a <= y then take cpu bt rt et f else take cpu bf rf ef f)
     | Classfile.Cgt -> (
         match (ma, mb) with
         | Reg, Reg ->
             fun f ->
               bump k cy;
               let r = f.ir in
-              if r.(a) > r.(b) then take bt rt et f else take bf rf ef f
+              if r.(a) > r.(b) then take cpu bt rt et f else take cpu bf rf ef f
         | Reg, Imm ->
             fun f ->
               bump k cy;
-              if f.ir.(a) > b then take bt rt et f else take bf rf ef f
+              if f.ir.(a) > b then take cpu bt rt et f else take cpu bf rf ef f
         | _ ->
             fun f ->
               bump k cy;
               let y = geti f mb b in
-              if geti f ma a > y then take bt rt et f else take bf rf ef f)
+              if geti f ma a > y then take cpu bt rt et f else take cpu bf rf ef f)
     | Classfile.Cge -> (
         match (ma, mb) with
         | Reg, Reg ->
             fun f ->
               bump k cy;
               let r = f.ir in
-              if r.(a) >= r.(b) then take bt rt et f else take bf rf ef f
+              if r.(a) >= r.(b) then take cpu bt rt et f else take cpu bf rf ef f
         | Reg, Imm ->
             fun f ->
               bump k cy;
-              if f.ir.(a) >= b then take bt rt et f else take bf rf ef f
+              if f.ir.(a) >= b then take cpu bt rt et f else take cpu bf rf ef f
         | _ ->
             fun f ->
               bump k cy;
               let y = geti f mb b in
-              if geti f ma a >= y then take bt rt et f else take bf rf ef f)
+              if geti f ma a >= y then take cpu bt rt et f else take cpu bf rf ef f)
     | Classfile.Ceq -> (
         match (ma, mb) with
         | Reg, Reg ->
             fun f ->
               bump k cy;
               let r = f.ir in
-              if r.(a) = r.(b) then take bt rt et f else take bf rf ef f
+              if r.(a) = r.(b) then take cpu bt rt et f else take cpu bf rf ef f
         | Reg, Imm ->
             fun f ->
               bump k cy;
-              if f.ir.(a) = b then take bt rt et f else take bf rf ef f
+              if f.ir.(a) = b then take cpu bt rt et f else take cpu bf rf ef f
         | _ ->
             fun f ->
               bump k cy;
               let y = geti f mb b in
-              if geti f ma a = y then take bt rt et f else take bf rf ef f)
+              if geti f ma a = y then take cpu bt rt et f else take cpu bf rf ef f)
     | Classfile.Cne -> (
         match (ma, mb) with
         | Reg, Reg ->
             fun f ->
               bump k cy;
               let r = f.ir in
-              if r.(a) <> r.(b) then take bt rt et f else take bf rf ef f
+              if r.(a) <> r.(b) then take cpu bt rt et f else take cpu bf rf ef f
         | Reg, Imm ->
             fun f ->
               bump k cy;
-              if f.ir.(a) <> b then take bt rt et f else take bf rf ef f
+              if f.ir.(a) <> b then take cpu bt rt et f else take cpu bf rf ef f
         | _ ->
             fun f ->
               bump k cy;
               let y = geti f mb b in
-              if geti f ma a <> y then take bt rt et f else take bf rf ef f)
+              if geti f ma a <> y then take cpu bt rt et f else take cpu bf rf ef f)
   in
   (* [k] operations and [cy] cycles: the charge of this instruction plus
      that of the constants before it in its block *)
@@ -956,8 +966,10 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
         let bytes = Value.object_bytes cls in
         fun f ->
           bump k cy;
-          if Profile_heap.enabled () then
-            Profile_heap.record ~mid ~bci ~cls:cls_name ~kind:Profile_heap.K_alloc ~bytes;
+          (match pheap with
+          | Some p ->
+              Profile_heap.record p ~mid ~bci ~cls:cls_name ~kind:Profile_heap.K_alloc ~bytes
+          | None -> ());
           f.vr.(dst) <- Vobj (Heap.alloc_object heap cls);
           next f
     | Node.Alloc (cls, field_values) ->
@@ -966,8 +978,10 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
         let bytes = Value.object_bytes cls in
         fun f ->
           bump k cy;
-          if Profile_heap.enabled () then
-            Profile_heap.record ~mid ~bci ~cls:cls_name ~kind:Profile_heap.K_alloc ~bytes;
+          (match pheap with
+          | Some p ->
+              Profile_heap.record p ~mid ~bci ~cls:cls_name ~kind:Profile_heap.K_alloc ~bytes
+          | None -> ());
           let o = Heap.alloc_object heap cls in
           let r = f.vr in
           for i = 0 to Array.length field_values - 1 do
@@ -984,8 +998,10 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
           bump k cy;
           (match Heap.alloc_array heap elem len with
           | arr ->
-              if Profile_heap.enabled () then
-                Profile_heap.record ~mid ~bci ~cls:arr_name ~kind:Profile_heap.K_alloc ~bytes;
+              (match pheap with
+              | Some p ->
+                  Profile_heap.record p ~mid ~bci ~cls:arr_name ~kind:Profile_heap.K_alloc ~bytes
+              | None -> ());
               let r = f.vr in
               for i = 0 to len - 1 do
                 arr.a_elems.(i) <- r.(elem_values.(i))
@@ -1004,8 +1020,9 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
         in
         fun f ->
           bump k cy;
-          if Profile_heap.enabled () then
-            Profile_heap.record ~mid ~bci ~cls:cls_name ~kind ~bytes;
+          (match pheap with
+          | Some p -> Profile_heap.record p ~mid ~bci ~cls:cls_name ~kind ~bytes
+          | None -> ());
           let o = alloc heap cls in
           let r = f.vr in
           for i = 0 to Array.length field_values - 1 do
@@ -1025,8 +1042,9 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
         in
         fun f ->
           bump k cy;
-          if Profile_heap.enabled () then
-            Profile_heap.record ~mid ~bci ~cls:arr_name ~kind ~bytes;
+          (match pheap with
+          | Some p -> Profile_heap.record p ~mid ~bci ~cls:arr_name ~kind ~bytes
+          | None -> ());
           let arr = alloc heap elem len in
           let r = f.vr in
           for i = 0 to len - 1 do
@@ -1042,9 +1060,11 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
           bump k cy;
           (match Heap.alloc_array heap elem (geti f ml len) with
           | arr ->
-              if Profile_heap.enabled () then
-                Profile_heap.record ~mid ~bci ~cls:arr_name ~kind:Profile_heap.K_alloc
-                  ~bytes:(Value.array_bytes elem (Array.length arr.a_elems));
+              (match pheap with
+              | Some p ->
+                  Profile_heap.record p ~mid ~bci ~cls:arr_name ~kind:Profile_heap.K_alloc
+                    ~bytes:(Value.array_bytes elem (Array.length arr.a_elems))
+              | None -> ());
               f.vr.(dst) <- Varr arr
           | exception Heap.Negative_array_size n -> trap "negative array size %d" n);
           next f
@@ -1175,15 +1195,17 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
                     (match recv with
                     | Vobj o ->
                         ic := Some (o.o_cls.Classfile.cls_id, tgt);
-                        if Trace.enabled () then
-                          Trace.record
-                            (Event.Ic_transition
-                               {
-                                 meth;
-                                 callee = callee.Classfile.mth_name;
-                                 cls = o.o_cls.Classfile.cls_name;
-                                 kind = Event.Ic_rebias;
-                               })
+                        (match trace with
+                        | Some t ->
+                            Trace.emit t
+                              (Event.Ic_transition
+                                 {
+                                   meth;
+                                   callee = callee.Classfile.mth_name;
+                                   cls = o.o_cls.Classfile.cls_name;
+                                   kind = Event.Ic_rebias;
+                                 })
+                        | None -> ())
                     | _ -> ());
                     tgt
               in
@@ -1264,19 +1286,19 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
     match e.e_dest with
     | Direct next ->
         if k = 0 then fun f ->
-          if !Profile_cpu.is_on then enter bci rest;
+          poll cpu bci rest;
           next f
         else fun f ->
           bump k cy;
-          if !Profile_cpu.is_on then enter bci rest;
+          poll cpu bci rest;
           next f
     | Via t ->
         if k = 0 then fun f ->
-          if !Profile_cpu.is_on then enter bci rest;
+          poll cpu bci rest;
           bodies.(t) f
         else fun f ->
           bump k cy;
-          if !Profile_cpu.is_on then enter bci rest;
+          poll cpu bci rest;
           bodies.(t) f
   in
   (* the (pred -> succ) transfer of an edge with phi moves: the charge,
@@ -1302,26 +1324,26 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
                 bump k cy;
                 let r = f.ir in
                 r.(d) <- r.(s);
-                if !Profile_cpu.is_on then enter bci rest;
+                poll cpu bci rest;
                 next f
           | [| Mv_value |], [| d |], [| s |] ->
               fun f ->
                 bump k cy;
                 let r = f.vr in
                 r.(d) <- r.(s);
-                if !Profile_cpu.is_on then enter bci rest;
+                poll cpu bci rest;
                 next f
           | [| Mv_box |], [| d |], [| s |] ->
               fun f ->
                 bump k cy;
                 f.vr.(d) <- Vint f.ir.(s);
-                if !Profile_cpu.is_on then enter bci rest;
+                poll cpu bci rest;
                 next f
           | [| Mv_unbox |], [| d |], [| s |] ->
               fun f ->
                 bump k cy;
                 f.ir.(d) <- as_int f.vr.(s);
-                if !Profile_cpu.is_on then enter bci rest;
+                poll cpu bci rest;
                 next f
           | [| Mv_int; Mv_int |], [| d0; d1 |], [| s0; s1 |] ->
               (* both sources are read before either phi is written: the
@@ -1332,7 +1354,7 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
                 let v0 = r.(s0) and v1 = r.(s1) in
                 r.(d0) <- v0;
                 r.(d1) <- v1;
-                if !Profile_cpu.is_on then enter bci rest;
+                poll cpu bci rest;
                 next f
           | [| Mv_value; Mv_value |], [| d0; d1 |], [| s0; s1 |] ->
               fun f ->
@@ -1341,14 +1363,14 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
                 let v0 = r.(s0) and v1 = r.(s1) in
                 r.(d0) <- v0;
                 r.(d1) <- v1;
-                if !Profile_cpu.is_on then enter bci rest;
+                poll cpu bci rest;
                 next f
           | _ ->
               let ti, tv = scratch () in
               fun f ->
                 bump k cy;
                 parallel_move kinds dsts srcs ti tv f;
-                if !Profile_cpu.is_on then enter bci rest;
+                poll cpu bci rest;
                 next f)
       | Via t -> (
           match (kinds, dsts, srcs) with
@@ -1357,14 +1379,14 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
                 bump k cy;
                 let r = f.ir in
                 r.(d) <- r.(s);
-                if !Profile_cpu.is_on then enter bci rest;
+                poll cpu bci rest;
                 bodies.(t) f
           | [| Mv_value |], [| d |], [| s |] ->
               fun f ->
                 bump k cy;
                 let r = f.vr in
                 r.(d) <- r.(s);
-                if !Profile_cpu.is_on then enter bci rest;
+                poll cpu bci rest;
                 bodies.(t) f
           | [| Mv_int; Mv_int |], [| d0; d1 |], [| s0; s1 |] ->
               fun f ->
@@ -1373,7 +1395,7 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
                 let v0 = r.(s0) and v1 = r.(s1) in
                 r.(d0) <- v0;
                 r.(d1) <- v1;
-                if !Profile_cpu.is_on then enter bci rest;
+                poll cpu bci rest;
                 bodies.(t) f
           | [| Mv_value; Mv_value |], [| d0; d1 |], [| s0; s1 |] ->
               fun f ->
@@ -1382,14 +1404,14 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
                 let v0 = r.(s0) and v1 = r.(s1) in
                 r.(d0) <- v0;
                 r.(d1) <- v1;
-                if !Profile_cpu.is_on then enter bci rest;
+                poll cpu bci rest;
                 bodies.(t) f
           | _ ->
               let ti, tv = scratch () in
               fun f ->
                 bump k cy;
                 parallel_move kinds dsts srcs ti tv f;
-                if !Profile_cpu.is_on then enter bci rest;
+                poll cpu bci rest;
                 bodies.(t) f)
   in
   let transfer k cy ~pred ~succ : chain =
@@ -1453,15 +1475,15 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
             if k = 0 then fun f ->
               cycles_cell.(cycles) <- cycles_cell.(cycles) + cy;
               match f.vr.(cond) with
-              | Vbool true -> take bt rt et f
-              | Vbool false -> take bf rf ef f
-              | v -> if as_bool v then take bt rt et f else take bf rf ef f
+              | Vbool true -> take cpu bt rt et f
+              | Vbool false -> take cpu bf rf ef f
+              | v -> if as_bool v then take cpu bt rt et f else take cpu bf rf ef f
             else fun f ->
               bump k cy;
               match f.vr.(cond) with
-              | Vbool true -> take bt rt et f
-              | Vbool false -> take bf rf ef f
-              | v -> if as_bool v then take bt rt et f else take bf rf ef f)
+              | Vbool true -> take cpu bt rt et f
+              | Vbool false -> take cpu bf rf ef f
+              | v -> if as_bool v then take cpu bt rt et f else take cpu bf rf ef f)
   in
   (* the constants of the register file, filled when a file is made *)
   let consts = ref [] in
@@ -1551,6 +1573,7 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
     entry_bci = e.e_bci;
     entry_rest = e.e_rest;
     entry = (match e.e_dest with Direct c -> c | Via t -> bodies.(t));
+    cpu;
     pool = [];
     method_name = meth;
   }
@@ -1582,7 +1605,7 @@ let rec bind_params code vr i args =
         bind_params code vr (i + 1) vs
     | [] -> trap "missing argument %d for %s" i code.method_name
 
-let run ?deopt (code : code) (args : Value.value list) : Value.value option =
+let run (code : code) (args : Value.value list) : Value.value option =
   let f =
     match code.pool with
     | [] -> make_frame code
@@ -1592,24 +1615,15 @@ let run ?deopt (code : code) (args : Value.value list) : Value.value option =
   in
   bind_params code f.vr 0 args;
   (* the entry block's safepoint, as a transfer into it would poll it *)
-  if !Profile_cpu.is_on then enter code.entry_bci code.entry_rest;
+  poll code.cpu code.entry_bci code.entry_rest;
   match code.entry f with
   | r ->
       code.pool <- f :: code.pool;
       r
-  | exception (Ir_exec.Deoptimize (d, lookup) as e) -> (
-      match deopt with
-      | Some handler ->
-          (* [f] stays live through the lookup closure until the handler
-             returns (or raises through re-entrant interpretation); only
-             then is it safe to put it back in the pool *)
-          Fun.protect
-            ~finally:(fun () -> code.pool <- f :: code.pool)
-            (fun () -> handler d lookup)
-      | None ->
-          (* no in-frame handler: the exception carries the [vr]-backed
-             lookup out of this frame, so the file must leak with it *)
-          raise e)
+  | exception (Ir_exec.Deoptimize _ as e) ->
+      (* the exception carries the [vr]-backed lookup out of this frame:
+         the file goes with it *)
+      raise e
   | exception e ->
       code.pool <- f :: code.pool;
       raise e

@@ -6,7 +6,9 @@
     next, so every block is one threaded chain; a control transfer calls
     its target's chain directly (through a per-graph table on a back
     edge), polling the CPU profiler's safepoint of each block it enters
-    when profiling is on; every [(pred, block)] edge with phis becomes a
+    when the environment it was translated in carries a profiler (the
+    test is of the profiler captured at translation: one load and
+    compare when there is none); every [(pred, block)] edge with phis becomes a
     parallel move over the graph's {!Ir_exec.prepared} routing tables,
     every virtual call site a monomorphic inline cache, and register
     files are pooled across invocations.
@@ -72,29 +74,27 @@ val plan_to_string : Pea_ir.Graph.t -> plan -> string
 type code
 
 (** [compile env p] translates the prepared graph [p] into closure form.
-    [env] is captured: heap, globals, statics, the invoke/print hooks, and
-    the interpreter's receiver profile (used to seed the inline caches).
+    [env] is captured: heap, globals, statics, the invoke/print hooks,
+    the interpreter's receiver profile (used to seed the inline caches)
+    and the instruments — the sampling profiler polled at safepoints,
+    the heap profiler every allocation records into, the tracer that
+    sees inline-cache transitions — each tested as a captured value.
     [p] is only read, so one prepared graph can back the translations of
     many VMs. The result is valid as long as the graph's compiled code
     is; the VM discards it on deoptimization. Terminators are read here,
     at translation time. *)
 val compile : Interp.env -> Ir_exec.prepared -> code
 
-(** [run ?deopt code args] executes one invocation, using a pooled
-    register file. The file is returned to the pool on normal return and
-    on {!Interp.Mj_throw}. At a [Deopt] terminator, every int register
-    the frame state names is boxed into the value file, and [deopt] (if
-    given) is invoked in-frame with the deopt record and register lookup;
-    the file is released once it finishes, so the pool depth recovers.
-    Without [deopt] the {!Ir_exec.Deoptimize} exception propagates and
-    the file leaks with its lookup closure.
-    @raise Ir_exec.Deoptimize at [Deopt] terminators when [deopt] is absent.
+(** [run code args] executes one invocation, using a pooled register
+    file. The file is returned to the pool on normal return and on
+    {!Interp.Mj_throw}. At a [Deopt] terminator, every int register the
+    frame state names is boxed into the value file and
+    {!Ir_exec.Deoptimize} propagates with the deopt record and a lookup
+    into the file; the file goes with the exception's lookup and never
+    returns to the pool.
+    @raise Ir_exec.Deoptimize at [Deopt] terminators.
     @raise Interp.Trap on runtime faults. *)
-val run :
-  ?deopt:(Pea_ir.Graph.deopt -> (Pea_ir.Node.node_id -> Value.value) -> Value.value option) ->
-  code ->
-  Value.value list ->
-  Value.value option
+val run : code -> Value.value list -> Value.value option
 
 (** Number of free register files currently pooled (for tests). *)
 val pool_depth : code -> int

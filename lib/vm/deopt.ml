@@ -15,6 +15,7 @@ open Pea_rt
 open Value
 module Event = Pea_obs.Event
 module Trace = Pea_obs.Trace
+module Pheap = Pea_obs.Profile_heap
 
 (* Collect every virtual-object descriptor reachable from the frame-state
    chain (innermost state holds them all in this implementation, but be
@@ -40,6 +41,7 @@ let handle ?(reason = "speculation-failed") ?(oracle : Oracle.t option) (env : I
     (d : Graph.deopt) (lookup : Node.node_id -> Value.value) : Value.value option =
   let fs = d.Graph.d_state in
   let stats = env.Interp.stats in
+  let { Pea_obs.Instruments.trace; heap = pheap; _ } = env.Interp.instruments in
   Stats.incr stats Stats.deopts;
   Stats.add stats Stats.cycles Cost.deopt;
   (* --- rematerialize --- *)
@@ -50,18 +52,20 @@ let handle ?(reason = "speculation-failed") ?(oracle : Oracle.t option) (env : I
      allocations reappear at, which is what "42 remat at C.m@12" should
      mean in a report *)
   let record kind (v : Value.value) =
-    if Pea_obs.Profile_heap.enabled () then
-      let mid = fs.Frame_state.fs_method.Classfile.mth_id and bci = fs.Frame_state.fs_bci in
-      match v with
-      | Vobj o ->
-          Pea_obs.Profile_heap.record ~mid ~bci ~cls:o.o_cls.Classfile.cls_name ~kind
-            ~bytes:(Value.object_bytes o.o_cls)
-      | Varr a ->
-          Pea_obs.Profile_heap.record ~mid ~bci
-            ~cls:(Pea_mjava.Ast.string_of_ty a.a_elem ^ "[]")
-            ~kind
-            ~bytes:(Value.array_bytes a.a_elem (Array.length a.a_elems))
-      | Vint _ | Vbool _ | Vnull -> ()
+    match pheap with
+    | None -> ()
+    | Some p -> (
+        let mid = fs.Frame_state.fs_method.Classfile.mth_id and bci = fs.Frame_state.fs_bci in
+        match v with
+        | Vobj o ->
+            Pheap.record p ~mid ~bci ~cls:o.o_cls.Classfile.cls_name ~kind
+              ~bytes:(Value.object_bytes o.o_cls)
+        | Varr a ->
+            Pheap.record p ~mid ~bci
+              ~cls:(Pea_mjava.Ast.string_of_ty a.a_elem ^ "[]")
+              ~kind
+              ~bytes:(Value.array_bytes a.a_elem (Array.length a.a_elems))
+        | Vint _ | Vbool _ | Vnull -> ())
   in
   Hashtbl.iter
     (fun id (vd : Frame_state.virtual_desc) ->
@@ -71,7 +75,7 @@ let handle ?(reason = "speculation-failed") ?(oracle : Oracle.t option) (env : I
         | Frame_state.Arr_shape elem ->
             Varr (Heap.alloc_array env.Interp.heap elem (Array.length vd.Frame_state.vd_fields))
       in
-      record Pea_obs.Profile_heap.K_remat v;
+      record Pheap.K_remat v;
       Stats.incr stats Stats.rematerialized;
       Hashtbl.replace objects id v)
     descriptors;
@@ -114,13 +118,13 @@ let handle ?(reason = "speculation-failed") ?(oracle : Oracle.t option) (env : I
     | Vobj o ->
         if not (List.memq o !visited_o) then begin
           visited_o := o :: !visited_o;
-          if Heap.promote env.Interp.heap v then record Pea_obs.Profile_heap.K_promote v;
+          if Heap.promote env.Interp.heap v then record Pheap.K_promote v;
           Array.iter promote_value o.o_fields
         end
     | Varr a ->
         if not (List.memq a !visited_a) then begin
           visited_a := a :: !visited_a;
-          if Heap.promote env.Interp.heap v then record Pea_obs.Profile_heap.K_promote v;
+          if Heap.promote env.Interp.heap v then record Pheap.K_promote v;
           Array.iter promote_value a.a_elems
         end
     | Vint _ | Vbool _ | Vnull -> ()
@@ -131,15 +135,17 @@ let handle ?(reason = "speculation-failed") ?(oracle : Oracle.t option) (env : I
   (match oracle with
   | Some sn -> Oracle.check sn ~env ~deopt:d ~resolve
   | None -> ());
-  if Trace.enabled () then
-    Trace.record
-      (Event.Deopt
-         {
-           meth = Classfile.qualified_name fs.Frame_state.fs_method;
-           bci = fs.Frame_state.fs_bci;
-           reason;
-           rematerialized = Hashtbl.length descriptors;
-         });
+  (match trace with
+  | Some t ->
+      Trace.emit t
+        (Event.Deopt
+           {
+             meth = Classfile.qualified_name fs.Frame_state.fs_method;
+             bci = fs.Frame_state.fs_bci;
+             reason;
+             rematerialized = Hashtbl.length descriptors;
+           })
+  | None -> ());
   (* --- run the frames, innermost first --- *)
   let frames =
     let rec chain fs = fs :: (match fs.Frame_state.fs_outer with None -> [] | Some o -> chain o) in

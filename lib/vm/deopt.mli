@@ -18,8 +18,9 @@ open Pea_rt
     result of the outermost frame — i.e. of the method whose compiled
     code deopted.
 
-    [reason] (default ["speculation-failed"]) labels the [Deopt] trace
-    event when tracing is enabled. With [oracle] set, the rematerialized
+    [reason] (default ["speculation-failed"]) labels the [Deopt] event in
+    [env]'s tracer, and [env]'s heap profiler records each
+    rematerialization and stack-object promotion at the deopt site. With [oracle] set, the rematerialized
     state is checked against a shadow interpreter replay before any
     reconstructed frame executes ({!Oracle.check}).
     @raise Oracle.Divergence when the oracle detects a mismatch. *)

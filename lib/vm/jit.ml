@@ -88,23 +88,25 @@ module Spec_check = Pea_analysis.Spec_check
 (* Run the speculation-safety verifier on [g] after [phase]. Violations
    are compiler bugs: each becomes a [Verify_violation] trace event, then
    the compile aborts. *)
-let spec_check_now ?summaries ~phase g =
+let spec_check_now ?summaries ?trace ~phase g =
   match Spec_check.check ?summaries ~phase g with
   | [] -> ()
   | vs ->
-      if Trace.enabled () then
-        List.iter
-          (fun (v : Spec_check.violation) ->
-            Trace.record
-              (Event.Verify_violation
-                 {
-                   meth = v.Spec_check.v_method;
-                   phase = v.Spec_check.v_phase;
-                   rule = v.Spec_check.v_rule;
-                   site = v.Spec_check.v_site;
-                   detail = v.Spec_check.v_detail;
-                 }))
-          vs;
+      Option.iter
+        (fun t ->
+          List.iter
+            (fun (v : Spec_check.violation) ->
+              Trace.emit t
+                (Event.Verify_violation
+                   {
+                     meth = v.Spec_check.v_method;
+                     phase = v.Spec_check.v_phase;
+                     rule = v.Spec_check.v_rule;
+                     site = v.Spec_check.v_site;
+                     detail = v.Spec_check.v_detail;
+                   }))
+            vs)
+        trace;
       failwith
         (Printf.sprintf "speculation-safety check failed for %s after %s:\n  %s"
            (Classfile.qualified_name g.Graph.g_method)
@@ -130,7 +132,7 @@ let compilable ?(osr = false) m = not (Classfile.uses_exceptions m || (osr && ha
    innermost frame's (mth_id, bci)) so one cold-path deopt does not cost
    the whole method its scalar replacement. Tools watch the phases
    through [after_phase]. *)
-let compile ?summaries ?after_phase ?(blacklist = no_blacklist) ?osr_at config
+let compile ?summaries ?after_phase ?(blacklist = no_blacklist) ?osr_at ?trace config
     (program : Link.program) (profile : Profile.t) (m : Classfile.rt_method) : compiled =
   let meth = Classfile.qualified_name m in
   if not (compilable ~osr:(osr_at <> None) m) then
@@ -139,15 +141,16 @@ let compile ?summaries ?after_phase ?(blacklist = no_blacklist) ?osr_at config
          (if Classfile.uses_exceptions m then
             Printf.sprintf "cannot build IR for %s: explicit exceptions are not compiled" meth
           else Printf.sprintf "cannot build an OSR graph for %s: it holds monitors" meth));
-  if Trace.enabled () then
-    Trace.record (Event.Compile_start { meth; opt = opt_string config.opt });
-  let span phase f = Trace.span ~meth phase f in
+  Option.iter
+    (fun t -> Trace.emit t (Event.Compile_start { meth; opt = opt_string config.opt }))
+    trace;
+  let span phase f = Trace.span trace ~meth phase f in
   (* After each phase: the IR checker, the speculation-safety verifier
      at [Every_phase], then the observer. *)
   let after phase g =
     if config.verify then Check.check_exn g;
     (match config.check_level with
-    | Spec_check.Every_phase -> spec_check_now ?summaries ~phase g
+    | Spec_check.Every_phase -> spec_check_now ?summaries ?trace ~phase g
     | Spec_check.Phase_end | Spec_check.No_check -> ());
     Option.iter (fun f -> f phase g) after_phase
   in
@@ -169,11 +172,13 @@ let compile ?summaries ?after_phase ?(blacklist = no_blacklist) ?osr_at config
           }
         in
         ignore (Pea_opt.Inline.run inline_config g);
-        if Trace.enabled () then
-          List.iter
-            (fun (caller, callee, cls, bci) ->
-              Trace.record (Event.Inline_speculative { meth = caller; callee; cls; bci }))
-            (List.rev inline_stats.Pea_opt.Inline.spec_sites);
+        Option.iter
+          (fun t ->
+            List.iter
+              (fun (caller, callee, cls, bci) ->
+                Trace.emit t (Event.Inline_speculative { meth = caller; callee; cls; bci }))
+              (List.rev inline_stats.Pea_opt.Inline.spec_sites))
+          trace;
         after "inline" g);
   span "simplify" (fun () ->
       ignore (Pea_opt.Canonicalize.run g);
@@ -191,7 +196,7 @@ let compile ?summaries ?after_phase ?(blacklist = no_blacklist) ?osr_at config
     | O_none -> (g, None)
     | O_ea ->
         span "escape-analysis" (fun () ->
-            let g', st = Pea_core.Escape.run ?summaries g in
+            let g', st = Pea_core.Escape.run ?summaries ?trace g in
             (g', Some st))
     | O_pea ->
         span "pea" (fun () ->
@@ -201,7 +206,7 @@ let compile ?summaries ?after_phase ?(blacklist = no_blacklist) ?osr_at config
             in
             let g', st =
               Pea_core.Pea.run ~stack_eligible ~prune_dead_objects:config.pea_prune_dead
-                ?summaries g
+                ?summaries ?trace g
             in
             (g', Some st))
   in
@@ -213,9 +218,9 @@ let compile ?summaries ?after_phase ?(blacklist = no_blacklist) ?osr_at config
       after "cleanup" g);
   (match config.check_level with
   | Spec_check.No_check -> ()
-  | Spec_check.Phase_end | Spec_check.Every_phase -> spec_check_now ?summaries ~phase:"final" g);
-  if Trace.enabled () then
-    Trace.record (Event.Compile_end { meth; nodes = Graph.n_nodes g });
+  | Spec_check.Phase_end | Spec_check.Every_phase ->
+      spec_check_now ?summaries ?trace ~phase:"final" g);
+  Option.iter (fun t -> Trace.emit t (Event.Compile_end { meth; nodes = Graph.n_nodes g })) trace;
   {
     graph = g;
     pea_stats;

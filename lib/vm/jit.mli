@@ -84,8 +84,8 @@ type compiled = {
     compiling; {!compile} refuses the rest. *)
 val compilable : ?osr:bool -> Classfile.rt_method -> bool
 
-(** [compile ?summaries ?after_phase ?blacklist ?osr_at config program
-    profile m] runs the pipeline on [m]. Without [osr_at] the graph has
+(** [compile ?summaries ?after_phase ?blacklist ?osr_at ?trace config
+    program profile m] runs the pipeline on [m]. Without [osr_at] the graph has
     the normal entry. With [~osr_at:bci] it is an on-stack-replacement
     graph entered at the loop header [bci] (see {!Pea_ir.Builder.build}):
     the compiled code takes the interpreter frame's local slots as its
@@ -98,7 +98,10 @@ val compilable : ?osr:bool -> Classfile.rt_method -> bool
     [config.summaries] is set. [after_phase phase g] sees each phase's
     graph after that phase's checks ("build", "inline", "simplify",
     "prune", "opt" | "escape-analysis" | "pea", "cleanup"); later phases
-    mutate [g], and an exception it raises aborts the compile.
+    mutate [g], and an exception it raises aborts the compile. [trace]
+    receives the compile's events: its start and end, a span per phase,
+    each speculative inline, PEA's site decisions and any verifier
+    violation.
     @raise Pea_ir.Builder.Build_error when [m] is not {!compilable}
     (with [~osr:true] under [osr_at]), or the builder refuses it (e.g.
     [osr_at] cannot head an OSR graph).
@@ -108,6 +111,7 @@ val compile :
   ?after_phase:(string -> Graph.t -> unit) ->
   ?blacklist:(int * int -> bool) ->
   ?osr_at:int ->
+  ?trace:Pea_obs.Trace.t ->
   config ->
   Link.program ->
   Profile.t ->

@@ -27,8 +27,9 @@
    - the static fields (compiled stores to globals must not be lost).
 
    The shadow runs in a completely separate environment — fresh heap,
-   stats, and profile, cloned globals — so enabling the oracle perturbs
-   no deterministic counter of the real execution. *)
+   stats, and profile, cloned globals, no instruments — so enabling the
+   oracle perturbs no deterministic counter of the real execution and
+   shows in no trace or profile of it. *)
 
 open Pea_bytecode
 open Pea_ir
@@ -162,9 +163,6 @@ let expected_path frames =
   pairs outer_first
 
 let run_shadow (t : t) (stop : stop_at) ~(path : (int * int) list) =
-  let stats = Stats.create () in
-  let heap = Heap.create stats in
-  let profile = Profile.create t.sn_program in
   (* tracked interpreter call stack, top first *)
   let stack = ref [] in
   let h_branch bm ~bci ~jump ~locals ~stack:ostack =
@@ -204,20 +202,9 @@ let run_shadow (t : t) (stop : stop_at) ~(path : (int * int) list) =
       h_virtual_call;
     }
   in
-  let rec env =
-    lazy
-      {
-        Interp.heap;
-        stats;
-        profile;
-        globals = t.sn_globals;
-        on_invoke = (fun m args -> Interp.run (Lazy.force env) m args);
-        on_print = (fun _ -> ());
-        on_back_edge = (fun _ ~header:_ ~locals:_ -> Interp.No_osr);
-        hooks = Some hooks;
-      }
-  in
-  let env = Lazy.force env in
+  (* no instruments: what checks a deopt is seen by nothing that
+     watches the run it checks *)
+  let env = Interp.make_env ~globals:t.sn_globals ~hooks t.sn_program in
   match t.sn_entry with
   | E_call (m, args) -> (
       match Interp.run env m args with

@@ -16,8 +16,9 @@
     compared), and the static fields.
 
     The shadow runs in a separate environment (fresh heap, stats and
-    profile, cloned globals), so the oracle never perturbs the real
-    execution's deterministic counters. *)
+    profile, cloned globals, no instruments), so the oracle never
+    perturbs the real execution's deterministic counters, and no trace
+    or profile of the run sees the replay. *)
 
 open Pea_bytecode
 open Pea_ir

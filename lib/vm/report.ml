@@ -193,20 +193,11 @@ let collect ~(program : Link.program) ?(cpu : Pcpu.t option) ?(heap : Pheap.t op
     rp_stacks = stacks;
   }
 
-(* installed before [Vm.create], which wires the sampling clock to the
-   new VM's cycle counter *)
+(* [Vm.create] wires the sampling clock to the new VM's cycle counter *)
 let profile ?(interval = Pcpu.default_interval) ~config ~iterations program =
-  let saved_cpu = Pcpu.installed () in
-  let cpu = Pcpu.create ~interval () in
-  Pcpu.install cpu;
-  let restore () = match saved_cpu with Some p -> Pcpu.install p | None -> Pcpu.uninstall () in
-  Fun.protect ~finally:restore @@ fun () ->
-  let vm, heap =
-    Pheap.collect (fun () ->
-        let vm = Vm.create ~config program in
-        ignore (Vm.run_main_iterations vm iterations);
-        vm)
-  in
+  let cpu = Pcpu.create ~interval () and heap = Pheap.create () in
+  let vm = Vm.create ~cpu ~heap ~config program in
+  ignore (Vm.run_main_iterations vm iterations);
   (vm, cpu, heap)
 
 (* ------------------------------------------------------------------ *)

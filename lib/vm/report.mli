@@ -51,9 +51,8 @@ val profile :
   Vm.t * Pcpu.t * Pheap.t
 (** [profile ~config ~iterations program] runs [main] [iterations] times
     on one new VM under fresh CPU ([interval] cycles per sample, default
-    {!Pcpu.default_interval}) and heap profilers, and returns the VM and
-    both profiles. The profilers installed before are restored, also when
-    the run raises. *)
+    {!Pcpu.default_interval}) and heap profilers handed to that VM, and
+    returns the VM and both profiles. *)
 
 val method_name : Pea_bytecode.Link.program -> int -> string
 (** Qualified name of a [mth_id]; ["<unknown>"] outside the program. *)

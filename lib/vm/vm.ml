@@ -11,6 +11,7 @@ module Event = Pea_obs.Event
 module Trace = Pea_obs.Trace
 module Pcpu = Pea_obs.Profile_cpu
 module Flight = Pea_obs.Flight
+module Instruments = Pea_obs.Instruments
 
 type result = {
   return_value : Value.value option;
@@ -80,7 +81,23 @@ let accumulate_jit_stats (acc : Pea_core.Pea.pass_stats) (st : Pea_core.Pea.pass
 
 let site_blacklisted vm (mid, bci) = List.mem bci vm.meths.(mid).fired
 
+let trace vm = vm.env.Interp.instruments.Instruments.trace
+
+(* A flight-recorder incident: the VM's recorder, if it was handed one,
+   dumps its ring. *)
+let incident vm ~reason =
+  match vm.env.Interp.instruments.Instruments.flight with
+  | Some f -> Flight.trigger f ~reason
+  | None -> ()
+
 let tier_name = function None -> "jit" | Some _ -> "osr"
+
+(* The end of a compiled activation, however it ends: its profiler frame
+   and its stack region go. A top-level function, so a call allocates no
+   closure for it. *)
+let leave_compiled cpu pdepth heap =
+  (match cpu with Some p -> Pcpu.truncate p pdepth | None -> ());
+  Heap.pop_frame heap
 
 (* The one install path: the VM's own compile and shared-cache adoption
    both end here. Compile-time quantities land on the runtime counters
@@ -133,19 +150,22 @@ and compile_now vm (m : Classfile.rt_method) osr_bci =
         (match osr_bci with None -> "" | Some h -> Printf.sprintf " for OSR at bci %d" h)
         invocations
         (Stats.get vm.env.Interp.stats Stats.site_blacklists));
-  if Trace.enabled () then
-    Trace.record
-      (Event.Tier_promote
-         { meth = Classfile.qualified_name m; tier = tier_name osr_bci; invocations });
+  let trace = trace vm in
+  (match trace with
+  | Some t ->
+      Trace.emit t
+        (Event.Tier_promote
+           { meth = Classfile.qualified_name m; tier = tier_name osr_bci; invocations })
+  | None -> ());
   let code =
     match
-      Jit.compile ?summaries:vm.summaries ~blacklist:(site_blacklisted vm) ?osr_at:osr_bci
+      Jit.compile ?summaries:vm.summaries ~blacklist:(site_blacklisted vm) ?osr_at:osr_bci ?trace
         vm.config vm.program vm.env.Interp.profile m
     with
     | code -> code
     | exception (Pea_ir.Builder.Build_error _ as e) when osr_bci <> None -> raise e
     | exception e ->
-        Flight.trigger ~reason:"compile-failure";
+        incident vm ~reason:"compile-failure";
         raise e
   in
   (* synchronous compilation stalls the mutator for the modeled pipeline
@@ -161,6 +181,7 @@ and compile_now vm (m : Classfile.rt_method) osr_bci =
    not paying for itself. *)
 and handle_deopt vm (m : Classfile.rt_method) ~reason ?oracle (d : Pea_ir.Graph.deopt) lookup =
   let stats = vm.env.Interp.stats in
+  let trace = trace vm in
   let fs = d.Pea_ir.Graph.d_state in
   let site_method = fs.Pea_ir.Frame_state.fs_method in
   let site_bci = fs.Pea_ir.Frame_state.fs_bci in
@@ -172,7 +193,9 @@ and handle_deopt vm (m : Classfile.rt_method) ~reason ?oracle (d : Pea_ir.Graph.
     | None -> reason
     | Some gd ->
         Stats.incr stats Stats.guard_deopts;
-        if Trace.enabled () then begin
+        (match trace with
+        | None -> ()
+        | Some t ->
           (* the pre-call state stacks [argN..arg1; recv] top-first, so
              the receiver sits [arity - 1] entries down *)
           let actual =
@@ -193,15 +216,14 @@ and handle_deopt vm (m : Classfile.rt_method) ~reason ?oracle (d : Pea_ir.Graph.
                 | _ -> "?")
             | _ -> "?"
           in
-          Trace.record
+          Trace.emit t
             (Event.Inline_guard_deopt
                {
                  meth = Classfile.qualified_name gd.Pea_ir.Graph.dg_method;
                  bci = gd.Pea_ir.Graph.dg_bci;
                  expected = gd.Pea_ir.Graph.dg_expected.Classfile.cls_name;
                  actual;
-               })
-        end;
+               }));
         "guard-failed"
   in
   Log.debug (fun k ->
@@ -213,9 +235,11 @@ and handle_deopt vm (m : Classfile.rt_method) ~reason ?oracle (d : Pea_ir.Graph.
   if not (List.mem site_bci site_rec.fired) then begin
     site_rec.fired <- site_bci :: site_rec.fired;
     Stats.incr stats Stats.site_blacklists;
-    if Trace.enabled () then
-      Trace.record
-        (Event.Site_blacklist { meth = Classfile.qualified_name site_method; bci = site_bci })
+    match trace with
+    | Some t ->
+        Trace.emit t
+          (Event.Site_blacklist { meth = Classfile.qualified_name site_method; bci = site_bci })
+    | None -> ()
   end;
   let root = vm.meths.(m.Classfile.mth_id) in
   root.code <- None;
@@ -227,7 +251,7 @@ and handle_deopt vm (m : Classfile.rt_method) ~reason ?oracle (d : Pea_ir.Graph.
           (Classfile.qualified_name m) root.invalidations);
     root.pinned <- true;
     (* the ring now holds the whole storm: snapshot it while it does *)
-    Flight.trigger ~reason:"deopt-storm"
+    incident vm ~reason:"deopt-storm"
   end;
   (* the serving layer acts on the report at its next barrier *)
   (match vm.code_source with
@@ -236,7 +260,7 @@ and handle_deopt vm (m : Classfile.rt_method) ~reason ?oracle (d : Pea_ir.Graph.
   match Deopt.handle ~reason ?oracle vm.env d lookup with
   | v -> v
   | exception (Oracle.Divergence _ as e) ->
-      Flight.trigger ~reason:"oracle-divergence";
+      incident vm ~reason:"oracle-divergence";
       raise e
 
 and run_compiled vm (m : Classfile.rt_method) code args =
@@ -269,42 +293,42 @@ and exec_compiled vm m ~reason code args =
   in
   let cc = ensure_closure vm m code in
   (* profiler shadow frame for this compiled activation; on deopt the
-     frame is truncated BEFORE the interpreter frames run (the closure
-     tier handles the deopt in-frame), so the reconstructed frames appear
-     at this activation's depth *)
-  let profiled = !Pcpu.is_on in
+     frame is truncated BEFORE the interpreter frames run, so the
+     reconstructed frames appear at this activation's depth *)
+  let cpu = vm.env.Interp.instruments.Instruments.cpu in
   let pdepth =
-    if profiled then begin
-      let d0 = Pcpu.depth () in
-      Pcpu.push m.Classfile.mth_id
-        (match code.Jit.graph.Pea_ir.Graph.g_osr_entry with
-        | Some _ -> Pcpu.T_osr
-        | None -> Pcpu.T_jit);
-      d0
-    end
-    else 0
-  in
-  (* the in-tier handler releases the register file back to the pool
-     once deopt completes (the lookup closure is dead by then) *)
-  let handle d lookup =
-    if profiled then Pcpu.truncate pdepth;
-    handle_deopt vm m ~reason ?oracle d lookup
+    match cpu with
+    | None -> 0
+    | Some p ->
+        let d0 = Pcpu.depth p in
+        Pcpu.push p m.Classfile.mth_id
+          (match code.Jit.graph.Pea_ir.Graph.g_osr_entry with
+          | Some _ -> Pcpu.T_osr
+          | None -> Pcpu.T_jit);
+        d0
   in
   (* the compiled activation owns a stack region: frame-bounded
      materializations land there and are reclaimed in O(1) when the
-     activation ends — by return, throw, or deopt alike (the deopt
-     handler runs inside this extent and first promotes its live stack
-     objects to the heap, see {!Deopt.handle}) *)
+     activation ends — by return, throw, or deopt alike. A deopt is
+     handled inside this extent, which first promotes its live stack
+     objects to the heap (see {!Deopt.handle}). *)
   let heap = vm.env.Interp.heap in
   Heap.push_frame heap;
-  match Closure_compile.run ~deopt:handle cc args with
+  match Closure_compile.run cc args with
   | r ->
-      if profiled then Pcpu.truncate pdepth;
-      Heap.pop_frame heap;
+      leave_compiled cpu pdepth heap;
       r
+  | exception Ir_exec.Deoptimize (d, lookup) -> (
+      (match cpu with Some p -> Pcpu.truncate p pdepth | None -> ());
+      match handle_deopt vm m ~reason ?oracle d lookup with
+      | r ->
+          leave_compiled cpu pdepth heap;
+          r
+      | exception e ->
+          leave_compiled cpu pdepth heap;
+          raise e)
   | exception e ->
-      if profiled then Pcpu.truncate pdepth;
-      Heap.pop_frame heap;
+      leave_compiled cpu pdepth heap;
       raise e
 
 and ensure_closure vm m (code : Jit.compiled) =
@@ -312,14 +336,16 @@ and ensure_closure vm m (code : Jit.compiled) =
   | Some cc -> cc
   | None ->
       (* built on the code's first execution *)
-      if Trace.enabled () then
-        Trace.record
-          (Event.Tier_promote
-             {
-               meth = Classfile.qualified_name m;
-               tier = "closure";
-               invocations = Profile.invocations vm.env.Interp.profile m;
-             });
+      (match trace vm with
+      | Some t ->
+          Trace.emit t
+            (Event.Tier_promote
+               {
+                 meth = Classfile.qualified_name m;
+                 tier = "closure";
+                 invocations = Profile.invocations vm.env.Interp.profile m;
+               })
+      | None -> ());
       let cc = Closure_compile.compile vm.env code.Jit.prepared in
       code.Jit.closure <- Some cc;
       Stats.incr vm.env.Interp.stats Stats.closure_compiled_methods;
@@ -368,25 +394,22 @@ and on_back_edge vm (m : Classfile.rt_method) ~header ~locals =
           ignore (compile_now vm m None);
         Interp.Osr_return (run_osr vm m code locals)
 
-let create ?(config = Jit.default_config) (program : Link.program) : t =
+let create ?trace ?cpu ?heap ?flight ?(config = Jit.default_config) (program : Link.program) : t =
   (* catch frontend/compiler bugs at VM-creation time, like the JVM's
      class-file verifier *)
   Verify.verify_program program;
-  let stats = Stats.create () in
-  (* an installed sampling profiler follows the newest VM's cycle clock
-     (each VM's counter starts at zero, so the sampling grid restarts
-     with it); like Trace.set_clock wiring in bin/mjvm.ml, last VM wins *)
-  (match Pcpu.installed () with
-  | Some p -> Pcpu.set_clock p (fun () -> Stats.get stats Stats.cycles)
-  | None -> ());
-  let heap = Heap.create stats in
-  let profile = Profile.create program in
-  let globals = Array.make (max program.Link.n_statics 1) Value.Vnull in
-  List.iter
-    (fun (sf : Classfile.rt_static_field) ->
-      globals.(sf.Classfile.sf_index) <- Value.default_value sf.Classfile.sf_ty)
-    program.Link.statics;
   let printed_rev = ref [] in
+  let env =
+    Interp.make_env
+      ~on_print:(fun v -> printed_rev := v :: !printed_rev)
+      ~instruments:{ Instruments.trace; cpu; heap; flight }
+      program
+  in
+  let stats = env.Interp.stats in
+  (* the sampling profiler this VM was handed follows its cycle clock
+     (each VM's counter starts at zero, so the sampling grid restarts
+     with it) *)
+  Option.iter (fun p -> Pcpu.set_clock p (fun () -> Stats.get stats Stats.cycles)) cpu;
   let invocations_cell, invocations_idx = Stats.cell stats Stats.invocations in
   (* the interpreter's hooks close over the VM they belong to *)
   let rec vm =
@@ -395,14 +418,9 @@ let create ?(config = Jit.default_config) (program : Link.program) : t =
       config;
       env =
         {
-          Interp.heap;
-          stats;
-          profile;
-          globals;
-          on_invoke = (fun m args -> invoke vm m args);
-          on_print = (fun v -> printed_rev := v :: !printed_rev);
+          env with
+          Interp.on_invoke = (fun m args -> invoke vm m args);
           on_back_edge = (fun m ~header ~locals -> on_back_edge vm m ~header ~locals);
-          hooks = None;
         };
       meths =
         Array.init (Array.length program.Link.methods) (fun _ ->

@@ -41,8 +41,22 @@ type result = {
   jit_stats : Pea_core.Pea.pass_stats; (* aggregated over all compilations *)
 }
 
-(** [create ?config program] builds a VM for [program]. *)
-val create : ?config:Jit.config -> Link.program -> t
+(** [create ?trace ?cpu ?heap ?flight ?config program] builds a VM for
+    [program], watched by the instruments it is handed and by no other:
+    [trace] receives its events (tier-ups, the JIT's compiles, deopts,
+    blacklisted sites, inline-cache transitions; the caller wires its
+    clock), [cpu] samples it on its cycle clock, which [create] wires,
+    [heap] records every allocation site, and [flight] dumps its ring on
+    an incident (a deopt storm, a compile failure, an oracle
+    divergence); hand [flight]'s ring as [trace]. *)
+val create :
+  ?trace:Pea_obs.Trace.t ->
+  ?cpu:Pea_obs.Profile_cpu.t ->
+  ?heap:Pea_obs.Profile_heap.t ->
+  ?flight:Pea_obs.Flight.t ->
+  ?config:Jit.config ->
+  Link.program ->
+  t
 
 (** [invoke vm m args] calls a method through the tiering policy. *)
 val invoke : t -> Classfile.rt_method -> Value.value list -> Value.value option

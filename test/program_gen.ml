@@ -390,8 +390,10 @@ let with_draw ?(fix = Fun.id) ~base gen =
 (* Every drawn field, then the program. *)
 let print_case ?walks (src, d) = Test_support.show_draw ?walks d ^ "\n" ^ src
 
-let run_vm config src iterations =
-  Vm.run_main_iterations (Vm.create ~config (Pea_bytecode.Link.compile_source src)) iterations
+let run_vm ?trace ?cpu ?heap config src iterations =
+  Vm.run_main_iterations
+    (Vm.create ?trace ?cpu ?heap ~config (Pea_bytecode.Link.compile_source src))
+    iterations
 
 (* A deopt case ([gen_program_deopt]) run for 25 iterations at each opt
    level under its draw returns and prints what it does in a VM that
@@ -403,9 +405,10 @@ let deopt_case_agrees (src, (d : Test_support.draw)) =
     Test_support.outcome
       (run_vm { Jit.default_config with Jit.compile_threshold = max_int; osr = false } src 25)
   in
-  Test_support.with_instrumentation d (fun () ->
-      List.for_all
-        (fun opt ->
-          Test_support.outcome (run_vm { d.Test_support.config with Jit.opt } src 25) = reference)
-        opt_levels)
+  let trace, cpu, heap = Test_support.instruments d in
+  List.for_all
+    (fun opt ->
+      let r = run_vm ?trace ?cpu ?heap { d.Test_support.config with Jit.opt } src 25 in
+      Test_support.outcome r = reference)
+    opt_levels
 

@@ -562,3 +562,33 @@ let deopt_trap =
   \    return s + p.a;\n\
   \  }\n\
    }"
+
+(* The merged Point is live across a branch that the profile sees as
+   never taken; once [work] compiles from a mature profile the branch is
+   pruned to a deopt. Iteration 900 takes it: the deopt fires with the
+   stack-allocated Point live in the resume state, so the deopt handler
+   must promote it to the heap before the frame's region is reclaimed.
+   bench/main.ml's stack-allocation section runs it as its deopt-promote
+   row. *)
+let deopt_promote =
+  "class Point { int x; int y; Point(int x, int y) { this.x = x; this.y = y; } }\n\
+   class Main {\n\
+  \  static int work(int i, int flip) {\n\
+  \    Point p;\n\
+  \    if (i % 2 == 0) { p = new Point(i, 1); } else { p = new Point(i, 2); }\n\
+  \    int r = p.x;\n\
+  \    if (flip == 1) { r = r + p.y * 10; }\n\
+  \    return r + p.y;\n\
+  \  }\n\
+  \  static int main() {\n\
+  \    int acc = 0;\n\
+  \    int i = 0;\n\
+  \    while (i < 1000) {\n\
+  \      int flip = 0;\n\
+  \      if (i == 900) { flip = 1; }\n\
+  \      acc = acc + Main.work(i, flip);\n\
+  \      i = i + 1;\n\
+  \    }\n\
+  \    return acc;\n\
+  \  }\n\
+   }"

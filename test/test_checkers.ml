@@ -301,17 +301,19 @@ let prop_ir_checker_after_pea =
         if config.Jit.summaries then Some (Pea_analysis.Summary.analyze program) else None
       in
       let profile = Pea_rt.Run.profile program in
-      let compile ?osr_at () = ignore (Jit.compile ?summaries ?osr_at config program profile m) in
-      Test_support.with_instrumentation d (fun () ->
-          compile ();
-          if config.Jit.osr && Jit.compilable ~osr:true m then
-            List.iter
-              (fun header ->
-                (* an irreducible loop nest entered at [header]: the VM
-                   refuses it the same way and OSRs at the outer header *)
-                try compile ~osr_at:header () with Pea_ir.Builder.Build_error _ -> ())
-              (loop_headers m);
-          true))
+      let trace, _, _ = Test_support.instruments d in
+      let compile ?osr_at () =
+        ignore (Jit.compile ?summaries ?osr_at ?trace config program profile m)
+      in
+      compile ();
+      if config.Jit.osr && Jit.compilable ~osr:true m then
+        List.iter
+          (fun header ->
+            (* an irreducible loop nest entered at [header]: the VM
+               refuses it the same way and OSRs at the outer header *)
+            try compile ~osr_at:header () with Pea_ir.Builder.Build_error _ -> ())
+          (loop_headers m);
+      true)
 
 (* Correctness tooling under fuzz: the every-phase verifier and the deopt
    oracle are pinned on (the point is that they stay silent), every other

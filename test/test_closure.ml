@@ -99,19 +99,8 @@ let test_ic_deopt_invalidation () =
     (s2.Stats.s_closure_compiled_methods > s0.Stats.s_closure_compiled_methods)
 
 (* A bare interpreter environment over [program]: fresh heap, stats,
-   profile and statics. The graphs run in it make no calls. *)
-let bare_env program =
-  let stats = Stats.create () in
-  {
-    Interp.heap = Heap.create stats;
-    stats;
-    profile = Profile.create program;
-    globals = Array.make (max program.Link.n_statics 1) Value.Vnull;
-    on_invoke = (fun _ _ -> Alcotest.fail "no calls in this graph");
-    on_print = ignore;
-    on_back_edge = (fun _ ~header:_ ~locals:_ -> Interp.No_osr);
-    hooks = None;
-  }
+   profile and statics. *)
+let bare_env program = Interp.make_env program
 
 (* Register files are pooled: one invocation acquires the file, a normal
    return releases it, and the next invocation reuses it (the pool never
@@ -131,10 +120,12 @@ let test_register_file_pool () =
     (as_int (Closure_compile.run code [ vint 10 ]));
   Alcotest.(check int) "pool does not grow" 1 (Closure_compile.pool_depth code)
 
-(* A deopt must not leak the register file: with an in-frame deopt handler
-   the file goes back to the pool once rematerialization and re-entrant
-   interpretation finish, so the pool depth recovers to the call depth. *)
-let test_pool_recovers_after_deopt () =
+(* At a deopt the register file goes with the exception: its lookup reads
+   the file while rematerialization and re-entrant interpretation run, so
+   the file never returns to the pool (the VM drops the code that owns
+   the pool anyway). The deopt handled from the exception's lookup gives
+   the interpreter's result. *)
+let test_file_goes_with_deopt () =
   let src =
     "class C {\n\
     \  static int g;\n\
@@ -155,15 +146,17 @@ let test_pool_recovers_after_deopt () =
   done;
   let compiled = Jit.compile Jit.default_config program env.Interp.profile m in
   let code = Closure_compile.compile env compiled.Jit.prepared in
-  let deopt d lookup = Deopt.handle env d lookup in
-  Alcotest.(check int) "hot path" 16 (as_int (Closure_compile.run ~deopt code [ vint 5; vbool false ]));
+  Alcotest.(check int) "hot path" 16 (as_int (Closure_compile.run code [ vint 5; vbool false ]));
   Alcotest.(check int) "pool holds the file" 1 (Closure_compile.pool_depth code);
   let stats = env.Interp.stats in
   let before = Stats.get stats Stats.deopts in
-  Alcotest.(check int) "deopting call result" 22
-    (as_int (Closure_compile.run ~deopt code [ vint 7; vbool true ]));
+  (match Closure_compile.run code [ vint 7; vbool true ] with
+  | _ -> Alcotest.fail "expected a deopt"
+  | exception Ir_exec.Deoptimize (d, lookup) ->
+      Alcotest.(check int) "the file went with the deopt" 0 (Closure_compile.pool_depth code);
+      Alcotest.(check int) "deopting call result" 22 (as_int (Deopt.handle env d lookup)));
   Alcotest.(check int) "deopt actually fired" (before + 1) (Stats.get stats Stats.deopts);
-  Alcotest.(check int) "file released after deopt" 1 (Closure_compile.pool_depth code);
+  Alcotest.(check int) "the file stays out of the pool" 0 (Closure_compile.pool_depth code);
   Alcotest.(check int) "escaped value visible" 21 (as_int (Some env.Interp.globals.(0)))
 
 (* One prepared graph backs the translations of many VMs (the serving
@@ -495,11 +488,12 @@ let test_deopt_state_int_phis () =
 
 (* What a [Deopt] block holding only constants charges: no constant runs
    a closure, so their charge rides on the terminator, which must apply
-   it before the handler can look. The graph is built by hand, since the
+   it before the deopt can be seen. The graph is built by hand, since the
    JIT's pruned branches deopt from empty blocks: B0 adds 1 to its
    parameter and jumps to B1, which holds three constants and deopts
-   with a state naming the sum and two of them. The handler reads the
-   counters and the lookup; the values were recorded from the closure
+   with a state naming the sum and two of them. Where the deopt is
+   caught, the test reads the counters and the exception's lookup; the
+   values were recorded from the closure
    tier before its registers were typed, when each constant was a
    closure of its own. *)
 let test_deopt_constants_charges () =
@@ -535,29 +529,25 @@ let test_deopt_constants_charges () =
   b1.G.term <- G.Deopt { G.d_state = state; d_edge = None; d_guard = None };
   let env = bare_env program in
   let code = Closure_compile.compile env (Ir_exec.prepare g) in
-  let seen = ref [] in
-  let deopt _ lookup =
-    let s = env.Interp.stats in
-    seen :=
-      [
-        ("cycles", Stats.get s Stats.cycles);
-        ("compiled_ops", Stats.get s Stats.compiled_ops);
-        ("sum", as_int (Some (lookup sum.N.id)));
-        ("constant", as_int (Some (lookup c2.N.id)));
-      ];
-    Some (lookup cf.N.id)
-  in
-  (match Closure_compile.run ~deopt code [ vint 41 ] with
-  | Some (Value.Vbool false) -> ()
-  | _ -> Alcotest.fail "the handler's result is the looked-up constant");
-  Alcotest.(check (list (pair string int)))
-    "counters and lookups at the deopt"
-    [ ("cycles", 5); ("compiled_ops", 5); ("sum", 42); ("constant", 2) ]
-    !seen
+  match Closure_compile.run code [ vint 41 ] with
+  | _ -> Alcotest.fail "expected a deopt"
+  | exception Ir_exec.Deoptimize (_, lookup) ->
+      let s = env.Interp.stats in
+      Alcotest.(check (list (pair string int)))
+        "counters and lookups at the deopt"
+        [ ("cycles", 5); ("compiled_ops", 5); ("sum", 42); ("constant", 2) ]
+        [
+          ("cycles", Stats.get s Stats.cycles);
+          ("compiled_ops", Stats.get s Stats.compiled_ops);
+          ("sum", as_int (Some (lookup sum.N.id)));
+          ("constant", as_int (Some (lookup c2.N.id)));
+        ];
+      Alcotest.(check bool) "the looked-up constant" true (lookup cf.N.id = Value.Vbool false)
 
 (* A [Deopt] whose block ends in int operations that cannot trap: their
-   charges ride on the terminator, so the handler sees every operation of
-   the block charged, and their results boxed for the lookup. Recorded
+   charges ride on the terminator, so where the deopt is caught every
+   operation of the block is charged, and their results are boxed for
+   the lookup. Recorded
    while each of them still charged itself. *)
 let test_deopt_int_op_charges () =
   let program =
@@ -589,22 +579,18 @@ let test_deopt_int_op_charges () =
   b0.G.term <- G.Deopt { G.d_state = state; d_edge = None; d_guard = None };
   let env = bare_env program in
   let code = Closure_compile.compile env (Ir_exec.prepare g) in
-  let seen = ref [] in
-  let deopt _ lookup =
-    let s = env.Interp.stats in
-    seen :=
-      [
-        ("cycles", Stats.get s Stats.cycles);
-        ("compiled_ops", Stats.get s Stats.compiled_ops);
-        ("total", as_int (Some (lookup total.N.id)));
-      ];
-    None
-  in
-  ignore (Closure_compile.run ~deopt code [ vint 41 ]);
-  Alcotest.(check (list (pair string int)))
-    "counters and lookups at the deopt"
-    [ ("cycles", 5); ("compiled_ops", 5); ("total", 126) ]
-    !seen
+  match Closure_compile.run code [ vint 41 ] with
+  | _ -> Alcotest.fail "expected a deopt"
+  | exception Ir_exec.Deoptimize (_, lookup) ->
+      let s = env.Interp.stats in
+      Alcotest.(check (list (pair string int)))
+        "counters and lookups at the deopt"
+        [ ("cycles", 5); ("compiled_ops", 5); ("total", 126) ]
+        [
+          ("cycles", Stats.get s Stats.cycles);
+          ("compiled_ops", Stats.get s Stats.compiled_ops);
+          ("total", as_int (Some (lookup total.N.id)));
+        ]
 
 (* What the first call after a compare-and-branch sees: the comparison
    and its [If] are one closure, charged with the constants before
@@ -655,11 +641,11 @@ let test_fused_branch_call_charges () =
 
 (* What a call allocates, in minor words per VM invocation of a
    recursive [fib]. A compiled call allocates its argument list, its
-   boxed ints, its result, its stack-region entry and its deopt handler:
-   33 words. The bound of 40 fails as soon as the dispatch or the
-   compiled entry allocates per call again: a hash lookup's option, a
-   [Fun.protect] with its thunks and a parameter-binding closure came to
-   70. An interpreted call allocates its frame (locals, operand-stack
+   boxed ints, its result and its stack-region entry: 20 words. The bound
+   of 24 fails as soon as the dispatch or the compiled entry allocates
+   per call again: an in-frame deopt handler (a closure and its option)
+   came to 33, and a hash lookup's option, a [Fun.protect] with its
+   thunks and a parameter-binding closure to 70. An interpreted call allocates its frame (locals, operand-stack
    cells, the dispatch closures): 62 words, under a bound of 68 that
    counter cells resolved per frame must not push it over. *)
 let fib_src =
@@ -687,8 +673,8 @@ let test_call_allocation () =
   let vm, fib, per_call = fib_words_per_invocation compiled in
   Alcotest.(check bool) "fib ran compiled" true (Vm.compiled_graph vm fib <> None);
   Alcotest.(check bool)
-    (Printf.sprintf "%.1f words per compiled invocation, at most 40" per_call)
-    true (per_call <= 40.);
+    (Printf.sprintf "%.1f words per compiled invocation, at most 24" per_call)
+    true (per_call <= 24.);
   let interpreted = { Jit.default_config with Jit.compile_threshold = max_int; osr = false } in
   let vm, fib, per_call = fib_words_per_invocation interpreted in
   Alcotest.(check bool) "fib ran interpreted" true (Vm.compiled_graph vm fib = None);
@@ -708,7 +694,7 @@ let () =
       ( "register-files",
         [
           Alcotest.test_case "pooling" `Quick test_register_file_pool;
-          Alcotest.test_case "pool recovers after deopt" `Quick test_pool_recovers_after_deopt;
+          Alcotest.test_case "file goes with the deopt" `Quick test_file_goes_with_deopt;
         ] );
       ( "shared-prepared",
         [ Alcotest.test_case "translations in parallel domains" `Quick test_shared_prepared_domains ] );

@@ -1,22 +1,17 @@
 (* Environment variables of the test suites. The JIT configuration and
    the instrumentation are not among them: the properties draw both per
-   case ([Test_support.gen_config]). Two variables remain:
+   case ([Test_support.gen_config]). Nor is the serving mode: the
+   threaded serving suites always run. One variable remains:
 
    - MJVM_TEST_QCHECK_COUNT = N (a positive integer) scales the qcheck
      case counts (bench/run_matrix.sh uses 500 by default; the local
-     counts keep `dune test` fast);
-   - MJVM_TEST_SERVE = real unlocks test_serving.ml's threaded suites,
-     which run real worker domains and pin their reports bit-for-bit to
-     replay's; unset, the serving suites run the deterministic
-     single-domain schedule only.
+     counts keep `dune test` fast).
 
    Any other MJVM_TEST_* name or value stops the suite at start-up with a
    message naming the variable and, for a bad value, the accepted ones:
    a stale script that still sets a retired variable (the opt level,
-   the tracer, ...) must not silently run the default configuration. *)
-
-(* An accepted-values check with its description for error messages. *)
-let one_of values = (String.concat " | " values, fun v -> List.mem v values)
+   the tracer, the serving mode, ...) must not silently run the default
+   configuration. *)
 
 (* Every MJVM_TEST_* variable the suites read, with its accepted values. *)
 let variables =
@@ -24,7 +19,6 @@ let variables =
     ( "MJVM_TEST_QCHECK_COUNT",
       ( "a positive integer",
         fun v -> match int_of_string_opt v with Some n -> n > 0 | None -> false ) );
-    ("MJVM_TEST_SERVE", one_of [ "real" ]);
   ]
 
 (* [invalid env] is one message per MJVM_TEST_* binding of [env] (a list
@@ -53,9 +47,6 @@ let () =
   | errors ->
       List.iter (fun e -> prerr_endline ("test environment: " ^ e)) errors;
       exit 2
-
-(* Serving-harness mode: whether the real-domain suites are unlocked. *)
-let serve_real () = Sys.getenv_opt "MJVM_TEST_SERVE" = Some "real"
 
 (* qcheck case count: [default] unless MJVM_TEST_QCHECK_COUNT is set. *)
 let qcheck_count default =

@@ -26,23 +26,18 @@ let test_ring_overflow () =
   Trace.clear t;
   Alcotest.(check int) "clear" 0 (Trace.length t)
 
-let with_tracer ?capacity f = Test_support.with_tracer ?capacity f
-
 let test_span_pairs () =
-  with_tracer (fun t ->
-      Alcotest.(check int) "span result" 7 (Trace.span ~meth:"M.m" "build" (fun () -> 7));
-      (match
-         Trace.span ~meth:"M.m" "inline" (fun () -> failwith "boom")
-       with
-      | exception Failure _ -> ()
-      | _ -> Alcotest.fail "expected the span body to raise");
-      let names = List.map (fun e -> Event.name e.Trace.e_event) (Trace.entries t) in
-      Alcotest.(check (list string)) "end emitted even on raise"
-        [ "phase_start"; "phase_end"; "phase_start"; "phase_end" ]
-        names);
-  (* with no tracer installed, span is pass-through *)
-  Alcotest.(check bool) "disabled" false (Trace.enabled ());
-  Alcotest.(check int) "span off" 7 (Trace.span ~meth:"M.m" "build" (fun () -> 7))
+  let t = Trace.create () in
+  Alcotest.(check int) "span result" 7 (Trace.span (Some t) ~meth:"M.m" "build" (fun () -> 7));
+  (match Trace.span (Some t) ~meth:"M.m" "inline" (fun () -> failwith "boom") with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "expected the span body to raise");
+  let names = List.map (fun e -> Event.name e.Trace.e_event) (Trace.entries t) in
+  Alcotest.(check (list string)) "end emitted even on raise"
+    [ "phase_start"; "phase_end"; "phase_start"; "phase_end" ]
+    names;
+  (* with no tracer, span is pass-through *)
+  Alcotest.(check int) "span off" 7 (Trace.span None ~meth:"M.m" "build" (fun () -> 7))
 
 (* ------------------------------------------------------------------ *)
 (* Trace determinism on the VM                                         *)
@@ -63,11 +58,11 @@ let run_traced ?(src = scenario_src) ?(iterations = 30) ?(threshold = 22) () =
      branch samples — this scenario pins the invocation-count path and
      its deopt/recompile surface; OSR tracing is covered in test_osr.ml *)
   let config = { Jit.default_config with Jit.compile_threshold = threshold; osr = false } in
-  let vm = Vm.create ~config program in
-  with_tracer (fun t ->
-      Trace.set_clock t (fun () -> Stats.get (Vm.stats vm) Stats.cycles);
-      let r = Vm.run_main_iterations vm iterations in
-      (r, Trace.jsonl_string t, Trace.chrome_string t, Trace.entries t))
+  let t = Trace.create () in
+  let vm = Vm.create ~trace:t ~config program in
+  Trace.set_clock t (fun () -> Stats.get (Vm.stats vm) Stats.cycles);
+  let r = Vm.run_main_iterations vm iterations in
+  (r, Trace.jsonl_string t, Trace.chrome_string t, Trace.entries t)
 
 let count_sub s sub =
   let n = String.length s and m = String.length sub in
@@ -271,9 +266,9 @@ let test_tracing_off_parity () =
   check_snapshots_equal "same counters" off.Vm.stats on.Vm.stats
 
 (* Property form, over the shared corpus and a drawn configuration and
-   compile threshold: installing a tracer never changes the program
+   compile threshold: handing a VM a tracer never changes the program
    outcome or any deterministic counter. The property walks the tracer
-   itself; the drawn profilers stay installed for both runs. *)
+   itself; both runs are handed the drawn profilers. *)
 let prop_tracing_is_pure =
   let module G = QCheck2.Gen in
   let gen =
@@ -288,15 +283,13 @@ let prop_tracing_is_pure =
     (fun ((_, src), d) ->
       let config = d.Test_support.config in
       let program = Pea_bytecode.Link.compile_source src in
-      Test_support.with_instrumentation { d with Test_support.tracer = false } (fun () ->
-          let off = Vm.run_main_iterations (Vm.create ~config program) 3 in
-          let vm = Vm.create ~config program in
-          let on =
-            with_tracer (fun t ->
-                Trace.set_clock t (fun () -> Stats.get (Vm.stats vm) Stats.cycles);
-                Vm.run_main_iterations vm 3)
-          in
-          outcome off = outcome on && off.Vm.stats = on.Vm.stats))
+      let _, cpu, heap = Test_support.instruments d in
+      let off = Vm.run_main_iterations (Vm.create ?cpu ?heap ~config program) 3 in
+      let t = Trace.create () in
+      let vm = Vm.create ~trace:t ?cpu ?heap ~config program in
+      Trace.set_clock t (fun () -> Stats.get (Vm.stats vm) Stats.cycles);
+      let on = Vm.run_main_iterations vm 3 in
+      outcome off = outcome on && off.Vm.stats = on.Vm.stats)
 
 let () =
   Alcotest.run "obs"

@@ -36,53 +36,14 @@ let run_graph env g args =
    backstop for every pass test. *)
 let result_matches program g =
   let reference = Run.run_program program in
-  let stats = Pea_rt.Stats.create () in
-  let heap = Pea_rt.Heap.create stats in
-  let profile = Pea_rt.Profile.create program in
-  let globals = Array.make (max program.Link.n_statics 1) Pea_rt.Value.Vnull in
-  List.iter
-    (fun (sf : Classfile.rt_static_field) ->
-      globals.(sf.Classfile.sf_index) <- Pea_rt.Value.default_value sf.Classfile.sf_ty)
-    program.Link.statics;
-  let printed = ref [] in
-  let rec env =
-    lazy
-      {
-        Pea_rt.Interp.heap;
-        stats;
-        profile;
-        globals;
-        on_invoke = (fun m args -> Pea_rt.Interp.run (Lazy.force env) m args);
-        on_print = (fun v -> printed := v :: !printed);
-        on_back_edge = (fun _ ~header:_ ~locals:_ -> Pea_rt.Interp.No_osr);
-        hooks = None;
-      }
-  in
-  let r = run_graph (Lazy.force env) g [] in
+  let r = run_graph (Pea_rt.Interp.make_env program) g [] in
   match r, reference.Run.return_value with
   | Some (Pea_rt.Value.Vint a), Some (Pea_rt.Value.Vint b) -> a = b
   | _ -> false
 
 (* Execute a transformed graph with explicit arguments. *)
 let exec_graph_int program g args =
-  let stats = Pea_rt.Stats.create () in
-  let heap = Pea_rt.Heap.create stats in
-  let profile = Pea_rt.Profile.create program in
-  let globals = Array.make (max program.Link.n_statics 1) Pea_rt.Value.Vnull in
-  let rec env =
-    lazy
-      {
-        Pea_rt.Interp.heap;
-        stats;
-        profile;
-        globals;
-        on_invoke = (fun m a -> Pea_rt.Interp.run (Lazy.force env) m a);
-        on_print = ignore;
-        on_back_edge = (fun _ ~header:_ ~locals:_ -> Pea_rt.Interp.No_osr);
-        hooks = None;
-      }
-  in
-  match run_graph (Lazy.force env) g args with
+  match run_graph (Pea_rt.Interp.make_env program) g args with
   | Some (Pea_rt.Value.Vint n) -> n
   | _ -> Alcotest.fail "expected an int result"
 
@@ -494,28 +455,12 @@ let test_prune_cold_branch () =
   (* gather a profile by interpreting *)
   let r = Run.run_program program in
   ignore r;
-  let stats = Pea_rt.Stats.create () in
-  let heap = Pea_rt.Heap.create stats in
-  let profile = Pea_rt.Profile.create program in
-  let globals = Array.make (max program.Link.n_statics 1) Pea_rt.Value.Vnull in
-  let rec env =
-    lazy
-      {
-        Pea_rt.Interp.heap;
-        stats;
-        profile;
-        globals;
-        on_invoke = (fun m args -> Pea_rt.Interp.run (Lazy.force env) m args);
-        on_print = ignore;
-        on_back_edge = (fun _ ~header:_ ~locals:_ -> Pea_rt.Interp.No_osr);
-        hooks = None;
-      }
-  in
+  let env = Pea_rt.Interp.make_env program in
   for _ = 1 to 50 do
-    ignore (Pea_rt.Interp.run (Lazy.force env) f [ Pea_rt.Value.Vbool false ])
+    ignore (Pea_rt.Interp.run env f [ Pea_rt.Value.Vbool false ])
   done;
   let g = Builder.build f in
-  let changed = Pea_opt.Prune.run profile g in
+  let changed = Pea_opt.Prune.run env.Pea_rt.Interp.profile g in
   Check.check_exn g;
   Alcotest.(check bool) "pruned" true changed;
   let deopts = ref 0 in

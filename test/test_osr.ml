@@ -21,8 +21,6 @@ let vint, vbool, as_int = Test_support.(vint, vbool, as_int)
 
 let outcome = Test_support.outcome
 
-let with_tracer f = Test_support.with_tracer f
-
 let count_deopt_terminators g =
   let n = ref 0 in
   Pea_ir.Graph.iter_blocks
@@ -125,15 +123,13 @@ let test_osr_trace_events () =
   let config =
     { Jit.default_config with Jit.compile_threshold = max_int; osr = true; osr_threshold = 50 }
   in
-  let vm = Vm.create ~config program in
-  with_tracer (fun t ->
-      ignore (Vm.run vm);
-      let events = List.map (fun e -> e.Trace.e_event) (Trace.entries t) in
-      Alcotest.(check bool)
-        "tier_promote osr traced" true
-        (List.exists
-           (function Event.Tier_promote { tier = "osr"; _ } -> true | _ -> false)
-           events))
+  let t = Trace.create () in
+  let vm = Vm.create ~trace:t ~config program in
+  ignore (Vm.run vm);
+  let events = List.map (fun e -> e.Trace.e_event) (Trace.entries t) in
+  Alcotest.(check bool)
+    "tier_promote osr traced" true
+    (List.exists (function Event.Tier_promote { tier = "osr"; _ } -> true | _ -> false) events)
 
 (* ------------------------------------------------------------------ *)
 (* Per-site deopt policy                                               *)
@@ -144,12 +140,12 @@ let test_osr_trace_events () =
    deopt site. *)
 let two_branch_src = Programs.two_branch
 
-let policy_setup ?(deopt_storm_limit = Jit.default_config.Jit.deopt_storm_limit) () =
+let policy_setup ?trace ?(deopt_storm_limit = Jit.default_config.Jit.deopt_storm_limit) () =
   let program = Link.compile_source ~require_main:false two_branch_src in
   let config =
     { Jit.default_config with Jit.compile_threshold = 25; osr = false; deopt_storm_limit }
   in
-  let vm = Vm.create ~config program in
+  let vm = Vm.create ?trace ~config program in
   let f = Link.find_method program "C" "f" in
   (* profile both branches as never taken, then compile *)
   Vm.warm_up vm f [ vint 3; vbool false; vbool false ] 40;
@@ -197,15 +193,13 @@ let test_per_site_blacklist () =
 
 (* Each deopt emits a Site_blacklist event naming the blacklist key. *)
 let test_site_blacklist_event () =
-  let vm, f = policy_setup () in
-  with_tracer (fun t ->
-      ignore (Vm.invoke vm f [ vint 7; vbool true; vbool false ]);
-      let events = List.map (fun e -> e.Trace.e_event) (Trace.entries t) in
-      Alcotest.(check bool)
-        "site_blacklist traced" true
-        (List.exists
-           (function Event.Site_blacklist { meth = "C.f"; _ } -> true | _ -> false)
-           events))
+  let t = Trace.create () in
+  let vm, f = policy_setup ~trace:t () in
+  ignore (Vm.invoke vm f [ vint 7; vbool true; vbool false ]);
+  let events = List.map (fun e -> e.Trace.e_event) (Trace.entries t) in
+  Alcotest.(check bool)
+    "site_blacklist traced" true
+    (List.exists (function Event.Site_blacklist { meth = "C.f"; _ } -> true | _ -> false) events)
 
 (* The deopt-storm guard: after [deopt_storm_limit] distinct
    invalidations the method is pinned to the interpreter and never
@@ -368,7 +362,8 @@ let prop_osr_differential =
   let run src (d : Test_support.draw) ~osr =
     let program = Pea_bytecode.Link.compile_source src in
     let config = { d.Test_support.config with Jit.osr } in
-    let r = Vm.run_main_iterations (Vm.create ~config program) iters in
+    let trace, cpu, heap = Test_support.instruments d in
+    let r = Vm.run_main_iterations (Vm.create ?trace ?cpu ?heap ~config program) iters in
     (outcome r, r.Vm.stats)
   in
   QCheck2.Test.make ~name:"osr on/off: same results, prints and heap counters"
@@ -377,14 +372,13 @@ let prop_osr_differential =
     gen
     (fun ((_, src), d) ->
       let reference = Test_support.interp_reference ~iterations:iters src in
-      Test_support.with_instrumentation d (fun () ->
-          let o_on, s_on = run src d ~osr:true in
-          let o_off, s_off = run src d ~osr:false in
-          o_on = reference && o_off = reference
-          && (d.Test_support.config.Jit.opt <> Jit.O_none
-             || s_on.Stats.s_allocations = s_off.Stats.s_allocations
-                && s_on.Stats.s_allocated_bytes = s_off.Stats.s_allocated_bytes
-                && s_on.Stats.s_monitor_ops = s_off.Stats.s_monitor_ops)))
+      let o_on, s_on = run src d ~osr:true in
+      let o_off, s_off = run src d ~osr:false in
+      o_on = reference && o_off = reference
+      && (d.Test_support.config.Jit.opt <> Jit.O_none
+         || s_on.Stats.s_allocations = s_off.Stats.s_allocations
+            && s_on.Stats.s_allocated_bytes = s_off.Stats.s_allocated_bytes
+            && s_on.Stats.s_monitor_ops = s_off.Stats.s_monitor_ops))
 
 let () =
   Alcotest.run "osr"

@@ -15,32 +15,19 @@ module Pheap = Pea_obs.Profile_heap
 module Trace = Pea_obs.Trace
 module Flight = Pea_obs.Flight
 
-(* Install fresh profilers for [f], restoring whatever was globally
-   installed before. *)
-let with_profilers ?(interval = 256) f =
-  let saved_cpu = Pcpu.installed () and saved_heap = Pheap.installed () in
-  let cpu = Pcpu.create ~interval () in
-  let heap = Pheap.create () in
-  Pcpu.install cpu;
-  Pheap.install heap;
-  Fun.protect
-    ~finally:(fun () ->
-      (match saved_cpu with Some p -> Pcpu.install p | None -> Pcpu.uninstall ());
-      match saved_heap with Some p -> Pheap.install p | None -> Pheap.uninstall ())
-    (fun () -> f cpu heap)
-
-(* Run [src] under fresh profilers and hand back (vm result, report). *)
-let run_profiled ?interval ?(iterations = 8) ?(threshold = 4) ?(opt = Jit.O_pea) ?(osr = true)
-    src =
-  with_profilers ?interval (fun cpu heap ->
-      let program = Link.compile_source src in
-      let config = { Jit.default_config with Jit.opt; compile_threshold = threshold; osr } in
-      let vm = Vm.create ~config program in
-      let r = Vm.run_main_iterations vm iterations in
-      let report =
-        Report.collect ~program ~cpu ~heap ~pea_sites:(Vm.jit_stats vm).Pea_core.Pea.sites ()
-      in
-      (r, report))
+(* Run [src] on a VM handed fresh profilers and hand back (vm result,
+   report). *)
+let run_profiled ?(interval = 256) ?(iterations = 8) ?(threshold = 4) ?(opt = Jit.O_pea)
+    ?(osr = true) ?(oracle = false) src =
+  let cpu = Pcpu.create ~interval () and heap = Pheap.create () in
+  let program = Link.compile_source src in
+  let config = { Jit.default_config with Jit.opt; compile_threshold = threshold; osr; oracle } in
+  let vm = Vm.create ~cpu ~heap ~config program in
+  let r = Vm.run_main_iterations vm iterations in
+  let report =
+    Report.collect ~program ~cpu ~heap ~pea_sites:(Vm.jit_stats vm).Pea_core.Pea.sites ()
+  in
+  (r, report)
 
 let renderings rp = (Report.to_string rp, Report.to_json rp, Report.collapsed rp)
 
@@ -175,18 +162,18 @@ let safepoint_src =
 
 (* (polls, digest, result) of [iterations] runs of [src] at [threshold] *)
 let safepoint_stream ~threshold ~iterations src =
-  with_profilers ~interval:1 (fun cpu _ ->
-      let program = Link.compile_source src in
-      let config = { Jit.default_config with Jit.compile_threshold = threshold } in
-      let vm = Vm.create ~config program in
-      let polls = ref 0 and digest = ref 0 in
-      Pcpu.set_clock cpu (fun () ->
-          let c = Stats.get (Vm.stats vm) Stats.cycles in
-          incr polls;
-          digest := ((!digest * 1_000_003) + c) land max_int;
-          c);
-      let r = Vm.run_main_iterations vm iterations in
-      (!polls, !digest, r))
+  let cpu = Pcpu.create ~interval:1 () in
+  let program = Link.compile_source src in
+  let config = { Jit.default_config with Jit.compile_threshold = threshold } in
+  let vm = Vm.create ~cpu ~config program in
+  let polls = ref 0 and digest = ref 0 in
+  Pcpu.set_clock cpu (fun () ->
+      let c = Stats.get (Vm.stats vm) Stats.cycles in
+      incr polls;
+      digest := ((!digest * 1_000_003) + c) land max_int;
+      c);
+  let r = Vm.run_main_iterations vm iterations in
+  (!polls, !digest, r)
 
 let test_safepoint_stream () =
   let polls, digest, r = safepoint_stream ~threshold:2 ~iterations:8 safepoint_src in
@@ -259,54 +246,57 @@ let test_remat_attribution () =
 (* The by-class view is the per-class allocation ledger: it sums the
    charged kinds only (alloc, remat, promote; scratch and stack objects
    are never charged), orders by bytes descending and breaks ties by
-   name. [collect] restores the profiler installed before. *)
+   name. *)
 let test_by_class () =
-  let saved = Pheap.installed () in
-  let (), t =
-    Pheap.collect (fun () ->
-        let record cls kind bytes = Pheap.record ~mid:0 ~bci:1 ~cls ~kind ~bytes in
-        record "Small" Pheap.K_alloc 24;
-        record "Small" Pheap.K_alloc 24;
-        record "Small" Pheap.K_scratch 24;
-        record "Small" Pheap.K_stack 24;
-        record "Cell" Pheap.K_promote 48;
-        record "Big" Pheap.K_remat 48;
-        record "int[]" Pheap.K_alloc 416;
-        record "Box" Pheap.K_stack 24)
-  in
+  let t = Pheap.create () in
+  let record cls kind bytes = Pheap.record t ~mid:0 ~bci:1 ~cls ~kind ~bytes in
+  record "Small" Pheap.K_alloc 24;
+  record "Small" Pheap.K_alloc 24;
+  record "Small" Pheap.K_scratch 24;
+  record "Small" Pheap.K_stack 24;
+  record "Cell" Pheap.K_promote 48;
+  record "Big" Pheap.K_remat 48;
+  record "int[]" Pheap.K_alloc 416;
+  record "Box" Pheap.K_stack 24;
   Alcotest.(check (list (triple string int int))) "charged kinds, bytes desc, then name"
     [ ("int[]", 1, 416); ("Big", 1, 48); ("Cell", 1, 48); ("Small", 2, 48) ]
-    (Pheap.by_class t);
-  Alcotest.(check bool) "the profiler installed before is back" true
-    (match (saved, Pheap.installed ()) with
-    | None, None -> true
-    | Some a, Some b -> a == b
-    | _ -> false)
+    (Pheap.by_class t)
+
+(* What checks a deopt is seen by no instrument: the deopt oracle
+   replays each deopt in a shadow interpreter, on an environment that
+   carries no profiler, so its samples and allocations stay out of the
+   profiles. On bench/main.ml's deopt-promote program (three deopts at
+   threshold 30 over two runs of [main]) the reports with the oracle off
+   and on are byte-identical. *)
+let test_oracle_replay_unprofiled () =
+  let profile oracle =
+    run_profiled ~interval:64 ~iterations:2 ~threshold:30 ~oracle Programs.deopt_promote
+  in
+  let r, off = profile false in
+  let _, on = profile true in
+  Alcotest.(check int) "three deopts" 3 r.Vm.stats.Stats.s_deopts;
+  Alcotest.(check string) "collapsed stacks" (Report.collapsed off) (Report.collapsed on);
+  Alcotest.(check string) "report" (Report.to_string off) (Report.to_string on)
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder                                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* Deopt-storm the two-branch method with the limit at 2 and assert the
-   armed recorder snapshots the ring to disk, and that the dump reads
-   back through the parser the [mjvm report --flight] path uses. *)
+   VM's recorder snapshots the ring to disk, and that the dump reads back
+   through the parser the [mjvm report --flight] path uses. *)
 let test_flight_dump_on_storm () =
   let path = Filename.temp_file "mjvm_flight" ".jsonl" in
-  let saved_trace = Trace.installed () in
   let program = Link.compile_source ~require_main:false Programs.two_branch in
   let config =
     { Jit.default_config with Jit.compile_threshold = 25; osr = false; deopt_storm_limit = 2 }
   in
-  let vm = Vm.create ~config program in
   let ring = Trace.create () in
+  let flight = Flight.create ~path ring in
+  let vm = Vm.create ~trace:ring ~flight ~config program in
   Trace.set_clock ring (fun () -> Stats.get (Vm.stats vm) Stats.cycles);
-  Trace.install ring;
-  Flight.arm (Flight.create ~path ring);
   Fun.protect
-    ~finally:(fun () ->
-      Flight.disarm ();
-      (match saved_trace with Some t -> Trace.install t | None -> Trace.uninstall ());
-      Sys.remove path)
+    ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let f = Link.find_method program "C" "f" in
       let vint n = Value.Vint n and vbool b = Value.Vbool b in
@@ -315,9 +305,7 @@ let test_flight_dump_on_storm () =
       ignore (Vm.invoke vm f [ vint 3; vbool false; vbool false ]) (* recompile *);
       ignore (Vm.invoke vm f [ vint 7; vbool false; vbool true ]) (* deopt #2: pins *);
       Alcotest.(check bool) "storm guard pinned" true (Vm.interpreter_pinned vm f);
-      (match Flight.armed () with
-      | Some fl -> Alcotest.(check int) "one dump written" 1 (Flight.dumps fl)
-      | None -> Alcotest.fail "recorder disarmed itself");
+      Alcotest.(check int) "one dump written" 1 (Flight.dumps flight);
       match Flight.read_file path with
       | Error msg -> Alcotest.failf "dump does not parse: %s" msg
       | Ok d ->
@@ -339,8 +327,7 @@ let test_flight_dump_on_storm () =
    configuration, a profiled run returns the same outcome and
    bit-identical deterministic counters as an unprofiled one. This is
    the profiler twin of the trace zero-overhead gate. The property walks
-   the profilers itself; the drawn tracer stays installed for both
-   runs. *)
+   the profilers itself; both runs are handed the drawn tracer. *)
 let prop_profiling_off_parity =
   let gen =
     QCheck2.Gen.pair (QCheck2.Gen.oneofl Programs.corpus)
@@ -348,9 +335,11 @@ let prop_profiling_off_parity =
          ~base:{ Jit.default_config with Jit.compile_threshold = 4; osr_threshold = 3 }
          ())
   in
-  let observe src (d : Test_support.draw) =
+  let observe ?trace ?cpu ?heap src (d : Test_support.draw) =
     let program = Link.compile_source src in
-    let r = Vm.run_main_iterations (Vm.create ~config:d.Test_support.config program) 6 in
+    let r =
+      Vm.run_main_iterations (Vm.create ?trace ?cpu ?heap ~config:d.Test_support.config program) 6
+    in
     (Test_support.outcome r, Test_support.deterministic_counters r.Vm.stats)
   in
   QCheck2.Test.make ~name:"profiling changes no result and no counter"
@@ -358,10 +347,10 @@ let prop_profiling_off_parity =
     ~print:(fun ((name, _), d) -> name ^ " " ^ Test_support.show_draw ~walks:[ "profilers" ] d)
     gen
     (fun ((_, src), d) ->
-      Test_support.with_instrumentation { d with Test_support.profilers = false } (fun () ->
-          let off = observe src d in
-          let on = with_profilers ~interval:64 (fun _ _ -> observe src d) in
-          off = on))
+      let trace, _, _ = Test_support.instruments d in
+      let off = observe ?trace src d in
+      let on = observe ?trace ~cpu:(Pcpu.create ~interval:64 ()) ~heap:(Pheap.create ()) src d in
+      off = on)
 
 let () =
   Alcotest.run "profile"
@@ -382,6 +371,8 @@ let () =
           Alcotest.test_case "none vs pea at one site" `Quick test_attribution_none_vs_pea;
           Alcotest.test_case "remat attribution" `Quick test_remat_attribution;
           Alcotest.test_case "by-class ledger" `Quick test_by_class;
+          Alcotest.test_case "the oracle's replay stays out of the profiles" `Quick
+            test_oracle_replay_unprofiled;
         ] );
       ("flight", [ Alcotest.test_case "dump on deopt storm" `Quick test_flight_dump_on_storm ]);
       ( "parity",

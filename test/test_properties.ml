@@ -42,12 +42,12 @@ let prop_differential =
     (with_draw ~base:{ Jit.default_config with Jit.compile_threshold = 0 } gen_program)
     (fun (src, d) ->
       let reference = Test_support.interp_reference ~iterations:3 src in
-      Test_support.with_instrumentation d (fun () ->
-          List.for_all
-            (fun opt ->
-              Test_support.outcome (run_vm { d.Test_support.config with Jit.opt } src 3)
-              = reference)
-            opt_levels))
+      let trace, cpu, heap = Test_support.instruments d in
+      List.for_all
+        (fun opt ->
+          let r = run_vm ?trace ?cpu ?heap { d.Test_support.config with Jit.opt } src 3 in
+          Test_support.outcome r = reference)
+        opt_levels)
 
 let prop_alloc_monotone =
   QCheck2.Test.make ~name:"PEA/EA never increase allocations or monitors"
@@ -55,11 +55,13 @@ let prop_alloc_monotone =
     ~print:(print_case ~walks:[ "opt" ])
     (with_draw ~base:{ Jit.default_config with Jit.compile_threshold = 0 } gen_program)
     (fun (src, d) ->
-      Test_support.with_instrumentation d (fun () ->
-          let run opt = (run_vm { d.Test_support.config with Jit.opt } src 3).Vm.stats in
-          let none = run Jit.O_none and ea = run Jit.O_ea and pea = run Jit.O_pea in
-          let a s = s.Stats.s_allocations and m s = s.Stats.s_monitor_ops in
-          a pea <= a none && a ea <= a none && a pea <= a ea && m pea <= m none))
+      let trace, cpu, heap = Test_support.instruments d in
+      let run opt =
+        (run_vm ?trace ?cpu ?heap { d.Test_support.config with Jit.opt } src 3).Vm.stats
+      in
+      let none = run Jit.O_none and ea = run Jit.O_ea and pea = run Jit.O_pea in
+      let a s = s.Stats.s_allocations and m s = s.Stats.s_monitor_ops in
+      a pea <= a none && a ea <= a none && a pea <= a ea && m pea <= m none)
 
 (* Multi-tenant serving: K tenants sharing one code cache and one
    compile queue must be observationally indistinguishable from K
@@ -119,9 +121,10 @@ let prop_serving_matches_isolated =
     (fun ((tenants, rounds, requests_per_round, seed), d) ->
       let script = Sessions.mixed_script ~tenants ~rounds ~requests_per_round ~seed () in
       let sv_jit = d.Test_support.config in
-      Test_support.with_instrumentation d (fun () ->
-          let r = Server.run ~config:{ Server.default_config with Server.sv_jit } script in
-          List.map (fun tr -> tr.Server.tr_results) r.Server.r_tenants = isolated_results script))
+      let trace, cpu, heap = Test_support.instruments d in
+      let config = { Server.default_config with Server.sv_jit } in
+      let r = Server.run ?trace ?cpu ?heap ~config script in
+      List.map (fun tr -> tr.Server.tr_results) r.Server.r_tenants = isolated_results script)
 
 let () =
   Alcotest.run "properties"

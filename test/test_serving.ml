@@ -16,9 +16,11 @@
      installs its client accepts, and [Shared_cache] dooms an old epoch.
    - Replay determinism: two runs of the same session script produce
      structurally identical reports and byte-identical trace JSONL.
-   - Threaded mode (MJVM_TEST_SERVE=real): real worker domains produce
-     the same reports as replay — counter-identical, not just
-     result-identical.
+   - Threaded mode: real worker domains produce the same reports as
+     replay — counter-identical, not just result-identical — and a
+     threaded server hands its tenant VMs none of its instruments: its
+     trace holds no tenant event, its profiles stay empty, and the
+     trace is byte-identical across runs.
 
    Serving configs are built explicitly; the harness runs its tenant
    VMs without OSR by design. *)
@@ -31,6 +33,8 @@ module Compile_queue = Pea_serve.Compile_queue
 module Sessions = Pea_workloads.Sessions
 module Trace = Pea_obs.Trace
 module Event = Pea_obs.Event
+module Pcpu = Pea_obs.Profile_cpu
+module Pheap = Pea_obs.Profile_heap
 
 (* Short-session config for the cache-sharing and determinism tests: a
    low threshold compiles quickly (pruning stays off below the pruner's
@@ -179,15 +183,10 @@ let test_epoch_race_rejects_stale_install () =
     }
   in
   let config = { storm_config with Server.sv_compile_rounds = 2 } in
-  Trace.uninstall ();
   let trace = Trace.create () in
-  Trace.install trace;
-  let server, r =
-    Fun.protect ~finally:Trace.uninstall (fun () ->
-        let server = Server.create ~config script in
-        Server.run_rounds server script.Server.sc_rounds;
-        (server, Server.report server))
-  in
+  let server = Server.create ~trace ~config script in
+  Server.run_rounds server script.Server.sc_rounds;
+  let r = Server.report server in
   Alcotest.(check bool) "the stale result was rejected" true
     (r.Server.r_stats.Stats.s_cache_epoch_rejects >= 1);
   Alcotest.(check (list string)) "nobody was quarantined" [] r.Server.r_quarantined;
@@ -230,12 +229,9 @@ let test_replay_deterministic_reports () =
 
 let test_replay_deterministic_trace () =
   let trace_of_run () =
-    Trace.uninstall ();
-    let t = Trace.create () in
-    Trace.install t;
-    Fun.protect ~finally:Trace.uninstall (fun () ->
-        ignore (Server.run ~config:test_config (mixed ()));
-        Trace.jsonl_string t)
+    let trace = Trace.create () in
+    ignore (Server.run ~trace ~config:test_config (mixed ()));
+    Trace.jsonl_string trace
   in
   let j1 = trace_of_run () in
   let j2 = trace_of_run () in
@@ -294,12 +290,11 @@ let test_compile_failure_quarantines_requesters () =
     Fun.protect
       ~finally:(fun () -> Compile_queue.test_hook := fun _ -> ())
       (fun () ->
-        Trace.uninstall ();
-        Test_support.with_tracer (fun t ->
-            let server = Server.create ~config:test_config script in
-            Server.run_rounds server script.Server.sc_rounds;
-            let r = Server.report server in
-            (server, r, List.map (fun e -> e.Trace.e_event) (Trace.entries t))))
+        let trace = Trace.create () in
+        let server = Server.create ~trace ~config:test_config script in
+        Server.run_rounds server script.Server.sc_rounds;
+        let r = Server.report server in
+        (server, r, List.map (fun e -> e.Trace.e_event) (Trace.entries trace)))
   in
   Alcotest.(check int) "one failure counted" 1 r.Server.r_stats.Stats.s_compile_failures;
   Alcotest.(check (list string)) "one compile_failed event, for the faulted compile"
@@ -373,10 +368,9 @@ let test_queue_decision_stream () =
     }
   in
   let run () =
-    Trace.uninstall ();
-    Test_support.with_tracer (fun t ->
-        let r = Server.run ~config:test_config script in
-        (r, List.map (fun e -> e.Trace.e_event) (Trace.entries t)))
+    let trace = Trace.create () in
+    let r = Server.run ~trace ~config:test_config script in
+    (r, List.map (fun e -> e.Trace.e_event) (Trace.entries trace))
   in
   let r, events = run () in
   Alcotest.(check (list string)) "queue decision stream"
@@ -462,7 +456,7 @@ let inlined_config mode =
    recompile stops speculating on it: one deopt and two installs, the
    same as with the branch written in the handler. *)
 let test_inlined_site_reaches_shared_blacklist () =
-  let modes = Server.Replay :: (if Test_env.serve_real () then [ Server.Threaded 2 ] else []) in
+  let modes = [ Server.Replay; Server.Threaded 2 ] in
   List.iter
     (fun mode ->
       let run meth =
@@ -776,7 +770,7 @@ let test_summaries_follow_config () =
     (on.Stats.s_allocations < off.Stats.s_allocations)
 
 (* ------------------------------------------------------------------ *)
-(* Threaded mode (real domains; MJVM_TEST_SERVE=real)                  *)
+(* Threaded mode (real domains)                                        *)
 (* ------------------------------------------------------------------ *)
 
 let threaded_config workers =
@@ -813,14 +807,49 @@ let test_threaded_storm_isolation () =
         && a.Server.tr_stats = b.Server.tr_stats))
     [ 0; 1; 2 ]
 
+(* A threaded server hands its tenant VMs none of its instruments: their
+   events would interleave with the coordinator's in wall-clock order,
+   and the profilers are single-domain instruments. Served on two worker
+   domains with a tracer and both profilers, a deopt storm gives replay's
+   report, a trace of the server's own events only (the barrier's, the
+   queue's and the shared compiles') that is byte-identical across runs,
+   and empty profiles. *)
+let test_threaded_instruments_stay_out () =
+  let script () =
+    Sessions.storm_script ~storm:true ~victims:3 ~rounds:26 ~requests_per_round:6 ~seed:5 ()
+  in
+  let replay = Server.run ~config:storm_config (script ()) in
+  let threaded () =
+    let trace = Trace.create () and cpu = Pcpu.create ~interval:64 () and heap = Pheap.create () in
+    let config = { storm_config with Server.sv_mode = Server.Threaded 2 } in
+    let r = Server.run ~trace ~cpu ~heap ~config (script ()) in
+    (r, trace, cpu, heap)
+  in
+  let r, trace, cpu, heap = threaded () in
+  Alcotest.(check bool) "report = replay report" true (r = replay);
+  Alcotest.(check bool) "the server's own events are traced" true (Trace.length trace > 0);
+  Alcotest.(check (list string)) "no tenant-VM event" []
+    (List.filter_map
+       (fun e ->
+         match e.Trace.e_event with
+         | Event.Deopt _ | Event.Tier_promote _ | Event.Site_blacklist _ | Event.Ic_transition _ ->
+             Some (Event.name e.Trace.e_event)
+         | _ -> None)
+       (Trace.entries trace));
+  Alcotest.(check int) "no samples" 0 (Pcpu.total_weight cpu);
+  Alcotest.(check int) "no heap records" 0 (Pheap.total_records heap);
+  let _, again, _, _ = threaded () in
+  Alcotest.(check string) "two threaded runs: byte-identical trace JSONL" (Trace.jsonl_string trace)
+    (Trace.jsonl_string again)
+
 let () =
   let threaded =
-    if Test_env.serve_real () then
-      [
-        Alcotest.test_case "threaded report = replay report" `Quick test_threaded_equals_replay;
-        Alcotest.test_case "threaded storm isolation" `Quick test_threaded_storm_isolation;
-      ]
-    else []
+    [
+      Alcotest.test_case "threaded report = replay report" `Quick test_threaded_equals_replay;
+      Alcotest.test_case "threaded storm isolation" `Quick test_threaded_storm_isolation;
+      Alcotest.test_case "a threaded server's instruments see no tenant" `Quick
+        test_threaded_instruments_stay_out;
+    ]
   in
   Alcotest.run "serving"
     [

@@ -42,38 +42,11 @@ let merge_src =
   \  }\n\
    }"
 
-(* The merged Point is live across a branch that the profile sees as
-   never taken; once [work] compiles from a mature profile the branch is
-   pruned to a deopt. Iteration 900 takes it: the deopt fires with the
-   stack-allocated Point live in the resume state, so the deopt handler
-   must promote it to the heap before the frame's region is reclaimed. *)
-let deopt_promote_src =
-  "class Point { int x; int y; Point(int x, int y) { this.x = x; this.y = y; } }\n\
-   class Main {\n\
-  \  static int work(int i, int flip) {\n\
-  \    Point p;\n\
-  \    if (i % 2 == 0) { p = new Point(i, 1); } else { p = new Point(i, 2); }\n\
-  \    int r = p.x;\n\
-  \    if (flip == 1) { r = r + p.y * 10; }\n\
-  \    return r + p.y;\n\
-  \  }\n\
-  \  static int main() {\n\
-  \    int acc = 0;\n\
-  \    int i = 0;\n\
-  \    while (i < 1000) {\n\
-  \      int flip = 0;\n\
-  \      if (i == 900) { flip = 1; }\n\
-  \      acc = acc + Main.work(i, flip);\n\
-  \      i = i + 1;\n\
-  \    }\n\
-  \    return acc;\n\
-  \  }\n\
-   }"
-
-(* The same deopt with the Point one field deep in a Box: the frame
-   state names the Box, and the resumed interpreter keeps it in a static
-   that [main] reads after the loop. So the promotion must follow the
-   Box's fields, or the Point is scrubbed when the compiled frame pops. *)
+(* The deopt of [Programs.deopt_promote] with the Point one field deep
+   in a Box: the frame state names the Box, and the resumed interpreter
+   keeps it in a static that [main] reads after the loop. So the
+   promotion must follow the Box's fields, or the Point is scrubbed when
+   the compiled frame pops. *)
 let deopt_promote_nested_src =
   "class Point { int x; int y; Point(int x, int y) { this.x = x; this.y = y; } }\n\
    class Box { Point pt; Box(Point pt) { this.pt = pt; } }\n\
@@ -164,8 +137,8 @@ let test_accounting_parity () =
    scrubbed object in the resume state would abort here. *)
 let test_deopt_promotion () =
   let iterations = 3 in
-  let reference = Test_support.interp_reference ~iterations deopt_promote_src in
-  let r = run ~iterations ~threshold:30 ~stackalloc:true deopt_promote_src in
+  let reference = Test_support.interp_reference ~iterations Programs.deopt_promote in
+  let r = run ~iterations ~threshold:30 ~stackalloc:true Programs.deopt_promote in
   Alcotest.(check (pair string (list string)))
     "result survives the promoting deopt" reference (Test_support.outcome r);
   Alcotest.(check bool) "a deopt fired" true (r.Vm.stats.Stats.s_deopts > 0);
@@ -175,7 +148,7 @@ let test_deopt_promotion () =
     r.Vm.stats.Stats.s_stack_allocs
     (r.Vm.stats.Stats.s_stack_reclaimed + r.Vm.stats.Stats.s_stack_promotions);
   (* the tier off: same result, same deopts, nothing to promote *)
-  let r_off = run ~iterations ~threshold:30 ~stackalloc:false deopt_promote_src in
+  let r_off = run ~iterations ~threshold:30 ~stackalloc:false Programs.deopt_promote in
   Alcotest.(check (pair string (list string)))
     "stackalloc=off agrees" reference (Test_support.outcome r_off);
   Alcotest.(check int) "nothing promoted with the tier off" 0
@@ -196,7 +169,7 @@ let test_deopt_promotion_nested () =
 (* Flight recorder: dump write failure must warn, not swallow          *)
 (* ------------------------------------------------------------------ *)
 
-(* Point the armed recorder at a file inside a directory that does not
+(* Point a VM's recorder at a file inside a directory that does not
    exist, storm it into triggering, and assert (a) the run's results and
    VM state are exactly those of the writable-path storm, and (b) one
    warning line per failed trigger reaches stderr. The write failure
@@ -209,16 +182,14 @@ let test_flight_dump_failure_warns () =
   in
   Alcotest.(check bool) "the dump directory really is missing" false
     (Sys.file_exists (Filename.dirname path));
-  let saved_trace = Trace.installed () in
   let program = Link.compile_source ~require_main:false Programs.two_branch in
   let config =
     { Jit.default_config with Jit.compile_threshold = 25; osr = false; deopt_storm_limit = 2 }
   in
-  let vm = Vm.create ~config program in
   let ring = Trace.create () in
+  let flight = Flight.create ~path ring in
+  let vm = Vm.create ~trace:ring ~flight ~config program in
   Trace.set_clock ring (fun () -> Stats.get (Vm.stats vm) Stats.cycles);
-  Trace.install ring;
-  Flight.arm (Flight.create ~path ring);
   let captured = Filename.temp_file "mjvm_stderr" ".txt" in
   let fd = Unix.openfile captured [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
   let saved_stderr = Unix.dup Unix.stderr in
@@ -229,10 +200,7 @@ let test_flight_dump_failure_warns () =
     Unix.close fd
   in
   Fun.protect
-    ~finally:(fun () ->
-      Flight.disarm ();
-      (match saved_trace with Some t -> Trace.install t | None -> Trace.uninstall ());
-      Sys.remove captured)
+    ~finally:(fun () -> Sys.remove captured)
     (fun () ->
       let f = Link.find_method program "C" "f" in
       let vint n = Value.Vint n and vbool b = Value.Vbool b in
@@ -252,9 +220,7 @@ let test_flight_dump_failure_warns () =
       Alcotest.(check bool) "storm guard pinned" true (Vm.interpreter_pinned vm f);
       Alcotest.(check int) "every invoke returned a value" 3
         (List.length (List.filter Option.is_some results));
-      (match Flight.armed () with
-      | Some fl -> Alcotest.(check int) "the trigger still fired" 1 (Flight.dumps fl)
-      | None -> Alcotest.fail "recorder disarmed itself");
+      Alcotest.(check int) "the trigger still fired" 1 (Flight.dumps flight);
       Alcotest.(check bool) "no dump file materialized" false (Sys.file_exists path);
       let text = In_channel.with_open_bin captured In_channel.input_all in
       Alcotest.(check bool) "stderr carries the warning" true
@@ -353,25 +319,25 @@ let prop_stackalloc_differential =
       let src = source_of_case case in
       let iterations = 6 in
       let reference = Test_support.interp_reference ~iterations src in
-      Test_support.with_instrumentation d (fun () ->
-          List.for_all
-            (fun stackalloc ->
-              let config = { d.Test_support.config with Jit.stackalloc } in
-              let vm = Vm.create ~config (Link.compile_source src) in
-              let r = Vm.run_main_iterations vm iterations in
-              let s = r.Vm.stats in
-              let ok_outcome = Test_support.outcome r = reference in
-              let ok_balance =
-                s.Stats.s_stack_reclaimed + s.Stats.s_stack_promotions <= s.Stats.s_stack_allocs
-              in
-              let ok_off =
-                stackalloc || (s.Stats.s_stack_reclaimed = 0 && s.Stats.s_stack_promotions = 0)
-              in
-              if not (ok_outcome && ok_balance && ok_off) then
-                QCheck2.Test.fail_reportf "stackalloc=%b: outcome=%b balance=%b off-clean=%b"
-                  stackalloc ok_outcome ok_balance ok_off
-              else true)
-            [ true; false ]))
+      let trace, cpu, heap = Test_support.instruments d in
+      List.for_all
+        (fun stackalloc ->
+          let config = { d.Test_support.config with Jit.stackalloc } in
+          let vm = Vm.create ?trace ?cpu ?heap ~config (Link.compile_source src) in
+          let r = Vm.run_main_iterations vm iterations in
+          let s = r.Vm.stats in
+          let ok_outcome = Test_support.outcome r = reference in
+          let ok_balance =
+            s.Stats.s_stack_reclaimed + s.Stats.s_stack_promotions <= s.Stats.s_stack_allocs
+          in
+          let ok_off =
+            stackalloc || (s.Stats.s_stack_reclaimed = 0 && s.Stats.s_stack_promotions = 0)
+          in
+          if not (ok_outcome && ok_balance && ok_off) then
+            QCheck2.Test.fail_reportf "stackalloc=%b: outcome=%b balance=%b off-clean=%b"
+              stackalloc ok_outcome ok_balance ok_off
+          else true)
+        [ true; false ])
 
 (* The heap profiler is the one per-class allocation ledger, so it must
    see the allocation a promotion charges. On the deopt-promote program
@@ -380,9 +346,12 @@ let prop_stackalloc_differential =
    to [Stats]' 31 allocations and 992 bytes, and the one promotion is
    its own record at the deopt site. *)
 let test_promotion_ledger () =
-  let program = Link.compile_source deopt_promote_src in
-  let vm = Vm.create ~config:{ Jit.default_config with Jit.compile_threshold = 30 } program in
-  let r, ledger = Pheap.collect (fun () -> Vm.run vm) in
+  let program = Link.compile_source Programs.deopt_promote in
+  let ledger = Pheap.create () in
+  let vm =
+    Vm.create ~heap:ledger ~config:{ Jit.default_config with Jit.compile_threshold = 30 } program
+  in
+  let r = Vm.run vm in
   let s = r.Vm.stats in
   Alcotest.(check (triple int int int)) "allocations, bytes, promotions" (31, 992, 1)
     (s.Stats.s_allocations, s.Stats.s_allocated_bytes, s.Stats.s_stack_promotions);

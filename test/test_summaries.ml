@@ -239,7 +239,7 @@ let test_inlined_compile_forces_nothing () =
    [Invalid_argument], not [Build_error]. [F.caller] keeps its call to
    it (no inlining, no pruning), so compiling [F.caller] asks for a
    summary and runs the fixpoint. The exception ends the run, after the
-   armed flight recorder has dumped its ring as a compile-failure
+   VM's flight recorder has dumped its ring as a compile-failure
    incident; without summaries nothing asks, and the caller compiles. *)
 let test_builder_fault_ends_the_run () =
   let src =
@@ -254,6 +254,9 @@ let test_builder_fault_ends_the_run () =
     \  }\n\
      }"
   in
+  let path = Filename.temp_file "mjvm_flight" ".jsonl" in
+  let ring = Pea_obs.Trace.create () in
+  let flight = Pea_obs.Flight.create ~path ring in
   let setup ~summaries =
     let program = Link.compile_source ~require_main:false src in
     let config =
@@ -265,7 +268,7 @@ let test_builder_fault_ends_the_run () =
         summaries;
       }
     in
-    let vm = Vm.create ~config program in
+    let vm = Vm.create ~trace:ring ~flight ~config program in
     (* after [Vm.create], whose bytecode verifier would reject it *)
     (Link.find_method program "F" "broken").Classfile.mth_code <- [| Classfile.Goto 9999 |];
     (vm, Link.find_method program "F" "caller")
@@ -283,18 +286,8 @@ let test_builder_fault_ends_the_run () =
     | () -> Ok !served
     | exception Invalid_argument _ -> Error !served
   in
-  let path = Filename.temp_file "mjvm_flight" ".jsonl" in
-  let saved_trace = Pea_obs.Trace.installed () in
-  let ring = Pea_obs.Trace.create () in
-  Pea_obs.Trace.install ring;
-  Pea_obs.Flight.arm (Pea_obs.Flight.create ~path ring);
   Fun.protect
-    ~finally:(fun () ->
-      Pea_obs.Flight.disarm ();
-      (match saved_trace with
-      | Some t -> Pea_obs.Trace.install t
-      | None -> Pea_obs.Trace.uninstall ());
-      Sys.remove path)
+    ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let vm, caller = setup ~summaries:false in
       Alcotest.(check (result int int)) "without summaries: every call served" (Ok 20)
@@ -304,9 +297,7 @@ let test_builder_fault_ends_the_run () =
       Alcotest.(check (result int int)) "with summaries: the compile at the threshold raises"
         (Error 3)
         (drive (setup ~summaries:true));
-      (match Pea_obs.Flight.armed () with
-      | Some fl -> Alcotest.(check int) "one dump written" 1 (Pea_obs.Flight.dumps fl)
-      | None -> Alcotest.fail "recorder disarmed itself");
+      Alcotest.(check int) "one dump written" 1 (Pea_obs.Flight.dumps flight);
       match Pea_obs.Flight.read_file path with
       | Error msg -> Alcotest.failf "dump does not parse: %s" msg
       | Ok d ->

@@ -7,10 +7,10 @@
 
    The centerpiece is [gen_config]: the configuration is a generated
    input. Every differential, monotonicity and parity property draws a
-   full JIT configuration and an instrumentation state per case, runs
-   the case under them ([with_instrumentation]) and prints every drawn
-   field when it fails ([show_draw]), so one run of the suite crosses
-   every configuration axis. *)
+   full JIT configuration and an instrumentation state per case, hands
+   the case's VMs (or server) the drawn instruments ([instruments]) and
+   prints every drawn field when it fails ([show_draw]), so one run of
+   the suite crosses every configuration axis. *)
 
 open Pea_rt
 open Pea_vm
@@ -39,23 +39,18 @@ let contains s sub =
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
-let with_tracer ?capacity f =
-  let t = Trace.create ?capacity () in
-  Trace.install t;
-  Fun.protect ~finally:Trace.uninstall (fun () -> f t)
-
 let opt_name = function Jit.O_none -> "none" | Jit.O_ea -> "ea" | Jit.O_pea -> "pea"
 
 (* ------------------------------------------------------------------ *)
 (* The drawn configuration                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* One case's configuration: the JIT configuration and the
-   instrumentation installed around the case. *)
+(* One case's configuration: the JIT configuration and the instruments
+   the case's VMs are handed. *)
 type draw = {
   config : Jit.config;
-  tracer : bool; (* a global tracer is installed *)
-  profilers : bool; (* the global sampling and heap profilers are installed *)
+  tracer : bool; (* the VMs are handed a tracer *)
+  profilers : bool; (* the VMs are handed the sampling and heap profilers *)
 }
 
 (* [gen_config ~base] draws every axis the JIT offers (opt level,
@@ -108,21 +103,13 @@ let show_draw ?(walks = []) d =
        (fun (k, v) -> Printf.sprintf "%s=%s" k (if List.mem k walks then "walked" else v))
        fields)
 
-(* [with_instrumentation d f] runs [f] with [d]'s tracer and profilers
-   installed (fresh ones) and leaves none installed: the suites install
-   nothing of their own around a case. *)
-let with_instrumentation d f =
-  if d.tracer then Trace.install (Trace.create ());
-  if d.profilers then begin
-    Pea_obs.Profile_cpu.install (Pea_obs.Profile_cpu.create ());
-    Pea_obs.Profile_heap.install (Pea_obs.Profile_heap.create ())
-  end;
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.uninstall ();
-      Pea_obs.Profile_cpu.uninstall ();
-      Pea_obs.Profile_heap.uninstall ())
-    f
+(* [instruments d] is [d]'s tracer, sampling profiler and heap profiler,
+   fresh, each [None] unless drawn: a case hands them to every VM (or
+   server, or compile) it runs, as [?trace ?cpu ?heap]. *)
+let instruments d =
+  ( (if d.tracer then Some (Trace.create ()) else None),
+    (if d.profilers then Some (Pea_obs.Profile_cpu.create ()) else None),
+    if d.profilers then Some (Pea_obs.Profile_heap.create ()) else None )
 
 (* The interpreter-only reference for the same observation:
    [run_main_iterations]' outcome concatenates prints across iterations,

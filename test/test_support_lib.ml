@@ -127,11 +127,7 @@ let test_dot () =
 let test_env_check () =
   Alcotest.(check (list string)) "known bindings pass" []
     (Test_env.invalid
-       [
-         ("MJVM_TEST_QCHECK_COUNT", "500");
-         ("MJVM_TEST_SERVE", "real");
-         ("PATH", "/usr/bin");
-       ]);
+       [ ("MJVM_TEST_QCHECK_COUNT", "500"); ("PATH", "/usr/bin") ]);
   List.iter
     (fun (name, value) ->
       match Test_env.invalid [ ("MJVM_TEST_QCHECK_COUNT", "100"); (name, value) ] with
@@ -140,12 +136,13 @@ let test_env_check () =
       | msgs -> Alcotest.failf "%s=%s: %d messages" name value (List.length msgs))
     [ ("MJVM_TEST_QCHECK_COUNT", "0"); ("MJVM_TEST_TIER", "closure"); ("MJVM_TEST_OPTS", "pea") ];
   Alcotest.(check (list string)) "a bad value names the accepted ones"
-    [ "MJVM_TEST_SERVE: unknown value \"threaded\" (accepted: real)" ]
-    (Test_env.invalid [ ("MJVM_TEST_SERVE", "threaded") ]);
-  (* retired variables: the compile mode went with its mode, and the
-     configuration and instrumentation axes are drawn per case now. A
-     stale script that still sets one, with any value, stops the suite
-     instead of running the default configuration. *)
+    [ "MJVM_TEST_QCHECK_COUNT: unknown value \"many\" (accepted: a positive integer)" ]
+    (Test_env.invalid [ ("MJVM_TEST_QCHECK_COUNT", "many") ]);
+  (* retired variables: the compile mode went with its mode, the
+     configuration and instrumentation axes are drawn per case now, and
+     the threaded serving suites always run. A stale script that still
+     sets one, with any value, stops the suite instead of running the
+     default configuration. *)
   List.iter
     (fun (name, value) ->
       Alcotest.(check (list string)) ("retired " ^ name)
@@ -163,11 +160,9 @@ let test_env_check () =
       ("MJVM_TEST_INLINING", "off");
       ("MJVM_TEST_TRACE", "1");
       ("MJVM_TEST_PROFILE", "1");
-    ];
-  (* the serving harness's replay value behaved as unset *)
-  Alcotest.(check (list string)) "retired MJVM_TEST_SERVE=replay"
-    [ "MJVM_TEST_SERVE: unknown value \"replay\" (accepted: real)" ]
-    (Test_env.invalid [ ("MJVM_TEST_SERVE", "replay") ])
+      ("MJVM_TEST_SERVE", "real");
+      ("MJVM_TEST_SERVE", "replay");
+    ]
 
 (* Over 400 seeded draws of [Test_support.gen_config], read as a failing
    case prints them, any two axes meet in every combination of their

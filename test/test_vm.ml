@@ -13,9 +13,9 @@ let string_of_result = Test_support.string_of_result
 
 let config opt ~threshold = { Jit.default_config with Jit.opt; compile_threshold = threshold }
 
-let run_vm src cfg ~iterations =
+let run_vm ?trace ?cpu ?heap src cfg ~iterations =
   let program = Pea_bytecode.Link.compile_source src in
-  let vm = Vm.create ~config:cfg program in
+  let vm = Vm.create ?trace ?cpu ?heap ~config:cfg program in
   Vm.run_main_iterations vm iterations
 
 let opt_name = function Jit.O_none -> "none" | Jit.O_ea -> "ea" | Jit.O_pea -> "pea"
@@ -243,7 +243,8 @@ let stress_config =
    the normal-entry compiles of each method (from the trace) and the VM. *)
 let drive_stress config =
   let program = Pea_bytecode.Link.compile_source ~require_main:false stress_src in
-  let vm = Vm.create ~config program in
+  let t = Pea_obs.Trace.create () in
+  let vm = Vm.create ~trace:t ~config program in
   let find = Pea_bytecode.Link.find_method program "W" in
   let fa = find "fa" and fb = find "fb" and fc = find "fc" and fd = find "fd" in
   let results = ref [] in
@@ -253,20 +254,19 @@ let drive_stress config =
     | _ -> Alcotest.fail "expected an int result"
   in
   let cold i period = if i mod period = 0 then 1 + (i / period mod 3) else 0 in
+  for i = 1 to 300 do
+    push (Vm.invoke vm fa [ Value.Vint i; Value.Vint (cold i 45) ]);
+    push (Vm.invoke vm fb [ Value.Vint i; Value.Vint (cold i 60) ]);
+    push (Vm.invoke vm fc [ Value.Vint i ]);
+    if i mod 3 = 0 then push (Vm.invoke vm fd [ Value.Vint i ])
+  done;
   let compiles =
-    Test_support.with_tracer (fun t ->
-        for i = 1 to 300 do
-          push (Vm.invoke vm fa [ Value.Vint i; Value.Vint (cold i 45) ]);
-          push (Vm.invoke vm fb [ Value.Vint i; Value.Vint (cold i 60) ]);
-          push (Vm.invoke vm fc [ Value.Vint i ]);
-          if i mod 3 = 0 then push (Vm.invoke vm fd [ Value.Vint i ])
-        done;
-        List.filter_map
-          (fun e ->
-            match e.Pea_obs.Trace.e_event with
-            | Pea_obs.Event.Tier_promote { meth; tier = "jit"; _ } -> Some meth
-            | _ -> None)
-          (Pea_obs.Trace.entries t))
+    List.filter_map
+      (fun e ->
+        match e.Pea_obs.Trace.e_event with
+        | Pea_obs.Event.Tier_promote { meth; tier = "jit"; _ } -> Some meth
+        | _ -> None)
+      (Pea_obs.Trace.entries t)
   in
   (List.rev !results, Stats.snapshot (Vm.stats vm), compiles, vm, (fa, fb, fc))
 
@@ -313,12 +313,12 @@ let prop_runs_agree =
   QCheck2.Test.make ~name:"two runs agree on results and every counter"
     ~count:(Test_env.qcheck_count 25) ~print:print_corpus_case gen_corpus_case
     (fun ((_, src), d) ->
-      Test_support.with_instrumentation d (fun () ->
-          let run () =
-            let r = run_vm src d.Test_support.config ~iterations:6 in
-            (Test_support.outcome r, r.Vm.stats)
-          in
-          run () = run ()))
+      let run () =
+        let trace, cpu, heap = Test_support.instruments d in
+        let r = run_vm ?trace ?cpu ?heap src d.Test_support.config ~iterations:6 in
+        (Test_support.outcome r, r.Vm.stats)
+      in
+      run () = run ())
 
 (* Every drawn configuration equals the interpreter on results and
    prints, one property per corpus program, so that each run meets every
@@ -334,8 +334,9 @@ let corpus_differential =
         gen_corpus_config
         (fun d ->
           let reference = Test_support.interp_reference ~iterations:6 src in
-          Test_support.with_instrumentation d (fun () ->
-              Test_support.outcome (run_vm src d.Test_support.config ~iterations:6) = reference)))
+          let trace, cpu, heap = Test_support.instruments d in
+          Test_support.outcome (run_vm ?trace ?cpu ?heap src d.Test_support.config ~iterations:6)
+          = reference))
     Programs.corpus
 
 let () =

@@ -89,24 +89,7 @@ let test_phi_swap () =
   Alcotest.(check int) "swapped 7x" 2000001 (as_int (Vm.invoke vm f [ vint 7 ]));
   (* the canonicalizer may have simplified, but the interpreter agrees *)
   let reference vm_args =
-    let stats = Stats.create () in
-    let heap = Heap.create stats in
-    let profile = Profile.create program in
-    let globals = Array.make (max program.Link.n_statics 1) Value.Vnull in
-    let rec env =
-      lazy
-        {
-          Interp.heap;
-          stats;
-          profile;
-          globals;
-          on_invoke = (fun m a -> Interp.run (Lazy.force env) m a);
-          on_print = ignore;
-          on_back_edge = (fun _ ~header:_ ~locals:_ -> Interp.No_osr);
-          hooks = None;
-        }
-    in
-    as_int (Interp.run (Lazy.force env) f vm_args)
+    as_int (Interp.run (Interp.make_env program) f vm_args)
   in
   for n = 0 to 10 do
     Alcotest.(check int)
