@@ -721,9 +721,6 @@ let obs_section () =
     let config = { Jit.default_config with Jit.compile_threshold = 2 } in
     let trace = if traced then Some (Pea_obs.Trace.create ()) else None in
     let vm = Vm.create ?trace ~config (Pea_bytecode.Link.compile_source src) in
-    Option.iter
-      (fun t -> Pea_obs.Trace.set_clock t (fun () -> Stats.get (Vm.stats vm) Stats.cycles))
-      trace;
     (Vm.run_main_iterations vm 3, trace)
   in
   let off, _ = run false in

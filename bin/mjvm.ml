@@ -314,13 +314,10 @@ let run_cmd =
               exit 1)
         trace
     in
-    (* The flight recorder needs a live ring to snapshot: it takes the
-       --trace ring when there is one, otherwise a private ring that is
-       never written out unless an incident triggers a dump. *)
-    let tracer =
-      if Option.is_some trace_out || Option.is_some flight_dump then Some (Trace.create ()) else None
-    in
-    let flight = Option.map (fun path -> Flight.create ~path (Option.get tracer)) flight_dump in
+    (* the flight recorder dumps the VM's tracer: the --trace ring when
+       there is one, otherwise a private ring of the VM's *)
+    let tracer = Option.map (fun _ -> Trace.create ()) trace_out in
+    let flight = Option.map (fun path -> Flight.create ~path) flight_dump in
     (* with --stats a fresh heap profiler watches the run: it is the
        ledger of the allocation breakdown *)
     let ledger = if stats then Some (Pheap.create ()) else None in
@@ -331,10 +328,6 @@ let run_cmd =
              osr_threshold no_osr check_level oracle)
         program
     in
-    (* deterministic clock: the VM's cost-model cycle counter *)
-    Option.iter
-      (fun t -> Trace.set_clock t (fun () -> Pea_rt.Stats.get (Vm.stats vm) Pea_rt.Stats.cycles))
-      tracer;
     let write_trace () =
       match (trace_out, tracer) with
       | Some oc, Some t ->

@@ -49,17 +49,13 @@ let top_param = { ps_escape = Global_escape; ps_written = true; ps_ref_loaded = 
 let top n =
   { s_params = Array.make n top_param; s_ret_fresh = false; s_pure = false; s_reads_heap = true }
 
-let is_ref_ty = function
-  | Pea_mjava.Ast.Tclass _ | Pea_mjava.Ast.Tarray _ | Pea_mjava.Ast.Tnull -> true
-  | Pea_mjava.Ast.Tint | Pea_mjava.Ast.Tbool -> false
-
 (* Optimistic starting point: nothing escapes, everything is pure; the
    fixpoint only ever escalates from here. *)
 let optimistic (m : Classfile.rt_method) =
   let clean = { ps_escape = No_escape; ps_written = false; ps_ref_loaded = false } in
   {
     s_params = Array.make (Classfile.arity m) clean;
-    s_ret_fresh = (match m.mth_ret with Some ty -> is_ref_ty ty | None -> false);
+    s_ret_fresh = (match m.mth_ret with Some ty -> Pea_mjava.Ast.is_ref_ty ty | None -> false);
     s_pure = true;
     s_reads_heap = false;
   }
@@ -172,7 +168,9 @@ let summarize table targets (m : Classfile.rt_method) (g : Graph.t) =
   let ref_loaded = Array.make nparams false in
   let pure = ref true in
   let reads_heap = ref false in
-  let ret_fresh = ref (match m.mth_ret with Some ty -> is_ref_ty ty | None -> false) in
+  let ret_fresh =
+    ref (match m.mth_ret with Some ty -> Pea_mjava.Ast.is_ref_ty ty | None -> false)
+  in
   let escalate set lvl = ISet.iter (fun p -> esc.(p) <- lvl_join esc.(p) lvl) set in
   let mark arr set = ISet.iter (fun p -> arr.(p) <- true) set in
   let effect (nd : Node.t) =
@@ -192,7 +190,7 @@ let summarize table targets (m : Classfile.rt_method) (g : Graph.t) =
         escalate alias.(v) Global_escape;
         pure := false
     | Node.Load_field (o, f) ->
-        if is_ref_ty f.Classfile.fld_ty then mark ref_loaded alias.(o);
+        if Pea_mjava.Ast.is_ref_ty f.Classfile.fld_ty then mark ref_loaded alias.(o);
         if not fresh.(o) then reads_heap := true
     | Node.Load_static _ -> reads_heap := true
     | Node.Array_load (a, _) ->
@@ -200,7 +198,7 @@ let summarize table targets (m : Classfile.rt_method) (g : Graph.t) =
         ISet.iter
           (fun p ->
             match tys.(p) with
-            | Pea_mjava.Ast.Tarray e -> if is_ref_ty e then ref_loaded.(p) <- true
+            | Pea_mjava.Ast.Tarray e -> if Pea_mjava.Ast.is_ref_ty e then ref_loaded.(p) <- true
             | _ -> ref_loaded.(p) <- true)
           alias.(a);
         if not fresh.(a) then reads_heap := true

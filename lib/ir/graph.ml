@@ -74,7 +74,6 @@ type t = {
   g_method : Classfile.rt_method;
   blocks : block Pea_support.Dyn_array.t;
   nodes : Node.t option Pea_support.Dyn_array.t; (* indexed by node id *)
-  virt_ids : Pea_support.Fresh.t;
   mutable params : Node.t list; (* Param nodes, in parameter order *)
   mutable g_osr_entry : int option;
       (* [Some bci] for on-stack-replacement graphs: the loop-header
@@ -92,7 +91,6 @@ let create (m : Classfile.rt_method) =
     g_method = m;
     blocks = Pea_support.Dyn_array.create ();
     nodes = Pea_support.Dyn_array.create ();
-    virt_ids = Pea_support.Fresh.create ();
     params = [];
     g_osr_entry = None;
   }
@@ -117,8 +115,6 @@ let new_node g op : Node.t =
   let n : Node.t = { id; op; fs = None } in
   ignore (Pea_support.Dyn_array.push g.nodes (Some n));
   n
-
-let new_virt g = Pea_support.Fresh.next g.virt_ids
 
 let add_param g idx =
   let n = new_node g (Node.Param idx) in

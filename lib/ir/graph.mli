@@ -82,7 +82,6 @@ type t = {
   g_method : Classfile.rt_method;
   blocks : block Pea_support.Dyn_array.t;
   nodes : Node.t option Pea_support.Dyn_array.t; (* id -> node; [None] = deleted *)
-  virt_ids : Pea_support.Fresh.t; (* virtual-object ids for frame states *)
   mutable params : Node.t list; (* Param nodes, in parameter order *)
   mutable g_osr_entry : int option;
       (* [Some bci] for on-stack-replacement graphs: the loop-header
@@ -100,8 +99,6 @@ val new_block : ?kind:block_kind -> t -> block
 (** [new_node g op] registers a node without placing it in a block;
     callers almost always want {!append} or {!add_phi} instead. *)
 val new_node : t -> Node.op -> Node.t
-
-val new_virt : t -> Frame_state.virt_id
 
 (** [add_param g i] creates and registers the [i]-th parameter node. *)
 val add_param : t -> int -> Node.t

@@ -11,8 +11,6 @@ type pos = {
 
 let dummy_pos = { line = 0; col = 0 }
 
-let pp_pos ppf { line; col } = Fmt.pf ppf "%d:%d" line col
-
 (* Types. [Tclass "Object"] is the implicit root of the class hierarchy. *)
 type ty =
   | Tint
@@ -27,8 +25,6 @@ let rec string_of_ty = function
   | Tclass c -> c
   | Tarray t -> string_of_ty t ^ "[]"
   | Tnull -> "null"
-
-let pp_ty ppf t = Fmt.string ppf (string_of_ty t)
 
 let equal_ty (a : ty) (b : ty) = a = b
 

@@ -14,8 +14,6 @@ type pos = {
 
 val dummy_pos : pos
 
-val pp_pos : Format.formatter -> pos -> unit
-
 (** Types. [Tnull] is the type of the [null] literal and cannot be written
     in source. *)
 type ty =
@@ -26,8 +24,6 @@ type ty =
   | Tnull
 
 val string_of_ty : ty -> string
-
-val pp_ty : Format.formatter -> ty -> unit
 
 val equal_ty : ty -> ty -> bool
 
@@ -132,4 +128,6 @@ type program = class_decl list
 (** The implicit root class, ["Object"]. *)
 val object_class : string
 
+(** [is_ref_ty t] — whether values of [t] are references: classes, arrays
+    and [null]. *)
 val is_ref_ty : ty -> bool

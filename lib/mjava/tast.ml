@@ -91,8 +91,6 @@ type tprogram = {
   tp_classes : tclass list;
 }
 
-let method_key (m : tmethod) = (m.tm_name, m.tm_static)
-
 let find_class (p : tprogram) name =
   List.find_opt (fun c -> c.tc_name = name) p.tp_classes
 

@@ -93,10 +93,6 @@ type tprogram = {
   tp_classes : tclass list;
 }
 
-(** [method_key m] — the (name, staticness) pair that identifies a method
-    within its class (no overloading in MJ). *)
-val method_key : tmethod -> string * bool
-
 val find_class : tprogram -> string -> tclass option
 
 val find_method : tclass -> string -> tmethod option

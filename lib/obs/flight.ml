@@ -1,9 +1,11 @@
 (* Flight recorder: the bounded trace ring kept always-on, snapshotted
    to disk when the VM hits something worth debugging — deopt-storm
    pinning, a compile failure, or an oracle divergence. A recorder is an
-   argument of the VM it watches ([Vm.create ~flight]), handed together
-   with its ring as the VM's tracer; the ring costs what tracing costs,
-   and the recorder only adds a file write on the rare trigger path.
+   argument of the VM it watches ([Vm.create ~flight]) and holds no ring
+   of its own: on an incident the VM hands it its tracer, which is the
+   ring the recorder dumps (a VM handed a recorder but no tracer keeps a
+   private one). The ring costs what tracing costs, and the recorder only
+   adds a file write on the rare trigger path.
 
    The dump format is one JSON header line (trigger reason, entry count,
    drop count, dump ordinal) followed by the ring contents in the JSONL
@@ -11,15 +13,10 @@
 
 type t = {
   fl_path : string;
-  fl_trace : Trace.t;
   mutable fl_dumps : int; (* how many times this recorder has triggered *)
 }
 
-let create ~path trace = { fl_path = path; fl_trace = trace; fl_dumps = 0 }
-
-let path t = t.fl_path
-
-let trace t = t.fl_trace
+let create ~path = { fl_path = path; fl_dumps = 0 }
 
 let dumps t = t.fl_dumps
 
@@ -27,17 +24,15 @@ let dumps t = t.fl_dumps
 (* Triggering                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let header t ~reason =
+let dump_string t ring ~reason =
   Json.obj
     [
       Json.str_field "flight" reason;
-      Json.int_field "events" (Trace.length t.fl_trace);
-      Json.int_field "dropped" (Trace.dropped t.fl_trace);
+      Json.int_field "events" (Trace.length ring);
+      Json.int_field "dropped" (Trace.dropped ring);
       Json.int_field "dump" t.fl_dumps;
     ]
-
-let dump_string t ~reason =
-  header t ~reason ^ "\n" ^ Trace.jsonl_string t.fl_trace
+  ^ "\n" ^ Trace.jsonl_string ring
 
 (* Each trigger overwrites the file: the latest incident wins, which is
    the one the user is chasing. A write failure must never take down the
@@ -45,13 +40,13 @@ let dump_string t ~reason =
    who asked for --flight-dump and hit an incident would otherwise chase a
    dump that was never written. One warning per failed trigger goes to
    stderr; the run's result and exit status are unaffected. *)
-let trigger t ~reason =
+let trigger t ring ~reason =
   t.fl_dumps <- t.fl_dumps + 1;
   try
     let oc = open_out t.fl_path in
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc (dump_string t ~reason))
+      (fun () -> output_string oc (dump_string t ring ~reason))
   with Sys_error msg -> Printf.eprintf "mjvm: flight dump failed: %s\n%!" msg
 
 (* ------------------------------------------------------------------ *)

@@ -6,28 +6,23 @@
     "dropped":D, "dump":k}]) followed by the ring in JSONL trace format.
     Each trigger overwrites the file — the latest incident wins.
 
-    A recorder is handed to the VM it watches ([Vm.create ~flight]),
-    together with its ring as the VM's tracer ([~trace]): the ring only
-    holds what the VM traces into it. *)
+    A recorder is handed to the VM it watches ([Vm.create ~flight]) and
+    holds no ring: it dumps the tracer of that VM, which [Vm.create]
+    makes privately when it is handed a recorder but no tracer. The ring
+    only holds what the VM traces into it. *)
 
 type t
 
-val create : path:string -> Trace.t -> t
-
-val path : t -> string
-
-val trace : t -> Trace.t
+val create : path:string -> t
 
 val dumps : t -> int
 (** How many times this recorder has triggered. *)
 
-val trigger : t -> reason:string -> unit
-(** Snapshot the recorder's ring to its path, tagging the dump with
-    [reason]. A write failure prints one warning to stderr and is
-    otherwise swallowed (a bad dump path must never crash the VM). *)
-
-val dump_string : t -> reason:string -> string
-(** The exact bytes a trigger would write (for tests). *)
+val trigger : t -> Trace.t -> reason:string -> unit
+(** [trigger t ring ~reason] snapshots [ring] (the watched VM's tracer)
+    to the recorder's path, tagging the dump with [reason]. A write
+    failure prints one warning to stderr and is otherwise swallowed (a
+    bad dump path must never crash the VM). *)
 
 (** {1 Reading dumps back} *)
 

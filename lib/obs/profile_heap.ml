@@ -11,9 +11,10 @@
    ledger ([by_class]).
 
    Like {!Trace} and {!Profile_cpu}, it is an argument of the VM it
-   watches, carried to every allocation site as an option: one load and
-   compare when off. The profiler never touches {!Stats} or {!Heap}
-   counters, so heap profiling cannot drift any deterministic counter. *)
+   watches; the VM hands it to its heap, the one code that records into
+   it, as an option: one load and compare per allocation when off. The
+   profiler never touches Stats or Heap counters, so heap profiling
+   cannot drift any deterministic counter. *)
 
 type kind =
   | K_alloc (* ordinary heap allocation, charged to Stats *)

@@ -8,7 +8,10 @@
     observed outcome side by side. It is also the VM's one per-class
     allocation ledger ({!by_class}): its charged records add up to
     [Stats.allocations] and [Stats.allocated_bytes] of a run it watched
-    from the start ([Vm.create ~heap]). Never writes {!Stats} or {!Heap}
+    from the start ([Vm.create ~heap]). Its one feeder is the VM's heap
+    ([Heap], created with it by [Interp.make_env]), which records each
+    allocation it charges or backs, at the site it is given, in the same
+    call: no other code calls {!record}. Never writes [Stats] or [Heap]
     counters. A profiler is not shared across domains. *)
 
 type kind =

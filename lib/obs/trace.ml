@@ -8,8 +8,9 @@
    what it watches: nothing here is shared or locked.
 
    Determinism rules (see DESIGN.md section 4e):
-   - timestamps come from an injected clock ([set_clock]), which the VM
-     wires to the cost-model cycle counter — never wall clock;
+   - timestamps come from an injected clock ([set_clock]), which
+     [Vm.create] wires to the VM's cost-model cycle counter — never wall
+     clock;
    - [seq] is a per-tracer monotone sequence number. Chrome output uses
      it as the [ts] logical clock (cycles are carried in [args]), since
      many events share one cycle value and viewers need distinct,

@@ -4,9 +4,10 @@
     [Server.create ~trace], [Jit.compile ~trace], [Pea.run ~trace]) as an
     option; emission sites match on it before building an event, so
     tracing off is one load and compare. Timestamps come from an
-    injected clock — the caller wires the cost-model cycle counter —
-    never wall clock, so traces are byte-for-byte reproducible. A tracer
-    is not shared across domains. *)
+    injected clock — [Vm.create] wires the cycle counter of the VM it
+    builds, and no other caller wires one — never wall clock, so traces
+    are byte-for-byte reproducible. A tracer is not shared across
+    domains. *)
 
 type entry = { e_seq : int; e_cycles : int; e_event : Event.t }
 
@@ -17,7 +18,8 @@ val default_capacity : int
 val create : ?capacity:int -> unit -> t
 
 val set_clock : t -> (unit -> int) -> unit
-(** Install the deterministic timestamp source (defaults to [fun () -> 0]). *)
+(** Install the deterministic timestamp source (defaults to [fun () -> 0]);
+    [Vm.create] installs its cycle counter. *)
 
 val emit : t -> Event.t -> unit
 (** Stamp and append one event, dropping the oldest entry when full. *)

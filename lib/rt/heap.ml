@@ -1,19 +1,24 @@
 (* Allocation front end: every object and array the VM creates goes through
    here so that allocation counts and byte sizes are accounted exactly
    once, whether the allocation comes from interpreted code, compiled code,
-   or deoptimization-time rematerialization. Counts per class are the heap
-   profiler's (Pea_obs.Profile_heap), not kept here. *)
+   or deoptimization-time rematerialization. The heap is also the one
+   feeder of the allocation-site ledger (Pea_obs.Profile_heap) it was
+   created with: each function records its object at the bytecode site it
+   is given, under the kind the function implies, so no caller records or
+   recomputes a class name or a byte size. *)
 
 open Pea_bytecode
+module Pheap = Pea_obs.Profile_heap
 
 type t = {
   stats : Stats.t;
+  ledger : Pheap.t option;
   mutable next_id : int;
   mutable region_depth : int; (* active per-frame stack regions, 0 = none *)
   mutable regions : Value.value list list; (* innermost frame region first *)
 }
 
-let create stats = { stats; next_id = 1; region_depth = 0; regions = [] }
+let create ?ledger stats = { stats; ledger; next_id = 1; region_depth = 0; regions = [] }
 
 let fresh_id t =
   let id = t.next_id in
@@ -25,8 +30,23 @@ let charge t bytes =
   Stats.add t.stats Stats.allocated_bytes bytes;
   Stats.add t.stats Stats.cycles (Cost.alloc_cost bytes)
 
-let alloc_object t (cls : Classfile.rt_class) : Value.obj =
-  charge t (Value.object_bytes cls);
+(* The ledger's records: one load and compare when there is no ledger,
+   and the class name and size are computed only when there is one. *)
+let record_object t ~mid ~bci kind (cls : Classfile.rt_class) =
+  match t.ledger with
+  | None -> ()
+  | Some p ->
+      Pheap.record p ~mid ~bci ~cls:cls.cls_name ~kind ~bytes:(Value.object_bytes cls)
+
+let record_array t ~mid ~bci kind elem len =
+  match t.ledger with
+  | None -> ()
+  | Some p ->
+      Pheap.record p ~mid ~bci
+        ~cls:(Pea_mjava.Ast.string_of_ty elem ^ "[]")
+        ~kind ~bytes:(Value.array_bytes elem len)
+
+let new_object t (cls : Classfile.rt_class) : Value.obj =
   {
     o_id = fresh_id t;
     o_cls = cls;
@@ -35,47 +55,57 @@ let alloc_object t (cls : Classfile.rt_class) : Value.obj =
     o_lock = 0;
     o_region = 0;
   }
+
+let new_array t elem len : Value.arr =
+  {
+    a_id = fresh_id t;
+    a_elem = elem;
+    a_elems = Array.make len (Value.default_value elem);
+    a_lock = 0;
+    a_region = 0;
+  }
+
+(* A charged allocation: ordinary ([K_alloc]) or rematerialized at a
+   deopt ([K_remat]). *)
+let charged_object t ~mid ~bci kind cls =
+  charge t (Value.object_bytes cls);
+  record_object t ~mid ~bci kind cls;
+  new_object t cls
+
+exception Negative_array_size of int
+
+let charged_array t ~mid ~bci kind elem len =
+  if len < 0 then raise (Negative_array_size len);
+  charge t (Value.array_bytes elem len);
+  record_array t ~mid ~bci kind elem len;
+  new_array t elem len
+
+let alloc_object t ~mid ~bci cls = charged_object t ~mid ~bci Pheap.K_alloc cls
+
+let alloc_array t ~mid ~bci elem len = charged_array t ~mid ~bci Pheap.K_alloc elem len
+
+let remat_object t ~mid ~bci cls = charged_object t ~mid ~bci Pheap.K_remat cls
+
+let remat_array t ~mid ~bci elem len = charged_array t ~mid ~bci Pheap.K_remat elem len
 
 (* Scratch allocations: real objects backing a virtual object that an
    interprocedural summary lets PEA pass to a non-inlined callee. They
    never outlive the call (the summary proves the callee cannot retain
    them), so they are costed like stack frame traffic: no allocation
    count, no allocated bytes, no GC pressure. *)
-let alloc_object_scratch t (cls : Classfile.rt_class) : Value.obj =
+let uncharged t =
   Stats.incr t.stats Stats.stack_allocs;
-  Stats.add t.stats Stats.cycles Cost.stack_alloc;
-  {
-    o_id = fresh_id t;
-    o_cls = cls;
-    o_fields =
-      Array.map (fun (f : Classfile.rt_field) -> Value.default_value f.fld_ty) cls.cls_instance_fields;
-    o_lock = 0;
-    o_region = 0;
-  }
+  Stats.add t.stats Stats.cycles Cost.stack_alloc
 
-exception Negative_array_size of int
+let alloc_object_scratch t ~mid ~bci cls =
+  uncharged t;
+  record_object t ~mid ~bci Pheap.K_scratch cls;
+  new_object t cls
 
-let alloc_array t elem len : Value.arr =
-  if len < 0 then raise (Negative_array_size len);
-  charge t (Value.array_bytes elem len);
-  {
-    a_id = fresh_id t;
-    a_elem = elem;
-    a_elems = Array.make len (Value.default_value elem);
-    a_lock = 0;
-    a_region = 0;
-  }
-
-let alloc_array_scratch t elem len : Value.arr =
-  Stats.incr t.stats Stats.stack_allocs;
-  Stats.add t.stats Stats.cycles Cost.stack_alloc;
-  {
-    a_id = fresh_id t;
-    a_elem = elem;
-    a_elems = Array.make len (Value.default_value elem);
-    a_lock = 0;
-    a_region = 0;
-  }
+let alloc_array_scratch t ~mid ~bci elem len =
+  uncharged t;
+  record_array t ~mid ~bci Pheap.K_scratch elem len;
+  new_array t elem len
 
 (* ------------------------------------------------------------------ *)
 (* Per-frame stack regions.                                            *)
@@ -147,32 +177,37 @@ let register_stack t (v : Value.value) =
 
 (* Frame-bounded stack allocations: costed like scratch (no heap charge),
    but registered in the innermost region for frame-pop reclamation. *)
-let alloc_object_stack t (cls : Classfile.rt_class) : Value.obj =
-  let o = alloc_object_scratch t cls in
+let alloc_object_stack t ~mid ~bci cls =
+  uncharged t;
+  record_object t ~mid ~bci Pheap.K_stack cls;
+  let o = new_object t cls in
   register_stack t (Value.Vobj o);
   o
 
-let alloc_array_stack t elem len : Value.arr =
-  let a = alloc_array_scratch t elem len in
+let alloc_array_stack t ~mid ~bci elem len =
+  uncharged t;
+  record_array t ~mid ~bci Pheap.K_stack elem len;
+  let a = new_array t elem len in
   register_stack t (Value.Varr a);
   a
 
 (* Deopt-time promotion: the object outlives its compiled frame after all
    (it is live in the interpreter resume state), so charge the real
    allocation the stack tier elided and move it to the heap. *)
-let promote t (v : Value.value) =
+let promote t ~mid ~bci (v : Value.value) =
   match v with
   | Vobj o when o.o_region > 0 ->
       o.o_region <- 0;
       charge t (Value.object_bytes o.o_cls);
-      Stats.incr t.stats Stats.stack_promotions;
-      true
+      record_object t ~mid ~bci Pheap.K_promote o.o_cls;
+      Stats.incr t.stats Stats.stack_promotions
   | Varr a when a.a_region > 0 ->
+      let len = Array.length a.a_elems in
       a.a_region <- 0;
-      charge t (Value.array_bytes a.a_elem (Array.length a.a_elems));
-      Stats.incr t.stats Stats.stack_promotions;
-      true
-  | Vobj _ | Varr _ | Vnull | Vint _ | Vbool _ -> false
+      charge t (Value.array_bytes a.a_elem len);
+      record_array t ~mid ~bci Pheap.K_promote a.a_elem len;
+      Stats.incr t.stats Stats.stack_promotions
+  | Vobj _ | Varr _ | Vnull | Vint _ | Vbool _ -> ()
 
 (* Monitor operations; [who] is only used in trap messages. *)
 exception Unbalanced_monitor of string

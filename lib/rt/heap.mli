@@ -6,40 +6,59 @@
     compiled code, or deoptimization-time rematerialization. The heap
     keeps no per-class counts: the allocation-site heap profiler
     ({!Pea_obs.Profile_heap}, its [by_class] view) is the one per-class
-    ledger. *)
+    ledger, and the heap is its one feeder. Every allocation function
+    takes the bytecode site [~mid ~bci] it allocates at and records its
+    object there, in the ledger the heap was created with, under the kind
+    the function implies: [alloc_*] an allocation, [*_scratch] a scratch
+    object, [*_stack] a stack object, [remat_*] a rematerialization and
+    {!promote} a promotion. Without a ledger a record costs one load and
+    compare. *)
 
 open Pea_bytecode
 
 type t = {
   stats : Stats.t;
+  ledger : Pea_obs.Profile_heap.t option;
   mutable next_id : int;
   mutable region_depth : int; (* active per-frame stack regions, 0 = none *)
   mutable regions : Value.value list list; (* innermost frame region first *)
 }
 
-(** [create stats] is a fresh heap charging into [stats]. *)
-val create : Stats.t -> t
+(** [create ?ledger stats] is a fresh heap charging into [stats] and
+    recording every allocation in [ledger], if given. *)
+val create : ?ledger:Pea_obs.Profile_heap.t -> Stats.t -> t
 
-(** [alloc_object t cls] allocates an instance with default field values,
-    charging one allocation of {!Value.object_bytes}. *)
-val alloc_object : t -> Classfile.rt_class -> Value.obj
+(** [alloc_object t ~mid ~bci cls] allocates an instance with default
+    field values at bytecode [bci] of method [mid], charging one
+    allocation of {!Value.object_bytes}. *)
+val alloc_object : t -> mid:int -> bci:int -> Classfile.rt_class -> Value.obj
 
 exception Negative_array_size of int
 
-(** [alloc_array t elem len] allocates an array of [len] default elements.
+(** [alloc_array t ~mid ~bci elem len] allocates an array of [len]
+    default elements.
     @raise Negative_array_size if [len < 0]. *)
-val alloc_array : t -> Pea_mjava.Ast.ty -> int -> Value.arr
+val alloc_array : t -> mid:int -> bci:int -> Pea_mjava.Ast.ty -> int -> Value.arr
 
-(** [alloc_object_scratch t cls] builds a real object without charging an
-    allocation: it backs a virtual object passed to a callee whose summary
-    proves the argument cannot escape. Only {!Stats.stack_allocs} and a
-    small cycle cost are counted. *)
-val alloc_object_scratch : t -> Classfile.rt_class -> Value.obj
+(** [remat_object t ~mid ~bci cls] — {!alloc_object} for a scalar-replaced
+    object rematerialized at a deoptimization; [(mid, bci)] is the deopt
+    site. *)
+val remat_object : t -> mid:int -> bci:int -> Classfile.rt_class -> Value.obj
 
-(** [alloc_array_scratch t elem len] — scratch counterpart of
+(** [remat_array t ~mid ~bci elem len] — {!alloc_array} for a
+    rematerialized array. *)
+val remat_array : t -> mid:int -> bci:int -> Pea_mjava.Ast.ty -> int -> Value.arr
+
+(** [alloc_object_scratch t ~mid ~bci cls] builds a real object without
+    charging an allocation: it backs a virtual object passed to a callee
+    whose summary proves the argument cannot escape. Only
+    {!Stats.stack_allocs} and a small cycle cost are counted. *)
+val alloc_object_scratch : t -> mid:int -> bci:int -> Classfile.rt_class -> Value.obj
+
+(** [alloc_array_scratch t ~mid ~bci elem len] — scratch counterpart of
     {!alloc_array}; [len] comes from a virtual object's field count and is
     never negative. *)
-val alloc_array_scratch : t -> Pea_mjava.Ast.ty -> int -> Value.arr
+val alloc_array_scratch : t -> mid:int -> bci:int -> Pea_mjava.Ast.ty -> int -> Value.arr
 
 (** {1 Per-frame stack regions}
 
@@ -57,22 +76,22 @@ val push_frame : t -> unit
     @raise Invalid_argument if no region is active. *)
 val pop_frame : t -> unit
 
-(** [alloc_object_stack t cls] — frame-bounded stack allocation: costed
-    like scratch (no heap charge, {!Stats.stack_allocs} +
-    {!Cost.stack_alloc} only) but registered in the innermost region for
-    frame-pop reclamation. With no active region it degrades to a plain
-    scratch allocation. *)
-val alloc_object_stack : t -> Classfile.rt_class -> Value.obj
+(** [alloc_object_stack t ~mid ~bci cls] — frame-bounded stack
+    allocation: costed like scratch (no heap charge,
+    {!Stats.stack_allocs} + {!Cost.stack_alloc} only) but registered in
+    the innermost region for frame-pop reclamation. With no active region
+    it degrades to a plain scratch allocation. *)
+val alloc_object_stack : t -> mid:int -> bci:int -> Classfile.rt_class -> Value.obj
 
-val alloc_array_stack : t -> Pea_mjava.Ast.ty -> int -> Value.arr
+val alloc_array_stack : t -> mid:int -> bci:int -> Pea_mjava.Ast.ty -> int -> Value.arr
 
-(** [promote t v] moves a live stack-region object to the heap during
-    deoptimization rematerialization: charges the real allocation the
-    stack tier elided, clears the region marker (so the enclosing
-    [pop_frame] leaves it alone) and counts one
-    {!Stats.stack_promotions}. Returns whether [v] was promoted: [false]
-    (and no effect) on heap values and primitives. *)
-val promote : t -> Value.value -> bool
+(** [promote t ~mid ~bci v] moves a live stack-region object to the heap
+    during deoptimization rematerialization: charges the real allocation
+    the stack tier elided, records it at the deopt site [(mid, bci)],
+    clears the region marker (so the enclosing [pop_frame] leaves it
+    alone) and counts one {!Stats.stack_promotions}. Heap values and
+    primitives are left as they are. *)
+val promote : t -> mid:int -> bci:int -> Value.value -> unit
 
 exception Unbalanced_monitor of string
 

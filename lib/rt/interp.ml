@@ -4,17 +4,17 @@
 
    What watches it comes in its environment ([env.instruments]): the
    sampling profiler is resolved once per frame and polled at every
-   dispatch (one load and compare when there is none), each frame is
-   bracketed on its shadow stack, and every allocation is recorded in
-   the heap profiler. An environment without instruments — the deopt
-   oracle's shadow replay, a threaded server's tenant — is seen by
-   none, so no per-dispatch test needs to ask whose environment it is. *)
+   dispatch (one load and compare when there is none), and each frame is
+   bracketed on its shadow stack. The heap profiler is handed to the
+   environment's heap ([make_env]), which records every allocation at
+   the site it is given. An environment without instruments — the deopt
+   oracle's shadow replay, a server's tenant — is seen by none, so no
+   per-dispatch test needs to ask whose environment it is. *)
 
 open Pea_bytecode
 open Classfile
 open Value
 module Pcpu = Pea_obs.Profile_cpu
-module Pheap = Pea_obs.Profile_heap
 module Instruments = Pea_obs.Instruments
 
 exception Trap of string
@@ -212,26 +212,12 @@ let exec env (m : rt_method) ~locals ~stack ~bci : Value.value option =
             let eq = equal_value a b in
             step (bci + 1) (Vbool (match c with AEq -> eq | ANe -> not eq) :: rest)
         | _ -> trap "stack underflow at acmp")
-    | New cls ->
-        (match env.instruments.heap with
-        | Some p ->
-            Pheap.record p ~mid:m.mth_id ~bci ~cls:cls.cls_name ~kind:Pheap.K_alloc
-              ~bytes:(Value.object_bytes cls)
-        | None -> ());
-        step (bci + 1) (Vobj (Heap.alloc_object env.heap cls) :: stack)
+    | New cls -> step (bci + 1) (Vobj (Heap.alloc_object env.heap ~mid:m.mth_id ~bci cls) :: stack)
     | Newarray elem -> (
         match stack with
         | len :: rest -> (
-            match Heap.alloc_array env.heap elem (as_int len) with
-            | arr ->
-                (match env.instruments.heap with
-                | Some p ->
-                    Pheap.record p ~mid:m.mth_id ~bci
-                      ~cls:(Pea_mjava.Ast.string_of_ty elem ^ "[]")
-                      ~kind:Pheap.K_alloc
-                      ~bytes:(Value.array_bytes elem (Array.length arr.a_elems))
-                | None -> ());
-                step (bci + 1) (Varr arr :: rest)
+            match Heap.alloc_array env.heap ~mid:m.mth_id ~bci elem (as_int len) with
+            | arr -> step (bci + 1) (Varr arr :: rest)
             | exception Heap.Negative_array_size n -> trap "negative array size %d" n)
         | [] -> trap "stack underflow at newarray")
     | Arraylength -> (
@@ -450,7 +436,7 @@ let make_env ?(stats = Stats.create ()) ?globals ?(on_print = ignore) ?hooks
   in
   let rec env =
     {
-      heap = Heap.create stats;
+      heap = Heap.create ?ledger:instruments.heap stats;
       stats;
       profile = Profile.create program;
       globals;

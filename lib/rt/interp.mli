@@ -16,6 +16,19 @@ exception Trap of string
     matching handler range catches it. Escapes [run] if uncaught. *)
 exception Mj_throw of Value.value
 
+(** [trap fmt ...] raises {!Trap} with the formatted message. Compiled
+    code raises its traps through this and the two conversions below, so
+    a fault reads the same in every tier. *)
+val trap : ('a, Format.formatter, unit, 'b) format4 -> 'a
+
+(** [as_int v] is the int [v] holds.
+    @raise Trap ["expected int, found ..."] on any other value. *)
+val as_int : Value.value -> int
+
+(** [as_bool v] is the boolean [v] holds.
+    @raise Trap ["expected boolean, found ..."] on any other value. *)
+val as_bool : Value.value -> bool
+
 (** The VM's answer when the interpreter offers a hot back edge for
     on-stack replacement: [No_osr] keeps interpreting; [Osr_return r]
     means the rest of the frame already ran in OSR-compiled code and [r]
@@ -76,14 +89,15 @@ and env = {
   instruments : Pea_obs.Instruments.t;
       (** what watches this environment: the interpreter polls the
           sampling profiler at every dispatch and brackets each frame on
-          its shadow stack, and records every allocation in the heap
-          profiler; the closure tier, deoptimization and the VM read the
-          rest. The oracle's shadow replay carries none, so what checks
-          a deopt is never seen by what profiles it. *)
+          its shadow stack, the heap records every allocation in the
+          heap profiler, and the closure tier, deoptimization and the VM
+          read the rest. The oracle's shadow replay carries none, so
+          what checks a deopt is never seen by what profiles it. *)
 }
 
 (** [make_env program] is an environment for [program]: [stats] (fresh
-    by default), a fresh heap and profile, [globals] (by default the
+    by default), a fresh profile and a fresh heap, which records into
+    the heap profiler of [instruments], [globals] (by default the
     static fields at their declared types' defaults), every invoke
     interpreted in this environment, no OSR, [on_print] (default
     [ignore]), [hooks] (default none) and [instruments] (default

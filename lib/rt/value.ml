@@ -37,8 +37,6 @@ let default_value (ty : Pea_mjava.Ast.ty) =
   | Tbool -> Vbool false
   | Tclass _ | Tarray _ | Tnull -> Vnull
 
-let is_ref = function Vobj _ | Varr _ | Vnull -> true | Vint _ | Vbool _ -> false
-
 (* Size accounting: 16-byte header; 8 bytes per object field (uniform
    value-sized slots); arrays use 4 bytes per int/boolean element and
    8 per reference element. *)

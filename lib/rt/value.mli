@@ -36,9 +36,6 @@ and arr = {
     [ty]: [0], [false] or [null]. *)
 val default_value : Pea_mjava.Ast.ty -> value
 
-(** [is_ref v] is [true] for objects, arrays and [null]. *)
-val is_ref : value -> bool
-
 (** Heap size accounting: 16-byte headers, 8 bytes per object field,
     4 bytes per [int]/[boolean] array element, 8 per reference element. *)
 

@@ -39,15 +39,15 @@
    mode's only divergence is wall-clock, which is the point of the
    scaling benchmark.
 
-   Instruments (a tracer, the sampling and heap profilers, a flight
-   recorder) are arguments of [create]. The server's own events — the
-   barrier's, the compile queue's and the shared compiles' — go to its
-   tracer in both modes: the coordinator emits them in a fixed order. A
-   replay server hands all its instruments to every tenant VM, whose
-   events interleave deterministically on the one domain. A threaded
-   server hands its tenant VMs none: a worker's events would interleave
-   with the coordinator's in wall-clock order, and the profilers are
-   single-domain instruments (shadow stacks, site tables). *)
+   A server's one instrument is the tracer [create] is handed, for the
+   server's own events — the barrier's, the compile queue's and the
+   shared compiles' — which the coordinator emits in a fixed order. Its
+   tenant VMs carry no instrument in either mode: a worker's events would
+   interleave with the coordinator's in wall-clock order, a profiler is
+   a single-domain instrument (shadow stack, site table) whose clock is
+   one VM's cycle counter, and a profile keyed by method id cannot tell
+   the session's apps apart. So a session's trace is the same in both
+   modes, and per-tenant counts are in each tenant's report. *)
 
 open Pea_bytecode
 open Pea_rt
@@ -160,7 +160,7 @@ let qualified (ap : app) (m : Classfile.rt_method) =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let create ?trace ?cpu ?heap ?flight ?(config = default_config) (script : script) : t =
+let create ?trace ?(config = default_config) (script : script) : t =
   (match config.sv_mode with
   | Threaded n when n < 1 || n > max_workers ->
       invalid_arg (Printf.sprintf "Server.create: Threaded %d is outside 1..%d" n max_workers)
@@ -187,17 +187,12 @@ let create ?trace ?cpu ?heap ?flight ?(config = default_config) (script : script
      hook covers. The shared compiles take [ap_summaries], so a tenant
      needs no summary table of its own. *)
   let tenant_jit = { config.sv_jit with Jit.osr = false; summaries = false } in
-  let tenant_vm program =
-    match config.sv_mode with
-    | Replay -> Vm.create ?trace ?cpu ?heap ?flight ~config:tenant_jit program
-    | Threaded _ -> Vm.create ~config:tenant_jit program
-  in
   let tenants =
     Array.of_list
       (List.mapi
          (fun i (name, app_idx) ->
            let ap = apps.(app_idx) in
-           let vm = tenant_vm ap.ap_program in
+           let vm = Vm.create ~config:tenant_jit ap.ap_program in
            {
              tn_id = i;
              tn_name = name;
@@ -506,8 +501,8 @@ let report server =
       |> List.filter_map (fun tn -> if tn.tn_quarantined then Some tn.tn_name else None);
   }
 
-let run ?trace ?cpu ?heap ?flight ?config script =
-  let server = create ?trace ?cpu ?heap ?flight ?config script in
+let run ?trace ?config script =
+  let server = create ?trace ?config script in
   run_rounds server script.sc_rounds;
   report server
 

@@ -25,7 +25,7 @@ module Profile = Pea_rt.Profile
 type key = int * int (* (app index, mth_id) *)
 
 type entry = {
-  ce_code : Jit.compiled; (* stored with [closure = None]; see [lookup] *)
+  ce_code : Jit.compiled; (* immutable: every adopter gets this record *)
   ce_epoch : int; (* shared epoch the install was validated against *)
 }
 
@@ -56,19 +56,15 @@ let publish t k ~epoch:e code =
   let current = epoch t k in
   if current <> e then `Stale current
   else begin
-    Hashtbl.replace t.entries k { ce_code = { code with Jit.closure = None }; ce_epoch = e };
+    Hashtbl.replace t.entries k { ce_code = code; ce_epoch = e };
     `Installed
   end
 
 (* Adopt-side read, the one call made from worker domains; returns the
-   code with the epoch it was installed under. The returned record is a
-   fresh copy with [closure = None]: closure-tier translations capture
-   the adopting VM's environment, so they must never be shared across
-   tenants — each adopter builds its own lazily. *)
-let lookup t k =
-  Option.map
-    (fun e -> ({ e.ce_code with Jit.closure = None }, e.ce_epoch))
-    (Hashtbl.find_opt t.entries k)
+   published code with the epoch it was installed under. Compiled code is
+   immutable, so every adopter gets the one record: each tenant's VM
+   keeps its own closure translation of it, bound to its own heap. *)
+let lookup t k = Option.map (fun e -> (e.ce_code, e.ce_epoch)) (Hashtbl.find_opt t.entries k)
 
 let mem t k = Hashtbl.mem t.entries k
 

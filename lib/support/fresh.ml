@@ -2,8 +2,6 @@ type t = { mutable next_id : int }
 
 let create () = { next_id = 0 }
 
-let starting_at n = { next_id = n }
-
 let next t =
   let id = t.next_id in
   t.next_id <- id + 1;

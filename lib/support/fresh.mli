@@ -5,9 +5,6 @@ type t
 (** [create ()] is a generator whose first id is [0]. *)
 val create : unit -> t
 
-(** [starting_at n] is a generator whose first id is [n]. *)
-val starting_at : int -> t
-
 (** [next t] returns the next id and advances the generator. *)
 val next : t -> int
 

@@ -20,12 +20,14 @@
        an [If] or a [Goto] makes its transfer itself; an edge with phi
        moves is one closure that moves, then transfers. No closure runs
        only to jump or only to test the profiler.
-     - The instruments are captured from the environment once, at
-       translation: every check tests that captured value, never a
-       global. The CPU profiler's block safepoints are polled by the
-       transfer into the block, after the edge's moves, and only when
-       the translation captured a profiler (one load and compare when
-       it did not); the method entry's by {!run}. A block with no
+     - The tracer and the CPU profiler are captured from the
+       environment once, at translation: every check tests that captured
+       value, never a global. An allocation passes its bytecode site to
+       the heap, which records it in the heap profiler. The CPU
+       profiler's block safepoints are polled by the transfer into the
+       block, after the edge's moves, and only when the translation
+       captured a profiler (one load and compare when it did not); the
+       method entry's by {!run}. A block with no
        closure of its own (no instruction, no pending charge, a [Goto]
        to a block without phis) is passed through: a transfer into it
        polls its safepoint and its successor's, in order, and calls the
@@ -108,7 +110,6 @@ open Value
 module Event = Pea_obs.Event
 module Trace = Pea_obs.Trace
 module Profile_cpu = Pea_obs.Profile_cpu
-module Profile_heap = Pea_obs.Profile_heap
 
 (* a register file: the value registers and the unboxed int registers,
    both indexed by node id *)
@@ -152,12 +153,6 @@ type code = {
   method_name : string; (* for trap messages *)
 }
 
-let trap fmt = Format.kasprintf (fun m -> raise (Interp.Trap m)) fmt
-
-let as_int = function Vint n -> n | v -> trap "expected int, found %s" (string_of_value v)
-
-let as_bool = function Vbool b -> b | v -> trap "expected boolean, found %s" (string_of_value v)
-
 let const_value = Ir_exec.const_value
 
 (* the two booleans compiled code produces *)
@@ -170,7 +165,7 @@ let vfalse = Vbool false
    operand if it is not an int, else the left: the generic path converted
    the right operand first. *)
 let int_operands va vb =
-  trap "expected int, found %s" (string_of_value (match vb with Vint _ -> va | _ -> vb))
+  Interp.trap "expected int, found %s" (string_of_value (match vb with Vint _ -> va | _ -> vb))
 
 (* ------------------------------------------------------------------ *)
 (* The plan: which file each node lives in                             *)
@@ -385,7 +380,7 @@ let parallel_move kinds dsts srcs ti tv f =
     | Mv_int -> ti.(i) <- ir.(s)
     | Mv_value -> tv.(i) <- vr.(s)
     | Mv_box -> tv.(i) <- Vint ir.(s)
-    | Mv_unbox -> ti.(i) <- as_int vr.(s)
+    | Mv_unbox -> ti.(i) <- (match vr.(s) with Vint n -> n | v -> Interp.as_int v)
   done;
   for i = 0 to Array.length dsts - 1 do
     match kinds.(i) with
@@ -525,7 +520,7 @@ let[@inline] geti f mode x =
   match mode with
   | Reg -> f.ir.(x)
   | Imm -> x
-  | Box -> ( match f.vr.(x) with Vint n -> n | v -> as_int v)
+  | Box -> ( match f.vr.(x) with Vint n -> n | v -> Interp.as_int v)
 
 (* An [Arith]'s operands in the modes its closure reads them: an
    immediate left operand of a commutative operator moves right, where
@@ -607,13 +602,13 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
   let on_invoke = env.Interp.on_invoke in
   let on_print = env.Interp.on_print in
   (* the instruments, captured once: every check below tests one of
-     these values, never a global *)
-  let { Pea_obs.Instruments.trace; cpu; heap = pheap; _ } = env.Interp.instruments in
+     these values, never a global; the heap records its own allocations *)
+  let { Pea_obs.Instruments.trace; cpu; _ } = env.Interp.instruments in
   let reachable, order, n_order = postorder g in
   let pl = plan_of ~reachable g in
   let regs = pl.regs in
   (* the closure table back edges jump through; filled below *)
-  let unbuilt : chain = fun _ -> trap "closure tier: jump into an uncompiled block" in
+  let unbuilt : chain = fun _ -> Interp.trap "closure tier: jump into an uncompiled block" in
   let bodies = Array.make (Graph.n_blocks g) unbuilt in
   (* the counter bump a charging closure starts with: [k] operations and
      [cy] cycles, its own and those pending before it (constants, int
@@ -636,8 +631,8 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
         | _ -> (Box, x))
     | R_value | R_none -> (Box, x)
   in
-  (* bytecode-site attribution, pre-resolved like every other operand so
-     the profiler checks below cost one bool load when profiling is off *)
+  (* bytecode sites, pre-resolved like every other operand: each
+     allocation's, where the heap records it, and each block's safepoint *)
   let sites = p.Ir_exec.p_sites and block_bcis = p.Ir_exec.p_bcis in
   let build_args arg_ids vr =
     let rec go i acc = if i < 0 then acc else go (i - 1) (vr.(arg_ids.(i)) :: acc) in
@@ -751,7 +746,7 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
               bump k cy;
               let y = geti f mb b in
               let x = geti f ma a in
-              if y = 0 then trap "division by zero";
+              if y = 0 then Interp.trap "division by zero";
               f.ir.(dst) <- x / y;
               next f)
     | Node.Rem -> (
@@ -766,7 +761,7 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
               bump k cy;
               let y = geti f mb b in
               let x = geti f ma a in
-              if y = 0 then trap "division by zero";
+              if y = 0 then Interp.trap "division by zero";
               f.ir.(dst) <- x mod y;
               next f)
   in
@@ -919,7 +914,7 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
              (match f.vr.(a) with
              | Vbool true -> vfalse
              | Vbool false -> vtrue
-             | v -> Vbool (not (as_bool v))));
+             | v -> Vbool (not (Interp.as_bool v))));
           next f
     | Node.Cmp (c, a, b) when pl.int_cmps.(dst) ->
         compile_int_cmp k cy c dst (int_operand a) (int_operand b) next
@@ -962,27 +957,15 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
               next f)
     | Node.New cls ->
         let mid, bci = sites.(dst) in
-        let cls_name = cls.Classfile.cls_name in
-        let bytes = Value.object_bytes cls in
         fun f ->
           bump k cy;
-          (match pheap with
-          | Some p ->
-              Profile_heap.record p ~mid ~bci ~cls:cls_name ~kind:Profile_heap.K_alloc ~bytes
-          | None -> ());
-          f.vr.(dst) <- Vobj (Heap.alloc_object heap cls);
+          f.vr.(dst) <- Vobj (Heap.alloc_object heap ~mid ~bci cls);
           next f
     | Node.Alloc (cls, field_values) ->
         let mid, bci = sites.(dst) in
-        let cls_name = cls.Classfile.cls_name in
-        let bytes = Value.object_bytes cls in
         fun f ->
           bump k cy;
-          (match pheap with
-          | Some p ->
-              Profile_heap.record p ~mid ~bci ~cls:cls_name ~kind:Profile_heap.K_alloc ~bytes
-          | None -> ());
-          let o = Heap.alloc_object heap cls in
+          let o = Heap.alloc_object heap ~mid ~bci cls in
           let r = f.vr in
           for i = 0 to Array.length field_values - 1 do
             o.o_fields.(i) <- r.(field_values.(i))
@@ -992,38 +975,25 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
     | Node.Alloc_array (elem, elem_values) ->
         let len = Array.length elem_values in
         let mid, bci = sites.(dst) in
-        let arr_name = Pea_mjava.Ast.string_of_ty elem ^ "[]" in
-        let bytes = Value.array_bytes elem len in
         fun f ->
           bump k cy;
-          (match Heap.alloc_array heap elem len with
-          | arr ->
-              (match pheap with
-              | Some p ->
-                  Profile_heap.record p ~mid ~bci ~cls:arr_name ~kind:Profile_heap.K_alloc ~bytes
-              | None -> ());
-              let r = f.vr in
-              for i = 0 to len - 1 do
-                arr.a_elems.(i) <- r.(elem_values.(i))
-              done;
-              r.(dst) <- Varr arr
-          | exception Heap.Negative_array_size n -> trap "negative array size %d" n);
+          let arr = Heap.alloc_array heap ~mid ~bci elem len in
+          let r = f.vr in
+          for i = 0 to len - 1 do
+            arr.a_elems.(i) <- r.(elem_values.(i))
+          done;
+          r.(dst) <- Varr arr;
           next f
     | Node.Stack_alloc (sk, cls, field_values) ->
         let mid, bci = sites.(dst) in
-        let cls_name = cls.Classfile.cls_name in
-        let bytes = Value.object_bytes cls in
-        let kind, alloc =
+        let alloc =
           match sk with
-          | Node.Sk_scratch -> (Profile_heap.K_scratch, Heap.alloc_object_scratch)
-          | Node.Sk_frame -> (Profile_heap.K_stack, Heap.alloc_object_stack)
+          | Node.Sk_scratch -> Heap.alloc_object_scratch
+          | Node.Sk_frame -> Heap.alloc_object_stack
         in
         fun f ->
           bump k cy;
-          (match pheap with
-          | Some p -> Profile_heap.record p ~mid ~bci ~cls:cls_name ~kind ~bytes
-          | None -> ());
-          let o = alloc heap cls in
+          let o = alloc heap ~mid ~bci cls in
           let r = f.vr in
           for i = 0 to Array.length field_values - 1 do
             o.o_fields.(i) <- r.(field_values.(i))
@@ -1033,19 +1003,14 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
     | Node.Stack_alloc_array (sk, elem, elem_values) ->
         let len = Array.length elem_values in
         let mid, bci = sites.(dst) in
-        let arr_name = Pea_mjava.Ast.string_of_ty elem ^ "[]" in
-        let bytes = Value.array_bytes elem len in
-        let kind, alloc =
+        let alloc =
           match sk with
-          | Node.Sk_scratch -> (Profile_heap.K_scratch, Heap.alloc_array_scratch)
-          | Node.Sk_frame -> (Profile_heap.K_stack, Heap.alloc_array_stack)
+          | Node.Sk_scratch -> Heap.alloc_array_scratch
+          | Node.Sk_frame -> Heap.alloc_array_stack
         in
         fun f ->
           bump k cy;
-          (match pheap with
-          | Some p -> Profile_heap.record p ~mid ~bci ~cls:arr_name ~kind ~bytes
-          | None -> ());
-          let arr = alloc heap elem len in
+          let arr = alloc heap ~mid ~bci elem len in
           let r = f.vr in
           for i = 0 to len - 1 do
             arr.a_elems.(i) <- r.(elem_values.(i))
@@ -1054,19 +1019,12 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
           next f
     | Node.New_array (elem, len) ->
         let mid, bci = sites.(dst) in
-        let arr_name = Pea_mjava.Ast.string_of_ty elem ^ "[]" in
         let ml, len = int_operand len in
         fun f ->
           bump k cy;
-          (match Heap.alloc_array heap elem (geti f ml len) with
-          | arr ->
-              (match pheap with
-              | Some p ->
-                  Profile_heap.record p ~mid ~bci ~cls:arr_name ~kind:Profile_heap.K_alloc
-                    ~bytes:(Value.array_bytes elem (Array.length arr.a_elems))
-              | None -> ());
-              f.vr.(dst) <- Varr arr
-          | exception Heap.Negative_array_size n -> trap "negative array size %d" n);
+          (match Heap.alloc_array heap ~mid ~bci elem (geti f ml len) with
+          | arr -> f.vr.(dst) <- Varr arr
+          | exception Heap.Negative_array_size n -> Interp.trap "negative array size %d" n);
           next f
     | Node.Load_field (o, fld) ->
         let off = fld.Classfile.fld_offset in
@@ -1076,8 +1034,8 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
           let r = f.vr in
           (match r.(o) with
           | Vobj obj -> r.(dst) <- obj.o_fields.(off)
-          | Vnull -> trap "null dereference reading %s" name
-          | _ -> trap "field load on a non-object");
+          | Vnull -> Interp.trap "null dereference reading %s" name
+          | _ -> Interp.trap "field load on a non-object");
           next f
     | Node.Store_field (o, fld, x) ->
         let off = fld.Classfile.fld_offset in
@@ -1087,8 +1045,8 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
           let r = f.vr in
           (match r.(o) with
           | Vobj obj -> obj.o_fields.(off) <- r.(x)
-          | Vnull -> trap "null dereference writing %s" name
-          | _ -> trap "field store on a non-object");
+          | Vnull -> Interp.trap "null dereference writing %s" name
+          | _ -> Interp.trap "field store on a non-object");
           next f
     | Node.Load_static sf ->
         let idx = sf.Classfile.sf_index in
@@ -1111,10 +1069,10 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
           | Varr arr ->
               let idx = geti f mi i in
               if idx < 0 || idx >= Array.length arr.a_elems then
-                trap "array index %d out of bounds" idx;
+                Interp.trap "array index %d out of bounds" idx;
               r.(dst) <- arr.a_elems.(idx)
-          | Vnull -> trap "null dereference at array load"
-          | _ -> trap "array load on a non-array");
+          | Vnull -> Interp.trap "null dereference at array load"
+          | _ -> Interp.trap "array load on a non-array");
           next f
     | Node.Array_store (a, i, x) ->
         let mi, i = int_operand i in
@@ -1125,10 +1083,10 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
           | Varr arr ->
               let idx = geti f mi i in
               if idx < 0 || idx >= Array.length arr.a_elems then
-                trap "array index %d out of bounds" idx;
+                Interp.trap "array index %d out of bounds" idx;
               arr.a_elems.(idx) <- r.(x)
-          | Vnull -> trap "null dereference at array store"
-          | _ -> trap "array store on a non-array");
+          | Vnull -> Interp.trap "null dereference at array store"
+          | _ -> Interp.trap "array store on a non-array");
           next f
     | Node.Array_length a ->
         fun f ->
@@ -1136,28 +1094,28 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
           let r = f.vr in
           (match r.(a) with
           | Varr arr -> r.(dst) <- Vint (Array.length arr.a_elems)
-          | Vnull -> trap "null dereference at arraylength"
-          | _ -> trap "arraylength on a non-array");
+          | Vnull -> Interp.trap "null dereference at arraylength"
+          | _ -> Interp.trap "arraylength on a non-array");
           next f
     | Node.Monitor_enter a ->
         fun f ->
           bump k cy;
           (match f.vr.(a) with
-          | Vnull -> trap "monitorenter on null"
+          | Vnull -> Interp.trap "monitorenter on null"
           | x -> (
               match Heap.monitor_enter heap x with
               | () -> ()
-              | exception Heap.Unbalanced_monitor msg -> trap "%s" msg));
+              | exception Heap.Unbalanced_monitor msg -> Interp.trap "%s" msg));
           next f
     | Node.Monitor_exit a ->
         fun f ->
           bump k cy;
           (match f.vr.(a) with
-          | Vnull -> trap "monitorexit on null"
+          | Vnull -> Interp.trap "monitorexit on null"
           | x -> (
               match Heap.monitor_exit heap x with
               | () -> ()
-              | exception Heap.Unbalanced_monitor msg -> trap "%s" msg));
+              | exception Heap.Unbalanced_monitor msg -> Interp.trap "%s" msg));
           next f
     | Node.Invoke (kind, callee, arg_ids) -> (
         match kind with
@@ -1166,7 +1124,7 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
               bump k cy;
               let args = build_args arg_ids f.vr in
               (match args with
-              | Vnull :: _ -> trap "null receiver in constructor call"
+              | Vnull :: _ -> Interp.trap "null receiver in constructor call"
               | _ -> ());
               ignore (on_invoke callee args);
               next f
@@ -1183,7 +1141,7 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
             fun f ->
               bump k cy;
               let args = build_args arg_ids f.vr in
-              let recv = match args with r :: _ -> r | [] -> trap "missing receiver" in
+              let recv = match args with r :: _ -> r | [] -> Interp.trap "missing receiver" in
               let target =
                 match (recv, !ic) with
                 | Vobj o, Some (cid, tgt) when o.o_cls.Classfile.cls_id = cid ->
@@ -1239,12 +1197,12 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
           | Vnull -> r.(dst) <- Vnull
           | x ->
               if Interp.value_instanceof x cls then r.(dst) <- x
-              else trap "cannot cast %s to %s" (string_of_value x) cls_name);
+              else Interp.trap "cannot cast %s to %s" (string_of_value x) cls_name);
           next f
     | Node.Null_check a ->
         fun f ->
           bump k cy;
-          (match f.vr.(a) with Vnull -> trap "null dereference" | _ -> ());
+          (match f.vr.(a) with Vnull -> Interp.trap "null dereference" | _ -> ());
           next f
     | Node.Print a ->
         fun f ->
@@ -1307,7 +1265,7 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
      and the jump *)
   let move_edge k cy ~pred ~succ (pb : Ir_exec.phi_block) : chain =
     let idx = pb.Ir_exec.pb_route.(pred) in
-    if idx < 0 then fun _ -> trap "phi resolution: B%d is not a predecessor of B%d" pred succ
+    if idx < 0 then fun _ -> Interp.trap "phi resolution: B%d is not a predecessor of B%d" pred succ
     else
       let dsts = pb.Ir_exec.pb_dsts and srcs = pb.Ir_exec.pb_srcs.(idx) in
       let kinds = Array.mapi (fun i dst -> move_kind g pl ~dst ~src:srcs.(i)) dsts in
@@ -1342,7 +1300,7 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
           | [| Mv_unbox |], [| d |], [| s |] ->
               fun f ->
                 bump k cy;
-                f.ir.(d) <- as_int f.vr.(s);
+                f.ir.(d) <- (match f.vr.(s) with Vint n -> n | v -> Interp.as_int v);
                 poll cpu bci rest;
                 next f
           | [| Mv_int; Mv_int |], [| d0; d1 |], [| s0; s1 |] ->
@@ -1458,8 +1416,8 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
             done;
             let vr = f.vr in
             raise (Ir_exec.Deoptimize (d, fun id -> vr.(id))))
-    | Graph.Trap msg -> charged (fun _ -> trap "%s" msg)
-    | Graph.Unreachable -> charged (fun _ -> trap "reached an Unreachable terminator")
+    | Graph.Trap msg -> charged (fun _ -> Interp.trap "%s" msg)
+    | Graph.Unreachable -> charged (fun _ -> Interp.trap "reached an Unreachable terminator")
     | Graph.Goto t -> transfer k cy ~pred:bid ~succ:t
     | Graph.If { cond; tru; fls; _ } -> (
         let bt, rt, et = arm ~pred:bid ~succ:tru in
@@ -1477,13 +1435,13 @@ let compile (env : Interp.env) (p : Ir_exec.prepared) : code =
               match f.vr.(cond) with
               | Vbool true -> take cpu bt rt et f
               | Vbool false -> take cpu bf rf ef f
-              | v -> if as_bool v then take cpu bt rt et f else take cpu bf rf ef f
+              | v -> if Interp.as_bool v then take cpu bt rt et f else take cpu bf rf ef f
             else fun f ->
               bump k cy;
               match f.vr.(cond) with
               | Vbool true -> take cpu bt rt et f
               | Vbool false -> take cpu bf rf ef f
-              | v -> if as_bool v then take cpu bt rt et f else take cpu bf rf ef f)
+              | v -> if Interp.as_bool v then take cpu bt rt et f else take cpu bf rf ef f)
   in
   (* the constants of the register file, filled when a file is made *)
   let consts = ref [] in
@@ -1603,7 +1561,7 @@ let rec bind_params code vr i args =
     | v :: vs ->
         vr.(code.param_ids.(i)) <- v;
         bind_params code vr (i + 1) vs
-    | [] -> trap "missing argument %d for %s" i code.method_name
+    | [] -> Interp.trap "missing argument %d for %s" i code.method_name
 
 let run (code : code) (args : Value.value list) : Value.value option =
   let f =

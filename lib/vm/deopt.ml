@@ -15,7 +15,6 @@ open Pea_rt
 open Value
 module Event = Pea_obs.Event
 module Trace = Pea_obs.Trace
-module Pheap = Pea_obs.Profile_heap
 
 (* Collect every virtual-object descriptor reachable from the frame-state
    chain (innermost state holds them all in this implementation, but be
@@ -41,41 +40,25 @@ let handle ?(reason = "speculation-failed") ?(oracle : Oracle.t option) (env : I
     (d : Graph.deopt) (lookup : Node.node_id -> Value.value) : Value.value option =
   let fs = d.Graph.d_state in
   let stats = env.Interp.stats in
-  let { Pea_obs.Instruments.trace; heap = pheap; _ } = env.Interp.instruments in
+  let trace = env.Interp.instruments.Pea_obs.Instruments.trace in
   Stats.incr stats Stats.deopts;
   Stats.add stats Stats.cycles Cost.deopt;
   (* --- rematerialize --- *)
   let descriptors = collect_virtuals fs in
   let objects : (Frame_state.virt_id, Value.value) Hashtbl.t = Hashtbl.create 8 in
-  (* heap-profiler attribution for rematerializations and promotions:
-     the deopt site (innermost frame) is the bytecode position the
-     allocations reappear at, which is what "42 remat at C.m@12" should
-     mean in a report *)
-  let record kind (v : Value.value) =
-    match pheap with
-    | None -> ()
-    | Some p -> (
-        let mid = fs.Frame_state.fs_method.Classfile.mth_id and bci = fs.Frame_state.fs_bci in
-        match v with
-        | Vobj o ->
-            Pheap.record p ~mid ~bci ~cls:o.o_cls.Classfile.cls_name ~kind
-              ~bytes:(Value.object_bytes o.o_cls)
-        | Varr a ->
-            Pheap.record p ~mid ~bci
-              ~cls:(Pea_mjava.Ast.string_of_ty a.a_elem ^ "[]")
-              ~kind
-              ~bytes:(Value.array_bytes a.a_elem (Array.length a.a_elems))
-        | Vint _ | Vbool _ | Vnull -> ())
-  in
+  (* rematerializations and promotions are recorded at the deopt site
+     (innermost frame): the bytecode position the allocations reappear
+     at, which is what "42 remat at C.m@12" should mean in a report *)
+  let heap = env.Interp.heap in
+  let mid = fs.Frame_state.fs_method.Classfile.mth_id and bci = fs.Frame_state.fs_bci in
   Hashtbl.iter
     (fun id (vd : Frame_state.virtual_desc) ->
       let v =
         match vd.Frame_state.vd_shape with
-        | Frame_state.Obj_shape cls -> Vobj (Heap.alloc_object env.Interp.heap cls)
+        | Frame_state.Obj_shape cls -> Vobj (Heap.remat_object heap ~mid ~bci cls)
         | Frame_state.Arr_shape elem ->
-            Varr (Heap.alloc_array env.Interp.heap elem (Array.length vd.Frame_state.vd_fields))
+            Varr (Heap.remat_array heap ~mid ~bci elem (Array.length vd.Frame_state.vd_fields))
       in
-      record Pheap.K_remat v;
       Stats.incr stats Stats.rematerialized;
       Hashtbl.replace objects id v)
     descriptors;
@@ -109,22 +92,22 @@ let handle ?(reason = "speculation-failed") ?(oracle : Oracle.t option) (env : I
      or store it anywhere. Walk everything the state can reach
      (rematerialized fields included: remat objects are heap-allocated
      but may point at stack objects) and promote each live stack-region
-     object: charge the allocation the stack tier elided, clear its
-     region marker so the enclosing pop skips it, and record it at the
-     deopt site like a rematerialization. *)
+     object: the heap charges the allocation the stack tier elided,
+     clears its region marker so the enclosing pop skips it, and records
+     it at the deopt site like a rematerialization. *)
   let visited_o = ref [] and visited_a = ref [] in
   let rec promote_value (v : Value.value) =
     match v with
     | Vobj o ->
         if not (List.memq o !visited_o) then begin
           visited_o := o :: !visited_o;
-          if Heap.promote env.Interp.heap v then record Pheap.K_promote v;
+          Heap.promote heap ~mid ~bci v;
           Array.iter promote_value o.o_fields
         end
     | Varr a ->
         if not (List.memq a !visited_a) then begin
           visited_a := a :: !visited_a;
-          if Heap.promote env.Interp.heap v then record Pheap.K_promote v;
+          Heap.promote heap ~mid ~bci v;
           Array.iter promote_value a.a_elems
         end
     | Vint _ | Vbool _ | Vnull -> ()

@@ -78,9 +78,6 @@ type compiled = {
   prepared : Ir_exec.prepared; (* the tables the closure tier translates *)
   spec_inlines : int; (* guarded splices in this graph *)
   spec_blacklist_skips : int; (* speculation sites vetoed by the blacklist *)
-  mutable closure : Closure_compile.code option;
-      (* built lazily by the VM (translation needs the runtime env, which
-         the JIT does not hold) *)
 }
 
 module Spec_check = Pea_analysis.Spec_check
@@ -227,5 +224,4 @@ let compile ?summaries ?after_phase ?(blacklist = no_blacklist) ?osr_at ?trace c
     prepared = Ir_exec.prepare g;
     spec_inlines = inline_stats.Pea_opt.Inline.speculative_inlines;
     spec_blacklist_skips = inline_stats.Pea_opt.Inline.blacklist_skips;
-    closure = None;
   }

@@ -73,9 +73,12 @@ type compiled = {
   prepared : Ir_exec.prepared; (* the tables {!Closure_compile} translates *)
   spec_inlines : int; (* guarded splices in this graph *)
   spec_blacklist_skips : int; (* speculation sites vetoed by the blacklist *)
-  mutable closure : Closure_compile.code option;
-      (* built lazily by the VM, at the code's first execution *)
 }
+(** Nothing writes compiled code after {!compile} returns it, so one
+    record may be installed in many VMs (the serving layer's shared cache
+    hands the same record to every tenant). Each VM builds its own closure
+    translation of it, bound to its heap, globals and counters, at the
+    code's first execution. *)
 
 (** [compilable ?osr m] is whether the JIT compiles [m]: never a method
     with exception handlers or [athrow] (it runs interpreted), and, with

@@ -31,10 +31,19 @@ type code_source = {
   cs_deopt : Classfile.rt_method -> site:int * int -> unit;
 }
 
+(* Installed code and this VM's closure translation of it, built at the
+   code's first execution: a translation is bound to this VM's heap,
+   globals and counters, so it lives here, never in the (possibly shared)
+   compiled code. *)
+type installed = {
+  ic_code : Jit.compiled;
+  mutable ic_closure : Closure_compile.code option;
+}
+
 (* Everything the VM keeps per method, indexed by [mth_id]. *)
 type meth = {
-  mutable code : Jit.compiled option; (* normal-entry code *)
-  mutable osr : (int * Jit.compiled) list; (* loop-header bci -> OSR-entry code *)
+  mutable code : installed option; (* normal-entry code *)
+  mutable osr : (int * installed) list; (* loop-header bci -> OSR-entry code *)
   mutable osr_failed : int list;
       (* loop headers OSR gave up on (irreducible from the header, or the
          method holds monitors / uses exceptions): never retried *)
@@ -84,11 +93,11 @@ let site_blacklisted vm (mid, bci) = List.mem bci vm.meths.(mid).fired
 let trace vm = vm.env.Interp.instruments.Instruments.trace
 
 (* A flight-recorder incident: the VM's recorder, if it was handed one,
-   dumps its ring. *)
+   dumps the VM's tracer (which [create] guarantees it has). *)
 let incident vm ~reason =
-  match vm.env.Interp.instruments.Instruments.flight with
-  | Some f -> Flight.trigger f ~reason
-  | None -> ()
+  match vm.env.Interp.instruments with
+  | { Instruments.flight = Some f; trace = Some t; _ } -> Flight.trigger f t ~reason
+  | _ -> ()
 
 let tier_name = function None -> "jit" | Some _ -> "osr"
 
@@ -105,24 +114,26 @@ let leave_compiled cpu pdepth heap =
 let install vm (m : Classfile.rt_method) osr_bci (code : Jit.compiled) =
   let stats = vm.env.Interp.stats in
   let r = vm.meths.(m.Classfile.mth_id) in
+  let ic = { ic_code = code; ic_closure = None } in
   (match osr_bci with
   | None ->
-      r.code <- Some code;
+      r.code <- Some ic;
       Stats.incr stats Stats.compiled_methods
   | Some header ->
-      r.osr <- (header, code) :: r.osr;
+      r.osr <- (header, ic) :: r.osr;
       Stats.incr stats Stats.osr_compiles);
   Stats.observe stats Stats.compiled_graph_nodes (Pea_ir.Graph.n_nodes code.Jit.graph);
   Stats.add stats Stats.speculative_inlines code.Jit.spec_inlines;
   Stats.add stats Stats.inline_blacklist_skips code.Jit.spec_blacklist_skips;
-  Option.iter (accumulate_jit_stats vm.jit_stats) code.Jit.pea_stats
+  Option.iter (accumulate_jit_stats vm.jit_stats) code.Jit.pea_stats;
+  ic
 
 let rec invoke vm (m : Classfile.rt_method) args =
   let r = vm.meths.(m.Classfile.mth_id) in
   if vm.interp_only || r.pinned then Interp.run vm.env m args
   else
     match r.code with
-    | Some code -> run_compiled vm m code args
+    | Some ic -> run_compiled vm m ic args
     | None ->
         let invocations = Profile.invocations vm.env.Interp.profile m in
         if invocations >= vm.config.Jit.compile_threshold && Jit.compilable m then
@@ -131,9 +142,7 @@ let rec invoke vm (m : Classfile.rt_method) args =
               (* serving: the shared cache either delivers ready code or
                  takes the request; the VM never compiles on its own *)
               match cs.cs_code m with
-              | Some code ->
-                  install vm m None code;
-                  run_compiled vm m code args
+              | Some code -> run_compiled vm m (install vm m None code) args
               | None -> Interp.run vm.env m args)
           | None -> run_compiled vm m (compile_now vm m None) args
         else Interp.run vm.env m args
@@ -172,8 +181,7 @@ and compile_now vm (m : Classfile.rt_method) osr_bci =
      latency; the charge lands on a dedicated counter, never [cycles] *)
   Stats.add vm.env.Interp.stats Stats.compile_stall_cycles
     (Cost.compile_latency ~bytecodes:(Array.length m.Classfile.mth_code));
-  install vm m osr_bci code;
-  code
+  install vm m osr_bci code
 
 (* Per-site deopt policy: blacklist the exact site that fired (innermost
    deopt frame), invalidate every piece of the root method's code, and pin
@@ -263,22 +271,23 @@ and handle_deopt vm (m : Classfile.rt_method) ~reason ?oracle (d : Pea_ir.Graph.
       incident vm ~reason:"oracle-divergence";
       raise e
 
-and run_compiled vm (m : Classfile.rt_method) code args =
+and run_compiled vm (m : Classfile.rt_method) ic args =
   let cell = vm.invocations_cell and i = vm.invocations_idx in
   cell.(i) <- cell.(i) + 1;
   (* compiled-tier calls keep feeding the profile, so invocation counts
      reported by [mjvm explain] / [Tier_promote] stay live *)
   let p = vm.env.Interp.profile.(m.Classfile.mth_id) in
   p.Profile.invocations <- p.Profile.invocations + 1;
-  exec_compiled vm m ~reason:"speculation-failed" code args
+  exec_compiled vm m ~reason:"speculation-failed" ic args
 
 (* Transfer an interpreter frame into OSR code. No invocation is counted:
    the frame was already counted when it entered the interpreter. *)
-and run_osr vm m code (locals : Value.value array) =
+and run_osr vm m ic (locals : Value.value array) =
   Stats.incr vm.env.Interp.stats Stats.osr_entries;
-  exec_compiled vm m ~reason:"osr-speculation-failed" code (Array.to_list locals)
+  exec_compiled vm m ~reason:"osr-speculation-failed" ic (Array.to_list locals)
 
-and exec_compiled vm m ~reason code args =
+and exec_compiled vm m ~reason ic args =
+  let code = ic.ic_code in
   (* with the oracle on, snapshot the entry state now so a later deopt of
      this activation can be bisimulation-checked against a shadow replay *)
   let oracle =
@@ -291,7 +300,7 @@ and exec_compiled vm m ~reason code args =
                ~locals:(Array.of_list args))
       | None -> Some (Oracle.snapshot_call ~program:vm.program vm.env m args)
   in
-  let cc = ensure_closure vm m code in
+  let cc = ensure_closure vm m ic in
   (* profiler shadow frame for this compiled activation; on deopt the
      frame is truncated BEFORE the interpreter frames run, so the
      reconstructed frames appear at this activation's depth *)
@@ -331,8 +340,8 @@ and exec_compiled vm m ~reason code args =
       leave_compiled cpu pdepth heap;
       raise e
 
-and ensure_closure vm m (code : Jit.compiled) =
-  match code.Jit.closure with
+and ensure_closure vm m ic =
+  match ic.ic_closure with
   | Some cc -> cc
   | None ->
       (* built on the code's first execution *)
@@ -346,8 +355,8 @@ and ensure_closure vm m (code : Jit.compiled) =
                  invocations = Profile.invocations vm.env.Interp.profile m;
                })
       | None -> ());
-      let cc = Closure_compile.compile vm.env code.Jit.prepared in
-      code.Jit.closure <- Some cc;
+      let cc = Closure_compile.compile vm.env ic.ic_code.Jit.prepared in
+      ic.ic_closure <- Some cc;
       Stats.incr vm.env.Interp.stats Stats.closure_compiled_methods;
       cc
 
@@ -398,6 +407,9 @@ let create ?trace ?cpu ?heap ?flight ?(config = Jit.default_config) (program : L
   (* catch frontend/compiler bugs at VM-creation time, like the JVM's
      class-file verifier *)
   Verify.verify_program program;
+  (* a flight recorder dumps this VM's tracer: handed one without a
+     tracer, the VM keeps a private ring for it *)
+  let trace = match (trace, flight) with None, Some _ -> Some (Trace.create ()) | _ -> trace in
   let printed_rev = ref [] in
   let env =
     Interp.make_env
@@ -406,10 +418,12 @@ let create ?trace ?cpu ?heap ?flight ?(config = Jit.default_config) (program : L
       program
   in
   let stats = env.Interp.stats in
-  (* the sampling profiler this VM was handed follows its cycle clock
-     (each VM's counter starts at zero, so the sampling grid restarts
-     with it) *)
-  Option.iter (fun p -> Pcpu.set_clock p (fun () -> Stats.get stats Stats.cycles)) cpu;
+  (* the tracer and the sampling profiler this VM was handed follow its
+     cycle clock (each VM's counter starts at zero, so the sampling grid
+     restarts with it) *)
+  let clock () = Stats.get stats Stats.cycles in
+  Option.iter (fun t -> Trace.set_clock t clock) trace;
+  Option.iter (fun p -> Pcpu.set_clock p clock) cpu;
   let invocations_cell, invocations_idx = Stats.cell stats Stats.invocations in
   (* the interpreter's hooks close over the VM they belong to *)
   let rec vm =
@@ -446,7 +460,7 @@ let jit_stats vm = vm.jit_stats
 let printed vm = List.rev !(vm.printed_rev)
 
 let compiled_graph vm (m : Classfile.rt_method) =
-  Option.map (fun c -> c.Jit.graph) vm.meths.(m.Classfile.mth_id).code
+  Option.map (fun ic -> ic.ic_code.Jit.graph) vm.meths.(m.Classfile.mth_id).code
 
 let interpreter_pinned vm (m : Classfile.rt_method) = vm.meths.(m.Classfile.mth_id).pinned
 

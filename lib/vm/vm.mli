@@ -22,8 +22,10 @@
     interpreter for good (deopt-storm guard).
 
     The VM keeps one record per method (indexed by [mth_id]): its
-    normal code, its OSR code per loop header, the headers OSR gave up
-    on, its fired deopt sites, its invalidation count and its pin. *)
+    normal code, its OSR code per loop header, each with the VM's own
+    closure translation of it (built at the code's first execution), the
+    headers OSR gave up on, its fired deopt sites, its invalidation
+    count and its pin. *)
 
 open Pea_bytecode
 open Pea_rt
@@ -42,13 +44,15 @@ type result = {
 }
 
 (** [create ?trace ?cpu ?heap ?flight ?config program] builds a VM for
-    [program], watched by the instruments it is handed and by no other:
-    [trace] receives its events (tier-ups, the JIT's compiles, deopts,
-    blacklisted sites, inline-cache transitions; the caller wires its
-    clock), [cpu] samples it on its cycle clock, which [create] wires,
-    [heap] records every allocation site, and [flight] dumps its ring on
-    an incident (a deopt storm, a compile failure, an oracle
-    divergence); hand [flight]'s ring as [trace]. *)
+    [program], watched by the instruments it is handed and by no other,
+    and is their one wiring point: [trace] receives its events
+    (tier-ups, the JIT's compiles, deopts, blacklisted sites,
+    inline-cache transitions) and [cpu] samples it, both stamped by its
+    cycle counter, whose clock [create] wires into each; [heap] is
+    handed to the VM's heap, which records every allocation at its
+    site; and [flight] dumps the VM's tracer on an incident (a deopt
+    storm, a compile failure, an oracle divergence). Handed [flight]
+    without [trace], the VM keeps a private ring for it. *)
 val create :
   ?trace:Pea_obs.Trace.t ->
   ?cpu:Pea_obs.Profile_cpu.t ->

@@ -59,9 +59,7 @@ let run_traced ?(src = scenario_src) ?(iterations = 30) ?(threshold = 22) () =
      its deopt/recompile surface; OSR tracing is covered in test_osr.ml *)
   let config = { Jit.default_config with Jit.compile_threshold = threshold; osr = false } in
   let t = Trace.create () in
-  let vm = Vm.create ~trace:t ~config program in
-  Trace.set_clock t (fun () -> Stats.get (Vm.stats vm) Stats.cycles);
-  let r = Vm.run_main_iterations vm iterations in
+  let r = Vm.run_main_iterations (Vm.create ~trace:t ~config program) iterations in
   (r, Trace.jsonl_string t, Trace.chrome_string t, Trace.entries t)
 
 let count_sub s sub =
@@ -285,10 +283,9 @@ let prop_tracing_is_pure =
       let program = Pea_bytecode.Link.compile_source src in
       let _, cpu, heap = Test_support.instruments d in
       let off = Vm.run_main_iterations (Vm.create ?cpu ?heap ~config program) 3 in
-      let t = Trace.create () in
-      let vm = Vm.create ~trace:t ?cpu ?heap ~config program in
-      Trace.set_clock t (fun () -> Stats.get (Vm.stats vm) Stats.cycles);
-      let on = Vm.run_main_iterations vm 3 in
+      let on =
+        Vm.run_main_iterations (Vm.create ~trace:(Trace.create ()) ?cpu ?heap ~config program) 3
+      in
       outcome off = outcome on && off.Vm.stats = on.Vm.stats)
 
 let () =

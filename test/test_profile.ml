@@ -12,7 +12,6 @@ open Pea_rt
 open Pea_vm
 module Pcpu = Pea_obs.Profile_cpu
 module Pheap = Pea_obs.Profile_heap
-module Trace = Pea_obs.Trace
 module Flight = Pea_obs.Flight
 
 (* Run [src] on a VM handed fresh profilers and hand back (vm result,
@@ -291,10 +290,8 @@ let test_flight_dump_on_storm () =
   let config =
     { Jit.default_config with Jit.compile_threshold = 25; osr = false; deopt_storm_limit = 2 }
   in
-  let ring = Trace.create () in
-  let flight = Flight.create ~path ring in
-  let vm = Vm.create ~trace:ring ~flight ~config program in
-  Trace.set_clock ring (fun () -> Stats.get (Vm.stats vm) Stats.cycles);
+  let flight = Flight.create ~path in
+  let vm = Vm.create ~flight ~config program in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
@@ -323,34 +320,67 @@ let test_flight_dump_on_storm () =
 (* Profiling-off parity                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Profiling must be invisible: over the shared corpus and a drawn
-   configuration, a profiled run returns the same outcome and
-   bit-identical deterministic counters as an unprofiled one. This is
-   the profiler twin of the trace zero-overhead gate. The property walks
-   the profilers itself; both runs are handed the drawn tracer. *)
+(* Profiling must be invisible: over a drawn program and configuration,
+   a profiled run returns the same outcome and bit-identical
+   deterministic counters as an unprofiled one. This is the profiler
+   twin of the trace zero-overhead gate. The property walks the
+   profilers itself; both runs are handed the drawn tracer. And the heap
+   profiler is the run's allocation ledger: its [by_class] rows sum to
+   the run's [allocations] and [allocated_bytes], through whatever the
+   draw does (OSR, the stack tier, the oracle's replay, deopts).
+
+   Two draws in five are the shared corpus, six runs of [main] at
+   threshold 4. At that threshold no profile clears the pruner's
+   20-sample floor, so nothing deopts; the rest are the two deopt
+   programs, OSR off, at the threshold their pruned branch needs:
+   [deopt_trap] (30 runs at 22) rematerializes a virtual object, and
+   [deopt_promote] (2 runs at 30), drawn twice as often, promotes a
+   stack-allocated one when pea and the stack tier are drawn. *)
 let prop_profiling_off_parity =
-  let gen =
-    QCheck2.Gen.pair (QCheck2.Gen.oneofl Programs.corpus)
+  let open QCheck2.Gen in
+  let case ?(osr = true) ~threshold ~iterations (name, src) =
+    map
+      (fun (d : Test_support.draw) ->
+        let c = d.Test_support.config in
+        ( (name, src, iterations),
+          { d with Test_support.config = { c with Jit.osr = c.Jit.osr && osr } } ))
       (Test_support.gen_config
-         ~base:{ Jit.default_config with Jit.compile_threshold = 4; osr_threshold = 3 }
+         ~base:{ Jit.default_config with Jit.compile_threshold = threshold; osr_threshold = 3 }
          ())
   in
-  let observe ?trace ?cpu ?heap src (d : Test_support.draw) =
+  let gen =
+    frequency
+      [
+        (2, oneofl Programs.corpus >>= case ~threshold:4 ~iterations:6);
+        (1, case ~osr:false ~threshold:22 ~iterations:30 ("deopt-trap", Programs.deopt_trap));
+        (2, case ~osr:false ~threshold:30 ~iterations:2 ("deopt-promote", Programs.deopt_promote));
+      ]
+  in
+  let observe ?trace ?cpu ?heap (_, src, iterations) (d : Test_support.draw) =
     let program = Link.compile_source src in
     let r =
-      Vm.run_main_iterations (Vm.create ?trace ?cpu ?heap ~config:d.Test_support.config program) 6
+      Vm.run_main_iterations
+        (Vm.create ?trace ?cpu ?heap ~config:d.Test_support.config program)
+        iterations
     in
     (Test_support.outcome r, Test_support.deterministic_counters r.Vm.stats)
   in
   QCheck2.Test.make ~name:"profiling changes no result and no counter"
-    ~count:(Test_env.qcheck_count 25)
-    ~print:(fun ((name, _), d) -> name ^ " " ^ Test_support.show_draw ~walks:[ "profilers" ] d)
+    ~count:(Test_env.qcheck_count 80)
+    ~print:(fun ((name, _, _), d) -> name ^ " " ^ Test_support.show_draw ~walks:[ "profilers" ] d)
     gen
-    (fun ((_, src), d) ->
+    (fun (case, d) ->
       let trace, _, _ = Test_support.instruments d in
-      let off = observe ?trace src d in
-      let on = observe ?trace ~cpu:(Pcpu.create ~interval:64 ()) ~heap:(Pheap.create ()) src d in
-      off = on)
+      let off = observe ?trace case d in
+      let heap = Pheap.create () in
+      let on = observe ?trace ~cpu:(Pcpu.create ~interval:64 ()) ~heap case d in
+      let count, bytes =
+        List.fold_left (fun (n, b) (_, c, y) -> (n + c, b + y)) (0, 0) (Pheap.by_class heap)
+      in
+      let counters = snd on in
+      off = on
+      && count = List.assoc "allocations" counters
+      && bytes = List.assoc "allocated_bytes" counters)
 
 let () =
   Alcotest.run "profile"

@@ -121,9 +121,10 @@ let prop_serving_matches_isolated =
     (fun ((tenants, rounds, requests_per_round, seed), d) ->
       let script = Sessions.mixed_script ~tenants ~rounds ~requests_per_round ~seed () in
       let sv_jit = d.Test_support.config in
-      let trace, cpu, heap = Test_support.instruments d in
+      (* a server takes a tracer alone, for its own events *)
+      let trace, _, _ = Test_support.instruments d in
       let config = { Server.default_config with Server.sv_jit } in
-      let r = Server.run ?trace ?cpu ?heap ~config script in
+      let r = Server.run ?trace ~config script in
       List.map (fun tr -> tr.Server.tr_results) r.Server.r_tenants = isolated_results script)
 
 let () =

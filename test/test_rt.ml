@@ -18,8 +18,8 @@ let classes () =
 let test_object_accounting () =
   let stats, heap = make_heap () in
   let small, big = classes () in
-  let o1 = Heap.alloc_object heap small in
-  let o2 = Heap.alloc_object heap big in
+  let o1 = Heap.alloc_object heap ~mid:0 ~bci:0 small in
+  let o2 = Heap.alloc_object heap ~mid:0 ~bci:0 big in
   Alcotest.(check int) "two allocations" 2 (Stats.get stats Stats.allocations);
   (* 16 + 8*1 and 16 + 8*4 *)
   Alcotest.(check int) "bytes" (24 + 48) (Stats.get stats Stats.allocated_bytes);
@@ -29,17 +29,17 @@ let test_object_accounting () =
 
 let test_array_accounting () =
   let stats, heap = make_heap () in
-  ignore (Heap.alloc_array heap Pea_mjava.Ast.Tint 10); (* 16 + 40 *)
-  ignore (Heap.alloc_array heap (Pea_mjava.Ast.Tclass "Object") 10); (* 16 + 80 *)
+  ignore (Heap.alloc_array heap ~mid:0 ~bci:0 Pea_mjava.Ast.Tint 10); (* 16 + 40 *)
+  ignore (Heap.alloc_array heap ~mid:0 ~bci:0 (Pea_mjava.Ast.Tclass "Object") 10); (* 16 + 80 *)
   Alcotest.(check int) "bytes" (56 + 96) (Stats.get stats Stats.allocated_bytes);
-  match Heap.alloc_array heap Pea_mjava.Ast.Tint (-1) with
+  match Heap.alloc_array heap ~mid:0 ~bci:0 Pea_mjava.Ast.Tint (-1) with
   | exception Heap.Negative_array_size _ -> ()
   | _ -> Alcotest.fail "negative size accepted"
 
 let test_monitor_accounting () =
   let stats, heap = make_heap () in
   let small, _ = classes () in
-  let o = Value.Vobj (Heap.alloc_object heap small) in
+  let o = Value.Vobj (Heap.alloc_object heap ~mid:0 ~bci:0 small) in
   Heap.monitor_enter heap o;
   Heap.monitor_enter heap o;
   Heap.monitor_exit heap o;
@@ -97,8 +97,8 @@ let test_cost_model_shape () =
 let test_value_equality () =
   let _, heap = make_heap () in
   let small, _ = classes () in
-  let a = Value.Vobj (Heap.alloc_object heap small) in
-  let b = Value.Vobj (Heap.alloc_object heap small) in
+  let a = Value.Vobj (Heap.alloc_object heap ~mid:0 ~bci:0 small) in
+  let b = Value.Vobj (Heap.alloc_object heap ~mid:0 ~bci:0 small) in
   Alcotest.(check bool) "identity" true (Value.equal_value a a);
   Alcotest.(check bool) "distinct objects differ" false (Value.equal_value a b);
   Alcotest.(check bool) "null = null" true (Value.equal_value Value.Vnull Value.Vnull);

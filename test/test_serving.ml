@@ -17,10 +17,9 @@
    - Replay determinism: two runs of the same session script produce
      structurally identical reports and byte-identical trace JSONL.
    - Threaded mode: real worker domains produce the same reports as
-     replay — counter-identical, not just result-identical — and a
-     threaded server hands its tenant VMs none of its instruments: its
-     trace holds no tenant event, its profiles stay empty, and the
-     trace is byte-identical across runs.
+     replay — counter-identical, not just result-identical — and, since
+     a server takes only a tracer and its tenant VMs carry no instrument
+     in either mode, the same trace byte for byte.
 
    Serving configs are built explicitly; the harness runs its tenant
    VMs without OSR by design. *)
@@ -33,8 +32,6 @@ module Compile_queue = Pea_serve.Compile_queue
 module Sessions = Pea_workloads.Sessions
 module Trace = Pea_obs.Trace
 module Event = Pea_obs.Event
-module Pcpu = Pea_obs.Profile_cpu
-module Pheap = Pea_obs.Profile_heap
 
 (* Short-session config for the cache-sharing and determinism tests: a
    low threshold compiles quickly (pruning stays off below the pruner's
@@ -659,7 +656,7 @@ let test_queue_refused_install () =
 
 (* A bump moves the key's epoch, drops its entry and its profile, and
    dooms a compile validated against the old epoch; other keys keep
-   theirs. Every lookup hands out its own closure-free copy. *)
+   theirs. Every lookup hands back the published record. *)
 let test_shared_cache_epochs () =
   let c = Shared_cache.create () in
   let k = (0, 7) and other = (1, 7) in
@@ -675,8 +672,8 @@ let test_shared_cache_epochs () =
     (Shared_cache.publish c other ~epoch:0 code = `Installed);
   (match (Shared_cache.lookup c k, Shared_cache.lookup c k) with
   | Some (a, 0), Some (b, 0) ->
-      Alcotest.(check bool) "no closure shared" true (a.Jit.closure = None && b.Jit.closure = None);
-      Alcotest.(check bool) "each lookup is a fresh copy" true (a != b)
+      Alcotest.(check bool) "every lookup hands back the published record" true
+        (a == code && b == code)
   | _ -> Alcotest.fail "the published entry is not found at epoch 0");
   Shared_cache.remember_profile c k p1;
   Shared_cache.remember_profile c k p2;
@@ -807,27 +804,25 @@ let test_threaded_storm_isolation () =
         && a.Server.tr_stats = b.Server.tr_stats))
     [ 0; 1; 2 ]
 
-(* A threaded server hands its tenant VMs none of its instruments: their
-   events would interleave with the coordinator's in wall-clock order,
-   and the profilers are single-domain instruments. Served on two worker
-   domains with a tracer and both profilers, a deopt storm gives replay's
-   report, a trace of the server's own events only (the barrier's, the
-   queue's and the shared compiles') that is byte-identical across runs,
-   and empty profiles. *)
-let test_threaded_instruments_stay_out () =
-  let script () =
-    Sessions.storm_script ~storm:true ~victims:3 ~rounds:26 ~requests_per_round:6 ~seed:5 ()
+(* A server's tenant VMs carry no instrument in either mode: the
+   server's tracer holds the server's own events alone (the barrier's,
+   the queue's and the shared compiles'), which the coordinator emits in
+   a fixed order. So a deopt storm served in replay and on two worker
+   domains gives equal reports and byte-identical traces, with no
+   tenant-VM event in them. *)
+let test_trace_same_in_both_modes () =
+  let serve mode =
+    let trace = Trace.create () in
+    let config = { storm_config with Server.sv_mode = mode } in
+    let r =
+      Server.run ~trace ~config
+        (Sessions.storm_script ~storm:true ~victims:3 ~rounds:26 ~requests_per_round:6 ~seed:5 ())
+    in
+    (r, trace)
   in
-  let replay = Server.run ~config:storm_config (script ()) in
-  let threaded () =
-    let trace = Trace.create () and cpu = Pcpu.create ~interval:64 () and heap = Pheap.create () in
-    let config = { storm_config with Server.sv_mode = Server.Threaded 2 } in
-    let r = Server.run ~trace ~cpu ~heap ~config (script ()) in
-    (r, trace, cpu, heap)
-  in
-  let r, trace, cpu, heap = threaded () in
-  Alcotest.(check bool) "report = replay report" true (r = replay);
-  Alcotest.(check bool) "the server's own events are traced" true (Trace.length trace > 0);
+  let replay, replay_trace = serve Server.Replay in
+  let threaded, threaded_trace = serve (Server.Threaded 2) in
+  Alcotest.(check bool) "the server's own events are traced" true (Trace.length replay_trace > 0);
   Alcotest.(check (list string)) "no tenant-VM event" []
     (List.filter_map
        (fun e ->
@@ -835,20 +830,18 @@ let test_threaded_instruments_stay_out () =
          | Event.Deopt _ | Event.Tier_promote _ | Event.Site_blacklist _ | Event.Ic_transition _ ->
              Some (Event.name e.Trace.e_event)
          | _ -> None)
-       (Trace.entries trace));
-  Alcotest.(check int) "no samples" 0 (Pcpu.total_weight cpu);
-  Alcotest.(check int) "no heap records" 0 (Pheap.total_records heap);
-  let _, again, _, _ = threaded () in
-  Alcotest.(check string) "two threaded runs: byte-identical trace JSONL" (Trace.jsonl_string trace)
-    (Trace.jsonl_string again)
+       (Trace.entries replay_trace));
+  Alcotest.(check bool) "threaded report = replay report" true (threaded = replay);
+  Alcotest.(check string) "threaded trace JSONL = replay trace JSONL"
+    (Trace.jsonl_string replay_trace) (Trace.jsonl_string threaded_trace)
 
 let () =
   let threaded =
     [
       Alcotest.test_case "threaded report = replay report" `Quick test_threaded_equals_replay;
       Alcotest.test_case "threaded storm isolation" `Quick test_threaded_storm_isolation;
-      Alcotest.test_case "a threaded server's instruments see no tenant" `Quick
-        test_threaded_instruments_stay_out;
+      Alcotest.test_case "a session's trace is the same in both modes" `Quick
+        test_trace_same_in_both_modes;
     ]
   in
   Alcotest.run "serving"

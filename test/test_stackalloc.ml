@@ -16,7 +16,6 @@
 open Pea_bytecode
 open Pea_rt
 open Pea_vm
-module Trace = Pea_obs.Trace
 module Flight = Pea_obs.Flight
 module Pheap = Pea_obs.Profile_heap
 
@@ -186,10 +185,8 @@ let test_flight_dump_failure_warns () =
   let config =
     { Jit.default_config with Jit.compile_threshold = 25; osr = false; deopt_storm_limit = 2 }
   in
-  let ring = Trace.create () in
-  let flight = Flight.create ~path ring in
-  let vm = Vm.create ~trace:ring ~flight ~config program in
-  Trace.set_clock ring (fun () -> Stats.get (Vm.stats vm) Stats.cycles);
+  let flight = Flight.create ~path in
+  let vm = Vm.create ~flight ~config program in
   let captured = Filename.temp_file "mjvm_stderr" ".txt" in
   let fd = Unix.openfile captured [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
   let saved_stderr = Unix.dup Unix.stderr in

@@ -239,7 +239,7 @@ let test_inlined_compile_forces_nothing () =
    [Invalid_argument], not [Build_error]. [F.caller] keeps its call to
    it (no inlining, no pruning), so compiling [F.caller] asks for a
    summary and runs the fixpoint. The exception ends the run, after the
-   VM's flight recorder has dumped its ring as a compile-failure
+   VM's flight recorder has dumped the VM's private ring as a compile-failure
    incident; without summaries nothing asks, and the caller compiles. *)
 let test_builder_fault_ends_the_run () =
   let src =
@@ -255,8 +255,7 @@ let test_builder_fault_ends_the_run () =
      }"
   in
   let path = Filename.temp_file "mjvm_flight" ".jsonl" in
-  let ring = Pea_obs.Trace.create () in
-  let flight = Pea_obs.Flight.create ~path ring in
+  let flight = Pea_obs.Flight.create ~path in
   let setup ~summaries =
     let program = Link.compile_source ~require_main:false src in
     let config =
@@ -268,7 +267,7 @@ let test_builder_fault_ends_the_run () =
         summaries;
       }
     in
-    let vm = Vm.create ~trace:ring ~flight ~config program in
+    let vm = Vm.create ~flight ~config program in
     (* after [Vm.create], whose bytecode verifier would reject it *)
     (Link.find_method program "F" "broken").Classfile.mth_code <- [| Classfile.Goto 9999 |];
     (vm, Link.find_method program "F" "caller")
